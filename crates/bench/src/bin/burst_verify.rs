@@ -543,16 +543,15 @@ fn transport_cells(seed: u64, steps: usize, cells: &mut Vec<Cell>) {
 
     // --- escalation-parity -----------------------------------------------
     // The drop is aimed at the victim's first *attention* K/V send, past
-    // the FSDP gather prelude (one ring all-gather of g-1 hops per
-    // parameter tensor), so the legacy path escalates instantly at the
-    // receiver instead of stalling in the gather's receive-retry loop.
+    // the FSDP gather prelude (one ring all-gather of g-1 hops for the
+    // whole parameter bucket), so the legacy path escalates instantly at
+    // the receiver instead of stalling in the gather's receive-retry loop.
     let mut cfg = EngineConfig::tiny(Backend::Ring(Algo::BurstFlat));
     cfg.model.seq_len = 48; // zigzag needs n % 2g == 0 for g in {3, 4}
     cfg.seed = seed;
     let victim = 1 + (seed % 2) as usize;
     let dst = victim + 1;
-    let params = burst_model::Model::new(cfg.model, cfg.seed).params().len() as u64;
-    let prelude = 3 * params; // (g - 1) messages per parameter on the link
+    let prelude = topo.world_size() as u64 - 1;
     let one_drop = move |reliable: bool| {
         let p = FaultPlan::new(seed)
             .drop_msg(victim, dst, prelude)

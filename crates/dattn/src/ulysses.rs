@@ -125,6 +125,15 @@ pub struct UlyssesSaved {
     mem: Option<MemId>,
 }
 
+impl UlyssesSaved {
+    /// Discard the state without running the backward, closing its stash
+    /// entry — for callers that rebuild it (recompute) instead of keeping
+    /// it.
+    pub fn release(self, comm: &mut Communicator) {
+        comm.mem_free(self.mem);
+    }
+}
+
 /// Bill the full-sequence saved state (Q, K, V, O as f32 plus Lse) as one
 /// checkpoint-stash entry spanning forward → backward.
 pub(crate) fn stash_entry(

@@ -116,6 +116,15 @@ pub struct UspSaved {
     mem: Option<MemId>,
 }
 
+impl UspSaved {
+    /// Discard the state without running the backward, closing its stash
+    /// entry — for callers that rebuild it (recompute) instead of keeping
+    /// it.
+    pub fn release(self, comm: &mut Communicator) {
+        comm.mem_free(self.mem);
+    }
+}
+
 fn bundle(heads: &[Mat], h0: usize, h1: usize) -> Mat {
     Mat::hstack(&heads[h0..h1])
 }

@@ -694,10 +694,11 @@ impl AttnExec for UlyssesExec<'_> {
         let members = self.members();
         let idx = self.member_idx();
         let scale = head_scale(&q[0]);
-        let (o, _saved) = ulysses_forward(
+        let (o, saved) = ulysses_forward(
             self.comm, &members, &idx, q, k, v, scale, &self.mask, &self.cost,
         )
         .expect("Ulysses infeasible for this head/rank combination");
+        saved.release(self.comm);
         // Ulysses' Lse lives head-sharded on the owning rank; `backward`
         // rebuilds everything it needs from (q, k, v) — the recompute that
         // gradient checkpointing (the paper's evaluation setting) implies —
@@ -797,7 +798,7 @@ impl AttnExec for UspExec<'_> {
             &self.cost,
         )
         .expect("USP infeasible for this head/group combination");
-        let _ = saved;
+        saved.release(self.comm);
         let rows = o[0].rows();
         let lse = vec![vec![f32::NAN; rows]; q.len()];
         (o, lse)

@@ -9,54 +9,277 @@
 //! FSDP communication the paper identifies as the reason end-to-end
 //! overlap is imperfect (§4.3).
 //!
-//! Every per-parameter collective is wrapped in a [`SpanKind::Optim`] span
-//! (`fsdp_gather` / `fsdp_sync`), so optimizer-path communication — and
-//! under the reliable transport, its retransmissions — is attributable
-//! per operation in the trace, not just in aggregate.
+//! # Flat buckets
+//!
+//! Each call packs every parameter into flat one-row buckets and runs one
+//! collective per bucket, so the step pays `G − 1` ring latencies per
+//! collective instead of `G − 1` per parameter:
+//!
+//! * **Weight gather** — one bucket per rank: its `shard_range` rows of
+//!   every parameter, back to back, through one ring all-gather.
+//! * **Gradient sync, ring bucket** — block `b` concatenates the `b`-th
+//!   `chunk_rows` slice of every parameter whose row count divides by `G`;
+//!   one ring reduce-scatter plus all-gather reduces all of them.
+//! * **Gradient sync, leader bucket** — the remaining parameters (row
+//!   counts below or not divisible by `G`, e.g. the `1 × d` norms) go
+//!   through one leader gather-sum-broadcast.
+//!
+//! The received buckets are unpacked in place into `p.w` / `p.grad`.
+//!
+//! **Bit-identical to one collective per parameter.** Addition is
+//! elementwise, so an element's sum depends only on the order its
+//! contributions meet. Every element keeps the ring block index it had
+//! in a per-parameter ring all-reduce, and with it the reduce-scatter's
+//! association; leader-bucket elements are summed in ascending rank order,
+//! as the per-parameter leader path sums them. Losses, final state and
+//! wire bytes therefore match a collective per parameter exactly; only the
+//! message boundaries — and so the latency the virtual clock charges —
+//! move.
+//!
+//! **bf16 wire.** Under [`WireDtype::Bf16`] a peer decodes every element it
+//! receives at bf16 precision. Replicas stay identical because every rank
+//! holds the wire-rounded value, including the one that sent it: a rank
+//! rounds its own shard before the gather, a block's owner rounds its
+//! reduced block before the gradient all-gather, and every rank rounds the
+//! leader bucket's sum. The gather checks each received element bit for bit
+//! against the local replica rounded the same way (the identity on an f32
+//! wire), so diverged replicas fail loudly.
+//!
+//! **Elastic worlds.** [`try_gather_weights_m`] and [`try_sync_grads_m`]
+//! run the same layout over the alive set of a [`Membership`] — ring
+//! positions replace rank ids — through the shrinking collectives, so a
+//! shrunken or regrown world matches a fresh world of its size bit for
+//! bit. Each shrinking collective ends in one eviction agreement: four per
+//! step, where a collective per parameter ran two or three per parameter.
+//!
+//! **Observability.** Each bucket collective is wrapped in one
+//! [`SpanKind::Optim`] span (`fsdp_gather` / `fsdp_sync`) — under the
+//! reliable transport its retransmissions are attributable to it — and
+//! bills one `fsdp_gather_buf` / `fsdp_sync_buf` comm-buffer entry at the
+//! bucket's wire bytes. A member dying mid-collective leaves its entry open;
+//! the ledger force-closes it with a warning — the crash's true footprint.
 
 use crate::param::Param;
 use burst_comm::obs::MemCategory;
 use burst_comm::{
-    shrink_all_gather_mat, shrink_all_reduce_mat, CommError, Communicator, Membership, RetryPolicy,
-    SpanKind,
+    shrink_all_gather_mat, shrink_all_reduce_mat, shrink_reduce_scatter_mat, CommError,
+    Communicator, Membership, RetryPolicy, SpanKind, WireDtype,
 };
-use burst_tensor::Mat;
+use burst_tensor::{decode_bf16, encode_bf16, Mat};
 
 /// Near-equal row range of `rank` for an `rows`-row parameter.
 fn shard_range(rows: usize, g: usize, rank: usize) -> (usize, usize) {
     (rows * rank / g, rows * (rank + 1) / g)
 }
 
-/// All-gather every parameter's row shard (charges the weight-gather
-/// traffic; the gathered values must reproduce the replica, which is
-/// asserted — catching any divergence between ranks).
-pub fn gather_weights(comm: &mut Communicator, params: &mut [&mut Param]) {
-    let g = comm.world_size();
-    if g == 1 {
-        return;
+/// Whether a parameter's gradient rides the ring bucket: the condition
+/// under which a per-parameter all-reduce takes the ring path.
+fn on_ring(p: &Param, g: usize) -> bool {
+    p.grad.rows() >= g && p.grad.rows().is_multiple_of(g)
+}
+
+/// The value `x` arrives as after a trip over a `wire` link.
+fn wire_round(wire: WireDtype, x: f32) -> f32 {
+    match wire {
+        WireDtype::F32 => x,
+        WireDtype::Bf16 => decode_bf16(encode_bf16(x)),
     }
-    for p in params.iter_mut() {
-        let (r0, r1) = shard_range(p.w.rows(), g, comm.rank());
-        let shard = p.w.slice_rows(r0, r1);
-        // The gathered replica is a transient wire-width buffer, live from
-        // the collective until the shards are stitched back together.
+}
+
+/// Round a bucket in place to what its receivers decode.
+fn round_to_wire(wire: WireDtype, buf: &mut [f32]) {
+    if wire != WireDtype::F32 {
+        for v in buf {
+            *v = wire_round(wire, *v);
+        }
+    }
+}
+
+/// The ranks one FSDP call shards over, and the collectives it runs on
+/// them.
+enum Group<'a> {
+    /// The fixed world: rank ids, collectives that escalate failures.
+    World,
+    /// The alive set of an elastic membership: ring positions, shrinking
+    /// collectives that surface failures as typed errors.
+    Alive(&'a mut Membership, &'a RetryPolicy),
+}
+
+impl Group<'_> {
+    /// `(group size, this rank's position in it)`.
+    fn shape(&self, comm: &Communicator) -> (usize, usize) {
+        match self {
+            Group::World => (comm.world_size(), comm.rank()),
+            Group::Alive(m, _) => (
+                m.num_alive(),
+                m.pos_of(comm.rank())
+                    .expect("FSDP collective on an evicted rank"),
+            ),
+        }
+    }
+
+    fn all_gather(&mut self, comm: &mut Communicator, mine: &Mat) -> Result<Vec<Mat>, CommError> {
+        match self {
+            Group::World => Ok(comm.all_gather_mat(mine)),
+            Group::Alive(m, policy) => shrink_all_gather_mat(comm, m, mine, policy),
+        }
+    }
+
+    fn reduce_scatter(&mut self, comm: &mut Communicator, parts: &[Mat]) -> Result<Mat, CommError> {
+        match self {
+            Group::World => Ok(comm.reduce_scatter_mat(parts)),
+            Group::Alive(m, policy) => shrink_reduce_scatter_mat(comm, m, parts, policy),
+        }
+    }
+
+    /// All-reduce of a one-row bucket, which never divides among `G ≥ 2`
+    /// ranks and so always takes the leader gather-sum-broadcast path.
+    fn leader_all_reduce(
+        &mut self,
+        comm: &mut Communicator,
+        bucket: &Mat,
+    ) -> Result<Mat, CommError> {
+        debug_assert_eq!(bucket.rows(), 1);
+        match self {
+            Group::World => Ok(comm.all_reduce_mat(bucket)),
+            Group::Alive(m, policy) => shrink_all_reduce_mat(comm, m, bucket, policy),
+        }
+    }
+}
+
+/// One ring all-gather of every parameter's row shard, unpacked into the
+/// replicas after checking them against it.
+fn gather(
+    comm: &mut Communicator,
+    group: &mut Group<'_>,
+    params: &mut [&mut Param],
+) -> Result<(), CommError> {
+    let (g, pos) = group.shape(comm);
+    if g == 1 {
+        return Ok(());
+    }
+    let wire = comm.topology().wire_dtype;
+    let mut mine = Vec::new();
+    for p in params.iter() {
+        let (r0, r1) = shard_range(p.w.rows(), g, pos);
+        let cols = p.w.cols();
+        mine.extend_from_slice(&p.w.as_slice()[r0 * cols..r1 * cols]);
+    }
+    round_to_wire(wire, &mut mine);
+    let total: usize = params.iter().map(|p| p.w.len()).sum();
+    let buf = comm.mem_alloc(
+        "fsdp_gather_buf",
+        MemCategory::CommBuffers,
+        comm.mem_wire_bytes(total),
+    );
+    comm.span_begin(SpanKind::Optim, "fsdp_gather");
+    let parts = group.all_gather(comm, &Mat::from_vec(1, mine.len(), mine));
+    comm.span_end();
+    for (src, part) in parts?.iter().enumerate() {
+        let mut got = part.as_slice();
+        for p in params.iter_mut() {
+            let shape = p.w.shape();
+            let (r0, r1) = shard_range(shape.0, g, src);
+            let dst = &mut p.w.as_mut_slice()[r0 * shape.1..r1 * shape.1];
+            let (shard, rest) = got.split_at(dst.len());
+            for (d, &x) in dst.iter_mut().zip(shard) {
+                assert_eq!(
+                    x.to_bits(),
+                    wire_round(wire, *d).to_bits(),
+                    "FSDP: rank replicas diverged for a parameter of shape {shape:?}"
+                );
+                *d = x;
+            }
+            got = rest;
+        }
+        debug_assert!(got.is_empty(), "FSDP: gather bucket has trailing elements");
+    }
+    comm.mem_free(buf);
+    Ok(())
+}
+
+/// Sum every parameter's gradient across the group: one ring all-reduce of
+/// the ring bucket, one leader all-reduce of the rest.
+fn sync(
+    comm: &mut Communicator,
+    group: &mut Group<'_>,
+    params: &mut [&mut Param],
+) -> Result<(), CommError> {
+    let (g, _) = group.shape(comm);
+    if g == 1 {
+        return Ok(());
+    }
+    let wire = comm.topology().wire_dtype;
+    let block_len: usize = params
+        .iter()
+        .filter(|p| on_ring(p, g))
+        .map(|p| p.grad.len() / g)
+        .sum();
+    if block_len > 0 {
+        let parts: Vec<Mat> = (0..g)
+            .map(|b| {
+                let mut block = Vec::with_capacity(block_len);
+                for p in params.iter().filter(|p| on_ring(p, g)) {
+                    let n = p.grad.len() / g;
+                    block.extend_from_slice(&p.grad.as_slice()[b * n..(b + 1) * n]);
+                }
+                Mat::from_vec(1, block_len, block)
+            })
+            .collect();
         let buf = comm.mem_alloc(
-            "fsdp_gather_buf",
+            "fsdp_sync_buf",
             MemCategory::CommBuffers,
-            comm.mem_wire_bytes(p.w.rows() * p.w.cols()),
+            comm.mem_wire_bytes(g * block_len),
         );
-        comm.span_begin(SpanKind::Optim, "fsdp_gather");
-        let parts = comm.all_gather_mat(&shard);
+        comm.span_begin(SpanKind::Optim, "fsdp_sync");
+        let blocks = group.reduce_scatter(comm, &parts).and_then(|mut owned| {
+            round_to_wire(wire, owned.as_mut_slice());
+            group.all_gather(comm, &owned)
+        });
         comm.span_end();
-        let gathered = Mat::vstack(&parts);
+        for (b, block) in blocks?.iter().enumerate() {
+            let mut got = block.as_slice();
+            for p in params.iter_mut().filter(|p| on_ring(p, g)) {
+                let n = p.grad.len() / g;
+                let (chunk, rest) = got.split_at(n);
+                p.grad.as_mut_slice()[b * n..(b + 1) * n].copy_from_slice(chunk);
+                got = rest;
+            }
+        }
         comm.mem_free(buf);
-        debug_assert_eq!(gathered.shape(), p.w.shape());
-        assert!(
-            burst_tensor::testutil::allclose(&gathered, &p.w, 1e-6, 1e-6),
-            "FSDP: rank replicas diverged for a parameter of shape {:?}",
-            p.w.shape()
+    }
+    let mut rest = Vec::new();
+    for p in params.iter().filter(|p| !on_ring(p, g)) {
+        rest.extend_from_slice(p.grad.as_slice());
+    }
+    if !rest.is_empty() {
+        let buf = comm.mem_alloc(
+            "fsdp_sync_buf",
+            MemCategory::CommBuffers,
+            comm.mem_wire_bytes(rest.len()),
         );
-        p.w = gathered;
+        comm.span_begin(SpanKind::Optim, "fsdp_sync");
+        let summed = group.leader_all_reduce(comm, &Mat::from_vec(1, rest.len(), rest));
+        comm.span_end();
+        let mut summed = summed?;
+        round_to_wire(wire, summed.as_mut_slice());
+        let mut got = summed.as_slice();
+        for p in params.iter_mut().filter(|p| !on_ring(p, g)) {
+            let (grad, tail) = got.split_at(p.grad.len());
+            p.grad.as_mut_slice().copy_from_slice(grad);
+            got = tail;
+        }
+        comm.mem_free(buf);
+    }
+    Ok(())
+}
+
+/// All-gather every parameter's row shard (charges the weight-gather
+/// traffic; the gathered values must reproduce the replica at wire
+/// precision, which is asserted — catching any divergence between ranks).
+pub fn gather_weights(comm: &mut Communicator, params: &mut [&mut Param]) {
+    if let Err(e) = gather(comm, &mut Group::World, params) {
+        comm.escalate(e)
     }
 }
 
@@ -71,82 +294,24 @@ pub fn try_gather_weights_m(
     params: &mut [&mut Param],
     policy: &RetryPolicy,
 ) -> Result<(), CommError> {
-    let g = m.num_alive();
-    if g == 1 {
-        return Ok(());
-    }
-    let pos = m
-        .pos_of(comm.rank())
-        .expect("FSDP gather on an evicted rank");
-    for p in params.iter_mut() {
-        let (r0, r1) = shard_range(p.w.rows(), g, pos);
-        let shard = p.w.slice_rows(r0, r1);
-        let buf = comm.mem_alloc(
-            "fsdp_gather_buf",
-            MemCategory::CommBuffers,
-            comm.mem_wire_bytes(p.w.rows() * p.w.cols()),
-        );
-        comm.span_begin(SpanKind::Optim, "fsdp_gather");
-        let parts = shrink_all_gather_mat(comm, m, &shard, policy);
-        comm.span_end();
-        // A member dying mid-gather leaves `buf` open; the ledger
-        // force-closes it with a warning — the crash's true footprint.
-        let gathered = Mat::vstack(&parts?);
-        comm.mem_free(buf);
-        debug_assert_eq!(gathered.shape(), p.w.shape());
-        assert!(
-            burst_tensor::testutil::allclose(&gathered, &p.w, 1e-6, 1e-6),
-            "FSDP: rank replicas diverged for a parameter of shape {:?}",
-            p.w.shape()
-        );
-        p.w = gathered;
-    }
-    Ok(())
+    gather(comm, &mut Group::Alive(m, policy), params)
 }
 
 /// Membership-aware [`sync_grads`]: all-reduce over the alive set with the
-/// same accumulation order as a fresh world of that size (see
-/// [`burst_comm::shrink_all_reduce_mat`]).
+/// same accumulation order as a fresh world of that size.
 pub fn try_sync_grads_m(
     comm: &mut Communicator,
     m: &mut Membership,
     params: &mut [&mut Param],
     policy: &RetryPolicy,
 ) -> Result<(), CommError> {
-    if m.num_alive() == 1 {
-        return Ok(());
-    }
-    for p in params.iter_mut() {
-        let buf = comm.mem_alloc(
-            "fsdp_sync_buf",
-            MemCategory::CommBuffers,
-            comm.mem_wire_bytes(p.grad.rows() * p.grad.cols()),
-        );
-        comm.span_begin(SpanKind::Optim, "fsdp_sync");
-        let reduced = shrink_all_reduce_mat(comm, m, &p.grad, policy);
-        comm.span_end();
-        p.grad = reduced?;
-        comm.mem_free(buf);
-    }
-    Ok(())
+    sync(comm, &mut Group::Alive(m, policy), params)
 }
 
 /// All-reduce (sum) every parameter's gradient across ranks.
 pub fn sync_grads(comm: &mut Communicator, params: &mut [&mut Param]) {
-    let g = comm.world_size();
-    if g == 1 {
-        return;
-    }
-    for p in params.iter_mut() {
-        let buf = comm.mem_alloc(
-            "fsdp_sync_buf",
-            MemCategory::CommBuffers,
-            comm.mem_wire_bytes(p.grad.rows() * p.grad.cols()),
-        );
-        comm.span_begin(SpanKind::Optim, "fsdp_sync");
-        p.grad = comm.all_reduce_mat(&p.grad);
-        comm.span_end();
-        comm.mem_free(buf);
+    if let Err(e) = sync(comm, &mut Group::World, params) {
+        comm.escalate(e)
     }
 }
 

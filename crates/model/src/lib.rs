@@ -22,11 +22,11 @@
 //! The same layer code runs single-device (for reference) and distributed:
 //! all non-attention ops are row-local, attention plugs in through the
 //! [`attention::AttnExec`] trait (local flash, ring/burst/double-ring,
-//! Ulysses or USP backends), parameters can be FSDP-sharded
-//! ([`fsdp::FsdpParam`]), and the LM head + loss use the fused kernel of
-//! `burst-kernels` (§3.3). The [`engine`] module assembles full distributed
-//! training steps and reports loss, virtual step time, TGS/MFU and modeled
-//! peak memory.
+//! Ulysses or USP backends), parameters can be FSDP-sharded ([`fsdp`]:
+//! flat-bucket weight gathers and gradient syncs), and the LM head + loss
+//! use the fused kernel of `burst-kernels` (§3.3). The [`engine`] module
+//! assembles full distributed training steps and reports loss, virtual step
+//! time, TGS/MFU and modeled peak memory.
 
 pub mod attention;
 pub mod block;

@@ -2,11 +2,11 @@
 //! paper's format) must still converge, stay deterministic, and keep the
 //! distributed ≡ local equivalence.
 
-use burst_comm::{Topology, World};
+use burst_comm::{Topology, WireDtype, World};
 use burst_dattn::{Algo, CostModel, Layout, OverlapMode};
 use burst_kernels::AttnMask;
-use burst_model::engine::{train, Backend, EngineConfig};
-use burst_model::{ModelConfig, Strategy};
+use burst_model::engine::{run_span, train, Backend, EngineConfig};
+use burst_model::{Model, ModelConfig, Strategy};
 
 fn cfg(backend: Backend) -> EngineConfig {
     EngineConfig {
@@ -81,4 +81,44 @@ fn bf16_run_is_deterministic() {
     let c = cfg(Backend::Ring(Algo::BurstFlat));
     let w = World::new(Topology::single_node(2));
     assert_eq!(train(&w, &c, 3).losses, train(&w, &c, 3).losses);
+}
+
+#[test]
+fn bf16_wire_fsdp_keeps_replicas_bit_identical() {
+    // A bf16 wire rounds every gathered shard and every reduced gradient
+    // block. Each rank must hold the rounded value, its own shards and
+    // blocks included, so replicas stay bit-identical; training stays close
+    // to the f32-wire run.
+    let cfg = EngineConfig::tiny(Backend::Ring(Algo::BurstTopo));
+    let run = |wire: WireDtype| -> Vec<f32> {
+        let world = World::new(Topology::a800(2, 2).with_wire_dtype(wire));
+        let outs = world.run(|comm| {
+            let mut model = Model::new(cfg.model, cfg.seed);
+            let out = run_span(comm, &cfg, &mut model, 0, 4, |_, _, _, _| {}).expect("clean run");
+            (out.losses, model.flat_state())
+        });
+        let (losses, state) = &outs[0].result;
+        for o in &outs[1..] {
+            assert_eq!(&o.result.0, losses, "rank {}: global loss", o.rank);
+            assert!(
+                o.result
+                    .1
+                    .iter()
+                    .zip(state)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "rank {}: replica differs from rank 0 under a {wire:?} wire",
+                o.rank
+            );
+        }
+        losses.clone()
+    };
+    let bf16 = run(WireDtype::Bf16);
+    let f32_wire = run(WireDtype::F32);
+    assert_eq!(bf16.len(), 4);
+    for (x, y) in bf16.iter().zip(&f32_wire) {
+        assert!(
+            (x - y).abs() / y.abs() < 0.02,
+            "bf16 wire {x} vs f32 wire {y}"
+        );
+    }
 }

@@ -99,6 +99,23 @@ fn fsdp_buffers_stash_and_workspace_land_on_their_lanes() {
     }
 }
 
+#[test]
+fn ulysses_and_usp_forwards_close_their_stash_entries() {
+    // Both executors discard the forward's saved state and rebuild it in
+    // the backward; the discarded state's stash entry must close with it.
+    for (backend, topo) in [
+        (Backend::Ulysses, Topology::a800(1, 2)),
+        (Backend::Usp { ulysses_size: 2 }, Topology::a800(2, 2)),
+    ] {
+        let cfg = EngineConfig::tiny(backend);
+        for r in &run_accounted(&cfg, topo, 2) {
+            validate_mem(r).unwrap();
+            assert!(r.warnings.is_empty(), "{backend:?}: {:?}", r.warnings);
+            assert_eq!(r.live_at_close, 0, "{backend:?} rank {} leaked", r.rank);
+        }
+    }
+}
+
 /// Per-rank expected checkpoint stash of `SeqSelective { rho }`: every
 /// block keeps its input plus the tail `(O, Lse)` cache past the
 /// mask-aware cutoff, and all blocks' stashes are live at once when the

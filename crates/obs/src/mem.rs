@@ -472,25 +472,42 @@ pub fn validate_mem(r: &MemReport) -> Result<(), String> {
     Ok(())
 }
 
-/// Sweep-line peak of one category's entry intervals (release-before-
-/// charge at equal timestamps, matching the live ledger's drain order).
+/// Sweep-line peak of one category's entry intervals. At equal timestamps
+/// closes apply first (release-before-charge, matching the live ledger's
+/// drain order), then zero-length entries as open-then-close, then opens —
+/// so the sweep never underflows and stays a lower bound on the recorded
+/// peak.
 pub fn replay_peak(entries: &[MemEntry], cat: MemCategory) -> u64 {
-    // (time, is_open, bytes); closes sort before opens at the same time.
-    let mut events: Vec<(u64, bool, u64)> = Vec::new();
+    /// What an event does at its instant, in application order.
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    enum Edge {
+        Close,
+        OpenClose,
+        Open,
+    }
+    let mut events: Vec<(u64, Edge, u64)> = Vec::new();
     for e in entries.iter().filter(|e| e.cat == cat) {
-        events.push((time_key(e.open), true, e.bytes));
-        if let Some(c) = e.close {
-            events.push((time_key(c), false, e.bytes));
+        let open = time_key(e.open);
+        match e.close.map(time_key) {
+            Some(c) if c == open => events.push((open, Edge::OpenClose, e.bytes)),
+            close => {
+                events.push((open, Edge::Open, e.bytes));
+                if let Some(c) = close {
+                    events.push((c, Edge::Close, e.bytes));
+                }
+            }
         }
     }
-    events.sort_by_key(|&(t, open, _)| (t, open));
+    events.sort_by_key(|&(t, edge, _)| (t, edge));
     let (mut cur, mut peak) = (0u64, 0u64);
-    for (_, open, bytes) in events {
-        if open {
-            cur += bytes;
-            peak = peak.max(cur);
-        } else {
-            cur -= bytes;
+    for (_, edge, bytes) in events {
+        match edge {
+            Edge::Close => cur -= bytes,
+            Edge::OpenClose => peak = peak.max(cur + bytes),
+            Edge::Open => {
+                cur += bytes;
+                peak = peak.max(cur);
+            }
         }
     }
     peak
@@ -681,6 +698,27 @@ mod tests {
         let r = l.finish(4.0);
         assert_eq!(replay_peak(&r.entries, MemCategory::CkptStash), 35);
         assert_eq!(r.peak.ckpt_stash, 35);
+        validate_mem(&r).unwrap();
+    }
+
+    #[test]
+    fn replay_peak_counts_zero_length_entries_without_underflow() {
+        // An entry opened and closed at one instant, alone and between a
+        // same-instant close and open: it counts after the close and before
+        // the open, as the live ledger saw it.
+        let mut l = MemLedger::new(0);
+        let a = l.alloc("a", MemCategory::CkptStash, 10, 1.0);
+        l.free(a, 1.0);
+        let b = l.alloc("b", MemCategory::CkptStash, 20, 1.0);
+        l.free(b, 2.0);
+        let c = l.alloc("c", MemCategory::CkptStash, 5, 2.0);
+        l.free(c, 2.0);
+        let d = l.alloc("d", MemCategory::CkptStash, 18, 2.0);
+        l.free(d, 3.0);
+        let r = l.finish(4.0);
+        // Misordered, `c` would stack on `b` (25) or on `d` (23).
+        assert_eq!(replay_peak(&r.entries, MemCategory::CkptStash), 20);
+        assert_eq!(r.peak.ckpt_stash, 20);
         validate_mem(&r).unwrap();
     }
 

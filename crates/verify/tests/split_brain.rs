@@ -23,12 +23,14 @@ fn a_live_evicted_rank_parks_instead_of_training_solo() {
     let steps = 2usize;
     let victim = 1usize;
     // Aim the drop at the victim's first attention K/V send, past the FSDP
-    // gather prelude of (g - 1) messages per parameter tensor on the link.
-    let prelude = 3 * Model::new(cfg.model, cfg.seed).params().len() as u64;
+    // gather prelude: the one-bucket ring all-gather puts g - 1 messages
+    // on the link.
+    let g = 4;
+    let prelude = g as u64 - 1;
     let plan = FaultPlan::new(seed)
         .drop_msg(victim, victim + 1, prelude)
         .recv_deadline(60.0);
-    let world = World::with_faults(Topology::single_node(4), plan);
+    let world = World::with_faults(Topology::single_node(g), plan);
     let ecfg = ElasticCfg {
         policy: RetryPolicy::default(),
         ckpt_dir: None,
