@@ -36,6 +36,20 @@ fn bench_collectives(c: &mut Criterion) {
                 world.run_results(|comm| comm.all_reduce_mat(&m))
             })
         });
+        // The same eight ranks as two nodes of four: the two-level ring
+        // (cross-node steps between same-position peers, then intra-node).
+        group.bench_with_input(BenchmarkId::new("all_gather_2x4", rows), &rows, |b, _| {
+            b.iter(|| {
+                let world = World::new(Topology::a800(2, 4));
+                world.run_results(|comm| comm.all_gather_mat(&m))
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("all_reduce_2x4", rows), &rows, |b, _| {
+            b.iter(|| {
+                let world = World::new(Topology::a800(2, 4));
+                world.run_results(|comm| comm.all_reduce_mat(&m))
+            })
+        });
         let m2 = m.clone();
         group.bench_with_input(BenchmarkId::new("all_to_all", rows), &rows, |b, _| {
             b.iter(|| {

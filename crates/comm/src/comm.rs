@@ -2,6 +2,7 @@
 //! and fallible `try_*` variants that surface injected faults as typed
 //! [`CommError`]s instead of panics.
 
+use crate::double_ring::{all_gather_on, reduce_scatter_on, DoubleRingSpec};
 use crate::fault::{CommError, CrashAt, FaultPlan, LossKind};
 use crate::stats::{CommStats, FaultCounters};
 use crate::topology::{Topology, WireDtype};
@@ -1252,26 +1253,6 @@ impl Communicator {
         self.topo.prev_rank(self.rank)
     }
 
-    #[inline]
-    pub fn next_in_node(&self) -> usize {
-        self.topo.next_in_node(self.rank)
-    }
-
-    #[inline]
-    pub fn prev_in_node(&self) -> usize {
-        self.topo.prev_in_node(self.rank)
-    }
-
-    #[inline]
-    pub fn peer_next_node(&self) -> usize {
-        self.topo.peer_next_node(self.rank)
-    }
-
-    #[inline]
-    pub fn peer_prev_node(&self) -> usize {
-        self.topo.peer_prev_node(self.rank)
-    }
-
     /// One synchronous step of the flat global ring: send `data` to the next
     /// rank, receive the previous rank's message.
     pub fn ring_shift(&mut self, data: MsgData) -> MsgData {
@@ -1318,9 +1299,13 @@ impl Communicator {
 
     /// Ring all-gather: returns every rank's matrix, indexed by rank.
     ///
-    /// Implements the standard `G-1`-step ring (each step forwards the block
-    /// received in the previous step), so port occupancy and latency follow
-    /// the real algorithm.
+    /// Runs the two-level ring of [`crate::double_ring`] over the whole
+    /// topology: `nodes − 1` steps across nodes among the ranks at the same
+    /// local position, then `gpus_per_node − 1` steps inside each node, so
+    /// every NIC carries traffic in parallel. Each step forwards what the
+    /// previous one received, so port occupancy and latency follow the real
+    /// algorithm. On one node, or one GPU per node, this is the standard
+    /// `G − 1`-step flat ring.
     pub fn all_gather_mat(&mut self, mine: &Mat) -> Vec<Mat> {
         match self.try_all_gather_mat(mine) {
             Ok(v) => v,
@@ -1330,27 +1315,19 @@ impl Communicator {
 
     /// Fallible [`Communicator::all_gather_mat`].
     pub fn try_all_gather_mat(&mut self, mine: &Mat) -> Result<Vec<Mat>, CommError> {
-        let g = self.world_size();
-        let mut parts: Vec<Option<Mat>> = vec![None; g];
-        parts[self.rank] = Some(mine.clone());
-        let mut cursor = self.rank; // index of the block we forward next
-        for _ in 0..g.saturating_sub(1) {
-            let outgoing = parts[cursor].clone().expect("ring all-gather invariant");
-            let payload = self.mat_payload(outgoing);
-            self.try_send(self.next_rank(), payload)?;
-            let incoming = self.try_recv_mat(self.prev_rank())?;
-            cursor = (cursor + g - 1) % g;
-            parts[cursor] = Some(incoming);
-        }
-        Ok(parts
-            .into_iter()
-            .map(|p| p.expect("ring all-gather missed a block"))
-            .collect())
+        let spec = DoubleRingSpec::full(&self.topo);
+        all_gather_on(self, &spec, mine, Communicator::try_recv_mat)
     }
 
     /// Ring reduce-scatter (sum): `parts[d]` is this rank's contribution to
     /// destination rank `d`; returns the fully reduced block owned by this
     /// rank.
+    ///
+    /// The mirror image of [`Communicator::all_gather_mat`]: a ring inside
+    /// each node sums every block over the node's ranks, then a ring across
+    /// nodes sums the node partials. On a multi-node topology an element's
+    /// sum is therefore associated node by node; on one node, or one GPU
+    /// per node, it is the flat ring's order.
     #[track_caller]
     pub fn reduce_scatter_mat(&mut self, parts: &[Mat]) -> Mat {
         match self.try_reduce_scatter_mat(parts) {
@@ -1362,50 +1339,14 @@ impl Communicator {
     /// Fallible [`Communicator::reduce_scatter_mat`].
     #[track_caller]
     pub fn try_reduce_scatter_mat(&mut self, parts: &[Mat]) -> Result<Mat, CommError> {
-        let g = self.world_size();
-        assert_eq!(
-            parts.len(),
-            g,
-            "rank {}: reduce_scatter: need one part per rank ({} given, world size {g})",
-            self.rank,
-            parts.len()
-        );
-        if g == 1 {
-            return Ok(parts[0].clone());
-        }
-        // Standard ring: block b starts at rank (b + G - 1) % G and flows
-        // toward decreasing ranks, accumulating, until it lands on rank b.
-        let mut acc: Vec<Mat> = parts.to_vec();
-        let mut cursor = (self.rank + 1) % g; // block we send first
-        for _ in 0..g - 1 {
-            let outgoing = acc[cursor].clone();
-            let payload = self.mat_payload(outgoing);
-            self.try_send(self.prev_rank(), payload)?;
-            let incoming = self.try_recv_mat(self.next_rank())?;
-            cursor = (cursor + 1) % g;
-            if incoming.shape() != acc[cursor].shape() {
-                return Err(CommError::ShapeMismatch {
-                    rank: self.rank,
-                    src: self.next_rank(),
-                    expected: "reduce-scatter block of matching shape",
-                    got: format!(
-                        "Mat {}x{} (expected {}x{})",
-                        incoming.rows(),
-                        incoming.cols(),
-                        acc[cursor].rows(),
-                        acc[cursor].cols()
-                    ),
-                });
-            }
-            acc[cursor].add_assign(&incoming);
-        }
-        debug_assert_eq!(cursor, self.rank);
-        Ok(acc[self.rank].clone())
+        let spec = DoubleRingSpec::full(&self.topo);
+        reduce_scatter_on(self, &spec, parts, Communicator::try_recv_mat)
     }
 
-    /// All-reduce (sum) of a matrix: ring reduce-scatter over row blocks
-    /// followed by ring all-gather when the row count divides evenly,
-    /// otherwise a gather-broadcast fallback.
+    /// All-reduce (sum) of a matrix: the two-level ring reduce-scatter over
+    /// row blocks followed by the two-level ring all-gather when the row
+    /// count divides evenly, otherwise a gather-to-rank-0, sum, broadcast
+    /// fallback (summed in ascending rank order).
     pub fn all_reduce_mat(&mut self, m: &Mat) -> Mat {
         match self.try_all_reduce_mat(m) {
             Ok(m) => m,

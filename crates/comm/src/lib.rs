@@ -29,6 +29,7 @@
 //! ([`Topology::a800`]).
 
 pub mod comm;
+pub mod double_ring;
 pub mod fault;
 pub mod membership;
 pub mod stats;
@@ -38,6 +39,7 @@ pub mod transport;
 pub mod world;
 
 pub use comm::{saturating_deadline, Communicator, CtrlKind, CtrlMsg, Msg, MsgData};
+pub use double_ring::DoubleRingSpec;
 pub use fault::{ChurnEvent, ChurnKind, CommError, CrashAt, FaultPlan, LossKind};
 pub use membership::{
     agree_on_eviction, agree_on_join, agree_on_leave, send_abort, shrink_all_gather_mat,

@@ -13,9 +13,11 @@
 //! A rank that hits `PeerLost` (or exhausts its deterministic retry budget
 //! on `Timeout`) mid-collective does three things, in order:
 //!
-//! 1. **abort pill** — sends a [`CtrlMsg`] with [`CtrlKind::Abort`] to its
-//!    alive non-suspect ring neighbors so they stop blocking on data that
-//!    will never come (they observe [`CommError::Aborted`] and join in);
+//! 1. **abort pill** — sends a [`CtrlMsg`] with [`CtrlKind::Abort`] to
+//!    every other alive non-suspect rank so the ones blocked on it — ring
+//!    neighbors on either level of the two-level ring, or followers of a
+//!    leader gather — stop waiting for data that will never come (they
+//!    observe [`CommError::Aborted`] and join in);
 //! 2. **agreement** — enters [`agree_on_eviction`], a leader-based round
 //!    (lowest alive non-suspect rank leads): followers send `Propose`, the
 //!    leader merges every proposal, bumps the epoch iff the union is
@@ -38,6 +40,7 @@
 //! messages addressed to it are already in its queues.
 
 use crate::comm::{Communicator, CtrlKind, CtrlMsg, MsgData};
+use crate::double_ring::{all_gather_on, reduce_scatter_on, DoubleRingSpec};
 use crate::fault::{splitmix64, CommError};
 use burst_obs::SpanKind;
 use burst_tensor::Mat;
@@ -241,10 +244,15 @@ fn confirmed_suspects(comm: &mut Communicator, e: &CommError, policy: &RetryPoli
     }
 }
 
-/// Best-effort abort pills to both alive non-suspect ring neighbors, so a
-/// peer blocked on this rank's data observes [`CommError::Aborted`] instead
-/// of hanging until the wall backstop. Send failures are ignored — a dead
-/// neighbor needs no pill.
+/// Best-effort abort pills to every other alive non-suspect rank, so a peer
+/// blocked on this rank's data observes [`CommError::Aborted`] instead of
+/// hanging until the wall backstop. Every rank is pilled, not just the
+/// flat ring neighbors, because a collective can wait on any of them: the
+/// two-level ring on its cross-node and in-node neighbors, a leader gather
+/// on the leader. The pill precedes this rank's `Propose` on every channel,
+/// so a rank blocked on this one reads the pill, never the proposal; the
+/// pills nobody was waiting for are folded into gossip or drained by the
+/// agreement. Send failures are ignored — a dead rank needs no pill.
 pub fn send_abort(comm: &mut Communicator, m: &Membership, suspects: &[usize]) {
     let me = comm.rank();
     let healthy: Vec<usize> = m
@@ -255,17 +263,12 @@ pub fn send_abort(comm: &mut Communicator, m: &Membership, suspects: &[usize]) {
     let Some(pos) = healthy.iter().position(|&r| r == me) else {
         return;
     };
-    if healthy.len() < 2 {
-        return;
-    }
+    // Next ring neighbor first, previous last: on three or fewer healthy
+    // ranks these are the flat ring's two pills, in the same order.
     let g = healthy.len();
-    let mut targets = vec![healthy[(pos + 1) % g]];
-    let prev = healthy[(pos + g - 1) % g];
-    if prev != targets[0] {
-        targets.push(prev);
-    }
-    for t in targets {
-        let _ = comm.try_send(t, ctrl(CtrlKind::Abort, m.epoch(), suspects.to_vec()));
+    for step in 1..g {
+        let pill = ctrl(CtrlKind::Abort, m.epoch(), suspects.to_vec());
+        let _ = comm.try_send(healthy[(pos + step) % g], pill);
     }
 }
 
@@ -767,11 +770,11 @@ pub fn shrink_all_reduce_vec(
     finish_collective(comm, m, attempt, policy)
 }
 
-/// All-reduce (sum) of a matrix over the alive set: ring reduce-scatter +
-/// all-gather when the rows divide evenly (the same algorithm, and thus the
-/// same accumulation order, as [`Communicator::try_all_reduce_mat`] on a
-/// fresh world of the alive size), otherwise leader-gather in ascending
-/// member order plus broadcast.
+/// All-reduce (sum) of a matrix over the alive set: the shrinking ring
+/// reduce-scatter + all-gather when the rows divide evenly (the algorithm,
+/// and thus the accumulation order, of [`Communicator::try_all_reduce_mat`]
+/// on a fresh world of the survivors' shape), otherwise leader-gather in
+/// ascending member order plus broadcast.
 pub fn shrink_all_reduce_mat(
     comm: &mut Communicator,
     m: &mut Membership,
@@ -920,83 +923,46 @@ pub fn shrink_ring_shift(
     finish_collective(comm, m, attempt, policy)
 }
 
+/// The ring geometry of the alive set: the two-level split when the
+/// survivors are node-balanced ([`DoubleRingSpec::from_members`]),
+/// otherwise the one-level ring over the alive list. Slot order is
+/// ascending rank order either way, so a slot is a ring position.
+fn alive_spec(comm: &Communicator, m: &Membership) -> DoubleRingSpec {
+    let (members, _) = ring_neighbors(comm, m);
+    DoubleRingSpec::from_members(comm.topology(), &members)
+        .unwrap_or_else(|| DoubleRingSpec::one_level(&members))
+}
+
 /// Shrinking ring all-gather over the alive set: returns one block per
-/// alive rank, indexed by ring position (ascending rank order).
+/// alive rank, indexed by ring position (ascending rank order). Runs the
+/// schedule of [`Communicator::try_all_gather_mat`] on the alive set's
+/// [`DoubleRingSpec`] — two-level when the survivors are node-balanced,
+/// one-level when they are ragged — so a shrunken world matches a fresh
+/// world of the survivors' shape, or a fresh flat world of their count.
 pub fn shrink_all_gather_mat(
     comm: &mut Communicator,
     m: &mut Membership,
     mine: &Mat,
     policy: &RetryPolicy,
 ) -> Result<Vec<Mat>, CommError> {
-    let (members, pos) = ring_neighbors(comm, m);
-    let g = members.len();
-    let attempt = (|| {
-        let mut parts: Vec<Option<Mat>> = vec![None; g];
-        parts[pos] = Some(mine.clone());
-        let next = members[(pos + 1) % g];
-        let prev = members[(pos + g - 1) % g];
-        let mut cursor = pos;
-        for _ in 0..g.saturating_sub(1) {
-            let outgoing = parts[cursor].clone().expect("shrink all-gather invariant");
-            let payload = comm.mat_payload(outgoing);
-            comm.try_send(next, payload)?;
-            let incoming = recv_mat_retry(comm, prev, policy)?;
-            cursor = (cursor + g - 1) % g;
-            parts[cursor] = Some(incoming);
-        }
-        Ok(parts
-            .into_iter()
-            .map(|p| p.expect("shrink all-gather missed a block"))
-            .collect())
-    })();
+    let spec = alive_spec(comm, m);
+    let attempt = all_gather_on(comm, &spec, mine, |c, src| recv_mat_retry(c, src, policy));
     finish_collective(comm, m, attempt, policy)
 }
 
 /// Shrinking ring reduce-scatter (sum): `parts[p]` is this rank's
 /// contribution to the alive rank at ring position `p` (`parts.len()` must
-/// equal the alive count); returns the reduced block this rank owns.
+/// equal the alive count); returns the reduced block this rank owns. The
+/// schedule and summation order of [`Communicator::try_reduce_scatter_mat`]
+/// on the alive set's [`DoubleRingSpec`], as in [`shrink_all_gather_mat`].
 pub fn shrink_reduce_scatter_mat(
     comm: &mut Communicator,
     m: &mut Membership,
     parts: &[Mat],
     policy: &RetryPolicy,
 ) -> Result<Mat, CommError> {
-    let (members, pos) = ring_neighbors(comm, m);
-    let g = members.len();
-    assert_eq!(
-        parts.len(),
-        g,
-        "rank {}: shrink reduce-scatter: need one part per alive rank \
-         ({} given, {g} alive)",
-        comm.rank(),
-        parts.len()
-    );
-    let attempt = (|acc: &mut Vec<Mat>| {
-        if g == 1 {
-            return Ok(acc[0].clone());
-        }
-        let next = members[(pos + 1) % g];
-        let prev = members[(pos + g - 1) % g];
-        let mut cursor = (pos + 1) % g;
-        for _ in 0..g - 1 {
-            let outgoing = acc[cursor].clone();
-            let payload = comm.mat_payload(outgoing);
-            comm.try_send(prev, payload)?;
-            let incoming = recv_mat_retry(comm, next, policy)?;
-            cursor = (cursor + 1) % g;
-            if incoming.shape() != acc[cursor].shape() {
-                return Err(CommError::ShapeMismatch {
-                    rank: comm.rank(),
-                    src: next,
-                    expected: "shrink reduce-scatter block of matching shape",
-                    got: format!("Mat {}x{}", incoming.rows(), incoming.cols()),
-                });
-            }
-            acc[cursor].add_assign(&incoming);
-        }
-        debug_assert_eq!(cursor, pos);
-        Ok(acc[pos].clone())
-    })(&mut parts.to_vec());
+    let spec = alive_spec(comm, m);
+    let attempt = reduce_scatter_on(comm, &spec, parts, |c, src| recv_mat_retry(c, src, policy));
     finish_collective(comm, m, attempt, policy)
 }
 
@@ -1105,12 +1071,28 @@ mod tests {
         assert_ne!(p.backoff(0, 0), p.backoff(0, 1), "per-rank jitter");
     }
 
-    #[test]
-    fn shrinking_all_gather_survives_a_crashed_rank() {
-        // Rank 2 dies on its second comm op; ranks 0 and 1 must agree to
-        // evict it and complete the all-gather on the two-rank ring.
-        let plan = FaultPlan::new(5).crash_at_op(2, 1).recv_deadline(60.0);
-        let world = World::with_faults(Topology::single_node(3), plan);
+    /// Every rank but `victim`, after checking that the victim reported its
+    /// own crash.
+    fn survivors_of<T: std::fmt::Debug>(
+        victim: usize,
+        outs: &[crate::world::RankOutput<Result<T, CommError>>],
+    ) -> Vec<usize> {
+        assert!(
+            matches!(outs[victim].result, Err(CommError::Crashed { rank, .. }) if rank == victim),
+            "the dead rank reports its own crash: {:?}",
+            outs[victim].result
+        );
+        (0..outs.len()).filter(|&r| r != victim).collect()
+    }
+
+    /// Shrinking all-gather with `victim` crashing at its `op`-th comm op:
+    /// the survivors must evict the victim alone, in one epoch, and gather
+    /// every survivor's block in ring order.
+    fn all_gather_through_a_crash(topo: Topology, victim: usize, op: u64) {
+        let plan = FaultPlan::new(5)
+            .crash_at_op(victim, op)
+            .recv_deadline(60.0);
+        let world = World::with_faults(topo, plan);
         let outs = world.run_faulty::<_, CommError, _>(|comm| {
             let mut m = Membership::new(comm.world_size());
             let policy = RetryPolicy::default();
@@ -1123,30 +1105,32 @@ mod tests {
                 }
             }
         });
-        assert!(
-            matches!(outs[2].result, Err(CommError::Crashed { rank: 2, .. })),
-            "the dead rank reports its own crash: {:?}",
-            outs[2].result
-        );
-        for (r, out) in outs.iter().enumerate().take(2) {
-            let (blocks, alive, epoch) = out.result.as_ref().expect("survivor completes");
-            assert_eq!(*alive, vec![0, 1], "rank {r} must see rank 2 evicted");
+        let survivors = survivors_of(victim, &outs);
+        for &r in &survivors {
+            let (blocks, alive, epoch) = outs[r].result.as_ref().unwrap_or_else(|e| {
+                panic!("rank {r} (victim {victim} at op {op}) must complete: {e:?}")
+            });
+            assert_eq!(*alive, survivors, "rank {r}: only rank {victim} is evicted");
             assert_eq!(*epoch, 1, "one eviction round bumps the epoch once");
-            assert_eq!(blocks.len(), 2);
-            for (pos, b) in blocks.iter().enumerate() {
+            assert_eq!(blocks.len(), survivors.len());
+            for (b, &src) in blocks.iter().zip(&survivors) {
                 assert_eq!(
                     b.as_slice(),
-                    &[pos as f32, 10.0 + pos as f32],
-                    "rank {r}: block {pos} must come from alive rank {pos}"
+                    &[src as f32, 10.0 + src as f32],
+                    "rank {r}: block must come from alive rank {src}"
                 );
             }
         }
     }
 
-    #[test]
-    fn shrinking_reduce_scatter_matches_manual_sum_after_eviction() {
-        let plan = FaultPlan::new(11).crash_at_op(1, 0).recv_deadline(60.0);
-        let world = World::with_faults(Topology::single_node(3), plan);
+    /// Shrinking reduce-scatter with `victim` crashing at its `op`-th comm
+    /// op: the survivors must evict the victim alone, in one epoch, and each
+    /// own the sum of every survivor's part for its ring position.
+    fn reduce_scatter_through_a_crash(topo: Topology, victim: usize, op: u64) {
+        let plan = FaultPlan::new(11)
+            .crash_at_op(victim, op)
+            .recv_deadline(60.0);
+        let world = World::with_faults(topo, plan);
         let outs = world.run_faulty::<_, CommError, _>(|comm| {
             let mut m = Membership::new(comm.world_size());
             let policy = RetryPolicy::default();
@@ -1157,17 +1141,93 @@ mod tests {
                     .map(|p| Mat::from_vec(1, 1, vec![(comm.rank() * 10 + p) as f32]))
                     .collect();
                 match shrink_reduce_scatter_mat(comm, &mut m, &parts, &policy) {
-                    Ok(mine) => return Ok((mine, m.alive_ranks())),
+                    Ok(mine) => return Ok((mine, m.alive_ranks(), m.epoch())),
                     Err(CommError::Evicted { .. }) => continue,
                     Err(e) => return Err(e),
                 }
             }
         });
-        assert!(outs[1].result.is_err(), "rank 1 dies before its first op");
-        for (r, expect) in [(0usize, 0.0f32 + 20.0), (2usize, 1.0 + 21.0)] {
-            let (mine, alive) = outs[r].result.as_ref().expect("survivor completes");
-            assert_eq!(*alive, vec![0, 2]);
-            assert_eq!(mine.as_slice(), &[expect], "rank {r} owns the summed block");
+        let survivors = survivors_of(victim, &outs);
+        for (pos, &r) in survivors.iter().enumerate() {
+            let (mine, alive, epoch) = outs[r].result.as_ref().unwrap_or_else(|e| {
+                panic!("rank {r} (victim {victim} at op {op}) must complete: {e:?}")
+            });
+            assert_eq!(*alive, survivors, "rank {r}: only rank {victim} is evicted");
+            assert_eq!(*epoch, 1, "one eviction round bumps the epoch once");
+            let expect: usize = survivors.iter().map(|&s| s * 10 + pos).sum();
+            assert_eq!(
+                mine.as_slice(),
+                &[expect as f32],
+                "rank {r} owns the summed block"
+            );
+        }
+    }
+
+    /// Multi-node worlds whose full ring is two-level, with two victims
+    /// each (the agreement leader and a rank on another node), and the
+    /// number of comm ops one ring collective takes on each.
+    fn two_level_crash_cases() -> Vec<(Topology, usize, u64)> {
+        let mut cases = Vec::new();
+        for (nodes, gpn, victims) in [(2, 4, [0, 5]), (3, 2, [0, 3])] {
+            // `nodes − 1` cross-node steps of one send and one receive,
+            // `gpn − 1` in-node steps of `nodes` of each.
+            let ops = 2 * (nodes - 1) + 2 * nodes * (gpn - 1);
+            for victim in victims {
+                for op in 0..ops as u64 {
+                    cases.push((Topology::a800(nodes, gpn), victim, op));
+                }
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn shrinking_all_gather_survives_a_crashed_rank() {
+        // Rank 2 dies on its second comm op; ranks 0 and 1 must agree to
+        // evict it and complete the all-gather on the two-rank ring.
+        all_gather_through_a_crash(Topology::single_node(3), 2, 1);
+        // A two-level ring waits on cross-node and in-node neighbours, not
+        // on flat ones: every rank left waiting on an aborting rank must be
+        // pilled, or it times out and suspects a healthy rank.
+        for (topo, victim, op) in two_level_crash_cases() {
+            all_gather_through_a_crash(topo, victim, op);
+        }
+    }
+
+    #[test]
+    fn leader_gather_crash_wakes_every_blocked_follower() {
+        // Rank 2 dies before sending its contribution. The leader's gather
+        // fails on it while ranks 1, 3 and 4 wait for the leader's
+        // broadcast; rank 3 is no flat neighbor of the leader, so only a
+        // pill to every rank keeps it from timing out and suspecting the
+        // healthy leader.
+        let plan = FaultPlan::new(3).crash_at_op(2, 0).recv_deadline(60.0);
+        let world = World::with_faults(Topology::single_node(5), plan);
+        let outs = world.run_faulty::<_, CommError, _>(|comm| {
+            let mut m = Membership::new(comm.world_size());
+            let policy = RetryPolicy::default();
+            loop {
+                match shrink_all_reduce_vec(comm, &mut m, &[comm.rank() as f32], &policy) {
+                    Ok(sum) => return Ok((sum, m.alive_ranks(), m.epoch())),
+                    Err(CommError::Evicted { .. }) => continue,
+                    Err(e) => return Err(e),
+                }
+            }
+        });
+        for r in survivors_of(2, &outs) {
+            let (sum, alive, epoch) = outs[r].result.as_ref().expect("survivor completes");
+            assert_eq!(*alive, vec![0, 1, 3, 4], "rank {r}: only rank 2 is evicted");
+            assert_eq!(*epoch, 1, "one eviction round bumps the epoch once");
+            assert_eq!(*sum, vec![8.0], "rank {r}: the survivors' sum");
+        }
+    }
+
+    #[test]
+    fn shrinking_reduce_scatter_matches_manual_sum_after_eviction() {
+        // Rank 1 dies before its first op.
+        reduce_scatter_through_a_crash(Topology::single_node(3), 1, 0);
+        for (topo, victim, op) in two_level_crash_cases() {
+            reduce_scatter_through_a_crash(topo, victim, op);
         }
     }
 

@@ -179,35 +179,6 @@ impl Topology {
     pub fn prev_rank(&self, rank: usize) -> usize {
         (rank + self.world_size() - 1) % self.world_size()
     }
-
-    /// Successor on the intra-node sub-ring (same node, next local rank).
-    #[inline]
-    pub fn next_in_node(&self, rank: usize) -> usize {
-        let node = self.node_of(rank);
-        node * self.gpus_per_node + (self.local_rank(rank) + 1) % self.gpus_per_node
-    }
-
-    /// Predecessor on the intra-node sub-ring.
-    #[inline]
-    pub fn prev_in_node(&self, rank: usize) -> usize {
-        let node = self.node_of(rank);
-        let g = self.gpus_per_node;
-        node * g + (self.local_rank(rank) + g - 1) % g
-    }
-
-    /// Peer with the same local rank on the next node (inter-node ring).
-    #[inline]
-    pub fn peer_next_node(&self, rank: usize) -> usize {
-        let node = (self.node_of(rank) + 1) % self.nodes;
-        node * self.gpus_per_node + self.local_rank(rank)
-    }
-
-    /// Peer with the same local rank on the previous node.
-    #[inline]
-    pub fn peer_prev_node(&self, rank: usize) -> usize {
-        let node = (self.node_of(rank) + self.nodes - 1) % self.nodes;
-        node * self.gpus_per_node + self.local_rank(rank)
-    }
 }
 
 #[cfg(test)]
@@ -244,30 +215,6 @@ mod tests {
         let t = Topology::a800(2, 4);
         assert_eq!(t.next_rank(7), 0);
         assert_eq!(t.prev_rank(0), 7);
-        // Intra-node sub-ring stays in the node.
-        assert_eq!(t.next_in_node(3), 0);
-        assert_eq!(t.next_in_node(7), 4);
-        assert_eq!(t.prev_in_node(4), 7);
-        // Inter-node ring preserves local rank.
-        assert_eq!(t.peer_next_node(2), 6);
-        assert_eq!(t.peer_next_node(6), 2);
-        assert_eq!(t.peer_prev_node(2), 6);
-    }
-
-    #[test]
-    fn sub_rings_partition_global_ring() {
-        // Walking next_in_node from any rank visits exactly its node's ranks.
-        let t = Topology::a800(3, 4);
-        for start in 0..t.world_size() {
-            let mut seen = vec![start];
-            let mut r = t.next_in_node(start);
-            while r != start {
-                seen.push(r);
-                r = t.next_in_node(r);
-            }
-            assert_eq!(seen.len(), t.gpus_per_node);
-            assert!(seen.iter().all(|&x| t.same_node(x, start)));
-        }
     }
 
     #[test]

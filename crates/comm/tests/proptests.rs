@@ -12,6 +12,20 @@ fn rank_mat(rank: usize, rows: usize, cols: usize, salt: u64) -> Mat {
     })
 }
 
+/// Either `None` — the collective runs on `single_node(g)` — or the
+/// `(nodes, gpus_per_node)` of an `a800` cluster with 1..=3 nodes of 1..=4
+/// GPUs: one-level shapes (one node, one GPU per node) and two-level ones.
+fn cluster() -> impl Strategy<Value = Option<(usize, usize)>> {
+    prop_oneof![Just(None), (1usize..=3, 1usize..=4).prop_map(Some)]
+}
+
+fn world_of(g: usize, cluster: Option<(usize, usize)>) -> Topology {
+    match cluster {
+        None => Topology::single_node(g),
+        Some((nodes, gpn)) => Topology::a800(nodes, gpn),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -21,8 +35,11 @@ proptest! {
         rows in 1usize..6,
         cols in 1usize..5,
         salt in 0u64..1000,
+        cluster in cluster(),
     ) {
-        let world = World::new(Topology::single_node(g));
+        let topo = world_of(g, cluster);
+        let g = topo.world_size();
+        let world = World::new(topo);
         let outs = world.run_results(move |comm| {
             comm.all_gather_mat(&rank_mat(comm.rank(), rows, cols, salt))
         });
@@ -39,8 +56,11 @@ proptest! {
         g in 1usize..6,
         rows in 1usize..5,
         salt in 0u64..1000,
+        cluster in cluster(),
     ) {
-        let world = World::new(Topology::single_node(g));
+        let topo = world_of(g, cluster);
+        let g = topo.world_size();
+        let world = World::new(topo);
         let outs = world.run_results(move |comm| {
             let parts: Vec<Mat> = (0..g)
                 .map(|d| rank_mat(comm.rank() * 10 + d, rows, 2, salt))
@@ -61,8 +81,11 @@ proptest! {
         g in 1usize..6,
         rows in 1usize..8,
         salt in 0u64..1000,
+        cluster in cluster(),
     ) {
-        let world = World::new(Topology::single_node(g));
+        let topo = world_of(g, cluster);
+        let g = topo.world_size();
+        let world = World::new(topo);
         let outs = world.run_results(move |comm| {
             comm.all_reduce_mat(&rank_mat(comm.rank(), rows, 3, salt))
         });

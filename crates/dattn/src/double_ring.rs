@@ -32,7 +32,10 @@
 use crate::ring::{
     escalate_attn, AttnFailure, AttnShard, BackwardInputs, DistAttnOut, KvHold, Phase,
 };
-use burst_comm::{Communicator, MemCategory, SpanKind, Topology};
+/// The slot geometry every schedule here runs on. It lives in `burst-comm`,
+/// whose ring collectives run on it too.
+pub use burst_comm::DoubleRingSpec;
+use burst_comm::{Communicator, MemCategory, SpanKind};
 use burst_kernels::{attn_tile_backward, attn_tile_backward_acc, flash_forward_acc, KernelWork};
 use burst_tensor::{Mat, Scratch};
 
@@ -69,116 +72,6 @@ fn kv_pair<'a>(cur: &'a KvHold, start: &'a KvHold, k: &'a Mat, v: &'a Mat) -> (&
     match cur {
         KvHold::Local => start.view(k, v),
         held => held.view(k, v),
-    }
-}
-
-/// The logical geometry of a two-level ring over an arbitrary member set.
-///
-/// All schedule arithmetic in this module runs on **slots** — dense logical
-/// positions `slot = outer · gpus_per_node + inner`, node-major like fresh
-/// physical ranks — and `slots[slot]` maps each one back to the physical
-/// rank occupying it. A full world is the identity mapping; after an
-/// eviction, [`DoubleRingSpec::from_members`] rebuilds the split from the
-/// survivors **iff node locality survived** (every remaining node
-/// contributes the same number of ranks), so inner hops stay on NVLink and
-/// outer hops stay on the NICs. Because slot arithmetic is exactly the
-/// rank arithmetic of a fresh `(nodes, gpus_per_node)` world, a shrunken
-/// double-ring schedule is bit-identical to a fresh world of that shape.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DoubleRingSpec {
-    nodes: usize,
-    gpn: usize,
-    /// `slots[outer * gpn + inner]` = physical rank at that slot.
-    slots: Vec<usize>,
-}
-
-impl DoubleRingSpec {
-    /// The identity spec over the full topology.
-    pub fn full(topo: &Topology) -> Self {
-        DoubleRingSpec {
-            nodes: topo.nodes,
-            gpn: topo.gpus_per_node,
-            slots: (0..topo.nodes * topo.gpus_per_node).collect(),
-        }
-    }
-
-    /// Rebuild the two-level split over a surviving member set, preserving
-    /// node locality. Returns `None` when the survivors are *ragged* — the
-    /// non-empty nodes hold unequal rank counts, so no valid inner/outer
-    /// split exists and the caller must fall back to a flat ring.
-    pub fn from_members(topo: &Topology, members: &[usize]) -> Option<Self> {
-        let mut members = members.to_vec();
-        members.sort_unstable();
-        members.dedup();
-        if members.is_empty() || *members.last().unwrap() >= topo.world_size() {
-            return None;
-        }
-        let mut per_node = vec![0usize; topo.nodes];
-        for &r in &members {
-            per_node[topo.node_of(r)] += 1;
-        }
-        let counts: Vec<usize> = per_node.iter().copied().filter(|&c| c > 0).collect();
-        let gpn = counts[0];
-        if counts.iter().any(|&c| c != gpn) {
-            return None;
-        }
-        // Ranks are node-major, so ascending survivors are already grouped
-        // by (retained) node: the sorted list *is* the slot map.
-        Some(DoubleRingSpec {
-            nodes: counts.len(),
-            gpn,
-            slots: members,
-        })
-    }
-
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    pub fn gpus_per_node(&self) -> usize {
-        self.gpn
-    }
-
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// The physical rank occupying `slot`.
-    pub fn rank_at(&self, slot: usize) -> usize {
-        self.slots[slot]
-    }
-
-    /// The slot occupied by physical `rank`, if it is a member.
-    pub fn slot_of(&self, rank: usize) -> Option<usize> {
-        self.slots.iter().position(|&r| r == rank)
-    }
-
-    /// Next slot on the same (logical) node's NVLink sub-ring.
-    pub fn next_in_node(&self, slot: usize) -> usize {
-        let (outer, inner) = (slot / self.gpn, slot % self.gpn);
-        outer * self.gpn + (inner + 1) % self.gpn
-    }
-
-    /// Previous slot on the same (logical) node's NVLink sub-ring.
-    pub fn prev_in_node(&self, slot: usize) -> usize {
-        let (outer, inner) = (slot / self.gpn, slot % self.gpn);
-        outer * self.gpn + (inner + self.gpn - 1) % self.gpn
-    }
-
-    /// Same-inner-position slot on the next (logical) node.
-    pub fn peer_next_node(&self, slot: usize) -> usize {
-        let (outer, inner) = (slot / self.gpn, slot % self.gpn);
-        ((outer + 1) % self.nodes) * self.gpn + inner
-    }
-
-    /// Same-inner-position slot on the previous (logical) node.
-    pub fn peer_prev_node(&self, slot: usize) -> usize {
-        let (outer, inner) = (slot / self.gpn, slot % self.gpn);
-        ((outer + self.nodes - 1) % self.nodes) * self.gpn + inner
     }
 }
 
@@ -885,73 +778,4 @@ pub fn try_double_ring_backward_alg2_on(
     comm.mem_free(mem_dq_buf);
     comm.mem_free(mem_dkv);
     Ok((grad_q, grad_k, grad_v))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn full_spec_is_the_identity_over_the_topology() {
-        let topo = Topology::a800(3, 4);
-        let spec = DoubleRingSpec::full(&topo);
-        assert_eq!(spec.len(), 12);
-        assert_eq!((spec.nodes(), spec.gpus_per_node()), (3, 4));
-        for r in 0..12 {
-            assert_eq!(spec.rank_at(r), r);
-            assert_eq!(spec.slot_of(r), Some(r));
-            assert_eq!(spec.next_in_node(r), topo.next_in_node(r));
-            assert_eq!(spec.prev_in_node(r), topo.prev_in_node(r));
-            assert_eq!(spec.peer_next_node(r), topo.peer_next_node(r));
-            assert_eq!(spec.peer_prev_node(r), topo.peer_prev_node(r));
-        }
-    }
-
-    #[test]
-    fn balanced_survivors_rebuild_a_two_level_split() {
-        // 2 nodes x 3 gpus; one death per node keeps the split valid as a
-        // 2x2 logical double-ring.
-        let topo = Topology::a800(2, 3);
-        let spec = DoubleRingSpec::from_members(&topo, &[0, 2, 3, 5]).expect("balanced");
-        assert_eq!((spec.nodes(), spec.gpus_per_node()), (2, 2));
-        assert_eq!(
-            (0..4).map(|s| spec.rank_at(s)).collect::<Vec<_>>(),
-            vec![0, 2, 3, 5]
-        );
-        // Slot arithmetic mirrors a fresh 2x2 world: slot 1's intra
-        // neighbour is slot 0, its inter peer is slot 3.
-        assert_eq!(spec.next_in_node(1), 0);
-        assert_eq!(spec.peer_next_node(1), 3);
-        assert_eq!(spec.slot_of(5), Some(3));
-        assert_eq!(spec.slot_of(1), None);
-    }
-
-    #[test]
-    fn whole_node_loss_still_splits() {
-        // Losing node 1 entirely leaves 2 nodes of 2 — still valid.
-        let topo = Topology::a800(3, 2);
-        let spec = DoubleRingSpec::from_members(&topo, &[0, 1, 4, 5]).expect("node loss");
-        assert_eq!((spec.nodes(), spec.gpus_per_node()), (2, 2));
-        assert_eq!(spec.rank_at(2), 4);
-        assert_eq!(spec.peer_next_node(0), 2);
-    }
-
-    #[test]
-    fn ragged_survivors_are_rejected() {
-        let topo = Topology::a800(2, 3);
-        // Node 0 keeps 3 ranks, node 1 keeps 2: no valid split.
-        assert!(DoubleRingSpec::from_members(&topo, &[0, 1, 2, 3, 4]).is_none());
-        // Empty and out-of-range member sets are rejected too.
-        assert!(DoubleRingSpec::from_members(&topo, &[]).is_none());
-        assert!(DoubleRingSpec::from_members(&topo, &[0, 99]).is_none());
-    }
-
-    #[test]
-    fn single_survivor_is_a_one_by_one_spec() {
-        let topo = Topology::a800(2, 2);
-        let spec = DoubleRingSpec::from_members(&topo, &[3]).expect("singleton");
-        assert_eq!((spec.nodes(), spec.gpus_per_node(), spec.len()), (1, 1, 1));
-        assert_eq!(spec.next_in_node(0), 0);
-        assert_eq!(spec.peer_next_node(0), 0);
-    }
 }

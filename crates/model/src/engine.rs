@@ -730,6 +730,12 @@ pub fn run_span_elastic(
                         out.parked_at = Some(step);
                         break 'span;
                     }
+                    if let CommError::Evicted { evicted, .. } = &e {
+                        // A shrinking collective (the FSDP gather or sync)
+                        // already agreed on this eviction and applied it
+                        // to `m`; the round below then finds nothing new.
+                        out.evicted.extend(evicted.iter().copied());
+                    }
                     let suspects: Vec<usize> = dead_ranks(&e)
                         .into_iter()
                         .filter(|&r| r != me && m.is_alive(r))

@@ -12,8 +12,8 @@
 //! # Flat buckets
 //!
 //! Each call packs every parameter into flat one-row buckets and runs one
-//! collective per bucket, so the step pays `G − 1` ring latencies per
-//! collective instead of `G − 1` per parameter:
+//! collective per bucket, so the step pays one ring's latencies per
+//! collective instead of one ring's per parameter:
 //!
 //! * **Weight gather** — one bucket per rank: its `shard_range` rows of
 //!   every parameter, back to back, through one ring all-gather.
@@ -25,6 +25,13 @@
 //!   through one leader gather-sum-broadcast.
 //!
 //! The received buckets are unpacked in place into `p.w` / `p.grad`.
+//!
+//! The ring collectives are `burst-comm`'s two-level ones: on a multi-node
+//! topology the all-gather first rings blocks across nodes between
+//! same-position peers, every NIC busy at once, then inside each node; the
+//! reduce-scatter sums each block node-locally first and across nodes
+//! second. On one node, or one GPU per node, both are the flat ring. The
+//! buckets, spans and ledger entries do not depend on which.
 //!
 //! **Bit-identical to one collective per parameter.** Addition is
 //! elementwise, so an element's sum depends only on the order its
@@ -47,10 +54,14 @@
 //!
 //! **Elastic worlds.** [`try_gather_weights_m`] and [`try_sync_grads_m`]
 //! run the same layout over the alive set of a [`Membership`] — ring
-//! positions replace rank ids — through the shrinking collectives, so a
-//! shrunken or regrown world matches a fresh world of its size bit for
-//! bit. Each shrinking collective ends in one eviction agreement: four per
-//! step, where a collective per parameter ran two or three per parameter.
+//! positions replace rank ids — through the shrinking collectives. Those
+//! run the fixed world's schedule on the alive set's geometry: the
+//! two-level split when the survivors are node-balanced, the flat ring
+//! over the alive list when they are ragged. A shrunken or regrown world
+//! therefore matches a fresh world of the survivors' shape (or a fresh
+//! flat world of their count) bit for bit. Each shrinking collective ends
+//! in one eviction agreement: four per step, where a collective per
+//! parameter ran two or three per parameter.
 //!
 //! **Observability.** Each bucket collective is wrapped in one
 //! [`SpanKind::Optim`] span (`fsdp_gather` / `fsdp_sync`) — under the

@@ -128,15 +128,15 @@ fn bucketed_sync_matches_one_all_reduce_per_parameter() {
     );
 }
 
-#[test]
-fn elastic_buckets_with_an_evicted_rank_match_a_fresh_small_world() {
-    // Rank 2 of a 2×2 cluster is gone: the survivors shard over their
-    // ring positions and must reproduce a fresh 3-rank world bit for bit,
-    // the seeds following the positions.
-    let dead = 2;
-    let shrunk = World::new(Topology::a800(2, 2)).run(move |comm| {
+/// Gather + sync over `topo` with `dead` evicted: the survivors shard over
+/// their ring positions, the seeds following the positions, and must
+/// reproduce a fresh `fresh` world bit for bit.
+fn assert_shrink_matches_fresh(topo: Topology, dead: &'static [usize], fresh: Topology) {
+    let shrunk = World::new(topo).run(move |comm| {
         let mut m = Membership::new(comm.world_size());
-        m.evict(dead);
+        for &d in dead {
+            m.evict(d);
+        }
         let pos = m.pos_of(comm.rank())?;
         let mut ps = params(pos as u64);
         let policy = RetryPolicy::default();
@@ -144,16 +144,31 @@ fn elastic_buckets_with_an_evicted_rank_match_a_fresh_small_world() {
         try_sync_grads_m(comm, &mut m, &mut refs(&mut ps), &policy).expect("clean sync");
         Some(bits(&ps))
     });
-    let fresh = run(&Topology::single_node(3), |comm, ps| {
+    let want = run(&fresh, |comm, ps| {
         gather_weights(comm, &mut refs(ps));
         sync_grads(comm, &mut refs(ps));
     });
     let alive: Vec<Vec<u32>> = shrunk.into_iter().filter_map(|o| o.result).collect();
-    assert_eq!(alive.len(), 3);
-    for (pos, (got, (want, _))) in alive.iter().zip(&fresh).enumerate() {
+    assert_eq!(alive.len(), want.len());
+    for (pos, (got, (want, _))) in alive.iter().zip(&want).enumerate() {
         assert!(
             got == want,
-            "position {pos}: shrunk world differs from fresh"
+            "evicted {dead:?}, position {pos}: shrunk world differs from fresh"
         );
     }
+}
+
+#[test]
+fn elastic_buckets_with_an_evicted_rank_match_a_fresh_small_world() {
+    // Rank 2 of a 2×2 cluster is gone: node 1 keeps one rank, node 0 two,
+    // so the survivors run the one-level ring of a fresh 3-rank world.
+    assert_shrink_matches_fresh(Topology::a800(2, 2), &[2], Topology::single_node(3));
+}
+
+#[test]
+fn node_balanced_shrink_matches_a_fresh_world_of_its_shape() {
+    // One rank per node of a 2×4 cluster is gone: the survivors keep the
+    // two-level ring as a 2×3 split and must reproduce a fresh 2×3 world,
+    // node-local-then-cross-node summation order included.
+    assert_shrink_matches_fresh(Topology::a800(2, 4), &[3, 7], Topology::a800(2, 3));
 }

@@ -6,6 +6,9 @@ use crate::span::{RankTrace, SpanKind};
 
 /// Kinds shown in the summary, in display order. `Send` is wire time and
 /// overlaps the others; it is listed last and not part of the busy bar.
+/// Async sends also overlap each other, so its row reports wire-busy
+/// seconds — the union of the rank's send intervals within its timeline —
+/// not their sum.
 const KINDS: [SpanKind; 4] = [
     SpanKind::Kernel,
     SpanKind::Wait,
@@ -37,7 +40,10 @@ pub fn flame_text(traces: &[RankTrace]) -> String {
     for t in traces {
         out.push_str(&format!("rank {:>3}  end {:.6e}s\n", t.rank, t.end_time));
         for kind in KINDS {
-            let secs = t.total_secs(kind);
+            let (label, secs) = match kind {
+                SpanKind::Send => ("send busy", t.union_secs(kind)),
+                _ => (kind.label(), t.total_secs(kind)),
+            };
             let count = t.count(kind);
             if count == 0 {
                 continue;
@@ -49,7 +55,7 @@ pub fn flame_text(traces: &[RankTrace]) -> String {
             };
             out.push_str(&format!(
                 "  {:<10} {} {:>12.6e}s  ({:>5.1}%)  n={}\n",
-                kind.label(),
+                label,
                 bar(frac),
                 secs,
                 frac * 100.0,
@@ -77,6 +83,18 @@ mod tests {
         assert!(text.contains("rank   0"), "{text}");
         assert!(text.contains("kernel"), "{text}");
         assert!(text.contains("50.0%"), "{text}");
+    }
+
+    #[test]
+    fn overlapping_sends_report_wire_busy_time() {
+        // Two async sends in flight over the whole 1 s timeline keep the
+        // wire busy for 1 s, not 2 s.
+        let mut sink = RankSink::with_capacity(0, 4);
+        sink.leaf(SpanKind::Send, "send", 0.0, 1.0, 1, 8, false);
+        sink.leaf(SpanKind::Send, "send", 0.0, 1.0, 2, 8, true);
+        let text = flame_text(&[sink.finish(1.0)]);
+        assert!(text.contains("send busy"), "{text}");
+        assert!(text.contains("(100.0%)  n=2"), "{text}");
     }
 
     #[test]

@@ -311,6 +311,32 @@ impl RankTrace {
             .sum()
     }
 
+    /// Seconds of the rank's timeline, `[0, end_time]`, covered by at least
+    /// one span of `kind`: the length of the union of their intervals.
+    /// Unlike [`RankTrace::total_secs`] this never exceeds the timeline,
+    /// even for kinds whose spans overlap each other (async sends share the
+    /// wire) or outlive the rank's clock (a send still in flight when the
+    /// rank finishes).
+    pub fn union_secs(&self, kind: SpanKind) -> f64 {
+        let mut spans: Vec<(f64, f64)> = self
+            .spans
+            .iter()
+            .filter(|s| s.kind == kind)
+            .map(|s| (s.start, s.end.min(self.end_time)))
+            .filter(|&(start, end)| end > start)
+            .collect();
+        spans.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut covered = 0.0;
+        let mut reach = f64::NEG_INFINITY;
+        for (start, end) in spans {
+            if end > reach {
+                covered += end - start.max(reach);
+                reach = end;
+            }
+        }
+        covered
+    }
+
     /// Count of spans of `kind`.
     pub fn count(&self, kind: SpanKind) -> usize {
         self.spans.iter().filter(|s| s.kind == kind).count()
@@ -458,6 +484,21 @@ mod tests {
         validate(&trace).unwrap();
         assert_eq!(trace.total_secs(SpanKind::Kernel), 0.5);
         assert_eq!(trace.count(SpanKind::Layer), 1);
+    }
+
+    #[test]
+    fn union_secs_counts_overlapping_spans_once() {
+        // [0, 2] ∪ [1, 3] ∪ [1.5, 2.5] ∪ [4, 6] ∪ [5.5, 6], recorded out of
+        // order, on a timeline ending at 5: the last sends land, or even
+        // depart, after the rank's clock stops.
+        let mut sink = RankSink::with_capacity(0, 8);
+        for (start, end) in [(1.0, 3.0), (4.0, 6.0), (0.0, 2.0), (5.5, 6.0), (1.5, 2.5)] {
+            sink.leaf(SpanKind::Send, "send", start, end, 1, 1, false);
+        }
+        let trace = sink.finish(5.0);
+        assert_eq!(trace.total_secs(SpanKind::Send), 7.5);
+        assert_eq!(trace.union_secs(SpanKind::Send), 4.0);
+        assert_eq!(trace.union_secs(SpanKind::Kernel), 0.0);
     }
 
     #[test]

@@ -31,15 +31,22 @@ proptest! {
     /// On the divisible path `all_reduce_mat` *is* reduce-scatter followed
     /// by all-gather; composing the two collectives by hand must therefore
     /// agree to the last bit — any drift means the fused path reordered a
-    /// reduction.
+    /// reduction. Worlds are single nodes or `a800` clusters of 1..=3
+    /// nodes × 1..=4 GPUs, so the two-level ring is covered too.
     #[test]
     fn all_gather_of_reduce_scatter_is_all_reduce(
         g in 1usize..6,
         rows_per_rank in 1usize..4,
         cols in 1usize..4,
         salt in 0u64..1_000,
+        cluster in prop_oneof![Just(None), (1usize..=3, 1usize..=4).prop_map(Some)],
     ) {
-        let world = World::new(Topology::single_node(g));
+        let topo = match cluster {
+            None => Topology::single_node(g),
+            Some((nodes, gpn)) => Topology::a800(nodes, gpn),
+        };
+        let g = topo.world_size();
+        let world = World::new(topo);
         let outs = world.run_results(move |comm| {
             let me = comm.rank();
             let x = rank_mat(me, g * rows_per_rank, cols, salt);

@@ -498,18 +498,18 @@ fn elastic_cfg() -> EngineConfig {
     cfg
 }
 
-/// Reference segment: steps `start..end` on a fresh, never-faulted
-/// `g`-rank world, warm-started from `warm` flat state (`None` = fresh
-/// model). Returns the segment's losses and the final flat state, after
-/// checking all ranks agree bit-for-bit.
+/// Reference segment: steps `start..end` on a fresh, never-faulted world
+/// of `topo`, warm-started from `warm` flat state (`None` = fresh model).
+/// Returns the segment's losses and the final flat state, after checking
+/// all ranks agree bit-for-bit.
 fn segment(
-    g: usize,
+    topo: Topology,
     warm: Option<&[f32]>,
     start: usize,
     end: usize,
     cfg: &EngineConfig,
 ) -> (Vec<f32>, Vec<f32>) {
-    let w = World::new(Topology::single_node(g));
+    let w = World::new(topo);
     let mut outs = w.run_results(|comm| {
         let mut model = Model::new(cfg.model, cfg.seed);
         if let Some(f) = warm {
@@ -536,8 +536,8 @@ fn segment(
 
 /// The op count rank `victim` has accumulated after `s` clean elastic
 /// steps — used to aim a crash inside a specific step.
-fn elastic_ops_after(cfg: &EngineConfig, g: usize, victim: usize, s: usize) -> u64 {
-    let outs = World::new(Topology::single_node(g)).run_results(|comm| {
+fn elastic_ops_after(cfg: &EngineConfig, topo: Topology, victim: usize, s: usize) -> u64 {
+    let outs = World::new(topo).run_results(|comm| {
         let mut model = Model::new(cfg.model, cfg.seed);
         run_span_elastic(comm, cfg, &mut model, 0, s, &[], &ElasticCfg::default())
             .expect("clean elastic probe");
@@ -554,8 +554,8 @@ fn in_step_recovery_replays_only_the_failed_step_bit_exactly() {
     let victim = 2;
     // Aim the crash mid-step: between the victim's op counts at the end of
     // step f-1 and the end of step f.
-    let before = elastic_ops_after(&cfg, 4, victim, f);
-    let after = elastic_ops_after(&cfg, 4, victim, f + 1);
+    let before = elastic_ops_after(&cfg, Topology::single_node(4), victim, f);
+    let after = elastic_ops_after(&cfg, Topology::single_node(4), victim, f + 1);
     assert!(after > before, "a step must cost comm ops");
     let crash_op = (before + after) / 2;
 
@@ -602,8 +602,8 @@ fn in_step_recovery_replays_only_the_failed_step_bit_exactly() {
     // Bit-identity against the segmented reference: a fresh 4-rank world
     // over [0, f), then a fresh 3-rank world over [f, steps) warm-started
     // from the first segment's final state.
-    let (la, flat_a) = segment(4, None, 0, f, &cfg);
-    let (lb, flat_b) = segment(3, Some(&flat_a), f, steps, &cfg);
+    let (la, flat_a) = segment(Topology::single_node(4), None, 0, f, &cfg);
+    let (lb, flat_b) = segment(Topology::single_node(3), Some(&flat_a), f, steps, &cfg);
     let mut expect = la;
     expect.extend(lb);
     assert_eq!(
@@ -616,6 +616,61 @@ fn in_step_recovery_replays_only_the_failed_step_bit_exactly() {
         "parameters must match the segmented reference bit-for-bit"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn crash_in_a_two_level_fsdp_gather_evicts_only_the_victim() {
+    // On 2 nodes x 4 GPUs the FSDP weight all-gather runs the two-level
+    // ring: a rank waits on its cross-node peer and its in-node neighbour,
+    // not only on its flat ones. Rank 5 dies at each op of step 1's gather
+    // (its first collective). The survivors must evict rank 5 alone, replay
+    // the step on the seven-rank flat ring, and match fresh 2 x 4 and
+    // 7-rank worlds bit for bit.
+    let mut cfg = elastic_cfg();
+    cfg.model.seq_len = 112; // zigzag needs 2·g | seq for g = 8 and g = 7
+    let (steps, f, victim) = (2, 1, 5);
+    let topo = Topology::a800(2, 4);
+    let before = elastic_ops_after(&cfg, topo.clone(), victim, f);
+    let (la, flat_a) = segment(topo.clone(), None, 0, f, &cfg);
+    let (lb, flat_b) = segment(Topology::single_node(7), Some(&flat_a), f, steps, &cfg);
+    let mut expect = la;
+    expect.extend(lb);
+    // One cross-node step (a send and a receive), then three in-node steps
+    // of two sends and two receives.
+    for op in before..before + 14 {
+        let dir = scratch(&format!("two-level-gather-{op}"));
+        let rcfg = RecoveryCfg {
+            every: 100,
+            path: dir.clone(),
+            max_restarts: 0,
+            sharded: true,
+            shrink: false,
+            in_step: true,
+            quiet: true,
+        };
+        let report = train_with_recovery(
+            |_, _| {
+                let plan = FaultPlan::new(23)
+                    .crash_at_op(victim, op)
+                    .recv_deadline(60.0);
+                World::with_faults(topo.clone(), plan)
+            },
+            &cfg,
+            steps,
+            &rcfg,
+        )
+        .unwrap_or_else(|e| panic!("crash at op {op}: in-step recovery must finish: {e:?}"));
+        assert_eq!(report.restarts, 0, "op {op}: absorbed inside the step");
+        assert_eq!(report.evicted_ranks, vec![victim], "op {op}");
+        assert_eq!(report.steps_replayed, 1, "op {op}: only step {f} re-runs");
+        assert_eq!(report.losses, expect, "op {op}: losses");
+        assert_eq!(
+            report.final_model.flat_state(),
+            flat_b,
+            "op {op}: parameters"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
@@ -658,9 +713,9 @@ fn leave_and_rejoin_runs_bit_identical_to_the_segmented_reference() {
         "no step is lost to voluntary churn"
     );
 
-    let (la, flat_a) = segment(3, None, 0, 1, &cfg);
-    let (lb, flat_b) = segment(2, Some(&flat_a), 1, 3, &cfg);
-    let (lc, flat_c) = segment(3, Some(&flat_b), 3, 5, &cfg);
+    let (la, flat_a) = segment(Topology::single_node(3), None, 0, 1, &cfg);
+    let (lb, flat_b) = segment(Topology::single_node(2), Some(&flat_a), 1, 3, &cfg);
+    let (lc, flat_c) = segment(Topology::single_node(3), Some(&flat_b), 3, 5, &cfg);
     let mut expect = la;
     expect.extend(lb);
     expect.extend(lc);
