@@ -6,7 +6,6 @@ use crate::double_ring::{all_gather_on, reduce_scatter_on, DoubleRingSpec};
 use crate::fault::{CommError, CrashAt, FaultPlan, LossKind};
 use crate::stats::{CommStats, FaultCounters};
 use crate::topology::{Topology, WireDtype};
-use crate::trace::TraceEvent;
 use crate::transport::FailureDetector;
 use burst_obs::{
     MemCategory, MemId, MemLedger, MemReport, RankSink, RankTrace, SpanKind, DEFAULT_SPAN_CAPACITY,
@@ -318,41 +317,6 @@ impl Communicator {
     #[inline]
     pub fn tracing(&self) -> bool {
         self.obs.is_some()
-    }
-
-    /// Stop tracing and return the recorded events, flattened to the legacy
-    /// [`TraceEvent`] form (kernel, send and recv leaves in record order;
-    /// structural and wait spans are dropped). Prefer
-    /// [`Communicator::take_rank_trace`] for the full span tree.
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        let Some(sink) = self.obs.take() else {
-            return Vec::new();
-        };
-        let trace = sink.finish(self.clock);
-        trace
-            .spans
-            .iter()
-            .filter_map(|s| match s.kind {
-                SpanKind::Kernel => Some(TraceEvent::Compute {
-                    start: s.start,
-                    end: s.end,
-                }),
-                SpanKind::Send => Some(TraceEvent::Send {
-                    dst: s.peer as usize,
-                    elems: s.elems as usize,
-                    depart: s.start,
-                    arrival: s.end,
-                    inter_node: s.inter,
-                }),
-                SpanKind::Recv => Some(TraceEvent::Recv {
-                    src: s.peer as usize,
-                    elems: s.elems as usize,
-                    posted: s.start,
-                    completed: s.end,
-                }),
-                _ => None,
-            })
-            .collect()
     }
 
     /// Start the per-rank virtual-memory accountant (see

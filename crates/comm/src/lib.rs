@@ -34,7 +34,6 @@ pub mod fault;
 pub mod membership;
 pub mod stats;
 pub mod topology;
-pub mod trace;
 pub mod transport;
 pub mod world;
 
@@ -48,7 +47,6 @@ pub use membership::{
 };
 pub use stats::{CommStats, FaultCounters};
 pub use topology::{Link, Topology, WireDtype};
-pub use trace::{ascii_lane, summarize, TraceEvent, TraceSummary};
 pub use transport::{DetectorCfg, FailureDetector, TransportPolicy};
 pub use world::{RankOutput, World};
 

@@ -9,10 +9,12 @@
 //!
 //! Three schedules are provided:
 //!
-//! * [`double_ring_forward`] — shared by DoubleRingAttention and
-//!   BurstAttention: `K, V` are read-only, so the inter-node transfer is
-//!   posted at the *start* of each outer iteration and hides behind the
-//!   whole intra-node sweep;
+//! * [`try_double_ring_forward_heads_on`] — shared by DoubleRingAttention
+//!   and BurstAttention: `K, V` are read-only, so each head's inter-node
+//!   transfer is posted as soon as the rank holds it and hides behind the
+//!   whole intra-node sweep — and, with several heads, behind the earlier
+//!   heads' sweeps too. [`double_ring_forward`] and its `try_` forms are
+//!   its one-head calls;
 //! * [`double_ring_backward_alg1`] — the LoongTrain DoubleRing baseline:
 //!   Algorithm 1's `(K, V, ∇K, ∇V)` bundle circulates through every rank.
 //!   Gradients ride in the same buffers as activations, so *nothing* can be
@@ -35,7 +37,7 @@ use crate::ring::{
 /// The slot geometry every schedule here runs on. It lives in `burst-comm`,
 /// whose ring collectives run on it too.
 pub use burst_comm::DoubleRingSpec;
-use burst_comm::{Communicator, MemCategory, SpanKind};
+use burst_comm::{Communicator, MemCategory, MemId, SpanKind};
 use burst_kernels::{attn_tile_backward, attn_tile_backward_acc, flash_forward_acc, KernelWork};
 use burst_tensor::{Mat, Scratch};
 
@@ -75,7 +77,7 @@ fn kv_pair<'a>(cur: &'a KvHold, start: &'a KvHold, k: &'a Mat, v: &'a Mat) -> (&
     }
 }
 
-/// Forward pass over the two-level ring.
+/// Forward pass over the two-level ring (one head).
 pub fn double_ring_forward(comm: &mut Communicator, shard: &AttnShard) -> DistAttnOut {
     match try_double_ring_forward(comm, shard) {
         Ok(out) => out,
@@ -101,6 +103,62 @@ pub fn try_double_ring_forward_on(
     shard: &AttnShard,
     spec: &DoubleRingSpec,
 ) -> Result<DistAttnOut, AttnFailure> {
+    let mut outs = try_double_ring_forward_heads_on(comm, std::slice::from_ref(shard), spec)?;
+    Ok(outs.pop().expect("one head in, one head out"))
+}
+
+/// One head's state across a multi-head forward: its accumulators, the
+/// inter-node start bundle it holds for the current outer step, and their
+/// ledger entries.
+struct FwdHead {
+    acc_o: Mat,
+    acc_lse: Vec<f32>,
+    work: KernelWork,
+    start: KvHold,
+    mem_acc: Option<MemId>,
+    mem_start: Option<MemId>,
+}
+
+/// Multi-head forward over the two-level ring, every head's inter-node
+/// start bundle posted as soon as this rank holds it.
+///
+/// * **Post rule.** At outer step 0 every head's local `(K, V)` leaves for
+///   the next node before the first head's sweep. At each later outer step
+///   a head's bundle is received right before that head's sweep and, when a
+///   further node still needs it, relayed at once. The intra-node sweeps
+///   run one head after another, so head `h + 1`'s NIC transfer hides
+///   behind head `h`'s sweeps as well as its own. Each head's kernels and
+///   accumulation order are the single-head pass's, so its `(O, Lse)` are
+///   bit-identical to it.
+/// * **Billing.** One `dr_fwd_acc` per head and — on multi-node specs whose
+///   skip gates ever deliver a start bundle — one `dr_fwd_start_kv` per
+///   head, since every head holds its own bundle between outer steps. One
+///   `dr_fwd_cur_kv` is shared: the sweeps never overlap.
+/// * **One head** is the single-head pass message for message: the same
+///   sends and receives in the same order, hence the same clocks, spans,
+///   `CommStats` and ledger entries. A deferred start receive keeps that
+///   pass's round label, `outer · gpus_per_node − 1`.
+///
+/// All heads must share one attention problem (mask, layout, `seq_len`,
+/// `max_token`, skip and cost), so one index table and one [`SkipPlan`]
+/// serve them all; this panics otherwise.
+///
+/// [`SkipPlan`]: crate::skip::SkipPlan
+pub fn try_double_ring_forward_heads_on(
+    comm: &mut Communicator,
+    heads: &[AttnShard],
+    spec: &DoubleRingSpec,
+) -> Result<Vec<DistAttnOut>, AttnFailure> {
+    let first = heads.first().expect("double-ring forward needs a head");
+    assert!(
+        heads.iter().all(|h| h.mask == first.mask
+            && h.layout == first.layout
+            && h.seq_len == first.seq_len
+            && h.max_token == first.max_token
+            && h.skip == first.skip
+            && h.cost == first.cost),
+        "double-ring heads must share one attention problem"
+    );
     let (nodes, gpn) = (spec.nodes(), spec.gpus_per_node());
     let g = spec.len();
     let me = spec
@@ -110,136 +168,170 @@ pub fn try_double_ring_forward_on(
     let intra_prev = spec.rank_at(spec.prev_in_node(me));
     let peer_next = spec.rank_at(spec.peer_next_node(me));
     let peer_prev = spec.rank_at(spec.peer_prev_node(me));
-    let d = shard.q.cols();
-    let qi = shard.idx_at(g, me);
-    let kidx_all: Vec<Vec<usize>> = (0..g).map(|s| shard.idx_at(g, s)).collect();
-    let mut acc_o = Mat::zeros(shard.q.rows(), shard.v.cols());
-    let mut acc_lse = vec![f32::NEG_INFINITY; shard.q.rows()];
-    let mut scratch = Scratch::new();
-    let mut work = KernelWork::default();
-    // Pass-scoped accountant entries: the persistent accumulators plus one
-    // steady-state (K, V) slot per active ring level — the inter-node start
-    // bundle and the intra-node current bundle circulate concurrently.
-    let mem_acc = comm.mem_alloc(
-        "dr_fwd_acc",
-        MemCategory::Activations,
-        (acc_o.nbytes() + 4 * acc_lse.len()) as u64,
-    );
-    let plan = shard.skip_plan(&kidx_all);
+    let qi = first.idx_at(g, me);
+    let kidx_all: Vec<Vec<usize>> = (0..g).map(|s| first.idx_at(g, s)).collect();
+    let plan = first.skip_plan(&kidx_all);
     let (buf_start, buf_cur) = plan.dr_fwd_bufs(me, nodes, gpn);
-    let kv_wire = comm.mem_wire_bytes(shard.k.len() + shard.v.len());
-    let mem_start = if nodes > 1 && buf_start {
-        comm.mem_alloc("dr_fwd_start_kv", MemCategory::CommBuffers, kv_wire)
-    } else {
-        None
-    };
+    let mut scratch = Scratch::new();
+    // Call-scoped accountant entries: each head's persistent accumulators
+    // and inter-node start bundle, plus one shared intra-node current
+    // bundle — the start bundles circulate concurrently with the sweeps.
+    let mut state = Vec::with_capacity(heads.len());
+    let mut cur_wire = 0;
+    for shard in heads {
+        let acc_o = Mat::zeros(shard.q.rows(), shard.v.cols());
+        let acc_lse = vec![f32::NEG_INFINITY; shard.q.rows()];
+        let mem_acc = comm.mem_alloc(
+            "dr_fwd_acc",
+            MemCategory::Activations,
+            (acc_o.nbytes() + 4 * acc_lse.len()) as u64,
+        );
+        let kv_wire = comm.mem_wire_bytes(shard.k.len() + shard.v.len());
+        let mem_start = if nodes > 1 && buf_start {
+            comm.mem_alloc("dr_fwd_start_kv", MemCategory::CommBuffers, kv_wire)
+        } else {
+            None
+        };
+        cur_wire = cur_wire.max(kv_wire);
+        // `Local` start bundle = outer round 0, read the local shard in place.
+        state.push(FwdHead {
+            acc_o,
+            acc_lse,
+            work: KernelWork::default(),
+            start: KvHold::Local,
+            mem_acc,
+            mem_start,
+        });
+    }
     let mem_cur = if gpn > 1 && buf_cur {
-        comm.mem_alloc("dr_fwd_cur_kv", MemCategory::CommBuffers, kv_wire)
+        comm.mem_alloc("dr_fwd_cur_kv", MemCategory::CommBuffers, cur_wire)
     } else {
         None
     };
 
-    // `Local` start bundle = outer round 0, read the local shard in place;
-    // `Local` current bundle = inner step 0, read the start bundle in place.
-    let mut start_held = KvHold::Local;
     let mut start_src = me;
+    let mut recv_start = false;
     for outer in 0..nodes {
         let op = plan.dr_fwd_outer(me, outer, nodes, gpn);
         debug_assert_eq!(op.start_shard, start_src);
-        if outer < nodes - 1 {
+        // Post a head's start bundle to the next node: it hides behind this
+        // and every later sweep until the peer's matching sweep.
+        let post = |comm: &mut Communicator,
+                    shard: &AttnShard,
+                    start: &KvHold|
+         -> Result<(), AttnFailure> {
+            if outer == nodes - 1 {
+                return Ok(());
+            }
             if op.send_inter {
-                // Early inter-node post: hides behind the whole intra sweep.
                 let at = AttnFailure::at(Phase::Forward, outer * gpn);
-                let (start_k, start_v) = start_held.view(shard.k, shard.v);
+                let (start_k, start_v) = start.view(shard.k, shard.v);
                 comm.try_send_mat(peer_next, start_k).map_err(&at)?;
                 comm.try_send_mat(peer_next, start_v).map_err(&at)?;
             } else {
                 comm.note_skipped_mat(kidx_all[start_src].len() * shard.k.cols());
                 comm.note_skipped_mat(kidx_all[start_src].len() * shard.v.cols());
             }
+            Ok(())
+        };
+        if outer == 0 {
+            for (shard, head) in heads.iter().zip(&state) {
+                post(comm, shard, &head.start)?;
+            }
         }
-        let mut cur_held = KvHold::Local;
-        let mut src = start_src;
-        for inner in 0..gpn {
-            let s = plan.dr_fwd_slot(me, outer, inner, nodes, gpn);
-            debug_assert_eq!(s.shard, src);
-            let k_elems = kidx_all[src].len() * shard.k.cols();
-            let v_elems = kidx_all[src].len() * shard.v.cols();
-            if s.idle() {
-                // Fully-masked slot: no span, no clock, no wire.
-                comm.note_round_skipped();
-                if inner < gpn - 1 {
-                    comm.note_skipped_mat(k_elems);
-                    comm.note_skipped_mat(v_elems);
-                    cur_held = KvHold::Absent;
-                    src = spec.prev_in_node(src);
-                }
-                continue;
-            }
-            let at = AttnFailure::at(Phase::Forward, outer * gpn + inner);
-            comm.span_begin(SpanKind::AttnRound, "dr_fwd_slot");
-            if inner < gpn - 1 {
-                if s.send {
-                    let (cur_k, cur_v) = kv_pair(&cur_held, &start_held, shard.k, shard.v);
-                    comm.try_send_mat(intra_next, cur_k).map_err(&at)?;
-                    comm.try_send_mat(intra_next, cur_v).map_err(&at)?;
-                } else {
-                    comm.note_skipped_mat(k_elems);
-                    comm.note_skipped_mat(v_elems);
-                }
-            }
-            if s.compute {
-                let (cur_k, cur_v) = kv_pair(&cur_held, &start_held, shard.k, shard.v);
-                let w = flash_forward_acc(
-                    shard.q,
-                    cur_k,
-                    cur_v,
-                    shard.scale,
-                    shard.mask,
-                    &qi,
-                    &kidx_all[src],
-                    &mut acc_o,
-                    &mut acc_lse,
-                    &mut scratch,
-                );
-                comm.advance_compute(shard.cost.attn_fwd_secs(w.pairs, d));
-                work.merge(w);
-            }
-            if inner < gpn - 1 {
-                cur_held = if s.recv {
+        for (shard, head) in heads.iter().zip(&mut state) {
+            if outer > 0 {
+                head.start = if recv_start {
+                    let at = AttnFailure::at(Phase::Forward, outer * gpn - 1);
                     KvHold::Owned(
-                        comm.try_recv_mat(intra_prev).map_err(&at)?,
-                        comm.try_recv_mat(intra_prev).map_err(&at)?,
+                        comm.try_recv_mat(peer_prev).map_err(&at)?,
+                        comm.try_recv_mat(peer_prev).map_err(&at)?,
                     )
                 } else {
                     KvHold::Absent
                 };
-                src = spec.prev_in_node(src);
+                post(comm, shard, &head.start)?;
             }
-            comm.span_end();
+            // `Local` current bundle = inner step 0, read the start bundle
+            // in place.
+            let mut cur_held = KvHold::Local;
+            let mut src = start_src;
+            for inner in 0..gpn {
+                let s = plan.dr_fwd_slot(me, outer, inner, nodes, gpn);
+                debug_assert_eq!(s.shard, src);
+                let k_elems = kidx_all[src].len() * shard.k.cols();
+                let v_elems = kidx_all[src].len() * shard.v.cols();
+                if s.idle() {
+                    // Fully-masked slot: no span, no clock, no wire.
+                    comm.note_round_skipped();
+                    if inner < gpn - 1 {
+                        comm.note_skipped_mat(k_elems);
+                        comm.note_skipped_mat(v_elems);
+                        cur_held = KvHold::Absent;
+                        src = spec.prev_in_node(src);
+                    }
+                    continue;
+                }
+                let at = AttnFailure::at(Phase::Forward, outer * gpn + inner);
+                comm.span_begin(SpanKind::AttnRound, "dr_fwd_slot");
+                if inner < gpn - 1 {
+                    if s.send {
+                        let (cur_k, cur_v) = kv_pair(&cur_held, &head.start, shard.k, shard.v);
+                        comm.try_send_mat(intra_next, cur_k).map_err(&at)?;
+                        comm.try_send_mat(intra_next, cur_v).map_err(&at)?;
+                    } else {
+                        comm.note_skipped_mat(k_elems);
+                        comm.note_skipped_mat(v_elems);
+                    }
+                }
+                if s.compute {
+                    let (cur_k, cur_v) = kv_pair(&cur_held, &head.start, shard.k, shard.v);
+                    let w = flash_forward_acc(
+                        shard.q,
+                        cur_k,
+                        cur_v,
+                        shard.scale,
+                        shard.mask,
+                        &qi,
+                        &kidx_all[src],
+                        &mut head.acc_o,
+                        &mut head.acc_lse,
+                        &mut scratch,
+                    );
+                    comm.advance_compute(shard.cost.attn_fwd_secs(w.pairs, shard.q.cols()));
+                    head.work.merge(w);
+                }
+                if inner < gpn - 1 {
+                    cur_held = if s.recv {
+                        KvHold::Owned(
+                            comm.try_recv_mat(intra_prev).map_err(&at)?,
+                            comm.try_recv_mat(intra_prev).map_err(&at)?,
+                        )
+                    } else {
+                        KvHold::Absent
+                    };
+                    src = spec.prev_in_node(src);
+                }
+                comm.span_end();
+            }
         }
-        if outer < nodes - 1 {
-            start_held = if op.recv_inter {
-                let at = AttnFailure::at(Phase::Forward, (outer + 1) * gpn - 1);
-                KvHold::Owned(
-                    comm.try_recv_mat(peer_prev).map_err(&at)?,
-                    comm.try_recv_mat(peer_prev).map_err(&at)?,
-                )
-            } else {
-                KvHold::Absent
-            };
-            start_src = spec.peer_prev_node(start_src);
-        }
+        recv_start = op.recv_inter;
+        start_src = spec.peer_prev_node(start_src);
     }
     comm.mem_note_workspace(scratch.resident_bytes());
     comm.mem_free(mem_cur);
-    comm.mem_free(mem_start);
-    comm.mem_free(mem_acc);
-    Ok(DistAttnOut {
-        o: acc_o,
-        lse: acc_lse,
-        work,
-    })
+    for head in state.iter().rev() {
+        comm.mem_free(head.mem_start);
+        comm.mem_free(head.mem_acc);
+    }
+    Ok(state
+        .into_iter()
+        .map(|h| DistAttnOut {
+            o: h.acc_o,
+            lse: h.acc_lse,
+            work: h.work,
+        })
+        .collect())
 }
 
 /// DoubleRingAttention backward (Algorithm 1 over the two-level ring).

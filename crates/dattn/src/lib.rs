@@ -43,9 +43,9 @@ pub use elastic::{
 };
 pub use layout::Layout;
 pub use ring::{
-    burst_backward, ring_backward, ring_forward, try_burst_backward, try_ring_backward,
-    try_ring_forward, AttnFailure, AttnShard, BackwardInputs, DistAttnOut, OverlapMode, Phase,
-    Ring,
+    burst_backward, escalate_attn, ring_backward, ring_forward, try_burst_backward,
+    try_ring_backward, try_ring_forward, AttnFailure, AttnShard, BackwardInputs, DistAttnOut,
+    OverlapMode, Phase, Ring,
 };
 pub use skip::{
     census_dr_alg1, census_dr_alg2, census_dr_forward, census_flat_alg1, census_flat_alg2,

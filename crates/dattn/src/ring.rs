@@ -117,7 +117,7 @@ impl std::error::Error for AttnFailure {
 /// Escalate an attention failure through the infallible API: under a fault
 /// plan the panic payload is the underlying [`CommError`] (recoverable by
 /// `World::run_faulty`); otherwise a readable message with phase/round.
-pub(crate) fn escalate_attn(comm: &Communicator, e: AttnFailure) -> ! {
+pub fn escalate_attn(comm: &Communicator, e: AttnFailure) -> ! {
     if comm.has_faults() {
         std::panic::panic_any(e.source)
     } else {

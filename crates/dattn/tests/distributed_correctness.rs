@@ -3,10 +3,10 @@
 //! masks and overlap modes. Real tensors move between rank threads, so
 //! these are exact (up to f32 accumulation-order noise) equivalences.
 
-use burst_comm::{Topology, World};
+use burst_comm::{CommStats, Topology, WireDtype, World};
 use burst_dattn::{
     burst_backward, double_ring, ring_backward, ring_forward, run_attention, Algo, AttnShard,
-    BackwardInputs, CostModel, Layout, OverlapMode, Ring,
+    BackwardInputs, CostModel, DoubleRingSpec, Layout, OverlapMode, Ring,
 };
 use burst_kernels::{flash_backward, flash_forward, AttnMask, BlockSparseMask};
 use burst_tensor::testutil::assert_allclose;
@@ -283,4 +283,177 @@ fn double_ring_forward_standalone_matches_flat_ring() {
             assert!((a - b).abs() < 1e-5, "rank {rank} lse");
         }
     }
+}
+
+/// One rank's side of a forward over several heads: per-head `(O, Lse)`,
+/// the rank's counters and its final virtual clock.
+type HeadsRun = (Vec<(Mat, Vec<f32>)>, CommStats, f64);
+
+/// Every rank's `HeadsRun` for `heads` heads on `topo`: one pipelined
+/// multi-head double-ring pass, or one single-head pass per head.
+fn run_heads(
+    topo: &Topology,
+    heads: usize,
+    (mask, layout, skip, max_token): (&AttnMask, Layout, bool, Option<usize>),
+    pipelined: bool,
+) -> Vec<HeadsRun> {
+    let g = topo.world_size();
+    let (n, d) = (8 * g, 8);
+    let qkv: Vec<(Mat, Mat, Mat)> = (0..heads as u64)
+        .map(|h| {
+            (
+                randn_mat(n, d, 0.7, 10 * h + 1),
+                randn_mat(n, d, 0.7, 10 * h + 2),
+                randn_mat(n, d, 0.7, 10 * h + 3),
+            )
+        })
+        .collect();
+    World::new(topo.clone()).run_results(|comm| {
+        let idx: Vec<usize> = layout
+            .indices(n, g, comm.rank())
+            .into_iter()
+            .filter(|&i| max_token.is_none_or(|cut| i < cut))
+            .collect();
+        let local: Vec<(Mat, Mat, Mat)> = qkv
+            .iter()
+            .map(|(q, k, v)| {
+                (
+                    q.gather_rows(&idx),
+                    k.gather_rows(&idx),
+                    v.gather_rows(&idx),
+                )
+            })
+            .collect();
+        let shards: Vec<AttnShard> = local
+            .iter()
+            .map(|(q, k, v)| AttnShard {
+                q,
+                k,
+                v,
+                scale: 1.0 / (d as f32).sqrt(),
+                mask,
+                layout,
+                seq_len: n,
+                cost: CostModel::a800(),
+                max_token,
+                skip,
+            })
+            .collect();
+        let outs = if pipelined {
+            let spec = DoubleRingSpec::full(comm.topology());
+            double_ring::try_double_ring_forward_heads_on(comm, &shards, &spec).unwrap()
+        } else {
+            shards
+                .iter()
+                .map(|shard| double_ring::try_double_ring_forward(comm, shard).unwrap())
+                .collect()
+        };
+        let outs = outs.into_iter().map(|out| (out.o, out.lse)).collect();
+        (outs, comm.stats(), comm.time())
+    })
+}
+
+fn bits(x: &[f32]) -> Vec<u32> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The pipelined multi-head forward against one single-head pass per head
+/// on one case: bit-identical `(O, Lse)` per head, equal counters per rank,
+/// and a makespan never above the sequential one.
+fn check_heads(topo: &Topology, heads: usize, case: (&AttnMask, Layout, bool, Option<usize>)) {
+    let (mask, layout, skip, max_token) = case;
+    let ctx = format!(
+        "{}x{} {:?} {mask:?}/{layout:?} skip={skip} max_token={max_token:?} heads={heads}",
+        topo.nodes, topo.gpus_per_node, topo.wire_dtype
+    );
+    let piped = run_heads(topo, heads, case, true);
+    let seq = run_heads(topo, heads, case, false);
+    let counters = |c: &CommStats| {
+        (
+            (c.intra_msgs, c.inter_msgs, c.intra_elems, c.inter_elems),
+            (c.intra_bytes, c.inter_bytes),
+            (c.rounds_skipped, c.skipped_bytes),
+        )
+    };
+    for (rank, (p, s)) in piped.iter().zip(&seq).enumerate() {
+        for (h, ((po, pl), (so, sl))) in p.0.iter().zip(&s.0).enumerate() {
+            let at = format!("{ctx} rank {rank} head {h}");
+            assert_eq!(bits(po.as_slice()), bits(so.as_slice()), "{at} O");
+            assert_eq!(bits(pl), bits(sl), "{at} Lse");
+        }
+        assert_eq!(counters(&p.1), counters(&s.1), "{ctx} rank {rank} stats");
+    }
+    let makespan = |run: &[HeadsRun]| run.iter().map(|r| r.2).fold(0.0, f64::max);
+    let (mp, ms) = (makespan(&piped), makespan(&seq));
+    assert!(mp <= ms, "{ctx}: pipelined {mp} above sequential {ms}");
+    // Only inter-node posts move. Without any (one node, or skip gates that
+    // keep every shard on its node) nothing changes; a later head's post
+    // gains whenever its sender blocks in the one-pass-per-head schedule,
+    // which then holds it back behind the earlier heads' passes.
+    let inter = seq.iter().any(|r| r.1.inter_msgs > 0);
+    let blocked_sender = seq
+        .iter()
+        .any(|r| r.1.inter_msgs > 0 && r.1.wait_time > 0.0);
+    if heads == 1 || !inter {
+        assert_eq!(mp, ms, "{ctx}: makespans differ");
+    } else if blocked_sender {
+        assert!(mp < ms, "{ctx}: pipelined {mp} not below {ms}");
+    }
+}
+
+#[test]
+fn multi_head_double_ring_forward_equals_one_pass_per_head() {
+    let topos = [
+        Topology::single_node(4),
+        Topology::a800(2, 2),
+        Topology::a800(2, 4),
+        Topology::a800(3, 2),
+        Topology::a800(3, 4),
+        Topology::a800(4, 1),
+    ];
+    for topo in topos {
+        let n = 8 * topo.world_size();
+        let masks = [
+            (AttnMask::Causal, Layout::Zigzag),
+            (
+                AttnMask::SlidingWindow { window: n / 4 },
+                Layout::Contiguous,
+            ),
+        ];
+        for wire in [WireDtype::F32, WireDtype::Bf16] {
+            let topo = topo.clone().with_wire_dtype(wire);
+            for (mask, layout) in &masks {
+                for skip in [false, true] {
+                    for max_token in [None, Some(n / 2)] {
+                        for heads in 1..=3 {
+                            check_heads(&topo, heads, (mask, *layout, skip, max_token));
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "double-ring heads must share one attention problem")]
+fn multi_head_forward_rejects_heads_with_different_problems() {
+    let (q, k, v, _, scale) = problem(8, 4);
+    World::new(Topology::single_node(1)).run_results(|comm| {
+        let shard = |mask| AttnShard {
+            q: &q,
+            k: &k,
+            v: &v,
+            scale,
+            mask,
+            layout: Layout::Contiguous,
+            seq_len: 8,
+            cost: CostModel::free(),
+            max_token: None,
+            skip: false,
+        };
+        let heads = [shard(&AttnMask::Causal), shard(&AttnMask::Full)];
+        let spec = DoubleRingSpec::full(comm.topology());
+        double_ring::try_double_ring_forward_heads_on(comm, &heads, &spec).ok();
+    });
 }

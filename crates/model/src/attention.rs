@@ -21,9 +21,9 @@ use burst_comm::{CommError, Communicator, SpanKind};
 use burst_dattn::ulysses::{ulysses_backward, ulysses_forward};
 use burst_dattn::usp::{usp_backward, usp_forward, UspTopo};
 use burst_dattn::{
-    burst_backward, double_ring, ring_backward, ring_forward, try_burst_backward,
+    burst_backward, double_ring, escalate_attn, ring_backward, ring_forward, try_burst_backward,
     try_ring_backward, try_ring_forward, Algo, AttnFailure, AttnShard, BackwardInputs, CostModel,
-    DoubleRingSpec, Layout, OverlapMode, Ring,
+    DistAttnOut, DoubleRingSpec, Layout, OverlapMode, Ring,
 };
 use burst_kernels::{flash_backward, flash_forward, AttnMask};
 use burst_tensor::Mat;
@@ -205,6 +205,15 @@ impl AttnExec for LocalExec {
 }
 
 /// Ring-family context parallelism on the simulated cluster.
+///
+/// The flat-ring algorithms run one ring pass per head. The topology-aware
+/// ones (`DoubleRing`, `BurstTopo`) run the forward and the partial
+/// recompute forward as one multi-head double-ring pass
+/// ([`double_ring::try_double_ring_forward_heads_on`]): every head's
+/// inter-node `(K, V)` leaves as soon as the rank holds it, so head
+/// `h + 1`'s NIC transfer hides behind head `h`'s intra-node sweeps. Each
+/// head's outputs are bit-identical to its own single-head pass. The
+/// backward runs one pass per head on every algorithm.
 pub struct DistExec<'a> {
     pub comm: &'a mut Communicator,
     pub algo: Algo,
@@ -243,42 +252,50 @@ impl<'a> DistExec<'a> {
         }
     }
 
-    fn fwd_one(&mut self, q: &Mat, k: &Mat, v: &Mat, cutoff: Option<usize>) -> (Mat, Vec<f32>) {
-        let shard = AttnShard {
-            q,
-            k,
-            v,
-            scale: head_scale(q),
-            mask: &self.mask,
-            layout: self.layout,
-            seq_len: self.seq_len,
-            cost: self.cost,
-            max_token: cutoff,
-            skip: self.skip,
-        };
-        let out = match self.algo {
+    /// All heads' forward (restricted to tokens `< cutoff` when given). The
+    /// topology-aware algorithms run every head through one pipelined
+    /// double-ring pass; the flat ring runs one pass per head.
+    fn fwd(&mut self, q: &[Mat], k: &[Mat], v: &[Mat], cutoff: Option<usize>) -> AttnOut {
+        let heads: Vec<AttnShard> = (0..q.len())
+            .map(|h| AttnShard {
+                q: &q[h],
+                k: &k[h],
+                v: &v[h],
+                scale: head_scale(&q[h]),
+                mask: &self.mask,
+                layout: self.layout,
+                seq_len: self.seq_len,
+                cost: self.cost,
+                max_token: cutoff,
+                skip: self.skip,
+            })
+            .collect();
+        let outs = match self.algo {
             Algo::RingFlat | Algo::BurstFlat => {
                 let ring = Ring::global(self.comm);
-                ring_forward(self.comm, &ring, &shard)
+                heads
+                    .iter()
+                    .map(|shard| ring_forward(self.comm, &ring, shard))
+                    .collect()
             }
             Algo::DoubleRing | Algo::BurstTopo => {
-                double_ring::double_ring_forward(self.comm, &shard)
+                let spec = DoubleRingSpec::full(self.comm.topology());
+                double_ring::try_double_ring_forward_heads_on(self.comm, &heads, &spec)
+                    .unwrap_or_else(|e| escalate_attn(self.comm, e))
             }
         };
-        (out.o, out.lse)
+        unzip_heads(outs)
     }
+}
+
+/// Split per-head schedule outputs into the [`AttnOut`] form.
+fn unzip_heads(outs: Vec<DistAttnOut>) -> AttnOut {
+    outs.into_iter().map(|out| (out.o, out.lse)).unzip()
 }
 
 impl AttnExec for DistExec<'_> {
     fn forward(&mut self, q: &[Mat], k: &[Mat], v: &[Mat]) -> AttnOut {
-        let mut o = Vec::with_capacity(q.len());
-        let mut lse = Vec::with_capacity(q.len());
-        for h in 0..q.len() {
-            let (oh, lh) = self.fwd_one(&q[h], &k[h], &v[h], None);
-            o.push(oh);
-            lse.push(lh);
-        }
-        (o, lse)
+        self.fwd(q, k, v, None)
     }
 
     fn backward(
@@ -339,14 +356,7 @@ impl AttnExec for DistExec<'_> {
         v: &[Mat],
         cutoff: usize,
     ) -> Option<AttnOut> {
-        let mut o = Vec::with_capacity(q.len());
-        let mut lse = Vec::with_capacity(q.len());
-        for h in 0..q.len() {
-            let (oh, lh) = self.fwd_one(&q[h], &k[h], &v[h], Some(cutoff));
-            o.push(oh);
-            lse.push(lh);
-        }
-        Some((o, lse))
+        Some(self.fwd(q, k, v, Some(cutoff)))
     }
 
     fn local_indices(&self) -> Vec<usize> {
@@ -398,7 +408,10 @@ impl AttnExec for DistExec<'_> {
 /// membership position, so a `g'`-member step reproduces a fresh `g'`-world
 /// step bit-for-bit. Topology-aware algorithms run on a
 /// [`DoubleRingSpec`] when the survivors preserve node balance and fall
-/// back to the flat ring (counted) when they are ragged.
+/// back to the flat ring (counted) when they are ragged. On the double ring
+/// the forward pipelines all heads through one pass, as [`DistExec`] does,
+/// and a fault anywhere in it latches for the whole call; the flat
+/// fallback runs one pass per head.
 pub struct ElasticExec<'a> {
     pub comm: &'a mut Communicator,
     /// Alive ranks in ascending order (the elastic ring).
@@ -491,55 +504,57 @@ impl<'a> ElasticExec<'a> {
         }
     }
 
-    fn fwd_one(
-        &mut self,
-        q: &Mat,
-        k: &Mat,
-        v: &Mat,
-        cutoff: Option<usize>,
-    ) -> Result<(Mat, Vec<f32>), AttnFailure> {
-        let shard = AttnShard {
-            q,
-            k,
-            v,
-            scale: head_scale(q),
-            mask: &self.mask,
-            layout: self.layout,
-            seq_len: self.seq_len,
-            cost: self.cost,
-            max_token: cutoff,
-            skip: self.skip,
-        };
-        let out = match &self.spec {
-            Some(spec) => double_ring::try_double_ring_forward_on(self.comm, &shard, spec)?,
-            None => {
-                let ring = self.ring();
-                try_ring_forward(self.comm, &ring, &shard)?
+    /// All heads' forward (restricted to tokens `< cutoff` when given), or
+    /// zero-shaped outputs once a fault is latched. Node-balanced survivors
+    /// run every head through one pipelined double-ring pass, whose first
+    /// failure latches for the whole call; the ragged flat fallback runs
+    /// one pass per head, and heads past a failure get zeros.
+    fn fwd(&mut self, q: &[Mat], k: &[Mat], v: &[Mat], cutoff: Option<usize>) -> AttnOut {
+        let mut outs = Vec::with_capacity(q.len());
+        if self.failure.is_none() {
+            let heads: Vec<AttnShard> = (0..q.len())
+                .map(|h| AttnShard {
+                    q: &q[h],
+                    k: &k[h],
+                    v: &v[h],
+                    scale: head_scale(&q[h]),
+                    mask: &self.mask,
+                    layout: self.layout,
+                    seq_len: self.seq_len,
+                    cost: self.cost,
+                    max_token: cutoff,
+                    skip: self.skip,
+                })
+                .collect();
+            let res = match &self.spec {
+                Some(spec) => {
+                    double_ring::try_double_ring_forward_heads_on(self.comm, &heads, spec)
+                        .map(|all| outs.extend(all))
+                }
+                None => {
+                    let ring = self.ring();
+                    heads.iter().try_for_each(|shard| {
+                        outs.push(try_ring_forward(self.comm, &ring, shard)?);
+                        Ok(())
+                    })
+                }
+            };
+            if let Err(e) = res {
+                self.latch(e);
             }
-        };
-        Ok((out.o, out.lse))
+        }
+        let (mut o, mut lse) = unzip_heads(outs);
+        for h in o.len()..q.len() {
+            o.push(Mat::zeros(q[h].rows(), v[h].cols()));
+            lse.push(vec![0.0; q[h].rows()]);
+        }
+        (o, lse)
     }
 }
 
 impl AttnExec for ElasticExec<'_> {
     fn forward(&mut self, q: &[Mat], k: &[Mat], v: &[Mat]) -> AttnOut {
-        let mut o = Vec::with_capacity(q.len());
-        let mut lse = Vec::with_capacity(q.len());
-        for h in 0..q.len() {
-            if self.failure.is_none() {
-                match self.fwd_one(&q[h], &k[h], &v[h], None) {
-                    Ok((oh, lh)) => {
-                        o.push(oh);
-                        lse.push(lh);
-                        continue;
-                    }
-                    Err(e) => self.latch(e),
-                }
-            }
-            o.push(Mat::zeros(q[h].rows(), v[h].cols()));
-            lse.push(vec![0.0; q[h].rows()]);
-        }
-        (o, lse)
+        self.fwd(q, k, v, None)
     }
 
     fn backward(
@@ -615,23 +630,7 @@ impl AttnExec for ElasticExec<'_> {
         v: &[Mat],
         cutoff: usize,
     ) -> Option<AttnOut> {
-        let mut o = Vec::with_capacity(q.len());
-        let mut lse = Vec::with_capacity(q.len());
-        for h in 0..q.len() {
-            if self.failure.is_none() {
-                match self.fwd_one(&q[h], &k[h], &v[h], Some(cutoff)) {
-                    Ok((oh, lh)) => {
-                        o.push(oh);
-                        lse.push(lh);
-                        continue;
-                    }
-                    Err(e) => self.latch(e),
-                }
-            }
-            o.push(Mat::zeros(q[h].rows(), v[h].cols()));
-            lse.push(vec![0.0; q[h].rows()]);
-        }
-        Some((o, lse))
+        Some(self.fwd(q, k, v, Some(cutoff)))
     }
 
     fn local_indices(&self) -> Vec<usize> {

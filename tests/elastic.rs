@@ -623,53 +623,62 @@ fn crash_in_a_two_level_fsdp_gather_evicts_only_the_victim() {
     // On 2 nodes x 4 GPUs the FSDP weight all-gather runs the two-level
     // ring: a rank waits on its cross-node peer and its in-node neighbour,
     // not only on its flat ones. Rank 5 dies at each op of step 1's gather
-    // (its first collective). The survivors must evict rank 5 alone, replay
-    // the step on the seven-rank flat ring, and match fresh 2 x 4 and
-    // 7-rank worlds bit for bit.
-    let mut cfg = elastic_cfg();
-    cfg.model.seq_len = 112; // zigzag needs 2·g | seq for g = 8 and g = 7
+    // (its first collective) and, on BurstTopo, at each op of the
+    // first-layer attention forward that follows it: one pipelined
+    // double-ring pass over both heads. The survivors must evict rank 5
+    // alone, replay the step on the seven-rank flat ring, and match fresh
+    // 2 x 4 and 7-rank worlds bit for bit.
+    let mut flat = elastic_cfg();
+    flat.model.seq_len = 112; // zigzag needs 2·g | seq for g = 8 and g = 7
+    let mut topo_aware = flat.clone();
+    topo_aware.backend = Backend::Ring(Algo::BurstTopo);
+    // The gather: one cross-node step (a send and a receive), then three
+    // in-node steps of two sends and two receives.
+    let gather = 0..14;
+    // The forward, per head: two cross-node sends, three in-node slots of
+    // two sends and two receives, two cross-node receives.
+    let forward = 14..14 + 2 * 16;
     let (steps, f, victim) = (2, 1, 5);
     let topo = Topology::a800(2, 4);
-    let before = elastic_ops_after(&cfg, topo.clone(), victim, f);
-    let (la, flat_a) = segment(topo.clone(), None, 0, f, &cfg);
-    let (lb, flat_b) = segment(Topology::single_node(7), Some(&flat_a), f, steps, &cfg);
-    let mut expect = la;
-    expect.extend(lb);
-    // One cross-node step (a send and a receive), then three in-node steps
-    // of two sends and two receives.
-    for op in before..before + 14 {
-        let dir = scratch(&format!("two-level-gather-{op}"));
-        let rcfg = RecoveryCfg {
-            every: 100,
-            path: dir.clone(),
-            max_restarts: 0,
-            sharded: true,
-            shrink: false,
-            in_step: true,
-            quiet: true,
-        };
-        let report = train_with_recovery(
-            |_, _| {
-                let plan = FaultPlan::new(23)
-                    .crash_at_op(victim, op)
-                    .recv_deadline(60.0);
-                World::with_faults(topo.clone(), plan)
-            },
-            &cfg,
-            steps,
-            &rcfg,
-        )
-        .unwrap_or_else(|e| panic!("crash at op {op}: in-step recovery must finish: {e:?}"));
-        assert_eq!(report.restarts, 0, "op {op}: absorbed inside the step");
-        assert_eq!(report.evicted_ranks, vec![victim], "op {op}");
-        assert_eq!(report.steps_replayed, 1, "op {op}: only step {f} re-runs");
-        assert_eq!(report.losses, expect, "op {op}: losses");
-        assert_eq!(
-            report.final_model.flat_state(),
-            flat_b,
-            "op {op}: parameters"
-        );
-        std::fs::remove_dir_all(&dir).ok();
+    for (cfg, ops) in [(flat.clone(), gather), (topo_aware, forward)] {
+        let before = elastic_ops_after(&cfg, topo.clone(), victim, f);
+        let (la, flat_a) = segment(topo.clone(), None, 0, f, &cfg);
+        // Seven survivors are ragged across the two nodes: they fall back
+        // to the flat ring.
+        let (lb, flat_b) = segment(Topology::single_node(7), Some(&flat_a), f, steps, &flat);
+        let mut expect = la;
+        expect.extend(lb);
+        for op in ops.start + before..ops.end + before {
+            let ctx = format!("{:?} op {op}", cfg.backend);
+            let dir = scratch(&format!("two-level-crash-{op}"));
+            let rcfg = RecoveryCfg {
+                every: 100,
+                path: dir.clone(),
+                max_restarts: 0,
+                sharded: true,
+                shrink: false,
+                in_step: true,
+                quiet: true,
+            };
+            let report = train_with_recovery(
+                |_, _| {
+                    let plan = FaultPlan::new(23)
+                        .crash_at_op(victim, op)
+                        .recv_deadline(60.0);
+                    World::with_faults(topo.clone(), plan)
+                },
+                &cfg,
+                steps,
+                &rcfg,
+            )
+            .unwrap_or_else(|e| panic!("{ctx}: in-step recovery must finish: {e:?}"));
+            assert_eq!(report.restarts, 0, "{ctx}: absorbed inside the step");
+            assert_eq!(report.evicted_ranks, vec![victim], "{ctx}");
+            assert_eq!(report.steps_replayed, 1, "{ctx}: only step {f} re-runs");
+            assert_eq!(report.losses, expect, "{ctx}: losses");
+            assert_eq!(report.final_model.flat_state(), flat_b, "{ctx}: parameters");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }
 
