@@ -5,7 +5,7 @@
 
 use burst_bench::attn_problem;
 use burst_comm::{Topology, World};
-use burst_dattn::{run_attention, Algo, CostModel, Layout};
+use burst_dattn::{try_run_attention_opts, Algo, CostModel, Layout};
 use burst_kernels::AttnMask;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -40,7 +40,7 @@ fn bench_layouts(c: &mut Criterion) {
                 let world = World::new(Topology::single_node(g));
                 world.run_results(|comm| {
                     let idx = layout.indices(n, g, comm.rank());
-                    run_attention(
+                    try_run_attention_opts(
                         Algo::BurstFlat,
                         comm,
                         &p.q.gather_rows(&idx),
@@ -52,7 +52,9 @@ fn bench_layouts(c: &mut Criterion) {
                         layout,
                         n,
                         &CostModel::free(),
+                        false,
                     )
+                    .expect("fault-free attention")
                 })
             })
         });
@@ -76,7 +78,7 @@ fn bench_sparse_patterns(c: &mut Criterion) {
                 let world = World::new(Topology::single_node(g));
                 world.run_results(|comm| {
                     let idx = Layout::Striped.indices(n, g, comm.rank());
-                    run_attention(
+                    try_run_attention_opts(
                         Algo::BurstFlat,
                         comm,
                         &p.q.gather_rows(&idx),
@@ -88,7 +90,9 @@ fn bench_sparse_patterns(c: &mut Criterion) {
                         Layout::Striped,
                         n,
                         &CostModel::free(),
+                        false,
                     )
+                    .expect("fault-free attention")
                 })
             })
         });

@@ -45,12 +45,11 @@ use burst_comm::obs::{
 use burst_comm::{
     CommStats, DetectorCfg, FaultCounters, FaultPlan, Topology, TransportPolicy, WireDtype, World,
 };
-use burst_dattn::{
-    run_attention, try_run_attention, try_run_attention_opts, Algo, CostModel, Layout,
-};
+use burst_dattn::{escalate_attn, try_run_attention_opts, Algo, CostModel, Layout};
 use burst_kernels::AttnMask;
 use burst_perf::commtime::{
-    exact_wire_counts, exact_wire_counts_masked_dtype, layer_comm_times, RetransCensus, RingMethod,
+    exact_wire_counts_dtype, exact_wire_counts_masked_dtype, layer_comm_times, RetransCensus,
+    RingMethod,
 };
 use burst_perf::Cluster;
 use burst_tensor::randn_mat;
@@ -277,7 +276,7 @@ fn fault_demo(topo: &Topology, seq: usize, d: usize) -> Result<(), String> {
             grad_o.gather_rows(&idx),
         );
         comm.start_trace();
-        try_run_attention(
+        try_run_attention_opts(
             Algo::BurstTopo,
             comm,
             &ql,
@@ -289,6 +288,7 @@ fn fault_demo(topo: &Topology, seq: usize, d: usize) -> Result<(), String> {
             layout,
             seq,
             &cost,
+            false,
         )
         .map(|_| ())
     });
@@ -350,7 +350,7 @@ fn traced_attention(
         );
         comm.start_trace();
         comm.start_mem_accounting();
-        let (o, lse, dq, dk, dv) = run_attention(
+        let (o, lse, dq, dk, dv) = try_run_attention_opts(
             Algo::BurstTopo,
             comm,
             &ql,
@@ -362,7 +362,9 @@ fn traced_attention(
             layout,
             seq,
             &cost,
-        );
+            false,
+        )
+        .unwrap_or_else(|e| escalate_attn(comm, e));
         let mut flat = o.as_slice().to_vec();
         flat.extend_from_slice(dq.as_slice());
         flat.extend_from_slice(dk.as_slice());
@@ -476,7 +478,9 @@ fn transport_demo(args: &Args, topo: &Topology, cluster: &Cluster) -> Result<(),
     }
     // The ≤1% comm gate holds with faults on: Retransmit spans live on
     // their own lane, outside the clean wire census.
-    let predicted = exact_wire_counts(cluster, args.seq, args.d, RingMethod::Burst).secs(cluster);
+    let predicted =
+        exact_wire_counts_dtype(cluster, args.seq, args.d, RingMethod::Burst, WireDtype::F32)
+            .secs(cluster);
     let (intra, inter) = obs::wire_secs(&healed.traces);
     let measured = intra + inter;
     let rel_err = (measured - predicted).abs() / predicted;
@@ -755,7 +759,8 @@ fn run(args: &Args) -> Result<(), String> {
             .counts
             .secs(&cluster)
         } else {
-            exact_wire_counts(&cluster, args.seq, args.d, row.method).secs(&cluster)
+            exact_wire_counts_dtype(&cluster, args.seq, args.d, row.method, WireDtype::F32)
+                .secs(&cluster)
         };
         let rounds_skipped: u64 = run.stats.iter().map(|s| s.rounds_skipped).sum();
         let bytes_saved: f64 = run.stats.iter().map(|s| s.skipped_bytes).sum();
@@ -788,7 +793,8 @@ fn run(args: &Args) -> Result<(), String> {
                     "{name}: masked run elided no rounds — the skip path is vacuous"
                 ));
             }
-            let dense = exact_wire_counts(&cluster, args.seq, args.d, row.method);
+            let dense =
+                exact_wire_counts_dtype(&cluster, args.seq, args.d, row.method, WireDtype::F32);
             let measured_bytes: f64 = run.stats.iter().map(|s| s.total_bytes()).sum();
             if measured_bytes + m.wire_bytes_saved != dense.intra_bytes + dense.inter_bytes {
                 return Err(format!(

@@ -12,7 +12,7 @@
 //! paper-vs-model record.
 
 use burst_comm::{Topology, World};
-use burst_dattn::{run_attention, Algo, CostModel, Layout};
+use burst_dattn::{try_run_attention_opts, Algo, CostModel, Layout};
 use burst_kernels::AttnMask;
 use burst_perf::commtime;
 use burst_perf::endtoend::{attention_only, evaluate, evaluate_intra_node_cp, BurstOpts, Method};
@@ -250,7 +250,7 @@ fn fig14() {
         let world = World::new(topo.clone());
         let (_, makespan, _) = world.run_timed(|comm| {
             let idx = Layout::Zigzag.indices(n, 8, comm.rank());
-            run_attention(
+            try_run_attention_opts(
                 algo,
                 comm,
                 &q.gather_rows(&idx),
@@ -262,7 +262,9 @@ fn fig14() {
                 Layout::Zigzag,
                 n,
                 &CostModel::free(),
-            );
+                false,
+            )
+            .expect("fault-free attention");
         });
         println!(
             "    {algo:?}: {:.2} us (virtual, comm-bound)",
@@ -416,7 +418,7 @@ fn tab3() {
         let world = World::new(topo.clone());
         let (_, makespan, _) = world.run_timed(|comm| {
             let idx = layout.indices(n, 8, comm.rank());
-            run_attention(
+            try_run_attention_opts(
                 Algo::BurstFlat,
                 comm,
                 &q.gather_rows(&idx),
@@ -428,7 +430,9 @@ fn tab3() {
                 layout,
                 n,
                 &cost,
-            );
+                false,
+            )
+            .expect("fault-free attention");
         });
         if base == 0.0 {
             base = makespan;

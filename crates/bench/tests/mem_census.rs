@@ -1,6 +1,6 @@
 //! The exact memory gate: per-rank peak bytes *measured* by the
 //! virtual-memory accountant must equal `burst-perf`'s analytic
-//! `exact_peak_bytes` census — not within a tolerance, but `==` — for
+//! `exact_peak_bytes_dtype` census — not within a tolerance, but `==` — for
 //! every schedule, topology and wire dtype. The same contract CI enforces
 //! in the `obs-regression` job.
 //!
@@ -11,10 +11,11 @@
 
 use burst_comm::obs::{peak_census, validate_mem, PeakBytes};
 use burst_comm::{FaultPlan, Membership, RetryPolicy, Topology, WireDtype, World};
-use burst_dattn::ulysses::{ulysses_backward, ulysses_forward};
-use burst_dattn::usp::{usp_backward, usp_forward, UspTopo};
+use burst_dattn::ulysses::{try_ulysses_backward, try_ulysses_forward};
+use burst_dattn::usp::{try_usp_backward, try_usp_forward, UspTopo};
 use burst_dattn::{
-    run_attention, try_elastic_attention, try_run_attention, Algo, CostModel, Layout, ShardData,
+    try_elastic_attention_opts, try_run_attention_opts, Algo, CostModel, ElasticOpts, Layout,
+    ShardData,
 };
 use burst_kernels::AttnMask;
 use burst_perf::{exact_peak_bytes_dtype, Cluster, PeakMethod};
@@ -53,7 +54,7 @@ fn measured_dispatch(algo: Algo, topo: &Topology, seq: usize, d: usize) -> Vec<P
                 shard_of(layout, seq, g, r, &grad_o),
             );
             comm.start_mem_accounting();
-            run_attention(
+            try_run_attention_opts(
                 algo,
                 comm,
                 &ql,
@@ -65,7 +66,9 @@ fn measured_dispatch(algo: Algo, topo: &Topology, seq: usize, d: usize) -> Vec<P
                 layout,
                 seq,
                 &CostModel::a800(),
-            );
+                false,
+            )
+            .expect("fault-free attention");
         })
         .into_iter()
         .map(|o| {
@@ -147,7 +150,7 @@ fn ulysses_and_usp_peaks_match_exact_census() {
             let vl: Vec<Mat> = vh.iter().map(|m| m.gather_rows(my_idx)).collect();
             let dol: Vec<Mat> = doh.iter().map(|m| m.gather_rows(my_idx)).collect();
             comm.start_mem_accounting();
-            let (_, saved) = ulysses_forward(
+            let (_, saved) = try_ulysses_forward(
                 comm,
                 &members,
                 &member_idx,
@@ -159,7 +162,7 @@ fn ulysses_and_usp_peaks_match_exact_census() {
                 &CostModel::free(),
             )
             .expect("ulysses forward");
-            ulysses_backward(
+            try_ulysses_backward(
                 comm,
                 &members,
                 &member_idx,
@@ -200,7 +203,7 @@ fn ulysses_and_usp_peaks_match_exact_census() {
             let vl: Vec<Mat> = vh.iter().map(|m| m.gather_rows(&my_idx)).collect();
             let dol: Vec<Mat> = doh.iter().map(|m| m.gather_rows(&my_idx)).collect();
             comm.start_mem_accounting();
-            let (_, saved) = usp_forward(
+            let (_, saved) = try_usp_forward(
                 comm,
                 &utopo,
                 &ql,
@@ -212,7 +215,7 @@ fn ulysses_and_usp_peaks_match_exact_census() {
                 &CostModel::free(),
             )
             .expect("usp forward");
-            usp_backward(
+            try_usp_backward(
                 comm,
                 &utopo,
                 &saved,
@@ -266,7 +269,7 @@ fn elastic_healthy_peaks_match_exact_census() {
                     shard_of(layout, seq, g, rank, &grad_o),
                 )
             };
-            let out = try_elastic_attention(
+            let out = try_elastic_attention_opts(
                 comm,
                 &mut membership,
                 &ql,
@@ -280,6 +283,7 @@ fn elastic_healthy_peaks_match_exact_census() {
                 &CostModel::a800(),
                 &mut load,
                 &RetryPolicy::default(),
+                ElasticOpts::default(),
             )
             .expect("healthy elastic run");
             assert_eq!(out.attempts, 1);
@@ -322,7 +326,7 @@ fn accounting_is_bit_identical_and_entry_count_is_round_independent() {
             if accounting {
                 comm.start_mem_accounting();
             }
-            let (o, lse, dq, dk, dv) = run_attention(
+            let (o, lse, dq, dk, dv) = try_run_attention_opts(
                 Algo::BurstTopo,
                 comm,
                 &ql,
@@ -334,7 +338,9 @@ fn accounting_is_bit_identical_and_entry_count_is_round_independent() {
                 layout,
                 seq,
                 &CostModel::a800(),
-            );
+                false,
+            )
+            .expect("fault-free attention");
             let mut bits: Vec<u32> = Vec::new();
             for m in [&o, &dq, &dk, &dv] {
                 bits.extend(m.as_slice().iter().map(|x| x.to_bits()));
@@ -400,7 +406,7 @@ fn crashed_rank_ledger_balances_with_warnings() {
             shard_of(layout, seq, g, r, &grad_o),
         );
         comm.start_mem_accounting();
-        try_run_attention(
+        try_run_attention_opts(
             Algo::BurstFlat,
             comm,
             &ql,
@@ -412,6 +418,7 @@ fn crashed_rank_ledger_balances_with_warnings() {
             layout,
             seq,
             &CostModel::a800(),
+            false,
         )
         .map(|_| ())
     });

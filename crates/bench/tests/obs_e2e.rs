@@ -5,10 +5,10 @@
 //! the same one the `burst-trace` harness and the CI job enforce.
 
 use burst_comm::obs::{wire_secs, E2eReport, MethodReport, RankTrace};
-use burst_comm::{Topology, World};
-use burst_dattn::{run_attention, Algo, CostModel, Layout};
+use burst_comm::{Topology, WireDtype, World};
+use burst_dattn::{try_run_attention_opts, Algo, CostModel, Layout};
 use burst_kernels::AttnMask;
-use burst_perf::commtime::{exact_wire_counts, layer_comm_times, RingMethod};
+use burst_perf::commtime::{exact_wire_counts_dtype, layer_comm_times, RingMethod};
 use burst_perf::Cluster;
 use burst_tensor::randn_mat;
 
@@ -37,7 +37,7 @@ fn traces(algo: Algo, topo: &Topology, seq: usize, d: usize) -> Vec<RankTrace> {
                 grad_o.gather_rows(&idx),
             );
             comm.start_trace();
-            run_attention(
+            try_run_attention_opts(
                 algo,
                 comm,
                 &ql,
@@ -49,7 +49,9 @@ fn traces(algo: Algo, topo: &Topology, seq: usize, d: usize) -> Vec<RankTrace> {
                 layout,
                 seq,
                 &CostModel::a800(),
-            );
+                false,
+            )
+            .expect("fault-free attention");
         })
         .into_iter()
         .map(|o| o.trace.expect("tracing was on"))
@@ -65,7 +67,7 @@ fn measured_wire_time_matches_exact_census_within_1_percent() {
         for (name, algo, method) in METHODS {
             let t = traces(algo, &topo, seq, d);
             let (intra, inter) = wire_secs(&t);
-            let counts = exact_wire_counts(&cluster, seq, d, method);
+            let counts = exact_wire_counts_dtype(&cluster, seq, d, method, WireDtype::F32);
             let pred_intra = counts.intra_msgs as f64 * cluster.nvlink.latency
                 + counts.intra_bytes / cluster.nvlink.bandwidth;
             let pred_inter = counts.inter_msgs as f64 * cluster.nic.latency
@@ -99,7 +101,8 @@ fn e2e_report_populates_all_methods_and_round_trips() {
     let mut report = E2eReport::new(nodes, gpn, seq, d);
     for (name, algo, method) in METHODS {
         let t = traces(algo, &topo, seq, d);
-        let predicted = exact_wire_counts(&cluster, seq, d, method).secs(&cluster);
+        let predicted =
+            exact_wire_counts_dtype(&cluster, seq, d, method, WireDtype::F32).secs(&cluster);
         let table1_secs = match method {
             RingMethod::Ring => table1.ring,
             RingMethod::DoubleRing => table1.double_ring,

@@ -13,27 +13,25 @@
 //!   and BurstAttention: `K, V` are read-only, so each head's inter-node
 //!   transfer is posted as soon as the rank holds it and hides behind the
 //!   whole intra-node sweep — and, with several heads, behind the earlier
-//!   heads' sweeps too. [`double_ring_forward`] and its `try_` forms are
-//!   its one-head calls;
-//! * [`double_ring_backward_alg1`] — the LoongTrain DoubleRing baseline:
-//!   Algorithm 1's `(K, V, ∇K, ∇V)` bundle circulates through every rank.
-//!   Gradients ride in the same buffers as activations, so *nothing* can be
-//!   posted early: each transfer waits for the compute that updated it
-//!   (the paper's "fails to overlap gradient communication" critique);
-//! * [`double_ring_backward_alg2`] — full BurstAttention: Algorithm 2's
-//!   read-only bundle `(Q, ∇O, Lse, D)` flows exactly like the forward
-//!   (early posts), while `∇Q` follows one compute step behind on a
-//!   delayed stream (warm-up-round schedule, Fig. 5 bottom), so gradient
-//!   communication also hides under compute.
+//!   heads' sweeps too. One head is `std::slice::from_ref(&shard)`;
+//! * [`try_double_ring_backward_alg1_on`] — the LoongTrain DoubleRing
+//!   baseline: Algorithm 1's `(K, V, ∇K, ∇V)` bundle circulates through
+//!   every rank. Gradients ride in the same buffers as activations, so
+//!   *nothing* can be posted early: each transfer waits for the compute
+//!   that updated it (the paper's "fails to overlap gradient
+//!   communication" critique);
+//! * [`try_double_ring_backward_alg2_on`] — full BurstAttention:
+//!   Algorithm 2's read-only bundle `(Q, ∇O, Lse, D)` flows exactly like
+//!   the forward (early posts), while `∇Q` follows one compute step behind
+//!   on a delayed stream (warm-up-round schedule, Fig. 5 bottom), so
+//!   gradient communication also hides under compute.
 //!
 //! All three schedules use the `_acc` tile kernels with persistent
 //! accumulators and one reused [`Scratch`], and read the local shard (and
 //! each sweep's start bundle) by reference — steady-state rounds perform no
 //! heap allocations in the tile-compute path.
 
-use crate::ring::{
-    escalate_attn, AttnFailure, AttnShard, BackwardInputs, DistAttnOut, KvHold, Phase,
-};
+use crate::ring::{AttnFailure, AttnShard, BackwardInputs, DistAttnOut, KvHold, Phase};
 /// The slot geometry every schedule here runs on. It lives in `burst-comm`,
 /// whose ring collectives run on it too.
 pub use burst_comm::DoubleRingSpec;
@@ -77,36 +75,6 @@ fn kv_pair<'a>(cur: &'a KvHold, start: &'a KvHold, k: &'a Mat, v: &'a Mat) -> (&
     }
 }
 
-/// Forward pass over the two-level ring (one head).
-pub fn double_ring_forward(comm: &mut Communicator, shard: &AttnShard) -> DistAttnOut {
-    match try_double_ring_forward(comm, shard) {
-        Ok(out) => out,
-        Err(e) => escalate_attn(comm, e),
-    }
-}
-
-/// Fallible [`double_ring_forward`]: failures at slot `(outer, inner)` are
-/// reported with global round `outer · gpus_per_node + inner`.
-pub fn try_double_ring_forward(
-    comm: &mut Communicator,
-    shard: &AttnShard,
-) -> Result<DistAttnOut, AttnFailure> {
-    let spec = DoubleRingSpec::full(comm.topology());
-    try_double_ring_forward_on(comm, shard, &spec)
-}
-
-/// [`try_double_ring_forward`] over an explicit [`DoubleRingSpec`] — the
-/// elastic entry point: the caller's `Q/K/V` must hold the tokens of its
-/// *slot* in the spec's `len()`-way partition (`AttnShard::idx_at`).
-pub fn try_double_ring_forward_on(
-    comm: &mut Communicator,
-    shard: &AttnShard,
-    spec: &DoubleRingSpec,
-) -> Result<DistAttnOut, AttnFailure> {
-    let mut outs = try_double_ring_forward_heads_on(comm, std::slice::from_ref(shard), spec)?;
-    Ok(outs.pop().expect("one head in, one head out"))
-}
-
 /// One head's state across a multi-head forward: its accumulators, the
 /// inter-node start bundle it holds for the current outer step, and their
 /// ledger entries.
@@ -120,7 +88,10 @@ struct FwdHead {
 }
 
 /// Multi-head forward over the two-level ring, every head's inter-node
-/// start bundle posted as soon as this rank holds it.
+/// start bundle posted as soon as this rank holds it. Each head's `Q/K/V`
+/// must hold the tokens of this rank's *slot* in the spec's `len()`-way
+/// partition ([`AttnShard::idx_at`]); a failure at slot `(outer, inner)` is
+/// reported with global round `outer · gpus_per_node + inner`.
 ///
 /// * **Post rule.** At outer step 0 every head's local `(K, V)` leaves for
 ///   the next node before the first head's sweep. At each later outer step
@@ -134,10 +105,11 @@ struct FwdHead {
 ///   skip gates ever deliver a start bundle — one `dr_fwd_start_kv` per
 ///   head, since every head holds its own bundle between outer steps. One
 ///   `dr_fwd_cur_kv` is shared: the sweeps never overlap.
-/// * **One head** is the single-head pass message for message: the same
-///   sends and receives in the same order, hence the same clocks, spans,
-///   `CommStats` and ledger entries. A deferred start receive keeps that
-///   pass's round label, `outer · gpus_per_node − 1`.
+/// * **One head** (`std::slice::from_ref(&shard)`) is the plain two-level
+///   schedule: a start bundle is received once the previous outer step's
+///   sweep ends and relayed before the next sweep begins. A start receive
+///   carries the round label of the sweep it follows,
+///   `outer · gpus_per_node − 1`.
 ///
 /// All heads must share one attention problem (mask, layout, `seq_len`,
 /// `max_token`, skip and cost), so one index table and one [`SkipPlan`]
@@ -341,28 +313,6 @@ pub fn try_double_ring_forward_heads_on(
 /// that updated it: communication serialises with compute. After the sweep,
 /// the bundle is one node and `nodes mod gpn` local hops away from home;
 /// the completion hops deliver `(∇K, ∇V)` back to their owner.
-pub fn double_ring_backward_alg1(
-    comm: &mut Communicator,
-    shard: &AttnShard,
-    back: &BackwardInputs,
-) -> (Mat, Mat, Mat) {
-    match try_double_ring_backward_alg1(comm, shard, back) {
-        Ok(out) => out,
-        Err(e) => escalate_attn(comm, e),
-    }
-}
-
-/// Fallible [`double_ring_backward_alg1`].
-pub fn try_double_ring_backward_alg1(
-    comm: &mut Communicator,
-    shard: &AttnShard,
-    back: &BackwardInputs,
-) -> Result<(Mat, Mat, Mat), AttnFailure> {
-    let spec = DoubleRingSpec::full(comm.topology());
-    try_double_ring_backward_alg1_on(comm, shard, back, &spec)
-}
-
-/// [`try_double_ring_backward_alg1`] over an explicit [`DoubleRingSpec`].
 pub fn try_double_ring_backward_alg1_on(
     comm: &mut Communicator,
     shard: &AttnShard,
@@ -583,28 +533,6 @@ pub fn try_double_ring_backward_alg1_on(
 /// contribution at slot `(o, t)`, it forwards `∇Q_j` to the rank that
 /// processes bundle `j` at the next slot — `next_in_node(r)` within a
 /// sweep, and the *diagonal* peer `peer_next(next_in(r))` across sweeps.
-pub fn double_ring_backward_alg2(
-    comm: &mut Communicator,
-    shard: &AttnShard,
-    back: &BackwardInputs,
-) -> (Mat, Mat, Mat) {
-    match try_double_ring_backward_alg2(comm, shard, back) {
-        Ok(out) => out,
-        Err(e) => escalate_attn(comm, e),
-    }
-}
-
-/// Fallible [`double_ring_backward_alg2`].
-pub fn try_double_ring_backward_alg2(
-    comm: &mut Communicator,
-    shard: &AttnShard,
-    back: &BackwardInputs,
-) -> Result<(Mat, Mat, Mat), AttnFailure> {
-    let spec = DoubleRingSpec::full(comm.topology());
-    try_double_ring_backward_alg2_on(comm, shard, back, &spec)
-}
-
-/// [`try_double_ring_backward_alg2`] over an explicit [`DoubleRingSpec`].
 pub fn try_double_ring_backward_alg2_on(
     comm: &mut Communicator,
     shard: &AttnShard,

@@ -18,7 +18,7 @@
 
 use crate::cost::CostModel;
 use crate::double_ring::{
-    try_double_ring_backward_alg2_on, try_double_ring_forward_on, DoubleRingSpec,
+    try_double_ring_backward_alg2_on, try_double_ring_forward_heads_on, DoubleRingSpec,
 };
 use crate::layout::Layout;
 use crate::ring::{
@@ -167,43 +167,11 @@ fn rebuild_partition(
 ///
 /// A rank observing its own scheduled crash returns the failure without
 /// joining the agreement — the dead stay silent.
-#[allow(clippy::too_many_arguments)]
-pub fn try_elastic_attention(
-    comm: &mut Communicator,
-    m: &mut Membership,
-    q: &Mat,
-    k: &Mat,
-    v: &Mat,
-    grad_o: &Mat,
-    scale: f32,
-    mask: &AttnMask,
-    layout: Layout,
-    seq_len: usize,
-    cost: &CostModel,
-    load_shard: &mut dyn FnMut(usize) -> ShardData,
-    policy: &RetryPolicy,
-) -> Result<ElasticAttnOut, AttnFailure> {
-    try_elastic_attention_opts(
-        comm,
-        m,
-        q,
-        k,
-        v,
-        grad_o,
-        scale,
-        mask,
-        layout,
-        seq_len,
-        cost,
-        load_shard,
-        policy,
-        ElasticOpts::default(),
-    )
-}
-
-/// [`try_elastic_attention`] with explicit [`ElasticOpts`]: topology-aware
-/// double-ring scheduling and/or a warm-starting joiner whose shard must be
-/// reassembled entirely from checkpoint data.
+///
+/// [`ElasticOpts`] selects topology-aware double-ring scheduling, mask-aware
+/// round skipping and a warm-starting joiner whose shard must be
+/// reassembled entirely from checkpoint data; `ElasticOpts::default()` is
+/// the flat ring with none of them.
 #[allow(clippy::too_many_arguments)]
 pub fn try_elastic_attention_opts(
     comm: &mut Communicator,
@@ -333,15 +301,19 @@ pub fn try_elastic_attention_opts(
             flat_fallbacks += 1;
         }
         let result = match &dr_spec {
-            Some(spec) => try_double_ring_forward_on(comm, &shard, spec).and_then(|fwd| {
-                let back = BackwardInputs {
-                    o: &fwd.o,
-                    lse: &fwd.lse,
-                    grad_o: sgo,
-                };
-                try_double_ring_backward_alg2_on(comm, &shard, &back, spec)
-                    .map(|(dq, dk, dv)| (fwd, dq, dk, dv))
-            }),
+            Some(spec) => {
+                try_double_ring_forward_heads_on(comm, std::slice::from_ref(&shard), spec)
+                    .map(|mut outs| outs.pop().expect("one head in, one head out"))
+                    .and_then(|fwd| {
+                        let back = BackwardInputs {
+                            o: &fwd.o,
+                            lse: &fwd.lse,
+                            grad_o: sgo,
+                        };
+                        try_double_ring_backward_alg2_on(comm, &shard, &back, spec)
+                            .map(|(dq, dk, dv)| (fwd, dq, dk, dv))
+                    })
+            }
             None => try_ring_forward(comm, &ring, &shard).and_then(|fwd| {
                 let back = BackwardInputs {
                     o: &fwd.o,

@@ -38,14 +38,11 @@ pub mod usp;
 
 pub use cost::CostModel;
 pub use double_ring::DoubleRingSpec;
-pub use elastic::{
-    try_elastic_attention, try_elastic_attention_opts, ElasticAttnOut, ElasticOpts, ShardData,
-};
+pub use elastic::{try_elastic_attention_opts, ElasticAttnOut, ElasticOpts, ShardData};
 pub use layout::Layout;
 pub use ring::{
-    burst_backward, escalate_attn, ring_backward, ring_forward, try_burst_backward,
-    try_ring_backward, try_ring_forward, AttnFailure, AttnShard, BackwardInputs, DistAttnOut,
-    OverlapMode, Phase, Ring,
+    try_burst_backward, try_ring_backward, try_ring_forward, AttnFailure, AttnShard,
+    BackwardInputs, DistAttnOut, OverlapMode, Phase, Ring,
 };
 pub use skip::{
     census_dr_alg1, census_dr_alg2, census_dr_forward, census_flat_alg1, census_flat_alg2,
@@ -105,6 +102,16 @@ impl std::error::Error for DattnError {
     }
 }
 
+/// Escalate a failed attention call into a panic: under a fault plan a
+/// communication failure panics with its [`CommError`] payload (recoverable
+/// by `World::run_faulty`); any other failure panics with its message.
+pub fn escalate_attn(comm: &Communicator, e: impl Into<DattnError>) -> ! {
+    match e.into() {
+        DattnError::Comm(e) if comm.has_faults() => std::panic::panic_any(e.source),
+        e => panic!("{e}"),
+    }
+}
+
 /// Which distributed attention implementation to run — mirrors the paper's
 /// evaluated systems (Fig. 14).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,51 +130,10 @@ pub enum Algo {
 
 /// One forward+backward of the selected algorithm on this rank's shard.
 /// Returns `(O, Lse, dQ, dK, dV)`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_attention(
-    algo: Algo,
-    comm: &mut Communicator,
-    q: &Mat,
-    k: &Mat,
-    v: &Mat,
-    grad_o: &Mat,
-    scale: f32,
-    mask: &AttnMask,
-    layout: Layout,
-    seq_len: usize,
-    cost: &CostModel,
-) -> (Mat, Vec<f32>, Mat, Mat, Mat) {
-    match try_run_attention(
-        algo, comm, q, k, v, grad_o, scale, mask, layout, seq_len, cost,
-    ) {
-        Ok(out) => out,
-        Err(e) => ring::escalate_attn(comm, e),
-    }
-}
-
-/// Fallible [`run_attention`]: a mid-loop communication fault surfaces as an
-/// [`AttnFailure`] naming the rank, the peer, the ring round and the phase.
-#[allow(clippy::too_many_arguments)]
-pub fn try_run_attention(
-    algo: Algo,
-    comm: &mut Communicator,
-    q: &Mat,
-    k: &Mat,
-    v: &Mat,
-    grad_o: &Mat,
-    scale: f32,
-    mask: &AttnMask,
-    layout: Layout,
-    seq_len: usize,
-    cost: &CostModel,
-) -> Result<(Mat, Vec<f32>, Mat, Mat, Mat), AttnFailure> {
-    try_run_attention_opts(
-        algo, comm, q, k, v, grad_o, scale, mask, layout, seq_len, cost, false,
-    )
-}
-
-/// [`try_run_attention`] with mask-aware round skipping selectable: with
-/// `skip` on, every schedule classifies each (q-shard × kv-shard) tile via
+///
+/// A mid-loop communication fault surfaces as an [`AttnFailure`] naming the
+/// rank, the peer, the ring round and the phase. With `skip` on, every
+/// schedule classifies each (q-shard × kv-shard) tile via
 /// [`AttnMask::tile_state`] and elides fully-masked rounds — no compute, no
 /// wire traffic, no virtual time — while staying bit-identical to the
 /// unskipped run (a skipped tile contributes exactly nothing).
@@ -206,9 +172,16 @@ pub fn try_run_attention_opts(
         (q.nbytes() + k.nbytes() + v.nbytes() + grad_o.nbytes()) as u64,
     );
     let ring = Ring::global(comm);
+    let spec = DoubleRingSpec::full(comm.topology());
     let fwd = match algo {
         Algo::RingFlat | Algo::BurstFlat => try_ring_forward(comm, &ring, &shard)?,
-        Algo::DoubleRing | Algo::BurstTopo => double_ring::try_double_ring_forward(comm, &shard)?,
+        Algo::DoubleRing | Algo::BurstTopo => double_ring::try_double_ring_forward_heads_on(
+            comm,
+            std::slice::from_ref(&shard),
+            &spec,
+        )?
+        .pop()
+        .expect("one head in, one head out"),
     };
     // The forward's (O, Lse) outputs stay live through the backward (the
     // schedule's own accumulator entry closed when it returned them).
@@ -225,8 +198,12 @@ pub fn try_run_attention_opts(
     let (dq, dk, dv) = match algo {
         Algo::RingFlat => try_ring_backward(comm, &ring, &shard, &back, OverlapMode::Fine)?,
         Algo::BurstFlat => try_burst_backward(comm, &ring, &shard, &back, OverlapMode::Fine)?,
-        Algo::DoubleRing => double_ring::try_double_ring_backward_alg1(comm, &shard, &back)?,
-        Algo::BurstTopo => double_ring::try_double_ring_backward_alg2(comm, &shard, &back)?,
+        Algo::DoubleRing => {
+            double_ring::try_double_ring_backward_alg1_on(comm, &shard, &back, &spec)?
+        }
+        Algo::BurstTopo => {
+            double_ring::try_double_ring_backward_alg2_on(comm, &shard, &back, &spec)?
+        }
     };
     comm.mem_free(mem_out);
     comm.mem_free(mem_inputs);

@@ -5,7 +5,7 @@
 //! virtual-time makespan.
 
 use burst_comm::{Topology, World};
-use burst_dattn::{run_attention, Algo, CostModel, Layout};
+use burst_dattn::{try_run_attention_opts, Algo, CostModel, Layout};
 use burst_kernels::{AttnMask, BlockSparseMask};
 use burst_tensor::randn_mat;
 
@@ -25,7 +25,7 @@ fn measure(layout: Layout, mask: &AttnMask, n: usize, g: usize) -> (f64, Vec<f64
     let world = World::new(Topology::single_node(g));
     let outs = world.run(|comm| {
         let idx = layout.indices(n, g, comm.rank());
-        run_attention(
+        try_run_attention_opts(
             Algo::BurstFlat,
             comm,
             &q.gather_rows(&idx),
@@ -37,7 +37,9 @@ fn measure(layout: Layout, mask: &AttnMask, n: usize, g: usize) -> (f64, Vec<f64
             layout,
             n,
             &cost,
-        );
+            false,
+        )
+        .expect("fault-free attention");
     });
     let makespan = outs.iter().map(|o| o.time).fold(0.0, f64::max);
     let compute: Vec<f64> = outs.iter().map(|o| o.stats.compute_time).collect();

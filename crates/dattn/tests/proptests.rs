@@ -2,7 +2,7 @@
 //! randomised shapes, topologies, layouts, masks and algorithms.
 
 use burst_comm::{Topology, World};
-use burst_dattn::{run_attention, Algo, CostModel, Layout};
+use burst_dattn::{try_run_attention_opts, Algo, CostModel, Layout};
 use burst_kernels::{flash_backward, flash_forward, AttnMask};
 use burst_tensor::randn_mat;
 use burst_tensor::testutil::allclose;
@@ -71,7 +71,7 @@ proptest! {
         let mask2 = mask.clone();
         let outs = world.run_results(move |comm| {
             let my = layout.indices(n, g, comm.rank());
-            run_attention(
+            try_run_attention_opts(
                 algo,
                 comm,
                 &q.gather_rows(&my),
@@ -83,7 +83,9 @@ proptest! {
                 layout,
                 n,
                 &CostModel::free(),
+                false,
             )
+            .expect("fault-free attention")
         });
         for (rank, (o, _, dq, dk, dv)) in outs.iter().enumerate() {
             let my = layout.indices(n, g, rank);
@@ -121,7 +123,7 @@ proptest! {
         d in 2usize..8,
     ) {
         use burst_dattn::{
-            burst_backward, ring_backward, ring_forward, AttnShard, BackwardInputs,
+            try_burst_backward, try_ring_backward, try_ring_forward, AttnShard, BackwardInputs,
             OverlapMode, Ring,
         };
         let n = 2 * g * chunks;
@@ -150,12 +152,14 @@ proptest! {
                 skip: false,
             };
             let ring = Ring::global(comm);
-            let fwd = ring_forward(comm, &ring, &shard);
+            let fwd = try_ring_forward(comm, &ring, &shard).expect("fault-free attention");
             let after_fwd = comm.stats().total_elems();
             let back = BackwardInputs { o: &fwd.o, lse: &fwd.lse, grad_o: &go.gather_rows(&my) };
-            ring_backward(comm, &ring, &shard, &back, OverlapMode::Fine);
+            try_ring_backward(comm, &ring, &shard, &back, OverlapMode::Fine)
+                .expect("fault-free attention");
             let after_ring = comm.stats().total_elems();
-            burst_backward(comm, &ring, &shard, &back, OverlapMode::Fine);
+            try_burst_backward(comm, &ring, &shard, &back, OverlapMode::Fine)
+                .expect("fault-free attention");
             let after_burst = comm.stats().total_elems();
             (after_fwd, after_ring - after_fwd, after_burst - after_ring)
         });

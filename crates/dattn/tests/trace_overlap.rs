@@ -6,7 +6,9 @@
 
 use burst_comm::obs::wait_compute_secs;
 use burst_comm::{RankTrace, SpanKind, Topology, World};
-use burst_dattn::{double_ring, run_attention, Algo, AttnShard, CostModel, DoubleRingSpec, Layout};
+use burst_dattn::{
+    double_ring, try_run_attention_opts, Algo, AttnShard, CostModel, DoubleRingSpec, Layout,
+};
 use burst_kernels::AttnMask;
 use burst_tensor::{randn_mat, Mat};
 
@@ -33,7 +35,7 @@ fn traced_run(algo: Algo) -> Vec<RankTrace> {
     world.run_results(move |comm| {
         comm.start_trace();
         let idx = Layout::Zigzag.indices(N, g, comm.rank());
-        run_attention(
+        try_run_attention_opts(
             algo,
             comm,
             &q.gather_rows(&idx),
@@ -45,7 +47,9 @@ fn traced_run(algo: Algo) -> Vec<RankTrace> {
             Layout::Zigzag,
             N,
             &slow_device(),
-        );
+            false,
+        )
+        .expect("fault-free attention");
         comm.take_rank_trace().expect("tracing on")
     })
 }
@@ -156,12 +160,17 @@ fn two_head_forward(pipelined: bool) -> Vec<RankTrace> {
                 skip: false,
             })
             .collect();
+        let spec = DoubleRingSpec::full(comm.topology());
         if pipelined {
-            let spec = DoubleRingSpec::full(comm.topology());
             double_ring::try_double_ring_forward_heads_on(comm, &heads, &spec).unwrap();
         } else {
             for shard in &heads {
-                double_ring::double_ring_forward(comm, shard);
+                double_ring::try_double_ring_forward_heads_on(
+                    comm,
+                    std::slice::from_ref(shard),
+                    &spec,
+                )
+                .unwrap();
             }
         }
         comm.take_rank_trace().expect("tracing on")

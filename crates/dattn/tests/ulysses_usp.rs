@@ -3,9 +3,9 @@
 //! head-divisibility failure mode the paper exploits (40 heads on 32 GPUs).
 
 use burst_comm::{Topology, World};
-use burst_dattn::ulysses::{ulysses_backward, ulysses_forward, UlyssesError};
-use burst_dattn::usp::{usp_backward, usp_forward, UspTopo};
-use burst_dattn::{CostModel, Layout};
+use burst_dattn::ulysses::{try_ulysses_backward, try_ulysses_forward, UlyssesError};
+use burst_dattn::usp::{try_usp_backward, try_usp_forward, UspTopo};
+use burst_dattn::{CostModel, DattnError, Layout};
 use burst_kernels::{flash_backward, flash_forward, AttnMask};
 use burst_tensor::testutil::assert_allclose;
 use burst_tensor::{randn_mat, Mat};
@@ -93,7 +93,7 @@ fn ulysses_matches_reference_per_head() {
         let kl: Vec<Mat> = p.k.iter().map(|m| m.gather_rows(my_idx)).collect();
         let vl: Vec<Mat> = p.v.iter().map(|m| m.gather_rows(my_idx)).collect();
         let dol: Vec<Mat> = p.grad_o.iter().map(|m| m.gather_rows(my_idx)).collect();
-        let (o, saved) = ulysses_forward(
+        let (o, saved) = try_ulysses_forward(
             comm,
             &members,
             &member_idx,
@@ -105,7 +105,7 @@ fn ulysses_matches_reference_per_head() {
             &CostModel::free(),
         )
         .expect("ulysses forward");
-        let (dq, dk, dv) = ulysses_backward(
+        let (dq, dk, dv) = try_ulysses_backward(
             comm,
             &members,
             &member_idx,
@@ -159,7 +159,7 @@ fn ulysses_rejects_indivisible_heads() {
             .collect();
         let my_idx = &member_idx[comm.rank()];
         let ql: Vec<Mat> = p.q.iter().map(|m| m.gather_rows(my_idx)).collect();
-        ulysses_forward(
+        try_ulysses_forward(
             comm,
             &members,
             &member_idx,
@@ -175,7 +175,10 @@ fn ulysses_rejects_indivisible_heads() {
     for out in outs {
         assert_eq!(
             out,
-            Some(UlyssesError::HeadsNotDivisible { heads: 3, group: 2 })
+            Some(DattnError::Infeasible(UlyssesError::HeadsNotDivisible {
+                heads: 3,
+                group: 2
+            }))
         );
     }
 }
@@ -197,7 +200,7 @@ fn ulysses_communication_scales_inversely_with_group() {
             let ql: Vec<Mat> = p.q.iter().map(|m| m.gather_rows(my_idx)).collect();
             let kl: Vec<Mat> = p.k.iter().map(|m| m.gather_rows(my_idx)).collect();
             let vl: Vec<Mat> = p.v.iter().map(|m| m.gather_rows(my_idx)).collect();
-            ulysses_forward(
+            try_ulysses_forward(
                 comm,
                 &members,
                 &member_idx,
@@ -236,7 +239,7 @@ fn usp_matches_reference_per_head() {
         let kl: Vec<Mat> = p.k.iter().map(|m| m.gather_rows(&my_idx)).collect();
         let vl: Vec<Mat> = p.v.iter().map(|m| m.gather_rows(&my_idx)).collect();
         let dol: Vec<Mat> = p.grad_o.iter().map(|m| m.gather_rows(&my_idx)).collect();
-        let (o, saved) = usp_forward(
+        let (o, saved) = try_usp_forward(
             comm,
             &topo,
             &ql,
@@ -248,7 +251,7 @@ fn usp_matches_reference_per_head() {
             &CostModel::free(),
         )
         .expect("usp forward");
-        let (dq, dk, dv) = usp_backward(
+        let (dq, dk, dv) = try_usp_backward(
             comm,
             &topo,
             &saved,
@@ -288,7 +291,7 @@ fn usp_with_u_equal_world_degenerates_to_ulysses_shape() {
         let ql: Vec<Mat> = p.q.iter().map(|m| m.gather_rows(&my_idx)).collect();
         let kl: Vec<Mat> = p.k.iter().map(|m| m.gather_rows(&my_idx)).collect();
         let vl: Vec<Mat> = p.v.iter().map(|m| m.gather_rows(&my_idx)).collect();
-        let (o, _) = usp_forward(
+        let (o, _) = try_usp_forward(
             comm,
             &topo,
             &ql,
@@ -318,7 +321,7 @@ fn usp_rejects_indivisible_heads() {
         let topo = UspTopo::new(comm, u);
         let my_idx = topo.local_idx(n);
         let ql: Vec<Mat> = p.q.iter().map(|m| m.gather_rows(&my_idx)).collect();
-        usp_forward(
+        try_usp_forward(
             comm,
             &topo,
             &ql,
@@ -334,7 +337,10 @@ fn usp_rejects_indivisible_heads() {
     for out in outs {
         assert_eq!(
             out,
-            Some(UlyssesError::HeadsNotDivisible { heads: 3, group: 2 })
+            Some(DattnError::Infeasible(UlyssesError::HeadsNotDivisible {
+                heads: 3,
+                group: 2
+            }))
         );
     }
 }

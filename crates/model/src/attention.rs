@@ -18,12 +18,11 @@
 use crate::linear::{Linear, LinearSaved};
 use crate::rope::{rope_apply, rope_backward, ROPE_THETA};
 use burst_comm::{CommError, Communicator, SpanKind};
-use burst_dattn::ulysses::{ulysses_backward, ulysses_forward};
-use burst_dattn::usp::{usp_backward, usp_forward, UspTopo};
+use burst_dattn::ulysses::{try_ulysses_backward, try_ulysses_forward};
+use burst_dattn::usp::{try_usp_backward, try_usp_forward, UspTopo};
 use burst_dattn::{
-    burst_backward, double_ring, escalate_attn, ring_backward, ring_forward, try_burst_backward,
-    try_ring_backward, try_ring_forward, Algo, AttnFailure, AttnShard, BackwardInputs, CostModel,
-    DistAttnOut, DoubleRingSpec, Layout, OverlapMode, Ring,
+    double_ring, escalate_attn, try_burst_backward, try_ring_backward, try_ring_forward, Algo,
+    AttnFailure, AttnShard, BackwardInputs, CostModel, DoubleRingSpec, Layout, OverlapMode, Ring,
 };
 use burst_kernels::{flash_backward, flash_forward, AttnMask};
 use burst_tensor::Mat;
@@ -73,30 +72,61 @@ pub trait AttnExec {
     /// buys a smaller stash.
     fn mask(&self) -> &AttnMask;
 
-    /// Open a structural span on the rank's timeline (no-op for backends
-    /// without a communicator). Layer-level instrumentation goes through
-    /// these so `checkpoint.rs` stays backend-agnostic.
-    fn span_begin(&mut self, _kind: SpanKind, _name: &'static str) {}
+    /// The rank's communicator, for backends that run on one. The span,
+    /// recompute-scope, stash and workspace hooks below delegate through it
+    /// and are no-ops without one.
+    fn comm(&mut self) -> Option<&mut Communicator> {
+        None
+    }
 
-    /// Close the innermost open span (no-op without a communicator).
-    fn span_end(&mut self) {}
+    /// Open a structural span on the rank's timeline. Layer-level
+    /// instrumentation goes through these so `checkpoint.rs` stays
+    /// backend-agnostic.
+    fn span_begin(&mut self, kind: SpanKind, name: &'static str) {
+        if let Some(comm) = self.comm() {
+            comm.span_begin(kind, name);
+        }
+    }
+
+    /// Close the innermost open span.
+    fn span_end(&mut self) {
+        if let Some(comm) = self.comm() {
+            comm.span_end();
+        }
+    }
 
     /// Enter/leave a recompute scope: compute charged inside is tagged
-    /// `"recompute"` in the trace (no-op without a communicator).
-    fn recompute_scope(&mut self, _enter: bool) {}
+    /// `"recompute"` in the trace.
+    fn recompute_scope(&mut self, enter: bool) {
+        if let Some(comm) = self.comm() {
+            comm.recompute_scope(enter);
+        }
+    }
 
     /// Register `bytes` of checkpoint stash kept for one block, freed in
     /// reverse block order by [`AttnExec::stash_pop`] during the backward.
-    /// Lands on the accountant's `CkptStash` lane (no-op without a
-    /// communicator or with accounting off).
-    fn stash_push(&mut self, _bytes: usize) {}
+    /// Lands on the accountant's `CkptStash` lane (no-op with accounting
+    /// off).
+    fn stash_push(&mut self, bytes: usize) {
+        if let Some(comm) = self.comm() {
+            comm.mem_stash_push(bytes as u64);
+        }
+    }
 
     /// Release the most recently pushed, still-open stash entry.
-    fn stash_pop(&mut self) {}
+    fn stash_pop(&mut self) {
+        if let Some(comm) = self.comm() {
+            comm.mem_stash_pop();
+        }
+    }
 
     /// Note transient working-set bytes (recompute scratch, rebuilt block
     /// contexts) on the accountant's ungated `Workspace` lane.
-    fn note_workspace(&mut self, _bytes: usize) {}
+    fn note_workspace(&mut self, bytes: usize) {
+        if let Some(comm) = self.comm() {
+            comm.mem_note_workspace(bytes as u64);
+        }
+    }
 }
 
 /// Single-device blocked flash attention.
@@ -204,18 +234,32 @@ impl AttnExec for LocalExec {
     }
 }
 
-/// Ring-family context parallelism on the simulated cluster.
+/// Ring-family context parallelism on the simulated cluster, over an
+/// ascending member list (the whole world, or the alive set of an elastic
+/// step).
 ///
-/// The flat-ring algorithms run one ring pass per head. The topology-aware
-/// ones (`DoubleRing`, `BurstTopo`) run the forward and the partial
-/// recompute forward as one multi-head double-ring pass
-/// ([`double_ring::try_double_ring_forward_heads_on`]): every head's
-/// inter-node `(K, V)` leaves as soon as the rank holds it, so head
-/// `h + 1`'s NIC transfer hides behind head `h`'s intra-node sweeps. Each
-/// head's outputs are bit-identical to its own single-head pass. The
-/// backward runs one pass per head on every algorithm.
+/// The ring is the member list with this rank at its position, so a
+/// `g`-member step reproduces a fresh `g`-rank world bit for bit. The
+/// topology-aware algorithms (`DoubleRing`, `BurstTopo`) run on
+/// [`DoubleRingSpec::from_members`] when the members are node-balanced
+/// (always, for the whole world) and fall back to the flat ring, counted in
+/// [`DistExec::flat_fallback`], when they are ragged across nodes. On the
+/// two-level ring the forward and the partial recompute forward run every
+/// head through one pipelined pass
+/// ([`double_ring::try_double_ring_forward_heads_on`]): head `h + 1`'s
+/// inter-node `(K, V)` transfer hides behind head `h`'s intra-node sweeps.
+/// The flat ring runs one pass per head, and the backward runs one pass per
+/// head on every algorithm.
+///
+/// The layer stack drives [`AttnExec`] infallibly, so the first
+/// communication fault is *latched*: the failing call yields zero-shaped
+/// outputs and every later call short-circuits without touching the wire.
+/// The caller reads [`DistExec::take_failure`] after the micro-batch and
+/// fails the step instead of aborting the process.
 pub struct DistExec<'a> {
     pub comm: &'a mut Communicator,
+    /// The ring: the ascending members, this rank at its position.
+    ring: Ring,
     pub algo: Algo,
     pub layout: Layout,
     pub mask: AttnMask,
@@ -229,214 +273,17 @@ pub struct DistExec<'a> {
     /// (no wire traffic, no compute, no virtual time) while remaining
     /// bit-identical to the dense schedule. Off by default.
     pub skip: bool,
-}
-
-impl<'a> DistExec<'a> {
-    pub fn new(
-        comm: &'a mut Communicator,
-        algo: Algo,
-        layout: Layout,
-        mask: AttnMask,
-        seq_len: usize,
-        cost: CostModel,
-    ) -> Self {
-        DistExec {
-            comm,
-            algo,
-            layout,
-            mask,
-            seq_len,
-            cost,
-            overlap: OverlapMode::Fine,
-            skip: false,
-        }
-    }
-
-    /// All heads' forward (restricted to tokens `< cutoff` when given). The
-    /// topology-aware algorithms run every head through one pipelined
-    /// double-ring pass; the flat ring runs one pass per head.
-    fn fwd(&mut self, q: &[Mat], k: &[Mat], v: &[Mat], cutoff: Option<usize>) -> AttnOut {
-        let heads: Vec<AttnShard> = (0..q.len())
-            .map(|h| AttnShard {
-                q: &q[h],
-                k: &k[h],
-                v: &v[h],
-                scale: head_scale(&q[h]),
-                mask: &self.mask,
-                layout: self.layout,
-                seq_len: self.seq_len,
-                cost: self.cost,
-                max_token: cutoff,
-                skip: self.skip,
-            })
-            .collect();
-        let outs = match self.algo {
-            Algo::RingFlat | Algo::BurstFlat => {
-                let ring = Ring::global(self.comm);
-                heads
-                    .iter()
-                    .map(|shard| ring_forward(self.comm, &ring, shard))
-                    .collect()
-            }
-            Algo::DoubleRing | Algo::BurstTopo => {
-                let spec = DoubleRingSpec::full(self.comm.topology());
-                double_ring::try_double_ring_forward_heads_on(self.comm, &heads, &spec)
-                    .unwrap_or_else(|e| escalate_attn(self.comm, e))
-            }
-        };
-        unzip_heads(outs)
-    }
-}
-
-/// Split per-head schedule outputs into the [`AttnOut`] form.
-fn unzip_heads(outs: Vec<DistAttnOut>) -> AttnOut {
-    outs.into_iter().map(|out| (out.o, out.lse)).unzip()
-}
-
-impl AttnExec for DistExec<'_> {
-    fn forward(&mut self, q: &[Mat], k: &[Mat], v: &[Mat]) -> AttnOut {
-        self.fwd(q, k, v, None)
-    }
-
-    fn backward(
-        &mut self,
-        q: &[Mat],
-        k: &[Mat],
-        v: &[Mat],
-        o: &[Mat],
-        lse: &[Vec<f32>],
-        grad_o: &[Mat],
-    ) -> (Vec<Mat>, Vec<Mat>, Vec<Mat>) {
-        let mut dq = Vec::with_capacity(q.len());
-        let mut dk = Vec::with_capacity(q.len());
-        let mut dv = Vec::with_capacity(q.len());
-        for h in 0..q.len() {
-            let shard = AttnShard {
-                q: &q[h],
-                k: &k[h],
-                v: &v[h],
-                scale: head_scale(&q[h]),
-                mask: &self.mask,
-                layout: self.layout,
-                seq_len: self.seq_len,
-                cost: self.cost,
-                max_token: None,
-                skip: self.skip,
-            };
-            let back = BackwardInputs {
-                o: &o[h],
-                lse: &lse[h],
-                grad_o: &grad_o[h],
-            };
-            let (a, b, c) = match self.algo {
-                Algo::RingFlat => {
-                    let ring = Ring::global(self.comm);
-                    ring_backward(self.comm, &ring, &shard, &back, self.overlap)
-                }
-                Algo::BurstFlat => {
-                    let ring = Ring::global(self.comm);
-                    burst_backward(self.comm, &ring, &shard, &back, self.overlap)
-                }
-                Algo::DoubleRing => {
-                    double_ring::double_ring_backward_alg1(self.comm, &shard, &back)
-                }
-                Algo::BurstTopo => double_ring::double_ring_backward_alg2(self.comm, &shard, &back),
-            };
-            dq.push(a);
-            dk.push(b);
-            dv.push(c);
-        }
-        (dq, dk, dv)
-    }
-
-    fn forward_partial(
-        &mut self,
-        q: &[Mat],
-        k: &[Mat],
-        v: &[Mat],
-        cutoff: usize,
-    ) -> Option<AttnOut> {
-        Some(self.fwd(q, k, v, Some(cutoff)))
-    }
-
-    fn local_indices(&self) -> Vec<usize> {
-        self.layout
-            .indices(self.seq_len, self.comm.world_size(), self.comm.rank())
-    }
-
-    fn mask(&self) -> &AttnMask {
-        &self.mask
-    }
-
-    fn span_begin(&mut self, kind: SpanKind, name: &'static str) {
-        self.comm.span_begin(kind, name);
-    }
-
-    fn span_end(&mut self) {
-        self.comm.span_end();
-    }
-
-    fn recompute_scope(&mut self, enter: bool) {
-        self.comm.recompute_scope(enter);
-    }
-
-    fn stash_push(&mut self, bytes: usize) {
-        self.comm.mem_stash_push(bytes as u64);
-    }
-
-    fn stash_pop(&mut self) {
-        self.comm.mem_stash_pop();
-    }
-
-    fn note_workspace(&mut self, bytes: usize) {
-        self.comm.mem_note_workspace(bytes as u64);
-    }
-}
-
-/// Membership-aware ring attention for **in-step recovery**: [`DistExec`]
-/// over the current alive set, but a communication fault returns control to
-/// the engine instead of aborting the process.
-///
-/// The model's layer stack drives [`AttnExec`] infallibly, so the first
-/// fault is *latched*: the failing call yields zero-shaped outputs and every
-/// later call short-circuits without touching the wire. The train step then
-/// unwinds cheaply; the engine reads [`ElasticExec::take_failure`], agrees
-/// on the eviction with the survivors and replays the step on the shrunken
-/// ring.
-///
-/// Bit-identity: the ring is the ascending alive set with this rank at its
-/// membership position, so a `g'`-member step reproduces a fresh `g'`-world
-/// step bit-for-bit. Topology-aware algorithms run on a
-/// [`DoubleRingSpec`] when the survivors preserve node balance and fall
-/// back to the flat ring (counted) when they are ragged. On the double ring
-/// the forward pipelines all heads through one pass, as [`DistExec`] does,
-/// and a fault anywhere in it latches for the whole call; the flat
-/// fallback runs one pass per head.
-pub struct ElasticExec<'a> {
-    pub comm: &'a mut Communicator,
-    /// Alive ranks in ascending order (the elastic ring).
-    members: Vec<usize>,
-    /// This rank's position within `members`.
-    pos: usize,
-    pub algo: Algo,
-    pub layout: Layout,
-    pub mask: AttnMask,
-    pub seq_len: usize,
-    pub cost: CostModel,
-    pub overlap: OverlapMode,
-    /// Mask-aware round skipping on the elastic ring (off by default).
-    pub skip: bool,
-    /// Two-level geometry over the alive set (topology-aware algorithms
-    /// with node-balanced survivors only).
+    /// Two-level geometry over the members (topology-aware algorithms with
+    /// node-balanced members only).
     spec: Option<DoubleRingSpec>,
-    /// A topology-aware algorithm had to run on the flat ring because the
-    /// survivor pattern is ragged across nodes.
+    /// A topology-aware algorithm runs on the flat ring because the members
+    /// are ragged across nodes.
     flat_fallback: bool,
     /// First communication fault observed; latched until taken.
     failure: Option<CommError>,
 }
 
-impl<'a> ElasticExec<'a> {
+impl<'a> DistExec<'a> {
     /// Panics if the calling rank is not in `members`.
     pub fn new(
         comm: &'a mut Communicator,
@@ -447,21 +294,15 @@ impl<'a> ElasticExec<'a> {
         seq_len: usize,
         cost: CostModel,
     ) -> Self {
-        let pos = members
-            .iter()
-            .position(|&m| m == comm.rank())
-            .expect("ElasticExec: calling rank not in member list");
         let topo_algo = matches!(algo, Algo::DoubleRing | Algo::BurstTopo);
         let spec = if topo_algo {
             DoubleRingSpec::from_members(comm.topology(), &members)
         } else {
             None
         };
-        let flat_fallback = topo_algo && spec.is_none();
-        ElasticExec {
+        DistExec {
+            ring: Ring::subgroup(comm, members),
             comm,
-            members,
-            pos,
             algo,
             layout,
             mask,
@@ -469,8 +310,8 @@ impl<'a> ElasticExec<'a> {
             cost,
             overlap: OverlapMode::Fine,
             skip: false,
+            flat_fallback: topo_algo && spec.is_none(),
             spec,
-            flat_fallback,
             failure: None,
         }
     }
@@ -480,22 +321,10 @@ impl<'a> ElasticExec<'a> {
         self.failure.take()
     }
 
-    /// Whether a topology-aware algorithm ran flat because the survivors
-    /// are ragged across nodes.
+    /// Whether a topology-aware algorithm ran flat because the members are
+    /// ragged across nodes.
     pub fn flat_fallback(&self) -> bool {
         self.flat_fallback
-    }
-
-    /// Members of the current elastic ring, ascending.
-    pub fn members(&self) -> &[usize] {
-        &self.members
-    }
-
-    fn ring(&self) -> Ring {
-        Ring {
-            members: self.members.clone(),
-            pos: self.pos,
-        }
     }
 
     fn latch(&mut self, e: AttnFailure) {
@@ -505,10 +334,9 @@ impl<'a> ElasticExec<'a> {
     }
 
     /// All heads' forward (restricted to tokens `< cutoff` when given), or
-    /// zero-shaped outputs once a fault is latched. Node-balanced survivors
-    /// run every head through one pipelined double-ring pass, whose first
-    /// failure latches for the whole call; the ragged flat fallback runs
-    /// one pass per head, and heads past a failure get zeros.
+    /// zero-shaped outputs once a fault is latched. On the two-level ring a
+    /// failure anywhere in the pipelined pass latches for the whole call; on
+    /// the flat ring heads past a failure get zeros.
     fn fwd(&mut self, q: &[Mat], k: &[Mat], v: &[Mat], cutoff: Option<usize>) -> AttnOut {
         let mut outs = Vec::with_capacity(q.len());
         if self.failure.is_none() {
@@ -531,19 +359,16 @@ impl<'a> ElasticExec<'a> {
                     double_ring::try_double_ring_forward_heads_on(self.comm, &heads, spec)
                         .map(|all| outs.extend(all))
                 }
-                None => {
-                    let ring = self.ring();
-                    heads.iter().try_for_each(|shard| {
-                        outs.push(try_ring_forward(self.comm, &ring, shard)?);
-                        Ok(())
-                    })
-                }
+                None => heads.iter().try_for_each(|shard| {
+                    outs.push(try_ring_forward(self.comm, &self.ring, shard)?);
+                    Ok(())
+                }),
             };
             if let Err(e) = res {
                 self.latch(e);
             }
         }
-        let (mut o, mut lse) = unzip_heads(outs);
+        let (mut o, mut lse): AttnOut = outs.into_iter().map(|out| (out.o, out.lse)).unzip();
         for h in o.len()..q.len() {
             o.push(Mat::zeros(q[h].rows(), v[h].cols()));
             lse.push(vec![0.0; q[h].rows()]);
@@ -552,7 +377,7 @@ impl<'a> ElasticExec<'a> {
     }
 }
 
-impl AttnExec for ElasticExec<'_> {
+impl AttnExec for DistExec<'_> {
     fn forward(&mut self, q: &[Mat], k: &[Mat], v: &[Mat]) -> AttnOut {
         self.fwd(q, k, v, None)
     }
@@ -588,22 +413,19 @@ impl AttnExec for ElasticExec<'_> {
                     lse: &lse[h],
                     grad_o: &grad_o[h],
                 };
+                let (comm, ring) = (&mut *self.comm, &self.ring);
                 let res = match (&self.spec, self.algo) {
                     (Some(spec), Algo::DoubleRing) => {
-                        double_ring::try_double_ring_backward_alg1_on(
-                            self.comm, &shard, &back, spec,
-                        )
+                        double_ring::try_double_ring_backward_alg1_on(comm, &shard, &back, spec)
                     }
-                    (Some(spec), _) => double_ring::try_double_ring_backward_alg2_on(
-                        self.comm, &shard, &back, spec,
-                    ),
+                    (Some(spec), _) => {
+                        double_ring::try_double_ring_backward_alg2_on(comm, &shard, &back, spec)
+                    }
                     (None, Algo::RingFlat | Algo::DoubleRing) => {
-                        let ring = self.ring();
-                        try_ring_backward(self.comm, &ring, &shard, &back, self.overlap)
+                        try_ring_backward(comm, ring, &shard, &back, self.overlap)
                     }
                     (None, Algo::BurstFlat | Algo::BurstTopo) => {
-                        let ring = self.ring();
-                        try_burst_backward(self.comm, &ring, &shard, &back, self.overlap)
+                        try_burst_backward(comm, ring, &shard, &back, self.overlap)
                     }
                 };
                 match res {
@@ -635,35 +457,15 @@ impl AttnExec for ElasticExec<'_> {
 
     fn local_indices(&self) -> Vec<usize> {
         self.layout
-            .indices(self.seq_len, self.members.len(), self.pos)
+            .indices(self.seq_len, self.ring.size(), self.ring.pos)
     }
 
     fn mask(&self) -> &AttnMask {
         &self.mask
     }
 
-    fn span_begin(&mut self, kind: SpanKind, name: &'static str) {
-        self.comm.span_begin(kind, name);
-    }
-
-    fn span_end(&mut self) {
-        self.comm.span_end();
-    }
-
-    fn recompute_scope(&mut self, enter: bool) {
-        self.comm.recompute_scope(enter);
-    }
-
-    fn stash_push(&mut self, bytes: usize) {
-        self.comm.mem_stash_push(bytes as u64);
-    }
-
-    fn stash_pop(&mut self) {
-        self.comm.mem_stash_pop();
-    }
-
-    fn note_workspace(&mut self, bytes: usize) {
-        self.comm.mem_note_workspace(bytes as u64);
+    fn comm(&mut self) -> Option<&mut Communicator> {
+        Some(self.comm)
     }
 }
 
@@ -693,10 +495,10 @@ impl AttnExec for UlyssesExec<'_> {
         let members = self.members();
         let idx = self.member_idx();
         let scale = head_scale(&q[0]);
-        let (o, saved) = ulysses_forward(
+        let (o, saved) = try_ulysses_forward(
             self.comm, &members, &idx, q, k, v, scale, &self.mask, &self.cost,
         )
-        .expect("Ulysses infeasible for this head/rank combination");
+        .unwrap_or_else(|e| escalate_attn(self.comm, e));
         saved.release(self.comm);
         // Ulysses' Lse lives head-sharded on the owning rank; `backward`
         // rebuilds everything it needs from (q, k, v) — the recompute that
@@ -723,17 +525,15 @@ impl AttnExec for UlyssesExec<'_> {
         // Rebuild the head-sharded state (including a fresh forward for the
         // Lse — Ulysses under gradient checkpointing recomputes attention).
         self.comm.recompute_scope(true);
-        let saved = ulysses_forward(
+        let (_, saved) = try_ulysses_forward(
             self.comm, &members, &idx, q, k, v, scale, &self.mask, &self.cost,
         )
-        .map(|(_, s)| s);
+        .unwrap_or_else(|e| escalate_attn(self.comm, e));
         self.comm.recompute_scope(false);
-        let saved = saved.expect("Ulysses infeasible");
-        let (dq, dk, dv) = ulysses_backward(
+        try_ulysses_backward(
             self.comm, &members, &idx, &saved, grad_o, scale, &self.mask, &self.cost,
         )
-        .expect("Ulysses infeasible");
-        (dq, dk, dv)
+        .unwrap_or_else(|e| escalate_attn(self.comm, e))
     }
 
     fn local_indices(&self) -> Vec<usize> {
@@ -744,28 +544,8 @@ impl AttnExec for UlyssesExec<'_> {
         &self.mask
     }
 
-    fn span_begin(&mut self, kind: SpanKind, name: &'static str) {
-        self.comm.span_begin(kind, name);
-    }
-
-    fn span_end(&mut self) {
-        self.comm.span_end();
-    }
-
-    fn recompute_scope(&mut self, enter: bool) {
-        self.comm.recompute_scope(enter);
-    }
-
-    fn stash_push(&mut self, bytes: usize) {
-        self.comm.mem_stash_push(bytes as u64);
-    }
-
-    fn stash_pop(&mut self) {
-        self.comm.mem_stash_pop();
-    }
-
-    fn note_workspace(&mut self, bytes: usize) {
-        self.comm.mem_note_workspace(bytes as u64);
+    fn comm(&mut self) -> Option<&mut Communicator> {
+        Some(self.comm)
     }
 }
 
@@ -785,7 +565,7 @@ impl AttnExec for UspExec<'_> {
     fn forward(&mut self, q: &[Mat], k: &[Mat], v: &[Mat]) -> AttnOut {
         let topo = UspTopo::new(self.comm, self.ulysses_size).with_skip(self.skip);
         let scale = head_scale(&q[0]);
-        let (o, saved) = usp_forward(
+        let (o, saved) = try_usp_forward(
             self.comm,
             &topo,
             q,
@@ -796,7 +576,7 @@ impl AttnExec for UspExec<'_> {
             self.seq_len,
             &self.cost,
         )
-        .expect("USP infeasible for this head/group combination");
+        .unwrap_or_else(|e| escalate_attn(self.comm, e));
         saved.release(self.comm);
         let rows = o[0].rows();
         let lse = vec![vec![f32::NAN; rows]; q.len()];
@@ -816,7 +596,7 @@ impl AttnExec for UspExec<'_> {
         let scale = head_scale(&q[0]);
         let _ = o;
         self.comm.recompute_scope(true);
-        let saved = usp_forward(
+        let (_, saved) = try_usp_forward(
             self.comm,
             &topo,
             q,
@@ -827,10 +607,9 @@ impl AttnExec for UspExec<'_> {
             self.seq_len,
             &self.cost,
         )
-        .map(|(_, s)| s);
+        .unwrap_or_else(|e| escalate_attn(self.comm, e));
         self.comm.recompute_scope(false);
-        let saved = saved.expect("USP infeasible");
-        let (dq, dk, dv) = usp_backward(
+        try_usp_backward(
             self.comm,
             &topo,
             &saved,
@@ -840,8 +619,7 @@ impl AttnExec for UspExec<'_> {
             self.seq_len,
             &self.cost,
         )
-        .expect("USP infeasible");
-        (dq, dk, dv)
+        .unwrap_or_else(|e| escalate_attn(self.comm, e))
     }
 
     fn local_indices(&self) -> Vec<usize> {
@@ -853,28 +631,8 @@ impl AttnExec for UspExec<'_> {
         &self.mask
     }
 
-    fn span_begin(&mut self, kind: SpanKind, name: &'static str) {
-        self.comm.span_begin(kind, name);
-    }
-
-    fn span_end(&mut self) {
-        self.comm.span_end();
-    }
-
-    fn recompute_scope(&mut self, enter: bool) {
-        self.comm.recompute_scope(enter);
-    }
-
-    fn stash_push(&mut self, bytes: usize) {
-        self.comm.mem_stash_push(bytes as u64);
-    }
-
-    fn stash_pop(&mut self) {
-        self.comm.mem_stash_pop();
-    }
-
-    fn note_workspace(&mut self, bytes: usize) {
-        self.comm.mem_note_workspace(bytes as u64);
+    fn comm(&mut self) -> Option<&mut Communicator> {
+        Some(self.comm)
     }
 }
 

@@ -4,7 +4,7 @@
 //! paper's evaluation metrics — loss, virtual step time, TGS (tokens per
 //! second per GPU), MFU and modeled memory.
 
-use crate::attention::{AttnExec, DistExec, ElasticExec, LocalExec, UlyssesExec, UspExec};
+use crate::attention::{AttnExec, DistExec, LocalExec, UlyssesExec, UspExec};
 use crate::checkpoint::{ActPrecision, Strategy};
 use crate::checkpoint_io::{atomic_write, decode_checkpoint, encode_checkpoint};
 use crate::checkpoint_shard::{
@@ -230,7 +230,10 @@ pub fn run_rank(
 /// Fails with a typed [`CommError`] instead of aborting: a non-finite
 /// reduced loss is reported as [`CommError::Corrupt`], and communication
 /// faults injected by a [`burst_comm::FaultPlan`] surface through the
-/// fallible collectives.
+/// fallible loss reduction and, on the ring backends, through the
+/// executor's latched failure, checked after every micro-batch. The FSDP
+/// weight gather and gradient sync still escalate: under a fault plan they
+/// panic with the [`CommError`] as payload.
 ///
 /// Compute-side faults from the plan are honored here: scheduled gradient
 /// poison ([`burst_comm::FaultPlan::poison_grad`]) is injected after the
@@ -301,11 +304,23 @@ pub fn run_span(
                         step_with(&mut *model, &tokens, &targets, &mut exec, cfg, accum)
                     }
                     Backend::Ring(algo) => {
-                        let mut exec =
-                            DistExec::new(comm, algo, cfg.layout, cfg.mask.clone(), n, cfg.cost);
+                        let members = (0..comm.world_size()).collect();
+                        let mut exec = DistExec::new(
+                            comm,
+                            members,
+                            algo,
+                            cfg.layout,
+                            cfg.mask.clone(),
+                            n,
+                            cfg.cost,
+                        );
                         exec.overlap = cfg.overlap;
                         exec.skip = cfg.skip_masked_rounds;
-                        step_with(&mut *model, &tokens, &targets, &mut exec, cfg, accum)
+                        let out = step_with(&mut *model, &tokens, &targets, &mut exec, cfg, accum);
+                        if let Some(e) = exec.take_failure() {
+                            return Err(e);
+                        }
+                        out
                     }
                     Backend::Ulysses => {
                         let mut exec = UlyssesExec {
@@ -806,7 +821,7 @@ fn elastic_step(
         comm.span_begin(SpanKind::Micro, "micro");
         let (tokens, targets) = synthetic_batch(&cfg.model, step * accum + micro);
         let (micro_out, flat, failure) = {
-            let mut exec = ElasticExec::new(
+            let mut exec = DistExec::new(
                 comm,
                 members.clone(),
                 algo,

@@ -44,7 +44,7 @@ pub mod norm;
 pub mod param;
 pub mod rope;
 
-pub use attention::{AttnExec, DistExec, ElasticExec, LocalExec, MultiHeadAttention};
+pub use attention::{AttnExec, DistExec, LocalExec, MultiHeadAttention};
 pub use block::TransformerBlock;
 pub use checkpoint::{cutoff_for, cutoff_for_masked, ActPrecision, StoredMat, Strategy};
 pub use checkpoint_shard::{load_sharded, save_sharded, ShardManifest, ShardMeta};

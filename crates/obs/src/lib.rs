@@ -23,7 +23,7 @@
 //! * [`mem`] — the per-rank virtual-memory accountant: a deterministic
 //!   allocation ledger (category × bytes × virtual-time interval) with
 //!   lane-only charging for in-flight traffic, whose gated per-category
-//!   peaks must equal `burst-perf`'s analytic `exact_peak_bytes` census;
+//!   peaks must equal `burst-perf`'s analytic `exact_peak_bytes_dtype` census;
 //! * [`perfetto`] — Chrome/Perfetto `trace_events` JSON export (one pid
 //!   per rank, one tid per span lane), loadable in `ui.perfetto.dev`;
 //! * [`stream`] — the incremental Perfetto writer: byte-identical output

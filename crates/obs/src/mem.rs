@@ -22,7 +22,7 @@
 //!
 //! * **gated** — deterministic functions of (schedule, dims, dtype): the
 //!   measured per-category peak must equal `burst-perf`'s
-//!   `exact_peak_bytes` census *exactly*;
+//!   `exact_peak_bytes_dtype` census *exactly*;
 //! * **ungated** — time-dependent (in-flight wire bytes, retransmit queue)
 //!   or host-dependent (kernel workspace after autotuning): measured and
 //!   exported, but excluded from the exact gate.
@@ -135,7 +135,7 @@ pub struct MemEntry {
 }
 
 /// Per-category peak bytes — the census row both the measured ledger and
-/// `burst-perf`'s analytic `exact_peak_bytes` produce, so equality is a
+/// `burst-perf`'s analytic `exact_peak_bytes_dtype` produce, so equality is a
 /// plain `==`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct PeakBytes {

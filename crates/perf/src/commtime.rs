@@ -150,9 +150,10 @@ impl WireCounts {
 
 /// Count every message the schedule for `method` posts, over all ranks,
 /// for per-rank partitions of `seq_len / world` rows of width `d`, at the
-/// simulator's default f32 wire (4 bytes per matrix element; use
-/// [`exact_wire_counts_dtype`] for a bf16 wire). The per-rank counts
-/// mirror the send sites in `burst-dattn`:
+/// matrix wire dtype `dtype` (`WireDtype::F32` is the simulator's default).
+/// Only the `Mat` payloads change width: the softmax statistics vectors
+/// (`LSE`, `D`) always travel as f32 (4 bytes per element), matching the
+/// simulator. The per-rank counts mirror the send sites in `burst-dattn`:
 ///
 /// * flat ring: `2(G−1)` forward + `4G` Algorithm 1 backward `Mat` hops on
 ///   each rank's single outgoing edge; `nodes` of the `G` edges cross a
@@ -164,18 +165,6 @@ impl WireCounts {
 /// * Algorithm 2 over the two-level ring moves the read-only bundle
 ///   (2 `Mat` + 2 `Vec`) along the forward traversal and streams one `∇Q`
 ///   `Mat` per slot, `n` of them on the inter diagonal when `n > 1`.
-pub fn exact_wire_counts(
-    cluster: &Cluster,
-    seq_len: usize,
-    d: usize,
-    method: RingMethod,
-) -> WireCounts {
-    exact_wire_counts_dtype(cluster, seq_len, d, method, WireDtype::F32)
-}
-
-/// [`exact_wire_counts`] at an explicit matrix wire dtype. Only the `Mat`
-/// payloads change width: the softmax statistics vectors (`LSE`, `D`)
-/// always travel as f32 (4 bytes per element), matching the simulator.
 pub fn exact_wire_counts_dtype(
     cluster: &Cluster,
     seq_len: usize,
@@ -398,36 +387,6 @@ impl RetransCensus {
     }
 }
 
-/// The exact-census counterpart of [`layer_comm_times`]: total wire
-/// occupancy per method for one layer, summed over all ranks, at the
-/// default f32 wire.
-pub fn exact_comm_times(cluster: &Cluster, seq_len: usize, d_model: usize) -> CommTimes {
-    exact_comm_times_dtype(cluster, seq_len, d_model, WireDtype::F32)
-}
-
-/// [`exact_comm_times`] at an explicit matrix wire dtype.
-pub fn exact_comm_times_dtype(
-    cluster: &Cluster,
-    seq_len: usize,
-    d_model: usize,
-    dtype: WireDtype,
-) -> CommTimes {
-    CommTimes {
-        ring: exact_wire_counts_dtype(cluster, seq_len, d_model, RingMethod::Ring, dtype)
-            .secs(cluster),
-        double_ring: exact_wire_counts_dtype(
-            cluster,
-            seq_len,
-            d_model,
-            RingMethod::DoubleRing,
-            dtype,
-        )
-        .secs(cluster),
-        burst: exact_wire_counts_dtype(cluster, seq_len, d_model, RingMethod::Burst, dtype)
-            .secs(cluster),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,18 +459,18 @@ mod tests {
     fn exact_census_matches_hand_count() {
         // 2 nodes × 2 GPUs, 8 tokens, d = 4: m = 2 rows, f32 Mat = 32 bytes.
         let c = Cluster::a800(2, 2);
-        let w = exact_wire_counts(&c, 8, 4, RingMethod::Ring);
+        let w = exact_wire_counts_dtype(&c, 8, 4, RingMethod::Ring, WireDtype::F32);
         // Per rank 2·3 fwd + 4·4 bwd = 22 Mat hops; 2 of 4 edges are inter.
         assert_eq!(w.inter_msgs, 2 * 22);
         assert_eq!(w.intra_msgs, 2 * 22);
         assert_eq!(w.inter_bytes, 44.0 * 32.0);
 
-        let w = exact_wire_counts(&c, 8, 4, RingMethod::DoubleRing);
+        let w = exact_wire_counts_dtype(&c, 8, 4, RingMethod::DoubleRing, WireDtype::F32);
         // Per rank inter: 6·1 + 2 completion = 8; intra: 6·2·1 + 2·(2%2) = 12.
         assert_eq!(w.inter_msgs, 4 * 8);
         assert_eq!(w.intra_msgs, 4 * 12);
 
-        let w = exact_wire_counts(&c, 8, 4, RingMethod::Burst);
+        let w = exact_wire_counts_dtype(&c, 8, 4, RingMethod::Burst, WireDtype::F32);
         // Per rank inter: 4 Mat read-only + 2 Vec + 2 ∇Q; intra: 8 Mat
         // read-only + 4 Vec + 2 ∇Q. Vec = 2 rows · 4 bytes.
         assert_eq!(w.inter_msgs, 4 * 8);
@@ -538,20 +497,20 @@ mod tests {
     #[test]
     fn exact_burst_moves_fewest_bytes() {
         let c = cluster();
-        let ring = exact_wire_counts(&c, 1 << 16, 128, RingMethod::Ring);
-        let double = exact_wire_counts(&c, 1 << 16, 128, RingMethod::DoubleRing);
-        let burst = exact_wire_counts(&c, 1 << 16, 128, RingMethod::Burst);
+        let ring = exact_wire_counts_dtype(&c, 1 << 16, 128, RingMethod::Ring, WireDtype::F32);
+        let double =
+            exact_wire_counts_dtype(&c, 1 << 16, 128, RingMethod::DoubleRing, WireDtype::F32);
+        let burst = exact_wire_counts_dtype(&c, 1 << 16, 128, RingMethod::Burst, WireDtype::F32);
         assert!(burst.bytes() < double.bytes());
         assert!(burst.bytes() < ring.bytes());
-        let t = exact_comm_times(&c, 1 << 16, 128);
-        assert!(t.burst < t.double_ring);
+        assert!(burst.secs(&c) < double.secs(&c));
     }
 
     #[test]
     fn exact_census_single_node_has_no_inter_traffic() {
         let c = Cluster::a800(1, 8);
         for method in [RingMethod::Ring, RingMethod::DoubleRing, RingMethod::Burst] {
-            let w = exact_wire_counts(&c, 1 << 12, 64, method);
+            let w = exact_wire_counts_dtype(&c, 1 << 12, 64, method, WireDtype::F32);
             assert_eq!(w.inter_msgs, 0, "{method:?}");
             assert_eq!(w.inter_bytes, 0.0, "{method:?}");
             assert!(w.intra_msgs > 0, "{method:?}");
@@ -562,7 +521,10 @@ mod tests {
     fn exact_census_single_rank_is_silent() {
         let c = Cluster::a800(1, 1);
         for method in [RingMethod::Ring, RingMethod::DoubleRing, RingMethod::Burst] {
-            assert_eq!(exact_wire_counts(&c, 64, 8, method).msgs(), 0);
+            assert_eq!(
+                exact_wire_counts_dtype(&c, 64, 8, method, WireDtype::F32).msgs(),
+                0
+            );
         }
     }
 
@@ -669,7 +631,7 @@ mod tests {
         // so the monotone futures ranges still fire every hop).
         let c = Cluster::a800(2, 2);
         for method in [RingMethod::DoubleRing, RingMethod::Burst] {
-            let dense = exact_wire_counts(&c, 32, 8, method);
+            let dense = exact_wire_counts_dtype(&c, 32, 8, method, WireDtype::F32);
             let m = exact_wire_counts_masked_dtype(
                 &c,
                 32,
@@ -732,7 +694,7 @@ mod tests {
         let c = Cluster::a800(2, 3);
         let mask = AttnMask::SlidingWindow { window: 8 };
         for method in [RingMethod::Ring, RingMethod::DoubleRing, RingMethod::Burst] {
-            let dense = exact_wire_counts(&c, 48, 8, method);
+            let dense = exact_wire_counts_dtype(&c, 48, 8, method, WireDtype::F32);
             let m = exact_wire_counts_masked_dtype(
                 &c,
                 48,

@@ -37,11 +37,9 @@ pub mod memory;
 pub mod peakmem;
 
 pub use commtime::{
-    exact_wire_counts, exact_wire_counts_dtype, exact_wire_counts_masked_dtype, masked_wire_rank,
-    MaskedWireCounts, RingMethod, WireCounts,
+    exact_wire_counts_dtype, exact_wire_counts_masked_dtype, masked_wire_rank, MaskedWireCounts,
+    RingMethod, WireCounts,
 };
 pub use endtoend::{evaluate, EndToEnd, Infeasible, Method};
 pub use machine::{Cluster, PaperModel};
-pub use peakmem::{
-    exact_peak_bytes, exact_peak_bytes_dtype, exact_peak_bytes_masked_dtype, PeakMethod,
-};
+pub use peakmem::{exact_peak_bytes_dtype, exact_peak_bytes_masked_dtype, PeakMethod};

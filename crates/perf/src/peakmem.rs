@@ -1,5 +1,5 @@
 //! Exact peak-bytes census — the memory twin of [`crate::commtime`]'s
-//! `exact_wire_counts`.
+//! `exact_wire_counts_dtype`.
 //!
 //! The per-rank virtual-memory accountant (`burst_obs::MemLedger`) measures
 //! the peak bytes of every schedule as it runs. This module predicts those
@@ -22,7 +22,7 @@ use burst_dattn::{Layout, RingGeom, SkipPlan};
 use burst_kernels::AttnMask;
 
 /// Which distributed-attention schedule to predict. The first four mirror
-/// `burst_dattn::Algo` (driven through `try_run_attention`); the last three
+/// `burst_dattn::Algo` (driven through `try_run_attention_opts`); the last three
 /// cover the head-parallel baselines and the elastic wrapper's healthy
 /// (full-membership, flat-ring) path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,25 +41,17 @@ pub enum PeakMethod {
     /// USP hybrid: Ulysses groups of size `ulysses` × context rings of size
     /// `world / ulysses`.
     Usp { heads: usize, ulysses: usize },
-    /// `try_elastic_attention` on a fault-free full world: local-shard
-    /// checkpoint stash + flat ring forward + Algorithm 2 backward.
+    /// `try_elastic_attention_opts` with default options on a fault-free
+    /// full world: local-shard checkpoint stash + flat ring forward +
+    /// Algorithm 2 backward.
     ElasticHealthy,
 }
 
-/// Exact per-rank peak bytes of `method` on `cluster` at an f32 wire.
-pub fn exact_peak_bytes(
-    cluster: &Cluster,
-    seq_len: usize,
-    d: usize,
-    method: PeakMethod,
-) -> PeakBytes {
-    exact_peak_bytes_dtype(cluster, seq_len, d, method, WireDtype::F32)
-}
-
-/// [`exact_peak_bytes`] at an explicit matrix wire dtype. Exactly as in the
-/// simulator, only circulating `Mat` payloads change width; resident f32
-/// tensors, checkpoint stashes and the softmax statistics vectors stay at
-/// 4 bytes per element.
+/// Exact per-rank peak bytes of `method` on `cluster` at the matrix wire
+/// dtype `dtype` (`WireDtype::F32` is the simulator's default). Exactly as
+/// in the simulator, only circulating `Mat` payloads change width; resident
+/// f32 tensors, checkpoint stashes and the softmax statistics vectors stay
+/// at 4 bytes per element.
 pub fn exact_peak_bytes_dtype(
     cluster: &Cluster,
     seq_len: usize,
@@ -391,7 +383,7 @@ mod tests {
             },
             PeakMethod::ElasticHealthy,
         ] {
-            let p = exact_peak_bytes(&cluster(), SEQ, D, m);
+            let p = exact_peak_bytes_dtype(&cluster(), SEQ, D, m, WireDtype::F32);
             assert_eq!(p, p.gated(), "{m:?} census must not predict ungated lanes");
             assert_eq!(p.params, 0);
             assert!(p.gated_total > 0, "{m:?} census empty");
@@ -433,7 +425,7 @@ mod tests {
             },
             PeakMethod::ElasticHealthy,
         ] {
-            let p = exact_peak_bytes(&cluster(), SEQ, D, m);
+            let p = exact_peak_bytes_dtype(&cluster(), SEQ, D, m, WireDtype::F32);
             let lanes = [p.activations, p.ckpt_stash, p.ring_shards, p.comm_buffers];
             let sum: u64 = lanes.iter().sum();
             let max = *lanes.iter().max().unwrap();
@@ -446,8 +438,15 @@ mod tests {
     fn ulysses_trades_ring_shards_for_stash() {
         // The paper's qualitative claim: head parallelism stashes the full
         // sequence per owned head, while ring methods keep only their shard.
-        let burst = exact_peak_bytes(&cluster(), SEQ, D, PeakMethod::BurstTopo);
-        let uly = exact_peak_bytes(&cluster(), SEQ, D, PeakMethod::Ulysses { heads: 8 });
+        let burst =
+            exact_peak_bytes_dtype(&cluster(), SEQ, D, PeakMethod::BurstTopo, WireDtype::F32);
+        let uly = exact_peak_bytes_dtype(
+            &cluster(),
+            SEQ,
+            D,
+            PeakMethod::Ulysses { heads: 8 },
+            WireDtype::F32,
+        );
         assert_eq!(uly.ring_shards, 0);
         assert!(uly.ckpt_stash > burst.ckpt_stash);
         assert!(burst.ring_shards > 0);
@@ -522,7 +521,7 @@ mod tests {
             (PeakMethod::BurstTopo, true),
             (PeakMethod::ElasticHealthy, false),
         ] {
-            let dense = exact_peak_bytes(&c, SEQ, D, m);
+            let dense = exact_peak_bytes_dtype(&c, SEQ, D, m, WireDtype::F32);
             let mut any_shrunk = false;
             for me in 0..c.world() {
                 let p = exact_peak_bytes_masked_dtype(
@@ -554,7 +553,7 @@ mod tests {
         // Full leaves every tile live: skipping on changes nothing.
         let c = cluster();
         for m in [PeakMethod::BurstTopo, PeakMethod::RingFlat] {
-            let dense = exact_peak_bytes(&c, SEQ, D, m);
+            let dense = exact_peak_bytes_dtype(&c, SEQ, D, m, WireDtype::F32);
             for me in 0..c.world() {
                 let p = exact_peak_bytes_masked_dtype(
                     &c,
@@ -576,7 +575,7 @@ mod tests {
     #[test]
     fn single_rank_keeps_only_resident_state() {
         let solo = Cluster::a800(1, 1);
-        let p = exact_peak_bytes(&solo, SEQ, D, PeakMethod::RingFlat);
+        let p = exact_peak_bytes_dtype(&solo, SEQ, D, PeakMethod::RingFlat, WireDtype::F32);
         assert_eq!(p.comm_buffers, 0);
         let r = SEQ; // whole sequence on the one rank
         assert_eq!(p.ring_shards, 16 * (r * D) as u64);

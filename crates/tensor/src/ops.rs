@@ -1,7 +1,7 @@
 //! Linear algebra and reduction kernels on [`Mat`].
 //!
 //! Matrix products go through one set of register-blocked micro-kernels
-//! (see [`nt_micro`] and friends): 4×4 output blocks with sixteen
+//! (see `nt_micro` and friends): 4×4 output blocks with sixteen
 //! independent accumulators, K-tiled so the streamed operands stay
 //! L1-resident, written so LLVM autovectorizes the inner loops. Dispatch is
 //! cache-blocked over output row blocks and parallelised with rayon above a

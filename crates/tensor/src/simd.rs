@@ -715,7 +715,11 @@ mod tests {
     use crate::{matmul_into, matmul_nt_into, matmul_tn_into, randn_mat, Mat};
 
     /// Run `f` with the scalar fallback forced, restoring dispatch after.
+    /// `BURST_NO_SIMD` is process-wide and the tests run on parallel
+    /// threads, so one lock serialises every flip of it.
     fn with_scalar<R>(f: impl FnOnce() -> R) -> R {
+        static ENV_KNOB: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _knob = ENV_KNOB.lock().unwrap_or_else(|e| e.into_inner());
         std::env::set_var("BURST_NO_SIMD", "1");
         refresh();
         let r = f();

@@ -5,14 +5,14 @@
 //! * `all_to_all` is an involution: routing the received blocks straight
 //!   back restores every rank's original payload bit-for-bit;
 //! * byte conservation: the bytes/messages the simulated wire actually
-//!   carried during ring attention equal `exact_wire_counts`' closed-form
+//!   carried during ring attention equal `exact_wire_counts_dtype`' closed-form
 //!   census, per link class, exactly;
 //! * the virtual clock is monotone through any sequence of collectives.
 
 use burst_comm::{Topology, WireDtype, World};
-use burst_dattn::{run_attention, Algo, CostModel, Layout};
+use burst_dattn::{try_run_attention_opts, Algo, CostModel, Layout};
 use burst_kernels::AttnMask;
-use burst_perf::commtime::{exact_wire_counts, exact_wire_counts_dtype, RingMethod};
+use burst_perf::commtime::{exact_wire_counts_dtype, RingMethod};
 use burst_perf::machine::Cluster;
 use burst_tensor::{randn_mat, Mat};
 use burst_verify::assert_bits_eq;
@@ -141,7 +141,7 @@ proptest! {
 
 /// Byte conservation: run each ring method's full forward+backward on the
 /// simulated wire and census the bytes and messages every rank actually
-/// sent. The totals must equal `exact_wire_counts`' closed-form prediction
+/// sent. The totals must equal `exact_wire_counts_dtype`' closed-form prediction
 /// *exactly*, per link class — the analytic model and the simulator count
 /// the same wire.
 #[test]
@@ -168,7 +168,7 @@ fn measured_wire_traffic_equals_exact_census() {
                 let world = World::new(topo.clone());
                 let outs = world.run(move |comm| {
                     let idx = Layout::Zigzag.indices(seq, g, comm.rank());
-                    run_attention(
+                    try_run_attention_opts(
                         algo,
                         comm,
                         &q.gather_rows(&idx),
@@ -180,7 +180,9 @@ fn measured_wire_traffic_equals_exact_census() {
                         Layout::Zigzag,
                         seq,
                         &CostModel::free(),
-                    );
+                        false,
+                    )
+                    .expect("fault-free attention");
                 });
                 let mut intra_msgs = 0u64;
                 let mut inter_msgs = 0u64;
@@ -232,7 +234,7 @@ fn single_rank_world_moves_no_bytes() {
     assert_eq!(stats.total_msgs(), 0, "single rank sent messages");
     assert_eq!(stats.intra_bytes + stats.inter_bytes, 0.0);
     let cluster = Cluster::a800(1, 1);
-    let counts = exact_wire_counts(&cluster, 32, 8, RingMethod::Ring);
+    let counts = exact_wire_counts_dtype(&cluster, 32, 8, RingMethod::Ring, WireDtype::F32);
     assert_eq!(counts.msgs(), 0);
     assert_eq!(counts.bytes(), 0.0);
 }

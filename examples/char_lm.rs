@@ -96,6 +96,7 @@ fn main() {
             let local_targets: Vec<usize> = idx.iter().map(|&i| targets[i]).collect();
             let mut exec = DistExec::new(
                 comm,
+                (0..g).collect(),
                 Algo::BurstTopo,
                 cfg.layout,
                 cfg.mask.clone(),
@@ -103,6 +104,9 @@ fn main() {
                 cfg.cost,
             );
             let out = model.train_step(&local_tokens, &local_targets, &mut exec, cfg.strategy, seq);
+            if let Some(e) = exec.take_failure() {
+                panic!("ring attention failed: {e}");
+            }
             let loss = comm.all_reduce_vec(&[out.loss_sum])[0] / seq as f32;
             fsdp::sync_grads(comm, &mut model.params_mut());
             // Decay the learning rate once the corpus is roughly learned:

@@ -38,7 +38,7 @@ fn main() {
         let traces = world.run_results(|comm| {
             comm.start_trace();
             let idx = Layout::Zigzag.indices(n, g, comm.rank());
-            run_attention(
+            try_run_attention_opts(
                 algo,
                 comm,
                 &q.gather_rows(&idx),
@@ -50,7 +50,9 @@ fn main() {
                 Layout::Zigzag,
                 n,
                 &cost,
-            );
+                false,
+            )
+            .expect("fault-free attention");
             comm.take_rank_trace().expect("tracing is on")
         });
         let (wait, compute) = wait_compute_secs(&traces);

@@ -36,7 +36,7 @@ fn main() {
     let world = World::new(topo);
     let outs = world.run(|comm| {
         let my = Layout::Zigzag.indices(n, g, comm.rank());
-        run_attention(
+        try_run_attention_opts(
             Algo::BurstTopo,
             comm,
             &q.gather_rows(&my),
@@ -48,7 +48,9 @@ fn main() {
             Layout::Zigzag,
             n,
             &CostModel::a800(),
+            false,
         )
+        .expect("fault-free attention")
     });
 
     // Verify each rank's output slice against the reference.

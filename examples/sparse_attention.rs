@@ -26,7 +26,7 @@ fn measure(mask: &AttnMask, layout: Layout, n: usize, g: usize) -> (f64, Vec<f64
     let world = World::new(Topology::single_node(g));
     let outs = world.run(|comm| {
         let idx = layout.indices(n, g, comm.rank());
-        run_attention(
+        try_run_attention_opts(
             Algo::BurstFlat,
             comm,
             &q.gather_rows(&idx),
@@ -38,7 +38,9 @@ fn measure(mask: &AttnMask, layout: Layout, n: usize, g: usize) -> (f64, Vec<f64
             layout,
             n,
             &cost,
-        );
+            false,
+        )
+        .expect("fault-free attention");
     });
     let makespan = outs.iter().map(|o| o.time).fold(0.0, f64::max);
     let per_rank: Vec<f64> = outs.iter().map(|o| o.stats.compute_time).collect();

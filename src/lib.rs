@@ -38,7 +38,9 @@
 //! let world = World::new(Topology::a800(2, 2));
 //! let outs = world.run_results(|comm| {
 //!     let idx = Layout::Zigzag.indices(n, 4, comm.rank());
-//!     run_attention(
+//!     // `(O, Lse, ∇Q, ∇K, ∇V)` of this rank's shard, or an `AttnFailure`
+//!     // naming the rank, peer, phase and ring round of a fault.
+//!     try_run_attention_opts(
 //!         Algo::BurstTopo,
 //!         comm,
 //!         &q.gather_rows(&idx),
@@ -50,9 +52,10 @@
 //!         Layout::Zigzag,
 //!         n,
 //!         &CostModel::a800(),
+//!         false, // mask-aware round skipping
 //!     )
 //! });
-//! assert_eq!(outs.len(), 4);
+//! assert!(outs.iter().all(|out| out.is_ok()));
 //! ```
 
 pub use burst_comm as comm;
@@ -70,9 +73,9 @@ pub mod prelude {
         Membership, RetryPolicy, Topology, TransportPolicy, World,
     };
     pub use burst_dattn::{
-        run_attention, try_elastic_attention, try_elastic_attention_opts, try_run_attention, Algo,
-        AttnFailure, AttnShard, CostModel, DattnError, DoubleRingSpec, ElasticAttnOut, ElasticOpts,
-        Layout, OverlapMode, Phase, Ring,
+        escalate_attn, try_elastic_attention_opts, try_run_attention_opts, Algo, AttnFailure,
+        AttnShard, CostModel, DattnError, DoubleRingSpec, ElasticAttnOut, ElasticOpts, Layout,
+        OverlapMode, Phase, Ring,
     };
     pub use burst_kernels::{
         flash_backward, flash_forward, fused_lm_loss, AttnMask, BlockSparseMask, OnlineState,

@@ -5,6 +5,9 @@
 //! paper's fine-grained ring schedules made fault-tolerant without losing
 //! numerical exactness.
 
+use burstengine::dattn::double_ring::{
+    try_double_ring_backward_alg2_on, try_double_ring_forward_heads_on,
+};
 use burstengine::dattn::ring::{try_burst_backward, try_ring_forward, AttnShard, BackwardInputs};
 use burstengine::prelude::*;
 use std::path::PathBuf;
@@ -69,15 +72,16 @@ fn fresh_small_world(world: usize) -> Vec<(Mat, Vec<f32>, Mat, Mat, Mat)> {
     })
 }
 
-/// Run elastic attention on a possibly-faulty `world`-rank cluster. Each
-/// rank returns its output plus the list of original-owner shards its
-/// checkpoint loader was asked for.
+/// Run elastic attention with `opts` on a possibly-faulty `world`-rank
+/// cluster. Each rank returns its output plus the list of original-owner
+/// shards its checkpoint loader was asked for.
 #[allow(clippy::type_complexity)]
 fn elastic_run(
     world: &World,
     orig_world: usize,
+    opts: ElasticOpts,
 ) -> Vec<burstengine::comm::RankOutput<Result<(ElasticAttnOut, Vec<usize>), AttnFailure>>> {
-    world.run_faulty::<_, AttnFailure, _>(|comm| {
+    world.run_faulty::<_, AttnFailure, _>(move |comm| {
         let mut m = Membership::new(comm.world_size());
         let policy = RetryPolicy::default();
         let (q, k, v, go) = shard_of(orig_world, comm.rank());
@@ -87,7 +91,7 @@ fn elastic_run(
                 loaded.push(r);
                 shard_of(orig_world, r)
             };
-            try_elastic_attention(
+            try_elastic_attention_opts(
                 comm,
                 &mut m,
                 &q,
@@ -101,6 +105,7 @@ fn elastic_run(
                 &CostModel::free(),
                 &mut load,
                 &policy,
+                opts,
             )?
         };
         Ok((out, loaded))
@@ -135,7 +140,7 @@ fn mid_ring_crash_shrinks_to_a_bit_identical_small_world_run() {
     // produce output bit-identical to a fresh 3-rank run.
     let plan = FaultPlan::new(7).crash_at_op(2, 5).recv_deadline(60.0);
     let world = World::with_faults(Topology::single_node(4), plan);
-    let outs = elastic_run(&world, 4);
+    let outs = elastic_run(&world, 4, ElasticOpts::default());
 
     match &outs[2].result {
         Err(f) => {
@@ -188,7 +193,7 @@ fn two_ranks_dying_in_the_same_round_still_converge() {
         .crash_at_op(3, 5)
         .recv_deadline(60.0);
     let world = World::with_faults(Topology::single_node(4), plan);
-    let outs = elastic_run(&world, 4);
+    let outs = elastic_run(&world, 4, ElasticOpts::default());
 
     for dead in [1usize, 3] {
         assert!(
@@ -224,7 +229,7 @@ fn two_ranks_dying_in_the_same_round_still_converge() {
 fn crash_on_the_very_first_ring_op_is_recovered() {
     let plan = FaultPlan::new(17).crash_at_op(1, 0).recv_deadline(60.0);
     let world = World::with_faults(Topology::single_node(3), plan);
-    let outs = elastic_run(&world, 3);
+    let outs = elastic_run(&world, 3, ElasticOpts::default());
 
     let reference = fresh_small_world(2);
     for (pos, &r) in [0usize, 2].iter().enumerate() {
@@ -242,7 +247,7 @@ fn crash_on_the_very_first_ring_op_is_recovered() {
 #[test]
 fn clean_elastic_run_loads_nothing_and_matches_plain_burst_attention() {
     let world = World::new(Topology::single_node(4));
-    let outs = elastic_run(&world, 4);
+    let outs = elastic_run(&world, 4, ElasticOpts::default());
     let reference = fresh_small_world(4);
     for r in 0..4 {
         let (out, loaded) = outs[r].result.as_ref().expect("no faults");
@@ -350,45 +355,6 @@ fn poisoned_micro_batch_is_rolled_back_and_rescaled() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Like [`elastic_run`] but with explicit [`ElasticOpts`] — the
-/// topology-aware double-ring entry point.
-#[allow(clippy::type_complexity)]
-fn elastic_run_opts(
-    world: &World,
-    orig_world: usize,
-    opts: ElasticOpts,
-) -> Vec<burstengine::comm::RankOutput<Result<(ElasticAttnOut, Vec<usize>), AttnFailure>>> {
-    world.run_faulty::<_, AttnFailure, _>(move |comm| {
-        let mut m = Membership::new(comm.world_size());
-        let policy = RetryPolicy::default();
-        let (q, k, v, go) = shard_of(orig_world, comm.rank());
-        let mut loaded: Vec<usize> = Vec::new();
-        let out = {
-            let mut load = |r: usize| {
-                loaded.push(r);
-                shard_of(orig_world, r)
-            };
-            try_elastic_attention_opts(
-                comm,
-                &mut m,
-                &q,
-                &k,
-                &v,
-                &go,
-                scale(),
-                &AttnMask::Causal,
-                Layout::Zigzag,
-                N,
-                &CostModel::free(),
-                &mut load,
-                &policy,
-                opts,
-            )?
-        };
-        Ok((out, loaded))
-    })
-}
-
 /// Reference: double-ring forward + Algorithm 2 backward on a fresh
 /// `nodes × gpn` cluster that never saw a fault.
 fn fresh_double_ring_world(nodes: usize, gpn: usize) -> Vec<(Mat, Vec<f32>, Mat, Mat, Mat)> {
@@ -408,16 +374,17 @@ fn fresh_double_ring_world(nodes: usize, gpn: usize) -> Vec<(Mat, Vec<f32>, Mat,
             max_token: None,
             skip: false,
         };
-        let fwd = burstengine::dattn::double_ring::try_double_ring_forward(comm, &shard)
-            .expect("clean double-ring forward");
+        let spec = DoubleRingSpec::full(comm.topology());
+        let fwd = try_double_ring_forward_heads_on(comm, std::slice::from_ref(&shard), &spec)
+            .expect("clean double-ring forward")
+            .remove(0);
         let back = BackwardInputs {
             o: &fwd.o,
             lse: &fwd.lse,
             grad_o: &go,
         };
-        let (dq, dk, dv) =
-            burstengine::dattn::double_ring::try_double_ring_backward_alg2(comm, &shard, &back)
-                .expect("clean double-ring backward");
+        let (dq, dk, dv) = try_double_ring_backward_alg2_on(comm, &shard, &back, &spec)
+            .expect("clean double-ring backward");
         (fwd.o, fwd.lse, dq, dk, dv)
     })
 }
@@ -436,7 +403,7 @@ fn ragged_survivors_fall_back_to_the_flat_ring_bit_exactly() {
         warm_start: false,
         skip_masked_rounds: false,
     };
-    let outs = elastic_run_opts(&world, 4, opts);
+    let outs = elastic_run(&world, 4, opts);
 
     let reference = fresh_small_world(3);
     for (pos, &r) in [0usize, 2, 3].iter().enumerate() {
@@ -472,7 +439,7 @@ fn node_balanced_survivors_keep_the_double_ring() {
         warm_start: false,
         skip_masked_rounds: false,
     };
-    let outs = elastic_run_opts(&world, 4, opts);
+    let outs = elastic_run(&world, 4, opts);
 
     let reference = fresh_double_ring_world(2, 1);
     for (pos, &r) in [0usize, 2].iter().enumerate() {

@@ -89,7 +89,7 @@ fn simulator_and_analytic_model_agree_on_ordering() {
         let world = World::new(Topology::a800(2, 4));
         let (_, makespan, _) = world.run_timed(|comm| {
             let idx = Layout::Zigzag.indices(n, 8, comm.rank());
-            run_attention(
+            try_run_attention_opts(
                 algo,
                 comm,
                 &q.gather_rows(&idx),
@@ -101,7 +101,9 @@ fn simulator_and_analytic_model_agree_on_ordering() {
                 Layout::Zigzag,
                 n,
                 &CostModel::free(),
-            );
+                false,
+            )
+            .expect("fault-free attention");
         });
         makespan
     };

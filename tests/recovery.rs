@@ -4,7 +4,8 @@
 //! operational guarantee behind the paper's week-long 1M-token runs.
 
 use burstengine::model::checkpoint_io::tmp_path;
-use burstengine::model::engine::run_rank;
+use burstengine::model::engine::{run_rank, run_span};
+use burstengine::model::fsdp;
 use burstengine::prelude::*;
 use std::path::PathBuf;
 
@@ -159,4 +160,60 @@ fn corrupt_train_checkpoint_fails_recovery_loudly() {
         .expect_err("resuming from a rotten checkpoint must not silently restart from step 0");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Rank 1's comm-op count after `f` runs on a clean `topo` world.
+fn rank1_ops_after(topo: &Topology, f: impl Fn(&mut Communicator) + Sync) -> u64 {
+    World::new(topo.clone()).run_results(|comm| {
+        f(comm);
+        comm.op_count()
+    })[1]
+}
+
+#[test]
+fn run_span_returns_a_typed_error_when_a_rank_crashes_mid_step() {
+    for (topo, algo) in [
+        (Topology::a800(2, 2), Algo::BurstTopo),
+        (Topology::single_node(2), Algo::BurstFlat),
+    ] {
+        let cfg = EngineConfig::tiny(Backend::Ring(algo));
+        let fresh = || Model::new(cfg.model, cfg.seed);
+        let step0 =
+            |comm: &mut Communicator| run_span(comm, &cfg, &mut fresh(), 0, 1, |_, _, _, _| {});
+        // Rank 1's ops between step 0's FSDP weight gather and its gradient
+        // sync, measured on clean worlds. The gather and the sync still
+        // escalate; everything between them must fail softly. The range
+        // stops one op short of the sync: rank 1's last op there receives
+        // the reduced loss, and a crash at it leaves the peers nothing to
+        // wait on before the sync, so whether they notice in time depends
+        // on wall-clock disconnect order.
+        let gather = rank1_ops_after(&topo, |comm| {
+            fsdp::gather_weights(comm, &mut fresh().params_mut())
+        });
+        let sync = rank1_ops_after(&topo, |comm| {
+            fsdp::sync_grads(comm, &mut fresh().params_mut())
+        });
+        let step = rank1_ops_after(&topo, |comm| {
+            step0(comm).expect("clean step");
+        });
+        let window = gather..step - sync - 1;
+        assert!(!window.is_empty(), "{algo:?}: step 0 must communicate");
+        for op in window {
+            let plan = FaultPlan::new(31).crash_at_op(1, op);
+            // `World::run` re-raises any rank's panic, so reaching the
+            // checks below means every rank returned.
+            let errs = World::with_faults(topo.clone(), plan).run_results(|comm| step0(comm).err());
+            for (rank, e) in errs.iter().enumerate() {
+                assert!(
+                    e.is_some(),
+                    "{algo:?}, crash at op {op}: rank {rank} finished the step"
+                );
+            }
+            assert!(
+                matches!(errs[1], Some(CommError::Crashed { rank: 1, .. })),
+                "{algo:?}, crash at op {op}: rank 1 reported {:?}",
+                errs[1]
+            );
+        }
+    }
 }
