@@ -307,12 +307,6 @@ impl Communicator {
         self.obs = Some(RankSink::with_capacity(self.rank, DEFAULT_SPAN_CAPACITY));
     }
 
-    /// Start tracing with an explicit span capacity (tests use small sinks
-    /// to probe the growth path).
-    pub fn start_trace_with_capacity(&mut self, cap: usize) {
-        self.obs = Some(RankSink::with_capacity(self.rank, cap));
-    }
-
     /// Whether span recording is active.
     #[inline]
     pub fn tracing(&self) -> bool {
@@ -325,12 +319,6 @@ impl Communicator {
     pub fn start_mem_accounting(&mut self) {
         self.mem = Some(MemLedger::new(self.rank));
         self.mem_stash.clear();
-    }
-
-    /// Whether memory accounting is active.
-    #[inline]
-    pub fn mem_accounting(&self) -> bool {
-        self.mem.is_some()
     }
 
     /// Stop accounting and return the finished ledger, force-closing (with
@@ -387,12 +375,6 @@ impl Communicator {
         if let Some(m) = self.mem.as_mut() {
             m.note_peak(MemCategory::Workspace, bytes);
         }
-    }
-
-    /// `(len, capacity)` of the ledger's entry vector — the zero-churn
-    /// steady-state contract compares this across rounds.
-    pub fn mem_fingerprint(&self) -> Option<(usize, usize)> {
-        self.mem.as_ref().map(MemLedger::fingerprint)
     }
 
     /// Current live bytes on one accountant lane (0 when accounting is off).
@@ -628,13 +610,6 @@ impl Communicator {
         }
     }
 
-    /// [`Communicator::advance_compute`] for gradient-checkpointing
-    /// recomputation: identical clock math, but the kernel span is named
-    /// `"recompute"` so the metrics layer can split recompute time out.
-    pub fn advance_recompute(&mut self, seconds: f64) {
-        self.advance_compute_named("recompute", seconds);
-    }
-
     /// Named form of [`Communicator::advance_compute`] — the name tags the
     /// recorded kernel span; the clock math is byte-for-byte the same for
     /// every name, so instrumentation choices cannot change numerics.
@@ -664,7 +639,6 @@ impl Communicator {
     fn check_crash(&mut self) -> Result<(), CommError> {
         if let Some(plan) = &self.fault {
             let fired = match plan.crash_trigger(self.rank) {
-                Some(CrashAt::Time(t)) => self.clock >= t,
                 Some(CrashAt::Op(n)) => self.ops >= n,
                 None => false,
             };
@@ -1180,31 +1154,6 @@ impl Communicator {
         }
     }
 
-    pub fn send_scalar(&mut self, dst: usize, s: f64) {
-        self.send(dst, MsgData::Scalar(s));
-    }
-
-    pub fn try_recv_scalar(&mut self, src: usize) -> Result<f64, CommError> {
-        match self.try_recv(src)? {
-            MsgData::Scalar(s) => Ok(s),
-            MsgData::Ctrl(c) => Err(self.aborted_by(src, c)),
-            other => Err(CommError::ShapeMismatch {
-                rank: self.rank,
-                src,
-                expected: "Scalar",
-                got: other.describe(),
-            }),
-        }
-    }
-
-    #[track_caller]
-    pub fn recv_scalar(&mut self, src: usize) -> f64 {
-        match self.try_recv_scalar(src) {
-            Ok(s) => s,
-            Err(e) => self.escalate(e),
-        }
-    }
-
     // ----- ring helpers ----------------------------------------------------
 
     #[inline]
@@ -1224,12 +1173,6 @@ impl Communicator {
         self.recv(self.prev_rank())
     }
 
-    /// Fallible [`Communicator::ring_shift`].
-    pub fn try_ring_shift(&mut self, data: MsgData) -> Result<MsgData, CommError> {
-        self.try_send(self.next_rank(), data)?;
-        self.try_recv(self.prev_rank())
-    }
-
     // ----- collectives -----------------------------------------------------
 
     /// Global barrier: gather-to-0 + broadcast of empty messages. After it
@@ -1243,22 +1186,8 @@ impl Communicator {
 
     /// Fallible [`Communicator::barrier`].
     pub fn try_barrier(&mut self) -> Result<(), CommError> {
-        let g = self.world_size();
-        if g == 1 {
-            return Ok(());
-        }
-        if self.rank == 0 {
-            for src in 1..g {
-                let _ = self.try_recv(src)?;
-            }
-            for dst in 1..g {
-                self.try_send(dst, MsgData::Empty)?;
-            }
-        } else {
-            self.try_send(0, MsgData::Empty)?;
-            let _ = self.try_recv(0)?;
-        }
-        Ok(())
+        let members: Vec<usize> = (0..self.world_size()).collect();
+        barrier_on(self, &members, Communicator::try_recv)
     }
 
     /// Ring all-gather: returns every rank's matrix, indexed by rank.
@@ -1330,35 +1259,8 @@ impl Communicator {
             let gathered = self.try_all_gather_mat(&mine)?;
             Ok(Mat::vstack(&gathered))
         } else {
-            // Gather to rank 0, reduce, broadcast.
-            if self.rank == 0 {
-                let mut acc = m.clone();
-                for src in 1..g {
-                    let part = self.try_recv_mat(src)?;
-                    if part.shape() != acc.shape() {
-                        return Err(CommError::ShapeMismatch {
-                            rank: self.rank,
-                            src,
-                            expected: "all-reduce contribution of matching shape",
-                            got: format!(
-                                "Mat {}x{} (expected {}x{})",
-                                part.rows(),
-                                part.cols(),
-                                acc.rows(),
-                                acc.cols()
-                            ),
-                        });
-                    }
-                    acc.add_assign(&part);
-                }
-                for dst in 1..g {
-                    self.try_send_mat(dst, &acc)?;
-                }
-                Ok(acc)
-            } else {
-                self.try_send_mat(0, m)?;
-                self.try_recv_mat(0)
-            }
+            let members: Vec<usize> = (0..g).collect();
+            leader_all_reduce_mat_on(self, &members, m, Communicator::try_recv_mat)
         }
     }
 
@@ -1443,35 +1345,112 @@ impl Communicator {
 
     /// Fallible [`Communicator::all_reduce_vec`].
     pub fn try_all_reduce_vec(&mut self, v: &[f32]) -> Result<Vec<f32>, CommError> {
-        let g = self.world_size();
-        if g == 1 {
-            return Ok(v.to_vec());
+        let members: Vec<usize> = (0..self.world_size()).collect();
+        leader_all_reduce_vec_on(self, &members, v, Communicator::try_recv_vec)
+    }
+}
+
+// ----- leader collectives over a member list ------------------------------
+//
+// One algorithm each for the fixed world (`members` = every rank, `recv` =
+// the plain receive) and the shrinking collectives of `crate::membership`
+// (`members` = the alive set, `recv` = a receive that retries timeouts).
+// `members[0]` leads; followers contribute in ascending member order, so a
+// reduction over `k` members sums exactly as a fresh `k`-rank world does.
+
+/// Barrier: every follower sends the leader an empty message, and the
+/// leader releases them once all have arrived. Received payloads are
+/// ignored.
+pub(crate) fn barrier_on(
+    comm: &mut Communicator,
+    members: &[usize],
+    mut recv: impl FnMut(&mut Communicator, usize) -> Result<MsgData, CommError>,
+) -> Result<(), CommError> {
+    let (&leader, followers) = members.split_first().expect("a barrier needs a member");
+    if comm.rank() == leader {
+        for &src in followers {
+            recv(comm, src)?;
         }
-        if self.rank == 0 {
-            let mut acc = v.to_vec();
-            for src in 1..g {
-                let part = self.try_recv_vec(src)?;
-                if part.len() != acc.len() {
-                    return Err(CommError::ShapeMismatch {
-                        rank: self.rank,
-                        src,
-                        expected: "all-reduce vector of matching length",
-                        got: format!("Vec[{}] (expected Vec[{}])", part.len(), acc.len()),
-                    });
-                }
-                for (a, p) in acc.iter_mut().zip(&part) {
-                    *a += p;
-                }
-            }
-            for dst in 1..g {
-                self.try_send_vec(dst, &acc)?;
-            }
-            Ok(acc)
-        } else {
-            self.try_send_vec(0, v)?;
-            self.try_recv_vec(0)
+        for &dst in followers {
+            comm.try_send(dst, MsgData::Empty)?;
+        }
+    } else {
+        comm.try_send(leader, MsgData::Empty)?;
+        recv(comm, leader)?;
+    }
+    Ok(())
+}
+
+/// All-reduce (sum) of a flat vector: gather to the leader, sum in member
+/// order, broadcast.
+pub(crate) fn leader_all_reduce_vec_on(
+    comm: &mut Communicator,
+    members: &[usize],
+    v: &[f32],
+    mut recv: impl FnMut(&mut Communicator, usize) -> Result<Vec<f32>, CommError>,
+) -> Result<Vec<f32>, CommError> {
+    let (&leader, followers) = members.split_first().expect("a reduction needs a member");
+    if comm.rank() != leader {
+        comm.try_send_vec(leader, v)?;
+        return recv(comm, leader);
+    }
+    let mut acc = v.to_vec();
+    for &src in followers {
+        let part = recv(comm, src)?;
+        if part.len() != acc.len() {
+            return Err(CommError::ShapeMismatch {
+                rank: comm.rank(),
+                src,
+                expected: "all-reduce vector of matching length",
+                got: format!("Vec[{}] (expected Vec[{}])", part.len(), acc.len()),
+            });
+        }
+        for (a, p) in acc.iter_mut().zip(&part) {
+            *a += p;
         }
     }
+    for &dst in followers {
+        comm.try_send_vec(dst, &acc)?;
+    }
+    Ok(acc)
+}
+
+/// All-reduce (sum) of a matrix: gather to the leader, sum in member order,
+/// broadcast — the path for row counts the ring cannot split evenly.
+pub(crate) fn leader_all_reduce_mat_on(
+    comm: &mut Communicator,
+    members: &[usize],
+    m: &Mat,
+    mut recv: impl FnMut(&mut Communicator, usize) -> Result<Mat, CommError>,
+) -> Result<Mat, CommError> {
+    let (&leader, followers) = members.split_first().expect("a reduction needs a member");
+    if comm.rank() != leader {
+        comm.try_send_mat(leader, m)?;
+        return recv(comm, leader);
+    }
+    let mut acc = m.clone();
+    for &src in followers {
+        let part = recv(comm, src)?;
+        if part.shape() != acc.shape() {
+            return Err(CommError::ShapeMismatch {
+                rank: comm.rank(),
+                src,
+                expected: "all-reduce contribution of matching shape",
+                got: format!(
+                    "Mat {}x{} (expected {}x{})",
+                    part.rows(),
+                    part.cols(),
+                    acc.rows(),
+                    acc.cols()
+                ),
+            });
+        }
+        acc.add_assign(&part);
+    }
+    for &dst in followers {
+        comm.try_send_mat(dst, &acc)?;
+    }
+    Ok(acc)
 }
 
 #[cfg(test)]

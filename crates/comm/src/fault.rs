@@ -191,9 +191,6 @@ impl std::error::Error for CommError {}
 /// When a scheduled crash fires.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CrashAt {
-    /// Crash at the first communication operation at or after this virtual
-    /// time.
-    Time(f64),
     /// Crash at the n-th communication operation (send or receive,
     /// 0-based) on that rank.
     Op(u64),
@@ -342,13 +339,6 @@ impl FaultPlan {
 
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Schedule `rank` to crash at the first comm op at or after virtual
-    /// time `t`.
-    pub fn crash_at_time(mut self, rank: usize, t: f64) -> Self {
-        self.crashes.push((rank, CrashAt::Time(t)));
-        self
     }
 
     /// Schedule `rank` to crash at its `op`-th communication operation

@@ -39,7 +39,10 @@
 //! the receiver's drain — so by the time a survivor drains, all stale
 //! messages addressed to it are already in its queues.
 
-use crate::comm::{Communicator, CtrlKind, CtrlMsg, MsgData};
+use crate::comm::{
+    barrier_on, leader_all_reduce_mat_on, leader_all_reduce_vec_on, Communicator, CtrlKind,
+    CtrlMsg, MsgData,
+};
 use crate::double_ring::{all_gather_on, reduce_scatter_on, DoubleRingSpec};
 use crate::fault::{splitmix64, CommError};
 use burst_obs::SpanKind;
@@ -50,6 +53,25 @@ use burst_tensor::Mat;
 fn backoff_retry(comm: &mut Communicator, policy: &RetryPolicy, attempt: u32) {
     comm.faults.retries += 1;
     comm.advance_compute_named("retry_backoff", policy.backoff(attempt, comm.rank()));
+}
+
+/// Run `recv`, retrying timeouts on the policy's schedule: the receive of
+/// every shrinking collective.
+fn retrying<T>(
+    comm: &mut Communicator,
+    policy: &RetryPolicy,
+    mut recv: impl FnMut(&mut Communicator) -> Result<T, CommError>,
+) -> Result<T, CommError> {
+    let mut attempt = 0u32;
+    loop {
+        match recv(comm) {
+            Err(CommError::Timeout { .. }) if attempt + 1 < policy.max_attempts.max(1) => {
+                backoff_retry(comm, policy, attempt);
+                attempt += 1;
+            }
+            other => return other,
+        }
+    }
 }
 
 /// Epoch-numbered view of which ranks are alive. Every rank keeps its own
@@ -540,7 +562,7 @@ pub fn agree_on_join(
         wait_for_ctrl(comm, leader, CtrlKind::Go, policy, &mut Vec::new())?;
         // A parked rank may have missed evictions; the leader ships its
         // authoritative alive set so the joiner's view is exact.
-        let flags = recv_vec_retry(comm, leader, policy)?;
+        let flags = retrying(comm, policy, |c| c.try_recv_vec(leader))?;
         for (r, f) in flags.iter().enumerate() {
             if *f > 0.5 {
                 m.readmit(r);
@@ -658,115 +680,34 @@ pub fn agree_on_leave(
     })
 }
 
-/// Barrier over the alive set: gather-to-leader + release, mirroring
-/// [`Communicator::try_barrier`] on the membership ring.
+/// Barrier over the alive set: the algorithm of
+/// [`Communicator::try_barrier`] with the lowest alive rank leading.
 pub fn shrink_barrier(
     comm: &mut Communicator,
     m: &mut Membership,
     policy: &RetryPolicy,
 ) -> Result<(), CommError> {
-    let (members, pos) = ring_neighbors(comm, m);
-    let attempt = (|| {
-        if members.len() == 1 {
-            return Ok(());
-        }
-        if pos == 0 {
-            for &src in &members[1..] {
-                let mut tries = 0u32;
-                loop {
-                    match comm.try_recv(src) {
-                        Ok(_) => break,
-                        Err(CommError::Timeout { .. })
-                            if tries + 1 < policy.max_attempts.max(1) =>
-                        {
-                            backoff_retry(comm, policy, tries);
-                            tries += 1;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-            for &dst in &members[1..] {
-                comm.try_send(dst, MsgData::Empty)?;
-            }
-        } else {
-            comm.try_send(members[0], MsgData::Empty)?;
-            let mut tries = 0u32;
-            loop {
-                match comm.try_recv(members[0]) {
-                    Ok(_) => break,
-                    Err(CommError::Timeout { .. }) if tries + 1 < policy.max_attempts.max(1) => {
-                        backoff_retry(comm, policy, tries);
-                        tries += 1;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        Ok(())
-    })();
+    let members = alive_members(comm, m);
+    let attempt = barrier_on(comm, &members, |c, src| {
+        retrying(c, policy, |c| c.try_recv(src))
+    });
     finish_collective(comm, m, attempt, policy)
 }
 
-/// Receive a vector from `src`, retrying timeouts on the policy schedule.
-fn recv_vec_retry(
-    comm: &mut Communicator,
-    src: usize,
-    policy: &RetryPolicy,
-) -> Result<Vec<f32>, CommError> {
-    let mut attempt = 0u32;
-    loop {
-        match comm.try_recv_vec(src) {
-            Err(CommError::Timeout { .. }) if attempt + 1 < policy.max_attempts.max(1) => {
-                backoff_retry(comm, policy, attempt);
-                attempt += 1;
-            }
-            other => return other,
-        }
-    }
-}
-
-/// All-reduce (sum) of a flat vector over the alive set. Mirrors
-/// [`Communicator::try_all_reduce_vec`] exactly — leader-gather summed in
-/// ascending member order, then broadcast — so a shrunken world's reduction
-/// is bit-identical to a fresh world of the same size.
+/// All-reduce (sum) of a flat vector over the alive set: the algorithm of
+/// [`Communicator::try_all_reduce_vec`] — leader-gather summed in ascending
+/// member order, then broadcast — so a shrunken world's reduction is
+/// bit-identical to a fresh world of the same size.
 pub fn shrink_all_reduce_vec(
     comm: &mut Communicator,
     m: &mut Membership,
     v: &[f32],
     policy: &RetryPolicy,
 ) -> Result<Vec<f32>, CommError> {
-    let (members, pos) = ring_neighbors(comm, m);
-    let g = members.len();
-    let attempt = (|| {
-        if g == 1 {
-            return Ok(v.to_vec());
-        }
-        if pos == 0 {
-            let mut acc = v.to_vec();
-            for &src in &members[1..] {
-                let part = recv_vec_retry(comm, src, policy)?;
-                if part.len() != acc.len() {
-                    return Err(CommError::ShapeMismatch {
-                        rank: comm.rank(),
-                        src,
-                        expected: "all-reduce vector of matching length",
-                        got: format!("Vec[{}] (expected Vec[{}])", part.len(), acc.len()),
-                    });
-                }
-                for (a, p) in acc.iter_mut().zip(&part) {
-                    *a += p;
-                }
-            }
-            for &dst in &members[1..] {
-                comm.try_send_vec(dst, &acc)?;
-            }
-            Ok(acc)
-        } else {
-            comm.try_send_vec(members[0], v)?;
-            recv_vec_retry(comm, members[0], policy)
-        }
-    })();
+    let members = alive_members(comm, m);
+    let attempt = leader_all_reduce_vec_on(comm, &members, v, |c, src| {
+        retrying(c, policy, |c| c.try_recv_vec(src))
+    });
     finish_collective(comm, m, attempt, policy)
 }
 
@@ -791,50 +732,11 @@ pub fn shrink_all_reduce_mat(
         let gathered = shrink_all_gather_mat(comm, m, &mine, policy)?;
         return Ok(Mat::vstack(&gathered));
     }
-    let (members, pos) = ring_neighbors(comm, m);
-    let attempt = (|| {
-        if pos == 0 {
-            let mut acc = mat.clone();
-            for &src in &members[1..] {
-                let part = recv_mat_retry(comm, src, policy)?;
-                if part.shape() != acc.shape() {
-                    return Err(CommError::ShapeMismatch {
-                        rank: comm.rank(),
-                        src,
-                        expected: "all-reduce contribution of matching shape",
-                        got: format!("Mat {}x{}", part.rows(), part.cols()),
-                    });
-                }
-                acc.add_assign(&part);
-            }
-            for &dst in &members[1..] {
-                comm.try_send_mat(dst, &acc)?;
-            }
-            Ok(acc)
-        } else {
-            comm.try_send_mat(members[0], mat)?;
-            recv_mat_retry(comm, members[0], policy)
-        }
-    })();
+    let members = alive_members(comm, m);
+    let attempt = leader_all_reduce_mat_on(comm, &members, mat, |c, src| {
+        retrying(c, policy, |c| c.try_recv_mat(src))
+    });
     finish_collective(comm, m, attempt, policy)
-}
-
-/// Receive a matrix from `src`, retrying timeouts on the policy schedule.
-fn recv_mat_retry(
-    comm: &mut Communicator,
-    src: usize,
-    policy: &RetryPolicy,
-) -> Result<Mat, CommError> {
-    let mut attempt = 0u32;
-    loop {
-        match comm.try_recv_mat(src) {
-            Err(CommError::Timeout { .. }) if attempt + 1 < policy.max_attempts.max(1) => {
-                backoff_retry(comm, policy, attempt);
-                attempt += 1;
-            }
-            other => return other,
-        }
-    }
 }
 
 /// Shared epilogue of every shrinking collective: on failure, pill the
@@ -871,56 +773,15 @@ fn finish_collective<T>(
     result
 }
 
-fn ring_neighbors(comm: &Communicator, m: &Membership) -> (Vec<usize>, usize) {
+/// The alive ranks in ascending order: the member list of a shrinking
+/// collective, which only an alive rank may join.
+fn alive_members(comm: &Communicator, m: &Membership) -> Vec<usize> {
     let me = comm.rank();
     assert!(
         m.is_alive(me),
         "rank {me}: shrinking collective on an evicted rank"
     );
-    let members = m.alive_ranks();
-    let pos = m.pos_of(me).expect("alive rank has a position");
-    (members, pos)
-}
-
-/// One step of the shrinking ring: send `data` to the next alive rank,
-/// receive from the previous alive rank. On failure the membership
-/// agreement runs and [`CommError::Evicted`] tells the caller to re-derive
-/// and re-run.
-pub fn shrink_ring_shift(
-    comm: &mut Communicator,
-    m: &mut Membership,
-    data: MsgData,
-    policy: &RetryPolicy,
-) -> Result<MsgData, CommError> {
-    let (members, pos) = ring_neighbors(comm, m);
-    let g = members.len();
-    let attempt = (|| {
-        if g == 1 {
-            return Ok(data.clone());
-        }
-        comm.try_send(members[(pos + 1) % g], data.clone())?;
-        let prev = members[(pos + g - 1) % g];
-        let mut tries = 0u32;
-        loop {
-            match comm.try_recv(prev) {
-                Ok(MsgData::Ctrl(c)) => {
-                    return Err(CommError::Aborted {
-                        rank: comm.rank(),
-                        src: prev,
-                        epoch: c.epoch,
-                        suspects: c.suspects,
-                        at: comm.time(),
-                    });
-                }
-                Err(CommError::Timeout { .. }) if tries + 1 < policy.max_attempts.max(1) => {
-                    backoff_retry(comm, policy, tries);
-                    tries += 1;
-                }
-                other => return other,
-            }
-        }
-    })();
-    finish_collective(comm, m, attempt, policy)
+    m.alive_ranks()
 }
 
 /// The ring geometry of the alive set: the two-level split when the
@@ -928,7 +789,7 @@ pub fn shrink_ring_shift(
 /// otherwise the one-level ring over the alive list. Slot order is
 /// ascending rank order either way, so a slot is a ring position.
 fn alive_spec(comm: &Communicator, m: &Membership) -> DoubleRingSpec {
-    let (members, _) = ring_neighbors(comm, m);
+    let members = alive_members(comm, m);
     DoubleRingSpec::from_members(comm.topology(), &members)
         .unwrap_or_else(|| DoubleRingSpec::one_level(&members))
 }
@@ -946,7 +807,9 @@ pub fn shrink_all_gather_mat(
     policy: &RetryPolicy,
 ) -> Result<Vec<Mat>, CommError> {
     let spec = alive_spec(comm, m);
-    let attempt = all_gather_on(comm, &spec, mine, |c, src| recv_mat_retry(c, src, policy));
+    let attempt = all_gather_on(comm, &spec, mine, |c, src| {
+        retrying(c, policy, |c| c.try_recv_mat(src))
+    });
     finish_collective(comm, m, attempt, policy)
 }
 
@@ -962,7 +825,9 @@ pub fn shrink_reduce_scatter_mat(
     policy: &RetryPolicy,
 ) -> Result<Mat, CommError> {
     let spec = alive_spec(comm, m);
-    let attempt = reduce_scatter_on(comm, &spec, parts, |c, src| recv_mat_retry(c, src, policy));
+    let attempt = reduce_scatter_on(comm, &spec, parts, |c, src| {
+        retrying(c, policy, |c| c.try_recv_mat(src))
+    });
     finish_collective(comm, m, attempt, policy)
 }
 
@@ -1241,18 +1106,11 @@ mod tests {
             let policy = RetryPolicy::default();
             let mine = Mat::from_vec(1, 1, vec![comm.rank() as f32]);
             let blocks = shrink_all_gather_mat(comm, &mut m, &mine, &policy).unwrap();
-            let shifted =
-                shrink_ring_shift(comm, &mut m, MsgData::Scalar(comm.rank() as f64), &policy)
-                    .unwrap();
-            (blocks.len(), shifted, m.epoch())
+            (blocks.len(), m.epoch())
         });
-        for (r, (n, shifted, epoch)) in outs.into_iter().enumerate() {
+        for (n, epoch) in outs {
             assert_eq!(n, 4);
             assert_eq!(epoch, 0, "clean run must not bump the epoch");
-            match shifted {
-                MsgData::Scalar(s) => assert_eq!(s as usize, (r + 3) % 4),
-                other => panic!("rank {r}: expected scalar, got {other:?}"),
-            }
         }
     }
 }

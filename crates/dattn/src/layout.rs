@@ -48,11 +48,6 @@ impl Layout {
         }
     }
 
-    /// The number of local rows each rank holds (`N/G` for every layout).
-    pub fn shard_len(&self, n: usize, g: usize) -> usize {
-        n / g
-    }
-
     /// Scatter a global matrix into the shard owned by `rank`.
     pub fn shard_of(&self, global: &burst_tensor::Mat, g: usize, rank: usize) -> burst_tensor::Mat {
         let idx = self.indices(global.rows(), g, rank);

@@ -111,11 +111,6 @@ impl SkipPlan {
         self.g
     }
 
-    #[inline]
-    pub fn is_dense(&self) -> bool {
-        self.dense
-    }
-
     /// Tile (q-shard, kv-shard) has at least one allowed pair.
     #[inline]
     pub fn live(&self, q_shard: usize, kv_shard: usize) -> bool {
@@ -130,10 +125,6 @@ impl SkipPlan {
     /// Any q-shard live for this kv-shard (its ∇K/∇V have a contributor).
     pub fn col_any(&self, kv_shard: usize) -> bool {
         (0..self.g).any(|q| self.live(q, kv_shard))
-    }
-
-    pub fn all_live(&self) -> bool {
-        self.live.iter().all(|&b| b)
     }
 
     /// Rounds on which every rank is idle never even open a span; counting

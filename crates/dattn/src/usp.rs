@@ -94,13 +94,6 @@ impl UspTopo {
         let per = shard.len() / self.ulysses;
         shard[u_pos * per..(u_pos + 1) * per].to_vec()
     }
-
-    /// Index lists of every Ulysses-group member, in member order.
-    pub fn all_member_idx(&self, seq_len: usize) -> Vec<Vec<usize>> {
-        (0..self.ulysses)
-            .map(|p| self.member_idx(seq_len, p))
-            .collect()
-    }
 }
 
 /// State saved by [`try_usp_forward`] for the backward pass.

@@ -10,14 +10,13 @@ use crate::checkpoint_io::{atomic_write, decode_checkpoint, encode_checkpoint};
 use crate::checkpoint_shard::{
     load_sharded, shard_meta, write_manifest, write_shard, ShardManifest,
 };
-use crate::fsdp;
+use crate::fsdp::{self, Group};
 use crate::model::{Model, ModelConfig, StepOutput};
 use crate::param::AdamCfg;
 use burst_comm::obs::{MemCategory, MemId};
 use burst_comm::{
-    agree_on_eviction, agree_on_join, agree_on_leave, send_abort, shrink_all_reduce_vec,
-    shrink_barrier, ChurnEvent, ChurnKind, CommError, CommStats, Communicator, Membership,
-    RetryPolicy, SpanKind, World,
+    agree_on_eviction, agree_on_join, agree_on_leave, send_abort, ChurnEvent, ChurnKind, CommError,
+    CommStats, Communicator, Membership, RetryPolicy, SpanKind, World,
 };
 use burst_dattn::{Algo, CostModel, Layout, OverlapMode};
 use burst_kernels::AttnMask;
@@ -227,13 +226,12 @@ pub fn run_rank(
 /// uses it to write checkpoints (the communicator lets every rank write its
 /// own shard and synchronise on a barrier before the manifest commits).
 ///
-/// Fails with a typed [`CommError`] instead of aborting: a non-finite
-/// reduced loss is reported as [`CommError::Corrupt`], and communication
-/// faults injected by a [`burst_comm::FaultPlan`] surface through the
-/// fallible loss reduction and, on the ring backends, through the
-/// executor's latched failure, checked after every micro-batch. The FSDP
-/// weight gather and gradient sync still escalate: under a fault plan they
-/// panic with the [`CommError`] as payload.
+/// Fails with a typed [`CommError`] instead of aborting, anywhere in the
+/// step: a non-finite reduced loss is reported as [`CommError::Corrupt`],
+/// and communication faults injected by a [`burst_comm::FaultPlan`] surface
+/// through the fallible FSDP weight gather, loss reduction and gradient
+/// sync and, on the ring backends, through the executor's latched failure,
+/// checked after every micro-batch.
 ///
 /// Compute-side faults from the plan are honored here: scheduled gradient
 /// poison ([`burst_comm::FaultPlan::poison_grad`]) is injected after the
@@ -253,19 +251,10 @@ pub fn run_span(
     end_step: usize,
     mut on_step: impl FnMut(&mut Communicator, usize, &Model, &[f32]),
 ) -> Result<SpanOutcome, CommError> {
-    let n = cfg.model.seq_len;
     let mut losses = Vec::with_capacity(end_step.saturating_sub(start_step));
     let mut last = None;
     let mut skipped_steps = 0usize;
     let mut dropped_micros = 0usize;
-    let accum = cfg.grad_accum.max(1);
-    // Per-micro gradient snapshots cost a full state clone, so only arm
-    // them when this rank actually has poison scheduled and accumulation
-    // gives a finer granularity than the whole step.
-    let can_rollback = accum > 1
-        && comm
-            .fault_plan()
-            .is_some_and(|p| p.has_poisons(comm.rank()));
     let state_shard = if cfg.fsdp { comm.world_size() } else { 1 };
     let state_ids = bill_state_entries(comm, cfg, state_shard);
     for step in start_step..end_step {
@@ -273,162 +262,11 @@ pub fn run_span(
         // step that fails out via `?` leaves it open; the trace collector
         // force-closes it at the failure clock with a warning.
         comm.span_begin(SpanKind::Step, "step");
-        model.zero_grads();
-        if cfg.fsdp {
-            fsdp::gather_weights(comm, &mut model.params_mut());
-        }
-        if cfg.emulate_bf16 {
-            // fp32 Adam masters persist in `m`/`v` and the pre-rounding `w`
-            // evolution; the compute stream sees bf16 weights.
-            for p in model.params_mut() {
-                p.w.round_bf16_inplace();
-            }
-        }
-        let mut step_loss_sum = 0.0f32;
-        let mut out = None;
-        let mut local_bad = 0.0f32;
-        let mut dropped_this_step = 0usize;
-        for micro in 0..accum {
-            comm.span_begin(SpanKind::Micro, "micro");
-            let snapshot: Option<Vec<Mat>> = if can_rollback {
-                Some(model.params().iter().map(|p| p.grad.clone()).collect())
-            } else {
-                None
-            };
-            let (tokens, targets) = synthetic_batch(&cfg.model, step * accum + micro);
-            let micro_out = {
-                // Backend-specific exec and local row indices.
-                match cfg.backend {
-                    Backend::Local => {
-                        let mut exec = LocalExec::new(cfg.mask.clone(), n);
-                        step_with(&mut *model, &tokens, &targets, &mut exec, cfg, accum)
-                    }
-                    Backend::Ring(algo) => {
-                        let members = (0..comm.world_size()).collect();
-                        let mut exec = DistExec::new(
-                            comm,
-                            members,
-                            algo,
-                            cfg.layout,
-                            cfg.mask.clone(),
-                            n,
-                            cfg.cost,
-                        );
-                        exec.overlap = cfg.overlap;
-                        exec.skip = cfg.skip_masked_rounds;
-                        let out = step_with(&mut *model, &tokens, &targets, &mut exec, cfg, accum);
-                        if let Some(e) = exec.take_failure() {
-                            return Err(e);
-                        }
-                        out
-                    }
-                    Backend::Ulysses => {
-                        let mut exec = UlyssesExec {
-                            comm,
-                            mask: cfg.mask.clone(),
-                            seq_len: n,
-                            cost: cfg.cost,
-                        };
-                        step_with(&mut *model, &tokens, &targets, &mut exec, cfg, accum)
-                    }
-                    Backend::Usp { ulysses_size } => {
-                        let mut exec = UspExec {
-                            comm,
-                            ulysses_size,
-                            mask: cfg.mask.clone(),
-                            seq_len: n,
-                            cost: cfg.cost,
-                            skip: cfg.skip_masked_rounds,
-                        };
-                        step_with(&mut *model, &tokens, &targets, &mut exec, cfg, accum)
-                    }
-                }
-            };
-            // Dense-path compute time (attention time was charged inside
-            // the backend).
-            let dense_secs = dense_flops_per_token(&cfg.model, cfg.strategy)
-                * micro_out.tokens as f64
-                / (cfg.cost.peak_flops * cfg.cost.efficiency);
-            if dense_secs.is_finite() {
-                comm.advance_compute(dense_secs);
-            }
-            step_loss_sum += micro_out.loss_sum;
-            out = Some(micro_out);
-            // Scheduled compute-side fault: the backward "produced" a bad
-            // gradient. The forward loss above is untouched.
-            if let Some(v) = comm.grad_poison(step as u64, micro as u64) {
-                comm.span_instant(SpanKind::Fault, "grad_poison");
-                model.params_mut()[0].grad.as_mut_slice()[0] = v;
-                if !v.is_finite() {
-                    match snapshot {
-                        Some(snap) => {
-                            // Roll the whole micro back and keep going —
-                            // the other micros' work is not lost.
-                            for (p, s) in model.params_mut().into_iter().zip(snap) {
-                                p.grad = s;
-                            }
-                            dropped_this_step += 1;
-                            comm.span_instant(SpanKind::Fault, "micro_rollback");
-                        }
-                        None => local_bad = 1.0,
-                    }
-                }
-            }
-            comm.span_end();
-        }
-        let out = out.expect("grad_accum >= 1");
-        if dropped_this_step == accum {
-            // Every micro was poisoned: nothing usable survived.
-            local_bad = 1.0;
-        } else if dropped_this_step > 0 {
-            // Rescale the surviving micros' contribution to an unbiased
-            // estimate of this rank's full-step gradient.
-            let scale = accum as f32 / (accum - dropped_this_step) as f32;
-            for p in model.params_mut() {
-                for g in p.grad.as_mut_slice() {
-                    *g *= scale;
-                }
-            }
-        }
-        dropped_micros += dropped_this_step;
-        // Global mean loss + the poison flag, reduced together so every
-        // rank takes the same skip decision without an extra collective.
-        let reduced = comm.try_all_reduce_vec(&[step_loss_sum, local_bad])?;
-        let mean_loss = reduced[0] / (n * accum) as f32;
-        if !mean_loss.is_finite() {
-            // A poisoned reduction: some rank fed NaN/Inf into the loss
-            // itself. Surface it as a typed error so the recovery loop can
-            // roll back to the last good checkpoint instead of training on.
-            return Err(CommError::Corrupt {
-                rank: comm.rank(),
-                src: comm.rank(),
-                detail: format!("non-finite global loss {mean_loss} at step {step}"),
-            });
-        }
-        losses.push(mean_loss);
-        if reduced[1] > 0.0 {
-            // Some rank's gradients went non-finite beyond repair: skip the
-            // optimizer update in lockstep (grads are discarded, weights
-            // and Adam state stay at the last good step) and train on.
-            skipped_steps += 1;
-            comm.span_instant(SpanKind::Fault, "skip_step");
-            model.zero_grads();
-            last = Some(out);
-            on_step(comm, step + 1, model, &losses);
-            comm.span_end();
-            continue;
-        }
-        if cfg.fsdp {
-            fsdp::sync_grads(comm, &mut model.params_mut());
-        }
-        model.adam_step(&cfg.adam, step as u64 + 1);
-        if cfg.offload_optimizer {
-            // The update itself ran on identical replicas above; charge the
-            // ZeRO-Offload PCIe round trip for the sharded states.
-            let shard = if cfg.fsdp { comm.world_size() } else { 1 };
-            comm.advance_compute(fsdp::offload_step_seconds(cfg.model.param_count(), shard));
-        }
-        last = Some(out);
+        let done = step_on(comm, &mut Group::World, cfg, model, step)?;
+        losses.push(done.loss);
+        skipped_steps += usize::from(done.skipped);
+        dropped_micros += done.dropped_micros;
+        last = Some(done.out);
         on_step(comm, step + 1, model, &losses);
         comm.span_end();
     }
@@ -438,6 +276,199 @@ pub fn run_span(
         last,
         skipped_steps,
         dropped_micros,
+    })
+}
+
+/// What one optimizer step produced on this rank.
+struct StepDone {
+    /// Global mean loss of the step.
+    loss: f32,
+    /// The optimizer update was skipped in lockstep after gradient poison.
+    skipped: bool,
+    /// Poisoned micro-batches this rank rolled back.
+    dropped_micros: usize,
+    /// A topology-aware ring ran on the flat ring because the group's
+    /// ranks were ragged across nodes.
+    fell_flat: bool,
+    /// The last micro-batch's rank-local output.
+    out: StepOutput,
+}
+
+/// One optimizer step over `group`: the FSDP weight gather, every
+/// micro-batch through the backend's executor (rolling back a poisoned one
+/// when accumulation allows), the loss reduction that also agrees on a
+/// lockstep skip, then the gradient sync, Adam and the offload charge. The
+/// same messages in the same order for the fixed world and an alive set of
+/// the same shape. A typed error leaves spans open for the caller to
+/// settle; the model is then mid-step.
+fn step_on(
+    comm: &mut Communicator,
+    group: &mut Group<'_>,
+    cfg: &EngineConfig,
+    model: &mut Model,
+    step: usize,
+) -> Result<StepDone, CommError> {
+    let n = cfg.model.seq_len;
+    let accum = cfg.grad_accum.max(1);
+    // Per-micro gradient snapshots cost a full state clone, so only arm
+    // them when this rank actually has poison scheduled and accumulation
+    // gives a finer granularity than the whole step.
+    let can_rollback = accum > 1
+        && comm
+            .fault_plan()
+            .is_some_and(|p| p.has_poisons(comm.rank()));
+    model.zero_grads();
+    if cfg.fsdp {
+        fsdp::try_gather_weights(comm, group, &mut model.params_mut())?;
+    }
+    if cfg.emulate_bf16 {
+        // fp32 Adam masters persist in `m`/`v` and the pre-rounding `w`
+        // evolution; the compute stream sees bf16 weights.
+        for p in model.params_mut() {
+            p.w.round_bf16_inplace();
+        }
+    }
+    let mut step_loss_sum = 0.0f32;
+    let mut out = None;
+    let mut local_bad = 0.0f32;
+    let mut dropped = 0usize;
+    let mut fell_flat = false;
+    for micro in 0..accum {
+        comm.span_begin(SpanKind::Micro, "micro");
+        let snapshot: Option<Vec<Mat>> =
+            can_rollback.then(|| model.params().iter().map(|p| p.grad.clone()).collect());
+        let (tokens, targets) = synthetic_batch(&cfg.model, step * accum + micro);
+        // Backend-specific exec and local row indices.
+        let micro_out = match cfg.backend {
+            Backend::Local => {
+                let mut exec = LocalExec::new(cfg.mask.clone(), n);
+                step_with(&mut *model, &tokens, &targets, &mut exec, cfg, accum)
+            }
+            Backend::Ring(algo) => {
+                let members = group.members(comm);
+                let mut exec = DistExec::new(
+                    comm,
+                    members,
+                    algo,
+                    cfg.layout,
+                    cfg.mask.clone(),
+                    n,
+                    cfg.cost,
+                );
+                exec.overlap = cfg.overlap;
+                exec.skip = cfg.skip_masked_rounds;
+                let out = step_with(&mut *model, &tokens, &targets, &mut exec, cfg, accum);
+                if let Some(e) = exec.take_failure() {
+                    return Err(e);
+                }
+                fell_flat |= exec.flat_fallback();
+                out
+            }
+            Backend::Ulysses => {
+                let mut exec = UlyssesExec {
+                    comm,
+                    mask: cfg.mask.clone(),
+                    seq_len: n,
+                    cost: cfg.cost,
+                };
+                step_with(&mut *model, &tokens, &targets, &mut exec, cfg, accum)
+            }
+            Backend::Usp { ulysses_size } => {
+                let mut exec = UspExec {
+                    comm,
+                    ulysses_size,
+                    mask: cfg.mask.clone(),
+                    seq_len: n,
+                    cost: cfg.cost,
+                    skip: cfg.skip_masked_rounds,
+                };
+                step_with(&mut *model, &tokens, &targets, &mut exec, cfg, accum)
+            }
+        };
+        // Dense-path compute time (attention time was charged inside
+        // the backend).
+        let dense_secs = dense_flops_per_token(&cfg.model, cfg.strategy) * micro_out.tokens as f64
+            / (cfg.cost.peak_flops * cfg.cost.efficiency);
+        if dense_secs.is_finite() {
+            comm.advance_compute(dense_secs);
+        }
+        step_loss_sum += micro_out.loss_sum;
+        out = Some(micro_out);
+        // Scheduled compute-side fault: the backward "produced" a bad
+        // gradient. The forward loss above is untouched.
+        if let Some(v) = comm.grad_poison(step as u64, micro as u64) {
+            comm.span_instant(SpanKind::Fault, "grad_poison");
+            model.params_mut()[0].grad.as_mut_slice()[0] = v;
+            if !v.is_finite() {
+                match snapshot {
+                    Some(snap) => {
+                        // Roll the whole micro back and keep going — the
+                        // other micros' work is not lost.
+                        for (p, s) in model.params_mut().into_iter().zip(snap) {
+                            p.grad = s;
+                        }
+                        dropped += 1;
+                        comm.span_instant(SpanKind::Fault, "micro_rollback");
+                    }
+                    None => local_bad = 1.0,
+                }
+            }
+        }
+        comm.span_end();
+    }
+    let out = out.expect("grad_accum >= 1");
+    if dropped == accum {
+        // Every micro was poisoned: nothing usable survived.
+        local_bad = 1.0;
+    } else if dropped > 0 {
+        // Rescale the surviving micros' contribution to an unbiased
+        // estimate of this rank's full-step gradient.
+        let scale = accum as f32 / (accum - dropped) as f32;
+        for p in model.params_mut() {
+            for g in p.grad.as_mut_slice() {
+                *g *= scale;
+            }
+        }
+    }
+    // Global mean loss + the poison flag, reduced together so every rank
+    // takes the same skip decision without an extra collective.
+    let reduced = group.all_reduce_vec(comm, &[step_loss_sum, local_bad])?;
+    let loss = reduced[0] / (n * accum) as f32;
+    if !loss.is_finite() {
+        // A poisoned reduction: some rank fed NaN/Inf into the loss
+        // itself. Surface it as a typed error so the recovery loop can
+        // roll back to the last good checkpoint instead of training on.
+        return Err(CommError::Corrupt {
+            rank: comm.rank(),
+            src: comm.rank(),
+            detail: format!("non-finite global loss {loss} at step {step}"),
+        });
+    }
+    let skipped = reduced[1] > 0.0;
+    if skipped {
+        // Some rank's gradients went non-finite beyond repair: skip the
+        // optimizer update in lockstep (grads are discarded, weights and
+        // Adam state stay at the last good step) and train on.
+        comm.span_instant(SpanKind::Fault, "skip_step");
+        model.zero_grads();
+    } else {
+        if cfg.fsdp {
+            fsdp::try_sync_grads(comm, group, &mut model.params_mut())?;
+        }
+        model.adam_step(&cfg.adam, step as u64 + 1);
+        if cfg.offload_optimizer {
+            // The update itself ran on identical replicas above; charge the
+            // ZeRO-Offload PCIe round trip for the sharded states.
+            let shard = if cfg.fsdp { group.shape(comm).0 } else { 1 };
+            comm.advance_compute(fsdp::offload_step_seconds(cfg.model.param_count(), shard));
+        }
+    }
+    Ok(StepDone {
+        loss,
+        skipped,
+        dropped_micros: dropped,
+        fell_flat,
+        out,
     })
 }
 
@@ -548,6 +579,9 @@ pub struct ElasticOutcome {
     pub flat_fallbacks: usize,
     /// Optimizer updates skipped in lockstep after gradient poison.
     pub skipped_steps: usize,
+    /// Poisoned micro-batches this rank rolled back in the steps it
+    /// completed.
+    pub dropped_micros: usize,
     /// Step at which this rank left the job for good (`None` = finished).
     pub parked_at: Option<usize>,
     /// Final membership epoch.
@@ -566,6 +600,11 @@ fn fatal_to_me(e: &CommError, me: usize) -> bool {
 /// mid-step fault is repaired *inside* the step — the survivors agree on
 /// the eviction, restore the step-start model snapshot and replay the step
 /// on the shrunken ring, instead of restarting the whole attempt.
+///
+/// Each step is [`run_span`]'s step over the alive set, so gradient poison
+/// is handled alike: a poisoned micro-batch is rolled back and the rest
+/// rescaled under gradient accumulation, and the update is skipped in
+/// lockstep without it.
 ///
 /// The churn schedule comes from the world's [`burst_comm::FaultPlan`]
 /// (`leave_at` / `join_at` / `churn_storm`), which every rank knows
@@ -592,10 +631,10 @@ pub fn run_span_elastic(
     prior_losses: &[f32],
     ecfg: &ElasticCfg,
 ) -> Result<ElasticOutcome, CommError> {
-    let algo = match cfg.backend {
-        Backend::Ring(a) => a,
-        _ => panic!("run_span_elastic requires a ring backend"),
-    };
+    assert!(
+        matches!(cfg.backend, Backend::Ring(_)),
+        "run_span_elastic requires a ring backend"
+    );
     let me = comm.rank();
     let mut m = Membership::new(comm.world_size());
     // The deterministic churn schedule, cloned out of the plan so the
@@ -644,6 +683,7 @@ pub fn run_span_elastic(
         steps_replayed: 0,
         flat_fallbacks: 0,
         skipped_steps: 0,
+        dropped_micros: 0,
         parked_at: None,
         epoch: 0,
     };
@@ -711,23 +751,19 @@ pub fn run_span_elastic(
             ecfg.max_replays_per_step
         };
         let mut attempts = 0usize;
-        let (mean_loss, skipped) = loop {
+        let done = loop {
             attempts += 1;
             let snapshot = model.clone();
             let span_depth = comm.span_depth();
             if attempts > 1 {
                 comm.span_begin(SpanKind::Replay, "replay_step");
             }
-            let res = elastic_step(comm, &mut m, cfg, model, step, algo, &ecfg.policy);
-            match res {
-                Ok((loss, skipped, fell_flat)) => {
+            match elastic_step(comm, &mut m, cfg, model, step, &ecfg.policy) {
+                Ok(done) => {
                     if attempts > 1 {
                         comm.span_end();
                     }
-                    if fell_flat {
-                        out.flat_fallbacks += 1;
-                    }
-                    break (loss, skipped);
+                    break done;
                 }
                 Err(e) => {
                     comm.span_unwind(span_depth);
@@ -769,145 +805,69 @@ pub fn run_span_elastic(
                 }
             }
         };
-        out.losses.push(mean_loss);
-        if skipped {
-            out.skipped_steps += 1;
-        }
-        let done = step + 1;
+        out.losses.push(done.loss);
+        out.skipped_steps += usize::from(done.skipped);
+        out.dropped_micros += done.dropped_micros;
+        out.flat_fallbacks += usize::from(done.fell_flat);
+        step += 1;
         if let Some(dir) = ecfg.ckpt_dir.as_ref() {
-            let join_next = done < end_step && joins_at(done).iter().any(|&r| !m.is_alive(r));
-            let periodic = ecfg.every > 0 && done.is_multiple_of(ecfg.every);
-            if join_next || periodic || done == end_step {
-                write_elastic_ckpt(comm, &mut m, dir, model, done, &out.losses, &ecfg.policy)?;
+            let join_next = step < end_step && joins_at(step).iter().any(|&r| !m.is_alive(r));
+            let periodic = ecfg.every > 0 && step.is_multiple_of(ecfg.every);
+            if join_next || periodic || step == end_step {
+                comm.span_begin(SpanKind::Checkpoint, "checkpoint");
+                let epoch = m.epoch();
+                let group = &mut Group::Alive(&mut m, &ecfg.policy);
+                commit_sharded(comm, group, dir, model, step, &out.losses, epoch)?;
+                comm.span_end();
             }
         }
-        step = done;
     }
     out.epoch = m.epoch();
     Ok(out)
 }
 
-/// One attempt at one elastic optimizer step over the current alive set.
-/// Returns `(global mean loss, update skipped, flat fallback)`; a typed
-/// error means a member died and the caller should evict and replay.
+/// One attempt at one elastic optimizer step over the current alive set; a
+/// typed error means a member died and the caller should evict and replay.
 fn elastic_step(
     comm: &mut Communicator,
     m: &mut Membership,
     cfg: &EngineConfig,
     model: &mut Model,
     step: usize,
-    algo: Algo,
     policy: &RetryPolicy,
-) -> Result<(f32, bool, bool), CommError> {
-    let n = cfg.model.seq_len;
-    let accum = cfg.grad_accum.max(1);
-    let members = m.alive_ranks();
+) -> Result<StepDone, CommError> {
     comm.span_begin(SpanKind::Step, "step");
     // Re-billed every elastic step: the FSDP shard tracks the alive set.
     let state_ids = bill_state_entries(comm, cfg, if cfg.fsdp { m.num_alive() } else { 1 });
-    model.zero_grads();
-    if cfg.fsdp {
-        fsdp::try_gather_weights_m(comm, m, &mut model.params_mut(), policy)?;
-    }
-    if cfg.emulate_bf16 {
-        for p in model.params_mut() {
-            p.w.round_bf16_inplace();
-        }
-    }
-    let mut step_loss_sum = 0.0f32;
-    let mut local_bad = 0.0f32;
-    let mut fell_flat = false;
-    for micro in 0..accum {
-        comm.span_begin(SpanKind::Micro, "micro");
-        let (tokens, targets) = synthetic_batch(&cfg.model, step * accum + micro);
-        let (micro_out, flat, failure) = {
-            let mut exec = DistExec::new(
-                comm,
-                members.clone(),
-                algo,
-                cfg.layout,
-                cfg.mask.clone(),
-                n,
-                cfg.cost,
-            );
-            exec.overlap = cfg.overlap;
-            exec.skip = cfg.skip_masked_rounds;
-            let mo = step_with(&mut *model, &tokens, &targets, &mut exec, cfg, accum);
-            (mo, exec.flat_fallback(), exec.take_failure())
-        };
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        fell_flat |= flat;
-        let dense_secs = dense_flops_per_token(&cfg.model, cfg.strategy) * micro_out.tokens as f64
-            / (cfg.cost.peak_flops * cfg.cost.efficiency);
-        if dense_secs.is_finite() {
-            comm.advance_compute(dense_secs);
-        }
-        step_loss_sum += micro_out.loss_sum;
-        if let Some(v) = comm.grad_poison(step as u64, micro as u64) {
-            comm.span_instant(SpanKind::Fault, "grad_poison");
-            model.params_mut()[0].grad.as_mut_slice()[0] = v;
-            if !v.is_finite() {
-                local_bad = 1.0;
-            }
-        }
-        comm.span_end();
-    }
-    let reduced = shrink_all_reduce_vec(comm, m, &[step_loss_sum, local_bad], policy)?;
-    let mean_loss = reduced[0] / (n * accum) as f32;
-    if !mean_loss.is_finite() {
-        return Err(CommError::Corrupt {
-            rank: comm.rank(),
-            src: comm.rank(),
-            detail: format!("non-finite global loss {mean_loss} at step {step}"),
-        });
-    }
-    if reduced[1] > 0.0 {
-        comm.span_instant(SpanKind::Fault, "skip_step");
-        model.zero_grads();
-        free_state_entries(comm, state_ids);
-        comm.span_end();
-        return Ok((mean_loss, true, fell_flat));
-    }
-    if cfg.fsdp {
-        fsdp::try_sync_grads_m(comm, m, &mut model.params_mut(), policy)?;
-    }
-    model.adam_step(&cfg.adam, step as u64 + 1);
-    if cfg.offload_optimizer {
-        let shard = if cfg.fsdp { m.num_alive() } else { 1 };
-        comm.advance_compute(fsdp::offload_step_seconds(cfg.model.param_count(), shard));
-    }
+    let done = step_on(comm, &mut Group::Alive(m, policy), cfg, model, step)?;
     free_state_entries(comm, state_ids);
     comm.span_end();
-    Ok((mean_loss, false, fell_flat))
+    Ok(done)
 }
 
-/// Sharded checkpoint over the **current members**: each member writes the
-/// shard at its membership position for a world of `num_alive` ranks —
-/// exactly what a fresh world of that size would write — and the leader
-/// (position 0) commits the manifest between two shrink barriers.
-fn write_elastic_ckpt(
+/// Sharded checkpoint of `model` after `done` steps over `group`: each
+/// member writes the shard at its position for a world of the group's size
+/// — exactly what a fresh world of that size would write — and the leader
+/// (position 0) commits the manifest between two barriers. Replicas are
+/// bit-identical, so the leader derives every shard's metadata from its own
+/// state without re-reading the files.
+fn commit_sharded(
     comm: &mut Communicator,
-    m: &mut Membership,
+    group: &mut Group<'_>,
     dir: &Path,
     model: &Model,
     done: usize,
     losses: &[f32],
-    policy: &RetryPolicy,
+    epoch: u64,
 ) -> Result<(), CommError> {
-    let g = m.num_alive();
-    let pos = m
-        .pos_of(comm.rank())
-        .expect("checkpoint on an evicted rank");
+    let (g, pos) = group.shape(comm);
     let rank = comm.rank();
-    comm.span_begin(SpanKind::Checkpoint, "checkpoint");
     std::fs::create_dir_all(dir)
         .unwrap_or_else(|e| panic!("rank {rank}: checkpoint dir creation failed: {e}"));
     let flat = model.flat_state();
     write_shard(dir, pos, g, &flat)
         .unwrap_or_else(|e| panic!("rank {rank}: shard write failed: {e}"));
-    shrink_barrier(comm, m, policy)?;
+    group.barrier(comm)?;
     if pos == 0 {
         let shards = (0..g)
             .map(|s| {
@@ -917,7 +877,7 @@ fn write_elastic_ckpt(
             .collect();
         let man = ShardManifest {
             step: done as u64,
-            epoch: m.epoch(),
+            epoch,
             world_size: g,
             flat_len: flat.len(),
             cfg: model.cfg,
@@ -928,9 +888,7 @@ fn write_elastic_ckpt(
             .unwrap_or_else(|e| panic!("rank {rank}: manifest commit failed: {e}"));
     }
     // No member trains past an uncommitted checkpoint.
-    shrink_barrier(comm, m, policy)?;
-    comm.span_end();
-    Ok(())
+    group.barrier(comm)
 }
 
 /// Everything needed to resume a training job from the middle: the number
@@ -1139,7 +1097,7 @@ pub fn train_with_recovery(
                     losses: eout.losses[prior_losses.len()..].to_vec(),
                     last: None,
                     skipped_steps: eout.skipped_steps,
-                    dropped_micros: 0,
+                    dropped_micros: eout.dropped_micros,
                 };
                 return Ok((span, model, finished));
             }
@@ -1154,49 +1112,25 @@ pub fn train_with_recovery(
                     if done % every != 0 && done != steps {
                         return;
                     }
-                    let rank = comm.rank();
                     comm.span_begin(SpanKind::Checkpoint, "checkpoint");
+                    let mut losses = prior_losses.clone();
+                    losses.extend_from_slice(sofar);
                     if recovery.sharded {
                         // Parallel per-rank write: every rank persists its
-                        // own shard, a barrier confirms all shards landed,
-                        // then rank 0 commits the manifest. Replicas are
-                        // bit-identical, so rank 0 derives every shard's
-                        // metadata from its own state without re-reading
-                        // the files.
-                        std::fs::create_dir_all(&ckpt_path).unwrap_or_else(|e| {
-                            panic!("rank {rank}: checkpoint dir creation failed: {e}")
-                        });
-                        let flat = m.flat_state();
-                        write_shard(&ckpt_path, rank, world_size, &flat)
-                            .unwrap_or_else(|e| panic!("rank {rank}: shard write failed: {e}"));
-                        comm.barrier();
-                        if rank == 0 {
-                            let mut losses = prior_losses.clone();
-                            losses.extend_from_slice(sofar);
-                            let shards = (0..world_size)
-                                .map(|s| {
-                                    shard_meta(&flat, world_size, s).unwrap_or_else(|e| {
-                                        panic!("rank 0: shard meta failed: {e}")
-                                    })
-                                })
-                                .collect();
-                            let man = ShardManifest {
-                                step: done as u64,
-                                epoch,
-                                world_size,
-                                flat_len: flat.len(),
-                                cfg: m.cfg,
-                                losses,
-                                shards,
-                            };
-                            write_manifest(&ckpt_path, &man)
-                                .unwrap_or_else(|e| panic!("rank 0: manifest commit failed: {e}"));
+                        // own shard, then rank 0 commits the manifest.
+                        let res = commit_sharded(
+                            comm,
+                            &mut Group::World,
+                            &ckpt_path,
+                            m,
+                            done,
+                            &losses,
+                            epoch,
+                        );
+                        if let Err(e) = res {
+                            comm.escalate(e);
                         }
-                        // No rank trains past an uncommitted checkpoint.
-                        comm.barrier();
-                    } else if rank == 0 {
-                        let mut losses = prior_losses.clone();
-                        losses.extend_from_slice(sofar);
+                    } else if comm.rank() == 0 {
                         let ck = TrainCheckpoint {
                             step: done,
                             losses,

@@ -52,16 +52,17 @@
 //! against the local replica rounded the same way (the identity on an f32
 //! wire), so diverged replicas fail loudly.
 //!
-//! **Elastic worlds.** [`try_gather_weights_m`] and [`try_sync_grads_m`]
-//! run the same layout over the alive set of a [`Membership`] — ring
-//! positions replace rank ids — through the shrinking collectives. Those
-//! run the fixed world's schedule on the alive set's geometry: the
-//! two-level split when the survivors are node-balanced, the flat ring
-//! over the alive list when they are ragged. A shrunken or regrown world
-//! therefore matches a fresh world of the survivors' shape (or a fresh
-//! flat world of their count) bit for bit. Each shrinking collective ends
-//! in one eviction agreement: four per step, where a collective per
-//! parameter ran two or three per parameter.
+//! **Elastic worlds.** [`try_gather_weights`] and [`try_sync_grads`] take
+//! the [`Group`] they shard over. [`Group::World`] is the fixed world,
+//! through the communicator's fallible collectives; [`Group::Alive`] is the
+//! alive set of a [`Membership`] — ring positions replace rank ids —
+//! through the shrinking collectives. Those run the fixed world's
+//! algorithms on the alive set's geometry: the two-level split when the
+//! survivors are node-balanced, the flat ring over the alive list when they
+//! are ragged. A shrunken or regrown world therefore matches a fresh world
+//! of the survivors' shape (or a fresh flat world of their count) bit for
+//! bit. Each shrinking collective ends in one eviction agreement: four per
+//! step, where a collective per parameter ran two or three per parameter.
 //!
 //! **Observability.** Each bucket collective is wrapped in one
 //! [`SpanKind::Optim`] span (`fsdp_gather` / `fsdp_sync`) — under the
@@ -73,8 +74,9 @@
 use crate::param::Param;
 use burst_comm::obs::MemCategory;
 use burst_comm::{
-    shrink_all_gather_mat, shrink_all_reduce_mat, shrink_reduce_scatter_mat, CommError,
-    Communicator, Membership, RetryPolicy, SpanKind, WireDtype,
+    shrink_all_gather_mat, shrink_all_reduce_mat, shrink_all_reduce_vec, shrink_barrier,
+    shrink_reduce_scatter_mat, CommError, Communicator, Membership, RetryPolicy, SpanKind,
+    WireDtype,
 };
 use burst_tensor::{decode_bf16, encode_bf16, Mat};
 
@@ -106,39 +108,47 @@ fn round_to_wire(wire: WireDtype, buf: &mut [f32]) {
     }
 }
 
-/// The ranks one FSDP call shards over, and the collectives it runs on
-/// them.
-enum Group<'a> {
-    /// The fixed world: rank ids, collectives that escalate failures.
+/// The ranks a training step runs over, and the collectives it runs on
+/// them. Both variants return failures as typed errors.
+pub enum Group<'a> {
+    /// The fixed world: rank ids, the communicator's fallible collectives.
     World,
     /// The alive set of an elastic membership: ring positions, shrinking
-    /// collectives that surface failures as typed errors.
+    /// collectives that end in an eviction agreement.
     Alive(&'a mut Membership, &'a RetryPolicy),
 }
 
 impl Group<'_> {
     /// `(group size, this rank's position in it)`.
-    fn shape(&self, comm: &Communicator) -> (usize, usize) {
+    pub(crate) fn shape(&self, comm: &Communicator) -> (usize, usize) {
         match self {
             Group::World => (comm.world_size(), comm.rank()),
             Group::Alive(m, _) => (
                 m.num_alive(),
                 m.pos_of(comm.rank())
-                    .expect("FSDP collective on an evicted rank"),
+                    .expect("group collective on an evicted rank"),
             ),
+        }
+    }
+
+    /// The member ranks in ascending order.
+    pub(crate) fn members(&self, comm: &Communicator) -> Vec<usize> {
+        match self {
+            Group::World => (0..comm.world_size()).collect(),
+            Group::Alive(m, _) => m.alive_ranks(),
         }
     }
 
     fn all_gather(&mut self, comm: &mut Communicator, mine: &Mat) -> Result<Vec<Mat>, CommError> {
         match self {
-            Group::World => Ok(comm.all_gather_mat(mine)),
+            Group::World => comm.try_all_gather_mat(mine),
             Group::Alive(m, policy) => shrink_all_gather_mat(comm, m, mine, policy),
         }
     }
 
     fn reduce_scatter(&mut self, comm: &mut Communicator, parts: &[Mat]) -> Result<Mat, CommError> {
         match self {
-            Group::World => Ok(comm.reduce_scatter_mat(parts)),
+            Group::World => comm.try_reduce_scatter_mat(parts),
             Group::Alive(m, policy) => shrink_reduce_scatter_mat(comm, m, parts, policy),
         }
     }
@@ -152,15 +162,36 @@ impl Group<'_> {
     ) -> Result<Mat, CommError> {
         debug_assert_eq!(bucket.rows(), 1);
         match self {
-            Group::World => Ok(comm.all_reduce_mat(bucket)),
+            Group::World => comm.try_all_reduce_mat(bucket),
             Group::Alive(m, policy) => shrink_all_reduce_mat(comm, m, bucket, policy),
+        }
+    }
+
+    /// All-reduce (sum) of a short vector through the group's leader.
+    pub(crate) fn all_reduce_vec(
+        &mut self,
+        comm: &mut Communicator,
+        v: &[f32],
+    ) -> Result<Vec<f32>, CommError> {
+        match self {
+            Group::World => comm.try_all_reduce_vec(v),
+            Group::Alive(m, policy) => shrink_all_reduce_vec(comm, m, v, policy),
+        }
+    }
+
+    pub(crate) fn barrier(&mut self, comm: &mut Communicator) -> Result<(), CommError> {
+        match self {
+            Group::World => comm.try_barrier(),
+            Group::Alive(m, policy) => shrink_barrier(comm, m, policy),
         }
     }
 }
 
-/// One ring all-gather of every parameter's row shard, unpacked into the
-/// replicas after checking them against it.
-fn gather(
+/// One ring all-gather of every parameter's row shard over `group`,
+/// unpacked into the replicas after checking them against it (the gathered
+/// values must reproduce the replica at wire precision, which is asserted —
+/// catching any divergence between ranks).
+pub fn try_gather_weights(
     comm: &mut Communicator,
     group: &mut Group<'_>,
     params: &mut [&mut Param],
@@ -209,9 +240,10 @@ fn gather(
     Ok(())
 }
 
-/// Sum every parameter's gradient across the group: one ring all-reduce of
-/// the ring bucket, one leader all-reduce of the rest.
-fn sync(
+/// Sum every parameter's gradient across `group`: one ring all-reduce of
+/// the ring bucket, one leader all-reduce of the rest. Over an alive set the
+/// accumulation order is a fresh world's of that size.
+pub fn try_sync_grads(
     comm: &mut Communicator,
     group: &mut Group<'_>,
     params: &mut [&mut Param],
@@ -285,43 +317,16 @@ fn sync(
     Ok(())
 }
 
-/// All-gather every parameter's row shard (charges the weight-gather
-/// traffic; the gathered values must reproduce the replica at wire
-/// precision, which is asserted — catching any divergence between ranks).
+/// [`try_gather_weights`] over the fixed world; a failure escalates.
 pub fn gather_weights(comm: &mut Communicator, params: &mut [&mut Param]) {
-    if let Err(e) = gather(comm, &mut Group::World, params) {
+    if let Err(e) = try_gather_weights(comm, &mut Group::World, params) {
         comm.escalate(e)
     }
 }
 
-/// Membership-aware [`gather_weights`]: shards over the **alive set** (ring
-/// positions replace rank ids), so a shrunken or regrown world gathers
-/// exactly like a fresh world of the same size — the bit-identity the
-/// elastic engine's differential gates rely on. Fallible: a rank dying
-/// mid-gather surfaces as a typed error for the in-step recovery loop.
-pub fn try_gather_weights_m(
-    comm: &mut Communicator,
-    m: &mut Membership,
-    params: &mut [&mut Param],
-    policy: &RetryPolicy,
-) -> Result<(), CommError> {
-    gather(comm, &mut Group::Alive(m, policy), params)
-}
-
-/// Membership-aware [`sync_grads`]: all-reduce over the alive set with the
-/// same accumulation order as a fresh world of that size.
-pub fn try_sync_grads_m(
-    comm: &mut Communicator,
-    m: &mut Membership,
-    params: &mut [&mut Param],
-    policy: &RetryPolicy,
-) -> Result<(), CommError> {
-    sync(comm, &mut Group::Alive(m, policy), params)
-}
-
-/// All-reduce (sum) every parameter's gradient across ranks.
+/// [`try_sync_grads`] over the fixed world; a failure escalates.
 pub fn sync_grads(comm: &mut Communicator, params: &mut [&mut Param]) {
-    if let Err(e) = sync(comm, &mut Group::World, params) {
+    if let Err(e) = try_sync_grads(comm, &mut Group::World, params) {
         comm.escalate(e)
     }
 }

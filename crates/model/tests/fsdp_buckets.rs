@@ -4,7 +4,7 @@
 //! that no longer grows with the parameter count.
 
 use burst_comm::{CommStats, Communicator, Membership, RetryPolicy, Topology, World};
-use burst_model::fsdp::{gather_weights, sync_grads, try_gather_weights_m, try_sync_grads_m};
+use burst_model::fsdp::{gather_weights, sync_grads, try_gather_weights, try_sync_grads, Group};
 use burst_model::Param;
 use burst_tensor::{randn_mat, Mat};
 
@@ -140,8 +140,9 @@ fn assert_shrink_matches_fresh(topo: Topology, dead: &'static [usize], fresh: To
         let pos = m.pos_of(comm.rank())?;
         let mut ps = params(pos as u64);
         let policy = RetryPolicy::default();
-        try_gather_weights_m(comm, &mut m, &mut refs(&mut ps), &policy).expect("clean gather");
-        try_sync_grads_m(comm, &mut m, &mut refs(&mut ps), &policy).expect("clean sync");
+        let mut group = Group::Alive(&mut m, &policy);
+        try_gather_weights(comm, &mut group, &mut refs(&mut ps)).expect("clean gather");
+        try_sync_grads(comm, &mut group, &mut refs(&mut ps)).expect("clean sync");
         Some(bits(&ps))
     });
     let want = run(&fresh, |comm, ps| {

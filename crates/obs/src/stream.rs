@@ -119,11 +119,6 @@ impl<W: Write> StreamingPerfettoWriter<W> {
         Ok(self.sink)
     }
 
-    /// Events written so far.
-    pub fn event_count(&self) -> u64 {
-        self.events
-    }
-
     /// Largest chunk ever buffered between sink writes (bytes).
     pub fn high_water_bytes(&self) -> usize {
         self.high_water

@@ -80,11 +80,6 @@ pub fn comm_times(cluster: &Cluster, p_bytes: f64) -> CommTimes {
     }
 }
 
-/// Forward-only share of each method's communication (2 of 6/6/5 units).
-pub fn forward_fraction(method_units: f64) -> f64 {
-    2.0 / method_units
-}
-
 /// Convenience: per-layer communication times for a model shape.
 pub fn layer_comm_times(cluster: &Cluster, seq_len: usize, d_model: usize) -> CommTimes {
     comm_times(cluster, partition_bytes(seq_len, d_model, cluster.world()))

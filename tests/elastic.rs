@@ -325,33 +325,59 @@ fn poisoned_micro_batch_is_rolled_back_and_rescaled() {
     cfg.grad_accum = 2;
     let steps = 3;
     let dir = scratch("poison-micro");
-    let rcfg = RecoveryCfg {
-        every: 2,
-        path: dir.join("train.ckpt"),
-        max_restarts: 0,
-        sharded: false,
-        shrink: false,
-        in_step: false,
-        quiet: true,
+    // Restart recovery and in-step recovery run the same step, so both
+    // salvage the poisoned micro-batch alike.
+    let reports: Vec<RecoveryReport> = [false, true]
+        .into_iter()
+        .map(|in_step| {
+            let rcfg = RecoveryCfg {
+                every: 2,
+                path: dir.join(if in_step { "in-step" } else { "train.ckpt" }),
+                max_restarts: 0,
+                sharded: in_step,
+                shrink: false,
+                in_step,
+                quiet: true,
+            };
+            let report = train_with_recovery(
+                |_, _| {
+                    let plan = FaultPlan::new(5).poison_grad_micro(0, 1, 0, f32::INFINITY);
+                    World::with_faults(Topology::single_node(2), plan)
+                },
+                &cfg,
+                steps,
+                &rcfg,
+            )
+            .expect("a poisoned micro-batch must not kill the job");
+            assert_eq!(report.restarts, 0, "in_step {in_step}");
+            assert_eq!(
+                report.skipped_steps, 0,
+                "in_step {in_step}: gradient accumulation salvages the step"
+            );
+            assert_eq!(
+                report.dropped_micros, 1,
+                "in_step {in_step}: one micro rolled back"
+            );
+            assert_eq!(report.losses.len(), steps);
+            assert!(report.losses.iter().all(|l| l.is_finite()));
+            report
+        })
+        .collect();
+    let bits = |r: &RecoveryReport| -> Vec<u32> {
+        r.final_model
+            .flat_state()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect()
     };
-    let report = train_with_recovery(
-        |_, _| {
-            let plan = FaultPlan::new(5).poison_grad_micro(0, 1, 0, f32::INFINITY);
-            World::with_faults(Topology::single_node(2), plan)
-        },
-        &cfg,
-        steps,
-        &rcfg,
-    )
-    .expect("a poisoned micro-batch must not kill the job");
-    assert_eq!(report.restarts, 0);
     assert_eq!(
-        report.skipped_steps, 0,
-        "gradient accumulation salvages the step"
+        reports[0].losses, reports[1].losses,
+        "both recovery modes train the same losses"
     );
-    assert_eq!(report.dropped_micros, 1, "one micro rolled back");
-    assert_eq!(report.losses.len(), steps);
-    assert!(report.losses.iter().all(|l| l.is_finite()));
+    assert!(
+        bits(&reports[0]) == bits(&reports[1]),
+        "both recovery modes end at the same model, bit for bit"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -178,42 +178,41 @@ fn run_span_returns_a_typed_error_when_a_rank_crashes_mid_step() {
     ] {
         let cfg = EngineConfig::tiny(Backend::Ring(algo));
         let fresh = || Model::new(cfg.model, cfg.seed);
-        let step0 =
-            |comm: &mut Communicator| run_span(comm, &cfg, &mut fresh(), 0, 1, |_, _, _, _| {});
-        // Rank 1's ops between step 0's FSDP weight gather and its gradient
-        // sync, measured on clean worlds. The gather and the sync still
-        // escalate; everything between them must fail softly. The range
-        // stops one op short of the sync: rank 1's last op there receives
-        // the reduced loss, and a crash at it leaves the peers nothing to
-        // wait on before the sync, so whether they notice in time depends
-        // on wall-clock disconnect order.
-        let gather = rank1_ops_after(&topo, |comm| {
-            fsdp::gather_weights(comm, &mut fresh().params_mut())
-        });
+        let span = |comm: &mut Communicator, steps: usize| {
+            run_span(comm, &cfg, &mut fresh(), 0, steps, |_, _, _, _| {})
+        };
+        // Rank 1's ops in step 0 and in its FSDP gradient sync, measured on
+        // clean worlds. A crash at any op of step 0 must fail every rank
+        // softly. Before the sync, every peer still needs rank 1 within
+        // step 0. Inside it, a peer may already hold all it needs from
+        // rank 1 and finish step 0, so those crashes run a two-step span,
+        // whose step 1 gathers weights from rank 1 again.
         let sync = rank1_ops_after(&topo, |comm| {
             fsdp::sync_grads(comm, &mut fresh().params_mut())
         });
         let step = rank1_ops_after(&topo, |comm| {
-            step0(comm).expect("clean step");
+            span(comm, 1).expect("clean step");
         });
-        let window = gather..step - sync - 1;
-        assert!(!window.is_empty(), "{algo:?}: step 0 must communicate");
-        for op in window {
-            let plan = FaultPlan::new(31).crash_at_op(1, op);
-            // `World::run` re-raises any rank's panic, so reaching the
-            // checks below means every rank returned.
-            let errs = World::with_faults(topo.clone(), plan).run_results(|comm| step0(comm).err());
-            for (rank, e) in errs.iter().enumerate() {
+        assert!(sync > 0 && step > sync, "{algo:?}: step 0 must communicate");
+        for (ops, steps) in [(0..step - sync, 1), (step - sync..step, 2)] {
+            for op in ops {
+                let plan = FaultPlan::new(31).crash_at_op(1, op);
+                // `World::run` re-raises any rank's panic, so reaching the
+                // checks below means every rank returned.
+                let errs = World::with_faults(topo.clone(), plan)
+                    .run_results(|comm| span(comm, steps).err());
+                for (rank, e) in errs.iter().enumerate() {
+                    assert!(
+                        e.is_some(),
+                        "{algo:?}, crash at op {op}: rank {rank} finished the span"
+                    );
+                }
                 assert!(
-                    e.is_some(),
-                    "{algo:?}, crash at op {op}: rank {rank} finished the step"
+                    matches!(errs[1], Some(CommError::Crashed { rank: 1, .. })),
+                    "{algo:?}, crash at op {op}: rank 1 reported {:?}",
+                    errs[1]
                 );
             }
-            assert!(
-                matches!(errs[1], Some(CommError::Crashed { rank: 1, .. })),
-                "{algo:?}, crash at op {op}: rank 1 reported {:?}",
-                errs[1]
-            );
         }
     }
 }
