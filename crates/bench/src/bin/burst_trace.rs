@@ -648,12 +648,6 @@ fn run_diff(path_a: &str, path_b: &str) -> Result<(), String> {
 fn run(args: &Args) -> Result<(), String> {
     let topo = Topology::a800(args.nodes, args.gpn);
     let cluster = Cluster::a800(args.nodes, args.gpn);
-    // The analytic predictions only mean something if both models describe
-    // the same machine.
-    assert_eq!(topo.intra.latency, cluster.nvlink.latency);
-    assert_eq!(topo.intra.bandwidth, cluster.nvlink.bandwidth);
-    assert_eq!(topo.inter.latency, cluster.nic.latency);
-    assert_eq!(topo.inter.bandwidth, cluster.nic.bandwidth);
 
     let table1 = layer_comm_times(&cluster, args.seq, args.d);
     /// One row of the report: a schedule run either dense (causal mask,

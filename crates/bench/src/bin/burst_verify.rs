@@ -24,8 +24,7 @@ use burst_kernels::{AttnMask, BlockSparseMask};
 use burst_model::engine::{Backend, EngineConfig};
 use burst_verify::diff::{
     attn_inputs, elastic_ops_after, engine_elastic, engine_resume, engine_run, engine_span,
-    run_elastic, run_elastic_on, run_ring_family, run_ring_family_opts, run_ulysses, run_usp,
-    GlobalAttn,
+    run_elastic, run_elastic_on, run_ring_family, run_ring_family_opts, run_usp, GlobalAttn,
 };
 use burst_verify::oracle::{oracle_attention, oracle_train, OracleAttn};
 use burst_verify::{
@@ -175,34 +174,24 @@ fn attention_cells(seed: u64, cells: &mut Vec<Cell>) {
         }
     }
 
+    // Head parallelism: pure Ulysses (one Ulysses group spanning the world)
+    // and USP with Ulysses groups of two.
     for (variant, plan) in [("clean", None), ("delay-fault", Some(&delay))] {
-        let label = format!("attn/ulysses/{variant}");
-        let outcome = run_ulysses(&topo, n, d, heads, seed, &AttnMask::Causal, plan)
-            .map_err(|e| e.to_string())
-            .and_then(|got| {
-                for (h, got_h) in got.iter().enumerate() {
-                    let want =
-                        oracle_for(n, d, seed.wrapping_mul(64) + h as u64, &AttnMask::Causal);
-                    check_attn(&format!("{label}/head{h}"), got_h, &want, false)
-                        .map_err(|d| d.to_string())?;
-                }
-                Ok(())
-            });
-        push(cells, &label, seed, outcome);
-
-        let label = format!("attn/usp-u2/{variant}");
-        let outcome = run_usp(&topo, n, d, heads, 2, seed, &AttnMask::Causal, plan)
-            .map_err(|e| e.to_string())
-            .and_then(|got| {
-                for (h, got_h) in got.iter().enumerate() {
-                    let want =
-                        oracle_for(n, d, seed.wrapping_mul(64) + h as u64, &AttnMask::Causal);
-                    check_attn(&format!("{label}/head{h}"), got_h, &want, false)
-                        .map_err(|d| d.to_string())?;
-                }
-                Ok(())
-            });
-        push(cells, &label, seed, outcome);
+        for (name, u) in [("ulysses", g), ("usp-u2", 2)] {
+            let label = format!("attn/{name}/{variant}");
+            let outcome = run_usp(&topo, n, d, heads, u, seed, &AttnMask::Causal, plan)
+                .map_err(|e| e.to_string())
+                .and_then(|got| {
+                    for (h, got_h) in got.iter().enumerate() {
+                        let want =
+                            oracle_for(n, d, seed.wrapping_mul(64) + h as u64, &AttnMask::Causal);
+                        check_attn(&format!("{label}/head{h}"), got_h, &want, false)
+                            .map_err(|d| d.to_string())?;
+                    }
+                    Ok(())
+                });
+            push(cells, &label, seed, outcome);
+        }
     }
 
     // Elastic: crash one rank mid-ring, survivors evict + re-run. The

@@ -11,7 +11,6 @@
 
 use burst_comm::obs::{peak_census, validate_mem, PeakBytes};
 use burst_comm::{FaultPlan, Membership, RetryPolicy, Topology, WireDtype, World};
-use burst_dattn::ulysses::{try_ulysses_backward, try_ulysses_forward};
 use burst_dattn::usp::{try_usp_backward, try_usp_forward, UspTopo};
 use burst_dattn::{
     try_elastic_attention_opts, try_run_attention_opts, Algo, CostModel, ElasticOpts, Layout,
@@ -136,106 +135,59 @@ fn ulysses_and_usp_peaks_match_exact_census() {
     for dtype in DTYPES {
         let topo = Topology::a800(nodes, gpn).with_wire_dtype(dtype);
 
-        // Pure Ulysses over the whole world.
-        let want = exact_peak_bytes_dtype(&cluster, seq, d, PeakMethod::Ulysses { heads }, dtype);
-        let world = World::new(topo.clone());
-        let outs = world.run(|comm| {
-            let members: Vec<usize> = (0..g).collect();
-            let member_idx: Vec<Vec<usize>> = (0..g)
-                .map(|m| Layout::Contiguous.indices(seq, g, m))
-                .collect();
-            let my_idx = &member_idx[comm.rank()];
-            let ql: Vec<Mat> = qh.iter().map(|m| m.gather_rows(my_idx)).collect();
-            let kl: Vec<Mat> = kh.iter().map(|m| m.gather_rows(my_idx)).collect();
-            let vl: Vec<Mat> = vh.iter().map(|m| m.gather_rows(my_idx)).collect();
-            let dol: Vec<Mat> = doh.iter().map(|m| m.gather_rows(my_idx)).collect();
-            comm.start_mem_accounting();
-            let (_, saved) = try_ulysses_forward(
-                comm,
-                &members,
-                &member_idx,
-                &ql,
-                &kl,
-                &vl,
-                scale,
-                &mask,
-                &CostModel::free(),
-            )
-            .expect("ulysses forward");
-            try_ulysses_backward(
-                comm,
-                &members,
-                &member_idx,
-                &saved,
-                &dol,
-                scale,
-                &mask,
-                &CostModel::free(),
-            )
-            .expect("ulysses backward");
-        });
-        for o in outs {
-            let m = o.mem.expect("accounting was on");
-            validate_mem(&m).unwrap_or_else(|e| panic!("rank {}: {e}", o.rank));
-            assert_eq!(
-                m.peak.gated(),
-                want,
-                "ulysses {dtype:?} rank {}: census mismatch",
-                o.rank
-            );
-        }
-
-        // USP: U = 2 Ulysses groups × R = 2 context rings.
-        let u = 2usize;
-        let want = exact_peak_bytes_dtype(
-            &cluster,
-            seq,
-            d,
-            PeakMethod::Usp { heads, ulysses: u },
-            dtype,
-        );
-        let world = World::new(topo.clone());
-        let outs = world.run(|comm| {
-            let utopo = UspTopo::new(comm, u);
-            let my_idx = utopo.local_idx(seq);
-            let ql: Vec<Mat> = qh.iter().map(|m| m.gather_rows(&my_idx)).collect();
-            let kl: Vec<Mat> = kh.iter().map(|m| m.gather_rows(&my_idx)).collect();
-            let vl: Vec<Mat> = vh.iter().map(|m| m.gather_rows(&my_idx)).collect();
-            let dol: Vec<Mat> = doh.iter().map(|m| m.gather_rows(&my_idx)).collect();
-            comm.start_mem_accounting();
-            let (_, saved) = try_usp_forward(
-                comm,
-                &utopo,
-                &ql,
-                &kl,
-                &vl,
-                scale,
-                &mask,
+        // Pure Ulysses (one Ulysses group spanning the world), then USP with
+        // U = 2 Ulysses groups × R = 2 context rings.
+        for (name, u) in [("ulysses", g), ("usp", 2)] {
+            let want = exact_peak_bytes_dtype(
+                &cluster,
                 seq,
-                &CostModel::free(),
-            )
-            .expect("usp forward");
-            try_usp_backward(
-                comm,
-                &utopo,
-                &saved,
-                &dol,
-                scale,
-                &mask,
-                seq,
-                &CostModel::free(),
-            )
-            .expect("usp backward");
-        });
-        for o in outs {
-            let m = o.mem.expect("accounting was on");
-            validate_mem(&m).unwrap_or_else(|e| panic!("rank {}: {e}", o.rank));
-            assert_eq!(
-                m.peak.gated(),
-                want,
-                "usp {dtype:?} rank {}: census mismatch",
-                o.rank
+                d,
+                PeakMethod::Usp { heads, ulysses: u },
+                dtype,
             );
+            let world = World::new(topo.clone());
+            let outs = world.run(|comm| {
+                let utopo = UspTopo::new(comm, u);
+                let my_idx = utopo.local_idx(seq);
+                let ql: Vec<Mat> = qh.iter().map(|m| m.gather_rows(&my_idx)).collect();
+                let kl: Vec<Mat> = kh.iter().map(|m| m.gather_rows(&my_idx)).collect();
+                let vl: Vec<Mat> = vh.iter().map(|m| m.gather_rows(&my_idx)).collect();
+                let dol: Vec<Mat> = doh.iter().map(|m| m.gather_rows(&my_idx)).collect();
+                comm.start_mem_accounting();
+                let (_, saved) = try_usp_forward(
+                    comm,
+                    &utopo,
+                    &ql,
+                    &kl,
+                    &vl,
+                    scale,
+                    &mask,
+                    seq,
+                    &CostModel::free(),
+                )
+                .expect("usp forward");
+                try_usp_backward(
+                    comm,
+                    &utopo,
+                    &saved,
+                    &dol,
+                    scale,
+                    &mask,
+                    seq,
+                    &CostModel::free(),
+                )
+                .expect("usp backward");
+            });
+            for o in outs {
+                let m = o.mem.expect("accounting was on");
+                validate_mem(&m).unwrap_or_else(|e| panic!("rank {}: {e}", o.rank));
+                assert_eq!(
+                    m.peak.gated(),
+                    want,
+                    "{name} {dtype:?} rank {}: census mismatch",
+                    o.rank
+                );
+            }
         }
     }
 }

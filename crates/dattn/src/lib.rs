@@ -18,8 +18,8 @@
 //!   intra-node sweep. Provides both the DoubleRingAttention baseline
 //!   (no gradient overlap in backward) and BurstAttention's topology-aware
 //!   variant;
-//! * [`ulysses`] — DeepSpeed-Ulysses head parallelism (all-to-all);
-//! * [`usp`] — LoongTrain's hybrid head+context parallelism;
+//! * [`usp`] — head parallelism: LoongTrain's hybrid head+context USP,
+//!   whose ring-of-one case (Ulysses group = world) is DeepSpeed-Ulysses;
 //! * [`layout`] — sequence partitions: contiguous, zigzag (Eq. 11–12) and
 //!   striped (Eq. 13–14) causal workload balance. Because the kernels take
 //!   global token indices and skip fully-masked tiles, balance follows from
@@ -33,7 +33,6 @@ pub mod elastic;
 pub mod layout;
 pub mod ring;
 pub mod skip;
-pub mod ulysses;
 pub mod usp;
 
 pub use cost::CostModel;
@@ -52,7 +51,7 @@ pub use skip::{
 use burst_comm::{CommError, Communicator, MemCategory};
 use burst_kernels::AttnMask;
 use burst_tensor::Mat;
-use ulysses::UlyssesError;
+use usp::UlyssesError;
 
 /// Why a distributed attention call failed: either the requested geometry
 /// is infeasible (a configuration error, reported before any communication

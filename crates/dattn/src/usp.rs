@@ -1,5 +1,5 @@
-//! USP: LoongTrain's hybrid head–context parallelism (the paper's strongest
-//! baseline).
+//! Head parallelism: LoongTrain's USP hybrid (the paper's strongest
+//! baseline) and, as its ring-of-one case, DeepSpeed-Ulysses.
 //!
 //! With `G = U × R` ranks (head-first placement: consecutive ranks — i.e.
 //! NVLink neighbours — form a Ulysses group of size `U`; same-position
@@ -7,14 +7,19 @@
 //!
 //! 1. an intra-group all-to-all turns sequence shards into head shards
 //!    (all NVLink traffic),
-//! 2. ring attention with zigzag balance runs across the size-`R` ring on
-//!    each rank's `H/U` heads,
+//! 2. each rank attends its `H/U` heads over its ring shard: ring attention
+//!    with zigzag balance across the size-`R` ring, or — when `U = G` and
+//!    the ring has one position — local attention over the whole sequence,
+//!    which is DeepSpeed-Ulysses,
 //! 3. a reverse all-to-all restores the sequence partition.
 //!
 //! The ring carries `N/R`-token shards instead of `N/G`, but only `R` hops;
 //! the all-to-alls add `O(N·d/G)` NVLink traffic. USP's win over pure ring
 //! attention comes from replacing most inter-node ring hops with cheap
-//! intra-node all-to-alls.
+//! intra-node all-to-alls. Head parallelism caps `U` at the head count: 40
+//! heads on 32 GPUs (the paper's 14B setting) cannot run as pure Ulysses,
+//! which [`UlyssesError::HeadsNotDivisible`] reports exactly as DeepSpeed
+//! does.
 
 use crate::cost::CostModel;
 use crate::layout::Layout;
@@ -22,13 +27,42 @@ use crate::ring::{
     try_ring_backward, try_ring_forward, AttnFailure, AttnShard, BackwardInputs, OverlapMode,
     Phase, Ring,
 };
-use crate::ulysses::{
-    group_all_to_all, stash_entry, try_group_all_to_all, HeadGrads, UlyssesError,
-};
 use crate::DattnError;
-use burst_comm::{Communicator, MemCategory, MemId};
-use burst_kernels::AttnMask;
+use burst_comm::{CommError, Communicator, MemCategory, MemId, SpanKind};
+use burst_kernels::{flash_backward, flash_forward, AttnMask};
 use burst_tensor::Mat;
+
+/// Why a head-parallel geometry cannot run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum UlyssesError {
+    /// Head parallelism requires `heads % group_size == 0`.
+    HeadsNotDivisible { heads: usize, group: usize },
+    /// Every member of a Ulysses group owns an equal slice of the ring
+    /// shard, so `rows % group_size == 0`.
+    RowsNotDivisible { rows: usize, group: usize },
+}
+
+impl std::fmt::Display for UlyssesError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            UlyssesError::HeadsNotDivisible { heads, group } => write!(
+                f,
+                "Ulysses head parallelism infeasible: {heads} heads not divisible by \
+                 group size {group}"
+            ),
+            UlyssesError::RowsNotDivisible { rows, group } => write!(
+                f,
+                "Ulysses head parallelism infeasible: ring shard of {rows} rows not \
+                 divisible by group size {group}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for UlyssesError {}
+
+/// Per-head `(∇Q, ∇K, ∇V)` triple returned by the backward pass.
+pub type HeadGrads = (Vec<Mat>, Vec<Mat>, Vec<Mat>);
 
 /// USP group geometry for one rank.
 #[derive(Debug, Clone)]
@@ -83,27 +117,136 @@ impl UspTopo {
 
     /// Global token indices of this rank's local rows: the zigzag shard of
     /// ring position `r_pos`, sliced contiguously (in shard order) among the
-    /// Ulysses group members.
+    /// Ulysses group members. A ring of one position owns the whole
+    /// sequence in order (zigzag over one position is the identity) at any
+    /// length, so at `U = G` this is the contiguous layout.
     pub fn local_idx(&self, seq_len: usize) -> Vec<usize> {
-        self.member_idx(seq_len, self.u_pos)
+        let shard = if self.ring == 1 {
+            (0..seq_len).collect()
+        } else {
+            Layout::Zigzag.indices(seq_len, self.ring, self.r_pos)
+        };
+        let per = shard.len() / self.ulysses;
+        shard[self.u_pos * per..(self.u_pos + 1) * per].to_vec()
     }
 
-    /// Same for an arbitrary Ulysses-group member.
-    pub fn member_idx(&self, seq_len: usize, u_pos: usize) -> Vec<usize> {
-        let shard = Layout::Zigzag.indices(seq_len, self.ring, self.r_pos);
-        let per = shard.len() / self.ulysses;
-        shard[u_pos * per..(u_pos + 1) * per].to_vec()
+    /// Heads per rank, or why `heads` heads over `seq_len` tokens cannot
+    /// run on this geometry — checked before any message is sent.
+    fn heads_per_rank(&self, heads: usize, seq_len: usize) -> Result<usize, UlyssesError> {
+        let group = self.ulysses;
+        if !heads.is_multiple_of(group) {
+            return Err(UlyssesError::HeadsNotDivisible { heads, group });
+        }
+        let rows = seq_len / self.ring;
+        if !rows.is_multiple_of(group) {
+            return Err(UlyssesError::RowsNotDivisible { rows, group });
+        }
+        Ok(heads / group)
     }
 }
 
-/// State saved by [`try_usp_forward`] for the backward pass.
+/// All-to-all within the Ulysses group (outgoing indexed by member
+/// position). Each call is one `a2a` round in the trace; a failure
+/// mid-exchange settles the span before propagating.
+fn all_to_all(
+    comm: &mut Communicator,
+    members: &[usize],
+    outgoing: Vec<Mat>,
+) -> Result<Vec<Mat>, CommError> {
+    let depth = comm.span_depth();
+    comm.span_begin(SpanKind::AttnRound, "a2a");
+    // Staging for the exchange: the outgoing blocks plus the equal-sized
+    // incoming set, live for the duration of the a2a, billed at the wire
+    // dtype.
+    let out_elems: usize = outgoing.iter().map(Mat::len).sum();
+    let staging = 2 * comm.mem_wire_bytes(out_elems);
+    let mem = comm.mem_alloc("a2a_staging", MemCategory::CommBuffers, staging);
+    let res = exchange(comm, members, outgoing);
+    comm.mem_free(mem);
+    comm.span_unwind(depth);
+    res
+}
+
+fn exchange(
+    comm: &mut Communicator,
+    members: &[usize],
+    outgoing: Vec<Mat>,
+) -> Result<Vec<Mat>, CommError> {
+    let pos = members
+        .iter()
+        .position(|&m| m == comm.rank())
+        .expect("all_to_all: caller not in group");
+    let len = members.len();
+    let mut incoming: Vec<Option<Mat>> = vec![None; len];
+    for (p, block) in outgoing.into_iter().enumerate() {
+        if p == pos {
+            incoming[pos] = Some(block);
+        } else {
+            comm.try_send_mat(members[p], &block)?;
+        }
+    }
+    for off in 1..len {
+        let sp = (pos + len - off) % len;
+        incoming[sp] = Some(comm.try_recv_mat(members[sp])?);
+    }
+    Ok(incoming.into_iter().map(|m| m.unwrap()).collect())
+}
+
+/// Split a bundle of `n` equal column groups back into heads.
+fn unbundle(bundle: &Mat, n: usize) -> Vec<Mat> {
+    let dh = bundle.cols() / n;
+    (0..n)
+        .map(|h| bundle.slice_cols(h * dh, (h + 1) * dh))
+        .collect()
+}
+
+/// Sequence shards → head shards: member `p` receives heads
+/// `p·hpr..(p+1)·hpr` of every member's rows, stacked in member order.
+fn to_heads(
+    comm: &mut Communicator,
+    topo: &UspTopo,
+    heads: &[Mat],
+    hpr: usize,
+    at: impl Fn(CommError) -> AttnFailure,
+) -> Result<Vec<Mat>, AttnFailure> {
+    let outgoing: Vec<Mat> = (0..topo.ulysses)
+        .map(|p| Mat::hstack(&heads[p * hpr..(p + 1) * hpr]))
+        .collect();
+    let incoming = all_to_all(comm, &topo.u_members, outgoing).map_err(at)?;
+    Ok(unbundle(&Mat::vstack(&incoming), hpr))
+}
+
+/// Head shards → sequence shards, the reverse of [`to_heads`]: member `p`
+/// receives its row slice of this rank's heads.
+fn to_rows(
+    comm: &mut Communicator,
+    topo: &UspTopo,
+    shards: &[Mat],
+    hpr: usize,
+    at: impl Fn(CommError) -> AttnFailure,
+) -> Result<Vec<Mat>, AttnFailure> {
+    let rows = shards[0].rows() / topo.ulysses;
+    let outgoing: Vec<Mat> = (0..topo.ulysses)
+        .map(|p| {
+            let slices: Vec<Mat> = shards
+                .iter()
+                .map(|s| s.slice_rows(p * rows, (p + 1) * rows))
+                .collect();
+            Mat::hstack(&slices)
+        })
+        .collect();
+    let incoming = all_to_all(comm, &topo.u_members, outgoing).map_err(at)?;
+    Ok(incoming.iter().flat_map(|b| unbundle(b, hpr)).collect())
+}
+
+/// State saved by [`try_usp_forward`] for the backward pass: the ring-shard
+/// tensors of this rank's owned heads.
 pub struct UspSaved {
     q: Vec<Mat>,
     k: Vec<Mat>,
     v: Vec<Mat>,
     o: Vec<Mat>,
     lse: Vec<Vec<f32>>,
-    heads_per_rank: usize,
     /// Accountant handle for the stash: opened when the forward saves this
     /// state, closed when the backward consumes it.
     mem: Option<MemId>,
@@ -118,22 +261,13 @@ impl UspSaved {
     }
 }
 
-fn bundle(heads: &[Mat], h0: usize, h1: usize) -> Mat {
-    Mat::hstack(&heads[h0..h1])
-}
-
-fn unbundle(bundle: &Mat, n: usize) -> Vec<Mat> {
-    let dh = bundle.cols() / n;
-    (0..n)
-        .map(|h| bundle.slice_cols(h * dh, (h + 1) * dh))
-        .collect()
-}
-
-/// USP forward: intra-group all-to-all, zigzag ring attention per owned
-/// head across the ring group, reverse all-to-all.
+/// USP forward: intra-group all-to-all, attention per owned head over the
+/// ring shard (zigzag ring attention, or local flash attention for a ring
+/// of one), reverse all-to-all.
 ///
 /// All-to-all failures carry `(Phase::Forward, k)` with `k` the all-to-all
-/// index; ring failures keep the ring's own phase/round annotation.
+/// index (0 = Q, 1 = K, 2 = V, 3 = output); ring failures keep the ring's
+/// own phase/round annotation.
 #[allow(clippy::too_many_arguments)]
 pub fn try_usp_forward(
     comm: &mut Communicator,
@@ -146,140 +280,73 @@ pub fn try_usp_forward(
     seq_len: usize,
     cost: &CostModel,
 ) -> Result<(Vec<Mat>, UspSaved), DattnError> {
-    let heads = q_heads.len();
-    if !heads.is_multiple_of(topo.ulysses) {
-        return Err(DattnError::Infeasible(UlyssesError::HeadsNotDivisible {
-            heads,
-            group: topo.ulysses,
-        }));
-    }
-    let hpr = heads / topo.ulysses;
-    let dh = q_heads[0].cols();
+    let hpr = topo.heads_per_rank(q_heads.len(), seq_len)?;
+    let q = to_heads(comm, topo, q_heads, hpr, AttnFailure::at(Phase::Forward, 0))?;
+    let k = to_heads(comm, topo, k_heads, hpr, AttnFailure::at(Phase::Forward, 1))?;
+    let v = to_heads(comm, topo, v_heads, hpr, AttnFailure::at(Phase::Forward, 2))?;
 
-    let redistribute =
-        |comm: &mut Communicator, hs: &[Mat], round: usize| -> Result<Vec<Mat>, AttnFailure> {
-            let outgoing: Vec<Mat> = (0..topo.ulysses)
-                .map(|p| bundle(hs, p * hpr, (p + 1) * hpr))
-                .collect();
-            let incoming = try_group_all_to_all(comm, &topo.u_members, outgoing)
-                .map_err(AttnFailure::at(Phase::Forward, round))?;
-            Ok(unbundle(&Mat::vstack(&incoming), hpr))
-        };
-    let q_shard = redistribute(comm, q_heads, 0)?;
-    let k_shard = redistribute(comm, k_heads, 1)?;
-    let v_shard = redistribute(comm, v_heads, 2)?;
-
-    // Ring attention over the context group, zigzag-balanced.
-    let ring = Ring::subgroup(comm, topo.r_members.clone());
-    let mut o_shard = Vec::with_capacity(hpr);
+    let mut o = Vec::with_capacity(hpr);
     let mut lse = Vec::with_capacity(hpr);
-    for h in 0..hpr {
-        let shard = AttnShard {
-            q: &q_shard[h],
-            k: &k_shard[h],
-            v: &v_shard[h],
-            scale,
-            mask,
-            layout: Layout::Zigzag,
-            seq_len,
-            cost: *cost,
-            max_token: None,
-            skip: topo.skip,
-        };
-        let out = try_ring_forward(comm, &ring, &shard)?;
-        let _ = dh;
-        o_shard.push(out.o);
-        lse.push(out.lse);
+    if topo.ring == 1 {
+        // DeepSpeed-Ulysses: every owned head attends the whole sequence
+        // locally.
+        let idx: Vec<usize> = (0..seq_len).collect();
+        for h in 0..hpr {
+            let out = flash_forward(&q[h], &k[h], &v[h], scale, mask, &idx, &idx);
+            comm.advance_compute(cost.attn_fwd_secs(out.work.pairs, q[h].cols()));
+            o.push(out.o);
+            lse.push(out.lse);
+        }
+    } else {
+        let ring = Ring::subgroup(comm, topo.r_members.clone());
+        for h in 0..hpr {
+            let shard = AttnShard {
+                q: &q[h],
+                k: &k[h],
+                v: &v[h],
+                scale,
+                mask,
+                layout: Layout::Zigzag,
+                seq_len,
+                cost: *cost,
+                max_token: None,
+                skip: topo.skip,
+            };
+            let out = try_ring_forward(comm, &ring, &shard)?;
+            o.push(out.o);
+            lse.push(out.lse);
+        }
     }
 
-    // Reverse all-to-all on O.
-    let rows_per_member = o_shard[0].rows() / topo.ulysses;
-    let outgoing: Vec<Mat> = (0..topo.ulysses)
-        .map(|p| {
-            let slices: Vec<Mat> = o_shard
-                .iter()
-                .map(|o| o.slice_rows(p * rows_per_member, (p + 1) * rows_per_member))
-                .collect();
-            Mat::hstack(&slices)
-        })
-        .collect();
-    let incoming = try_group_all_to_all(comm, &topo.u_members, outgoing)
-        .map_err(AttnFailure::at(Phase::Forward, 3))?;
-    let o_heads: Vec<Mat> = incoming.iter().flat_map(|b| unbundle(b, hpr)).collect();
-    let mem = stash_entry(
-        comm,
-        "usp_saved",
-        &q_shard,
-        &k_shard,
-        &v_shard,
-        &o_shard,
-        &lse,
-    );
+    let o_heads = to_rows(comm, topo, &o, hpr, AttnFailure::at(Phase::Forward, 3))?;
+    // The saved state (Q, K, V, O as f32 plus Lse) is one checkpoint-stash
+    // entry spanning forward → backward.
+    let mats: usize = q
+        .iter()
+        .chain(&k)
+        .chain(&v)
+        .chain(&o)
+        .map(Mat::nbytes)
+        .sum();
+    let vecs: usize = lse.iter().map(|l| 4 * l.len()).sum();
+    let mem = comm.mem_alloc("usp_saved", MemCategory::CkptStash, (mats + vecs) as u64);
     Ok((
         o_heads,
         UspSaved {
-            q: q_shard,
-            k: k_shard,
-            v: v_shard,
-            o: o_shard,
+            q,
+            k,
+            v,
+            o,
             lse,
-            heads_per_rank: hpr,
             mem,
         },
     ))
 }
 
-/// Rebuild the backward state from sequence-sharded tensors (see
-/// `ulysses::rebuild_saved`): all-to-all only, no attention compute.
-#[allow(clippy::too_many_arguments)]
-pub fn rebuild_saved(
-    comm: &mut Communicator,
-    topo: &UspTopo,
-    q_heads: &[Mat],
-    k_heads: &[Mat],
-    v_heads: &[Mat],
-    o_heads: &[Mat],
-    lse_heads: &[Vec<f32>],
-) -> Result<UspSaved, UlyssesError> {
-    let heads = q_heads.len();
-    if !heads.is_multiple_of(topo.ulysses) {
-        return Err(UlyssesError::HeadsNotDivisible {
-            heads,
-            group: topo.ulysses,
-        });
-    }
-    let hpr = heads / topo.ulysses;
-    let redistribute = |comm: &mut Communicator, hs: &[Mat]| -> Vec<Mat> {
-        let outgoing: Vec<Mat> = (0..topo.ulysses)
-            .map(|p| bundle(hs, p * hpr, (p + 1) * hpr))
-            .collect();
-        let incoming = group_all_to_all(comm, &topo.u_members, outgoing);
-        unbundle(&Mat::vstack(&incoming), hpr)
-    };
-    let q = redistribute(comm, q_heads);
-    let k = redistribute(comm, k_heads);
-    let v = redistribute(comm, v_heads);
-    let o = redistribute(comm, o_heads);
-    let rows = lse_heads[0].len();
-    let lse_local = Mat::from_fn(rows, heads, |r, h| lse_heads[h][r]);
-    let lse_cols: Vec<Mat> = (0..heads).map(|h| lse_local.slice_cols(h, h + 1)).collect();
-    let lse_full = redistribute(comm, &lse_cols);
-    let lse: Vec<Vec<f32>> = lse_full.iter().map(|m| m.as_slice().to_vec()).collect();
-    let mem = stash_entry(comm, "usp_saved", &q, &k, &v, &o, &lse);
-    Ok(UspSaved {
-        q,
-        k,
-        v,
-        o,
-        lse,
-        heads_per_rank: hpr,
-        mem,
-    })
-}
-
-/// USP backward: all-to-all of `∇O`, zigzag ring backward (Algorithm 1 with
-/// fine overlap — LoongTrain's implementation) per owned head, all-to-all of
-/// the input gradients back.
+/// USP backward: all-to-all of `∇O`, backward per owned head over the ring
+/// shard (zigzag ring backward — Algorithm 1 with fine overlap, LoongTrain's
+/// implementation — or the local flash backward for a ring of one),
+/// all-to-all of the input gradients back.
 ///
 /// All-to-all failures carry `(Phase::Backward, k)` with `k` the all-to-all
 /// index (0 = ∇O, 1 = ∇Q, 2 = ∇K, 3 = ∇V); ring failures keep the ring's
@@ -295,73 +362,73 @@ pub fn try_usp_backward(
     seq_len: usize,
     cost: &CostModel,
 ) -> Result<HeadGrads, DattnError> {
-    let heads = grad_o_heads.len();
-    if !heads.is_multiple_of(topo.ulysses) {
-        return Err(DattnError::Infeasible(UlyssesError::HeadsNotDivisible {
-            heads,
-            group: topo.ulysses,
-        }));
-    }
-    let hpr = saved.heads_per_rank;
+    let hpr = topo.heads_per_rank(grad_o_heads.len(), seq_len)?;
     // The ring-shard (∇Q, ∇K, ∇V) of this rank's owned heads, live from the
-    // per-head ring backwards until the scatters return them.
+    // per-head backwards until the scatters return them.
     let grads_bytes: usize = 3 * saved.q.iter().map(Mat::nbytes).sum::<usize>();
     let mem_grads = comm.mem_alloc("usp_grads", MemCategory::Activations, grads_bytes as u64);
+    let grad_o = to_heads(
+        comm,
+        topo,
+        grad_o_heads,
+        hpr,
+        AttnFailure::at(Phase::Backward, 0),
+    )?;
 
-    let outgoing: Vec<Mat> = (0..topo.ulysses)
-        .map(|p| bundle(grad_o_heads, p * hpr, (p + 1) * hpr))
-        .collect();
-    let incoming = try_group_all_to_all(comm, &topo.u_members, outgoing)
-        .map_err(AttnFailure::at(Phase::Backward, 0))?;
-    let do_shard = unbundle(&Mat::vstack(&incoming), hpr);
-
-    let ring = Ring::subgroup(comm, topo.r_members.clone());
-    let mut dq_shard = Vec::with_capacity(hpr);
-    let mut dk_shard = Vec::with_capacity(hpr);
-    let mut dv_shard = Vec::with_capacity(hpr);
-    for (h, do_h) in do_shard.iter().enumerate().take(hpr) {
-        let shard = AttnShard {
-            q: &saved.q[h],
-            k: &saved.k[h],
-            v: &saved.v[h],
-            scale,
-            mask,
-            layout: Layout::Zigzag,
-            seq_len,
-            cost: *cost,
-            max_token: None,
-            skip: topo.skip,
-        };
-        let back = BackwardInputs {
-            o: &saved.o[h],
-            lse: &saved.lse[h],
-            grad_o: do_h,
-        };
-        let (dq, dk, dv) = try_ring_backward(comm, &ring, &shard, &back, OverlapMode::Fine)?;
-        dq_shard.push(dq);
-        dk_shard.push(dk);
-        dv_shard.push(dv);
+    let mut dq = Vec::with_capacity(hpr);
+    let mut dk = Vec::with_capacity(hpr);
+    let mut dv = Vec::with_capacity(hpr);
+    if topo.ring == 1 {
+        // DeepSpeed-Ulysses: the local backward over the whole sequence.
+        let idx: Vec<usize> = (0..seq_len).collect();
+        for (h, do_h) in grad_o.iter().enumerate() {
+            let (a, b, c, w) = flash_backward(
+                &saved.q[h],
+                &saved.k[h],
+                &saved.v[h],
+                &saved.o[h],
+                do_h,
+                &saved.lse[h],
+                scale,
+                mask,
+                &idx,
+                &idx,
+            );
+            comm.advance_compute(cost.attn_bwd_secs(w.pairs, saved.q[h].cols()));
+            dq.push(a);
+            dk.push(b);
+            dv.push(c);
+        }
+    } else {
+        let ring = Ring::subgroup(comm, topo.r_members.clone());
+        for (h, do_h) in grad_o.iter().enumerate() {
+            let shard = AttnShard {
+                q: &saved.q[h],
+                k: &saved.k[h],
+                v: &saved.v[h],
+                scale,
+                mask,
+                layout: Layout::Zigzag,
+                seq_len,
+                cost: *cost,
+                max_token: None,
+                skip: topo.skip,
+            };
+            let back = BackwardInputs {
+                o: &saved.o[h],
+                lse: &saved.lse[h],
+                grad_o: do_h,
+            };
+            let (a, b, c) = try_ring_backward(comm, &ring, &shard, &back, OverlapMode::Fine)?;
+            dq.push(a);
+            dk.push(b);
+            dv.push(c);
+        }
     }
 
-    let rows_per_member = dq_shard[0].rows() / topo.ulysses;
-    let scatter =
-        |comm: &mut Communicator, grads: &[Mat], round: usize| -> Result<Vec<Mat>, AttnFailure> {
-            let outgoing: Vec<Mat> = (0..topo.ulysses)
-                .map(|p| {
-                    let slices: Vec<Mat> = grads
-                        .iter()
-                        .map(|g| g.slice_rows(p * rows_per_member, (p + 1) * rows_per_member))
-                        .collect();
-                    Mat::hstack(&slices)
-                })
-                .collect();
-            let incoming = try_group_all_to_all(comm, &topo.u_members, outgoing)
-                .map_err(AttnFailure::at(Phase::Backward, round))?;
-            Ok(incoming.iter().flat_map(|b| unbundle(b, hpr)).collect())
-        };
-    let dq = scatter(comm, &dq_shard, 1)?;
-    let dk = scatter(comm, &dk_shard, 2)?;
-    let dv = scatter(comm, &dv_shard, 3)?;
+    let dq = to_rows(comm, topo, &dq, hpr, AttnFailure::at(Phase::Backward, 1))?;
+    let dk = to_rows(comm, topo, &dk, hpr, AttnFailure::at(Phase::Backward, 2))?;
+    let dv = to_rows(comm, topo, &dv, hpr, AttnFailure::at(Phase::Backward, 3))?;
     comm.mem_free(mem_grads);
     comm.mem_free(saved.mem);
     Ok((dq, dk, dv))

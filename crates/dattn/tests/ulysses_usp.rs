@@ -1,11 +1,12 @@
-//! Correctness of DeepSpeed-Ulysses head parallelism and the USP hybrid,
-//! validated per head against the single-device blocked kernel, plus the
-//! head-divisibility failure mode the paper exploits (40 heads on 32 GPUs).
+//! Correctness of the USP hybrid and of DeepSpeed-Ulysses — USP whose
+//! Ulysses group is the whole world — validated per head against the
+//! single-device blocked kernel, plus the infeasible geometries: the
+//! head-divisibility failure mode the paper exploits (40 heads on 32 GPUs)
+//! and ring shards a Ulysses group cannot split evenly.
 
-use burst_comm::{Topology, World};
-use burst_dattn::ulysses::{try_ulysses_backward, try_ulysses_forward, UlyssesError};
-use burst_dattn::usp::{try_usp_backward, try_usp_forward, UspTopo};
-use burst_dattn::{CostModel, DattnError, Layout};
+use burst_comm::{Communicator, Topology, World};
+use burst_dattn::usp::{try_usp_backward, try_usp_forward, HeadGrads, UlyssesError, UspTopo};
+use burst_dattn::{CostModel, DattnError};
 use burst_kernels::{flash_backward, flash_forward, AttnMask};
 use burst_tensor::testutil::assert_allclose;
 use burst_tensor::{randn_mat, Mat};
@@ -76,6 +77,44 @@ fn head_reference(p: &HeadProblem, mask: &AttnMask, n: usize) -> HeadRef {
     r
 }
 
+/// One forward + backward of USP with Ulysses groups of `u` ranks on this
+/// rank's rows of the global per-head tensors: `(local_idx, O, (∇Q, ∇K, ∇V))`.
+fn run_usp(
+    comm: &mut Communicator,
+    p: &HeadProblem,
+    mask: &AttnMask,
+    n: usize,
+    u: usize,
+) -> (Vec<usize>, Vec<Mat>, HeadGrads) {
+    let topo = UspTopo::new(comm, u);
+    let idx = topo.local_idx(n);
+    let local = |hs: &[Mat]| -> Vec<Mat> { hs.iter().map(|m| m.gather_rows(&idx)).collect() };
+    let (o, saved) = try_usp_forward(
+        comm,
+        &topo,
+        &local(&p.q),
+        &local(&p.k),
+        &local(&p.v),
+        p.scale,
+        mask,
+        n,
+        &CostModel::free(),
+    )
+    .expect("usp forward");
+    let grads = try_usp_backward(
+        comm,
+        &topo,
+        &saved,
+        &local(&p.grad_o),
+        p.scale,
+        mask,
+        n,
+        &CostModel::free(),
+    )
+    .expect("usp backward");
+    (idx, o, grads)
+}
+
 #[test]
 fn ulysses_matches_reference_per_head() {
     let (n, heads, dh, g) = (24usize, 4usize, 5usize, 2usize);
@@ -83,64 +122,14 @@ fn ulysses_matches_reference_per_head() {
     let mask = AttnMask::Causal;
     let r = head_reference(&p, &mask, n);
     let world = World::new(Topology::single_node(g));
-    let outs = world.run_results(|comm| {
-        let members: Vec<usize> = (0..g).collect();
-        let member_idx: Vec<Vec<usize>> = (0..g)
-            .map(|m| Layout::Contiguous.indices(n, g, m))
-            .collect();
-        let my_idx = &member_idx[comm.rank()];
-        let ql: Vec<Mat> = p.q.iter().map(|m| m.gather_rows(my_idx)).collect();
-        let kl: Vec<Mat> = p.k.iter().map(|m| m.gather_rows(my_idx)).collect();
-        let vl: Vec<Mat> = p.v.iter().map(|m| m.gather_rows(my_idx)).collect();
-        let dol: Vec<Mat> = p.grad_o.iter().map(|m| m.gather_rows(my_idx)).collect();
-        let (o, saved) = try_ulysses_forward(
-            comm,
-            &members,
-            &member_idx,
-            &ql,
-            &kl,
-            &vl,
-            p.scale,
-            &mask,
-            &CostModel::free(),
-        )
-        .expect("ulysses forward");
-        let (dq, dk, dv) = try_ulysses_backward(
-            comm,
-            &members,
-            &member_idx,
-            &saved,
-            &dol,
-            p.scale,
-            &mask,
-            &CostModel::free(),
-        )
-        .expect("ulysses backward");
-        (o, dq, dk, dv)
-    });
-    for (rank, (o, dq, dk, dv)) in outs.iter().enumerate() {
-        let idx = Layout::Contiguous.indices(n, g, rank);
+    let outs = world.run_results(|comm| run_usp(comm, &p, &mask, n, g));
+    for (rank, (idx, o, (dq, dk, dv))) in outs.iter().enumerate() {
         for h in 0..heads {
             let ctx = format!("rank {rank} head {h}");
-            assert_allclose(&o[h], &r.o[h].gather_rows(&idx), TOL, &format!("{ctx} O"));
-            assert_allclose(
-                &dq[h],
-                &r.dq[h].gather_rows(&idx),
-                TOL,
-                &format!("{ctx} dQ"),
-            );
-            assert_allclose(
-                &dk[h],
-                &r.dk[h].gather_rows(&idx),
-                TOL,
-                &format!("{ctx} dK"),
-            );
-            assert_allclose(
-                &dv[h],
-                &r.dv[h].gather_rows(&idx),
-                TOL,
-                &format!("{ctx} dV"),
-            );
+            assert_allclose(&o[h], &r.o[h].gather_rows(idx), TOL, &format!("{ctx} O"));
+            assert_allclose(&dq[h], &r.dq[h].gather_rows(idx), TOL, &format!("{ctx} dQ"));
+            assert_allclose(&dk[h], &r.dk[h].gather_rows(idx), TOL, &format!("{ctx} dK"));
+            assert_allclose(&dv[h], &r.dv[h].gather_rows(idx), TOL, &format!("{ctx} dV"));
         }
     }
 }
@@ -153,21 +142,18 @@ fn ulysses_rejects_indivisible_heads() {
     let p = head_problem(n, heads, dh);
     let world = World::new(Topology::single_node(g));
     let outs = world.run_results(|comm| {
-        let members: Vec<usize> = (0..g).collect();
-        let member_idx: Vec<Vec<usize>> = (0..g)
-            .map(|m| Layout::Contiguous.indices(n, g, m))
-            .collect();
-        let my_idx = &member_idx[comm.rank()];
-        let ql: Vec<Mat> = p.q.iter().map(|m| m.gather_rows(my_idx)).collect();
-        try_ulysses_forward(
+        let topo = UspTopo::new(comm, g);
+        let my_idx = topo.local_idx(n);
+        let ql: Vec<Mat> = p.q.iter().map(|m| m.gather_rows(&my_idx)).collect();
+        try_usp_forward(
             comm,
-            &members,
-            &member_idx,
+            &topo,
             &ql,
             &ql,
             &ql,
             p.scale,
             &AttnMask::Causal,
+            n,
             &CostModel::free(),
         )
         .err()
@@ -192,23 +178,20 @@ fn ulysses_communication_scales_inversely_with_group() {
     let measure = |g: usize| {
         let world = World::new(Topology::single_node(g));
         let outs = world.run(|comm| {
-            let members: Vec<usize> = (0..g).collect();
-            let member_idx: Vec<Vec<usize>> = (0..g)
-                .map(|m| Layout::Contiguous.indices(n, g, m))
-                .collect();
-            let my_idx = &member_idx[comm.rank()];
-            let ql: Vec<Mat> = p.q.iter().map(|m| m.gather_rows(my_idx)).collect();
-            let kl: Vec<Mat> = p.k.iter().map(|m| m.gather_rows(my_idx)).collect();
-            let vl: Vec<Mat> = p.v.iter().map(|m| m.gather_rows(my_idx)).collect();
-            try_ulysses_forward(
+            let topo = UspTopo::new(comm, g);
+            let my_idx = topo.local_idx(n);
+            let ql: Vec<Mat> = p.q.iter().map(|m| m.gather_rows(&my_idx)).collect();
+            let kl: Vec<Mat> = p.k.iter().map(|m| m.gather_rows(&my_idx)).collect();
+            let vl: Vec<Mat> = p.v.iter().map(|m| m.gather_rows(&my_idx)).collect();
+            try_usp_forward(
                 comm,
-                &members,
-                &member_idx,
+                &topo,
                 &ql,
                 &kl,
                 &vl,
                 p.scale,
                 &AttnMask::Causal,
+                n,
                 &CostModel::free(),
             )
             .expect("fwd");
@@ -232,40 +215,9 @@ fn usp_matches_reference_per_head() {
     let mask = AttnMask::Causal;
     let r = head_reference(&p, &mask, n);
     let world = World::new(Topology::a800(2, 2));
-    let outs = world.run_results(|comm| {
-        let topo = UspTopo::new(comm, u);
-        let my_idx = topo.local_idx(n);
-        let ql: Vec<Mat> = p.q.iter().map(|m| m.gather_rows(&my_idx)).collect();
-        let kl: Vec<Mat> = p.k.iter().map(|m| m.gather_rows(&my_idx)).collect();
-        let vl: Vec<Mat> = p.v.iter().map(|m| m.gather_rows(&my_idx)).collect();
-        let dol: Vec<Mat> = p.grad_o.iter().map(|m| m.gather_rows(&my_idx)).collect();
-        let (o, saved) = try_usp_forward(
-            comm,
-            &topo,
-            &ql,
-            &kl,
-            &vl,
-            p.scale,
-            &mask,
-            n,
-            &CostModel::free(),
-        )
-        .expect("usp forward");
-        let (dq, dk, dv) = try_usp_backward(
-            comm,
-            &topo,
-            &saved,
-            &dol,
-            p.scale,
-            &mask,
-            n,
-            &CostModel::free(),
-        )
-        .expect("usp backward");
-        (my_idx, o, dq, dk, dv)
-    });
+    let outs = world.run_results(|comm| run_usp(comm, &p, &mask, n, u));
     assert_eq!(outs.len(), g);
-    for (rank, (idx, o, dq, dk, dv)) in outs.iter().enumerate() {
+    for (rank, (idx, o, (dq, dk, dv))) in outs.iter().enumerate() {
         for h in 0..heads {
             let ctx = format!("rank {rank} head {h}");
             assert_allclose(&o[h], &r.o[h].gather_rows(idx), TOL, &format!("{ctx} O"));
@@ -276,38 +228,39 @@ fn usp_matches_reference_per_head() {
     }
 }
 
+fn bits(m: &Mat) -> Vec<u32> {
+    m.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
 #[test]
-fn usp_with_u_equal_world_degenerates_to_ulysses_shape() {
-    // U = G: the ring group is a singleton — pure head parallelism.
-    let (n, heads, dh, g) = (16usize, 4usize, 4usize, 4usize);
-    let p = head_problem(n, heads, dh);
-    let mask = AttnMask::Causal;
-    let r = head_reference(&p, &mask, n);
-    let world = World::new(Topology::single_node(g));
-    let outs = world.run_results(|comm| {
-        let topo = UspTopo::new(comm, g);
-        assert_eq!(topo.ring, 1);
-        let my_idx = topo.local_idx(n);
-        let ql: Vec<Mat> = p.q.iter().map(|m| m.gather_rows(&my_idx)).collect();
-        let kl: Vec<Mat> = p.k.iter().map(|m| m.gather_rows(&my_idx)).collect();
-        let vl: Vec<Mat> = p.v.iter().map(|m| m.gather_rows(&my_idx)).collect();
-        let (o, _) = try_usp_forward(
-            comm,
-            &topo,
-            &ql,
-            &kl,
-            &vl,
-            p.scale,
-            &mask,
-            n,
-            &CostModel::free(),
-        )
-        .expect("usp forward");
-        (my_idx, o)
-    });
-    for (idx, o) in &outs {
-        for (h, oh) in o.iter().enumerate().take(heads) {
-            assert_allclose(oh, &r.o[h].gather_rows(idx), TOL, "U=G output");
+fn usp_at_u_equal_world_is_exact_attention_bit_for_bit() {
+    // U = G: the ring has one position, so every owned head attends the
+    // whole sequence locally — pure Ulysses. On an f32 wire the all-to-alls
+    // only move rows, so each head's outputs and gradients equal the
+    // single-device kernels on the global tensors bit for bit, at any
+    // length the group divides (odd n included).
+    let masks = [AttnMask::Causal, AttnMask::SlidingWindow { window: 3 }];
+    for g in 1..=4usize {
+        for rows in [3usize, 4] {
+            for hpr in 1..=2usize {
+                let (n, heads, dh) = (g * rows, g * hpr, 4usize);
+                let p = head_problem(n, heads, dh);
+                let world = World::new(Topology::single_node(g));
+                for mask in &masks {
+                    let r = head_reference(&p, mask, n);
+                    let outs = world.run_results(|comm| run_usp(comm, &p, mask, n, g));
+                    for (rank, (idx, o, (dq, dk, dv))) in outs.iter().enumerate() {
+                        for h in 0..heads {
+                            let ctx =
+                                format!("g={g} n={n} heads={heads} {mask:?} rank {rank} head {h}");
+                            assert_eq!(bits(&o[h]), bits(&r.o[h].gather_rows(idx)), "{ctx} O");
+                            assert_eq!(bits(&dq[h]), bits(&r.dq[h].gather_rows(idx)), "{ctx} dQ");
+                            assert_eq!(bits(&dk[h]), bits(&r.dk[h].gather_rows(idx)), "{ctx} dK");
+                            assert_eq!(bits(&dv[h]), bits(&r.dv[h].gather_rows(idx)), "{ctx} dV");
+                        }
+                    }
+                }
+            }
         }
     }
 }
@@ -342,5 +295,43 @@ fn usp_rejects_indivisible_heads() {
                 group: 2
             }))
         );
+    }
+}
+
+#[test]
+fn usp_rejects_a_ring_shard_its_group_cannot_split_before_sending() {
+    // n = 20 on 8 ranks with U = 4: two 10-row ring shards, which four
+    // Ulysses members cannot split evenly. Every rank reports the typed
+    // error and no message leaves any rank.
+    let (n, heads, dh, g, u) = (20usize, 4usize, 4usize, 8usize, 4usize);
+    let p = head_problem(n, heads, dh);
+    let world = World::new(Topology::single_node(g));
+    let outs = world.run(|comm| {
+        let topo = UspTopo::new(comm, u);
+        let ql: Vec<Mat> = p.q.iter().map(|m| m.slice_rows(0, 2)).collect();
+        try_usp_forward(
+            comm,
+            &topo,
+            &ql,
+            &ql,
+            &ql,
+            p.scale,
+            &AttnMask::Causal,
+            n,
+            &CostModel::free(),
+        )
+        .err()
+    });
+    for o in outs {
+        assert_eq!(
+            o.result,
+            Some(DattnError::Infeasible(UlyssesError::RowsNotDivisible {
+                rows: 10,
+                group: 4
+            })),
+            "rank {}",
+            o.rank
+        );
+        assert_eq!(o.stats.total_msgs(), 0, "rank {} sent a message", o.rank);
     }
 }

@@ -6,8 +6,8 @@
 //! * [`LocalExec`] — single-device blocked flash attention (the reference);
 //! * [`DistExec`] — ring-family context parallelism (RingAttention,
 //!   BurstAttention, DoubleRing, topology-aware Burst);
-//! * [`UlyssesExec`] — DeepSpeed-Ulysses head parallelism;
-//! * [`UspExec`] — LoongTrain's hybrid head+context parallelism.
+//! * [`UspExec`] — head parallelism: LoongTrain's hybrid head+context
+//!   USP, or DeepSpeed-Ulysses when its Ulysses group is the whole world.
 //!
 //! `backward` is self-contained (takes `q, k, v, o, lse` explicitly), so
 //! gradient-checkpointing strategies can rebuild those tensors any way they
@@ -18,7 +18,6 @@
 use crate::linear::{Linear, LinearSaved};
 use crate::rope::{rope_apply, rope_backward, ROPE_THETA};
 use burst_comm::{CommError, Communicator, SpanKind};
-use burst_dattn::ulysses::{try_ulysses_backward, try_ulysses_forward};
 use burst_dattn::usp::{try_usp_backward, try_usp_forward, UspTopo};
 use burst_dattn::{
     double_ring, escalate_attn, try_burst_backward, try_ring_backward, try_ring_forward, Algo,
@@ -469,87 +468,8 @@ impl AttnExec for DistExec<'_> {
     }
 }
 
-/// DeepSpeed-Ulysses backend (global group, contiguous sequence chunks).
-pub struct UlyssesExec<'a> {
-    pub comm: &'a mut Communicator,
-    pub mask: AttnMask,
-    pub seq_len: usize,
-    pub cost: CostModel,
-}
-
-impl UlyssesExec<'_> {
-    fn members(&self) -> Vec<usize> {
-        (0..self.comm.world_size()).collect()
-    }
-
-    fn member_idx(&self) -> Vec<Vec<usize>> {
-        let g = self.comm.world_size();
-        (0..g)
-            .map(|m| Layout::Contiguous.indices(self.seq_len, g, m))
-            .collect()
-    }
-}
-
-impl AttnExec for UlyssesExec<'_> {
-    fn forward(&mut self, q: &[Mat], k: &[Mat], v: &[Mat]) -> AttnOut {
-        let members = self.members();
-        let idx = self.member_idx();
-        let scale = head_scale(&q[0]);
-        let (o, saved) = try_ulysses_forward(
-            self.comm, &members, &idx, q, k, v, scale, &self.mask, &self.cost,
-        )
-        .unwrap_or_else(|e| escalate_attn(self.comm, e));
-        saved.release(self.comm);
-        // Ulysses' Lse lives head-sharded on the owning rank; `backward`
-        // rebuilds everything it needs from (q, k, v) — the recompute that
-        // gradient checkpointing (the paper's evaluation setting) implies —
-        // so the per-row Lse is never consumed and is returned as NaN
-        // placeholders of the right shape.
-        let lse = vec![vec![f32::NAN; idx[self.comm.rank()].len()]; q.len()];
-        (o, lse)
-    }
-
-    fn backward(
-        &mut self,
-        q: &[Mat],
-        k: &[Mat],
-        v: &[Mat],
-        o: &[Mat],
-        _lse: &[Vec<f32>],
-        grad_o: &[Mat],
-    ) -> (Vec<Mat>, Vec<Mat>, Vec<Mat>) {
-        let members = self.members();
-        let idx = self.member_idx();
-        let scale = head_scale(&q[0]);
-        let _ = o;
-        // Rebuild the head-sharded state (including a fresh forward for the
-        // Lse — Ulysses under gradient checkpointing recomputes attention).
-        self.comm.recompute_scope(true);
-        let (_, saved) = try_ulysses_forward(
-            self.comm, &members, &idx, q, k, v, scale, &self.mask, &self.cost,
-        )
-        .unwrap_or_else(|e| escalate_attn(self.comm, e));
-        self.comm.recompute_scope(false);
-        try_ulysses_backward(
-            self.comm, &members, &idx, &saved, grad_o, scale, &self.mask, &self.cost,
-        )
-        .unwrap_or_else(|e| escalate_attn(self.comm, e))
-    }
-
-    fn local_indices(&self) -> Vec<usize> {
-        Layout::Contiguous.indices(self.seq_len, self.comm.world_size(), self.comm.rank())
-    }
-
-    fn mask(&self) -> &AttnMask {
-        &self.mask
-    }
-
-    fn comm(&mut self) -> Option<&mut Communicator> {
-        Some(self.comm)
-    }
-}
-
-/// LoongTrain USP backend.
+/// Head-parallel backend: LoongTrain's USP over Ulysses groups of
+/// `ulysses_size` ranks; `ulysses_size` = world size is DeepSpeed-Ulysses.
 pub struct UspExec<'a> {
     pub comm: &'a mut Communicator,
     pub ulysses_size: usize,
@@ -578,6 +498,11 @@ impl AttnExec for UspExec<'_> {
         )
         .unwrap_or_else(|e| escalate_attn(self.comm, e));
         saved.release(self.comm);
+        // The Lse lives head-sharded on the owning rank; `backward` rebuilds
+        // everything it needs from (q, k, v) — the recompute that gradient
+        // checkpointing (the paper's evaluation setting) implies — so the
+        // per-row Lse is never consumed and is returned as NaN placeholders
+        // of the right shape.
         let rows = o[0].rows();
         let lse = vec![vec![f32::NAN; rows]; q.len()];
         (o, lse)

@@ -4,7 +4,7 @@
 //! paper's evaluation metrics — loss, virtual step time, TGS (tokens per
 //! second per GPU), MFU and modeled memory.
 
-use crate::attention::{AttnExec, DistExec, LocalExec, UlyssesExec, UspExec};
+use crate::attention::{AttnExec, DistExec, LocalExec, UspExec};
 use crate::checkpoint::{ActPrecision, Strategy};
 use crate::checkpoint_io::{atomic_write, decode_checkpoint, encode_checkpoint};
 use crate::checkpoint_shard::{
@@ -15,8 +15,8 @@ use crate::model::{Model, ModelConfig, StepOutput};
 use crate::param::AdamCfg;
 use burst_comm::obs::{MemCategory, MemId};
 use burst_comm::{
-    agree_on_eviction, agree_on_join, agree_on_leave, send_abort, ChurnEvent, ChurnKind, CommError,
-    CommStats, Communicator, Membership, RetryPolicy, SpanKind, World,
+    agree_on_eviction, agree_on_join, agree_on_leave, send_abort, ChurnKind, CommError, CommStats,
+    Communicator, Membership, RetryPolicy, SpanKind, World,
 };
 use burst_dattn::{Algo, CostModel, Layout, OverlapMode};
 use burst_kernels::AttnMask;
@@ -33,9 +33,11 @@ pub enum Backend {
     Local,
     /// Ring-family context parallelism.
     Ring(Algo),
-    /// DeepSpeed-Ulysses head parallelism.
+    /// DeepSpeed-Ulysses head parallelism: USP whose Ulysses group is the
+    /// whole world, so its context-parallel ring has one position.
     Ulysses,
-    /// LoongTrain USP hybrid.
+    /// LoongTrain USP hybrid: Ulysses groups of `ulysses_size` ranks nested
+    /// in context-parallel rings.
     Usp { ulysses_size: usize },
 }
 
@@ -364,16 +366,11 @@ fn step_on(
                 fell_flat |= exec.flat_fallback();
                 out
             }
-            Backend::Ulysses => {
-                let mut exec = UlyssesExec {
-                    comm,
-                    mask: cfg.mask.clone(),
-                    seq_len: n,
-                    cost: cfg.cost,
+            Backend::Ulysses | Backend::Usp { .. } => {
+                let ulysses_size = match cfg.backend {
+                    Backend::Usp { ulysses_size } => ulysses_size,
+                    _ => comm.world_size(),
                 };
-                step_with(&mut *model, &tokens, &targets, &mut exec, cfg, accum)
-            }
-            Backend::Usp { ulysses_size } => {
                 let mut exec = UspExec {
                     comm,
                     ulysses_size,
@@ -547,7 +544,8 @@ pub fn train(world: &World, cfg: &EngineConfig, steps: usize) -> TrainMetrics {
     }
 }
 
-/// Options for [`run_span_elastic`].
+/// Options for [`run_span_elastic`]. A step is replayed in place at most
+/// once per rank of the world before the span gives up.
 #[derive(Debug, Clone, Default)]
 pub struct ElasticCfg {
     /// Retry policy for the shrink collectives and membership agreements.
@@ -559,8 +557,6 @@ pub struct ElasticCfg {
     /// Also checkpoint every `every` steps (0 = only before joins and at
     /// span end).
     pub every: usize,
-    /// Give up on a step after this many in-step replays (0 = world size).
-    pub max_replays_per_step: usize,
 }
 
 /// Per-rank outcome of an elastic span.
@@ -637,42 +633,16 @@ pub fn run_span_elastic(
     );
     let me = comm.rank();
     let mut m = Membership::new(comm.world_size());
-    // The deterministic churn schedule, cloned out of the plan so the
-    // communicator stays mutably borrowable.
-    let churn: Vec<ChurnEvent> = comm
-        .fault_plan()
-        .map(|p| p.churn_events().to_vec())
-        .unwrap_or_default();
-    let joins_at = |s: usize| -> Vec<usize> {
-        let mut v: Vec<usize> = churn
-            .iter()
-            .filter(|e| e.kind == ChurnKind::Join && e.step == s as u64)
-            .map(|e| e.rank)
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    };
-    let leaves_at = |s: usize| -> Vec<usize> {
-        let mut v: Vec<usize> = churn
-            .iter()
-            .filter(|e| e.kind == ChurnKind::Leave && e.step == s as u64)
-            .map(|e| e.rank)
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    };
-    let rejoin_of = |rank: usize, after: usize| -> Option<usize> {
-        churn
-            .iter()
-            .filter(|e| e.kind == ChurnKind::Join && e.rank == rank && e.step > after as u64)
-            .map(|e| e.step as usize)
-            .min()
-    };
-    if !churn.is_empty() {
+    // The deterministic churn schedule, cloned out of the communicator so
+    // it stays mutably borrowable.
+    let plan = comm.fault_plan().cloned().unwrap_or_default();
+    if plan.has_churn() {
         assert!(
-            ecfg.ckpt_dir.is_some() || churn.iter().all(|e| e.kind == ChurnKind::Leave),
+            ecfg.ckpt_dir.is_some()
+                || plan
+                    .churn_events()
+                    .iter()
+                    .all(|e| e.kind == ChurnKind::Leave),
             "scheduled joins need ElasticCfg::ckpt_dir for the warm-start"
         );
     }
@@ -690,7 +660,8 @@ pub fn run_span_elastic(
     let mut step = start_step;
     'span: while step < end_step {
         // Scheduled joins first: the ring regrows before the step runs.
-        let joiners: Vec<usize> = joins_at(step)
+        let joiners: Vec<usize> = plan
+            .joins_at(step as u64)
             .into_iter()
             .filter(|&r| !m.is_alive(r))
             .collect();
@@ -700,14 +671,15 @@ pub fn run_span_elastic(
         }
         // Scheduled leaves: the departing ranks and the survivors agree,
         // then the leaver parks until its rejoin step (if it has one).
-        let leavers: Vec<usize> = leaves_at(step)
+        let leavers: Vec<usize> = plan
+            .leaves_at(step as u64)
             .into_iter()
             .filter(|&r| m.is_alive(r))
             .collect();
         if !leavers.is_empty() {
             agree_on_leave(comm, &mut m, &leavers, &ecfg.policy)?;
             if leavers.contains(&me) {
-                let Some(j) = rejoin_of(me, step) else {
+                let Some(j) = plan.rejoin_step(me, step as u64) else {
                     out.parked_at = Some(step);
                     break 'span;
                 };
@@ -718,7 +690,7 @@ pub fn run_span_elastic(
                     max_attempts: u32::MAX,
                     ..ecfg.policy
                 };
-                let cohort = joins_at(j);
+                let cohort = plan.joins_at(j);
                 let res = agree_on_join(comm, &mut m, &cohort, &patient)?;
                 if !m.is_alive(me) {
                     out.parked_at = Some(step);
@@ -738,18 +710,13 @@ pub fn run_span_elastic(
                 })?;
                 *model = loaded;
                 out.losses = man.losses.clone();
-                debug_assert_eq!(man.step as usize, j, "warm-start checkpoint is stale");
+                debug_assert_eq!(man.step, j, "warm-start checkpoint is stale");
                 step = man.step as usize;
                 continue 'span;
             }
         }
         // The step itself, replayed in place on the shrunken ring if a
         // member dies partway through it.
-        let max_replays = if ecfg.max_replays_per_step == 0 {
-            m.world_size()
-        } else {
-            ecfg.max_replays_per_step
-        };
         let mut attempts = 0usize;
         let done = loop {
             attempts += 1;
@@ -799,7 +766,7 @@ pub fn run_span_elastic(
                         break 'span;
                     }
                     out.steps_replayed += 1;
-                    if attempts > max_replays {
+                    if attempts > m.world_size() {
                         return Err(e);
                     }
                 }
@@ -811,7 +778,8 @@ pub fn run_span_elastic(
         out.flat_fallbacks += usize::from(done.fell_flat);
         step += 1;
         if let Some(dir) = ecfg.ckpt_dir.as_ref() {
-            let join_next = step < end_step && joins_at(step).iter().any(|&r| !m.is_alive(r));
+            let join_next =
+                step < end_step && plan.joins_at(step as u64).iter().any(|&r| !m.is_alive(r));
             let periodic = ecfg.every > 0 && step.is_multiple_of(ecfg.every);
             if join_next || periodic || step == end_step {
                 comm.span_begin(SpanKind::Checkpoint, "checkpoint");
@@ -1064,7 +1032,6 @@ pub fn train_with_recovery(
                     policy: RetryPolicy::default(),
                     ckpt_dir: Some(ckpt_path.clone()),
                     every,
-                    max_replays_per_step: 0,
                 };
                 let eout = run_span_elastic(
                     comm,

@@ -60,9 +60,9 @@ pub fn comm_times(cluster: &Cluster, p_bytes: f64) -> CommTimes {
     } else {
         0.0
     };
-    let t_intra = cluster.nvlink.time(p_bytes);
+    let t_intra = cluster.nvlink.transfer_time(p_bytes);
     let t_inter = if cluster.nodes > 1 {
-        cluster.nic.time(p_bytes)
+        cluster.nic.transfer_time(p_bytes)
     } else {
         0.0
     };
@@ -430,7 +430,7 @@ mod tests {
         let p = partition_bytes(1 << 20, 5120, c.world());
         let t = comm_times(&c, p);
         let g = c.world() as f64;
-        assert!((t.ring - 6.0 * g * c.nic.time(p)).abs() < 1e-9);
+        assert!((t.ring - 6.0 * g * c.nic.transfer_time(p)).abs() < 1e-9);
     }
 
     #[test]

@@ -207,8 +207,8 @@ fn attention_phase_with_passes(
             // Table 1: the `+2(...)` serial term is the unoverlapped
             // gradient communication.
             let n_inter = cluster.nodes as f64;
-            let two_level_serial =
-                (g - n_inter) * cluster.nvlink.time(p) + n_inter * cluster.nic.time(p);
+            let two_level_serial = (g - n_inter) * cluster.nvlink.transfer_time(p)
+                + n_inter * cluster.nic.transfer_time(p);
             let overlappable = times.double_ring - 2.0 * two_level_serial;
             (compute, overlappable, 2.0 * two_level_serial)
         }
@@ -216,7 +216,7 @@ fn attention_phase_with_passes(
             // Ring over R = nodes members with a per-member share of heads:
             // same per-hop bytes (N·d·2/G), R hops, all inter-node.
             let r = cluster.nodes as f64;
-            let ring = 6.0 * r * cluster.nic.time(p);
+            let ring = 6.0 * r * cluster.nic.transfer_time(p);
             // Intra-node all-to-alls (8 transfers of the local shard).
             let u = cluster.gpus_per_node as f64;
             let local_bytes = seq_len as f64 / g * model.d_model as f64 * 2.0;
@@ -243,14 +243,19 @@ fn attention_phase_with_passes(
             if opts.topo_ring {
                 // Two-level rings, everything fine-overlapped.
                 let n_inter = cluster.nodes as f64;
-                let pass =
-                    ((g - n_inter) * cluster.nvlink.time(p)).max(n_inter * cluster.nic.time(p));
+                let pass = ((g - n_inter) * cluster.nvlink.transfer_time(p))
+                    .max(n_inter * cluster.nic.transfer_time(p));
                 (compute, units * pass, 0.0)
             } else {
                 // Flat ring; Alg. 2 leaves only the ∇Q unit serial, Alg. 1
                 // leaves two.
                 let serial_units = if opts.backward_opt { 1.0 } else { 2.0 };
-                let flat = units * g * cluster.nvlink.time(p).max(cluster.nic.time(p));
+                let flat = units
+                    * g
+                    * cluster
+                        .nvlink
+                        .transfer_time(p)
+                        .max(cluster.nic.transfer_time(p));
                 (
                     compute,
                     flat * (units - serial_units) / units,

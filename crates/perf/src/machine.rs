@@ -1,21 +1,8 @@
 //! The paper's testbed and model configurations.
 
+use burst_comm::{Link, Topology};
+use burst_dattn::CostModel;
 use serde::{Deserialize, Serialize};
-
-/// A point-to-point link: latency (s) + bandwidth (bytes/s).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LinkSpec {
-    pub latency: f64,
-    pub bandwidth: f64,
-}
-
-impl LinkSpec {
-    /// Transfer time for `bytes`.
-    #[inline]
-    pub fn time(&self, bytes: f64) -> f64 {
-        self.latency + bytes / self.bandwidth
-    }
-}
 
 /// Cluster description (per paper §4.1: A800-SXM4-80GB nodes, 400 GB/s
 /// NVLink, 8×200 Gb/s HDR InfiniBand NICs — one per GPU).
@@ -23,8 +10,8 @@ impl LinkSpec {
 pub struct Cluster {
     pub nodes: usize,
     pub gpus_per_node: usize,
-    pub nvlink: LinkSpec,
-    pub nic: LinkSpec,
+    pub nvlink: Link,
+    pub nic: Link,
     /// HBM per GPU in bytes.
     pub hbm: f64,
     /// Peak dense bf16 throughput per GPU in FLOP/s.
@@ -36,22 +23,20 @@ pub struct Cluster {
 }
 
 impl Cluster {
+    /// The simulator's machine: links from [`Topology::a800`], peak from
+    /// [`CostModel::a800`].
     pub fn a800(nodes: usize, gpus_per_node: usize) -> Self {
+        let topo = Topology::a800(nodes, gpus_per_node);
         Cluster {
             nodes,
             gpus_per_node,
-            nvlink: LinkSpec {
-                latency: 3e-6,
-                bandwidth: 400e9,
-            },
-            nic: LinkSpec {
-                latency: 10e-6,
-                bandwidth: 25e9,
-            },
+            nvlink: topo.intra,
+            nic: topo.inter,
             hbm: 80e9,
-            peak_flops: 312e12,
+            peak_flops: CostModel::a800().peak_flops,
             // Calibrated once against Table 2 row 1 (36.75 % MFU with full
-            // recomputation); see EXPERIMENTS.md.
+            // recomputation); see EXPERIMENTS.md. The simulator's kernel
+            // efficiency (`CostModel::a800`, 0.55) is a separate calibration.
             eff_attn: 0.52,
             eff_gemm: 0.65,
         }
@@ -139,7 +124,7 @@ mod tests {
         let c = Cluster::a800(4, 8);
         assert_eq!(c.world(), 32);
         assert!(c.nvlink.bandwidth > c.nic.bandwidth);
-        assert!(c.nvlink.time(1e9) < c.nic.time(1e9));
+        assert!(c.nvlink.transfer_time(1e9) < c.nic.transfer_time(1e9));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use burst_dattn::{Layout, RingGeom, SkipPlan};
 use burst_kernels::AttnMask;
 
 /// Which distributed-attention schedule to predict. The first four mirror
-/// `burst_dattn::Algo` (driven through `try_run_attention_opts`); the last three
+/// `burst_dattn::Algo` (driven through `try_run_attention_opts`); the last two
 /// cover the head-parallel baselines and the elastic wrapper's healthy
 /// (full-membership, flat-ring) path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,11 +35,8 @@ pub enum PeakMethod {
     DoubleRing,
     /// Full BurstAttention: two-level rings, Algorithm 2 backward.
     BurstTopo,
-    /// DeepSpeed-Ulysses head parallelism over the whole world. `heads`
-    /// must divide into both the world size and the model width `d`.
-    Ulysses { heads: usize },
     /// USP hybrid: Ulysses groups of size `ulysses` × context rings of size
-    /// `world / ulysses`.
+    /// `world / ulysses`; `ulysses` = world is DeepSpeed-Ulysses.
     Usp { heads: usize, ulysses: usize },
     /// `try_elastic_attention_opts` with default options on a fault-free
     /// full world: local-shard checkpoint stash + flat ring forward +
@@ -136,29 +133,6 @@ pub fn exact_peak_bytes_dtype(
             // bundles, the backward holds its accumulators *and* bundles.
             peak.gated_total = peak.ring_shards + acc + cb_fwd.max(act_bwd + cb_bwd);
         }
-        PeakMethod::Ulysses { heads } => {
-            assert!(
-                heads.is_multiple_of(g) && d.is_multiple_of(heads),
-                "Ulysses census: heads {heads} must divide by world {g} and into width {d}"
-            );
-            let (hpr, dh) = (heads / g, d / heads);
-            // `ulysses_saved`: full-sequence Q/K/V/O (f32) + Lse of the
-            // rank's owned heads, stashed forward → backward.
-            let stash = (16 * seq_len * hpr * dh + 4 * seq_len * hpr) as u64;
-            // `ulysses_grads`: full-sequence (∇Q, ∇K, ∇V) of the owned
-            // heads, live across the backward's scatters.
-            let grads = (12 * seq_len * hpr * dh) as u64;
-            // `a2a_staging`: outgoing + incoming blocks at the wire dtype.
-            // Every all-to-all in the pass stages the same r·H·dh elements
-            // = seq·hpr·dh.
-            let staging = 2 * wire(seq_len * hpr * dh);
-            peak.ckpt_stash = stash;
-            peak.activations = grads;
-            peak.comm_buffers = staging;
-            // Deepest instant: a backward all-to-all with the stash and the
-            // gradient block both live.
-            peak.gated_total = stash + grads + staging;
-        }
         PeakMethod::Usp { heads, ulysses } => {
             assert!(
                 g.is_multiple_of(ulysses)
@@ -175,12 +149,17 @@ pub fn exact_peak_bytes_dtype(
             let staging = 2 * wire(ns * hpr * dh);
             peak.ckpt_stash = stash;
             // Forward: the inner ring's per-head (O, Lse) accumulator (one
-            // head at a time). Backward: the gradient block plus — when the
-            // ring circulates — the per-head ∇Q accumulator.
-            let ring_dq = if ring > 1 { (4 * ns * dh) as u64 } else { 0 };
-            peak.activations = ((4 * ns * dh + 4 * ns) as u64).max(grads + ring_dq);
-            // Inner-ring bundles: (K, V) forward, (K, V, ∇K, ∇V) backward.
-            let ring_cb_bwd = if ring > 1 { wire(4 * ns * dh) } else { 0 };
+            // head at a time). Backward: the gradient block plus the inner
+            // ring's per-head ∇Q accumulator and its (K, V, ∇K, ∇V) bundle,
+            // the larger of its two bundles. A ring of one position
+            // (Ulysses) runs its kernels locally and bills no ring term.
+            let (ring_acc, ring_dq, ring_cb_bwd) = if ring > 1 {
+                let acc = (4 * ns * dh + 4 * ns) as u64;
+                (acc, (4 * ns * dh) as u64, wire(4 * ns * dh))
+            } else {
+                (0, 0, 0)
+            };
+            peak.activations = ring_acc.max(grads + ring_dq);
             peak.comm_buffers = staging.max(ring_cb_bwd);
             // Deepest instant: backward with stash + gradient block live,
             // plus whichever is larger of an all-to-all's staging or an
@@ -223,8 +202,8 @@ pub fn exact_peak_bytes_dtype(
 ///
 /// `skip = false` builds the dense plan (every flag on), reproducing
 /// [`exact_peak_bytes_dtype`] exactly for any mask. The head-parallel
-/// methods (`Ulysses`, `Usp`) have no mask-gated slots — their all-to-all
-/// staging is mask-independent — and return the dense census unchanged.
+/// method (`Usp`) has no mask-gated slots — its all-to-all staging is
+/// mask-independent — and returns the dense census unchanged.
 #[allow(clippy::too_many_arguments)]
 pub fn exact_peak_bytes_masked_dtype(
     cluster: &Cluster,
@@ -238,7 +217,7 @@ pub fn exact_peak_bytes_masked_dtype(
     skip: bool,
     me: usize,
 ) -> PeakBytes {
-    if matches!(method, PeakMethod::Ulysses { .. } | PeakMethod::Usp { .. }) {
+    if matches!(method, PeakMethod::Usp { .. }) {
         return exact_peak_bytes_dtype(cluster, seq_len, d, method, dtype);
     }
     let wire = |elems: usize| -> u64 { (elems as f64 * dtype.width()) as u64 };
@@ -353,7 +332,7 @@ pub fn exact_peak_bytes_masked_dtype(
             peak.comm_buffers = flat_cb_fwd.max(cb_bwd);
             peak.gated_total = peak.ckpt_stash + (acc + flat_cb_fwd).max(act_bwd + cb_bwd);
         }
-        PeakMethod::Ulysses { .. } | PeakMethod::Usp { .. } => unreachable!(),
+        PeakMethod::Usp { .. } => unreachable!(),
     }
     peak
 }
@@ -376,7 +355,10 @@ mod tests {
             PeakMethod::BurstFlat,
             PeakMethod::DoubleRing,
             PeakMethod::BurstTopo,
-            PeakMethod::Ulysses { heads: 8 },
+            PeakMethod::Usp {
+                heads: 8,
+                ulysses: 8,
+            },
             PeakMethod::Usp {
                 heads: 8,
                 ulysses: 4,
@@ -395,7 +377,10 @@ mod tests {
         for m in [
             PeakMethod::RingFlat,
             PeakMethod::BurstTopo,
-            PeakMethod::Ulysses { heads: 8 },
+            PeakMethod::Usp {
+                heads: 8,
+                ulysses: 8,
+            },
         ] {
             let f32p = exact_peak_bytes_dtype(&cluster(), SEQ, D, m, WireDtype::F32);
             let bf16 = exact_peak_bytes_dtype(&cluster(), SEQ, D, m, WireDtype::Bf16);
@@ -444,7 +429,10 @@ mod tests {
             &cluster(),
             SEQ,
             D,
-            PeakMethod::Ulysses { heads: 8 },
+            PeakMethod::Usp {
+                heads: 8,
+                ulysses: 8,
+            },
             WireDtype::F32,
         );
         assert_eq!(uly.ring_shards, 0);
@@ -463,7 +451,10 @@ mod tests {
             PeakMethod::BurstFlat,
             PeakMethod::DoubleRing,
             PeakMethod::BurstTopo,
-            PeakMethod::Ulysses { heads: 8 },
+            PeakMethod::Usp {
+                heads: 8,
+                ulysses: 8,
+            },
             PeakMethod::Usp {
                 heads: 8,
                 ulysses: 4,

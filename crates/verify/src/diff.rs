@@ -9,7 +9,6 @@
 
 use burst_comm::{CommError, FaultPlan, Membership, RetryPolicy, Topology, World};
 use burst_dattn::ring::AttnFailure;
-use burst_dattn::ulysses::{try_ulysses_backward, try_ulysses_forward};
 use burst_dattn::usp::{try_usp_backward, try_usp_forward, UspTopo};
 use burst_dattn::{
     try_elastic_attention_opts, try_run_attention_opts, Algo, CostModel, DattnError, ElasticOpts,
@@ -133,74 +132,9 @@ pub fn run_ring_family_opts(
     Ok(global)
 }
 
-/// Run pure Ulysses head parallelism (one all-to-all each way) over
-/// `heads` heads and reassemble each head separately.
-#[allow(clippy::too_many_arguments)]
-pub fn run_ulysses(
-    topo: &Topology,
-    n: usize,
-    d: usize,
-    heads: usize,
-    seed: u64,
-    mask: &AttnMask,
-    plan: Option<&FaultPlan>,
-) -> Result<Vec<GlobalAttn>, DattnError> {
-    let g = topo.world_size();
-    let per_head: Vec<(Mat, Mat, Mat, Mat)> = (0..heads)
-        .map(|h| attn_inputs(n, d, seed.wrapping_mul(64) + h as u64))
-        .collect();
-    let world = world_for(topo, plan);
-    let mask = mask.clone();
-    let inputs = per_head.clone();
-    let outs = world.run_faulty::<_, DattnError, _>(move |comm| {
-        let members: Vec<usize> = (0..g).collect();
-        let member_idx: Vec<Vec<usize>> = (0..g)
-            .map(|r| Layout::Contiguous.indices(n, g, r))
-            .collect();
-        let idx = member_idx[comm.rank()].clone();
-        let gather = |sel: fn(&(Mat, Mat, Mat, Mat)) -> &Mat| -> Vec<Mat> {
-            inputs.iter().map(|t| sel(t).gather_rows(&idx)).collect()
-        };
-        let q_heads = gather(|t| &t.0);
-        let k_heads = gather(|t| &t.1);
-        let v_heads = gather(|t| &t.2);
-        let go_heads = gather(|t| &t.3);
-        let (o_heads, saved) = try_ulysses_forward(
-            comm,
-            &members,
-            &member_idx,
-            &q_heads,
-            &k_heads,
-            &v_heads,
-            head_scale(d),
-            &mask,
-            &CostModel::free(),
-        )?;
-        let (dq, dk, dv) = try_ulysses_backward(
-            comm,
-            &members,
-            &member_idx,
-            &saved,
-            &go_heads,
-            head_scale(d),
-            &mask,
-            &CostModel::free(),
-        )?;
-        Ok((idx, o_heads, dq, dk, dv))
-    });
-    let mut global: Vec<GlobalAttn> = (0..heads).map(|_| GlobalAttn::empty(n, d)).collect();
-    for out in outs {
-        let (idx, o_heads, dq, dk, dv) = out.result?;
-        for h in 0..heads {
-            let lse = vec![0.0f32; idx.len()]; // Ulysses returns no per-rank lse
-            global[h].scatter(&idx, &o_heads[h], &lse, &dq[h], &dk[h], &dv[h]);
-        }
-    }
-    Ok(global)
-}
-
-/// Run USP (Ulysses groups of size `ulysses_size` nested in zigzag rings)
-/// and reassemble each head separately.
+/// Run USP (Ulysses groups of size `ulysses_size` nested in zigzag rings;
+/// `ulysses_size` = world size is pure Ulysses) and reassemble each head
+/// separately.
 #[allow(clippy::too_many_arguments)]
 pub fn run_usp(
     topo: &Topology,
@@ -532,7 +466,6 @@ pub fn engine_elastic(
         policy: RetryPolicy::default(),
         ckpt_dir: ckpt_dir.map(|p| p.to_path_buf()),
         every,
-        max_replays_per_step: 0,
     };
     let outs = world.run_faulty::<_, CommError, _>(move |comm| {
         let mut model = Model::new(cfg.model, cfg.seed);

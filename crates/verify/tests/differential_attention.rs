@@ -12,7 +12,7 @@ use burst_dattn::{Algo, ElasticOpts, Layout};
 use burst_kernels::{AttnMask, BlockSparseMask};
 use burst_verify::diff::{
     attn_inputs, run_elastic, run_elastic_masked_on, run_elastic_on, run_ring_family,
-    run_ring_family_opts, run_ulysses, run_usp, run_usp_opts, GlobalAttn,
+    run_ring_family_opts, run_usp, run_usp_opts, GlobalAttn,
 };
 use burst_verify::oracle::oracle_attention;
 use burst_verify::{
@@ -208,8 +208,9 @@ proptest! {
         bits_eq_attn(&label, &got, &again);
     }
 
-    /// Pure Ulysses head parallelism matches the oracle head-by-head,
-    /// including the degenerate single-rank group.
+    /// Pure Ulysses head parallelism (USP whose Ulysses group is the whole
+    /// world) matches the oracle head-by-head, including the degenerate
+    /// single-rank group and odd sequence lengths.
     #[test]
     fn ulysses_matches_oracle(
         g in prop_oneof![Just(1usize), Just(2), Just(3), Just(4)],
@@ -221,7 +222,7 @@ proptest! {
         let heads = g * heads_per_rank;        // Ulysses needs heads % g == 0
         let n = g * rows_per_rank;
         let topo = Topology::single_node(g);
-        let got = run_ulysses(&topo, n, d, heads, seed, &AttnMask::Causal, None)
+        let got = run_usp(&topo, n, d, heads, g, seed, &AttnMask::Causal, None)
             .expect("ulysses failed");
         for (h, got_h) in got.iter().enumerate() {
             let want = oracle_for(n, d, seed.wrapping_mul(64) + h as u64, &AttnMask::Causal);
@@ -311,8 +312,8 @@ proptest! {
         let plan = FaultPlan::new(fault_seed)
             .delay_link(1, 2, 2e-3, 5e-4)
             .slow_compute(3, 1.7);
-        let a = run_ulysses(&topo, n, d, heads, seed, &AttnMask::Causal, None).unwrap();
-        let b = run_ulysses(&topo, n, d, heads, seed, &AttnMask::Causal, Some(&plan)).unwrap();
+        let a = run_usp(&topo, n, d, heads, g, seed, &AttnMask::Causal, None).unwrap();
+        let b = run_usp(&topo, n, d, heads, g, seed, &AttnMask::Causal, Some(&plan)).unwrap();
         for (h, (x, y)) in a.iter().zip(&b).enumerate() {
             bits_eq_attn(&format!("ulysses+delay/head{h}"), x, y);
         }
@@ -417,7 +418,7 @@ fn fixed_fault_matrix_all_schedules() {
         .unwrap();
         expect_matches_oracle(algo_name(algo), &got, &want, true);
     }
-    for (h, got_h) in run_ulysses(&topo, n, d, heads, 11, &AttnMask::Causal, Some(&delay))
+    for (h, got_h) in run_usp(&topo, n, d, heads, g, 11, &AttnMask::Causal, Some(&delay))
         .unwrap()
         .iter()
         .enumerate()
@@ -610,7 +611,7 @@ fn sparse_mask_matrix_all_schedules() {
                 .unwrap_or_else(|e| panic!("{label} failed: {e}"));
             expect_matches_oracle(&label, &got, &want, true);
         }
-        let ul = run_ulysses(&single, n, d, heads, seed, &mask, None)
+        let ul = run_usp(&single, n, d, heads, g, seed, &mask, None)
             .unwrap_or_else(|e| panic!("ulysses+{name} failed: {e}"));
         for (h, got_h) in ul.iter().enumerate() {
             let want_h = oracle_for(n, d, seed.wrapping_mul(64) + h as u64, &mask);

@@ -35,7 +35,6 @@ fn a_live_evicted_rank_parks_instead_of_training_solo() {
         policy: RetryPolicy::default(),
         ckpt_dir: None,
         every: 0,
-        max_replays_per_step: 0,
     };
     let c2 = cfg.clone();
     let outs = world.run_faulty::<_, burst_comm::CommError, _>(move |comm| {

@@ -159,21 +159,20 @@ fn attention_rejects_inconsistent_shard_shapes() {
 
 #[test]
 fn ulysses_error_is_typed_not_a_panic() {
-    use burstengine::dattn::ulysses::{try_ulysses_forward, UlyssesError};
+    use burstengine::dattn::usp::{try_usp_forward, UlyssesError, UspTopo};
     let world = World::new(Topology::single_node(2));
     let outs = world.run_results(|comm| {
-        let members = vec![0usize, 1];
-        let idx = vec![vec![0usize, 1], vec![2usize, 3]];
+        let topo = UspTopo::new(comm, 2);
         let heads: Vec<Mat> = (0..3).map(|h| randn_mat(2, 4, 1.0, h)).collect();
-        try_ulysses_forward(
+        try_usp_forward(
             comm,
-            &members,
-            &idx,
+            &topo,
             &heads,
             &heads,
             &heads,
             0.5,
             &AttnMask::Causal,
+            4,
             &CostModel::free(),
         )
         .err()
