@@ -91,12 +91,7 @@ struct Cell {
     detail: String,
 }
 
-fn check_attn(
-    label: &str,
-    got: &GlobalAttn,
-    want: &OracleAttn,
-    with_lse: bool,
-) -> Result<(), Divergence> {
+fn check_attn(label: &str, got: &GlobalAttn, want: &OracleAttn) -> Result<(), Divergence> {
     compare_slice(
         &format!("{label}/o"),
         got.o.as_slice(),
@@ -104,15 +99,13 @@ fn check_attn(
         ORACLE_ATTN_ATOL,
         ORACLE_ATTN_RTOL,
     )?;
-    if with_lse {
-        compare_slice(
-            &format!("{label}/lse"),
-            &got.lse,
-            &want.lse,
-            ORACLE_ATTN_ATOL,
-            ORACLE_ATTN_RTOL,
-        )?;
-    }
+    compare_slice(
+        &format!("{label}/lse"),
+        &got.lse,
+        &want.lse,
+        ORACLE_ATTN_ATOL,
+        ORACLE_ATTN_RTOL,
+    )?;
     for (what, g, w) in [
         ("dq", &got.dq, &want.dq),
         ("dk", &got.dk, &want.dk),
@@ -169,7 +162,7 @@ fn attention_cells(seed: u64, cells: &mut Vec<Cell>) {
                 plan,
             )
             .map_err(|e| e.to_string())
-            .and_then(|got| check_attn(&label, &got, &want, true).map_err(|d| d.to_string()));
+            .and_then(|got| check_attn(&label, &got, &want).map_err(|d| d.to_string()));
             push(cells, &label, seed, outcome);
         }
     }
@@ -185,7 +178,7 @@ fn attention_cells(seed: u64, cells: &mut Vec<Cell>) {
                     for (h, got_h) in got.iter().enumerate() {
                         let want =
                             oracle_for(n, d, seed.wrapping_mul(64) + h as u64, &AttnMask::Causal);
-                        check_attn(&format!("{label}/head{h}"), got_h, &want, false)
+                        check_attn(&format!("{label}/head{h}"), got_h, &want)
                             .map_err(|d| d.to_string())?;
                     }
                     Ok(())
@@ -206,7 +199,7 @@ fn attention_cells(seed: u64, cells: &mut Vec<Cell>) {
                 return Err(format!("evicted {:?}, expected [{dead}]", out.evicted));
             }
             let want = oracle_for(24, d, seed, &AttnMask::Causal);
-            check_attn(&label, &out.attn, &want, true).map_err(|d| d.to_string())
+            check_attn(&label, &out.attn, &want).map_err(|d| d.to_string())
         });
     push(cells, &label, seed, outcome);
 
@@ -233,7 +226,7 @@ fn attention_cells(seed: u64, cells: &mut Vec<Cell>) {
                 return Err("ragged 3-survivor set must fall back to the flat ring".into());
             }
             let want = oracle_for(24, d, seed, &AttnMask::Causal);
-            check_attn(&label, &out.attn, &want, true).map_err(|d| d.to_string())
+            check_attn(&label, &out.attn, &want).map_err(|d| d.to_string())
         });
     push(cells, &label, seed, outcome);
 }
@@ -299,7 +292,7 @@ fn masked_cells(seed: u64, cells: &mut Vec<Cell>) {
             )
             .map_err(|e| e.to_string())
             .and_then(|got| {
-                check_attn(&label, &got, &want, true).map_err(|d| d.to_string())?;
+                check_attn(&label, &got, &want).map_err(|d| d.to_string())?;
                 let dense = run_ring_family_opts(
                     algo,
                     Layout::Contiguous,

@@ -154,7 +154,7 @@ fn ulysses_and_usp_peaks_match_exact_census() {
                 let vl: Vec<Mat> = vh.iter().map(|m| m.gather_rows(&my_idx)).collect();
                 let dol: Vec<Mat> = doh.iter().map(|m| m.gather_rows(&my_idx)).collect();
                 comm.start_mem_accounting();
-                let (_, saved) = try_usp_forward(
+                let (o, lse) = try_usp_forward(
                     comm,
                     &utopo,
                     &ql,
@@ -169,7 +169,11 @@ fn ulysses_and_usp_peaks_match_exact_census() {
                 try_usp_backward(
                     comm,
                     &utopo,
-                    &saved,
+                    &ql,
+                    &kl,
+                    &vl,
+                    &o,
+                    &lse,
                     &dol,
                     scale,
                     &mask,

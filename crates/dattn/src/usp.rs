@@ -11,7 +11,15 @@
 //!    with zigzag balance across the size-`R` ring, or — when `U = G` and
 //!    the ring has one position — local attention over the whole sequence,
 //!    which is DeepSpeed-Ulysses,
-//! 3. a reverse all-to-all restores the sequence partition.
+//! 3. a reverse all-to-all restores the sequence partition and returns
+//!    each head's `(O, Lse)` on the caller's rows; the Lse rides the same
+//!    round as f32 vectors, so a bf16 wire never rounds it.
+//!
+//! The backward consumes those outputs, as a FlashAttention-style kernel
+//! does, and never reruns the forward: all-to-alls move `Q, K, V`, `O`
+//! with its Lse and `∇O` to head shards, the ring (or local) backward runs
+//! per owned head, and all-to-alls return `∇Q, ∇K, ∇V`. What a training
+//! step recomputes is the checkpointing strategy's choice alone.
 //!
 //! The ring carries `N/R`-token shards instead of `N/G`, but only `R` hops;
 //! the all-to-alls add `O(N·d/G)` NVLink traffic. USP's win over pure ring
@@ -28,7 +36,7 @@ use crate::ring::{
     Phase, Ring,
 };
 use crate::DattnError;
-use burst_comm::{CommError, Communicator, MemCategory, MemId, SpanKind};
+use burst_comm::{CommError, Communicator, MemCategory, SpanKind};
 use burst_kernels::{flash_backward, flash_forward, AttnMask};
 use burst_tensor::Mat;
 
@@ -60,6 +68,9 @@ impl std::fmt::Display for UlyssesError {
 }
 
 impl std::error::Error for UlyssesError {}
+
+/// Per-head `(O, Lse)` pair returned by the forward pass.
+pub type HeadOuts = (Vec<Mat>, Vec<Vec<f32>>);
 
 /// Per-head `(∇Q, ∇K, ∇V)` triple returned by the backward pass.
 pub type HeadGrads = (Vec<Mat>, Vec<Mat>, Vec<Mat>);
@@ -145,21 +156,27 @@ impl UspTopo {
     }
 }
 
+/// One member's share of an all-to-all: its heads side by side and, for
+/// the attention output, those heads' Lse one after another. The Lse
+/// travels as an f32 vector, so a bf16 wire never rounds it.
+type Block = (Mat, Option<Vec<f32>>);
+
 /// All-to-all within the Ulysses group (outgoing indexed by member
 /// position). Each call is one `a2a` round in the trace; a failure
 /// mid-exchange settles the span before propagating.
 fn all_to_all(
     comm: &mut Communicator,
     members: &[usize],
-    outgoing: Vec<Mat>,
-) -> Result<Vec<Mat>, CommError> {
+    outgoing: Vec<Block>,
+) -> Result<Vec<Block>, CommError> {
     let depth = comm.span_depth();
     comm.span_begin(SpanKind::AttnRound, "a2a");
     // Staging for the exchange: the outgoing blocks plus the equal-sized
     // incoming set, live for the duration of the a2a, billed at the wire
-    // dtype.
-    let out_elems: usize = outgoing.iter().map(Mat::len).sum();
-    let staging = 2 * comm.mem_wire_bytes(out_elems);
+    // dtype (the Lse at 4 bytes).
+    let mats: usize = outgoing.iter().map(|b| b.0.len()).sum();
+    let lse: usize = outgoing.iter().flat_map(|b| &b.1).map(Vec::len).sum();
+    let staging = 2 * (comm.mem_wire_bytes(mats) + 4 * lse as u64);
     let mem = comm.mem_alloc("a2a_staging", MemCategory::CommBuffers, staging);
     let res = exchange(comm, members, outgoing);
     comm.mem_free(mem);
@@ -170,26 +187,39 @@ fn all_to_all(
 fn exchange(
     comm: &mut Communicator,
     members: &[usize],
-    outgoing: Vec<Mat>,
-) -> Result<Vec<Mat>, CommError> {
+    outgoing: Vec<Block>,
+) -> Result<Vec<Block>, CommError> {
     let pos = members
         .iter()
         .position(|&m| m == comm.rank())
         .expect("all_to_all: caller not in group");
     let len = members.len();
-    let mut incoming: Vec<Option<Mat>> = vec![None; len];
+    let with_lse = outgoing[pos].1.is_some();
+    let mut incoming: Vec<Option<Block>> = vec![None; len];
     for (p, block) in outgoing.into_iter().enumerate() {
         if p == pos {
             incoming[pos] = Some(block);
-        } else {
-            comm.try_send_mat(members[p], &block)?;
+            continue;
+        }
+        comm.try_send_mat(members[p], &block.0)?;
+        if let Some(lse) = &block.1 {
+            comm.try_send_vec(members[p], lse)?;
         }
     }
     for off in 1..len {
         let sp = (pos + len - off) % len;
-        incoming[sp] = Some(comm.try_recv_mat(members[sp])?);
+        let mat = comm.try_recv_mat(members[sp])?;
+        let lse = if with_lse {
+            Some(comm.try_recv_vec(members[sp])?)
+        } else {
+            None
+        };
+        incoming[sp] = Some((mat, lse));
     }
-    Ok(incoming.into_iter().map(|m| m.unwrap()).collect())
+    Ok(incoming
+        .into_iter()
+        .map(|b| b.expect("all_to_all: every member's block arrived"))
+        .collect())
 }
 
 /// Split a bundle of `n` equal column groups back into heads.
@@ -200,74 +230,89 @@ fn unbundle(bundle: &Mat, n: usize) -> Vec<Mat> {
         .collect()
 }
 
+/// Head `h` of a block's Lse vector, which holds `n` equal pieces.
+fn lse_piece(lse: &[f32], n: usize, h: usize) -> &[f32] {
+    let rows = lse.len() / n;
+    &lse[h * rows..(h + 1) * rows]
+}
+
 /// Sequence shards → head shards: member `p` receives heads
-/// `p·hpr..(p+1)·hpr` of every member's rows, stacked in member order.
+/// `p·hpr..(p+1)·hpr` of every member's rows, stacked in member order,
+/// with their Lse when `lse` is given (empty otherwise).
 fn to_heads(
     comm: &mut Communicator,
     topo: &UspTopo,
     heads: &[Mat],
+    lse: Option<&[Vec<f32>]>,
     hpr: usize,
     at: impl Fn(CommError) -> AttnFailure,
-) -> Result<Vec<Mat>, AttnFailure> {
-    let outgoing: Vec<Mat> = (0..topo.ulysses)
-        .map(|p| Mat::hstack(&heads[p * hpr..(p + 1) * hpr]))
+) -> Result<(Vec<Mat>, Vec<Vec<f32>>), AttnFailure> {
+    let outgoing: Vec<Block> = (0..topo.ulysses)
+        .map(|p| {
+            let owned = p * hpr..(p + 1) * hpr;
+            let stats = lse.map(|l| l[owned.clone()].concat());
+            (Mat::hstack(&heads[owned]), stats)
+        })
         .collect();
     let incoming = all_to_all(comm, &topo.u_members, outgoing).map_err(at)?;
-    Ok(unbundle(&Mat::vstack(&incoming), hpr))
+    let (mats, stats): (Vec<Mat>, Vec<Option<Vec<f32>>>) = incoming.into_iter().unzip();
+    let stats: Vec<Vec<f32>> = stats.into_iter().flatten().collect();
+    let lse = lse.map_or_else(Vec::new, |_| {
+        (0..hpr)
+            .map(|h| {
+                stats
+                    .iter()
+                    .flat_map(|s| lse_piece(s, hpr, h))
+                    .copied()
+                    .collect()
+            })
+            .collect()
+    });
+    Ok((unbundle(&Mat::vstack(&mats), hpr), lse))
 }
 
 /// Head shards → sequence shards, the reverse of [`to_heads`]: member `p`
-/// receives its row slice of this rank's heads.
+/// receives its row slice of this rank's heads, with their Lse when `lse`
+/// is given (empty otherwise).
 fn to_rows(
     comm: &mut Communicator,
     topo: &UspTopo,
     shards: &[Mat],
+    lse: Option<&[Vec<f32>]>,
     hpr: usize,
     at: impl Fn(CommError) -> AttnFailure,
-) -> Result<Vec<Mat>, AttnFailure> {
+) -> Result<(Vec<Mat>, Vec<Vec<f32>>), AttnFailure> {
     let rows = shards[0].rows() / topo.ulysses;
-    let outgoing: Vec<Mat> = (0..topo.ulysses)
+    let outgoing: Vec<Block> = (0..topo.ulysses)
         .map(|p| {
+            let mine = p * rows..(p + 1) * rows;
             let slices: Vec<Mat> = shards
                 .iter()
-                .map(|s| s.slice_rows(p * rows, (p + 1) * rows))
+                .map(|s| s.slice_rows(mine.start, mine.end))
                 .collect();
-            Mat::hstack(&slices)
+            let stats = lse.map(|l| l.iter().flat_map(|h| &h[mine.clone()]).copied().collect());
+            (Mat::hstack(&slices), stats)
         })
         .collect();
     let incoming = all_to_all(comm, &topo.u_members, outgoing).map_err(at)?;
-    Ok(incoming.iter().flat_map(|b| unbundle(b, hpr)).collect())
+    let mats = incoming.iter().flat_map(|b| unbundle(&b.0, hpr)).collect();
+    let lse = incoming
+        .iter()
+        .filter_map(|b| b.1.as_deref())
+        .flat_map(|s| (0..hpr).map(move |h| lse_piece(s, hpr, h).to_vec()))
+        .collect();
+    Ok((mats, lse))
 }
 
-/// State saved by [`try_usp_forward`] for the backward pass: the ring-shard
-/// tensors of this rank's owned heads.
-pub struct UspSaved {
-    q: Vec<Mat>,
-    k: Vec<Mat>,
-    v: Vec<Mat>,
-    o: Vec<Mat>,
-    lse: Vec<Vec<f32>>,
-    /// Accountant handle for the stash: opened when the forward saves this
-    /// state, closed when the backward consumes it.
-    mem: Option<MemId>,
-}
-
-impl UspSaved {
-    /// Discard the state without running the backward, closing its stash
-    /// entry — for callers that rebuild it (recompute) instead of keeping
-    /// it.
-    pub fn release(self, comm: &mut Communicator) {
-        comm.mem_free(self.mem);
-    }
-}
-
-/// USP forward: intra-group all-to-all, attention per owned head over the
-/// ring shard (zigzag ring attention, or local flash attention for a ring
-/// of one), reverse all-to-all.
+/// USP forward: all-to-alls move Q, K and V to head shards, attention runs
+/// per owned head over the ring shard (zigzag ring attention, or local
+/// flash attention for a ring of one), and a reverse all-to-all returns
+/// each head's `(O, Lse)` on this rank's rows. Nothing is kept for the
+/// backward: [`try_usp_backward`] takes the outputs back from the caller.
 ///
 /// All-to-all failures carry `(Phase::Forward, k)` with `k` the all-to-all
-/// index (0 = Q, 1 = K, 2 = V, 3 = output); ring failures keep the ring's
-/// own phase/round annotation.
+/// index in the order they run: 0 = Q, 1 = K, 2 = V, 3 = O with its Lse.
+/// Ring failures keep the ring's own phase/round annotation.
 #[allow(clippy::too_many_arguments)]
 pub fn try_usp_forward(
     comm: &mut Communicator,
@@ -279,11 +324,12 @@ pub fn try_usp_forward(
     mask: &AttnMask,
     seq_len: usize,
     cost: &CostModel,
-) -> Result<(Vec<Mat>, UspSaved), DattnError> {
+) -> Result<HeadOuts, DattnError> {
     let hpr = topo.heads_per_rank(q_heads.len(), seq_len)?;
-    let q = to_heads(comm, topo, q_heads, hpr, AttnFailure::at(Phase::Forward, 0))?;
-    let k = to_heads(comm, topo, k_heads, hpr, AttnFailure::at(Phase::Forward, 1))?;
-    let v = to_heads(comm, topo, v_heads, hpr, AttnFailure::at(Phase::Forward, 2))?;
+    let at = |k| AttnFailure::at(Phase::Forward, k);
+    let (q, _) = to_heads(comm, topo, q_heads, None, hpr, at(0))?;
+    let (k, _) = to_heads(comm, topo, k_heads, None, hpr, at(1))?;
+    let (v, _) = to_heads(comm, topo, v_heads, None, hpr, at(2))?;
 
     let mut o = Vec::with_capacity(hpr);
     let mut lse = Vec::with_capacity(hpr);
@@ -317,95 +363,81 @@ pub fn try_usp_forward(
             lse.push(out.lse);
         }
     }
-
-    let o_heads = to_rows(comm, topo, &o, hpr, AttnFailure::at(Phase::Forward, 3))?;
-    // The saved state (Q, K, V, O as f32 plus Lse) is one checkpoint-stash
-    // entry spanning forward → backward.
-    let mats: usize = q
-        .iter()
-        .chain(&k)
-        .chain(&v)
-        .chain(&o)
-        .map(Mat::nbytes)
-        .sum();
-    let vecs: usize = lse.iter().map(|l| 4 * l.len()).sum();
-    let mem = comm.mem_alloc("usp_saved", MemCategory::CkptStash, (mats + vecs) as u64);
-    Ok((
-        o_heads,
-        UspSaved {
-            q,
-            k,
-            v,
-            o,
-            lse,
-            mem,
-        },
-    ))
+    Ok(to_rows(comm, topo, &o, Some(&lse), hpr, at(3))?)
 }
 
-/// USP backward: all-to-all of `∇O`, backward per owned head over the ring
-/// shard (zigzag ring backward — Algorithm 1 with fine overlap, LoongTrain's
-/// implementation — or the local flash backward for a ring of one),
-/// all-to-all of the input gradients back.
+/// USP backward from the tensors the caller holds on its rows: `Q, K, V`,
+/// the forward's `(O, Lse)` and `∇O`. All-to-alls move them to head
+/// shards, the backward runs per owned head over the ring shard (zigzag
+/// ring backward — Algorithm 1 with fine overlap, LoongTrain's
+/// implementation — or the local flash backward for a ring of one), and
+/// all-to-alls return the input gradients. No forward runs here.
 ///
-/// All-to-all failures carry `(Phase::Backward, k)` with `k` the all-to-all
-/// index (0 = ∇O, 1 = ∇Q, 2 = ∇K, 3 = ∇V); ring failures keep the ring's
+/// The rebuilt head-shard context (`Q, K, V, O` and Lse) is billed as
+/// `usp_saved` from the first all-to-all until the gradients have left.
+///
+/// All-to-all failures carry `(Phase::Backward, k)` with `k` the
+/// all-to-all index in the order they run: 0 = Q, 1 = K, 2 = V, 3 = O with
+/// its Lse, 4 = ∇O, 5 = ∇Q, 6 = ∇K, 7 = ∇V. Ring failures keep the ring's
 /// own annotation.
 #[allow(clippy::too_many_arguments)]
 pub fn try_usp_backward(
     comm: &mut Communicator,
     topo: &UspTopo,
-    saved: &UspSaved,
+    q_heads: &[Mat],
+    k_heads: &[Mat],
+    v_heads: &[Mat],
+    o_heads: &[Mat],
+    lse_heads: &[Vec<f32>],
     grad_o_heads: &[Mat],
     scale: f32,
     mask: &AttnMask,
     seq_len: usize,
     cost: &CostModel,
 ) -> Result<HeadGrads, DattnError> {
-    let hpr = topo.heads_per_rank(grad_o_heads.len(), seq_len)?;
-    // The ring-shard (∇Q, ∇K, ∇V) of this rank's owned heads, live from the
-    // per-head backwards until the scatters return them.
-    let grads_bytes: usize = 3 * saved.q.iter().map(Mat::nbytes).sum::<usize>();
-    let mem_grads = comm.mem_alloc("usp_grads", MemCategory::Activations, grads_bytes as u64);
-    let grad_o = to_heads(
-        comm,
-        topo,
-        grad_o_heads,
-        hpr,
-        AttnFailure::at(Phase::Backward, 0),
-    )?;
+    let hpr = topo.heads_per_rank(q_heads.len(), seq_len)?;
+    let at = |k| AttnFailure::at(Phase::Backward, k);
+    // The all-to-alls only move elements between ranks, so the head-shard
+    // context is as large as the row-shard tensors it is built from.
+    let mats: usize = [q_heads, k_heads, v_heads, o_heads]
+        .iter()
+        .flat_map(|hs| hs.iter())
+        .map(Mat::nbytes)
+        .sum();
+    let vecs: usize = lse_heads.iter().map(|l| 4 * l.len()).sum();
+    let mem_saved = comm.mem_alloc("usp_saved", MemCategory::CkptStash, (mats + vecs) as u64);
+    let (q, _) = to_heads(comm, topo, q_heads, None, hpr, at(0))?;
+    let (k, _) = to_heads(comm, topo, k_heads, None, hpr, at(1))?;
+    let (v, _) = to_heads(comm, topo, v_heads, None, hpr, at(2))?;
+    let (o, lse) = to_heads(comm, topo, o_heads, Some(lse_heads), hpr, at(3))?;
+    let (grad_o, _) = to_heads(comm, topo, grad_o_heads, None, hpr, at(4))?;
 
+    // The ring-shard (∇Q, ∇K, ∇V) of this rank's owned heads, live from the
+    // per-head backwards until the all-to-alls return them.
+    let grads_bytes: usize = 3 * q.iter().map(Mat::nbytes).sum::<usize>();
+    let mem_grads = comm.mem_alloc("usp_grads", MemCategory::Activations, grads_bytes as u64);
     let mut dq = Vec::with_capacity(hpr);
     let mut dk = Vec::with_capacity(hpr);
     let mut dv = Vec::with_capacity(hpr);
     if topo.ring == 1 {
         // DeepSpeed-Ulysses: the local backward over the whole sequence.
         let idx: Vec<usize> = (0..seq_len).collect();
-        for (h, do_h) in grad_o.iter().enumerate() {
+        for h in 0..hpr {
             let (a, b, c, w) = flash_backward(
-                &saved.q[h],
-                &saved.k[h],
-                &saved.v[h],
-                &saved.o[h],
-                do_h,
-                &saved.lse[h],
-                scale,
-                mask,
-                &idx,
-                &idx,
+                &q[h], &k[h], &v[h], &o[h], &grad_o[h], &lse[h], scale, mask, &idx, &idx,
             );
-            comm.advance_compute(cost.attn_bwd_secs(w.pairs, saved.q[h].cols()));
+            comm.advance_compute(cost.attn_bwd_secs(w.pairs, q[h].cols()));
             dq.push(a);
             dk.push(b);
             dv.push(c);
         }
     } else {
         let ring = Ring::subgroup(comm, topo.r_members.clone());
-        for (h, do_h) in grad_o.iter().enumerate() {
+        for h in 0..hpr {
             let shard = AttnShard {
-                q: &saved.q[h],
-                k: &saved.k[h],
-                v: &saved.v[h],
+                q: &q[h],
+                k: &k[h],
+                v: &v[h],
                 scale,
                 mask,
                 layout: Layout::Zigzag,
@@ -415,9 +447,9 @@ pub fn try_usp_backward(
                 skip: topo.skip,
             };
             let back = BackwardInputs {
-                o: &saved.o[h],
-                lse: &saved.lse[h],
-                grad_o: do_h,
+                o: &o[h],
+                lse: &lse[h],
+                grad_o: &grad_o[h],
             };
             let (a, b, c) = try_ring_backward(comm, &ring, &shard, &back, OverlapMode::Fine)?;
             dq.push(a);
@@ -426,10 +458,10 @@ pub fn try_usp_backward(
         }
     }
 
-    let dq = to_rows(comm, topo, &dq, hpr, AttnFailure::at(Phase::Backward, 1))?;
-    let dk = to_rows(comm, topo, &dk, hpr, AttnFailure::at(Phase::Backward, 2))?;
-    let dv = to_rows(comm, topo, &dv, hpr, AttnFailure::at(Phase::Backward, 3))?;
+    let (dq, _) = to_rows(comm, topo, &dq, None, hpr, at(5))?;
+    let (dk, _) = to_rows(comm, topo, &dk, None, hpr, at(6))?;
+    let (dv, _) = to_rows(comm, topo, &dv, None, hpr, at(7))?;
     comm.mem_free(mem_grads);
-    comm.mem_free(saved.mem);
+    comm.mem_free(mem_saved);
     Ok((dq, dk, dv))
 }

@@ -5,7 +5,9 @@
 //! and ring shards a Ulysses group cannot split evenly.
 
 use burst_comm::{Communicator, Topology, World};
-use burst_dattn::usp::{try_usp_backward, try_usp_forward, HeadGrads, UlyssesError, UspTopo};
+use burst_dattn::usp::{
+    try_usp_backward, try_usp_forward, HeadGrads, HeadOuts, UlyssesError, UspTopo,
+};
 use burst_dattn::{CostModel, DattnError};
 use burst_kernels::{flash_backward, flash_forward, AttnMask};
 use burst_tensor::testutil::assert_allclose;
@@ -42,6 +44,7 @@ fn head_problem(n: usize, heads: usize, dh: usize) -> HeadProblem {
 
 struct HeadRef {
     o: Vec<Mat>,
+    lse: Vec<Vec<f32>>,
     dq: Vec<Mat>,
     dk: Vec<Mat>,
     dv: Vec<Mat>,
@@ -51,6 +54,7 @@ fn head_reference(p: &HeadProblem, mask: &AttnMask, n: usize) -> HeadRef {
     let idx: Vec<usize> = (0..n).collect();
     let mut r = HeadRef {
         o: vec![],
+        lse: vec![],
         dq: vec![],
         dk: vec![],
         dv: vec![],
@@ -70,6 +74,7 @@ fn head_reference(p: &HeadProblem, mask: &AttnMask, n: usize) -> HeadRef {
             &idx,
         );
         r.o.push(fwd.o);
+        r.lse.push(fwd.lse);
         r.dq.push(dq);
         r.dk.push(dk);
         r.dv.push(dv);
@@ -77,42 +82,51 @@ fn head_reference(p: &HeadProblem, mask: &AttnMask, n: usize) -> HeadRef {
     r
 }
 
+/// This rank's Lse rows against the reference's rows `idx`, within `TOL`.
+fn assert_lse_close(got: &[f32], want: &[f32], idx: &[usize], ctx: &str) {
+    assert_eq!(got.len(), idx.len(), "{ctx} Lse rows");
+    for (&a, &i) in got.iter().zip(idx) {
+        let b = want[i];
+        assert!(
+            (a - b).abs() <= TOL * (1.0 + b.abs()),
+            "{ctx} Lse[{i}]: {a} vs {b}"
+        );
+    }
+}
+
 /// One forward + backward of USP with Ulysses groups of `u` ranks on this
-/// rank's rows of the global per-head tensors: `(local_idx, O, (∇Q, ∇K, ∇V))`.
+/// rank's rows of the global per-head tensors:
+/// `(local_idx, (O, Lse), (∇Q, ∇K, ∇V))`.
 fn run_usp(
     comm: &mut Communicator,
     p: &HeadProblem,
     mask: &AttnMask,
     n: usize,
     u: usize,
-) -> (Vec<usize>, Vec<Mat>, HeadGrads) {
+) -> (Vec<usize>, HeadOuts, HeadGrads) {
     let topo = UspTopo::new(comm, u);
     let idx = topo.local_idx(n);
     let local = |hs: &[Mat]| -> Vec<Mat> { hs.iter().map(|m| m.gather_rows(&idx)).collect() };
-    let (o, saved) = try_usp_forward(
-        comm,
-        &topo,
-        &local(&p.q),
-        &local(&p.k),
-        &local(&p.v),
-        p.scale,
-        mask,
-        n,
-        &CostModel::free(),
-    )
-    .expect("usp forward");
+    let (q, k, v) = (local(&p.q), local(&p.k), local(&p.v));
+    let free = CostModel::free();
+    let (o, lse) =
+        try_usp_forward(comm, &topo, &q, &k, &v, p.scale, mask, n, &free).expect("usp forward");
     let grads = try_usp_backward(
         comm,
         &topo,
-        &saved,
+        &q,
+        &k,
+        &v,
+        &o,
+        &lse,
         &local(&p.grad_o),
         p.scale,
         mask,
         n,
-        &CostModel::free(),
+        &free,
     )
     .expect("usp backward");
-    (idx, o, grads)
+    (idx, (o, lse), grads)
 }
 
 #[test]
@@ -123,10 +137,11 @@ fn ulysses_matches_reference_per_head() {
     let r = head_reference(&p, &mask, n);
     let world = World::new(Topology::single_node(g));
     let outs = world.run_results(|comm| run_usp(comm, &p, &mask, n, g));
-    for (rank, (idx, o, (dq, dk, dv))) in outs.iter().enumerate() {
+    for (rank, (idx, (o, lse), (dq, dk, dv))) in outs.iter().enumerate() {
         for h in 0..heads {
             let ctx = format!("rank {rank} head {h}");
             assert_allclose(&o[h], &r.o[h].gather_rows(idx), TOL, &format!("{ctx} O"));
+            assert_lse_close(&lse[h], &r.lse[h], idx, &ctx);
             assert_allclose(&dq[h], &r.dq[h].gather_rows(idx), TOL, &format!("{ctx} dQ"));
             assert_allclose(&dk[h], &r.dk[h].gather_rows(idx), TOL, &format!("{ctx} dK"));
             assert_allclose(&dv[h], &r.dv[h].gather_rows(idx), TOL, &format!("{ctx} dV"));
@@ -217,10 +232,11 @@ fn usp_matches_reference_per_head() {
     let world = World::new(Topology::a800(2, 2));
     let outs = world.run_results(|comm| run_usp(comm, &p, &mask, n, u));
     assert_eq!(outs.len(), g);
-    for (rank, (idx, o, (dq, dk, dv))) in outs.iter().enumerate() {
+    for (rank, (idx, (o, lse), (dq, dk, dv))) in outs.iter().enumerate() {
         for h in 0..heads {
             let ctx = format!("rank {rank} head {h}");
             assert_allclose(&o[h], &r.o[h].gather_rows(idx), TOL, &format!("{ctx} O"));
+            assert_lse_close(&lse[h], &r.lse[h], idx, &ctx);
             assert_allclose(&dq[h], &r.dq[h].gather_rows(idx), TOL, &format!("{ctx} dQ"));
             assert_allclose(&dk[h], &r.dk[h].gather_rows(idx), TOL, &format!("{ctx} dK"));
             assert_allclose(&dv[h], &r.dv[h].gather_rows(idx), TOL, &format!("{ctx} dV"));
@@ -249,11 +265,14 @@ fn usp_at_u_equal_world_is_exact_attention_bit_for_bit() {
                 for mask in &masks {
                     let r = head_reference(&p, mask, n);
                     let outs = world.run_results(|comm| run_usp(comm, &p, mask, n, g));
-                    for (rank, (idx, o, (dq, dk, dv))) in outs.iter().enumerate() {
+                    for (rank, (idx, (o, lse), (dq, dk, dv))) in outs.iter().enumerate() {
                         for h in 0..heads {
                             let ctx =
                                 format!("g={g} n={n} heads={heads} {mask:?} rank {rank} head {h}");
                             assert_eq!(bits(&o[h]), bits(&r.o[h].gather_rows(idx)), "{ctx} O");
+                            let want_lse = idx.iter().map(|&i| r.lse[h][i].to_bits());
+                            let got_lse = lse[h].iter().map(|x| x.to_bits());
+                            assert!(got_lse.eq(want_lse), "{ctx} Lse");
                             assert_eq!(bits(&dq[h]), bits(&r.dq[h].gather_rows(idx)), "{ctx} dQ");
                             assert_eq!(bits(&dk[h]), bits(&r.dk[h].gather_rows(idx)), "{ctx} dK");
                             assert_eq!(bits(&dv[h]), bits(&r.dv[h].gather_rows(idx)), "{ctx} dV");
@@ -302,36 +321,29 @@ fn usp_rejects_indivisible_heads() {
 fn usp_rejects_a_ring_shard_its_group_cannot_split_before_sending() {
     // n = 20 on 8 ranks with U = 4: two 10-row ring shards, which four
     // Ulysses members cannot split evenly. Every rank reports the typed
-    // error and no message leaves any rank.
+    // error in both directions and no message leaves any rank.
     let (n, heads, dh, g, u) = (20usize, 4usize, 4usize, 8usize, 4usize);
     let p = head_problem(n, heads, dh);
     let world = World::new(Topology::single_node(g));
     let outs = world.run(|comm| {
         let topo = UspTopo::new(comm, u);
         let ql: Vec<Mat> = p.q.iter().map(|m| m.slice_rows(0, 2)).collect();
-        try_usp_forward(
-            comm,
-            &topo,
-            &ql,
-            &ql,
-            &ql,
-            p.scale,
-            &AttnMask::Causal,
-            n,
-            &CostModel::free(),
+        let lse = vec![vec![0.0; 2]; heads];
+        let free = CostModel::free();
+        let mask = AttnMask::Causal;
+        let fwd = try_usp_forward(comm, &topo, &ql, &ql, &ql, p.scale, &mask, n, &free).err();
+        let bwd = try_usp_backward(
+            comm, &topo, &ql, &ql, &ql, &ql, &lse, &ql, p.scale, &mask, n, &free,
         )
-        .err()
+        .err();
+        [fwd, bwd]
     });
+    let want = Some(DattnError::Infeasible(UlyssesError::RowsNotDivisible {
+        rows: 10,
+        group: 4,
+    }));
     for o in outs {
-        assert_eq!(
-            o.result,
-            Some(DattnError::Infeasible(UlyssesError::RowsNotDivisible {
-                rows: 10,
-                group: 4
-            })),
-            "rank {}",
-            o.rank
-        );
+        assert_eq!(o.result, [want.clone(), want.clone()], "rank {}", o.rank);
         assert_eq!(o.stats.total_msgs(), 0, "rank {} sent a message", o.rank);
     }
 }

@@ -9,19 +9,20 @@
 //! * [`UspExec`] — head parallelism: LoongTrain's hybrid head+context
 //!   USP, or DeepSpeed-Ulysses when its Ulysses group is the whole world.
 //!
-//! `backward` is self-contained (takes `q, k, v, o, lse` explicitly), so
-//! gradient-checkpointing strategies can rebuild those tensors any way they
-//! like — including the paper's sequence-level selective scheme, which
-//! recomputes only the front of the sequence via
-//! [`AttnExec::forward_partial`].
+//! `backward` is self-contained (takes `q, k, v, o, lse` explicitly) and
+//! reruns no forward, so gradient-checkpointing strategies alone decide
+//! what is recomputed: they rebuild those tensors any way they like —
+//! including the paper's sequence-level selective scheme, which recomputes
+//! only the front of the sequence via [`AttnExec::forward_partial`].
 
 use crate::linear::{Linear, LinearSaved};
 use crate::rope::{rope_apply, rope_backward, ROPE_THETA};
 use burst_comm::{CommError, Communicator, SpanKind};
-use burst_dattn::usp::{try_usp_backward, try_usp_forward, UspTopo};
+use burst_dattn::usp::{try_usp_backward, try_usp_forward, HeadGrads, UspTopo};
 use burst_dattn::{
     double_ring, escalate_attn, try_burst_backward, try_ring_backward, try_ring_forward, Algo,
-    AttnFailure, AttnShard, BackwardInputs, CostModel, DoubleRingSpec, Layout, OverlapMode, Ring,
+    AttnShard, BackwardInputs, CostModel, DattnError, DistAttnOut, DoubleRingSpec, Layout,
+    OverlapMode, Ring,
 };
 use burst_kernels::{flash_backward, flash_forward, AttnMask};
 use burst_tensor::Mat;
@@ -37,7 +38,9 @@ pub trait AttnExec {
     fn forward(&mut self, q: &[Mat], k: &[Mat], v: &[Mat]) -> AttnOut;
 
     /// Backward: per-head `(∇Q, ∇K, ∇V)` for the local rows, given the
-    /// tensors the forward produced (however the caller obtained them).
+    /// tensors the forward produced (however the caller obtained them:
+    /// kept, or rebuilt by the checkpointing strategy). It consumes them as
+    /// given and runs no forward of its own.
     #[allow(clippy::too_many_arguments)]
     fn backward(
         &mut self,
@@ -64,6 +67,16 @@ pub trait AttnExec {
 
     /// Global token indices of this rank's local rows, in storage order.
     fn local_indices(&self) -> Vec<usize>;
+
+    /// The communication fault that stopped this executor, if any (cleared
+    /// on read). The layer stack drives the executor infallibly, so a
+    /// distributed executor latches its first fault: the failing call
+    /// yields zero-shaped outputs, every later call short-circuits without
+    /// touching the wire, and the caller reads the fault after the
+    /// micro-batch to fail the step instead of aborting the process.
+    fn take_failure(&mut self) -> Option<CommError> {
+        None
+    }
 
     /// The attention mask this executor computes under. Drives the
     /// mask-aware sequence-selective checkpointing cutoff: sparse masks
@@ -248,13 +261,8 @@ impl AttnExec for LocalExec {
 /// ([`double_ring::try_double_ring_forward_heads_on`]): head `h + 1`'s
 /// inter-node `(K, V)` transfer hides behind head `h`'s intra-node sweeps.
 /// The flat ring runs one pass per head, and the backward runs one pass per
-/// head on every algorithm.
-///
-/// The layer stack drives [`AttnExec`] infallibly, so the first
-/// communication fault is *latched*: the failing call yields zero-shaped
-/// outputs and every later call short-circuits without touching the wire.
-/// The caller reads [`DistExec::take_failure`] after the micro-batch and
-/// fails the step instead of aborting the process.
+/// head on every algorithm. A communication fault is latched (see
+/// [`AttnExec::take_failure`]).
 pub struct DistExec<'a> {
     pub comm: &'a mut Communicator,
     /// The ring: the ascending members, this rank at its position.
@@ -278,8 +286,7 @@ pub struct DistExec<'a> {
     /// A topology-aware algorithm runs on the flat ring because the members
     /// are ragged across nodes.
     flat_fallback: bool,
-    /// First communication fault observed; latched until taken.
-    failure: Option<CommError>,
+    latch: FaultLatch,
 }
 
 impl<'a> DistExec<'a> {
@@ -311,13 +318,8 @@ impl<'a> DistExec<'a> {
             skip: false,
             flat_fallback: topo_algo && spec.is_none(),
             spec,
-            failure: None,
+            latch: FaultLatch::default(),
         }
-    }
-
-    /// The fault that stopped this step, if any (cleared on read).
-    pub fn take_failure(&mut self) -> Option<CommError> {
-        self.failure.take()
     }
 
     /// Whether a topology-aware algorithm ran flat because the members are
@@ -326,53 +328,37 @@ impl<'a> DistExec<'a> {
         self.flat_fallback
     }
 
-    fn latch(&mut self, e: AttnFailure) {
-        if self.failure.is_none() {
-            self.failure = Some(e.source);
-        }
-    }
-
-    /// All heads' forward (restricted to tokens `< cutoff` when given), or
-    /// zero-shaped outputs once a fault is latched. On the two-level ring a
-    /// failure anywhere in the pipelined pass latches for the whole call; on
-    /// the flat ring heads past a failure get zeros.
+    /// All heads' forward (restricted to tokens `< cutoff` when given). On
+    /// the two-level ring a fault anywhere in the pipelined pass zeroes every
+    /// head; on the flat ring heads past a fault get zeros.
     fn fwd(&mut self, q: &[Mat], k: &[Mat], v: &[Mat], cutoff: Option<usize>) -> AttnOut {
-        let mut outs = Vec::with_capacity(q.len());
-        if self.failure.is_none() {
-            let heads: Vec<AttnShard> = (0..q.len())
-                .map(|h| AttnShard {
-                    q: &q[h],
-                    k: &k[h],
-                    v: &v[h],
-                    scale: head_scale(&q[h]),
-                    mask: &self.mask,
-                    layout: self.layout,
-                    seq_len: self.seq_len,
-                    cost: self.cost,
-                    max_token: cutoff,
-                    skip: self.skip,
+        let heads: Vec<AttnShard> = (0..q.len())
+            .map(|h| AttnShard {
+                q: &q[h],
+                k: &k[h],
+                v: &v[h],
+                scale: head_scale(&q[h]),
+                mask: &self.mask,
+                layout: self.layout,
+                seq_len: self.seq_len,
+                cost: self.cost,
+                max_token: cutoff,
+                skip: self.skip,
+            })
+            .collect();
+        let (comm, ring, latch) = (&mut *self.comm, &self.ring, &mut self.latch);
+        let outs: Vec<DistAttnOut> = match &self.spec {
+            Some(spec) => latch
+                .run(comm, |c| {
+                    double_ring::try_double_ring_forward_heads_on(c, &heads, spec)
                 })
-                .collect();
-            let res = match &self.spec {
-                Some(spec) => {
-                    double_ring::try_double_ring_forward_heads_on(self.comm, &heads, spec)
-                        .map(|all| outs.extend(all))
-                }
-                None => heads.iter().try_for_each(|shard| {
-                    outs.push(try_ring_forward(self.comm, &self.ring, shard)?);
-                    Ok(())
-                }),
-            };
-            if let Err(e) = res {
-                self.latch(e);
-            }
-        }
-        let (mut o, mut lse): AttnOut = outs.into_iter().map(|out| (out.o, out.lse)).unzip();
-        for h in o.len()..q.len() {
-            o.push(Mat::zeros(q[h].rows(), v[h].cols()));
-            lse.push(vec![0.0; q[h].rows()]);
-        }
-        (o, lse)
+                .unwrap_or_default(),
+            None => heads
+                .iter()
+                .map_while(|shard| latch.run(comm, |c| try_ring_forward(c, ring, shard)))
+                .collect(),
+        };
+        zero_padded_out(outs.into_iter().map(|out| (out.o, out.lse)).unzip(), q, v)
     }
 }
 
@@ -390,58 +376,46 @@ impl AttnExec for DistExec<'_> {
         lse: &[Vec<f32>],
         grad_o: &[Mat],
     ) -> (Vec<Mat>, Vec<Mat>, Vec<Mat>) {
-        let mut dq = Vec::with_capacity(q.len());
-        let mut dk = Vec::with_capacity(q.len());
-        let mut dv = Vec::with_capacity(q.len());
+        let mut grads: HeadGrads = Default::default();
         for h in 0..q.len() {
-            if self.failure.is_none() {
-                let shard = AttnShard {
-                    q: &q[h],
-                    k: &k[h],
-                    v: &v[h],
-                    scale: head_scale(&q[h]),
-                    mask: &self.mask,
-                    layout: self.layout,
-                    seq_len: self.seq_len,
-                    cost: self.cost,
-                    max_token: None,
-                    skip: self.skip,
-                };
-                let back = BackwardInputs {
-                    o: &o[h],
-                    lse: &lse[h],
-                    grad_o: &grad_o[h],
-                };
-                let (comm, ring) = (&mut *self.comm, &self.ring);
-                let res = match (&self.spec, self.algo) {
-                    (Some(spec), Algo::DoubleRing) => {
-                        double_ring::try_double_ring_backward_alg1_on(comm, &shard, &back, spec)
-                    }
-                    (Some(spec), _) => {
-                        double_ring::try_double_ring_backward_alg2_on(comm, &shard, &back, spec)
-                    }
-                    (None, Algo::RingFlat | Algo::DoubleRing) => {
-                        try_ring_backward(comm, ring, &shard, &back, self.overlap)
-                    }
-                    (None, Algo::BurstFlat | Algo::BurstTopo) => {
-                        try_burst_backward(comm, ring, &shard, &back, self.overlap)
-                    }
-                };
-                match res {
-                    Ok((a, b, c)) => {
-                        dq.push(a);
-                        dk.push(b);
-                        dv.push(c);
-                        continue;
-                    }
-                    Err(e) => self.latch(e),
+            let shard = AttnShard {
+                q: &q[h],
+                k: &k[h],
+                v: &v[h],
+                scale: head_scale(&q[h]),
+                mask: &self.mask,
+                layout: self.layout,
+                seq_len: self.seq_len,
+                cost: self.cost,
+                max_token: None,
+                skip: self.skip,
+            };
+            let back = BackwardInputs {
+                o: &o[h],
+                lse: &lse[h],
+                grad_o: &grad_o[h],
+            };
+            let (ring, spec, algo, overlap) = (&self.ring, &self.spec, self.algo, self.overlap);
+            let res = self.latch.run(self.comm, |comm| match (spec, algo) {
+                (Some(spec), Algo::DoubleRing) => {
+                    double_ring::try_double_ring_backward_alg1_on(comm, &shard, &back, spec)
                 }
-            }
-            dq.push(Mat::zeros(q[h].rows(), q[h].cols()));
-            dk.push(Mat::zeros(k[h].rows(), k[h].cols()));
-            dv.push(Mat::zeros(v[h].rows(), v[h].cols()));
+                (Some(spec), _) => {
+                    double_ring::try_double_ring_backward_alg2_on(comm, &shard, &back, spec)
+                }
+                (None, Algo::RingFlat | Algo::DoubleRing) => {
+                    try_ring_backward(comm, ring, &shard, &back, overlap)
+                }
+                (None, Algo::BurstFlat | Algo::BurstTopo) => {
+                    try_burst_backward(comm, ring, &shard, &back, overlap)
+                }
+            });
+            let Some((a, b, c)) = res else { break };
+            grads.0.push(a);
+            grads.1.push(b);
+            grads.2.push(c);
         }
-        (dq, dk, dv)
+        zero_padded_grads(grads, q, k, v)
     }
 
     fn forward_partial(
@@ -459,6 +433,10 @@ impl AttnExec for DistExec<'_> {
             .indices(self.seq_len, self.ring.size(), self.ring.pos)
     }
 
+    fn take_failure(&mut self) -> Option<CommError> {
+        self.latch.take()
+    }
+
     fn mask(&self) -> &AttnMask {
         &self.mask
     }
@@ -470,6 +448,10 @@ impl AttnExec for DistExec<'_> {
 
 /// Head-parallel backend: LoongTrain's USP over Ulysses groups of
 /// `ulysses_size` ranks; `ulysses_size` = world size is DeepSpeed-Ulysses.
+/// The forward returns each head's `(O, Lse)`, and the backward consumes
+/// the tensors it is handed, as the ring family does: rebuilding them is
+/// the checkpointing strategy's business. A communication fault is latched
+/// (see [`AttnExec::take_failure`]).
 pub struct UspExec<'a> {
     pub comm: &'a mut Communicator,
     pub ulysses_size: usize,
@@ -479,33 +461,42 @@ pub struct UspExec<'a> {
     /// Mask-aware round skipping on the context-parallel ring legs (the
     /// all-to-alls are mask-independent). Off by default.
     pub skip: bool,
+    latch: FaultLatch,
+}
+
+impl<'a> UspExec<'a> {
+    pub fn new(
+        comm: &'a mut Communicator,
+        ulysses_size: usize,
+        mask: AttnMask,
+        seq_len: usize,
+        cost: CostModel,
+    ) -> Self {
+        UspExec {
+            comm,
+            ulysses_size,
+            mask,
+            seq_len,
+            cost,
+            skip: false,
+            latch: FaultLatch::default(),
+        }
+    }
+
+    fn topo(&self) -> UspTopo {
+        UspTopo::new(self.comm, self.ulysses_size).with_skip(self.skip)
+    }
 }
 
 impl AttnExec for UspExec<'_> {
     fn forward(&mut self, q: &[Mat], k: &[Mat], v: &[Mat]) -> AttnOut {
-        let topo = UspTopo::new(self.comm, self.ulysses_size).with_skip(self.skip);
+        let topo = self.topo();
+        let (mask, seq_len, cost) = (&self.mask, self.seq_len, &self.cost);
         let scale = head_scale(&q[0]);
-        let (o, saved) = try_usp_forward(
-            self.comm,
-            &topo,
-            q,
-            k,
-            v,
-            scale,
-            &self.mask,
-            self.seq_len,
-            &self.cost,
-        )
-        .unwrap_or_else(|e| escalate_attn(self.comm, e));
-        saved.release(self.comm);
-        // The Lse lives head-sharded on the owning rank; `backward` rebuilds
-        // everything it needs from (q, k, v) — the recompute that gradient
-        // checkpointing (the paper's evaluation setting) implies — so the
-        // per-row Lse is never consumed and is returned as NaN placeholders
-        // of the right shape.
-        let rows = o[0].rows();
-        let lse = vec![vec![f32::NAN; rows]; q.len()];
-        (o, lse)
+        let out = self.latch.run(self.comm, |comm| {
+            try_usp_forward(comm, &topo, q, k, v, scale, mask, seq_len, cost)
+        });
+        zero_padded_out(out.unwrap_or_default(), q, v)
     }
 
     fn backward(
@@ -514,42 +505,26 @@ impl AttnExec for UspExec<'_> {
         k: &[Mat],
         v: &[Mat],
         o: &[Mat],
-        _lse: &[Vec<f32>],
+        lse: &[Vec<f32>],
         grad_o: &[Mat],
-    ) -> (Vec<Mat>, Vec<Mat>, Vec<Mat>) {
-        let topo = UspTopo::new(self.comm, self.ulysses_size).with_skip(self.skip);
+    ) -> HeadGrads {
+        let topo = self.topo();
+        let (mask, seq_len, cost) = (&self.mask, self.seq_len, &self.cost);
         let scale = head_scale(&q[0]);
-        let _ = o;
-        self.comm.recompute_scope(true);
-        let (_, saved) = try_usp_forward(
-            self.comm,
-            &topo,
-            q,
-            k,
-            v,
-            scale,
-            &self.mask,
-            self.seq_len,
-            &self.cost,
-        )
-        .unwrap_or_else(|e| escalate_attn(self.comm, e));
-        self.comm.recompute_scope(false);
-        try_usp_backward(
-            self.comm,
-            &topo,
-            &saved,
-            grad_o,
-            scale,
-            &self.mask,
-            self.seq_len,
-            &self.cost,
-        )
-        .unwrap_or_else(|e| escalate_attn(self.comm, e))
+        let grads = self.latch.run(self.comm, |comm| {
+            try_usp_backward(
+                comm, &topo, q, k, v, o, lse, grad_o, scale, mask, seq_len, cost,
+            )
+        });
+        zero_padded_grads(grads.unwrap_or_default(), q, k, v)
     }
 
     fn local_indices(&self) -> Vec<usize> {
-        let topo = UspTopo::new(self.comm, self.ulysses_size);
-        topo.local_idx(self.seq_len)
+        self.topo().local_idx(self.seq_len)
+    }
+
+    fn take_failure(&mut self) -> Option<CommError> {
+        self.latch.take()
     }
 
     fn mask(&self) -> &AttnMask {
@@ -559,6 +534,59 @@ impl AttnExec for UspExec<'_> {
     fn comm(&mut self) -> Option<&mut Communicator> {
         Some(self.comm)
     }
+}
+
+/// The first communication fault of a distributed executor, latched until
+/// taken (see [`AttnExec::take_failure`]).
+#[derive(Default)]
+struct FaultLatch(Option<CommError>);
+
+impl FaultLatch {
+    /// Run `f` unless a fault is latched, latching its communication
+    /// failure. Infeasible geometry is a configuration error, not a fault,
+    /// and escalates.
+    fn run<T, E: Into<DattnError>>(
+        &mut self,
+        comm: &mut Communicator,
+        f: impl FnOnce(&mut Communicator) -> Result<T, E>,
+    ) -> Option<T> {
+        if self.0.is_some() {
+            return None;
+        }
+        match f(comm).map_err(Into::into) {
+            Ok(out) => Some(out),
+            Err(DattnError::Comm(e)) => {
+                self.0 = Some(e.source);
+                None
+            }
+            Err(e) => escalate_attn(comm, e),
+        }
+    }
+
+    fn take(&mut self) -> Option<CommError> {
+        self.0.take()
+    }
+}
+
+/// Per-head forward outputs, with zero-shaped heads appended for those a
+/// latched fault left uncomputed.
+fn zero_padded_out((mut o, mut lse): AttnOut, q: &[Mat], v: &[Mat]) -> AttnOut {
+    for h in o.len()..q.len() {
+        o.push(Mat::zeros(q[h].rows(), v[h].cols()));
+        lse.push(vec![0.0; q[h].rows()]);
+    }
+    (o, lse)
+}
+
+/// Per-head gradients, with zero-shaped heads appended for those a latched
+/// fault left uncomputed.
+fn zero_padded_grads(mut grads: HeadGrads, q: &[Mat], k: &[Mat], v: &[Mat]) -> HeadGrads {
+    for h in grads.0.len()..q.len() {
+        grads.0.push(Mat::zeros(q[h].rows(), q[h].cols()));
+        grads.1.push(Mat::zeros(k[h].rows(), k[h].cols()));
+        grads.2.push(Mat::zeros(v[h].rows(), v[h].cols()));
+    }
+    grads
 }
 
 /// Multi-head attention module: QKV projections + backend + output
@@ -759,9 +787,8 @@ impl MultiHeadAttention {
                 let (o_front, lse_front) = match partial {
                     Some(out) => out,
                     // Backends without partial recompute (Ulysses/USP)
-                    // recompute the full attention instead — the memory
-                    // saving of the tail cache still applies, only the
-                    // compute saving is lost.
+                    // rerun the full forward once and keep its front rows:
+                    // the tail cache still saves memory, not compute.
                     None => {
                         let (o, lse) = exec.forward(&q_heads, &k_heads, &v_heads);
                         let o_front: Vec<Mat> =

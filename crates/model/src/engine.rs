@@ -232,8 +232,8 @@ pub fn run_rank(
 /// step: a non-finite reduced loss is reported as [`CommError::Corrupt`],
 /// and communication faults injected by a [`burst_comm::FaultPlan`] surface
 /// through the fallible FSDP weight gather, loss reduction and gradient
-/// sync and, on the ring backends, through the executor's latched failure,
-/// checked after every micro-batch.
+/// sync and through the attention executor's latched failure
+/// ([`AttnExec::take_failure`]), checked after every micro-batch.
 ///
 /// Compute-side faults from the plan are honored here: scheduled gradient
 /// poison ([`burst_comm::FaultPlan::poison_grad`]) is injected after the
@@ -344,7 +344,7 @@ fn step_on(
         let micro_out = match cfg.backend {
             Backend::Local => {
                 let mut exec = LocalExec::new(cfg.mask.clone(), n);
-                step_with(&mut *model, &tokens, &targets, &mut exec, cfg, accum)
+                step_with(&mut *model, &tokens, &targets, &mut exec, cfg, accum)?
             }
             Backend::Ring(algo) => {
                 let members = group.members(comm);
@@ -359,10 +359,7 @@ fn step_on(
                 );
                 exec.overlap = cfg.overlap;
                 exec.skip = cfg.skip_masked_rounds;
-                let out = step_with(&mut *model, &tokens, &targets, &mut exec, cfg, accum);
-                if let Some(e) = exec.take_failure() {
-                    return Err(e);
-                }
+                let out = step_with(&mut *model, &tokens, &targets, &mut exec, cfg, accum)?;
                 fell_flat |= exec.flat_fallback();
                 out
             }
@@ -371,15 +368,9 @@ fn step_on(
                     Backend::Usp { ulysses_size } => ulysses_size,
                     _ => comm.world_size(),
                 };
-                let mut exec = UspExec {
-                    comm,
-                    ulysses_size,
-                    mask: cfg.mask.clone(),
-                    seq_len: n,
-                    cost: cfg.cost,
-                    skip: cfg.skip_masked_rounds,
-                };
-                step_with(&mut *model, &tokens, &targets, &mut exec, cfg, accum)
+                let mut exec = UspExec::new(comm, ulysses_size, cfg.mask.clone(), n, cfg.cost);
+                exec.skip = cfg.skip_masked_rounds;
+                step_with(&mut *model, &tokens, &targets, &mut exec, cfg, accum)?
             }
         };
         // Dense-path compute time (attention time was charged inside
@@ -469,6 +460,7 @@ fn step_on(
     })
 }
 
+/// One micro-batch through `exec`; fails with the executor's latched fault.
 fn step_with<E: AttnExec>(
     model: &mut Model,
     tokens: &[usize],
@@ -476,7 +468,7 @@ fn step_with<E: AttnExec>(
     exec: &mut E,
     cfg: &EngineConfig,
     accum: usize,
-) -> StepOutput {
+) -> Result<StepOutput, CommError> {
     let idx = exec.local_indices();
     let local_tokens: Vec<usize> = idx.iter().map(|&i| tokens[i]).collect();
     let local_targets: Vec<usize> = idx.iter().map(|&i| targets[i]).collect();
@@ -485,14 +477,15 @@ fn step_with<E: AttnExec>(
     } else {
         ActPrecision::F32
     };
-    model.train_step_prec(
+    let out = model.train_step_prec(
         &local_tokens,
         &local_targets,
         exec,
         cfg.strategy,
         cfg.model.seq_len * accum,
         precision,
-    )
+    );
+    exec.take_failure().map_or(Ok(out), Err)
 }
 
 /// Run a full distributed training job on `world` and aggregate metrics.

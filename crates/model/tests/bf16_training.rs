@@ -88,37 +88,49 @@ fn bf16_wire_fsdp_keeps_replicas_bit_identical() {
     // A bf16 wire rounds every gathered shard and every reduced gradient
     // block. Each rank must hold the rounded value, its own shards and
     // blocks included, so replicas stay bit-identical; training stays close
-    // to the f32-wire run.
-    let cfg = EngineConfig::tiny(Backend::Ring(Algo::BurstTopo));
-    let run = |wire: WireDtype| -> Vec<f32> {
-        let world = World::new(Topology::a800(2, 2).with_wire_dtype(wire));
-        let outs = world.run(|comm| {
-            let mut model = Model::new(cfg.model, cfg.seed);
-            let out = run_span(comm, &cfg, &mut model, 0, 4, |_, _, _, _| {}).expect("clean run");
-            (out.losses, model.flat_state())
-        });
-        let (losses, state) = &outs[0].result;
-        for o in &outs[1..] {
-            assert_eq!(&o.result.0, losses, "rank {}: global loss", o.rank);
+    // to the f32-wire run. The head-parallel backends also round O on its
+    // way back to the sequence shards, before their backward reads it.
+    for (backend, topo) in [
+        (Backend::Ring(Algo::BurstTopo), Topology::a800(2, 2)),
+        (Backend::Usp { ulysses_size: 2 }, Topology::a800(2, 2)),
+        (Backend::Ulysses, Topology::a800(1, 2)),
+    ] {
+        let cfg = EngineConfig::tiny(backend);
+        let run = |wire: WireDtype| -> Vec<f32> {
+            let world = World::new(topo.clone().with_wire_dtype(wire));
+            let outs = world.run(|comm| {
+                let mut model = Model::new(cfg.model, cfg.seed);
+                let out =
+                    run_span(comm, &cfg, &mut model, 0, 4, |_, _, _, _| {}).expect("clean run");
+                (out.losses, model.flat_state())
+            });
+            let (losses, state) = &outs[0].result;
+            for o in &outs[1..] {
+                assert_eq!(
+                    &o.result.0, losses,
+                    "{backend:?} rank {}: global loss",
+                    o.rank
+                );
+                assert!(
+                    o.result
+                        .1
+                        .iter()
+                        .zip(state)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{backend:?} rank {}: replica differs from rank 0 under a {wire:?} wire",
+                    o.rank
+                );
+            }
+            losses.clone()
+        };
+        let bf16 = run(WireDtype::Bf16);
+        let f32_wire = run(WireDtype::F32);
+        assert_eq!(bf16.len(), 4);
+        for (x, y) in bf16.iter().zip(&f32_wire) {
             assert!(
-                o.result
-                    .1
-                    .iter()
-                    .zip(state)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "rank {}: replica differs from rank 0 under a {wire:?} wire",
-                o.rank
+                (x - y).abs() / y.abs() < 0.02,
+                "{backend:?}: bf16 wire {x} vs f32 wire {y}"
             );
         }
-        losses.clone()
-    };
-    let bf16 = run(WireDtype::Bf16);
-    let f32_wire = run(WireDtype::F32);
-    assert_eq!(bf16.len(), 4);
-    for (x, y) in bf16.iter().zip(&f32_wire) {
-        assert!(
-            (x - y).abs() / y.abs() < 0.02,
-            "bf16 wire {x} vs f32 wire {y}"
-        );
     }
 }

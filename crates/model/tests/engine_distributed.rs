@@ -6,8 +6,8 @@
 use burst_comm::{Topology, World};
 use burst_dattn::{Algo, CostModel, Layout};
 use burst_kernels::AttnMask;
-use burst_model::engine::{train, Backend, EngineConfig};
-use burst_model::{ModelConfig, Strategy};
+use burst_model::engine::{run_span, train, Backend, EngineConfig};
+use burst_model::{Model, ModelConfig, Strategy};
 
 fn cfg(backend: Backend) -> EngineConfig {
     EngineConfig {
@@ -104,6 +104,29 @@ fn distributed_training_reduces_loss() {
     );
 }
 
+/// The checkpointing strategies besides `Strategy::None`.
+const STRATEGIES: [Strategy; 3] = [
+    Strategy::Full,
+    Strategy::SelectivePlusPlus,
+    Strategy::SeqSelective { rho: 0.5 },
+];
+
+/// Every rank's `(losses, flat_state())` bits after a `steps`-step span.
+fn run_state(topo: &Topology, c: &EngineConfig, steps: usize) -> Vec<(Vec<f32>, Vec<u32>)> {
+    World::new(topo.clone())
+        .run(|comm| {
+            let mut model = Model::new(c.model, c.seed);
+            let losses = run_span(comm, c, &mut model, 0, steps, |_, _, _, _| {})
+                .expect("healthy run")
+                .losses;
+            let state = model.flat_state().iter().map(|x| x.to_bits()).collect();
+            (losses, state)
+        })
+        .into_iter()
+        .map(|o| o.result)
+        .collect()
+}
+
 #[test]
 fn checkpoint_strategies_equivalent_distributed() {
     let world = World::new(Topology::single_node(4));
@@ -113,12 +136,82 @@ fn checkpoint_strategies_equivalent_distributed() {
         train(&world, &c, 3).losses
     };
     let reference = run(Strategy::None);
-    for strategy in [
-        Strategy::Full,
-        Strategy::SelectivePlusPlus,
-        Strategy::SeqSelective { rho: 0.5 },
-    ] {
+    for strategy in STRATEGIES {
         close(&run(strategy), &reference, 1e-3, &format!("{strategy:?}"));
+    }
+    // The head-parallel backward consumes whatever `(O, Lse)` a strategy
+    // hands it. Kept or recomputed, those are the forward's bits, so
+    // losses and the trained state are bit-identical across strategies.
+    for (backend, topo) in [
+        (Backend::Usp { ulysses_size: 2 }, Topology::a800(2, 2)),
+        (Backend::Ulysses, Topology::single_node(4)),
+    ] {
+        let run = |strategy: Strategy| {
+            let mut c = cfg(backend);
+            c.strategy = strategy;
+            run_state(&topo, &c, 3)
+        };
+        let reference = run(Strategy::None);
+        for strategy in STRATEGIES {
+            for (rank, (got, want)) in run(strategy).iter().zip(&reference).enumerate() {
+                assert_eq!(
+                    got.0, want.0,
+                    "{backend:?} {strategy:?} rank {rank}: losses"
+                );
+                assert!(
+                    got.1 == want.1,
+                    "{backend:?} {strategy:?} rank {rank}: state"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn head_parallel_backward_reruns_no_forward_under_selective_pp() {
+    // Selective checkpointing++ keeps every attention output, so a layer's
+    // backward must not rerun the attention forward: no recompute kernel
+    // and no forward ring round inside any `layer_bwd` span. Full
+    // checkpointing, which does rerun it, shows both tags there.
+    use burst_comm::obs::{RankTrace, SpanKind};
+    let rerun_in_bwd = |t: &RankTrace, kind: SpanKind, name: &str| {
+        t.spans.iter().any(|s| {
+            let mut up = s.parent;
+            while up >= 0 {
+                let p = &t.spans[up as usize];
+                if p.kind == SpanKind::Layer && p.name == "layer_bwd" {
+                    return s.kind == kind && s.name == name;
+                }
+                up = p.parent;
+            }
+            false
+        })
+    };
+    for (backend, topo) in [
+        (Backend::Usp { ulysses_size: 2 }, Topology::a800(2, 2)),
+        (Backend::Ulysses, Topology::single_node(4)),
+    ] {
+        for (strategy, reruns) in [(Strategy::Full, true), (Strategy::SelectivePlusPlus, false)] {
+            let mut c = cfg(backend);
+            c.strategy = strategy;
+            // Zero-cost kernels emit no spans.
+            c.cost = CostModel::a800();
+            let outs = World::new(topo.clone()).run(|comm| {
+                comm.start_trace();
+                let mut model = Model::new(c.model, c.seed);
+                run_span(comm, &c, &mut model, 0, 1, |_, _, _, _| {}).expect("healthy run");
+            });
+            for o in &outs {
+                let t = o.trace.as_ref().expect("tracing was on");
+                let ctx = format!("{backend:?} {strategy:?} rank {}", o.rank);
+                let kernel = rerun_in_bwd(t, SpanKind::Kernel, "recompute");
+                assert_eq!(kernel, reruns, "{ctx}: recompute kernel in layer_bwd");
+                // Ulysses runs no ring, so only USP shows forward rounds.
+                let ring = matches!(backend, Backend::Usp { .. }) && reruns;
+                let round = rerun_in_bwd(t, SpanKind::AttnRound, "fwd_round");
+                assert_eq!(round, ring, "{ctx}: fwd_round in layer_bwd");
+            }
+        }
     }
 }
 
@@ -278,8 +371,6 @@ fn tgs_accounts_compute_and_comm() {
 #[test]
 fn engine_step_spans_validate_and_tracing_is_bit_identical() {
     use burst_comm::obs::{self, SpanKind};
-    use burst_model::engine::run_span;
-    use burst_model::Model;
 
     let topo = Topology::a800(2, 2);
     let steps = 2usize;

@@ -101,8 +101,9 @@ fn fsdp_buffers_stash_and_workspace_land_on_their_lanes() {
 
 #[test]
 fn ulysses_and_usp_forwards_close_their_stash_entries() {
-    // Both executors discard the forward's saved state and rebuild it in
-    // the backward; the discarded state's stash entry must close with it.
+    // The head-parallel forward keeps nothing for the backward, which
+    // rebuilds its head-shard context (`usp_saved`) from the tensors it is
+    // handed; that entry must close before the backward returns.
     for (backend, topo) in [
         (Backend::Ulysses, Topology::a800(1, 2)),
         (Backend::Usp { ulysses_size: 2 }, Topology::a800(2, 2)),

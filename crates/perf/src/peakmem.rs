@@ -36,7 +36,9 @@ pub enum PeakMethod {
     /// Full BurstAttention: two-level rings, Algorithm 2 backward.
     BurstTopo,
     /// USP hybrid: Ulysses groups of size `ulysses` × context rings of size
-    /// `world / ulysses`; `ulysses` = world is DeepSpeed-Ulysses.
+    /// `world / ulysses`; `ulysses` = world is DeepSpeed-Ulysses. One
+    /// forward, then a backward that rebuilds the head-shard context from
+    /// the caller's tensors and the forward's `(O, Lse)`.
     Usp { heads: usize, ulysses: usize },
     /// `try_elastic_attention_opts` with default options on a fault-free
     /// full world: local-shard checkpoint stash + flat ring forward +
@@ -147,6 +149,10 @@ pub fn exact_peak_bytes_dtype(
             let stash = (16 * ns * hpr * dh + 4 * ns * hpr) as u64;
             let grads = (12 * ns * hpr * dh) as u64;
             let staging = 2 * wire(ns * hpr * dh);
+            // An all-to-all of O also stages its Lse, in and out, at f32.
+            let o_staging = staging + (8 * ns * hpr) as u64;
+            // The backward's `usp_saved`: the head-shard Q, K, V, O (f32)
+            // plus Lse it rebuilds, live from its first all-to-all on.
             peak.ckpt_stash = stash;
             // Forward: the inner ring's per-head (O, Lse) accumulator (one
             // head at a time). Backward: the gradient block plus the inner
@@ -160,10 +166,12 @@ pub fn exact_peak_bytes_dtype(
                 (0, 0, 0)
             };
             peak.activations = ring_acc.max(grads + ring_dq);
-            peak.comm_buffers = staging.max(ring_cb_bwd);
-            // Deepest instant: backward with stash + gradient block live,
-            // plus whichever is larger of an all-to-all's staging or an
-            // inner-ring round's ∇Q + bundle.
+            peak.comm_buffers = o_staging.max(ring_cb_bwd);
+            // Deepest instant: backward with the rebuilt context and the
+            // gradient block live, plus whichever is larger of a gradient
+            // all-to-all's staging or an inner-ring round's ∇Q + bundle.
+            // The gradient block opens after the inbound all-to-alls, so
+            // the O round (context + `o_staging`) stays below it.
             peak.gated_total = stash + grads + staging.max(ring_dq + ring_cb_bwd);
         }
         PeakMethod::ElasticHealthy => {

@@ -179,7 +179,7 @@ pub fn run_usp_opts(
         let k_heads = gather(|t| &t.1);
         let v_heads = gather(|t| &t.2);
         let go_heads = gather(|t| &t.3);
-        let (o_heads, saved) = try_usp_forward(
+        let (o_heads, lse_heads) = try_usp_forward(
             comm,
             &utopo,
             &q_heads,
@@ -193,21 +193,24 @@ pub fn run_usp_opts(
         let (dq, dk, dv) = try_usp_backward(
             comm,
             &utopo,
-            &saved,
+            &q_heads,
+            &k_heads,
+            &v_heads,
+            &o_heads,
+            &lse_heads,
             &go_heads,
             head_scale(d),
             &mask,
             n,
             &CostModel::free(),
         )?;
-        Ok((idx, o_heads, dq, dk, dv))
+        Ok((idx, o_heads, lse_heads, dq, dk, dv))
     });
     let mut global: Vec<GlobalAttn> = (0..heads).map(|_| GlobalAttn::empty(n, d)).collect();
     for out in outs {
-        let (idx, o_heads, dq, dk, dv) = out.result?;
+        let (idx, o_heads, lse_heads, dq, dk, dv) = out.result?;
         for h in 0..heads {
-            let lse = vec![0.0f32; idx.len()];
-            global[h].scatter(&idx, &o_heads[h], &lse, &dq[h], &dk[h], &dv[h]);
+            global[h].scatter(&idx, &o_heads[h], &lse_heads[h], &dq[h], &dk[h], &dv[h]);
         }
     }
     Ok(global)

@@ -26,14 +26,8 @@ fn scale(d: usize) -> f32 {
 }
 
 /// Assert a reassembled schedule run against the oracle under the
-/// documented bounds. `with_lse` is false for head-parallel schedules that
-/// never materialise a per-token LSE on the sequence-sharded side.
-fn expect_matches_oracle(
-    label: &str,
-    got: &GlobalAttn,
-    want: &burst_verify::oracle::OracleAttn,
-    with_lse: bool,
-) {
+/// documented bounds.
+fn expect_matches_oracle(label: &str, got: &GlobalAttn, want: &burst_verify::oracle::OracleAttn) {
     let gate = |what: &str, g: &[f32], w: &[f32], atol: f32, rtol: f32| {
         if let Err(d) = compare_slice(what, g, w, atol, rtol) {
             panic!("{label}: {d}");
@@ -46,15 +40,13 @@ fn expect_matches_oracle(
         ORACLE_ATTN_ATOL,
         ORACLE_ATTN_RTOL,
     );
-    if with_lse {
-        gate(
-            "lse",
-            &got.lse,
-            &want.lse,
-            ORACLE_ATTN_ATOL,
-            ORACLE_ATTN_RTOL,
-        );
-    }
+    gate(
+        "lse",
+        &got.lse,
+        &want.lse,
+        ORACLE_ATTN_ATOL,
+        ORACLE_ATTN_RTOL,
+    );
     gate(
         "dq",
         got.dq.as_slice(),
@@ -176,7 +168,7 @@ proptest! {
         let want = oracle_for(n, d, seed, &mask);
         let got = run_ring_family(algo, layout, &topo, n, d, seed, &mask, None)
             .unwrap_or_else(|e| panic!("{} failed: {e}", algo_name(algo)));
-        expect_matches_oracle(algo_name(algo), &got, &want, true);
+        expect_matches_oracle(algo_name(algo), &got, &want);
     }
 
     /// The same ring-family sweep with **bf16 wire payloads**: every K/V
@@ -226,7 +218,7 @@ proptest! {
             .expect("ulysses failed");
         for (h, got_h) in got.iter().enumerate() {
             let want = oracle_for(n, d, seed.wrapping_mul(64) + h as u64, &AttnMask::Causal);
-            expect_matches_oracle(&format!("ulysses/head{h}"), got_h, &want, false);
+            expect_matches_oracle(&format!("ulysses/head{h}"), got_h, &want);
         }
     }
 
@@ -252,7 +244,7 @@ proptest! {
             .expect("usp failed");
         for (h, got_h) in got.iter().enumerate() {
             let want = oracle_for(n, d, seed.wrapping_mul(64) + h as u64, &AttnMask::Causal);
-            expect_matches_oracle(&format!("usp[u={u},r={r}]/head{h}"), got_h, &want, false);
+            expect_matches_oracle(&format!("usp[u={u},r={r}]/head{h}"), got_h, &want);
         }
     }
 
@@ -342,12 +334,12 @@ proptest! {
         prop_assert!(out.attempts > 1, "crash at op {} was never hit", crash_op);
 
         let want = oracle_for(n, d, seed, &AttnMask::Causal);
-        expect_matches_oracle("elastic", &out.attn, &want, true);
+        expect_matches_oracle("elastic", &out.attn, &want);
 
         // A clean run with no fault plan takes the fast path (attempts == 1).
         let clean = run_elastic(orig, n, d, seed, None).expect("clean elastic run failed");
         prop_assert_eq!(clean.attempts, 1);
-        expect_matches_oracle("elastic-clean", &clean.attn, &want, true);
+        expect_matches_oracle("elastic-clean", &clean.attn, &want);
 
         // The recovered run re-partitions over the 3 survivors with the
         // same layout formula a fresh 3-rank world uses, so the two share
@@ -382,7 +374,7 @@ proptest! {
         );
 
         let want = oracle_for(n, d, seed, &AttnMask::Causal);
-        expect_matches_oracle("elastic-dr", &out.attn, &want, true);
+        expect_matches_oracle("elastic-dr", &out.attn, &want);
 
         let fresh = run_elastic(3, n, d, seed, None).expect("fresh small world failed");
         bits_eq_attn("elastic-dr-vs-fresh", &out.attn, &fresh.attn);
@@ -416,7 +408,7 @@ fn fixed_fault_matrix_all_schedules() {
             Some(&delay),
         )
         .unwrap();
-        expect_matches_oracle(algo_name(algo), &got, &want, true);
+        expect_matches_oracle(algo_name(algo), &got, &want);
     }
     for (h, got_h) in run_usp(&topo, n, d, heads, g, 11, &AttnMask::Causal, Some(&delay))
         .unwrap()
@@ -424,7 +416,7 @@ fn fixed_fault_matrix_all_schedules() {
         .enumerate()
     {
         let want = oracle_for(n, d, 11u64.wrapping_mul(64) + h as u64, &AttnMask::Causal);
-        expect_matches_oracle("ulysses", got_h, &want, false);
+        expect_matches_oracle("ulysses", got_h, &want);
     }
     for (h, got_h) in run_usp(&topo, n, d, heads, 2, 11, &AttnMask::Causal, Some(&delay))
         .unwrap()
@@ -432,13 +424,13 @@ fn fixed_fault_matrix_all_schedules() {
         .enumerate()
     {
         let want = oracle_for(n, d, 11u64.wrapping_mul(64) + h as u64, &AttnMask::Causal);
-        expect_matches_oracle("usp", got_h, &want, false);
+        expect_matches_oracle("usp", got_h, &want);
     }
     let crash = FaultPlan::new(7).crash_at_op(1, 5);
     let out = run_elastic(g, 24, d, 11, Some(&crash)).unwrap();
     assert_eq!(out.evicted, vec![1]);
     let want = oracle_for(24, d, 11, &AttnMask::Causal);
-    expect_matches_oracle("elastic", &out.attn, &want, true);
+    expect_matches_oracle("elastic", &out.attn, &want);
 
     // The same crash on a 2×2 multi-node cluster with the topology-aware
     // schedule enabled: the ragged survivor set forces a flat-ring
@@ -459,7 +451,7 @@ fn fixed_fault_matrix_all_schedules() {
     .unwrap();
     assert_eq!(out.evicted, vec![1]);
     assert!(out.flat_fallbacks >= 1, "expected a flat-ring fallback");
-    expect_matches_oracle("elastic-dr", &out.attn, &want, true);
+    expect_matches_oracle("elastic-dr", &out.attn, &want);
 
     // bf16-wire rows: the same four ring schedules with rounded payloads,
     // including one under the link-delay plan (timing faults still must
@@ -535,8 +527,8 @@ fn reassembly_is_layout_invariant() {
     // Different shardings reorder the ring merges, so compare under the
     // oracle bounds, not bitwise; both must also satisfy the oracle gate.
     let want = oracle_for(n, d, seed, &AttnMask::Full);
-    expect_matches_oracle("contiguous", &a, &want, true);
-    expect_matches_oracle("striped", &b, &want, true);
+    expect_matches_oracle("contiguous", &a, &want);
+    expect_matches_oracle("striped", &b, &want);
     if let Err(divergence) = compare_slice(
         "o",
         b.o.as_slice(),
@@ -609,19 +601,19 @@ fn sparse_mask_matrix_all_schedules() {
             let label = format!("{}+{name}", algo_name(algo));
             let got = run_ring_family(algo, Layout::Zigzag, &multi, n, d, seed, &mask, None)
                 .unwrap_or_else(|e| panic!("{label} failed: {e}"));
-            expect_matches_oracle(&label, &got, &want, true);
+            expect_matches_oracle(&label, &got, &want);
         }
         let ul = run_usp(&single, n, d, heads, g, seed, &mask, None)
             .unwrap_or_else(|e| panic!("ulysses+{name} failed: {e}"));
         for (h, got_h) in ul.iter().enumerate() {
             let want_h = oracle_for(n, d, seed.wrapping_mul(64) + h as u64, &mask);
-            expect_matches_oracle(&format!("ulysses+{name}/head{h}"), got_h, &want_h, false);
+            expect_matches_oracle(&format!("ulysses+{name}/head{h}"), got_h, &want_h);
         }
         let usp = run_usp(&single, n, d, heads, 2, seed, &mask, None)
             .unwrap_or_else(|e| panic!("usp+{name} failed: {e}"));
         for (h, got_h) in usp.iter().enumerate() {
             let want_h = oracle_for(n, d, seed.wrapping_mul(64) + h as u64, &mask);
-            expect_matches_oracle(&format!("usp+{name}/head{h}"), got_h, &want_h, false);
+            expect_matches_oracle(&format!("usp+{name}/head{h}"), got_h, &want_h);
         }
         let el = run_elastic_masked_on(
             &single,
@@ -634,7 +626,7 @@ fn sparse_mask_matrix_all_schedules() {
             ElasticOpts::default(),
         )
         .unwrap_or_else(|e| panic!("elastic+{name} failed: {e}"));
-        expect_matches_oracle(&format!("elastic+{name}"), &el.attn, &want, true);
+        expect_matches_oracle(&format!("elastic+{name}"), &el.attn, &want);
     }
 }
 
@@ -711,7 +703,7 @@ proptest! {
         let want = oracle_for(n, d, seed, &mask);
         let on = run_ring_family_opts(algo, layout, &topo, n, d, seed, &mask, None, true)
             .unwrap_or_else(|e| panic!("{}+{name} skip-on failed: {e}", algo_name(algo)));
-        expect_matches_oracle(&format!("{}+{name}+skip", algo_name(algo)), &on, &want, true);
+        expect_matches_oracle(&format!("{}+{name}+skip", algo_name(algo)), &on, &want);
         let off = run_ring_family_opts(algo, layout, &topo, n, d, seed, &mask, None, false)
             .unwrap_or_else(|e| panic!("{}+{name} skip-off failed: {e}", algo_name(algo)));
         bits_eq_attn(&format!("{}+{name}", algo_name(algo)), &on, &off);

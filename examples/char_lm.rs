@@ -12,7 +12,7 @@
 
 use burstengine::model::engine::{Backend, EngineConfig};
 use burstengine::model::fsdp;
-use burstengine::model::DistExec;
+use burstengine::model::{AttnExec, DistExec};
 use burstengine::prelude::*;
 
 const CORPUS: &str = "the ring passes keys and values around the devices while \

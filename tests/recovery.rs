@@ -172,11 +172,13 @@ fn rank1_ops_after(topo: &Topology, f: impl Fn(&mut Communicator) + Sync) -> u64
 
 #[test]
 fn run_span_returns_a_typed_error_when_a_rank_crashes_mid_step() {
-    for (topo, algo) in [
-        (Topology::a800(2, 2), Algo::BurstTopo),
-        (Topology::single_node(2), Algo::BurstFlat),
+    for (topo, backend) in [
+        (Topology::a800(2, 2), Backend::Ring(Algo::BurstTopo)),
+        (Topology::single_node(2), Backend::Ring(Algo::BurstFlat)),
+        (Topology::a800(2, 2), Backend::Usp { ulysses_size: 2 }),
+        (Topology::single_node(2), Backend::Ulysses),
     ] {
-        let cfg = EngineConfig::tiny(Backend::Ring(algo));
+        let cfg = EngineConfig::tiny(backend);
         let fresh = || Model::new(cfg.model, cfg.seed);
         let span = |comm: &mut Communicator, steps: usize| {
             run_span(comm, &cfg, &mut fresh(), 0, steps, |_, _, _, _| {})
@@ -193,7 +195,10 @@ fn run_span_returns_a_typed_error_when_a_rank_crashes_mid_step() {
         let step = rank1_ops_after(&topo, |comm| {
             span(comm, 1).expect("clean step");
         });
-        assert!(sync > 0 && step > sync, "{algo:?}: step 0 must communicate");
+        assert!(
+            sync > 0 && step > sync,
+            "{backend:?}: step 0 must communicate"
+        );
         for (ops, steps) in [(0..step - sync, 1), (step - sync..step, 2)] {
             for op in ops {
                 let plan = FaultPlan::new(31).crash_at_op(1, op);
@@ -204,12 +209,12 @@ fn run_span_returns_a_typed_error_when_a_rank_crashes_mid_step() {
                 for (rank, e) in errs.iter().enumerate() {
                     assert!(
                         e.is_some(),
-                        "{algo:?}, crash at op {op}: rank {rank} finished the span"
+                        "{backend:?}, crash at op {op}: rank {rank} finished the span"
                     );
                 }
                 assert!(
                     matches!(errs[1], Some(CommError::Crashed { rank: 1, .. })),
-                    "{algo:?}, crash at op {op}: rank 1 reported {:?}",
+                    "{backend:?}, crash at op {op}: rank 1 reported {:?}",
                     errs[1]
                 );
             }
