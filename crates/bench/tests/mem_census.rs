@@ -113,31 +113,38 @@ fn dispatcher_peaks_match_exact_census_on_every_topology_and_dtype() {
 
 #[test]
 fn ulysses_and_usp_peaks_match_exact_census() {
-    // G = 4 as 2×2; heads divide both the world (Ulysses) and U=2 (USP).
-    let (nodes, gpn, seq, heads, dh) = (2usize, 2usize, 32usize, 4usize, 6usize);
-    let g = nodes * gpn;
-    let d = heads * dh;
-    let cluster = Cluster::a800(nodes, gpn);
-    let scale = 1.0 / (dh as f32).sqrt();
+    // Each shape: (nodes, gpn, seq, heads, head dim, Ulysses size). On 2×2,
+    // pure Ulysses (one group spanning the world) and USP with U = 2, whose
+    // rings hold one member per node. On 2×4 the U = 2 rings hold two
+    // members per node, so the ring leg runs on both levels, and with head
+    // dim above heads per rank every head's start bundle shows in the
+    // comm-buffer peak. On 2×3 the U = 2 rings are ragged across nodes and
+    // take the one-level ring.
+    let shapes = [
+        (2, 2, 32, 4, 6, 4),
+        (2, 2, 32, 4, 6, 2),
+        (2, 4, 64, 8, 16, 2),
+        (2, 3, 48, 4, 8, 2),
+    ];
     let mask = AttnMask::Causal;
-    let qh: Vec<Mat> = (0..heads)
-        .map(|h| randn_mat(seq, dh, 0.7, 500 + h as u64))
-        .collect();
-    let kh: Vec<Mat> = (0..heads)
-        .map(|h| randn_mat(seq, dh, 0.7, 600 + h as u64))
-        .collect();
-    let vh: Vec<Mat> = (0..heads)
-        .map(|h| randn_mat(seq, dh, 0.7, 700 + h as u64))
-        .collect();
-    let doh: Vec<Mat> = (0..heads)
-        .map(|h| randn_mat(seq, dh, 0.8, 800 + h as u64))
-        .collect();
-    for dtype in DTYPES {
-        let topo = Topology::a800(nodes, gpn).with_wire_dtype(dtype);
-
-        // Pure Ulysses (one Ulysses group spanning the world), then USP with
-        // U = 2 Ulysses groups × R = 2 context rings.
-        for (name, u) in [("ulysses", g), ("usp", 2)] {
+    for (nodes, gpn, seq, heads, dh, u) in shapes {
+        let d = heads * dh;
+        let cluster = Cluster::a800(nodes, gpn);
+        let scale = 1.0 / (dh as f32).sqrt();
+        let qh: Vec<Mat> = (0..heads)
+            .map(|h| randn_mat(seq, dh, 0.7, 500 + h as u64))
+            .collect();
+        let kh: Vec<Mat> = (0..heads)
+            .map(|h| randn_mat(seq, dh, 0.7, 600 + h as u64))
+            .collect();
+        let vh: Vec<Mat> = (0..heads)
+            .map(|h| randn_mat(seq, dh, 0.7, 700 + h as u64))
+            .collect();
+        let doh: Vec<Mat> = (0..heads)
+            .map(|h| randn_mat(seq, dh, 0.8, 800 + h as u64))
+            .collect();
+        for dtype in DTYPES {
+            let topo = Topology::a800(nodes, gpn).with_wire_dtype(dtype);
             let want = exact_peak_bytes_dtype(
                 &cluster,
                 seq,
@@ -145,7 +152,7 @@ fn ulysses_and_usp_peaks_match_exact_census() {
                 PeakMethod::Usp { heads, ulysses: u },
                 dtype,
             );
-            let world = World::new(topo.clone());
+            let world = World::new(topo);
             let outs = world.run(|comm| {
                 let utopo = UspTopo::new(comm, u);
                 let my_idx = utopo.local_idx(seq);
@@ -188,7 +195,7 @@ fn ulysses_and_usp_peaks_match_exact_census() {
                 assert_eq!(
                     m.peak.gated(),
                     want,
-                    "{name} {dtype:?} rank {}: census mismatch",
+                    "{nodes}x{gpn} U={u} {dtype:?} rank {}: census mismatch",
                     o.rank
                 );
             }

@@ -78,8 +78,21 @@ impl DoubleRingSpec {
         })
     }
 
+    /// The ring over an ascending member list: the two-level split when the
+    /// members are node-balanced ([`DoubleRingSpec::from_members`]),
+    /// otherwise the one-level ring over the same list. Slot order is the
+    /// list order either way, so a slot is a ring position.
+    #[track_caller]
+    pub fn two_level_or_flat(topo: &Topology, members: &[usize]) -> Self {
+        assert!(
+            members.windows(2).all(|w| w[0] < w[1]),
+            "ring members must be ascending and distinct: {members:?}"
+        );
+        DoubleRingSpec::from_members(topo, members).unwrap_or_else(|| Self::one_level(members))
+    }
+
     /// A one-level spec: the flat ring over `members`, in the given order.
-    pub fn one_level(members: &[usize]) -> Self {
+    fn one_level(members: &[usize]) -> Self {
         assert!(!members.is_empty(), "a ring needs at least one member");
         DoubleRingSpec {
             nodes: 1,
@@ -383,6 +396,25 @@ mod tests {
         assert_eq!((spec.nodes(), spec.gpus_per_node(), spec.len()), (1, 1, 1));
         assert_eq!(spec.next_in_node(0), 0);
         assert_eq!(spec.peer_next_node(0), 0);
+    }
+
+    #[test]
+    fn two_level_or_flat_splits_balanced_members_only() {
+        let topo = Topology::a800(2, 4);
+        // Stride-2 members hold two ranks per node: a 2x2 split.
+        let spec = DoubleRingSpec::two_level_or_flat(&topo, &[1, 3, 5, 7]);
+        assert_eq!((spec.nodes(), spec.gpus_per_node()), (2, 2));
+        assert_eq!(spec.rank_at(spec.peer_next_node(1)), 7);
+        // Stride-4 members hold one rank per node: a cross-node ring.
+        let spec = DoubleRingSpec::two_level_or_flat(&topo, &[2, 6]);
+        assert_eq!((spec.nodes(), spec.gpus_per_node()), (2, 1));
+        // Three ranks on node 0, one on node 1: one level, in list order.
+        let spec = DoubleRingSpec::two_level_or_flat(&topo, &[0, 1, 2, 4]);
+        assert_eq!((spec.nodes(), spec.gpus_per_node()), (1, 4));
+        assert_eq!(
+            (0..4).map(|s| spec.rank_at(s)).collect::<Vec<_>>(),
+            [0, 1, 2, 4]
+        );
     }
 
     #[test]

@@ -784,14 +784,11 @@ fn alive_members(comm: &Communicator, m: &Membership) -> Vec<usize> {
     m.alive_ranks()
 }
 
-/// The ring geometry of the alive set: the two-level split when the
-/// survivors are node-balanced ([`DoubleRingSpec::from_members`]),
-/// otherwise the one-level ring over the alive list. Slot order is
-/// ascending rank order either way, so a slot is a ring position.
+/// The ring geometry of the alive set
+/// ([`DoubleRingSpec::two_level_or_flat`]): two-level when the survivors
+/// are node-balanced, one-level when they are ragged.
 fn alive_spec(comm: &Communicator, m: &Membership) -> DoubleRingSpec {
-    let members = alive_members(comm, m);
-    DoubleRingSpec::from_members(comm.topology(), &members)
-        .unwrap_or_else(|| DoubleRingSpec::one_level(&members))
+    DoubleRingSpec::two_level_or_flat(comm.topology(), &alive_members(comm, m))
 }
 
 /// Shrinking ring all-gather over the alive set: returns one block per

@@ -18,8 +18,9 @@
 //!   intra-node sweep. Provides both the DoubleRingAttention baseline
 //!   (no gradient overlap in backward) and BurstAttention's topology-aware
 //!   variant;
-//! * [`usp`] — head parallelism: LoongTrain's hybrid head+context USP,
-//!   whose ring-of-one case (Ulysses group = world) is DeepSpeed-Ulysses;
+//! * [`usp`] — head parallelism: LoongTrain's hybrid head+context USP, its
+//!   context-parallel ring on the two-level ring of [`double_ring`], and
+//!   its ring-of-one case (Ulysses group = world), DeepSpeed-Ulysses;
 //! * [`layout`] — sequence partitions: contiguous, zigzag (Eq. 11–12) and
 //!   striped (Eq. 13–14) causal workload balance. Because the kernels take
 //!   global token indices and skip fully-masked tiles, balance follows from

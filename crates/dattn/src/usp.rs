@@ -8,18 +8,33 @@
 //! 1. an intra-group all-to-all turns sequence shards into head shards
 //!    (all NVLink traffic),
 //! 2. each rank attends its `H/U` heads over its ring shard: ring attention
-//!    with zigzag balance across the size-`R` ring, or — when `U = G` and
+//!    over the zigzag shards of the size-`R` ring, or — when `U = G` and
 //!    the ring has one position — local attention over the whole sequence,
 //!    which is DeepSpeed-Ulysses,
 //! 3. a reverse all-to-all restores the sequence partition and returns
 //!    each head's `(O, Lse)` on the caller's rows; the Lse rides the same
 //!    round as f32 vectors, so a bf16 wire never rounds it.
 //!
-//! The backward consumes those outputs, as a FlashAttention-style kernel
-//! does, and never reruns the forward: all-to-alls move `Q, K, V`, `O`
-//! with its Lse and `∇O` to head shards, the ring (or local) backward runs
-//! per owned head, and all-to-alls return `∇Q, ∇K, ∇V`. What a training
-//! step recomputes is the checkpointing strategy's choice alone.
+//! The ring leg runs on the two-level ring of LoongTrain's
+//! DoubleRingAttention ([`crate::double_ring`]). Its members — every
+//! `U`-th rank — are split by node when every node holds the same number
+//! of them ([`DoubleRingSpec::two_level_or_flat`]): inner hops go to the
+//! next member on the same node, over NVLink, and only the outer hops, to
+//! the same-position member of the neighbouring node, cross a NIC, so
+//! every member carries an equal share of the cross-node traffic at once.
+//! With one member per node the ring is that cross-node ring alone; on one
+//! node, or with members ragged across nodes, it is one level, the flat
+//! ring over the members. The forward runs every owned head through one
+//! pipelined pass ([`try_double_ring_forward_heads_on`]), so head `h + 1`'s
+//! cross-node `(K, V)` hides behind head `h`'s sweeps. The backward runs
+//! one Algorithm-1 pass per head ([`try_double_ring_backward_alg1_on`]):
+//! USP stays an Algorithm-1 baseline.
+//!
+//! The backward consumes the forward's outputs, as a FlashAttention-style
+//! kernel does, and never reruns the forward: all-to-alls move `Q, K, V`,
+//! `O` with its Lse and `∇O` to head shards, the ring (or local) backward
+//! runs per owned head, and all-to-alls return `∇Q, ∇K, ∇V`. What a
+//! training step recomputes is the checkpointing strategy's choice alone.
 //!
 //! The ring carries `N/R`-token shards instead of `N/G`, but only `R` hops;
 //! the all-to-alls add `O(N·d/G)` NVLink traffic. USP's win over pure ring
@@ -28,13 +43,19 @@
 //! heads on 32 GPUs (the paper's 14B setting) cannot run as pure Ulysses,
 //! which [`UlyssesError::HeadsNotDivisible`] reports exactly as DeepSpeed
 //! does.
+//!
+//! A failure reports `(phase, round)`. On an all-to-all the round is the
+//! all-to-all's index in its direction (listed on [`try_usp_forward`] and
+//! [`try_usp_backward`]). On the ring leg it is the two-level ring's slot
+//! label `outer · gpn + inner`, where `gpn` is the ring's members per node
+//! (its size on a one-level ring) and `outer` counts cross-node steps.
 
 use crate::cost::CostModel;
-use crate::layout::Layout;
-use crate::ring::{
-    try_ring_backward, try_ring_forward, AttnFailure, AttnShard, BackwardInputs, OverlapMode,
-    Phase, Ring,
+use crate::double_ring::{
+    try_double_ring_backward_alg1_on, try_double_ring_forward_heads_on, DoubleRingSpec,
 };
+use crate::layout::Layout;
+use crate::ring::{AttnFailure, AttnShard, BackwardInputs, Phase};
 use crate::DattnError;
 use burst_comm::{CommError, Communicator, MemCategory, SpanKind};
 use burst_kernels::{flash_backward, flash_forward, AttnMask};
@@ -84,8 +105,11 @@ pub struct UspTopo {
     pub ring: usize,
     /// Members of this rank's Ulysses group (consecutive ranks).
     pub u_members: Vec<usize>,
-    /// Members of this rank's ring group (stride-`U` ranks).
-    pub r_members: Vec<usize>,
+    /// This rank's context-parallel ring over the stride-`U` ranks:
+    /// two-level when they are node-balanced, otherwise one level. Its
+    /// slots are the members in ascending order, so a slot is a ring
+    /// position.
+    ring_spec: DoubleRingSpec,
     /// Position within the Ulysses group.
     pub u_pos: usize,
     /// Position within the ring group.
@@ -109,11 +133,12 @@ impl UspTopo {
         let rank = comm.rank();
         let u_pos = rank % ulysses_size;
         let r_pos = rank / ulysses_size;
+        let r_members: Vec<usize> = (0..r).map(|i| u_pos + i * ulysses_size).collect();
         UspTopo {
             ulysses: ulysses_size,
             ring: r,
             u_members: (r_pos * ulysses_size..(r_pos + 1) * ulysses_size).collect(),
-            r_members: (0..r).map(|i| u_pos + i * ulysses_size).collect(),
+            ring_spec: DoubleRingSpec::two_level_or_flat(comm.topology(), &r_members),
             u_pos,
             r_pos,
             skip: false,
@@ -305,14 +330,16 @@ fn to_rows(
 }
 
 /// USP forward: all-to-alls move Q, K and V to head shards, attention runs
-/// per owned head over the ring shard (zigzag ring attention, or local
-/// flash attention for a ring of one), and a reverse all-to-all returns
-/// each head's `(O, Lse)` on this rank's rows. Nothing is kept for the
-/// backward: [`try_usp_backward`] takes the outputs back from the caller.
+/// over the ring shard for every owned head at once (one pipelined pass
+/// over the two-level ring, or local flash attention for a ring of one),
+/// and a reverse all-to-all returns each head's `(O, Lse)` on this rank's
+/// rows. Nothing is kept for the backward: [`try_usp_backward`] takes the
+/// outputs back from the caller.
 ///
 /// All-to-all failures carry `(Phase::Forward, k)` with `k` the all-to-all
 /// index in the order they run: 0 = Q, 1 = K, 2 = V, 3 = O with its Lse.
-/// Ring failures keep the ring's own phase/round annotation.
+/// Ring failures carry `(Phase::Forward, outer · gpn + inner)`, the
+/// two-level slot label (see the module docs).
 #[allow(clippy::too_many_arguments)]
 pub fn try_usp_forward(
     comm: &mut Communicator,
@@ -344,9 +371,8 @@ pub fn try_usp_forward(
             lse.push(out.lse);
         }
     } else {
-        let ring = Ring::subgroup(comm, topo.r_members.clone());
-        for h in 0..hpr {
-            let shard = AttnShard {
+        let shards: Vec<AttnShard> = (0..hpr)
+            .map(|h| AttnShard {
                 q: &q[h],
                 k: &k[h],
                 v: &v[h],
@@ -357,8 +383,9 @@ pub fn try_usp_forward(
                 cost: *cost,
                 max_token: None,
                 skip: topo.skip,
-            };
-            let out = try_ring_forward(comm, &ring, &shard)?;
+            })
+            .collect();
+        for out in try_double_ring_forward_heads_on(comm, &shards, &topo.ring_spec)? {
             o.push(out.o);
             lse.push(out.lse);
         }
@@ -368,18 +395,19 @@ pub fn try_usp_forward(
 
 /// USP backward from the tensors the caller holds on its rows: `Q, K, V`,
 /// the forward's `(O, Lse)` and `∇O`. All-to-alls move them to head
-/// shards, the backward runs per owned head over the ring shard (zigzag
-/// ring backward — Algorithm 1 with fine overlap, LoongTrain's
-/// implementation — or the local flash backward for a ring of one), and
-/// all-to-alls return the input gradients. No forward runs here.
+/// shards, the backward runs one owned head at a time over the ring shard
+/// (Algorithm 1 over the two-level ring, LoongTrain's DoubleRing backward,
+/// or the local flash backward for a ring of one), and all-to-alls return
+/// the input gradients. No forward runs here.
 ///
 /// The rebuilt head-shard context (`Q, K, V, O` and Lse) is billed as
 /// `usp_saved` from the first all-to-all until the gradients have left.
 ///
 /// All-to-all failures carry `(Phase::Backward, k)` with `k` the
 /// all-to-all index in the order they run: 0 = Q, 1 = K, 2 = V, 3 = O with
-/// its Lse, 4 = ∇O, 5 = ∇Q, 6 = ∇K, 7 = ∇V. Ring failures keep the ring's
-/// own annotation.
+/// its Lse, 4 = ∇O, 5 = ∇Q, 6 = ∇K, 7 = ∇V. Ring failures carry
+/// `(Phase::Backward, outer · gpn + inner)`, the two-level slot label (see
+/// the module docs).
 #[allow(clippy::too_many_arguments)]
 pub fn try_usp_backward(
     comm: &mut Communicator,
@@ -432,7 +460,6 @@ pub fn try_usp_backward(
             dv.push(c);
         }
     } else {
-        let ring = Ring::subgroup(comm, topo.r_members.clone());
         for h in 0..hpr {
             let shard = AttnShard {
                 q: &q[h],
@@ -451,7 +478,7 @@ pub fn try_usp_backward(
                 lse: &lse[h],
                 grad_o: &grad_o[h],
             };
-            let (a, b, c) = try_ring_backward(comm, &ring, &shard, &back, OverlapMode::Fine)?;
+            let (a, b, c) = try_double_ring_backward_alg1_on(comm, &shard, &back, &topo.ring_spec)?;
             dq.push(a);
             dk.push(b);
             dv.push(c);

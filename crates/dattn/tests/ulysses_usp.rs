@@ -95,16 +95,17 @@ fn assert_lse_close(got: &[f32], want: &[f32], idx: &[usize], ctx: &str) {
 }
 
 /// One forward + backward of USP with Ulysses groups of `u` ranks on this
-/// rank's rows of the global per-head tensors:
-/// `(local_idx, (O, Lse), (∇Q, ∇K, ∇V))`.
+/// rank's rows of the global per-head tensors, ring-round skipping set by
+/// `skip`: `(local_idx, (O, Lse), (∇Q, ∇K, ∇V))`.
 fn run_usp(
     comm: &mut Communicator,
     p: &HeadProblem,
     mask: &AttnMask,
     n: usize,
     u: usize,
+    skip: bool,
 ) -> (Vec<usize>, HeadOuts, HeadGrads) {
-    let topo = UspTopo::new(comm, u);
+    let topo = UspTopo::new(comm, u).with_skip(skip);
     let idx = topo.local_idx(n);
     let local = |hs: &[Mat]| -> Vec<Mat> { hs.iter().map(|m| m.gather_rows(&idx)).collect() };
     let (q, k, v) = (local(&p.q), local(&p.k), local(&p.v));
@@ -136,7 +137,7 @@ fn ulysses_matches_reference_per_head() {
     let mask = AttnMask::Causal;
     let r = head_reference(&p, &mask, n);
     let world = World::new(Topology::single_node(g));
-    let outs = world.run_results(|comm| run_usp(comm, &p, &mask, n, g));
+    let outs = world.run_results(|comm| run_usp(comm, &p, &mask, n, g, false));
     for (rank, (idx, (o, lse), (dq, dk, dv))) in outs.iter().enumerate() {
         for h in 0..heads {
             let ctx = format!("rank {rank} head {h}");
@@ -224,22 +225,35 @@ fn ulysses_communication_scales_inversely_with_group() {
 
 #[test]
 fn usp_matches_reference_per_head() {
-    // G = 4 ranks as U=2 Ulysses groups × R=2 ring groups.
-    let (n, heads, dh, g, u) = (32usize, 4usize, 5usize, 4usize, 2usize);
+    // U = 2 Ulysses groups. On 2×2 the R = 2 rings hold one member per
+    // node; on 2×4 the R = 4 rings hold two members per node, so the ring
+    // leg runs on both levels of the two-level ring, dense and with a
+    // sliding window, skipping masked rounds or not.
+    let (n, heads, dh, u) = (32usize, 4usize, 5usize, 2usize);
     let p = head_problem(n, heads, dh);
-    let mask = AttnMask::Causal;
-    let r = head_reference(&p, &mask, n);
-    let world = World::new(Topology::a800(2, 2));
-    let outs = world.run_results(|comm| run_usp(comm, &p, &mask, n, u));
-    assert_eq!(outs.len(), g);
-    for (rank, (idx, (o, lse), (dq, dk, dv))) in outs.iter().enumerate() {
-        for h in 0..heads {
-            let ctx = format!("rank {rank} head {h}");
-            assert_allclose(&o[h], &r.o[h].gather_rows(idx), TOL, &format!("{ctx} O"));
-            assert_lse_close(&lse[h], &r.lse[h], idx, &ctx);
-            assert_allclose(&dq[h], &r.dq[h].gather_rows(idx), TOL, &format!("{ctx} dQ"));
-            assert_allclose(&dk[h], &r.dk[h].gather_rows(idx), TOL, &format!("{ctx} dK"));
-            assert_allclose(&dv[h], &r.dv[h].gather_rows(idx), TOL, &format!("{ctx} dV"));
+    let window = AttnMask::SlidingWindow { window: n / 8 };
+    let cases = [
+        (Topology::a800(2, 2), AttnMask::Causal, false),
+        (Topology::a800(2, 4), AttnMask::Causal, false),
+        (Topology::a800(2, 4), AttnMask::Causal, true),
+        (Topology::a800(2, 4), window.clone(), false),
+        (Topology::a800(2, 4), window, true),
+    ];
+    for (topo, mask, skip) in cases {
+        let g = topo.world_size();
+        let r = head_reference(&p, &mask, n);
+        let world = World::new(topo);
+        let outs = world.run_results(|comm| run_usp(comm, &p, &mask, n, u, skip));
+        assert_eq!(outs.len(), g);
+        for (rank, (idx, (o, lse), (dq, dk, dv))) in outs.iter().enumerate() {
+            for h in 0..heads {
+                let ctx = format!("G={g} {mask:?} skip={skip} rank {rank} head {h}");
+                assert_allclose(&o[h], &r.o[h].gather_rows(idx), TOL, &format!("{ctx} O"));
+                assert_lse_close(&lse[h], &r.lse[h], idx, &ctx);
+                assert_allclose(&dq[h], &r.dq[h].gather_rows(idx), TOL, &format!("{ctx} dQ"));
+                assert_allclose(&dk[h], &r.dk[h].gather_rows(idx), TOL, &format!("{ctx} dK"));
+                assert_allclose(&dv[h], &r.dv[h].gather_rows(idx), TOL, &format!("{ctx} dV"));
+            }
         }
     }
 }
@@ -264,7 +278,7 @@ fn usp_at_u_equal_world_is_exact_attention_bit_for_bit() {
                 let world = World::new(Topology::single_node(g));
                 for mask in &masks {
                     let r = head_reference(&p, mask, n);
-                    let outs = world.run_results(|comm| run_usp(comm, &p, mask, n, g));
+                    let outs = world.run_results(|comm| run_usp(comm, &p, mask, n, g, false));
                     for (rank, (idx, (o, lse), (dq, dk, dv))) in outs.iter().enumerate() {
                         for h in 0..heads {
                             let ctx =

@@ -448,10 +448,13 @@ impl AttnExec for DistExec<'_> {
 
 /// Head-parallel backend: LoongTrain's USP over Ulysses groups of
 /// `ulysses_size` ranks; `ulysses_size` = world size is DeepSpeed-Ulysses.
-/// The forward returns each head's `(O, Lse)`, and the backward consumes
-/// the tensors it is handed, as the ring family does: rebuilding them is
-/// the checkpointing strategy's business. A communication fault is latched
-/// (see [`AttnExec::take_failure`]).
+/// The context-parallel ring runs on the two-level ring (one level when its
+/// members are ragged across nodes): every owned head through one pipelined
+/// forward pass, and Algorithm 1 one head at a time in the backward (see
+/// [`burst_dattn::usp`]). The forward returns each head's `(O, Lse)`, and
+/// the backward consumes the tensors it is handed, as the ring family does:
+/// rebuilding them is the checkpointing strategy's business. A
+/// communication fault is latched (see [`AttnExec::take_failure`]).
 pub struct UspExec<'a> {
     pub comm: &'a mut Communicator,
     pub ulysses_size: usize,

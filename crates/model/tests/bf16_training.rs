@@ -93,6 +93,7 @@ fn bf16_wire_fsdp_keeps_replicas_bit_identical() {
     for (backend, topo) in [
         (Backend::Ring(Algo::BurstTopo), Topology::a800(2, 2)),
         (Backend::Usp { ulysses_size: 2 }, Topology::a800(2, 2)),
+        (Backend::Usp { ulysses_size: 2 }, Topology::a800(2, 4)),
         (Backend::Ulysses, Topology::a800(1, 2)),
     ] {
         let cfg = EngineConfig::tiny(backend);

@@ -142,8 +142,11 @@ fn checkpoint_strategies_equivalent_distributed() {
     // The head-parallel backward consumes whatever `(O, Lse)` a strategy
     // hands it. Kept or recomputed, those are the forward's bits, so
     // losses and the trained state are bit-identical across strategies.
+    // On `a800(2, 4)` USP's rings hold two members per node, so its ring
+    // leg runs on both levels of the two-level ring.
     for (backend, topo) in [
         (Backend::Usp { ulysses_size: 2 }, Topology::a800(2, 2)),
+        (Backend::Usp { ulysses_size: 2 }, Topology::a800(2, 4)),
         (Backend::Ulysses, Topology::single_node(4)),
     ] {
         let run = |strategy: Strategy| {
@@ -171,7 +174,7 @@ fn checkpoint_strategies_equivalent_distributed() {
 fn head_parallel_backward_reruns_no_forward_under_selective_pp() {
     // Selective checkpointing++ keeps every attention output, so a layer's
     // backward must not rerun the attention forward: no recompute kernel
-    // and no forward ring round inside any `layer_bwd` span. Full
+    // and no forward ring slot inside any `layer_bwd` span. Full
     // checkpointing, which does rerun it, shows both tags there.
     use burst_comm::obs::{RankTrace, SpanKind};
     let rerun_in_bwd = |t: &RankTrace, kind: SpanKind, name: &str| {
@@ -189,6 +192,7 @@ fn head_parallel_backward_reruns_no_forward_under_selective_pp() {
     };
     for (backend, topo) in [
         (Backend::Usp { ulysses_size: 2 }, Topology::a800(2, 2)),
+        (Backend::Usp { ulysses_size: 2 }, Topology::a800(2, 4)),
         (Backend::Ulysses, Topology::single_node(4)),
     ] {
         for (strategy, reruns) in [(Strategy::Full, true), (Strategy::SelectivePlusPlus, false)] {
@@ -206,10 +210,11 @@ fn head_parallel_backward_reruns_no_forward_under_selective_pp() {
                 let ctx = format!("{backend:?} {strategy:?} rank {}", o.rank);
                 let kernel = rerun_in_bwd(t, SpanKind::Kernel, "recompute");
                 assert_eq!(kernel, reruns, "{ctx}: recompute kernel in layer_bwd");
-                // Ulysses runs no ring, so only USP shows forward rounds.
+                // Ulysses runs no ring, so only USP shows forward slots of
+                // its two-level ring.
                 let ring = matches!(backend, Backend::Usp { .. }) && reruns;
-                let round = rerun_in_bwd(t, SpanKind::AttnRound, "fwd_round");
-                assert_eq!(round, ring, "{ctx}: fwd_round in layer_bwd");
+                let slot = rerun_in_bwd(t, SpanKind::AttnRound, "dr_fwd_slot");
+                assert_eq!(slot, ring, "{ctx}: dr_fwd_slot in layer_bwd");
             }
         }
     }

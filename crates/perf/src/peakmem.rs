@@ -36,9 +36,12 @@ pub enum PeakMethod {
     /// Full BurstAttention: two-level rings, Algorithm 2 backward.
     BurstTopo,
     /// USP hybrid: Ulysses groups of size `ulysses` × context rings of size
-    /// `world / ulysses`; `ulysses` = world is DeepSpeed-Ulysses. One
-    /// forward, then a backward that rebuilds the head-shard context from
-    /// the caller's tensors and the forward's `(O, Lse)`.
+    /// `world / ulysses` on the two-level ring (one level when a ring's
+    /// members are ragged across nodes); `ulysses` = world is
+    /// DeepSpeed-Ulysses. One forward over every owned head at once, then a
+    /// backward that rebuilds the head-shard context from the caller's
+    /// tensors and the forward's `(O, Lse)` and runs Algorithm 1 one head at
+    /// a time.
     Usp { heads: usize, ulysses: usize },
     /// `try_elastic_attention_opts` with default options on a fault-free
     /// full world: local-shard checkpoint stash + flat ring forward +
@@ -154,25 +157,50 @@ pub fn exact_peak_bytes_dtype(
             // The backward's `usp_saved`: the head-shard Q, K, V, O (f32)
             // plus Lse it rebuilds, live from its first all-to-all on.
             peak.ckpt_stash = stash;
-            // Forward: the inner ring's per-head (O, Lse) accumulator (one
-            // head at a time). Backward: the gradient block plus the inner
-            // ring's per-head ∇Q accumulator and its (K, V, ∇K, ∇V) bundle,
-            // the larger of its two bundles. A ring of one position
-            // (Ulysses) runs its kernels locally and bills no ring term.
-            let (ring_acc, ring_dq, ring_cb_bwd) = if ring > 1 {
+            // The ring leg runs on the two-level ring. Forward: one pass
+            // over every owned head, so all their `dr_fwd_acc` (O, Lse)
+            // accumulators are live at once, with one `dr_fwd_start_kv`
+            // (K, V) bundle per head when the ring crosses nodes and one
+            // shared `dr_fwd_cur_kv` when a node holds several members.
+            // Backward, one head at a time: the gradient block plus
+            // Algorithm 1's ∇Q accumulator and its (K, V, ∇K, ∇V) bundle.
+            // A ring of one position (Ulysses) runs its kernels locally and
+            // bills no ring term.
+            let (fwd_act, fwd_cb, ring_dq, ring_cb_bwd) = if ring > 1 {
+                // `(nodes, members per node)` of every ring's split: the
+                // stride-`ulysses` members put one rank on each node when
+                // `ulysses ≥ p`, `p / ulysses` on every node when that
+                // divides, and are ragged (one level) otherwise.
+                let (rn, rp) = if ulysses >= p {
+                    (ring, 1)
+                } else if p.is_multiple_of(ulysses) {
+                    (n, p / ulysses)
+                } else {
+                    (1, ring)
+                };
+                let kv = wire(2 * ns * dh);
+                let starts = if rn > 1 { hpr as u64 * kv } else { 0 };
+                let cur = if rp > 1 { kv } else { 0 };
                 let acc = (4 * ns * dh + 4 * ns) as u64;
-                (acc, (4 * ns * dh) as u64, wire(4 * ns * dh))
+                (
+                    hpr as u64 * acc,
+                    starts + cur,
+                    (4 * ns * dh) as u64,
+                    wire(4 * ns * dh),
+                )
             } else {
-                (0, 0, 0)
+                (0, 0, 0, 0)
             };
-            peak.activations = ring_acc.max(grads + ring_dq);
-            peak.comm_buffers = o_staging.max(ring_cb_bwd);
-            // Deepest instant: backward with the rebuilt context and the
-            // gradient block live, plus whichever is larger of a gradient
-            // all-to-all's staging or an inner-ring round's ∇Q + bundle.
-            // The gradient block opens after the inbound all-to-alls, so
-            // the O round (context + `o_staging`) stays below it.
-            peak.gated_total = stash + grads + staging.max(ring_dq + ring_cb_bwd);
+            peak.activations = fwd_act.max(grads + ring_dq);
+            peak.comm_buffers = o_staging.max(fwd_cb).max(ring_cb_bwd);
+            // Deepest instant: the forward's ring pass, or the backward
+            // with the rebuilt context and the gradient block live, plus
+            // whichever is larger of a gradient all-to-all's staging or a
+            // ring slot's ∇Q + bundle. The gradient block opens after the
+            // inbound all-to-alls, so the O round (context + `o_staging`)
+            // stays below it.
+            peak.gated_total =
+                (fwd_act + fwd_cb).max(stash + grads + staging.max(ring_dq + ring_cb_bwd));
         }
         PeakMethod::ElasticHealthy => {
             let r = seq_len / g;

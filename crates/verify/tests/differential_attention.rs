@@ -224,27 +224,45 @@ proptest! {
 
     /// USP (Ulysses nested in zigzag rings) matches the oracle for every
     /// factorisation of the world, including pure-ring (u = 1) and
-    /// pure-Ulysses (u = g) corners.
+    /// pure-Ulysses (u = g) corners, on one node and across nodes: ring
+    /// members per node of 1 (a cross-node ring alone), 2 (both levels of
+    /// the two-level ring) and ragged (the one-level fallback).
     #[test]
     fn usp_matches_oracle(
-        factors in prop_oneof![
-            Just((1usize, 1usize)), Just((1, 2)), Just((2, 1)), Just((2, 2)),
-            Just((1, 4)), Just((4, 1)), Just((3, 1)), Just((1, 3))
+        // (nodes, gpus per node, ulysses size), one kind of ring per arm.
+        shape in prop_oneof![
+            // One node.
+            prop_oneof![
+                Just((1usize, 1usize, 1usize)), Just((1, 2, 1)), Just((1, 2, 2)),
+                Just((1, 4, 2)), Just((1, 4, 1)), Just((1, 4, 4)), Just((1, 3, 3)),
+                Just((1, 3, 1))
+            ],
+            // One ring member per node: the cross-node ring alone.
+            prop_oneof![Just((2usize, 2usize, 2usize)), Just((4, 1, 1)), Just((2, 4, 4))],
+            // Two ring members per node: both levels.
+            prop_oneof![Just((2usize, 2usize, 1usize)), Just((2, 4, 2)), Just((3, 2, 1))],
+            // Members ragged across nodes: the one-level ring.
+            Just((2usize, 3usize, 2usize)),
         ],
         heads_mul in 1usize..=2,
         d in prop_oneof![Just(4usize), Just(8)],
         seed in 0u64..1_000,
     ) {
-        let (u, r) = factors;                  // ulysses size × ring size
-        let g = u * r;
+        let (nodes, gpn, u) = shape;
+        let g = nodes * gpn;
+        let r = g / u;                         // ring size
         let heads = u * heads_mul;             // heads % ulysses_size == 0
         let n = 2 * r * u * 2;                 // zigzag over r rings, then /u per member
-        let topo = Topology::single_node(g);
+        let topo = Topology::a800(nodes, gpn);
         let got = run_usp(&topo, n, d, heads, u, seed, &AttnMask::Causal, None)
             .expect("usp failed");
         for (h, got_h) in got.iter().enumerate() {
             let want = oracle_for(n, d, seed.wrapping_mul(64) + h as u64, &AttnMask::Causal);
-            expect_matches_oracle(&format!("usp[u={u},r={r}]/head{h}"), got_h, &want);
+            expect_matches_oracle(
+                &format!("usp[{nodes}x{gpn},u={u},r={r}]/head{h}"),
+                got_h,
+                &want,
+            );
         }
     }
 

@@ -176,6 +176,7 @@ fn run_span_returns_a_typed_error_when_a_rank_crashes_mid_step() {
         (Topology::a800(2, 2), Backend::Ring(Algo::BurstTopo)),
         (Topology::single_node(2), Backend::Ring(Algo::BurstFlat)),
         (Topology::a800(2, 2), Backend::Usp { ulysses_size: 2 }),
+        (Topology::a800(2, 4), Backend::Usp { ulysses_size: 2 }),
         (Topology::single_node(2), Backend::Ulysses),
     ] {
         let cfg = EngineConfig::tiny(backend);
