@@ -60,6 +60,10 @@ pub enum MsgData {
     /// see [`crate::topology::WireDtype`]). Decoded back to `f32` on receive.
     Bf16Mat(Bf16Mat),
     Vec(Vec<f32>),
+    /// A matrix payload ([`MsgData::Mat`] or [`MsgData::Bf16Mat`]) with
+    /// `f32` values riding beside it in the same message, at 4 bytes each
+    /// whatever the wire dtype.
+    WithVals(Box<MsgData>, Vec<f32>),
     Scalar(f64),
     Empty,
     /// Elastic-layer control traffic (see [`CtrlMsg`]).
@@ -73,6 +77,7 @@ impl MsgData {
             MsgData::Mat(m) => m.len(),
             MsgData::Bf16Mat(m) => m.len(),
             MsgData::Vec(v) => v.len(),
+            MsgData::WithVals(m, v) => m.elems() + v.len(),
             MsgData::Scalar(_) => 1,
             MsgData::Empty => 0,
             MsgData::Ctrl(c) => c.suspects.len() + 2,
@@ -88,6 +93,7 @@ impl MsgData {
             MsgData::Mat(m) => m.len() as f64 * 4.0,
             MsgData::Bf16Mat(m) => m.len() as f64 * 2.0,
             MsgData::Vec(v) => v.len() as f64 * 4.0,
+            MsgData::WithVals(m, v) => m.wire_bytes() + v.len() as f64 * 4.0,
             MsgData::Scalar(_) => 8.0,
             MsgData::Empty => 0.0,
             MsgData::Ctrl(c) => (c.suspects.len() + 2) as f64 * 8.0,
@@ -100,6 +106,7 @@ impl MsgData {
             MsgData::Mat(m) => format!("Mat {}x{}", m.rows(), m.cols()),
             MsgData::Bf16Mat(m) => format!("Bf16Mat {}x{}", m.rows(), m.cols()),
             MsgData::Vec(v) => format!("Vec[{}]", v.len()),
+            MsgData::WithVals(m, v) => format!("{} + Vec[{}]", m.describe(), v.len()),
             MsgData::Scalar(_) => "Scalar".to_string(),
             MsgData::Empty => "Empty".to_string(),
             MsgData::Ctrl(c) => format!("Ctrl {:?} epoch={}", c.kind, c.epoch),
@@ -130,6 +137,13 @@ impl MsgData {
                 }
             }
             MsgData::Vec(v) => {
+                eat(v.len() as u64);
+                for x in v {
+                    eat(x.to_bits() as u64);
+                }
+            }
+            MsgData::WithVals(m, v) => {
+                eat(m.checksum());
                 eat(v.len() as u64);
                 for x in v {
                     eat(x.to_bits() as u64);
@@ -167,6 +181,7 @@ impl MsgData {
                     *x = f32::from_bits(x.to_bits() ^ 0x8000_0000);
                 }
             }
+            MsgData::WithVals(m, _) => m.corrupt_in_place(),
             MsgData::Scalar(s) => *s = f64::from_bits(s.to_bits() ^ (1 << 63)),
             MsgData::Empty => {}
             MsgData::Ctrl(c) => c.epoch ^= 1,
@@ -1104,7 +1119,22 @@ impl Communicator {
     /// payload is returned untouched, a bf16 payload is decoded (exactly)
     /// back to `f32`.
     pub fn try_recv_mat(&mut self, src: usize) -> Result<Mat, CommError> {
-        match self.try_recv(src)? {
+        let data = self.try_recv(src)?;
+        self.expect_mat(src, data)
+    }
+
+    /// Receive a matrix from `src` with the values riding beside it
+    /// ([`MsgData::WithVals`]); a plain matrix payload carries none.
+    pub(crate) fn try_recv_mat_vals(&mut self, src: usize) -> Result<(Mat, Vec<f32>), CommError> {
+        let (data, vals) = match self.try_recv(src)? {
+            MsgData::WithVals(data, vals) => (*data, vals),
+            data => (data, Vec::new()),
+        };
+        Ok((self.expect_mat(src, data)?, vals))
+    }
+
+    fn expect_mat(&self, src: usize, data: MsgData) -> Result<Mat, CommError> {
+        match data {
             MsgData::Mat(m) => Ok(m),
             MsgData::Bf16Mat(m) => Ok(m.to_mat()),
             MsgData::Ctrl(c) => Err(self.aborted_by(src, c)),
@@ -1200,16 +1230,23 @@ impl Communicator {
     /// algorithm. On one node, or one GPU per node, this is the standard
     /// `G − 1`-step flat ring.
     pub fn all_gather_mat(&mut self, mine: &Mat) -> Vec<Mat> {
-        match self.try_all_gather_mat(mine) {
-            Ok(v) => v,
+        match self.try_all_gather_mat(mine, &[]) {
+            Ok(parts) => parts.into_iter().map(|(m, _)| m).collect(),
             Err(e) => self.escalate(e),
         }
     }
 
-    /// Fallible [`Communicator::all_gather_mat`].
-    pub fn try_all_gather_mat(&mut self, mine: &Mat) -> Result<Vec<Mat>, CommError> {
+    /// Fallible [`Communicator::all_gather_mat`] that also carries `vals`:
+    /// they ride beside `mine` in the messages that forward it, at f32
+    /// whatever the wire dtype, and every rank's `(block, values)` comes
+    /// back, indexed by rank. Empty `vals` send plain matrix payloads.
+    pub fn try_all_gather_mat(
+        &mut self,
+        mine: &Mat,
+        vals: &[f32],
+    ) -> Result<Vec<(Mat, Vec<f32>)>, CommError> {
         let spec = DoubleRingSpec::full(&self.topo);
-        all_gather_on(self, &spec, mine, Communicator::try_recv_mat)
+        all_gather_on(self, &spec, mine, vals, Communicator::try_recv_mat_vals)
     }
 
     /// Ring reduce-scatter (sum): `parts[d]` is this rank's contribution to
@@ -1256,8 +1293,9 @@ impl Communicator {
         if m.rows().is_multiple_of(g) && m.rows() >= g {
             let parts = m.chunk_rows(g);
             let mine = self.try_reduce_scatter_mat(&parts)?;
-            let gathered = self.try_all_gather_mat(&mine)?;
-            Ok(Mat::vstack(&gathered))
+            let gathered = self.try_all_gather_mat(&mine, &[])?;
+            let blocks: Vec<Mat> = gathered.into_iter().map(|(b, _)| b).collect();
+            Ok(Mat::vstack(&blocks))
         } else {
             let members: Vec<usize> = (0..g).collect();
             leader_all_reduce_mat_on(self, &members, m, Communicator::try_recv_mat)

@@ -13,8 +13,12 @@
 //!
 //! With one node, or one member per node, one level is empty and the other
 //! is the flat ring over the members: the same messages in the same order.
+//!
+//! The all-gather can also carry a few `f32` values per member in the
+//! messages that forward its block, so a small reduction needs no
+//! collective of its own: each member sums the gathered values itself.
 
-use crate::comm::Communicator;
+use crate::comm::{Communicator, MsgData};
 use crate::fault::CommError;
 use crate::topology::Topology;
 use burst_tensor::Mat;
@@ -178,23 +182,32 @@ impl DoubleRingSpec {
     }
 }
 
-/// Two-level ring all-gather over `spec`: every member's block, indexed by
-/// slot. `recv` receives one block from a physical rank — the fixed world's
-/// plain receive, or a shrinking collective's retrying one.
+/// Two-level ring all-gather over `spec`: every member's block and
+/// values, indexed by slot. `vals` ride beside `mine` in every message that
+/// forwards it ([`MsgData::WithVals`], at f32 whatever the wire dtype);
+/// empty values send the plain matrix payload. `recv` receives one part
+/// from a physical rank — the fixed world's plain receive, or a shrinking
+/// collective's retrying one.
 pub(crate) fn all_gather_on(
     comm: &mut Communicator,
     spec: &DoubleRingSpec,
     mine: &Mat,
-    mut recv: impl FnMut(&mut Communicator, usize) -> Result<Mat, CommError>,
-) -> Result<Vec<Mat>, CommError> {
+    vals: &[f32],
+    mut recv: impl FnMut(&mut Communicator, usize) -> Result<(Mat, Vec<f32>), CommError>,
+) -> Result<Vec<(Mat, Vec<f32>)>, CommError> {
     let (nodes, gpn) = (spec.nodes, spec.gpn);
     let me = spec.my_slot(comm);
     let (outer, inner) = (me / gpn, me % gpn);
-    let mut parts: Vec<Option<Mat>> = vec![None; spec.len()];
-    parts[me] = Some(mine.clone());
-    let forward = |comm: &mut Communicator, part: &Option<Mat>, dst: usize| {
-        let block = part.clone().expect("ring all-gather invariant");
+    let mut parts: Vec<Option<(Mat, Vec<f32>)>> = vec![None; spec.len()];
+    parts[me] = Some((mine.clone(), vals.to_vec()));
+    let forward = |comm: &mut Communicator, part: &Option<(Mat, Vec<f32>)>, dst: usize| {
+        let (block, vals) = part.clone().expect("ring all-gather invariant");
         let payload = comm.mat_payload(block);
+        let payload = if vals.is_empty() {
+            payload
+        } else {
+            MsgData::WithVals(Box::new(payload), vals)
+        };
         comm.try_send(dst, payload)
     };
     // Across nodes: each step forwards the block received in the previous

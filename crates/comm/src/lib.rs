@@ -42,8 +42,8 @@ pub use double_ring::DoubleRingSpec;
 pub use fault::{ChurnEvent, ChurnKind, CommError, CrashAt, FaultPlan, LossKind};
 pub use membership::{
     agree_on_eviction, agree_on_join, agree_on_leave, send_abort, shrink_all_gather_mat,
-    shrink_all_reduce_mat, shrink_all_reduce_vec, shrink_barrier, shrink_reduce_scatter_mat,
-    AgreeOutcome, JoinOutcome, Membership, RetryPolicy,
+    shrink_all_reduce_vec, shrink_barrier, shrink_reduce_scatter_mat, AgreeOutcome, JoinOutcome,
+    Membership, RetryPolicy,
 };
 pub use stats::{CommStats, FaultCounters};
 pub use topology::{Link, Topology, WireDtype};

@@ -39,10 +39,7 @@
 //! the receiver's drain — so by the time a survivor drains, all stale
 //! messages addressed to it are already in its queues.
 
-use crate::comm::{
-    barrier_on, leader_all_reduce_mat_on, leader_all_reduce_vec_on, Communicator, CtrlKind,
-    CtrlMsg, MsgData,
-};
+use crate::comm::{barrier_on, leader_all_reduce_vec_on, Communicator, CtrlKind, CtrlMsg, MsgData};
 use crate::double_ring::{all_gather_on, reduce_scatter_on, DoubleRingSpec};
 use crate::fault::{splitmix64, CommError};
 use burst_obs::SpanKind;
@@ -711,34 +708,6 @@ pub fn shrink_all_reduce_vec(
     finish_collective(comm, m, attempt, policy)
 }
 
-/// All-reduce (sum) of a matrix over the alive set: the shrinking ring
-/// reduce-scatter + all-gather when the rows divide evenly (the algorithm,
-/// and thus the accumulation order, of [`Communicator::try_all_reduce_mat`]
-/// on a fresh world of the survivors' shape), otherwise leader-gather in
-/// ascending member order plus broadcast.
-pub fn shrink_all_reduce_mat(
-    comm: &mut Communicator,
-    m: &mut Membership,
-    mat: &Mat,
-    policy: &RetryPolicy,
-) -> Result<Mat, CommError> {
-    let g = m.num_alive();
-    if g == 1 {
-        return Ok(mat.clone());
-    }
-    if mat.rows().is_multiple_of(g) && mat.rows() >= g {
-        let parts = mat.chunk_rows(g);
-        let mine = shrink_reduce_scatter_mat(comm, m, &parts, policy)?;
-        let gathered = shrink_all_gather_mat(comm, m, &mine, policy)?;
-        return Ok(Mat::vstack(&gathered));
-    }
-    let members = alive_members(comm, m);
-    let attempt = leader_all_reduce_mat_on(comm, &members, mat, |c, src| {
-        retrying(c, policy, |c| c.try_recv_mat(src))
-    });
-    finish_collective(comm, m, attempt, policy)
-}
-
 /// Shared epilogue of every shrinking collective: on failure, pill the
 /// neighbors; always join the agreement (commit barrier); convert an
 /// agreed eviction into [`CommError::Evicted`] so the caller re-derives
@@ -791,21 +760,24 @@ fn alive_spec(comm: &Communicator, m: &Membership) -> DoubleRingSpec {
     DoubleRingSpec::two_level_or_flat(comm.topology(), &alive_members(comm, m))
 }
 
-/// Shrinking ring all-gather over the alive set: returns one block per
-/// alive rank, indexed by ring position (ascending rank order). Runs the
-/// schedule of [`Communicator::try_all_gather_mat`] on the alive set's
-/// [`DoubleRingSpec`] — two-level when the survivors are node-balanced,
-/// one-level when they are ragged — so a shrunken world matches a fresh
-/// world of the survivors' shape, or a fresh flat world of their count.
+/// Shrinking ring all-gather over the alive set: returns one `(block,
+/// values)` per alive rank, indexed by ring position (ascending rank
+/// order), `vals` riding beside `mine` as in
+/// [`Communicator::try_all_gather_mat`]. Runs that schedule on the alive
+/// set's [`DoubleRingSpec`] — two-level when the survivors are
+/// node-balanced, one-level when they are ragged — so a shrunken world
+/// matches a fresh world of the survivors' shape, or a fresh flat world of
+/// their count.
 pub fn shrink_all_gather_mat(
     comm: &mut Communicator,
     m: &mut Membership,
     mine: &Mat,
+    vals: &[f32],
     policy: &RetryPolicy,
-) -> Result<Vec<Mat>, CommError> {
+) -> Result<Vec<(Mat, Vec<f32>)>, CommError> {
     let spec = alive_spec(comm, m);
-    let attempt = all_gather_on(comm, &spec, mine, |c, src| {
-        retrying(c, policy, |c| c.try_recv_mat(src))
+    let attempt = all_gather_on(comm, &spec, mine, vals, |c, src| {
+        retrying(c, policy, |c| c.try_recv_mat_vals(src))
     });
     finish_collective(comm, m, attempt, policy)
 }
@@ -949,7 +921,7 @@ mod tests {
 
     /// Shrinking all-gather with `victim` crashing at its `op`-th comm op:
     /// the survivors must evict the victim alone, in one epoch, and gather
-    /// every survivor's block in ring order.
+    /// every survivor's block and values in ring order.
     fn all_gather_through_a_crash(topo: Topology, victim: usize, op: u64) {
         let plan = FaultPlan::new(5)
             .crash_at_op(victim, op)
@@ -960,7 +932,8 @@ mod tests {
             let policy = RetryPolicy::default();
             let mine = Mat::from_vec(1, 2, vec![comm.rank() as f32, 10.0 + comm.rank() as f32]);
             loop {
-                match shrink_all_gather_mat(comm, &mut m, &mine, &policy) {
+                let vals = [100.0 + comm.rank() as f32];
+                match shrink_all_gather_mat(comm, &mut m, &mine, &vals, &policy) {
                     Ok(blocks) => return Ok((blocks, m.alive_ranks(), m.epoch())),
                     Err(CommError::Evicted { .. }) => continue,
                     Err(e) => return Err(e),
@@ -975,12 +948,13 @@ mod tests {
             assert_eq!(*alive, survivors, "rank {r}: only rank {victim} is evicted");
             assert_eq!(*epoch, 1, "one eviction round bumps the epoch once");
             assert_eq!(blocks.len(), survivors.len());
-            for (b, &src) in blocks.iter().zip(&survivors) {
+            for ((b, v), &src) in blocks.iter().zip(&survivors) {
                 assert_eq!(
                     b.as_slice(),
                     &[src as f32, 10.0 + src as f32],
                     "rank {r}: block must come from alive rank {src}"
                 );
+                assert_eq!(v, &[100.0 + src as f32], "rank {r}: values of rank {src}");
             }
         }
     }
@@ -1102,7 +1076,7 @@ mod tests {
             let mut m = Membership::new(comm.world_size());
             let policy = RetryPolicy::default();
             let mine = Mat::from_vec(1, 1, vec![comm.rank() as f32]);
-            let blocks = shrink_all_gather_mat(comm, &mut m, &mine, &policy).unwrap();
+            let blocks = shrink_all_gather_mat(comm, &mut m, &mine, &[], &policy).unwrap();
             (blocks.len(), m.epoch())
         });
         for (n, epoch) in outs {

@@ -231,16 +231,17 @@ pub fn run_rank(
 /// Fails with a typed [`CommError`] instead of aborting, anywhere in the
 /// step: a non-finite reduced loss is reported as [`CommError::Corrupt`],
 /// and communication faults injected by a [`burst_comm::FaultPlan`] surface
-/// through the fallible FSDP weight gather, loss reduction and gradient
-/// sync and through the attention executor's latched failure
-/// ([`AttnExec::take_failure`]), checked after every micro-batch.
+/// through the fallible FSDP weight gather and gradient sync (which also
+/// reduces the loss, or a loss all-reduce without FSDP) and through the
+/// attention executor's latched failure ([`AttnExec::take_failure`]),
+/// checked after every micro-batch.
 ///
 /// Compute-side faults from the plan are honored here: scheduled gradient
 /// poison ([`burst_comm::FaultPlan::poison_grad`]) is injected after the
 /// affected micro-batch's backward. With gradient accumulation the poisoned
 /// micro is rolled back from a snapshot and the surviving micros are
 /// rescaled to an unbiased estimate (**skip-and-rescale**); without it the
-/// rank raises a flag in the loss reduction and every rank skips the
+/// rank raises a flag that is reduced with the loss and every rank skips the
 /// optimizer update for that step in lockstep — the job keeps training
 /// instead of restarting. Slow-kernel stragglers
 /// ([`burst_comm::FaultPlan::slow_compute`]) are charged inside
@@ -298,11 +299,11 @@ struct StepDone {
 
 /// One optimizer step over `group`: the FSDP weight gather, every
 /// micro-batch through the backend's executor (rolling back a poisoned one
-/// when accumulation allows), the loss reduction that also agrees on a
-/// lockstep skip, then the gradient sync, Adam and the offload charge. The
-/// same messages in the same order for the fixed world and an alive set of
-/// the same shape. A typed error leaves spans open for the caller to
-/// settle; the model is then mid-step.
+/// when accumulation allows), the gradient sync that also reduces the loss
+/// and agrees on a lockstep skip (a loss all-reduce without FSDP), then
+/// Adam and the offload charge. The same messages in the same order for the
+/// fixed world and an alive set of the same shape. A typed error leaves
+/// spans open for the caller to settle; the model is then mid-step.
 fn step_on(
     comm: &mut Communicator,
     group: &mut Group<'_>,
@@ -419,8 +420,15 @@ fn step_on(
         }
     }
     // Global mean loss + the poison flag, reduced together so every rank
-    // takes the same skip decision without an extra collective.
-    let reduced = group.all_reduce_vec(comm, &[step_loss_sum, local_bad])?;
+    // takes the same skip decision. Under FSDP they ride the gradient
+    // sync, the step's one collective after its last micro-batch;
+    // otherwise they take a leader all-reduce of their own.
+    let local = [step_loss_sum, local_bad];
+    let reduced = if cfg.fsdp {
+        fsdp::try_sync_grads(comm, group, &mut model.params_mut(), &local)?
+    } else {
+        group.all_reduce_vec(comm, &local)?
+    };
     let loss = reduced[0] / (n * accum) as f32;
     if !loss.is_finite() {
         // A poisoned reduction: some rank fed NaN/Inf into the loss
@@ -435,14 +443,11 @@ fn step_on(
     let skipped = reduced[1] > 0.0;
     if skipped {
         // Some rank's gradients went non-finite beyond repair: skip the
-        // optimizer update in lockstep (grads are discarded, weights and
-        // Adam state stay at the last good step) and train on.
+        // optimizer update in lockstep (the synced grads are discarded,
+        // weights and Adam state stay at the last good step) and train on.
         comm.span_instant(SpanKind::Fault, "skip_step");
         model.zero_grads();
     } else {
-        if cfg.fsdp {
-            fsdp::try_sync_grads(comm, group, &mut model.params_mut())?;
-        }
         model.adam_step(&cfg.adam, step as u64 + 1);
         if cfg.offload_optimizer {
             // The update itself ran on identical replicas above; charge the
@@ -602,15 +607,15 @@ fn fatal_to_me(e: &CommError, me: usize) -> bool {
 /// joins first (so a rank can hand off to its replacement in one step),
 /// then leaves, then the step itself.
 ///
-/// Bit-identity: every collective in the step — weight gather, loss
-/// reduction, gradient sync, ring attention — runs over the ascending alive
-/// set with this rank at its membership position, with the same
-/// accumulation order as a fresh world of that size. A span that shrinks at
-/// step `f` and regrows at step `j` therefore reproduces, bit for bit, the
-/// segmented reference: a fresh full world over `[0, f)`, a fresh shrunken
-/// world over `[f, j)` warm-started from the first segment, and a fresh
-/// full world over `[j, end)` warm-started from the second. `crates/verify`
-/// gates on exactly this equivalence.
+/// Bit-identity: every collective in the step — weight gather, ring
+/// attention, the gradient sync that also reduces the loss — runs over the
+/// ascending alive set with this rank at its membership position, with the
+/// same accumulation order as a fresh world of that size. A span that
+/// shrinks at step `f` and regrows at step `j` therefore reproduces, bit
+/// for bit, the segmented reference: a fresh full world over `[0, f)`, a
+/// fresh shrunken world over `[f, j)` warm-started from the first segment,
+/// and a fresh full world over `[j, end)` warm-started from the second.
+/// `crates/verify` gates on exactly this equivalence.
 pub fn run_span_elastic(
     comm: &mut Communicator,
     cfg: &EngineConfig,

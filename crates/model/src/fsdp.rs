@@ -21,10 +21,28 @@
 //!   `chunk_rows` slice of every parameter whose row count divides by `G`;
 //!   one ring reduce-scatter plus all-gather reduces all of them.
 //! * **Gradient sync, leader bucket** — the remaining parameters (row
-//!   counts below or not divisible by `G`, e.g. the `1 × d` norms) go
-//!   through one leader gather-sum-broadcast.
+//!   counts below or not divisible by `G`, e.g. the `1 × d` norms) ride the
+//!   ring bucket's all-gather as per-member values (below). With an empty
+//!   ring bucket they go through one leader gather-sum-broadcast instead.
 //!
 //! The received buckets are unpacked in place into `p.w` / `p.grad`.
+//!
+//! # Per-member values
+//!
+//! [`try_sync_grads`] also takes each member's `f32` values — the engine
+//! passes a step's loss sum and poison flag — and returns their sums, so a
+//! training step runs no collective after its last micro-batch but the
+//! sync. The all-gather half of the ring bucket's all-reduce carries,
+//! beside each member's reduced block, that member's values followed by its
+//! leader-bucket gradients, at `f32` whatever the wire. Every member then
+//! sums them in ascending member order, the association of a leader
+//! all-reduce: the leader's (position 0) first, then each other member's
+//! in turn. A leader all-reduce receives the leader's own gradients at
+//! `f32` and every other member's at wire precision, and rounds the sum to
+//! the wire; the sync rounds the same ones the same way, while the values
+//! stay `f32` like a vector all-reduce's. Losses and leader-bucket
+//! gradients are therefore bit-identical to a separate leader all-reduce of
+//! each.
 //!
 //! The ring collectives are `burst-comm`'s two-level ones: on a multi-node
 //! topology the all-gather first rings blocks across nodes between
@@ -38,19 +56,21 @@
 //! contributions meet. Every element keeps the ring block index it had
 //! in a per-parameter ring all-reduce, and with it the reduce-scatter's
 //! association; leader-bucket elements are summed in ascending rank order,
-//! as the per-parameter leader path sums them. Losses, final state and
-//! wire bytes therefore match a collective per parameter exactly; only the
-//! message boundaries — and so the latency the virtual clock charges —
-//! move.
+//! as the per-parameter leader path sums them. Losses and final state
+//! therefore match a collective per parameter exactly, and so do the ring
+//! bucket's wire bytes; only the message boundaries — and so the latency
+//! the virtual clock charges — move, and the leader bucket's bytes, which
+//! ride the all-gather's `G − 1` sends per member instead.
 //!
 //! **bf16 wire.** Under [`WireDtype::Bf16`] a peer decodes every element it
 //! receives at bf16 precision. Replicas stay identical because every rank
 //! holds the wire-rounded value, including the one that sent it: a rank
 //! rounds its own shard before the gather, a block's owner rounds its
-//! reduced block before the gradient all-gather, and every rank rounds the
-//! leader bucket's sum. The gather checks each received element bit for bit
-//! against the local replica rounded the same way (the identity on an f32
-//! wire), so diverged replicas fail loudly.
+//! reduced block before the gradient all-gather, a member other than the
+//! leader rounds its leader-bucket gradients before they ride it, and every
+//! rank rounds the leader bucket's sum. The gather checks each received
+//! element bit for bit against the local replica rounded the same way (the
+//! identity on an f32 wire), so diverged replicas fail loudly.
 //!
 //! **Elastic worlds.** [`try_gather_weights`] and [`try_sync_grads`] take
 //! the [`Group`] they shard over. [`Group::World`] is the fixed world,
@@ -61,22 +81,25 @@
 //! survivors are node-balanced, the flat ring over the alive list when they
 //! are ragged. A shrunken or regrown world therefore matches a fresh world
 //! of the survivors' shape (or a fresh flat world of their count) bit for
-//! bit. Each shrinking collective ends in one eviction agreement: four per
-//! step, where a collective per parameter ran two or three per parameter.
+//! bit. Each shrinking collective ends in one eviction agreement: three
+//! per FSDP step (the weight gather, the reduce-scatter and the
+//! all-gather), where separate loss and leader-bucket all-reduces made five
+//! and a collective per parameter ran two or three per parameter.
 //!
-//! **Observability.** Each bucket collective is wrapped in one
-//! [`SpanKind::Optim`] span (`fsdp_gather` / `fsdp_sync`) — under the
-//! reliable transport its retransmissions are attributable to it — and
-//! bills one `fsdp_gather_buf` / `fsdp_sync_buf` comm-buffer entry at the
-//! bucket's wire bytes. A member dying mid-collective leaves its entry open;
-//! the ledger force-closes it with a warning — the crash's true footprint.
+//! **Observability.** The weight gather and the gradient sync are each
+//! wrapped in one [`SpanKind::Optim`] span (`fsdp_gather` / `fsdp_sync`) —
+//! under the reliable transport their retransmissions are attributable to
+//! them — and bill one comm-buffer entry: `fsdp_gather_buf` at the gather
+//! bucket's wire bytes, `fsdp_sync_buf` at the ring bucket's wire bytes
+//! plus every member's values at 4 B each. A member dying mid-collective
+//! leaves its entry open; the ledger force-closes it with a warning — the
+//! crash's true footprint.
 
 use crate::param::Param;
 use burst_comm::obs::MemCategory;
 use burst_comm::{
-    shrink_all_gather_mat, shrink_all_reduce_mat, shrink_all_reduce_vec, shrink_barrier,
-    shrink_reduce_scatter_mat, CommError, Communicator, Membership, RetryPolicy, SpanKind,
-    WireDtype,
+    shrink_all_gather_mat, shrink_all_reduce_vec, shrink_barrier, shrink_reduce_scatter_mat,
+    CommError, Communicator, Membership, RetryPolicy, SpanKind, WireDtype,
 };
 use burst_tensor::{decode_bf16, encode_bf16, Mat};
 
@@ -139,10 +162,17 @@ impl Group<'_> {
         }
     }
 
-    fn all_gather(&mut self, comm: &mut Communicator, mine: &Mat) -> Result<Vec<Mat>, CommError> {
+    /// Ring all-gather of `mine` with `vals` riding beside it: every
+    /// member's `(block, values)`, in ascending member order.
+    fn all_gather(
+        &mut self,
+        comm: &mut Communicator,
+        mine: &Mat,
+        vals: &[f32],
+    ) -> Result<Vec<(Mat, Vec<f32>)>, CommError> {
         match self {
-            Group::World => comm.try_all_gather_mat(mine),
-            Group::Alive(m, policy) => shrink_all_gather_mat(comm, m, mine, policy),
+            Group::World => comm.try_all_gather_mat(mine, vals),
+            Group::Alive(m, policy) => shrink_all_gather_mat(comm, m, mine, vals, policy),
         }
     }
 
@@ -150,20 +180,6 @@ impl Group<'_> {
         match self {
             Group::World => comm.try_reduce_scatter_mat(parts),
             Group::Alive(m, policy) => shrink_reduce_scatter_mat(comm, m, parts, policy),
-        }
-    }
-
-    /// All-reduce of a one-row bucket, which never divides among `G ≥ 2`
-    /// ranks and so always takes the leader gather-sum-broadcast path.
-    fn leader_all_reduce(
-        &mut self,
-        comm: &mut Communicator,
-        bucket: &Mat,
-    ) -> Result<Mat, CommError> {
-        debug_assert_eq!(bucket.rows(), 1);
-        match self {
-            Group::World => comm.try_all_reduce_mat(bucket),
-            Group::Alive(m, policy) => shrink_all_reduce_mat(comm, m, bucket, policy),
         }
     }
 
@@ -185,6 +201,21 @@ impl Group<'_> {
             Group::Alive(m, policy) => shrink_barrier(comm, m, policy),
         }
     }
+}
+
+/// The members' values summed in ascending member order, the association
+/// of a leader all-reduce: the first member's, plus each later member's in
+/// turn.
+fn member_sum(vals: Vec<Vec<f32>>) -> Vec<f32> {
+    let mut vals = vals.into_iter();
+    let mut sums = vals.next().expect("a group has a member");
+    for v in vals {
+        assert_eq!(v.len(), sums.len(), "FSDP: members synced unequal values");
+        for (s, x) in sums.iter_mut().zip(&v) {
+            *s += x;
+        }
+    }
+    sums
 }
 
 /// One ring all-gather of every parameter's row shard over `group`,
@@ -215,9 +246,9 @@ pub fn try_gather_weights(
         comm.mem_wire_bytes(total),
     );
     comm.span_begin(SpanKind::Optim, "fsdp_gather");
-    let parts = group.all_gather(comm, &Mat::from_vec(1, mine.len(), mine));
+    let parts = group.all_gather(comm, &Mat::from_vec(1, mine.len(), mine), &[]);
     comm.span_end();
-    for (src, part) in parts?.iter().enumerate() {
+    for (src, (part, _)) in parts?.iter().enumerate() {
         let mut got = part.as_slice();
         for p in params.iter_mut() {
             let shape = p.w.shape();
@@ -240,25 +271,51 @@ pub fn try_gather_weights(
     Ok(())
 }
 
-/// Sum every parameter's gradient across `group`: one ring all-reduce of
-/// the ring bucket, one leader all-reduce of the rest. Over an alive set the
-/// accumulation order is a fresh world's of that size.
+/// Sum every parameter's gradient across `group`, and each member's `vals`
+/// with them: one ring reduce-scatter plus all-gather of the ring bucket,
+/// whose all-gather carries each member's values and leader-bucket
+/// gradients beside its reduced block. Returns the sums of `vals`, taken in
+/// ascending member order. Over an alive set the accumulation order is a
+/// fresh world's of that size.
 pub fn try_sync_grads(
     comm: &mut Communicator,
     group: &mut Group<'_>,
     params: &mut [&mut Param],
-) -> Result<(), CommError> {
-    let (g, _) = group.shape(comm);
+    vals: &[f32],
+) -> Result<Vec<f32>, CommError> {
+    let (g, pos) = group.shape(comm);
     if g == 1 {
-        return Ok(());
+        return Ok(vals.to_vec());
     }
     let wire = comm.topology().wire_dtype;
+    // This member's values: the caller's at f32, then the leader bucket's
+    // gradients — the leader's own at f32, every other member's at wire
+    // precision, as a leader all-reduce receives them.
+    let mut mine = vals.to_vec();
+    for p in params.iter().filter(|p| !on_ring(p, g)) {
+        mine.extend_from_slice(p.grad.as_slice());
+    }
+    if pos > 0 {
+        round_to_wire(wire, &mut mine[vals.len()..]);
+    }
     let block_len: usize = params
         .iter()
         .filter(|p| on_ring(p, g))
         .map(|p| p.grad.len() / g)
         .sum();
-    if block_len > 0 {
+    // The ring bucket at wire width, plus every member's values at f32.
+    let buf = comm.mem_alloc(
+        "fsdp_sync_buf",
+        MemCategory::CommBuffers,
+        comm.mem_wire_bytes(g * block_len) + (4 * g * mine.len()) as u64,
+    );
+    comm.span_begin(SpanKind::Optim, "fsdp_sync");
+    let synced = if block_len == 0 {
+        // Nothing to ring: the values go through the leader alone.
+        group
+            .all_reduce_vec(comm, &mine)
+            .map(|sums| (Vec::new(), sums))
+    } else {
         let parts: Vec<Mat> = (0..g)
             .map(|b| {
                 let mut block = Vec::with_capacity(block_len);
@@ -269,52 +326,39 @@ pub fn try_sync_grads(
                 Mat::from_vec(1, block_len, block)
             })
             .collect();
-        let buf = comm.mem_alloc(
-            "fsdp_sync_buf",
-            MemCategory::CommBuffers,
-            comm.mem_wire_bytes(g * block_len),
-        );
-        comm.span_begin(SpanKind::Optim, "fsdp_sync");
-        let blocks = group.reduce_scatter(comm, &parts).and_then(|mut owned| {
-            round_to_wire(wire, owned.as_mut_slice());
-            group.all_gather(comm, &owned)
-        });
-        comm.span_end();
-        for (b, block) in blocks?.iter().enumerate() {
-            let mut got = block.as_slice();
-            for p in params.iter_mut().filter(|p| on_ring(p, g)) {
-                let n = p.grad.len() / g;
-                let (chunk, rest) = got.split_at(n);
-                p.grad.as_mut_slice()[b * n..(b + 1) * n].copy_from_slice(chunk);
-                got = rest;
-            }
+        group
+            .reduce_scatter(comm, &parts)
+            .and_then(|mut owned| {
+                round_to_wire(wire, owned.as_mut_slice());
+                group.all_gather(comm, &owned, &mine)
+            })
+            .map(|gathered| {
+                let (blocks, vals): (Vec<Mat>, Vec<Vec<f32>>) = gathered.into_iter().unzip();
+                (blocks, member_sum(vals))
+            })
+    };
+    comm.span_end();
+    let (blocks, mut sums) = synced?;
+    for (b, block) in blocks.iter().enumerate() {
+        let mut got = block.as_slice();
+        for p in params.iter_mut().filter(|p| on_ring(p, g)) {
+            let n = p.grad.len() / g;
+            let (chunk, rest) = got.split_at(n);
+            p.grad.as_mut_slice()[b * n..(b + 1) * n].copy_from_slice(chunk);
+            got = rest;
         }
-        comm.mem_free(buf);
     }
-    let mut rest = Vec::new();
-    for p in params.iter().filter(|p| !on_ring(p, g)) {
-        rest.extend_from_slice(p.grad.as_slice());
+    // The leader bucket, rounded to the wire as a leader's broadcast is.
+    let mut leader = sums.split_off(vals.len());
+    round_to_wire(wire, &mut leader);
+    let mut got = leader.as_slice();
+    for p in params.iter_mut().filter(|p| !on_ring(p, g)) {
+        let (grad, tail) = got.split_at(p.grad.len());
+        p.grad.as_mut_slice().copy_from_slice(grad);
+        got = tail;
     }
-    if !rest.is_empty() {
-        let buf = comm.mem_alloc(
-            "fsdp_sync_buf",
-            MemCategory::CommBuffers,
-            comm.mem_wire_bytes(rest.len()),
-        );
-        comm.span_begin(SpanKind::Optim, "fsdp_sync");
-        let summed = group.leader_all_reduce(comm, &Mat::from_vec(1, rest.len(), rest));
-        comm.span_end();
-        let mut summed = summed?;
-        round_to_wire(wire, summed.as_mut_slice());
-        let mut got = summed.as_slice();
-        for p in params.iter_mut().filter(|p| !on_ring(p, g)) {
-            let (grad, tail) = got.split_at(p.grad.len());
-            p.grad.as_mut_slice().copy_from_slice(grad);
-            got = tail;
-        }
-        comm.mem_free(buf);
-    }
-    Ok(())
+    comm.mem_free(buf);
+    Ok(sums)
 }
 
 /// [`try_gather_weights`] over the fixed world; a failure escalates.
@@ -324,9 +368,10 @@ pub fn gather_weights(comm: &mut Communicator, params: &mut [&mut Param]) {
     }
 }
 
-/// [`try_sync_grads`] over the fixed world; a failure escalates.
+/// [`try_sync_grads`] of the gradients alone over the fixed world; a
+/// failure escalates.
 pub fn sync_grads(comm: &mut Communicator, params: &mut [&mut Param]) {
-    if let Err(e) = try_sync_grads(comm, &mut Group::World, params) {
+    if let Err(e) = try_sync_grads(comm, &mut Group::World, params, &[]) {
         comm.escalate(e)
     }
 }

@@ -427,3 +427,84 @@ fn engine_step_spans_validate_and_tracing_is_bit_identical() {
         );
     }
 }
+
+#[test]
+fn fsdp_sync_is_the_only_collective_after_the_last_micro_batch() {
+    // The loss, the skip flag and the leader-bucket gradients ride the
+    // gradient sync, so after a step's last micro-batch a rank sends and
+    // receives only inside one `fsdp_sync` span. On `single_node(3)` no
+    // gradient's rows divide by 3: the sync is one leader all-reduce.
+    use burst_comm::obs::{RankTrace, SpanKind};
+    // The nearest span enclosing span `i` that satisfies `is`.
+    let enclosing = |t: &RankTrace, i: usize, is: &dyn Fn(usize) -> bool| {
+        let mut up = t.spans[i].parent;
+        while up >= 0 && !is(up as usize) {
+            up = t.spans[up as usize].parent;
+        }
+        (up >= 0).then_some(up as usize)
+    };
+    for (backend, topo, seq_len) in [
+        (Backend::Ring(Algo::BurstTopo), Topology::a800(2, 2), 32),
+        (Backend::Usp { ulysses_size: 2 }, Topology::a800(2, 2), 32),
+        (Backend::Ring(Algo::BurstFlat), Topology::single_node(3), 48),
+    ] {
+        let mut c = cfg(backend);
+        c.model.seq_len = seq_len;
+        let outs = World::new(topo).run(|comm| {
+            comm.start_trace();
+            let mut model = Model::new(c.model, c.seed);
+            run_span(comm, &c, &mut model, 0, 1, |_, _, _, _| {}).expect("healthy run");
+        });
+        for o in &outs {
+            let t = o.trace.as_ref().expect("tracing was on");
+            let ctx = format!("{backend:?} rank {}", o.rank);
+            let last_micro = t
+                .spans
+                .iter()
+                .rposition(|s| s.kind == SpanKind::Micro)
+                .expect("a micro span");
+            let syncs: Vec<Option<usize>> = (last_micro + 1..t.spans.len())
+                .filter(|&i| matches!(t.spans[i].kind, SpanKind::Send | SpanKind::Recv))
+                .filter(|&i| enclosing(t, i, &|up| up == last_micro).is_none())
+                .map(|i| {
+                    enclosing(t, i, &|up| {
+                        let s = &t.spans[up];
+                        s.kind == SpanKind::Optim && s.name == "fsdp_sync"
+                    })
+                })
+                .collect();
+            assert!(!syncs.is_empty(), "{ctx}: no collective after the micro");
+            assert!(
+                syncs.iter().all(|s| s.is_some() && *s == syncs[0]),
+                "{ctx}: messages outside one fsdp_sync span: {syncs:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn elastic_fsdp_step_runs_three_eviction_agreements() {
+    // Each shrinking collective ends in an eviction agreement: the weight
+    // gather, the reduce-scatter and the all-gather that also carries the
+    // loss, the skip flag and the norm gradients.
+    use burst_comm::obs::SpanKind;
+    use burst_model::engine::run_span_elastic;
+    use burst_model::ElasticCfg;
+    let c = cfg(Backend::Ring(Algo::BurstFlat));
+    let steps = 2;
+    let outs = World::new(Topology::single_node(4)).run(|comm| {
+        comm.start_trace();
+        let mut model = Model::new(c.model, c.seed);
+        run_span_elastic(comm, &c, &mut model, 0, steps, &[], &ElasticCfg::default())
+            .expect("clean elastic run");
+    });
+    for o in &outs {
+        let t = o.trace.as_ref().expect("tracing was on");
+        let agreements = t
+            .spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::Eviction && s.name == "agree_on_eviction")
+            .count();
+        assert_eq!(agreements, 3 * steps, "rank {}", o.rank);
+    }
+}

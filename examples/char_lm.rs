@@ -11,7 +11,7 @@
 //! ```
 
 use burstengine::model::engine::{Backend, EngineConfig};
-use burstengine::model::fsdp;
+use burstengine::model::fsdp::{self, Group};
 use burstengine::model::{AttnExec, DistExec};
 use burstengine::prelude::*;
 
@@ -107,8 +107,14 @@ fn main() {
             if let Some(e) = exec.take_failure() {
                 panic!("ring attention failed: {e}");
             }
-            let loss = comm.all_reduce_vec(&[out.loss_sum])[0] / seq as f32;
-            fsdp::sync_grads(comm, &mut model.params_mut());
+            // One collective ends the step: the loss sum rides the FSDP
+            // gradient sync, which hands back its global sum.
+            let params = &mut model.params_mut();
+            let synced = fsdp::try_sync_grads(comm, &mut Group::World, params, &[out.loss_sum]);
+            let loss = match synced {
+                Ok(sums) => sums[0] / seq as f32,
+                Err(e) => comm.escalate(e),
+            };
             // Decay the learning rate once the corpus is roughly learned:
             // the tail steps then settle into the memorised optimum instead
             // of oscillating around it.

@@ -184,14 +184,19 @@ fn run_span_returns_a_typed_error_when_a_rank_crashes_mid_step() {
         let span = |comm: &mut Communicator, steps: usize| {
             run_span(comm, &cfg, &mut fresh(), 0, steps, |_, _, _, _| {})
         };
-        // Rank 1's ops in step 0 and in its FSDP gradient sync, measured on
-        // clean worlds. A crash at any op of step 0 must fail every rank
-        // softly. Before the sync, every peer still needs rank 1 within
-        // step 0. Inside it, a peer may already hold all it needs from
-        // rank 1 and finish step 0, so those crashes run a two-step span,
-        // whose step 1 gathers weights from rank 1 again.
+        // Rank 1's ops in step 0 and in its FSDP gradient sync, the step's
+        // last collective, measured on clean worlds. A crash at any op of
+        // step 0 must fail every rank softly. Before the sync, every peer
+        // still needs rank 1 within step 0. Inside it, a peer may already
+        // hold all it needs from rank 1 and finish step 0, so those crashes
+        // run a two-step span, whose step 1 gathers weights from rank 1
+        // again. The sync is measured as the step runs it, carrying the
+        // loss sum and the skip flag.
         let sync = rank1_ops_after(&topo, |comm| {
-            fsdp::sync_grads(comm, &mut fresh().params_mut())
+            let mut model = fresh();
+            let params = &mut model.params_mut();
+            fsdp::try_sync_grads(comm, &mut fsdp::Group::World, params, &[0.0, 0.0])
+                .expect("clean sync");
         });
         let step = rank1_ops_after(&topo, |comm| {
             span(comm, 1).expect("clean step");
