@@ -17,7 +17,7 @@ use burst_dattn::{
     ShardData,
 };
 use burst_kernels::AttnMask;
-use burst_perf::{exact_peak_bytes_dtype, Cluster, PeakMethod};
+use burst_perf::{exact_peak_bytes_dtype, exact_peak_bytes_masked_dtype, Cluster, PeakMethod};
 use burst_tensor::{randn_mat, Mat};
 
 const DTYPES: [WireDtype; 2] = [WireDtype::F32, WireDtype::Bf16];
@@ -38,10 +38,15 @@ fn shard_of(layout: Layout, n: usize, g: usize, rank: usize, full: &Mat) -> Mat 
 
 /// Run `algo` through the dispatcher with accounting on and return each
 /// rank's measured gated census.
-fn measured_dispatch(algo: Algo, topo: &Topology, seq: usize, d: usize) -> Vec<PeakBytes> {
+fn measured_dispatch(
+    algo: Algo,
+    topo: &Topology,
+    seq: usize,
+    d: usize,
+    (mask, layout, skip): (&AttnMask, Layout, bool),
+) -> Vec<PeakBytes> {
     let g = topo.world_size();
     let (q, k, v, grad_o, scale) = problem(seq, d);
-    let layout = Layout::Zigzag;
     let world = World::new(topo.clone());
     world
         .run(|comm| {
@@ -61,11 +66,11 @@ fn measured_dispatch(algo: Algo, topo: &Topology, seq: usize, d: usize) -> Vec<P
                 &vl,
                 &dol,
                 scale,
-                &AttnMask::Causal,
+                mask,
                 layout,
                 seq,
                 &CostModel::a800(),
-                false,
+                skip,
             )
             .expect("fault-free attention");
         })
@@ -99,7 +104,11 @@ fn dispatcher_peaks_match_exact_census_on_every_topology_and_dtype() {
             let topo = Topology::a800(nodes, gpn).with_wire_dtype(dtype);
             for (algo, method) in methods {
                 let want = exact_peak_bytes_dtype(&cluster, seq, d, method, dtype);
-                for (rank, got) in measured_dispatch(algo, &topo, seq, d).iter().enumerate() {
+                let dense = (&AttnMask::Causal, Layout::Zigzag, false);
+                for (rank, got) in measured_dispatch(algo, &topo, seq, d, dense)
+                    .iter()
+                    .enumerate()
+                {
                     assert_eq!(
                         *got, want,
                         "{algo:?} {nodes}x{gpn} {dtype:?} rank {rank}: \
@@ -109,6 +118,124 @@ fn dispatcher_peaks_match_exact_census_on_every_topology_and_dtype() {
             }
         }
     }
+}
+
+#[test]
+fn skip_on_dispatcher_peaks_match_masked_census() {
+    // With skipping on, each schedule bills only the comm-buffer slots its
+    // gates ever fill; the masked census prices the same gates per rank.
+    let (seq, d) = (128usize, 16usize);
+    let methods = [
+        (Algo::RingFlat, PeakMethod::RingFlat),
+        (Algo::BurstFlat, PeakMethod::BurstFlat),
+        (Algo::DoubleRing, PeakMethod::DoubleRing),
+        (Algo::BurstTopo, PeakMethod::BurstTopo),
+    ];
+    let masks = [
+        AttnMask::SlidingWindow { window: seq / 8 },
+        AttnMask::Dilated {
+            window: seq / 4,
+            step: 3,
+        },
+    ];
+    let mut below_dense = 0;
+    for (nodes, gpn) in [(2usize, 4usize), (1, 4), (4, 2)] {
+        let cluster = Cluster::a800(nodes, gpn);
+        for dtype in DTYPES {
+            let topo = Topology::a800(nodes, gpn).with_wire_dtype(dtype);
+            for mask in &masks {
+                for layout in [Layout::Contiguous, Layout::Zigzag] {
+                    for (algo, method) in methods {
+                        let dense = exact_peak_bytes_dtype(&cluster, seq, d, method, dtype);
+                        let got = measured_dispatch(algo, &topo, seq, d, (mask, layout, true));
+                        for (rank, got) in got.iter().enumerate() {
+                            below_dense += (got.comm_buffers < dense.comm_buffers) as usize;
+                            let want = exact_peak_bytes_masked_dtype(
+                                &cluster, seq, d, method, dtype, mask, layout, None, true, rank,
+                            );
+                            assert_eq!(
+                                *got, want,
+                                "{algo:?} {nodes}x{gpn} {dtype:?} {mask:?} {layout:?} \
+                                 rank {rank}: measured != masked census"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(below_dense > 0, "no rank's gates kept a slot empty");
+}
+
+/// Run USP (`u`-rank Ulysses groups, ring leg skipping per `skip`) forward
+/// then backward with accounting on, and return each rank's measured gated
+/// census. `heads` heads of width `dh` over `seq` tokens.
+#[allow(clippy::too_many_arguments)]
+fn measured_usp(
+    topo: Topology,
+    seq: usize,
+    heads: usize,
+    dh: usize,
+    u: usize,
+    mask: &AttnMask,
+    skip: bool,
+) -> Vec<PeakBytes> {
+    let scale = 1.0 / (dh as f32).sqrt();
+    let inputs = |sd: f32, base: u64| -> Vec<Mat> {
+        (0..heads)
+            .map(|h| randn_mat(seq, dh, sd, base + h as u64))
+            .collect()
+    };
+    let (qh, kh, vh, doh) = (
+        inputs(0.7, 500),
+        inputs(0.7, 600),
+        inputs(0.7, 700),
+        inputs(0.8, 800),
+    );
+    World::new(topo)
+        .run(|comm| {
+            let utopo = UspTopo::new(comm, u).with_skip(skip);
+            let my_idx = utopo.local_idx(seq);
+            let ql: Vec<Mat> = qh.iter().map(|m| m.gather_rows(&my_idx)).collect();
+            let kl: Vec<Mat> = kh.iter().map(|m| m.gather_rows(&my_idx)).collect();
+            let vl: Vec<Mat> = vh.iter().map(|m| m.gather_rows(&my_idx)).collect();
+            let dol: Vec<Mat> = doh.iter().map(|m| m.gather_rows(&my_idx)).collect();
+            comm.start_mem_accounting();
+            let (o, lse) = try_usp_forward(
+                comm,
+                &utopo,
+                &ql,
+                &kl,
+                &vl,
+                scale,
+                mask,
+                seq,
+                &CostModel::free(),
+            )
+            .expect("usp forward");
+            try_usp_backward(
+                comm,
+                &utopo,
+                &ql,
+                &kl,
+                &vl,
+                &o,
+                &lse,
+                &dol,
+                scale,
+                mask,
+                seq,
+                &CostModel::free(),
+            )
+            .expect("usp backward");
+        })
+        .into_iter()
+        .map(|o| {
+            let m = o.mem.expect("accounting was on");
+            validate_mem(&m).unwrap_or_else(|e| panic!("rank {}: {e}", o.rank));
+            m.peak.gated()
+        })
+        .collect()
 }
 
 #[test]
@@ -126,79 +253,72 @@ fn ulysses_and_usp_peaks_match_exact_census() {
         (2, 4, 64, 8, 16, 2),
         (2, 3, 48, 4, 8, 2),
     ];
-    let mask = AttnMask::Causal;
     for (nodes, gpn, seq, heads, dh, u) in shapes {
-        let d = heads * dh;
         let cluster = Cluster::a800(nodes, gpn);
-        let scale = 1.0 / (dh as f32).sqrt();
-        let qh: Vec<Mat> = (0..heads)
-            .map(|h| randn_mat(seq, dh, 0.7, 500 + h as u64))
-            .collect();
-        let kh: Vec<Mat> = (0..heads)
-            .map(|h| randn_mat(seq, dh, 0.7, 600 + h as u64))
-            .collect();
-        let vh: Vec<Mat> = (0..heads)
-            .map(|h| randn_mat(seq, dh, 0.7, 700 + h as u64))
-            .collect();
-        let doh: Vec<Mat> = (0..heads)
-            .map(|h| randn_mat(seq, dh, 0.8, 800 + h as u64))
-            .collect();
         for dtype in DTYPES {
             let topo = Topology::a800(nodes, gpn).with_wire_dtype(dtype);
             let want = exact_peak_bytes_dtype(
                 &cluster,
                 seq,
-                d,
+                heads * dh,
                 PeakMethod::Usp { heads, ulysses: u },
                 dtype,
             );
-            let world = World::new(topo);
-            let outs = world.run(|comm| {
-                let utopo = UspTopo::new(comm, u);
-                let my_idx = utopo.local_idx(seq);
-                let ql: Vec<Mat> = qh.iter().map(|m| m.gather_rows(&my_idx)).collect();
-                let kl: Vec<Mat> = kh.iter().map(|m| m.gather_rows(&my_idx)).collect();
-                let vl: Vec<Mat> = vh.iter().map(|m| m.gather_rows(&my_idx)).collect();
-                let dol: Vec<Mat> = doh.iter().map(|m| m.gather_rows(&my_idx)).collect();
-                comm.start_mem_accounting();
-                let (o, lse) = try_usp_forward(
-                    comm,
-                    &utopo,
-                    &ql,
-                    &kl,
-                    &vl,
-                    scale,
-                    &mask,
-                    seq,
-                    &CostModel::free(),
-                )
-                .expect("usp forward");
-                try_usp_backward(
-                    comm,
-                    &utopo,
-                    &ql,
-                    &kl,
-                    &vl,
-                    &o,
-                    &lse,
-                    &dol,
-                    scale,
-                    &mask,
-                    seq,
-                    &CostModel::free(),
-                )
-                .expect("usp backward");
-            });
-            for o in outs {
-                let m = o.mem.expect("accounting was on");
-                validate_mem(&m).unwrap_or_else(|e| panic!("rank {}: {e}", o.rank));
+            let got = measured_usp(topo, seq, heads, dh, u, &AttnMask::Causal, false);
+            for (rank, got) in got.iter().enumerate() {
                 assert_eq!(
-                    m.peak.gated(),
-                    want,
-                    "{nodes}x{gpn} U={u} {dtype:?} rank {}: census mismatch",
-                    o.rank
+                    *got, want,
+                    "{nodes}x{gpn} U={u} {dtype:?} rank {rank}: census mismatch"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn windowed_skip_on_usp_peaks_match_masked_census() {
+    // USP's ring leg gates its two-level slots on the ring's skip plan: with
+    // a window of seq/8 on 2×4 and U = 2, the middle ring positions never
+    // receive some bundles and bill less comm-buffer memory than the dense
+    // census. Each shape: (seq, heads, head dim).
+    let (nodes, gpn, u) = (2usize, 4usize, 2usize);
+    let cluster = Cluster::a800(nodes, gpn);
+    for (seq, heads, dh) in [(64usize, 8usize, 16usize), (128, 4, 8)] {
+        let mask = AttnMask::SlidingWindow { window: seq / 8 };
+        for dtype in DTYPES {
+            let topo = Topology::a800(nodes, gpn).with_wire_dtype(dtype);
+            let dense = exact_peak_bytes_dtype(
+                &cluster,
+                seq,
+                heads * dh,
+                PeakMethod::Usp { heads, ulysses: u },
+                dtype,
+            );
+            let got = measured_usp(topo, seq, heads, dh, u, &mask, true);
+            for (rank, got) in got.iter().enumerate() {
+                let want = exact_peak_bytes_masked_dtype(
+                    &cluster,
+                    seq,
+                    heads * dh,
+                    PeakMethod::Usp { heads, ulysses: u },
+                    dtype,
+                    &mask,
+                    Layout::Zigzag,
+                    None,
+                    true,
+                    rank,
+                );
+                assert_eq!(
+                    *got, want,
+                    "seq {seq} {heads}x{dh} {dtype:?} rank {rank}: masked census mismatch"
+                );
+                assert!(want.comm_buffers <= dense.comm_buffers);
+            }
+            // Non-vacuity: some rank's gates keep a slot empty.
+            assert!(
+                got.iter().any(|p| p.comm_buffers < dense.comm_buffers),
+                "seq {seq} {dtype:?}: no rank billed below the dense census"
+            );
         }
     }
 }

@@ -142,7 +142,7 @@ pub fn try_double_ring_forward_heads_on(
     let peer_prev = spec.rank_at(spec.peer_prev_node(me));
     let qi = first.idx_at(g, me);
     let kidx_all: Vec<Vec<usize>> = (0..g).map(|s| first.idx_at(g, s)).collect();
-    let plan = first.skip_plan(&kidx_all);
+    let plan = first.skip_plan(g);
     let (buf_start, buf_cur) = plan.dr_fwd_bufs(me, nodes, gpn);
     let mut scratch = Scratch::new();
     // Call-scoped accountant entries: each head's persistent accumulators
@@ -341,7 +341,7 @@ pub fn try_double_ring_backward_alg1_on(
     let mut dkv: Option<(Mat, Mat)> = None;
     let mut scratch = Scratch::new();
     let mut src = me;
-    let plan = shard.skip_plan(&kidx_all);
+    let plan = shard.skip_plan(g);
     // Pass-scoped accountant entries: the ∇Q accumulator and — when the
     // ring circulates — Algorithm 1's fused (K, V, ∇K, ∇V) bundle. No early
     // posts here, so a single slot covers both ring levels; with skipping
@@ -575,7 +575,7 @@ pub fn try_double_ring_backward_alg2_on(
         return Ok((dq, dk, dv));
     }
 
-    let plan = shard.skip_plan(&qidx_all);
+    let plan = shard.skip_plan(g);
     let (buf_start, buf_cur, buf_dq_ring, buf_dq_buf) = plan.dr_alg2_bufs(me, nodes, gpn);
     // Pass-scoped accountant entries: ∇K/∇V accumulators and the per-round
     // ∇Q staging buffer, plus one read-only-bundle slot per active ring

@@ -8,7 +8,7 @@
 //! identical across ranks; contiguous does not (rank 0 holds the triangle's
 //! thin end).
 
-use burst_kernels::AttnMask;
+use burst_kernels::{AttnMask, Span};
 
 /// How the global sequence is split across `G` ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,14 +23,18 @@ pub enum Layout {
 }
 
 impl Layout {
-    /// Global indices owned by `rank`, in the local storage order.
+    /// The tokens `rank` owns below `max_token` (all of them for `None`),
+    /// as arithmetic progressions in local storage order: one run on the
+    /// contiguous layout, the early then the late chunk on zigzag, one
+    /// stride-`G` progression on striped. Spans the cut empties stay, with
+    /// length 0.
     #[track_caller]
-    pub fn indices(&self, n: usize, g: usize, rank: usize) -> Vec<usize> {
+    pub fn spans(&self, n: usize, g: usize, rank: usize, max_token: Option<usize>) -> Vec<Span> {
         assert!(g > 0 && rank < g, "layout: rank {rank} of {g}");
         assert_eq!(n % g, 0, "layout: sequence {n} not divisible by {g} ranks");
         let p = n / g;
-        match self {
-            Layout::Contiguous => (rank * p..(rank + 1) * p).collect(),
+        let spans = match self {
+            Layout::Contiguous => vec![Span::range(rank * p, (rank + 1) * p)],
             Layout::Zigzag => {
                 assert_eq!(
                     n % (2 * g),
@@ -39,13 +43,31 @@ impl Layout {
                     2 * g
                 );
                 let half = p / 2;
-                let front = rank * half..(rank + 1) * half;
-                let back_chunk = 2 * g - 1 - rank;
-                let back = back_chunk * half..(back_chunk + 1) * half;
-                front.chain(back).collect()
+                let back = 2 * g - 1 - rank;
+                vec![
+                    Span::range(rank * half, (rank + 1) * half),
+                    Span::range(back * half, (back + 1) * half),
+                ]
             }
-            Layout::Striped => (0..p).map(|m| rank + g * m).collect(),
+            Layout::Striped => vec![Span {
+                start: rank,
+                stride: g,
+                len: p,
+            }],
+        };
+        match max_token {
+            Some(cut) => spans.into_iter().map(|s| s.cut(cut)).collect(),
+            None => spans,
         }
+    }
+
+    /// Global indices owned by `rank`, in the local storage order.
+    #[track_caller]
+    pub fn indices(&self, n: usize, g: usize, rank: usize) -> Vec<usize> {
+        self.spans(n, g, rank, None)
+            .into_iter()
+            .flat_map(Span::iter)
+            .collect()
     }
 
     /// Scatter a global matrix into the shard owned by `rank`.
@@ -75,10 +97,7 @@ impl Layout {
     /// sequence) of `rank` under this layout — the quantity the balance
     /// schemes equalise.
     pub fn rank_workload(&self, mask: &AttnMask, n: usize, g: usize, rank: usize) -> u128 {
-        self.indices(n, g, rank)
-            .iter()
-            .map(|&i| (0..n).filter(|&j| mask.allowed(i, j)).count() as u128)
-            .sum()
+        mask.pairs_between(&self.spans(n, g, rank, None), &[Span::range(0, n)])
     }
 }
 

@@ -133,10 +133,11 @@ pub enum Algo {
 ///
 /// A mid-loop communication fault surfaces as an [`AttnFailure`] naming the
 /// rank, the peer, the ring round and the phase. With `skip` on, every
-/// schedule classifies each (q-shard × kv-shard) tile via
-/// [`AttnMask::tile_state`] and elides fully-masked rounds — no compute, no
-/// wire traffic, no virtual time — while staying bit-identical to the
-/// unskipped run (a skipped tile contributes exactly nothing).
+/// schedule counts the allowed pairs of each (q-shard × kv-shard) tile in
+/// closed form ([`AttnMask::pairs_between`]) and elides rounds whose tiles
+/// hold none — no compute, no wire traffic, no virtual time — while staying
+/// bit-identical to the unskipped run (a skipped tile contributes exactly
+/// nothing).
 #[allow(clippy::too_many_arguments)]
 pub fn try_run_attention_opts(
     algo: Algo,

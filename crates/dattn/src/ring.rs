@@ -30,7 +30,7 @@ use crate::layout::Layout;
 use crate::skip::SkipPlan;
 use burst_comm::{CommError, Communicator, MemCategory, SpanKind};
 use burst_kernels::{
-    attn_tile_backward, attn_tile_backward_acc, flash_forward_acc, AttnMask, KernelWork,
+    attn_tile_backward, attn_tile_backward_acc, flash_forward_acc, AttnMask, KernelWork, Span,
 };
 use burst_tensor::{Mat, Scratch};
 
@@ -141,23 +141,30 @@ pub struct AttnShard<'a> {
 }
 
 impl AttnShard<'_> {
-    /// The pass's [`SkipPlan`]: tile liveness from the per-position index
-    /// tables when skipping is enabled, the gate-everything-on dense plan
-    /// otherwise.
-    pub(crate) fn skip_plan(&self, idx: &[Vec<usize>]) -> SkipPlan {
+    /// The pass's [`SkipPlan`] on a `ring_size` ring: tile pair counts in
+    /// closed form when skipping is enabled, the gate-everything-on dense
+    /// plan otherwise.
+    pub(crate) fn skip_plan(&self, ring_size: usize) -> SkipPlan {
         if self.skip {
-            SkipPlan::from_indices(self.mask, idx)
+            SkipPlan::build(
+                self.mask,
+                self.layout,
+                self.seq_len,
+                ring_size,
+                self.max_token,
+            )
         } else {
-            SkipPlan::dense(idx.len())
+            SkipPlan::dense(ring_size)
         }
     }
+
     /// Global indices owned by ring position `pos` of a `ring_size` ring.
     pub fn idx_at(&self, ring_size: usize, pos: usize) -> Vec<usize> {
-        let idx = self.layout.indices(self.seq_len, ring_size, pos);
-        match self.max_token {
-            Some(cut) => idx.into_iter().filter(|&i| i < cut).collect(),
-            None => idx,
-        }
+        self.layout
+            .spans(self.seq_len, ring_size, pos, self.max_token)
+            .into_iter()
+            .flat_map(Span::iter)
+            .collect()
     }
 
     /// Global indices owned by `rank` on the global ring.
@@ -290,7 +297,7 @@ pub fn try_ring_forward(
     let d = shard.head_dim();
     let qi = shard.idx_at(g, ring.pos);
     let kidx_all: Vec<Vec<usize>> = (0..g).map(|p| shard.idx_at(g, p)).collect();
-    let plan = shard.skip_plan(&kidx_all);
+    let plan = shard.skip_plan(g);
     let mut acc_o = Mat::zeros(shard.q.rows(), shard.v.cols());
     let mut acc_lse = vec![f32::NEG_INFINITY; shard.q.rows()];
     let mut scratch = Scratch::new();
@@ -420,7 +427,7 @@ pub fn try_ring_backward(
     }
     let mut grad_q = Mat::zeros(shard.q.rows(), shard.q.cols());
     let kidx_all: Vec<Vec<usize>> = (0..g).map(|p| shard.idx_at(g, p)).collect();
-    let plan = shard.skip_plan(&kidx_all);
+    let plan = shard.skip_plan(g);
     // Pass-scoped accountant entries: the local ∇Q accumulator, plus one
     // steady-state slot for Algorithm 1's circulating (K, V, ∇K, ∇V)
     // bundle at the wire dtype — twice the forward's traffic, the waste
@@ -602,7 +609,7 @@ pub fn try_burst_backward(
         return Ok((dq, dk, dv));
     }
 
-    let plan = shard.skip_plan(&qidx_all);
+    let plan = shard.skip_plan(g);
     let (buf_ro, buf_dq_ring, buf_dq_buf) = plan.flat_alg2_bufs(ring.pos);
     // Pass-scoped accountant entries: the local ∇K/∇V accumulators, one
     // steady-state slot for the circulating read-only bundle

@@ -1,12 +1,15 @@
-//! Mask-aware round skipping: the tile classifier lifted to the schedule.
+//! Mask-aware round skipping: the mask's pair count lifted to the schedule.
 //!
 //! Every dattn schedule moves K/V (or Q/∇O) shards around a ring and folds
 //! one (q-shard × kv-shard) *tile* per round. With a sparse [`AttnMask`]
 //! many of those tiles are fully masked: the kernels already skip them
 //! tile-by-tile, but the schedule still ships the shard and opens the
-//! round. A [`SkipPlan`] classifies every tile once per pass via
-//! [`AttnMask::tile_state`] and derives, for each hop of each schedule, a
-//! *gate*: whether that hop's payload still has a consumer downstream. A
+//! round. A [`SkipPlan`] counts the allowed pairs of every tile once per
+//! pass — each shard is at most two arithmetic progressions of tokens
+//! ([`Layout::spans`]), so [`AttnMask::pairs_between`] counts a tile in
+//! closed form without visiting its tokens — and derives, for each hop of
+//! each schedule, a *gate*: whether that hop's payload still has a
+//! consumer downstream. A tile is live when its count is positive. A
 //! gated-off hop sends nothing; a round with no compute, no send and no
 //! receive is *idle* — no span, no virtual time, one `rounds_skipped` tick.
 //!
@@ -46,16 +49,19 @@
 //! byte for byte and span for span.
 
 use crate::layout::Layout;
-use burst_kernels::{AttnMask, TileState};
+use burst_kernels::AttnMask;
 
-/// Per-pass tile liveness for one ring, plus the hop gates derived from it.
+/// Per-pass tile pair counts for one ring, plus the hop gates derived from
+/// their liveness.
 #[derive(Debug, Clone)]
 pub struct SkipPlan {
     g: usize,
-    /// Dense plans gate nothing (legacy traffic); built plans consult `live`.
+    /// Dense plans gate nothing (legacy traffic); built plans consult
+    /// `pairs`.
     dense: bool,
-    /// `live[q * g + k]` — tile (q-shard, kv-shard) has ≥1 allowed pair.
-    live: Vec<bool>,
+    /// `pairs[q * g + k]` — allowed pairs of tile (q-shard, kv-shard);
+    /// empty on the dense plan.
+    pairs: Vec<u128>,
 }
 
 impl SkipPlan {
@@ -64,29 +70,13 @@ impl SkipPlan {
         SkipPlan {
             g,
             dense: true,
-            live: vec![true; g * g],
+            pairs: Vec::new(),
         }
     }
 
-    /// Classify all `g²` tiles from per-position global index lists
-    /// (already filtered by any `max_token` cutoff).
-    pub fn from_indices(mask: &AttnMask, idx: &[Vec<usize>]) -> SkipPlan {
-        let g = idx.len();
-        let mut live = vec![false; g * g];
-        for (qi, q) in idx.iter().enumerate() {
-            for (ki, k) in idx.iter().enumerate() {
-                live[qi * g + ki] = mask.tile_state(q, k) != TileState::FullyMasked;
-            }
-        }
-        SkipPlan {
-            g,
-            dense: false,
-            live,
-        }
-    }
-
-    /// Build from a layout directly (used by the analytic censuses, which
-    /// have no materialized index tables).
+    /// Count the allowed pairs of all `g²` tiles of a `g`-position ring
+    /// over `layout`, every position cut at `max_token`: O(g²) closed-form
+    /// span counts ([`AttnMask::pairs_between`]), no token scan.
     pub fn build(
         mask: &AttnMask,
         layout: Layout,
@@ -94,16 +84,18 @@ impl SkipPlan {
         g: usize,
         max_token: Option<usize>,
     ) -> SkipPlan {
-        let idx: Vec<Vec<usize>> = (0..g)
-            .map(|p| {
-                let v = layout.indices(seq_len, g, p);
-                match max_token {
-                    Some(cut) => v.into_iter().filter(|&i| i < cut).collect(),
-                    None => v,
-                }
-            })
+        let spans: Vec<_> = (0..g)
+            .map(|p| layout.spans(seq_len, g, p, max_token))
             .collect();
-        SkipPlan::from_indices(mask, &idx)
+        let pairs = spans
+            .iter()
+            .flat_map(|q| spans.iter().map(|k| mask.pairs_between(q, k)))
+            .collect();
+        SkipPlan {
+            g,
+            dense: false,
+            pairs,
+        }
     }
 
     #[inline]
@@ -111,10 +103,19 @@ impl SkipPlan {
         self.g
     }
 
-    /// Tile (q-shard, kv-shard) has at least one allowed pair.
+    /// Tile (q-shard, kv-shard) has at least one allowed pair (every tile
+    /// is live on the dense plan).
     #[inline]
     pub fn live(&self, q_shard: usize, kv_shard: usize) -> bool {
-        self.live[q_shard * self.g + kv_shard]
+        self.dense || self.pairs[q_shard * self.g + kv_shard] > 0
+    }
+
+    /// Allowed pairs of tile (q-shard, kv-shard): the pairs the kernels
+    /// fold for it. Only built plans count; the dense plan panics.
+    #[track_caller]
+    pub fn pairs(&self, q_shard: usize, kv_shard: usize) -> u128 {
+        assert!(!self.dense, "the dense skip plan counts no pairs");
+        self.pairs[q_shard * self.g + kv_shard]
     }
 
     /// Any kv-shard live for this q-shard (the q-shard's ∇Q is nonzero-able).
@@ -689,11 +690,8 @@ impl RingGeom {
     ) -> RingGeom {
         let rows = (0..g)
             .map(|p| {
-                let v = layout.indices(seq_len, g, p);
-                match max_token {
-                    Some(cut) => v.into_iter().filter(|&i| i < cut).count(),
-                    None => v.len(),
-                }
+                let spans = layout.spans(seq_len, g, p, max_token);
+                spans.iter().map(|s| s.len).sum()
             })
             .collect();
         RingGeom { rows, d, dv }

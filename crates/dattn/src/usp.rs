@@ -151,6 +151,12 @@ impl UspTopo {
         self
     }
 
+    /// The context-parallel ring the ring leg runs on. This rank is its
+    /// slot `r_pos` and holds that ring position's zigzag shard.
+    pub fn ring_spec(&self) -> &DoubleRingSpec {
+        &self.ring_spec
+    }
+
     /// Global token indices of this rank's local rows: the zigzag shard of
     /// ring position `r_pos`, sliced contiguously (in shard order) among the
     /// Ulysses group members. A ring of one position owns the whole

@@ -4,6 +4,7 @@
 //! these are exact (up to f32 accumulation-order noise) equivalences.
 
 use burst_comm::{CommStats, Topology, WireDtype, World};
+use burst_dattn::usp::UspTopo;
 use burst_dattn::{
     double_ring, try_burst_backward, try_ring_backward, try_ring_forward, try_run_attention_opts,
     Algo, AttnShard, BackwardInputs, CostModel, DoubleRingSpec, Layout, OverlapMode, Ring,
@@ -476,4 +477,151 @@ fn multi_head_forward_rejects_heads_with_different_problems() {
         let spec = DoubleRingSpec::full(comm.topology());
         double_ring::try_double_ring_forward_heads_on(comm, &heads, &spec).ok();
     });
+}
+
+/// The pairs each rank's forward folds, the closed form's view: its own
+/// position's spans against every kv position's, summed.
+fn counted_pairs(
+    mask: &AttnMask,
+    layout: Layout,
+    n: usize,
+    g: usize,
+    me: usize,
+    max_token: Option<usize>,
+) -> u64 {
+    let mine = layout.spans(n, g, me, max_token);
+    (0..g)
+        .map(|kv| mask.pairs_between(&mine, &layout.spans(n, g, kv, max_token)))
+        .sum::<u128>() as u64
+}
+
+/// The kernels fold exactly the pairs the closed-form count gives: every
+/// rank's forward `work.pairs` equals the sum over kv positions of the span
+/// count against its own position. Covered: the flat forward (RingFlat and
+/// BurstFlat) and the two-level forward (DoubleRing and BurstTopo) on every
+/// layout, USP's ring leg on its zigzag two-level ring, every mask kind
+/// (block-sparse ragged, its pattern ending before the sequence does),
+/// skipping on and off, and a mid-chunk `max_token` cutoff.
+#[test]
+fn forward_work_equals_the_closed_form_pair_count() {
+    let masks = |n: usize| {
+        [
+            AttnMask::Full,
+            AttnMask::Causal,
+            AttnMask::SlidingWindow { window: 7 },
+            AttnMask::Dilated {
+                window: 13,
+                step: 3,
+            },
+            AttnMask::BlockSparse(BlockSparseMask::sliding_window_blocks(5, n / 5, 2)),
+        ]
+    };
+    let topo = Topology::a800(2, 2);
+    let g = topo.world_size();
+    let (n, d) = (12 * g, 4);
+    let (q, k, v, _, scale) = problem(n, d);
+    for mask in masks(n) {
+        for layout in [Layout::Contiguous, Layout::Zigzag, Layout::Striped] {
+            for skip in [false, true] {
+                // 27 lies mid-chunk on the contiguous (12) and zigzag (6)
+                // chunkings of 48 tokens.
+                for max_token in [None, Some(27)] {
+                    for two_level in [false, true] {
+                        let works = World::new(topo.clone()).run_results(|comm| {
+                            let me = comm.rank();
+                            let idx: Vec<usize> = layout
+                                .spans(n, g, me, max_token)
+                                .into_iter()
+                                .flat_map(|s| s.iter())
+                                .collect();
+                            let (ql, kl, vl) = (
+                                q.gather_rows(&idx),
+                                k.gather_rows(&idx),
+                                v.gather_rows(&idx),
+                            );
+                            let shard = AttnShard {
+                                q: &ql,
+                                k: &kl,
+                                v: &vl,
+                                scale,
+                                mask: &mask,
+                                layout,
+                                seq_len: n,
+                                cost: CostModel::a800(),
+                                max_token,
+                                skip,
+                            };
+                            let out = if two_level {
+                                let spec = DoubleRingSpec::full(comm.topology());
+                                double_ring::try_double_ring_forward_heads_on(
+                                    comm,
+                                    std::slice::from_ref(&shard),
+                                    &spec,
+                                )
+                                .unwrap()
+                                .remove(0)
+                            } else {
+                                try_ring_forward(comm, &Ring::global(comm), &shard).unwrap()
+                            };
+                            out.work.pairs
+                        });
+                        for (me, pairs) in works.into_iter().enumerate() {
+                            assert_eq!(
+                                pairs,
+                                counted_pairs(&mask, layout, n, g, me, max_token),
+                                "{mask:?} {layout:?} skip={skip} max_token={max_token:?} \
+                                 two_level={two_level} rank {me}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // USP's ring leg: U = 2 on 2×4 leaves rings of four members, two per
+    // node, over the zigzag layout of the whole sequence.
+    let (topo, u) = (Topology::a800(2, 4), 2);
+    let ring = topo.world_size() / u;
+    let n = 12 * ring;
+    let (q, k, v, _, scale) = problem(n, d);
+    for mask in masks(n) {
+        for skip in [false, true] {
+            let works = World::new(topo.clone()).run_results(|comm| {
+                let utopo = UspTopo::new(comm, u).with_skip(skip);
+                let idx = Layout::Zigzag.indices(n, ring, utopo.r_pos);
+                let (ql, kl, vl) = (
+                    q.gather_rows(&idx),
+                    k.gather_rows(&idx),
+                    v.gather_rows(&idx),
+                );
+                let shard = AttnShard {
+                    q: &ql,
+                    k: &kl,
+                    v: &vl,
+                    scale,
+                    mask: &mask,
+                    layout: Layout::Zigzag,
+                    seq_len: n,
+                    cost: CostModel::a800(),
+                    max_token: None,
+                    skip,
+                };
+                let out = double_ring::try_double_ring_forward_heads_on(
+                    comm,
+                    std::slice::from_ref(&shard),
+                    utopo.ring_spec(),
+                )
+                .unwrap()
+                .remove(0);
+                (utopo.r_pos, out.work.pairs)
+            });
+            for (rank, (pos, pairs)) in works.into_iter().enumerate() {
+                assert_eq!(
+                    pairs,
+                    counted_pairs(&mask, Layout::Zigzag, n, ring, pos, None),
+                    "usp {mask:?} skip={skip} rank {rank}"
+                );
+            }
+        }
+    }
 }

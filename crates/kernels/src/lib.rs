@@ -4,9 +4,10 @@
 //! reproduction. Everything a rank executes locally lives here:
 //!
 //! * [`mask`] — attention sparsity patterns over **global** token indices
-//!   (full, causal, sliding-window, block-sparse), with a tile classifier
-//!   that lets kernels skip fully-masked tiles — the mechanism behind the
-//!   paper's workload-balance results (Table 3);
+//!   (full, causal, sliding-window, dilated, block-sparse), with a tile
+//!   classifier that lets kernels skip fully-masked tiles — the mechanism
+//!   behind the paper's workload-balance results (Table 3) — and a
+//!   closed-form count of allowed pairs between whole shards ([`Span`]s);
 //! * [`online`] — the online-softmax state `(O, Lse)` and its merge
 //!   operator, the shared numeric core of FlashAttention, ring attention
 //!   aggregation and the fused LM head (Algorithm 3);
@@ -36,5 +37,5 @@ pub use flash::{
     flash_forward, flash_forward_acc, flash_forward_with_block, FlashOut, KernelWork,
 };
 pub use lmhead::{fused_lm_loss, naive_lm_loss, LmLossOut};
-pub use mask::{AttnMask, BlockSparseMask, TileState};
+pub use mask::{AttnMask, BlockSparseMask, Span, TileState};
 pub use online::OnlineState;

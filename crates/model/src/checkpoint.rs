@@ -17,7 +17,7 @@ use crate::attention::AttnExec;
 use crate::block::{BlockSaved, TransformerBlock};
 use crate::memory::MemoryTracker;
 use burst_comm::SpanKind;
-use burst_kernels::AttnMask;
+use burst_kernels::{AttnMask, Span};
 use burst_tensor::{Bf16Mat, Mat};
 
 /// Precision of stashed activations (block inputs and cached attention
@@ -244,7 +244,10 @@ pub fn cutoff_for(rho: f32, seq_len: usize) -> usize {
 /// buys a longer recomputed front — segments the mask makes cheap are
 /// recomputed rather than stashed. The cutoff is the largest prefix whose
 /// masked recompute work stays within the causal-calibrated budget:
-/// `allowed_pairs(c) ≤ ρ² · N(N+1)/2`. `Full` and `Causal` reduce to
+/// `allowed_pairs(c) ≤ ρ² · N(N+1)/2`, where `allowed_pairs(c)` counts the
+/// allowed `(q, k)` pairs with query index `< c` — the recompute work of
+/// the front segment, in score-matrix elements, counted in closed form
+/// ([`AttnMask::pairs_between`]). `Full` and `Causal` reduce to
 /// [`cutoff_for`] (the paper's position rule), keeping every existing
 /// schedule bit-identical.
 pub fn cutoff_for_masked(rho: f32, seq_len: usize, mask: &AttnMask) -> usize {
@@ -253,12 +256,13 @@ pub fn cutoff_for_masked(rho: f32, seq_len: usize, mask: &AttnMask) -> usize {
         _ => {
             let causal_total = seq_len as f64 * (seq_len + 1) as f64 / 2.0;
             let budget = (rho as f64) * (rho as f64) * causal_total;
-            // `allowed_pairs` is monotone in the prefix length: binary
+            let keys = [Span::range(0, seq_len)];
+            // The prefix count is monotone in the prefix length: binary
             // search the largest prefix within the budget.
             let (mut lo, mut hi) = (0usize, seq_len);
             while lo < hi {
                 let mid = (lo + hi).div_ceil(2);
-                if allowed_pairs(mask, mid, seq_len) as f64 <= budget {
+                if mask.pairs_between(&[Span::range(0, mid)], &keys) as f64 <= budget {
                     lo = mid;
                 } else {
                     hi = mid - 1;
@@ -267,14 +271,6 @@ pub fn cutoff_for_masked(rho: f32, seq_len: usize, mask: &AttnMask) -> usize {
             lo
         }
     }
-}
-
-/// Allowed `(q, k)` pairs with query index `< c`: the recompute work of
-/// the front segment, in score-matrix elements.
-fn allowed_pairs(mask: &AttnMask, c: usize, seq_len: usize) -> usize {
-    (0..c)
-        .map(|i| (0..seq_len).filter(|&j| mask.allowed(i, j)).count())
-        .sum()
 }
 
 /// Backward through all blocks in reverse, recomputing per the stored kind.
@@ -462,8 +458,16 @@ mod tests {
         let c = cutoff_for_masked(rho, n, &mask);
         assert!(c < n, "boundary check needs a mid-sequence cutoff");
         let budget = (rho as f64).powi(2) * (n as f64) * (n as f64 + 1.0) / 2.0;
-        assert!(allowed_pairs(&mask, c, n) as f64 <= budget);
-        assert!(allowed_pairs(&mask, c + 1, n) as f64 > budget);
+        assert!(scanned_prefix_pairs(&mask, c, n) as f64 <= budget);
+        assert!(scanned_prefix_pairs(&mask, c + 1, n) as f64 > budget);
+    }
+
+    /// Allowed `(q, k)` pairs with query index `< c`, scanned token by
+    /// token: the oracle for the closed-form prefix count.
+    fn scanned_prefix_pairs(mask: &AttnMask, c: usize, seq_len: usize) -> usize {
+        (0..c)
+            .map(|i| (0..seq_len).filter(|&j| mask.allowed(i, j)).count())
+            .sum()
     }
 
     #[test]

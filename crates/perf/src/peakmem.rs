@@ -139,68 +139,7 @@ pub fn exact_peak_bytes_dtype(
             peak.gated_total = peak.ring_shards + acc + cb_fwd.max(act_bwd + cb_bwd);
         }
         PeakMethod::Usp { heads, ulysses } => {
-            assert!(
-                g.is_multiple_of(ulysses)
-                    && heads.is_multiple_of(ulysses)
-                    && d.is_multiple_of(heads),
-                "USP census: ulysses {ulysses} must divide world {g} and heads {heads}, \
-                 heads into width {d}"
-            );
-            let ring = g / ulysses;
-            let (hpr, dh) = (heads / ulysses, d / heads);
-            let ns = seq_len / ring; // ring-shard rows per owned head
-            let stash = (16 * ns * hpr * dh + 4 * ns * hpr) as u64;
-            let grads = (12 * ns * hpr * dh) as u64;
-            let staging = 2 * wire(ns * hpr * dh);
-            // An all-to-all of O also stages its Lse, in and out, at f32.
-            let o_staging = staging + (8 * ns * hpr) as u64;
-            // The backward's `usp_saved`: the head-shard Q, K, V, O (f32)
-            // plus Lse it rebuilds, live from its first all-to-all on.
-            peak.ckpt_stash = stash;
-            // The ring leg runs on the two-level ring. Forward: one pass
-            // over every owned head, so all their `dr_fwd_acc` (O, Lse)
-            // accumulators are live at once, with one `dr_fwd_start_kv`
-            // (K, V) bundle per head when the ring crosses nodes and one
-            // shared `dr_fwd_cur_kv` when a node holds several members.
-            // Backward, one head at a time: the gradient block plus
-            // Algorithm 1's ∇Q accumulator and its (K, V, ∇K, ∇V) bundle.
-            // A ring of one position (Ulysses) runs its kernels locally and
-            // bills no ring term.
-            let (fwd_act, fwd_cb, ring_dq, ring_cb_bwd) = if ring > 1 {
-                // `(nodes, members per node)` of every ring's split: the
-                // stride-`ulysses` members put one rank on each node when
-                // `ulysses ≥ p`, `p / ulysses` on every node when that
-                // divides, and are ragged (one level) otherwise.
-                let (rn, rp) = if ulysses >= p {
-                    (ring, 1)
-                } else if p.is_multiple_of(ulysses) {
-                    (n, p / ulysses)
-                } else {
-                    (1, ring)
-                };
-                let kv = wire(2 * ns * dh);
-                let starts = if rn > 1 { hpr as u64 * kv } else { 0 };
-                let cur = if rp > 1 { kv } else { 0 };
-                let acc = (4 * ns * dh + 4 * ns) as u64;
-                (
-                    hpr as u64 * acc,
-                    starts + cur,
-                    (4 * ns * dh) as u64,
-                    wire(4 * ns * dh),
-                )
-            } else {
-                (0, 0, 0, 0)
-            };
-            peak.activations = fwd_act.max(grads + ring_dq);
-            peak.comm_buffers = o_staging.max(fwd_cb).max(ring_cb_bwd);
-            // Deepest instant: the forward's ring pass, or the backward
-            // with the rebuilt context and the gradient block live, plus
-            // whichever is larger of a gradient all-to-all's staging or a
-            // ring slot's ∇Q + bundle. The gradient block opens after the
-            // inbound all-to-alls, so the O round (context + `o_staging`)
-            // stays below it.
-            peak.gated_total =
-                (fwd_act + fwd_cb).max(stash + grads + staging.max(ring_dq + ring_cb_bwd));
+            return usp_peak(cluster, seq_len, d, heads, ulysses, dtype, None, 0);
         }
         PeakMethod::ElasticHealthy => {
             let r = seq_len / g;
@@ -238,8 +177,9 @@ pub fn exact_peak_bytes_dtype(
 ///
 /// `skip = false` builds the dense plan (every flag on), reproducing
 /// [`exact_peak_bytes_dtype`] exactly for any mask. The head-parallel
-/// method (`Usp`) has no mask-gated slots — its all-to-all staging is
-/// mask-independent — and returns the dense census unchanged.
+/// method (`Usp`) gates only its ring leg — the all-to-all staging is
+/// mask-independent — and that ring always runs the zigzag layout over the
+/// whole sequence, so `layout` and `max_token` do not apply to it.
 #[allow(clippy::too_many_arguments)]
 pub fn exact_peak_bytes_masked_dtype(
     cluster: &Cluster,
@@ -253,8 +193,17 @@ pub fn exact_peak_bytes_masked_dtype(
     skip: bool,
     me: usize,
 ) -> PeakBytes {
-    if matches!(method, PeakMethod::Usp { .. }) {
-        return exact_peak_bytes_dtype(cluster, seq_len, d, method, dtype);
+    if let PeakMethod::Usp { heads, ulysses } = method {
+        return usp_peak(
+            cluster,
+            seq_len,
+            d,
+            heads,
+            ulysses,
+            dtype,
+            skip.then_some(mask),
+            me,
+        );
     }
     let wire = |elems: usize| -> u64 { (elems as f64 * dtype.width()) as u64 };
     let g = cluster.world();
@@ -371,6 +320,99 @@ pub fn exact_peak_bytes_masked_dtype(
         PeakMethod::Usp { .. } => unreachable!(),
     }
     peak
+}
+
+/// USP's census on rank `me`. With `skip_mask`, the ring leg gates its
+/// slots on the ring's [`SkipPlan`] over the zigzag layout of the whole
+/// sequence, as `UspTopo::with_skip` does; `None` bills every slot.
+#[allow(clippy::too_many_arguments)]
+fn usp_peak(
+    cluster: &Cluster,
+    seq_len: usize,
+    d: usize,
+    heads: usize,
+    ulysses: usize,
+    dtype: WireDtype,
+    skip_mask: Option<&AttnMask>,
+    me: usize,
+) -> PeakBytes {
+    let wire = |elems: usize| -> u64 { (elems as f64 * dtype.width()) as u64 };
+    let g = cluster.world();
+    let (n, p) = (cluster.nodes, cluster.gpus_per_node);
+    assert!(
+        g.is_multiple_of(ulysses) && heads.is_multiple_of(ulysses) && d.is_multiple_of(heads),
+        "USP census: ulysses {ulysses} must divide world {g} and heads {heads}, \
+         heads into width {d}"
+    );
+    let ring = g / ulysses;
+    let (hpr, dh) = (heads / ulysses, d / heads);
+    let ns = seq_len / ring; // ring-shard rows per owned head
+    let stash = (16 * ns * hpr * dh + 4 * ns * hpr) as u64;
+    let grads = (12 * ns * hpr * dh) as u64;
+    let staging = 2 * wire(ns * hpr * dh);
+    // An all-to-all of O also stages its Lse, in and out, at f32.
+    let o_staging = staging + (8 * ns * hpr) as u64;
+    // The ring leg runs on the two-level ring. Forward: one pass over every
+    // owned head, so all their `dr_fwd_acc` (O, Lse) accumulators are live
+    // at once, with one `dr_fwd_start_kv` (K, V) bundle per head when the
+    // ring crosses nodes and one shared `dr_fwd_cur_kv` when a node holds
+    // several members. Backward, one head at a time: the gradient block
+    // plus Algorithm 1's ∇Q accumulator and the halves of its
+    // (K, V, ∇K, ∇V) bundle the gates ever fill. A ring of one position
+    // (Ulysses) runs its kernels locally and bills no ring term.
+    let (fwd_act, fwd_cb, ring_dq, ring_cb_bwd) = if ring > 1 {
+        // `(nodes, members per node)` of every ring's split: the
+        // stride-`ulysses` members put one rank on each node when
+        // `ulysses ≥ p`, `p / ulysses` on every node when that divides,
+        // and are ragged (one level) otherwise.
+        let (rn, rp) = if ulysses >= p {
+            (ring, 1)
+        } else if p.is_multiple_of(ulysses) {
+            (n, p / ulysses)
+        } else {
+            (1, ring)
+        };
+        // A rank's ring slot is its position among the members; the
+        // buffers its gates never fill are not billed.
+        let plan = match skip_mask {
+            Some(mask) => SkipPlan::build(mask, Layout::Zigzag, seq_len, ring, None),
+            None => SkipPlan::dense(ring),
+        };
+        let slot = me / ulysses;
+        let (buf_start, buf_cur) = plan.dr_fwd_bufs(slot, rn, rp);
+        let (buf_kv, buf_dkv) = plan.dr_alg1_bufs(slot, rn, rp);
+        let kv = wire(2 * ns * dh);
+        let starts = if rn > 1 && buf_start {
+            hpr as u64 * kv
+        } else {
+            0
+        };
+        let cur = if rp > 1 && buf_cur { kv } else { 0 };
+        let acc = (4 * ns * dh + 4 * ns) as u64;
+        (
+            hpr as u64 * acc,
+            starts + cur,
+            (4 * ns * dh) as u64,
+            (buf_kv as u64 + buf_dkv as u64) * kv,
+        )
+    } else {
+        (0, 0, 0, 0)
+    };
+    PeakBytes {
+        // The backward's `usp_saved`: the head-shard Q, K, V, O (f32) plus
+        // Lse it rebuilds, live from its first all-to-all on.
+        ckpt_stash: stash,
+        activations: fwd_act.max(grads + ring_dq),
+        comm_buffers: o_staging.max(fwd_cb).max(ring_cb_bwd),
+        // Deepest instant: the forward's ring pass, or the backward with
+        // the rebuilt context and the gradient block live, plus whichever
+        // is larger of a gradient all-to-all's staging or a ring slot's ∇Q
+        // + bundle. The gradient block opens after the inbound
+        // all-to-alls, so the O round (context + `o_staging`) stays below
+        // it.
+        gated_total: (fwd_act + fwd_cb).max(stash + grads + staging.max(ring_dq + ring_cb_bwd)),
+        ..PeakBytes::default()
+    }
 }
 
 #[cfg(test)]

@@ -43,7 +43,6 @@ fn block_sparse_1m() -> AttnMask {
 }
 
 #[test]
-#[ignore = "paper-scale census (~35 s release, minutes debug); the masked-schedules CI job runs it with --release -- --ignored"]
 fn readme_wire_savings_table_at_1m_tokens() {
     let cluster = Cluster::a800(NODES, GPN);
     let masks = [
