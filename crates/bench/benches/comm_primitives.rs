@@ -74,8 +74,8 @@ fn bench_ring_shift(c: &mut Criterion) {
                 world.run_results(|comm| {
                     let mut cur = m.clone();
                     for _ in 0..comm.world_size() - 1 {
-                        comm.send_mat(comm.next_rank(), &cur);
-                        cur = comm.recv_mat(comm.prev_rank());
+                        comm.try_send_mat(comm.next_rank(), &cur).expect("send");
+                        cur = comm.try_recv_mat(comm.prev_rank()).expect("recv");
                     }
                     cur
                 })

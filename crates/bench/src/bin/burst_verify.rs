@@ -213,7 +213,6 @@ fn attention_cells(seed: u64, cells: &mut Vec<Cell>) {
         .recv_deadline(60.0);
     let dr_opts = ElasticOpts {
         double_ring: true,
-        warm_start: false,
         skip_masked_rounds: false,
     };
     let outcome = run_elastic_on(&multi, 24, d, seed, Some(&crash_dr), dr_opts)

@@ -209,12 +209,13 @@ pub struct Msg {
 /// local clock to the message's arrival time — communication posted early
 /// and consumed late therefore overlaps with compute automatically.
 ///
-/// Every operation has two forms: the infallible classic form (`send`,
-/// `recv_mat`, `all_gather_mat`, …) that panics on failure with a message
-/// naming the local rank, the peer and the expected payload kind, and a
-/// fallible `try_*` form returning `Result<_, CommError>`. Under a fault
-/// plan the infallible forms panic with the typed [`CommError`] itself as
-/// the payload so [`crate::World::run_faulty`] can recover it.
+/// Every operation is fallible: a `try_*` method returning
+/// `Result<_, CommError>`, whose error names the local rank, the peer and
+/// the expected payload kind. Four collectives also keep an infallible
+/// form (`all_gather_mat`, `all_reduce_mat`, `all_to_all_mat`,
+/// `ring_shift`) that escalates through [`Communicator::escalate`]: under a
+/// fault plan it panics with the typed [`CommError`] itself as the payload
+/// so [`crate::World::run_faulty`] can recover it.
 pub struct Communicator {
     rank: usize,
     topo: Topology,
@@ -685,7 +686,8 @@ impl Communicator {
         }
     }
 
-    /// Non-blocking send of `data` to `dst` (fallible form).
+    /// Non-blocking send of `data` to `dst`. Fails with
+    /// [`CommError::PeerLost`] if the peer has terminated.
     pub fn try_send(&mut self, dst: usize, data: MsgData) -> Result<(), CommError> {
         assert!(
             dst < self.world_size(),
@@ -915,20 +917,11 @@ impl Communicator {
             })
     }
 
-    /// Non-blocking send of `data` to `dst`. Panics (with rank/peer
-    /// context) if the peer has terminated.
-    #[track_caller]
-    pub fn send(&mut self, dst: usize, data: MsgData) {
-        if let Err(e) = self.try_send(dst, data) {
-            self.escalate(e);
-        }
-    }
-
-    /// Blocking receive of the next message from `src` (fallible form).
-    /// Advances the clock to the message's causal arrival time; a message
-    /// arriving after the fault plan's virtual deadline — or dropped on the
-    /// wire — is consumed as [`CommError::Timeout`], and a payload failing
-    /// checksum validation as [`CommError::Corrupt`].
+    /// Blocking receive of the next message from `src`. Advances the clock
+    /// to the message's causal arrival time; a message arriving after the
+    /// fault plan's virtual deadline — or dropped on the wire — is consumed
+    /// as [`CommError::Timeout`], and a payload failing checksum validation
+    /// as [`CommError::Corrupt`].
     pub fn try_recv(&mut self, src: usize) -> Result<MsgData, CommError> {
         assert!(
             src < self.world_size(),
@@ -1051,16 +1044,6 @@ impl Communicator {
         Ok(msg.data)
     }
 
-    /// Blocking receive of the next message from `src`. Panics (with
-    /// rank/peer context) if the peer has terminated.
-    #[track_caller]
-    pub fn recv(&mut self, src: usize) -> MsgData {
-        match self.try_recv(src) {
-            Ok(d) => d,
-            Err(e) => self.escalate(e),
-        }
-    }
-
     /// A control message arrived where data was expected: the sender
     /// abandoned the collective. Convert it to the typed signal.
     fn aborted_by(&self, src: usize, c: CtrlMsg) -> CommError {
@@ -1105,11 +1088,8 @@ impl Communicator {
         }
     }
 
-    pub fn send_mat(&mut self, dst: usize, m: &Mat) {
-        let payload = self.mat_payload(m.clone());
-        self.send(dst, payload);
-    }
-
+    /// Send a copy of `m` to `dst` in the wire dtype's payload (see
+    /// [`Communicator::mat_payload`]).
     pub fn try_send_mat(&mut self, dst: usize, m: &Mat) -> Result<(), CommError> {
         let payload = self.mat_payload(m.clone());
         self.try_send(dst, payload)
@@ -1147,22 +1127,12 @@ impl Communicator {
         }
     }
 
-    #[track_caller]
-    pub fn recv_mat(&mut self, src: usize) -> Mat {
-        match self.try_recv_mat(src) {
-            Ok(m) => m,
-            Err(e) => self.escalate(e),
-        }
-    }
-
-    pub fn send_vec(&mut self, dst: usize, v: &[f32]) {
-        self.send(dst, MsgData::Vec(v.to_vec()));
-    }
-
+    /// Send a copy of `v` to `dst`; vectors always travel as f32.
     pub fn try_send_vec(&mut self, dst: usize, v: &[f32]) -> Result<(), CommError> {
         self.try_send(dst, MsgData::Vec(v.to_vec()))
     }
 
+    /// Receive a vector from `src`.
     pub fn try_recv_vec(&mut self, src: usize) -> Result<Vec<f32>, CommError> {
         match self.try_recv(src)? {
             MsgData::Vec(v) => Ok(v),
@@ -1173,14 +1143,6 @@ impl Communicator {
                 expected: "Vec",
                 got: other.describe(),
             }),
-        }
-    }
-
-    #[track_caller]
-    pub fn recv_vec(&mut self, src: usize) -> Vec<f32> {
-        match self.try_recv_vec(src) {
-            Ok(v) => v,
-            Err(e) => self.escalate(e),
         }
     }
 
@@ -1197,10 +1159,13 @@ impl Communicator {
     }
 
     /// One synchronous step of the flat global ring: send `data` to the next
-    /// rank, receive the previous rank's message.
+    /// rank, receive the previous rank's message. Panics (with rank/peer
+    /// context) on a communication failure.
     pub fn ring_shift(&mut self, data: MsgData) -> MsgData {
-        self.send(self.next_rank(), data);
-        self.recv(self.prev_rank())
+        let shifted = self
+            .try_send(self.next_rank(), data)
+            .and_then(|()| self.try_recv(self.prev_rank()));
+        shifted.unwrap_or_else(|e| self.escalate(e))
     }
 
     // ----- collectives -----------------------------------------------------
@@ -1208,13 +1173,6 @@ impl Communicator {
     /// Global barrier: gather-to-0 + broadcast of empty messages. After it
     /// returns, every rank's clock equals the global maximum (plus the
     /// barrier's own latency cost).
-    pub fn barrier(&mut self) {
-        if let Err(e) = self.try_barrier() {
-            self.escalate(e);
-        }
-    }
-
-    /// Fallible [`Communicator::barrier`].
     pub fn try_barrier(&mut self) -> Result<(), CommError> {
         let members: Vec<usize> = (0..self.world_size()).collect();
         barrier_on(self, &members, Communicator::try_recv)
@@ -1258,15 +1216,6 @@ impl Communicator {
     /// nodes sums the node partials. On a multi-node topology an element's
     /// sum is therefore associated node by node; on one node, or one GPU
     /// per node, it is the flat ring's order.
-    #[track_caller]
-    pub fn reduce_scatter_mat(&mut self, parts: &[Mat]) -> Mat {
-        match self.try_reduce_scatter_mat(parts) {
-            Ok(m) => m,
-            Err(e) => self.escalate(e),
-        }
-    }
-
-    /// Fallible [`Communicator::reduce_scatter_mat`].
     #[track_caller]
     pub fn try_reduce_scatter_mat(&mut self, parts: &[Mat]) -> Result<Mat, CommError> {
         let spec = DoubleRingSpec::full(&self.topo);
@@ -1347,15 +1296,6 @@ impl Communicator {
 
     /// Broadcast from `root`. Non-root ranks pass `None`.
     #[track_caller]
-    pub fn broadcast_mat(&mut self, root: usize, m: Option<&Mat>) -> Mat {
-        match self.try_broadcast_mat(root, m) {
-            Ok(m) => m,
-            Err(e) => self.escalate(e),
-        }
-    }
-
-    /// Fallible [`Communicator::broadcast_mat`].
-    #[track_caller]
     pub fn try_broadcast_mat(&mut self, root: usize, m: Option<&Mat>) -> Result<Mat, CommError> {
         if self.rank == root {
             let m = m.unwrap_or_else(|| {
@@ -1374,14 +1314,6 @@ impl Communicator {
 
     /// All-reduce (sum) of a flat vector via gather-broadcast (used for
     /// scalars/short vectors where ring overhead is irrelevant).
-    pub fn all_reduce_vec(&mut self, v: &[f32]) -> Vec<f32> {
-        match self.try_all_reduce_vec(v) {
-            Ok(v) => v,
-            Err(e) => self.escalate(e),
-        }
-    }
-
-    /// Fallible [`Communicator::all_reduce_vec`].
     pub fn try_all_reduce_vec(&mut self, v: &[f32]) -> Result<Vec<f32>, CommError> {
         let members: Vec<usize> = (0..self.world_size()).collect();
         leader_all_reduce_vec_on(self, &members, v, Communicator::try_recv_vec)

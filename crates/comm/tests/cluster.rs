@@ -14,11 +14,11 @@ fn p2p_roundtrip_delivers_data() {
     let world = World::new(Topology::single_node(2));
     let outs = world.run_results(|comm| {
         if comm.rank() == 0 {
-            comm.send_mat(1, &rank_mat(0, 3, 2));
-            comm.recv_mat(1)
+            comm.try_send_mat(1, &rank_mat(0, 3, 2)).expect("send");
+            comm.try_recv_mat(1).expect("recv")
         } else {
-            let got = comm.recv_mat(0);
-            comm.send_mat(0, &rank_mat(1, 3, 2));
+            let got = comm.try_recv_mat(0).expect("recv");
+            comm.try_send_mat(0, &rank_mat(1, 3, 2)).expect("send");
             got
         }
     });
@@ -34,9 +34,9 @@ fn clock_respects_latency_and_bandwidth() {
     let world = World::new(topo);
     let outs = world.run(|comm| {
         if comm.rank() == 0 {
-            comm.send_vec(1, &vec![0.0; 500]); // 500 elems = 2000 wire bytes
+            comm.try_send_vec(1, &vec![0.0; 500]).expect("send"); // 500 elems = 2000 wire bytes
         } else {
-            let _ = comm.recv_vec(0);
+            let _ = comm.try_recv_vec(0).expect("recv");
         }
         comm.time()
     });
@@ -62,13 +62,13 @@ fn egress_port_serialises_back_to_back_sends() {
     let bytes = 4.0 * 1000.0;
     let outs = world.run_results(|comm| {
         if comm.rank() == 0 {
-            comm.send_vec(1, &vec![0.0; 1000]);
-            comm.send_vec(1, &vec![0.0; 1000]);
+            comm.try_send_vec(1, &vec![0.0; 1000]).expect("send");
+            comm.try_send_vec(1, &vec![0.0; 1000]).expect("send");
             0.0
         } else {
-            let _ = comm.recv_vec(0);
+            let _ = comm.try_recv_vec(0).expect("recv");
             let t1 = comm.time();
-            let _ = comm.recv_vec(0);
+            let _ = comm.try_recv_vec(0).expect("recv");
             let t2 = comm.time();
             t2 - t1
         }
@@ -90,16 +90,16 @@ fn intra_and_inter_ports_are_independent() {
     let outs = world.run_results(|comm| match comm.rank() {
         0 => {
             // One intra send (to 1) then one inter send (to 2), both at t=0.
-            comm.send_vec(1, &vec![0.0; 1000]);
-            comm.send_vec(2, &vec![0.0; 1000]);
+            comm.try_send_vec(1, &vec![0.0; 1000]).expect("send");
+            comm.try_send_vec(2, &vec![0.0; 1000]).expect("send");
             0.0
         }
         1 => {
-            let _ = comm.recv_vec(0);
+            let _ = comm.try_recv_vec(0).expect("recv");
             comm.time()
         }
         2 => {
-            let _ = comm.recv_vec(0);
+            let _ = comm.try_recv_vec(0).expect("recv");
             comm.time()
         }
         _ => 0.0,
@@ -116,11 +116,11 @@ fn overlap_is_max_of_compute_and_comm() {
     let world = World::new(topo);
     let outs = world.run_results(|comm| {
         if comm.rank() == 0 {
-            comm.send_vec(1, &vec![0.0; 1000]);
+            comm.try_send_vec(1, &vec![0.0; 1000]).expect("send");
             0.0
         } else {
             comm.advance_compute(1e-3); // compute while the message flies
-            let _ = comm.recv_vec(0);
+            let _ = comm.try_recv_vec(0).expect("recv");
             comm.time()
         }
     });
@@ -139,10 +139,10 @@ fn serial_compute_then_recv_adds_up() {
     let outs = world.run_results(|comm| {
         if comm.rank() == 0 {
             comm.advance_compute(5e-3); // send AFTER compute: no overlap
-            comm.send_vec(1, &vec![0.0; 1000]);
+            comm.try_send_vec(1, &vec![0.0; 1000]).expect("send");
             0.0
         } else {
-            let _ = comm.recv_vec(0);
+            let _ = comm.try_recv_vec(0).expect("recv");
             comm.time()
         }
     });
@@ -154,7 +154,7 @@ fn barrier_synchronises_clocks() {
     let world = World::new(Topology::single_node(4));
     let outs = world.run(|comm| {
         comm.advance_compute(comm.rank() as f64 * 1e-3);
-        comm.barrier();
+        comm.try_barrier().expect("barrier");
         comm.time()
     });
     let t0 = outs[0].result;
@@ -196,7 +196,7 @@ fn reduce_scatter_sums_contributions() {
             let parts: Vec<Mat> = (0..g)
                 .map(|d| Mat::full(2, 2, (comm.rank() * 10 + d) as f32))
                 .collect();
-            comm.reduce_scatter_mat(&parts)
+            comm.try_reduce_scatter_mat(&parts).expect("reduce-scatter")
         });
         for (rank, got) in outs.iter().enumerate() {
             // Sum over src of (src*10 + rank).
@@ -252,7 +252,7 @@ fn broadcast_distributes_root_matrix() {
     let outs = world.run_results(|comm| {
         let m = rank_mat(7, 2, 2);
         let mine = if comm.rank() == 1 { Some(&m) } else { None };
-        comm.broadcast_mat(1, mine)
+        comm.try_broadcast_mat(1, mine).expect("broadcast")
     });
     for got in &outs {
         assert_eq!(*got, rank_mat(7, 2, 2));
@@ -262,7 +262,10 @@ fn broadcast_distributes_root_matrix() {
 #[test]
 fn all_reduce_vec_sums() {
     let world = World::new(Topology::single_node(4));
-    let outs = world.run_results(|comm| comm.all_reduce_vec(&[comm.rank() as f32, 1.0]));
+    let outs = world.run_results(|comm| {
+        comm.try_all_reduce_vec(&[comm.rank() as f32, 1.0])
+            .expect("all-reduce")
+    });
     for got in &outs {
         assert_eq!(got, &vec![6.0, 4.0]);
     }
@@ -286,10 +289,10 @@ fn stats_split_intra_vs_inter() {
     let world = World::new(Topology::a800(2, 2));
     let outs = world.run(|comm| {
         if comm.rank() == 0 {
-            comm.send_vec(1, &[0.0; 10]); // intra
-            comm.send_vec(2, &[0.0; 20]); // inter
+            comm.try_send_vec(1, &[0.0; 10]).expect("send"); // intra
+            comm.try_send_vec(2, &[0.0; 20]).expect("send"); // inter
         } else if comm.rank() == 1 || comm.rank() == 2 {
-            let _ = comm.recv_vec(0);
+            let _ = comm.try_recv_vec(0).expect("recv");
         }
     });
     let s = outs[0].stats;
@@ -310,7 +313,7 @@ fn virtual_clock_is_deterministic_across_runs() {
             let all = comm.all_gather_mat(&mine);
             comm.advance_compute(1e-4 * (comm.rank() + 1) as f64);
             let red = comm.all_reduce_mat(&all[0]);
-            comm.barrier();
+            comm.try_barrier().expect("barrier");
             red.frob_norm()
         });
         outs.iter().map(|o| (o.result, o.time)).collect::<Vec<_>>()
@@ -356,10 +359,11 @@ fn bf16_wire_dtype_halves_bytes_and_rounds_payloads() {
         let world = World::new(topo);
         world.run(|comm| {
             if comm.rank() == 0 {
-                comm.send_mat(1, &Mat::from_fn(8, 8, |r, c| 0.1 + (r * 8 + c) as f32));
+                comm.try_send_mat(1, &Mat::from_fn(8, 8, |r, c| 0.1 + (r * 8 + c) as f32))
+                    .expect("send");
                 (Mat::default(), comm.stats().total_bytes())
             } else {
-                let got = comm.recv_mat(0);
+                let got = comm.try_recv_mat(0).expect("recv");
                 (got, 0.0)
             }
         })

@@ -65,7 +65,7 @@ proptest! {
             let parts: Vec<Mat> = (0..g)
                 .map(|d| rank_mat(comm.rank() * 10 + d, rows, 2, salt))
                 .collect();
-            comm.reduce_scatter_mat(&parts)
+            comm.try_reduce_scatter_mat(&parts).expect("reduce-scatter")
         });
         for (dst, got) in outs.iter().enumerate() {
             let mut expect = rank_mat(dst, rows, 2, salt);
@@ -128,7 +128,7 @@ proptest! {
             let outs = world.run(move |comm| {
                 let m = rank_mat(comm.rank(), rows, 4, 7);
                 let all = comm.all_gather_mat(&m);
-                comm.barrier();
+                comm.try_barrier().expect("barrier");
                 all.len()
             });
             outs.iter().map(|o| (o.time, o.stats.total_bytes())).collect::<Vec<_>>()
@@ -177,7 +177,7 @@ proptest! {
         let world = World::new(Topology::single_node(1));
         let outs = world.run(move |comm| {
             let part = rank_mat(0, rows, cols, salt);
-            let got = comm.reduce_scatter_mat(std::slice::from_ref(&part));
+            let got = comm.try_reduce_scatter_mat(std::slice::from_ref(&part)).expect("reduce-scatter");
             (part, got)
         });
         let (part, got) = &outs[0].result;
@@ -200,7 +200,7 @@ proptest! {
             let parts: Vec<Mat> = (0..g)
                 .map(|d| rank_mat(comm.rank() * 17 + d, rows, 3, salt))
                 .collect();
-            comm.reduce_scatter_mat(&parts)
+            comm.try_reduce_scatter_mat(&parts).expect("reduce-scatter")
         });
         for (dst, got) in outs.iter().enumerate() {
             let mut expect = rank_mat(dst, rows, 3, salt);
@@ -347,7 +347,7 @@ proptest! {
         let outs = world.run_results(move |comm| {
             let m = rank_mat(999, 3, 3, salt);
             let mine = if comm.rank() == root { Some(&m) } else { None };
-            comm.broadcast_mat(root, mine)
+            comm.try_broadcast_mat(root, mine).expect("broadcast")
         });
         for got in &outs {
             prop_assert_eq!(got.clone(), rank_mat(999, 3, 3, salt));

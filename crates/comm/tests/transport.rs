@@ -43,8 +43,8 @@ fn ring_exchange(
             let payload: Vec<f32> = (0..16)
                 .map(|i| (comm.rank() * 1000 + round * 16 + i) as f32 * 0.5)
                 .collect();
-            comm.send_vec(next, &payload);
-            got.push(comm.recv_vec(prev));
+            comm.try_send_vec(next, &payload).expect("send");
+            got.push(comm.try_recv_vec(prev).expect("recv"));
         }
         got
     });

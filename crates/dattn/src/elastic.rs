@@ -22,7 +22,7 @@ use crate::double_ring::{
 };
 use crate::layout::Layout;
 use crate::ring::{
-    try_burst_backward, try_ring_forward, AttnFailure, AttnShard, BackwardInputs, OverlapMode, Ring,
+    try_burst_backward, try_ring_forward, AttnFailure, AttnShard, BackwardInputs, Ring,
 };
 use burst_comm::{
     agree_on_eviction, send_abort, CommError, Communicator, MemCategory, MemId, Membership,
@@ -70,11 +70,6 @@ pub struct ElasticOpts {
     /// the flat ring for that attempt (counted in
     /// [`ElasticAttnOut::flat_fallbacks`]).
     pub double_ring: bool,
-    /// This rank's local `Q/K/V/∇O` buffers are stale (a freshly re-admitted
-    /// joiner warm-starting from checkpoint): force a partition rebuild even
-    /// at full world, sourcing *every* row — including this rank's own —
-    /// from `load_shard`.
-    pub warm_start: bool,
     /// Mask-aware round skipping on every schedule the elastic loop runs
     /// (flat ring, burst backward, double-ring): fully-masked rounds send
     /// nothing, compute nothing and advance no virtual time, bit-identical
@@ -104,7 +99,6 @@ fn rebuild_partition(
     ring_size: usize,
     pos: usize,
     local: &ShardData,
-    use_local: bool,
     cache: &mut HashMap<usize, ShardData>,
     loads: &mut usize,
     load_shard: &mut dyn FnMut(usize) -> ShardData,
@@ -135,7 +129,7 @@ fn rebuild_partition(
     );
     for (row_out, &t) in new_idx.iter().enumerate() {
         let (owner, row_in) = home[t];
-        let src: &ShardData = if owner == me && use_local {
+        let src: &ShardData = if owner == me {
             local
         } else {
             cache.entry(owner).or_insert_with(|| {
@@ -168,10 +162,9 @@ fn rebuild_partition(
 /// A rank observing its own scheduled crash returns the failure without
 /// joining the agreement — the dead stay silent.
 ///
-/// [`ElasticOpts`] selects topology-aware double-ring scheduling, mask-aware
-/// round skipping and a warm-starting joiner whose shard must be
-/// reassembled entirely from checkpoint data; `ElasticOpts::default()` is
-/// the flat ring with none of them.
+/// [`ElasticOpts`] selects topology-aware double-ring scheduling and
+/// mask-aware round skipping; `ElasticOpts::default()` is the flat ring
+/// with neither.
 #[allow(clippy::too_many_arguments)]
 pub fn try_elastic_attention_opts(
     comm: &mut Communicator,
@@ -218,10 +211,9 @@ pub fn try_elastic_attention_opts(
         let members = m.alive_ranks();
         let pos = m.pos_of(me).expect("alive rank has a ring position");
         // First attempt on the full world runs straight off the caller's
-        // borrowed shard; any shrunken ring — or a warm-starting joiner
-        // whose local buffers are stale — re-assembles its partition.
+        // borrowed shard; any shrunken ring re-assembles its partition.
         let cached_before: Vec<usize> = cache.keys().copied().collect();
-        let (shard_data, idx) = if members.len() == orig_world && !opts.warm_start {
+        let (shard_data, idx) = if members.len() == orig_world {
             (None, my_orig_idx.clone())
         } else {
             let (data, idx) = rebuild_partition(
@@ -232,7 +224,6 @@ pub fn try_elastic_attention_opts(
                 members.len(),
                 pos,
                 &local,
-                !opts.warm_start,
                 &mut cache,
                 &mut loads,
                 load_shard,
@@ -320,8 +311,7 @@ pub fn try_elastic_attention_opts(
                     lse: &fwd.lse,
                     grad_o: sgo,
                 };
-                try_burst_backward(comm, &ring, &shard, &back, OverlapMode::Fine)
-                    .map(|(dq, dk, dv)| (fwd, dq, dk, dv))
+                try_burst_backward(comm, &ring, &shard, &back).map(|(dq, dk, dv)| (fwd, dq, dk, dv))
             }),
         };
         // Settle the span stack: closes the replay span and any round span

@@ -11,7 +11,7 @@
 //! * [`ring`] — the flat global ring: forward pass (shared by RingAttention
 //!   and BurstAttention, `2Nd` communication), RingAttention's backward
 //!   (Algorithm 1, `4Nd`) and BurstAttention's backward (Algorithm 2,
-//!   `3Nd + 2N`) with optional fine-grained gradient overlap;
+//!   `3Nd + 2N`) with fine-grained gradient overlap;
 //! * [`double_ring`] — topology-aware two-level rings (paper §3.1, Fig. 4):
 //!   intra-node NVLink sub-rings nested inside an inter-node NIC ring, with
 //!   the inter-node exchange posted early so it hides behind a whole
@@ -197,8 +197,8 @@ pub fn try_run_attention_opts(
         grad_o,
     };
     let (dq, dk, dv) = match algo {
-        Algo::RingFlat => try_ring_backward(comm, &ring, &shard, &back, OverlapMode::Fine)?,
-        Algo::BurstFlat => try_burst_backward(comm, &ring, &shard, &back, OverlapMode::Fine)?,
+        Algo::RingFlat => try_ring_backward(comm, &ring, &shard, &back)?,
+        Algo::BurstFlat => try_burst_backward(comm, &ring, &shard, &back)?,
         Algo::DoubleRing => {
             double_ring::try_double_ring_backward_alg1_on(comm, &shard, &back, &spec)?
         }

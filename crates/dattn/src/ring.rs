@@ -16,14 +16,12 @@
 //!
 //! ## Overlap
 //!
-//! With [`OverlapMode::Fine`], read-only payloads are posted *before* the
-//! local compute of each step (activation overlapping, Fig. 5 top) and
-//! gradients are forwarded right after the compute that produced them, one
-//! round behind the read-only stream (the warm-up-round trick, Fig. 5
-//! bottom) — so both transfer streams hide behind compute in virtual time.
-//! [`OverlapMode::None`] sends everything after compute and receives before
-//! the next compute, serialising communication; the delta between the two
-//! modes is the paper's "fine-grained overlap" ablation row.
+//! Read-only payloads are posted *before* the local compute of each step
+//! (activation overlapping, Fig. 5 top) and gradients are forwarded right
+//! after the compute that produced them, one round behind the read-only
+//! stream (the warm-up-round trick, Fig. 5 bottom) — so both transfer
+//! streams hide behind compute in virtual time. This fine-grained schedule
+//! is the only one.
 
 use crate::cost::CostModel;
 use crate::layout::Layout;
@@ -218,11 +216,11 @@ impl KvHold {
     }
 }
 
-/// Communication/computation overlap discipline.
+/// Communication/computation overlap discipline. Only the fine-grained
+/// schedule exists, and no schedule reads this value: the type stays
+/// because the benchmark's engine configuration names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverlapMode {
-    /// Communicate strictly between compute steps (no hiding).
-    None,
     /// Fine-grained overlap: read-only data posted before compute,
     /// gradients one round behind (paper Fig. 5).
     Fine,
@@ -393,7 +391,9 @@ pub fn try_ring_forward(
 /// for `G` full hops (exactly `4Nd` words per rank); `∇Q_i` accumulates
 /// locally. Per Algorithm 1 line 10, `D_i = rowsum(∇O_i ∘ O_i)` is
 /// recomputed every round — we charge its (small) cost each round, which is
-/// precisely the compute overhead Algorithm 2 removes.
+/// precisely the compute overhead Algorithm 2 removes. The read-only
+/// `(K_j, V_j)` depart before the round's compute and the gradients right
+/// after it.
 ///
 /// A failed send/receive at ring round `k` surfaces as an [`AttnFailure`]
 /// carrying `(Phase::Backward, k)`.
@@ -402,7 +402,6 @@ pub fn try_ring_backward(
     ring: &Ring,
     shard: &AttnShard,
     back: &BackwardInputs,
-    overlap: OverlapMode,
 ) -> Result<(Mat, Mat, Mat), AttnFailure> {
     let g = ring.size();
     let d = shard.head_dim();
@@ -471,17 +470,15 @@ pub fn try_ring_backward(
             continue;
         }
         comm.span_begin(SpanKind::AttnRound, "bwd_round");
-        if overlap == OverlapMode::Fine {
-            // Activations can depart before the compute that reads them
-            // (we own a copy); gradients cannot.
-            if r.send_kv {
-                let (cur_k, cur_v) = held.view(shard.k, shard.v);
-                comm.try_send_mat(ring.next(), cur_k).map_err(&at)?;
-                comm.try_send_mat(ring.next(), cur_v).map_err(&at)?;
-            } else {
-                comm.note_skipped_mat(k_elems);
-                comm.note_skipped_mat(v_elems);
-            }
+        // Activations can depart before the compute that reads them (we own
+        // a copy); gradients cannot.
+        if r.send_kv {
+            let (cur_k, cur_v) = held.view(shard.k, shard.v);
+            comm.try_send_mat(ring.next(), cur_k).map_err(&at)?;
+            comm.try_send_mat(ring.next(), cur_v).map_err(&at)?;
+        } else {
+            comm.note_skipped_mat(k_elems);
+            comm.note_skipped_mat(v_elems);
         }
         if r.compute {
             if dkv.is_none() {
@@ -511,16 +508,6 @@ pub fn try_ring_backward(
                 &mut scratch,
             );
             comm.advance_compute(shard.cost.attn_bwd_secs(w.pairs, d) + d_recompute);
-        }
-        if overlap == OverlapMode::None {
-            if r.send_kv {
-                let (cur_k, cur_v) = held.view(shard.k, shard.v);
-                comm.try_send_mat(ring.next(), cur_k).map_err(&at)?;
-                comm.try_send_mat(ring.next(), cur_v).map_err(&at)?;
-            } else {
-                comm.note_skipped_mat(k_elems);
-                comm.note_skipped_mat(v_elems);
-            }
         }
         if r.send_dkv {
             let (cur_dk, cur_dv) = dkv.as_ref().expect("dkv gate implies a contribution");
@@ -568,10 +555,9 @@ pub fn try_ring_backward(
 /// hops and `∇Q_j` circulates `G` hops — `≈ 3Nd + 2N` words per rank.
 /// `D_i` is computed once, before the loop (Algorithm 2 line 2).
 ///
-/// With [`OverlapMode::Fine`] the read-only bundle is forwarded *on
-/// receipt* (before the local compute) and `∇Q` follows one round behind —
-/// the warm-up-round schedule of Fig. 5 that lets gradient communication
-/// hide under compute.
+/// The read-only bundle is forwarded *on receipt* (before the local
+/// compute) and `∇Q` follows one round behind — the warm-up-round schedule
+/// of Fig. 5 that lets gradient communication hide under compute.
 ///
 /// A failed send/receive at ring round `k` surfaces as an [`AttnFailure`]
 /// carrying `(Phase::Backward, k)`.
@@ -580,7 +566,6 @@ pub fn try_burst_backward(
     ring: &Ring,
     shard: &AttnShard,
     back: &BackwardInputs,
-    overlap: OverlapMode,
 ) -> Result<(Mat, Mat, Mat), AttnFailure> {
     let g = ring.size();
     let d = shard.head_dim();
@@ -635,305 +620,175 @@ pub fn try_burst_backward(
         None
     };
 
-    match overlap {
-        OverlapMode::Fine => {
-            // Warm-up round: process our own bundle before any communication
-            // (Fig. 5 bottom), then stream: forward the read-only bundle the
-            // moment it arrives, compute, and send ∇Q one round behind.
-            // `dq_buf` is re-zeroed in place each round (capacity reused),
-            // and ∇K/∇V accumulate directly into the local outputs — the
-            // steady-state tile-compute path allocates nothing.
-            let me = ring.pos;
-            let next = ring.next();
-            let prev = ring.prev();
-            let mut dq_buf = Mat::default();
-            let mem_dq_buf = if buf_dq_buf {
-                comm.mem_alloc(
-                    "burst_dq_buf",
-                    MemCategory::Activations,
-                    shard.q.nbytes() as u64,
-                )
-            } else {
-                None
-            };
-            let dq_elems = |j: usize| qidx_all[j].len() * shard.q.cols();
-            let ro_mat_elems = |j: usize| qidx_all[j].len() * (shard.q.cols() + back.grad_o.cols());
-            // Warm-up round: the read-only parts depart before the local
-            // compute; ∇Q follows one round behind it.
-            let r0 = plan.flat_alg2_round(me, 0);
-            if r0.idle() {
-                comm.note_round_skipped();
-                comm.note_skipped_mat(ro_mat_elems(me));
-                comm.note_skipped_vec(2 * qidx_all[me].len());
-                comm.note_skipped_mat(dq_elems(me));
-            } else {
-                let at = AttnFailure::at(Phase::Backward, 0);
-                comm.span_begin(SpanKind::AttnRound, "burst_warmup");
-                if r0.fwd_ro {
-                    comm.try_send_mat(next, shard.q).map_err(&at)?;
-                    comm.try_send_mat(next, back.grad_o).map_err(&at)?;
-                    comm.try_send_vec(next, back.lse).map_err(&at)?;
-                    comm.try_send_vec(next, &d_vec).map_err(&at)?;
-                } else {
-                    comm.note_skipped_mat(ro_mat_elems(me));
-                    comm.note_skipped_vec(2 * qidx_all[me].len());
-                }
-                if r0.compute {
-                    dq_buf.reshape_in_place(shard.q.rows(), shard.q.cols());
-                    let w = attn_tile_backward_acc(
-                        shard.q,
-                        shard.k,
-                        shard.v,
-                        back.grad_o,
-                        back.lse,
-                        &d_vec,
-                        shard.scale,
-                        shard.mask,
-                        &qidx_all[me],
-                        &ki,
-                        &mut dq_buf,
-                        &mut grad_k,
-                        &mut grad_v,
-                        &mut scratch,
-                    );
-                    comm.advance_compute(shard.cost.attn_bwd_secs(w.pairs, d));
-                }
-                if r0.send_dq {
-                    debug_assert!(r0.compute, "∇Q warm-up gate implies a live local tile");
-                    comm.try_send_mat(next, &dq_buf).map_err(&at)?;
-                } else {
-                    comm.note_skipped_mat(dq_elems(me));
-                }
-                comm.span_end();
-            }
-            for s in 1..g {
-                let at = AttnFailure::at(Phase::Backward, s);
-                let r = plan.flat_alg2_round(me, s);
-                let j = r.bundle;
-                if r.idle() {
-                    comm.note_round_skipped();
-                    if s < g - 1 {
-                        comm.note_skipped_mat(ro_mat_elems(j));
-                        comm.note_skipped_vec(2 * qidx_all[j].len());
-                    }
-                    comm.note_skipped_mat(dq_elems(j));
-                    continue;
-                }
-                comm.span_begin(SpanKind::AttnRound, "burst_round");
-                let bundle = if r.recv_ro {
-                    Some((
-                        comm.try_recv_mat(prev).map_err(&at)?,
-                        comm.try_recv_mat(prev).map_err(&at)?,
-                        comm.try_recv_vec(prev).map_err(&at)?,
-                        comm.try_recv_vec(prev).map_err(&at)?,
-                    ))
-                } else {
-                    None
-                };
-                if s < g - 1 {
-                    if r.fwd_ro {
-                        // The next rank is not the bundle's home: forward the
-                        // read-only parts immediately, before computing.
-                        let (q_j, do_j, lse_j, d_j) =
-                            bundle.as_ref().expect("forward gate implies receipt");
-                        comm.try_send_mat(next, q_j).map_err(&at)?;
-                        comm.try_send_mat(next, do_j).map_err(&at)?;
-                        comm.try_send_vec(next, lse_j).map_err(&at)?;
-                        comm.try_send_vec(next, d_j).map_err(&at)?;
-                    } else {
-                        comm.note_skipped_mat(ro_mat_elems(j));
-                        comm.note_skipped_vec(2 * qidx_all[j].len());
-                    }
-                }
-                if r.compute {
-                    let (q_j, do_j, lse_j, d_j) =
-                        bundle.as_ref().expect("compute gate implies receipt");
-                    dq_buf.reshape_in_place(q_j.rows(), q_j.cols());
-                    let w = attn_tile_backward_acc(
-                        q_j,
-                        shard.k,
-                        shard.v,
-                        do_j,
-                        lse_j,
-                        d_j,
-                        shard.scale,
-                        shard.mask,
-                        &qidx_all[j],
-                        &ki,
-                        &mut dq_buf,
-                        &mut grad_k,
-                        &mut grad_v,
-                        &mut scratch,
-                    );
-                    comm.advance_compute(shard.cost.attn_bwd_secs(w.pairs, d));
-                }
-                if r.recv_dq {
-                    let mut dq_j = comm.try_recv_mat(prev).map_err(&at)?;
-                    if !r.compute {
-                        // The dense schedule adds a freshly zeroed buffer
-                        // here; mirror it so the bits (±0.0 included) match.
-                        dq_buf.reshape_in_place(dq_j.rows(), dq_j.cols());
-                    }
-                    dq_j.add_assign(&dq_buf);
-                    debug_assert!(r.send_dq, "held ∇Q always travels on");
-                    comm.try_send_mat(next, &dq_j).map_err(&at)?;
-                } else if r.send_dq {
-                    // First live contributor after a gated-off stretch:
-                    // materialize the zeros the dense ring would have
-                    // delivered, then add our contribution.
-                    debug_assert!(r.compute, "first ∇Q hop implies a live tile");
-                    let mut dq_j = Mat::zeros(qidx_all[j].len(), shard.q.cols());
-                    dq_j.add_assign(&dq_buf);
-                    comm.try_send_mat(next, &dq_j).map_err(&at)?;
-                } else {
-                    comm.note_skipped_mat(dq_elems(j));
-                }
-                comm.span_end();
-            }
-            let grad_q = if plan.flat_alg2_final(me) {
-                comm.span_begin(SpanKind::AttnRound, "burst_final");
-                let gq = comm
-                    .try_recv_mat(prev)
-                    .map_err(AttnFailure::at(Phase::Backward, g - 1))?;
-                comm.span_end();
-                gq
-            } else {
-                // No rank anywhere attends to our queries: the homecoming
-                // hop is gated off and ∇Q is identically zero.
-                comm.note_round_skipped();
-                Mat::zeros(shard.q.rows(), shard.q.cols())
-            };
-            comm.mem_note_workspace(scratch.resident_bytes());
-            comm.mem_free(mem_dq_buf);
-            comm.mem_free(mem_dq_ring);
-            comm.mem_free(mem_ro);
-            comm.mem_free(mem_dkv);
-            Ok((grad_q, grad_k, grad_v))
+    // Warm-up round: process our own bundle before any communication
+    // (Fig. 5 bottom), then stream: forward the read-only bundle the
+    // moment it arrives, compute, and send ∇Q one round behind.
+    // `dq_buf` is re-zeroed in place each round (capacity reused),
+    // and ∇K/∇V accumulate directly into the local outputs — the
+    // steady-state tile-compute path allocates nothing.
+    let me = ring.pos;
+    let next = ring.next();
+    let prev = ring.prev();
+    let mut dq_buf = Mat::default();
+    let mem_dq_buf = if buf_dq_buf {
+        comm.mem_alloc(
+            "burst_dq_buf",
+            MemCategory::Activations,
+            shard.q.nbytes() as u64,
+        )
+    } else {
+        None
+    };
+    let dq_elems = |j: usize| qidx_all[j].len() * shard.q.cols();
+    let ro_mat_elems = |j: usize| qidx_all[j].len() * (shard.q.cols() + back.grad_o.cols());
+    // Warm-up round: the read-only parts depart before the local
+    // compute; ∇Q follows one round behind it.
+    let r0 = plan.flat_alg2_round(me, 0);
+    if r0.idle() {
+        comm.note_round_skipped();
+        comm.note_skipped_mat(ro_mat_elems(me));
+        comm.note_skipped_vec(2 * qidx_all[me].len());
+        comm.note_skipped_mat(dq_elems(me));
+    } else {
+        let at = AttnFailure::at(Phase::Backward, 0);
+        comm.span_begin(SpanKind::AttnRound, "burst_warmup");
+        if r0.fwd_ro {
+            comm.try_send_mat(next, shard.q).map_err(&at)?;
+            comm.try_send_mat(next, back.grad_o).map_err(&at)?;
+            comm.try_send_vec(next, back.lse).map_err(&at)?;
+            comm.try_send_vec(next, &d_vec).map_err(&at)?;
+        } else {
+            comm.note_skipped_mat(ro_mat_elems(me));
+            comm.note_skipped_vec(2 * qidx_all[me].len());
         }
-        OverlapMode::None => {
-            // Bundle moves strictly after each compute: no hiding. Round 0
-            // reads the local bundle by reference; the circulating ∇Q
-            // partial is accumulated into directly by the tile kernel. The
-            // round structure differs from `Fine` (receives land in the
-            // same round as the sends), so the gates are indexed directly;
-            // total message/byte counts match the fine-overlap census.
-            let me = ring.pos;
-            let dq_elems = |j: usize| qidx_all[j].len() * shard.q.cols();
-            let ro_mat_elems = |j: usize| qidx_all[j].len() * (shard.q.cols() + back.grad_o.cols());
-            // `None` = gated off upstream (never read, by monotonicity).
-            let mut owned: Option<(Mat, Mat, Vec<f32>, Vec<f32>)> = None;
-            let mut have_local = true;
-            let mut cur_dq: Option<Mat> = None;
-            for step in 0..g {
-                let at = AttnFailure::at(Phase::Backward, step);
-                let j = (me + g - step % g) % g;
-                let j_in = (j + g - 1) % g;
-                let compute = plan.live(j, me);
-                let send_ro = step < g - 1 && plan.alg2_ro_hop(j, step);
-                let send_dq = plan.alg2_dq_hop(j, step);
-                let recv_ro = step < g - 1 && plan.alg2_ro_hop(j_in, step);
-                let recv_dq = if step < g - 1 {
-                    plan.alg2_dq_hop(j_in, step)
-                } else {
-                    plan.flat_alg2_final(me)
-                };
-                if !(compute || send_ro || send_dq || recv_ro || recv_dq) {
-                    comm.note_round_skipped();
-                    if step < g - 1 {
-                        comm.note_skipped_mat(ro_mat_elems(j));
-                        comm.note_skipped_vec(2 * qidx_all[j].len());
-                    }
-                    comm.note_skipped_mat(dq_elems(j));
-                    owned = None;
-                    have_local = false;
-                    continue;
-                }
-                comm.span_begin(SpanKind::AttnRound, "burst_round");
-                if compute {
-                    let (q_j, do_j, lse_j, d_j): (&Mat, &Mat, &[f32], &[f32]) = match &owned {
-                        Some((q, o, l, dd)) => (q, o, l, dd),
-                        None => {
-                            debug_assert!(have_local, "compute gate implies a held bundle");
-                            (shard.q, back.grad_o, back.lse, &d_vec)
-                        }
-                    };
-                    if cur_dq.is_none() {
-                        // First live contributor: carry the zeros the dense
-                        // ring would have delivered.
-                        cur_dq = Some(Mat::zeros(q_j.rows(), q_j.cols()));
-                    }
-                    let w = attn_tile_backward_acc(
-                        q_j,
-                        shard.k,
-                        shard.v,
-                        do_j,
-                        lse_j,
-                        d_j,
-                        shard.scale,
-                        shard.mask,
-                        &qidx_all[j],
-                        &ki,
-                        cur_dq.as_mut().expect("just materialized"),
-                        &mut grad_k,
-                        &mut grad_v,
-                        &mut scratch,
-                    );
-                    comm.advance_compute(shard.cost.attn_bwd_secs(w.pairs, d));
-                }
-                if step < g - 1 {
-                    if send_ro {
-                        let (q_j, do_j, lse_j, d_j): (&Mat, &Mat, &[f32], &[f32]) = match &owned {
-                            Some((q, o, l, dd)) => (q, o, l, dd),
-                            None => (shard.q, back.grad_o, back.lse, &d_vec),
-                        };
-                        comm.try_send_mat(ring.next(), q_j).map_err(&at)?;
-                        comm.try_send_mat(ring.next(), do_j).map_err(&at)?;
-                        comm.try_send_vec(ring.next(), lse_j).map_err(&at)?;
-                        comm.try_send_vec(ring.next(), d_j).map_err(&at)?;
-                    } else {
-                        comm.note_skipped_mat(ro_mat_elems(j));
-                        comm.note_skipped_vec(2 * qidx_all[j].len());
-                    }
-                }
-                if send_dq {
-                    let dq = cur_dq.as_ref().expect("∇Q gate implies a contribution");
-                    comm.try_send_mat(ring.next(), dq).map_err(&at)?;
-                } else {
-                    comm.note_skipped_mat(dq_elems(j));
-                }
-                if step < g - 1 {
-                    owned = if recv_ro {
-                        Some((
-                            comm.try_recv_mat(ring.prev()).map_err(&at)?,
-                            comm.try_recv_mat(ring.prev()).map_err(&at)?,
-                            comm.try_recv_vec(ring.prev()).map_err(&at)?,
-                            comm.try_recv_vec(ring.prev()).map_err(&at)?,
-                        ))
-                    } else {
-                        None
-                    };
-                    have_local = false;
-                    cur_dq = if recv_dq {
-                        Some(comm.try_recv_mat(ring.prev()).map_err(&at)?)
-                    } else {
-                        None
-                    };
-                } else {
-                    // Last hop: only ∇Q needs to travel home.
-                    cur_dq = if recv_dq {
-                        Some(comm.try_recv_mat(ring.prev()).map_err(&at)?)
-                    } else {
-                        None
-                    };
-                }
-                comm.span_end();
-            }
-            let grad_q = cur_dq.unwrap_or_else(|| Mat::zeros(shard.q.rows(), shard.q.cols()));
-            comm.mem_note_workspace(scratch.resident_bytes());
-            comm.mem_free(mem_dq_ring);
-            comm.mem_free(mem_ro);
-            comm.mem_free(mem_dkv);
-            Ok((grad_q, grad_k, grad_v))
+        if r0.compute {
+            dq_buf.reshape_in_place(shard.q.rows(), shard.q.cols());
+            let w = attn_tile_backward_acc(
+                shard.q,
+                shard.k,
+                shard.v,
+                back.grad_o,
+                back.lse,
+                &d_vec,
+                shard.scale,
+                shard.mask,
+                &qidx_all[me],
+                &ki,
+                &mut dq_buf,
+                &mut grad_k,
+                &mut grad_v,
+                &mut scratch,
+            );
+            comm.advance_compute(shard.cost.attn_bwd_secs(w.pairs, d));
         }
+        if r0.send_dq {
+            debug_assert!(r0.compute, "∇Q warm-up gate implies a live local tile");
+            comm.try_send_mat(next, &dq_buf).map_err(&at)?;
+        } else {
+            comm.note_skipped_mat(dq_elems(me));
+        }
+        comm.span_end();
     }
+    for s in 1..g {
+        let at = AttnFailure::at(Phase::Backward, s);
+        let r = plan.flat_alg2_round(me, s);
+        let j = r.bundle;
+        if r.idle() {
+            comm.note_round_skipped();
+            if s < g - 1 {
+                comm.note_skipped_mat(ro_mat_elems(j));
+                comm.note_skipped_vec(2 * qidx_all[j].len());
+            }
+            comm.note_skipped_mat(dq_elems(j));
+            continue;
+        }
+        comm.span_begin(SpanKind::AttnRound, "burst_round");
+        let bundle = if r.recv_ro {
+            Some((
+                comm.try_recv_mat(prev).map_err(&at)?,
+                comm.try_recv_mat(prev).map_err(&at)?,
+                comm.try_recv_vec(prev).map_err(&at)?,
+                comm.try_recv_vec(prev).map_err(&at)?,
+            ))
+        } else {
+            None
+        };
+        if s < g - 1 {
+            if r.fwd_ro {
+                // The next rank is not the bundle's home: forward the
+                // read-only parts immediately, before computing.
+                let (q_j, do_j, lse_j, d_j) =
+                    bundle.as_ref().expect("forward gate implies receipt");
+                comm.try_send_mat(next, q_j).map_err(&at)?;
+                comm.try_send_mat(next, do_j).map_err(&at)?;
+                comm.try_send_vec(next, lse_j).map_err(&at)?;
+                comm.try_send_vec(next, d_j).map_err(&at)?;
+            } else {
+                comm.note_skipped_mat(ro_mat_elems(j));
+                comm.note_skipped_vec(2 * qidx_all[j].len());
+            }
+        }
+        if r.compute {
+            let (q_j, do_j, lse_j, d_j) = bundle.as_ref().expect("compute gate implies receipt");
+            dq_buf.reshape_in_place(q_j.rows(), q_j.cols());
+            let w = attn_tile_backward_acc(
+                q_j,
+                shard.k,
+                shard.v,
+                do_j,
+                lse_j,
+                d_j,
+                shard.scale,
+                shard.mask,
+                &qidx_all[j],
+                &ki,
+                &mut dq_buf,
+                &mut grad_k,
+                &mut grad_v,
+                &mut scratch,
+            );
+            comm.advance_compute(shard.cost.attn_bwd_secs(w.pairs, d));
+        }
+        if r.recv_dq {
+            let mut dq_j = comm.try_recv_mat(prev).map_err(&at)?;
+            if !r.compute {
+                // The dense schedule adds a freshly zeroed buffer
+                // here; mirror it so the bits (±0.0 included) match.
+                dq_buf.reshape_in_place(dq_j.rows(), dq_j.cols());
+            }
+            dq_j.add_assign(&dq_buf);
+            debug_assert!(r.send_dq, "held ∇Q always travels on");
+            comm.try_send_mat(next, &dq_j).map_err(&at)?;
+        } else if r.send_dq {
+            // First live contributor after a gated-off stretch:
+            // materialize the zeros the dense ring would have
+            // delivered, then add our contribution.
+            debug_assert!(r.compute, "first ∇Q hop implies a live tile");
+            let mut dq_j = Mat::zeros(qidx_all[j].len(), shard.q.cols());
+            dq_j.add_assign(&dq_buf);
+            comm.try_send_mat(next, &dq_j).map_err(&at)?;
+        } else {
+            comm.note_skipped_mat(dq_elems(j));
+        }
+        comm.span_end();
+    }
+    let grad_q = if plan.flat_alg2_final(me) {
+        comm.span_begin(SpanKind::AttnRound, "burst_final");
+        let gq = comm
+            .try_recv_mat(prev)
+            .map_err(AttnFailure::at(Phase::Backward, g - 1))?;
+        comm.span_end();
+        gq
+    } else {
+        // No rank anywhere attends to our queries: the homecoming
+        // hop is gated off and ∇Q is identically zero.
+        comm.note_round_skipped();
+        Mat::zeros(shard.q.rows(), shard.q.cols())
+    };
+    comm.mem_note_workspace(scratch.resident_bytes());
+    comm.mem_free(mem_dq_buf);
+    comm.mem_free(mem_dq_ring);
+    comm.mem_free(mem_ro);
+    comm.mem_free(mem_dkv);
+    Ok((grad_q, grad_k, grad_v))
 }

@@ -7,12 +7,12 @@
 //!   ~25 % less at large `G` and `d ≫ 1`;
 //! * topology-aware rings move almost all volume onto NVLink;
 //! * in virtual time: BurstTopo < DoubleRing < flat ring on multi-node
-//!   clusters, and fine-grained overlap beats no overlap.
+//!   clusters.
 
 use burst_comm::{CommStats, Topology, World};
 use burst_dattn::{
     try_burst_backward, try_ring_backward, try_ring_forward, try_run_attention_opts, Algo,
-    AttnShard, BackwardInputs, CostModel, Layout, OverlapMode, Ring,
+    AttnShard, BackwardInputs, CostModel, Layout, Ring,
 };
 use burst_kernels::AttnMask;
 use burst_tensor::{randn_mat, Mat};
@@ -29,7 +29,7 @@ fn problem(n: usize, d: usize) -> (Mat, Mat, Mat, Mat, f32) {
 
 /// Per-rank elements sent during forward and backward of one flat-ring
 /// algorithm, measured separately.
-fn measure_flat(n: usize, d: usize, g: usize, burst: bool, overlap: OverlapMode) -> (u64, u64) {
+fn measure_flat(n: usize, d: usize, g: usize, burst: bool) -> (u64, u64) {
     let (q, k, v, grad_o, scale) = problem(n, d);
     let mask = AttnMask::Full;
     let world = World::new(Topology::single_node(g));
@@ -61,9 +61,9 @@ fn measure_flat(n: usize, d: usize, g: usize, burst: bool, overlap: OverlapMode)
             grad_o: &dol,
         };
         if burst {
-            try_burst_backward(comm, &ring, &shard, &back, overlap).expect("fault-free attention");
+            try_burst_backward(comm, &ring, &shard, &back).expect("fault-free attention");
         } else {
-            try_ring_backward(comm, &ring, &shard, &back, overlap).expect("fault-free attention");
+            try_ring_backward(comm, &ring, &shard, &back).expect("fault-free attention");
         }
         (fwd_elems, comm.stats().total_elems() - fwd_elems)
     });
@@ -78,7 +78,7 @@ fn measure_flat(n: usize, d: usize, g: usize, burst: bool, overlap: OverlapMode)
 #[test]
 fn forward_communication_is_2nd() {
     let (n, d, g) = (32usize, 8usize, 4usize);
-    let (fwd, _) = measure_flat(n, d, g, false, OverlapMode::Fine);
+    let (fwd, _) = measure_flat(n, d, g, false);
     let expect = ((g - 1) * 2 * (n / g) * d) as u64;
     assert_eq!(fwd, expect, "forward ring volume");
 }
@@ -86,23 +86,18 @@ fn forward_communication_is_2nd() {
 #[test]
 fn algorithm1_backward_is_exactly_4nd() {
     let (n, d, g) = (32usize, 8usize, 4usize);
-    let (_, bwd) = measure_flat(n, d, g, false, OverlapMode::Fine);
+    let (_, bwd) = measure_flat(n, d, g, false);
     assert_eq!(bwd, (4 * n * d) as u64, "Algorithm 1 backward volume");
-    // Identical volume regardless of overlap mode.
-    let (_, bwd_none) = measure_flat(n, d, g, false, OverlapMode::None);
-    assert_eq!(bwd, bwd_none);
 }
 
 #[test]
 fn algorithm2_backward_is_3nd_plus_2n() {
     let (n, d, g) = (32usize, 8usize, 4usize);
-    let (_, bwd) = measure_flat(n, d, g, true, OverlapMode::Fine);
+    let (_, bwd) = measure_flat(n, d, g, true);
     // (G−1) hops of (Q, ∇O, Lse, D) + G hops of ∇Q.
     let p = n / g;
     let expect = ((g - 1) * (2 * p * d + 2 * p) + g * p * d) as u64;
     assert_eq!(bwd, expect, "Algorithm 2 backward volume");
-    let (_, bwd_none) = measure_flat(n, d, g, true, OverlapMode::None);
-    assert_eq!(bwd, bwd_none);
 }
 
 #[test]
@@ -110,8 +105,8 @@ fn burst_backward_saves_about_25_percent() {
     // At large d the 2N term vanishes: ratio → (3 − 3/G + 1) /4 … compare
     // against the paper's ≈ 25 % claim with a generous band.
     let (n, d, g) = (64usize, 32usize, 8usize);
-    let (_, ring) = measure_flat(n, d, g, false, OverlapMode::Fine);
-    let (_, burst) = measure_flat(n, d, g, true, OverlapMode::Fine);
+    let (_, ring) = measure_flat(n, d, g, false);
+    let (_, burst) = measure_flat(n, d, g, true);
     let ratio = burst as f64 / ring as f64;
     assert!(
         (0.70..0.82).contains(&ratio),
@@ -175,53 +170,6 @@ fn multi_node_virtual_time_ordering_matches_paper() {
     assert!(
         t_burst < t_double && t_double < t_flat,
         "expected burst {t_burst} < double {t_double} < flat {t_flat}"
-    );
-}
-
-#[test]
-fn fine_overlap_beats_no_overlap_in_virtual_time() {
-    // Balance compute against communication so overlap matters: pick a cost
-    // model whose per-step compute is comparable to the per-step transfer.
-    let (n, d, g) = (64usize, 16usize, 4usize);
-    let (q, k, v, grad_o, scale) = problem(n, d);
-    let mask = AttnMask::Full;
-    let run = |overlap: OverlapMode| {
-        let world = World::new(Topology::single_node(g));
-        let (_, makespan, _) = world.run_timed(|comm| {
-            let layout = Layout::Contiguous;
-            let idx = layout.indices(n, g, comm.rank());
-            let shard = AttnShard {
-                q: &q.gather_rows(&idx),
-                k: &k.gather_rows(&idx),
-                v: &v.gather_rows(&idx),
-                scale,
-                mask: &mask,
-                layout,
-                seq_len: n,
-                // Tiny simulated device so compute time ~ transfer time.
-                cost: CostModel {
-                    peak_flops: 2e9,
-                    efficiency: 1.0,
-                },
-                max_token: None,
-                skip: false,
-            };
-            let ring = Ring::global(comm);
-            let fwd = try_ring_forward(comm, &ring, &shard).expect("fault-free attention");
-            let back = BackwardInputs {
-                o: &fwd.o,
-                lse: &fwd.lse,
-                grad_o: &grad_o.gather_rows(&idx),
-            };
-            try_burst_backward(comm, &ring, &shard, &back, overlap).expect("fault-free attention");
-        });
-        makespan
-    };
-    let fine = run(OverlapMode::Fine);
-    let none = run(OverlapMode::None);
-    assert!(
-        fine < none,
-        "fine-grained overlap ({fine}) must beat serialized comm ({none})"
     );
 }
 

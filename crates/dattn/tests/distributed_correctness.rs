@@ -1,13 +1,13 @@
 //! End-to-end correctness of every distributed attention implementation
-//! against the single-device blocked kernel, across topologies, layouts,
-//! masks and overlap modes. Real tensors move between rank threads, so
-//! these are exact (up to f32 accumulation-order noise) equivalences.
+//! against the single-device blocked kernel, across topologies, layouts
+//! and masks. Real tensors move between rank threads, so these are exact
+//! (up to f32 accumulation-order noise) equivalences.
 
 use burst_comm::{CommStats, Topology, WireDtype, World};
 use burst_dattn::usp::UspTopo;
 use burst_dattn::{
-    double_ring, try_burst_backward, try_ring_backward, try_ring_forward, try_run_attention_opts,
-    Algo, AttnShard, BackwardInputs, CostModel, DoubleRingSpec, Layout, OverlapMode, Ring,
+    double_ring, try_ring_forward, try_run_attention_opts, Algo, AttnShard, CostModel,
+    DoubleRingSpec, Layout, Ring,
 };
 use burst_kernels::{flash_backward, flash_forward, AttnMask, BlockSparseMask};
 use burst_tensor::testutil::assert_allclose;
@@ -197,62 +197,6 @@ fn full_and_sliding_window_masks_work_distributed() {
             48,
             4,
         );
-    }
-}
-
-#[test]
-fn overlap_modes_agree_numerically() {
-    // Fine vs None overlap must be a pure scheduling change.
-    let n = 32;
-    let d = 4;
-    let (q, k, v, grad_o, scale) = problem(n, d);
-    let mask = AttnMask::Causal;
-    let run = |overlap: OverlapMode, burst: bool| {
-        let world = World::new(Topology::single_node(4));
-        world.run_results(|comm| {
-            let layout = Layout::Zigzag;
-            let idx = layout.indices(n, 4, comm.rank());
-            let ql = q.gather_rows(&idx);
-            let kl = k.gather_rows(&idx);
-            let vl = v.gather_rows(&idx);
-            let dol = grad_o.gather_rows(&idx);
-            let shard = AttnShard {
-                q: &ql,
-                k: &kl,
-                v: &vl,
-                scale,
-                mask: &mask,
-                layout,
-                seq_len: n,
-                cost: CostModel::free(),
-                max_token: None,
-                skip: false,
-            };
-            let ring = Ring::global(comm);
-            let fwd = try_ring_forward(comm, &ring, &shard).expect("fault-free attention");
-            let back = BackwardInputs {
-                o: &fwd.o,
-                lse: &fwd.lse,
-                grad_o: &dol,
-            };
-            if burst {
-                try_burst_backward(comm, &ring, &shard, &back, overlap)
-                    .expect("fault-free attention")
-            } else {
-                try_ring_backward(comm, &ring, &shard, &back, overlap)
-                    .expect("fault-free attention")
-            }
-        })
-    };
-    for burst in [false, true] {
-        let fine = run(OverlapMode::Fine, burst);
-        let none = run(OverlapMode::None, burst);
-        for (rank, (f, s)) in fine.iter().zip(&none).enumerate() {
-            let ctx = format!("burst={burst} rank {rank}");
-            assert_allclose(&f.0, &s.0, 1e-5, &format!("{ctx} dQ"));
-            assert_allclose(&f.1, &s.1, 1e-5, &format!("{ctx} dK"));
-            assert_allclose(&f.2, &s.2, 1e-5, &format!("{ctx} dV"));
-        }
     }
 }
 

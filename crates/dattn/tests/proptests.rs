@@ -124,7 +124,7 @@ proptest! {
     ) {
         use burst_dattn::{
             try_burst_backward, try_ring_backward, try_ring_forward, AttnShard, BackwardInputs,
-            OverlapMode, Ring,
+            Ring,
         };
         let n = 2 * g * chunks;
         let q = randn_mat(n, d, 0.7, 5);
@@ -155,10 +155,10 @@ proptest! {
             let fwd = try_ring_forward(comm, &ring, &shard).expect("fault-free attention");
             let after_fwd = comm.stats().total_elems();
             let back = BackwardInputs { o: &fwd.o, lse: &fwd.lse, grad_o: &go.gather_rows(&my) };
-            try_ring_backward(comm, &ring, &shard, &back, OverlapMode::Fine)
+            try_ring_backward(comm, &ring, &shard, &back)
                 .expect("fault-free attention");
             let after_ring = comm.stats().total_elems();
-            try_burst_backward(comm, &ring, &shard, &back, OverlapMode::Fine)
+            try_burst_backward(comm, &ring, &shard, &back)
                 .expect("fault-free attention");
             let after_burst = comm.stats().total_elems();
             (after_fwd, after_ring - after_fwd, after_burst - after_ring)

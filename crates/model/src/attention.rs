@@ -21,8 +21,7 @@ use burst_comm::{CommError, Communicator, SpanKind};
 use burst_dattn::usp::{try_usp_backward, try_usp_forward, HeadGrads, UspTopo};
 use burst_dattn::{
     double_ring, escalate_attn, try_burst_backward, try_ring_backward, try_ring_forward, Algo,
-    AttnShard, BackwardInputs, CostModel, DattnError, DistAttnOut, DoubleRingSpec, Layout,
-    OverlapMode, Ring,
+    AttnShard, BackwardInputs, CostModel, DattnError, DistAttnOut, DoubleRingSpec, Layout, Ring,
 };
 use burst_kernels::{flash_backward, flash_forward, AttnMask};
 use burst_tensor::Mat;
@@ -261,8 +260,9 @@ impl AttnExec for LocalExec {
 /// ([`double_ring::try_double_ring_forward_heads_on`]): head `h + 1`'s
 /// inter-node `(K, V)` transfer hides behind head `h`'s intra-node sweeps.
 /// The flat ring runs one pass per head, and the backward runs one pass per
-/// head on every algorithm. A communication fault is latched (see
-/// [`AttnExec::take_failure`]).
+/// head on every algorithm; on the flat ring that pass is the one
+/// fine-grained overlap schedule of [`burst_dattn::ring`]. A communication
+/// fault is latched (see [`AttnExec::take_failure`]).
 pub struct DistExec<'a> {
     pub comm: &'a mut Communicator,
     /// The ring: the ascending members, this rank at its position.
@@ -272,10 +272,6 @@ pub struct DistExec<'a> {
     pub mask: AttnMask,
     pub seq_len: usize,
     pub cost: CostModel,
-    /// Overlap discipline for the flat-ring backward passes (the paper's
-    /// fine-grained overlap ablation knob; the topology-aware algorithms
-    /// have their schedule built in).
-    pub overlap: OverlapMode,
     /// Mask-aware round skipping: fully-masked ring rounds are elided
     /// (no wire traffic, no compute, no virtual time) while remaining
     /// bit-identical to the dense schedule. Off by default.
@@ -314,7 +310,6 @@ impl<'a> DistExec<'a> {
             mask,
             seq_len,
             cost,
-            overlap: OverlapMode::Fine,
             skip: false,
             flat_fallback: topo_algo && spec.is_none(),
             spec,
@@ -395,7 +390,7 @@ impl AttnExec for DistExec<'_> {
                 lse: &lse[h],
                 grad_o: &grad_o[h],
             };
-            let (ring, spec, algo, overlap) = (&self.ring, &self.spec, self.algo, self.overlap);
+            let (ring, spec, algo) = (&self.ring, &self.spec, self.algo);
             let res = self.latch.run(self.comm, |comm| match (spec, algo) {
                 (Some(spec), Algo::DoubleRing) => {
                     double_ring::try_double_ring_backward_alg1_on(comm, &shard, &back, spec)
@@ -404,10 +399,10 @@ impl AttnExec for DistExec<'_> {
                     double_ring::try_double_ring_backward_alg2_on(comm, &shard, &back, spec)
                 }
                 (None, Algo::RingFlat | Algo::DoubleRing) => {
-                    try_ring_backward(comm, ring, &shard, &back, overlap)
+                    try_ring_backward(comm, ring, &shard, &back)
                 }
                 (None, Algo::BurstFlat | Algo::BurstTopo) => {
-                    try_burst_backward(comm, ring, &shard, &back, overlap)
+                    try_burst_backward(comm, ring, &shard, &back)
                 }
             });
             let Some((a, b, c)) = res else { break };

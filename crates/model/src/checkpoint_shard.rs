@@ -8,13 +8,14 @@
 //!   rank's partition reads **only the shards that overlap the slice it
 //!   needs**, and the loaders account every file they open so tests can
 //!   assert exactly that;
-//! * a torn checkpoint is impossible to observe: shard files are staged and
-//!   renamed individually ([`crate::checkpoint_io::atomic_write`]), and the
-//!   manifest — which records every shard's length and FNV-1a checksum — is
-//!   written **last**, as the commit point. A crash mid-write leaves stale
-//!   `*.tmp` droppings and possibly fresh shard files, but the manifest
-//!   still describes the previous complete checkpoint; the next successful
-//!   commit sweeps the droppings.
+//! * a torn checkpoint is impossible to observe: each rank stages its
+//!   shard beside the published one, the committer publishes every staged
+//!   shard by rename, and the manifest — which records every shard's length
+//!   and FNV-1a checksum — is written **last**, as the commit point. A
+//!   crash before the publish leaves only stale `*.tmp` droppings: the
+//!   published shards and the manifest still describe the previous
+//!   complete checkpoint, and the next successful commit sweeps the
+//!   droppings.
 //!
 //! Layout on disk, for a world of `W` ranks:
 //!
@@ -28,7 +29,7 @@
 //! differ by at most one element and every boundary is reproducible from
 //! `(flat_len, W)` alone.
 
-use crate::checkpoint_io::{atomic_write, decode_checkpoint, encode_checkpoint, fnv1a};
+use crate::checkpoint_io::{atomic_write, decode_checkpoint, encode_checkpoint, fnv1a, tmp_path};
 use crate::model::{Model, ModelConfig};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -108,17 +109,38 @@ pub fn shard_meta(flat: &[f32], world: usize, s: usize) -> io::Result<ShardMeta>
     })
 }
 
-/// Write shard `s`'s slice of the flat state atomically. Returns the
-/// metadata the manifest must record for this shard.
-pub fn write_shard(dir: &Path, s: usize, world: usize, flat: &[f32]) -> io::Result<ShardMeta> {
+/// Stage shard `s`'s slice of the flat state at the shard file's
+/// [`tmp_path`], leaving the published shard untouched until
+/// [`publish_shard`]. Returns the metadata the manifest must record for
+/// this shard.
+pub(crate) fn stage_shard(
+    dir: &Path,
+    s: usize,
+    world: usize,
+    flat: &[f32],
+) -> io::Result<ShardMeta> {
     let (lo, hi) = shard_range(flat.len(), world, s);
     let payload = serde_json::to_vec(&flat[lo..hi])
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    let meta = ShardMeta {
+    std::fs::write(tmp_path(&shard_path(dir, s)), encode_checkpoint(&payload))?;
+    Ok(ShardMeta {
         elems: hi - lo,
         fnv: fnv_hex(fnv1a(&payload)),
-    };
-    atomic_write(&shard_path(dir, s), &encode_checkpoint(&payload))?;
+    })
+}
+
+/// Publish shard `s`'s staged file by an atomic rename over the shard file.
+pub(crate) fn publish_shard(dir: &Path, s: usize) -> io::Result<()> {
+    let path = shard_path(dir, s);
+    std::fs::rename(tmp_path(&path), path)
+}
+
+/// Write shard `s`'s slice of the flat state atomically: stage it, then
+/// publish it. Returns the metadata the manifest must record for this
+/// shard.
+pub fn write_shard(dir: &Path, s: usize, world: usize, flat: &[f32]) -> io::Result<ShardMeta> {
+    let meta = stage_shard(dir, s, world, flat)?;
+    publish_shard(dir, s)?;
     Ok(meta)
 }
 
@@ -140,8 +162,8 @@ pub fn clean_stale_tmp(dir: &Path) -> io::Result<usize> {
 
 /// Commit the checkpoint: sweep stale staging files, then atomically
 /// publish the manifest. Every shard file must already be in place — in
-/// distributed use, rank 0 calls this only after a barrier confirms all
-/// ranks' shard writes completed.
+/// distributed use, the leader publishes the staged shards and calls this
+/// only after a barrier confirms all ranks staged theirs.
 pub fn write_manifest(dir: &Path, man: &ShardManifest) -> io::Result<()> {
     clean_stale_tmp(dir)?;
     let payload =
@@ -231,8 +253,8 @@ pub fn read_full_state(dir: &Path, man: &ShardManifest) -> io::Result<(Vec<f32>,
 
 /// Single-writer convenience: shard the model's full state over
 /// `world_size` files and commit the manifest. In distributed training each
-/// rank instead calls [`write_shard`] for its own rank and rank 0 commits
-/// with [`write_manifest`].
+/// rank instead stages its own shard and the leader publishes them all
+/// before [`write_manifest`].
 pub fn save_sharded(
     model: &Model,
     dir: &Path,

@@ -6,9 +6,8 @@
 
 use crate::attention::{AttnExec, DistExec, LocalExec, UspExec};
 use crate::checkpoint::{ActPrecision, Strategy};
-use crate::checkpoint_io::{atomic_write, decode_checkpoint, encode_checkpoint};
 use crate::checkpoint_shard::{
-    load_sharded, shard_meta, write_manifest, write_shard, ShardManifest,
+    load_sharded, publish_shard, shard_meta, stage_shard, write_manifest, ShardManifest,
 };
 use crate::fsdp::{self, Group};
 use crate::model::{Model, ModelConfig, StepOutput};
@@ -67,7 +66,9 @@ pub struct EngineConfig {
     /// outputs) at genuine 2-byte bf16 width, halving the tracked stash
     /// (see [`ActPrecision`]).
     pub bf16_activations: bool,
-    /// Communication/computation overlap discipline for flat-ring backends.
+    /// Not read: the flat-ring backwards have one schedule, the
+    /// fine-grained overlap of [`burst_dattn::ring`]. The field stays
+    /// because the benchmark's engine configuration sets it.
     pub overlap: OverlapMode,
     /// Mask-aware round skipping in the distributed attention schedules:
     /// fully-masked (q-shard × kv-shard) rounds are elided — no wire
@@ -358,7 +359,6 @@ fn step_on(
                     n,
                     cfg.cost,
                 );
-                exec.overlap = cfg.overlap;
                 exec.skip = cfg.skip_masked_rounds;
                 let out = step_with(&mut *model, &tokens, &targets, &mut exec, cfg, accum)?;
                 fell_flat |= exec.flat_fallback();
@@ -812,11 +812,13 @@ fn elastic_step(
 }
 
 /// Sharded checkpoint of `model` after `done` steps over `group`: each
-/// member writes the shard at its position for a world of the group's size
+/// member stages the shard at its position for a world of the group's size
 /// — exactly what a fresh world of that size would write — and the leader
-/// (position 0) commits the manifest between two barriers. Replicas are
-/// bit-identical, so the leader derives every shard's metadata from its own
-/// state without re-reading the files.
+/// (position 0) publishes every staged shard and commits the manifest
+/// between two barriers. A member that fails before the leader's publish
+/// leaves the previous checkpoint whole. Replicas are bit-identical, so the
+/// leader derives every shard's metadata from its own state without
+/// re-reading the files.
 fn commit_sharded(
     comm: &mut Communicator,
     group: &mut Group<'_>,
@@ -831,86 +833,53 @@ fn commit_sharded(
     std::fs::create_dir_all(dir)
         .unwrap_or_else(|e| panic!("rank {rank}: checkpoint dir creation failed: {e}"));
     let flat = model.flat_state();
-    write_shard(dir, pos, g, &flat)
+    stage_shard(dir, pos, g, &flat)
         .unwrap_or_else(|e| panic!("rank {rank}: shard write failed: {e}"));
     group.barrier(comm)?;
     if pos == 0 {
-        let shards = (0..g)
-            .map(|s| {
-                shard_meta(&flat, g, s)
-                    .unwrap_or_else(|e| panic!("rank {rank}: shard meta failed: {e}"))
-            })
-            .collect();
-        let man = ShardManifest {
-            step: done as u64,
-            epoch,
-            world_size: g,
-            flat_len: flat.len(),
-            cfg: model.cfg,
-            losses: losses.to_vec(),
-            shards,
-        };
-        write_manifest(dir, &man)
-            .unwrap_or_else(|e| panic!("rank {rank}: manifest commit failed: {e}"));
+        let committed = (0..g)
+            .map(|s| publish_shard(dir, s).and_then(|()| shard_meta(&flat, g, s)))
+            .collect::<io::Result<Vec<_>>>()
+            .and_then(|shards| {
+                let man = ShardManifest {
+                    step: done as u64,
+                    epoch,
+                    world_size: g,
+                    flat_len: flat.len(),
+                    cfg: model.cfg,
+                    losses: losses.to_vec(),
+                    shards,
+                };
+                write_manifest(dir, &man)
+            });
+        committed.unwrap_or_else(|e| panic!("rank {rank}: checkpoint commit failed: {e}"));
     }
     // No member trains past an uncommitted checkpoint.
     group.barrier(comm)
 }
 
-/// Everything needed to resume a training job from the middle: the number
-/// of completed optimizer steps, the global loss history, and the full
-/// model state (weights, gradients, Adam moments). Persisted with the same
-/// versioned, checksummed, atomically-renamed format as [`Model::save`].
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct TrainCheckpoint {
-    /// Optimizer steps completed before this checkpoint was taken.
-    pub step: usize,
-    /// Global mean loss of every completed step.
-    pub losses: Vec<f32>,
-    /// Full training state after `step` steps.
-    pub model: Model,
-}
-
-impl TrainCheckpoint {
-    /// Write the checkpoint atomically (staged at `<path>.tmp`, published
-    /// by rename) with a validated header.
-    pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let payload =
-            serde_json::to_vec(self).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        atomic_write(path.as_ref(), &encode_checkpoint(&payload))
-    }
-
-    /// Load and validate a checkpoint written by [`TrainCheckpoint::save`].
-    pub fn load(path: impl AsRef<Path>) -> io::Result<TrainCheckpoint> {
-        let bytes = std::fs::read(path)?;
-        let payload = decode_checkpoint(&bytes)?;
-        serde_json::from_slice(payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-    }
-}
-
 /// Configuration of the elastic recovery loop in [`train_with_recovery`].
 #[derive(Debug, Clone)]
 pub struct RecoveryCfg {
-    /// Checkpoint every `every` optimizer steps (rank 0 writes).
+    /// Checkpoint every `every` optimizer steps and after the last one:
+    /// every rank stages its own shard, and the leader publishes them with
+    /// the manifest.
     pub every: usize,
-    /// Checkpoint location: a file for monolithic checkpoints, a directory
-    /// when `sharded` is set.
+    /// Checkpoint directory: per-rank shard files plus a checksummed
+    /// manifest (`BURSTCKPT v2`, see [`crate::checkpoint_shard`]).
     pub path: PathBuf,
     /// Give up after this many restarts.
     pub max_restarts: usize,
-    /// Persist checkpoints as per-rank shard files plus a checksummed
-    /// manifest (`BURSTCKPT v2`, see [`crate::checkpoint_shard`]) instead
-    /// of one monolithic file; `path` then names a directory.
-    pub sharded: bool,
     /// When a restart is caused by a failure that names dead ranks,
     /// continue on a world shrunk by those ranks instead of a same-size
     /// replacement cluster.
     pub shrink: bool,
-    /// Repair failures **inside** the failed step (requires `sharded` and a
-    /// ring backend): survivors agree on the eviction and replay only the
-    /// current step on the shrunken ring via [`run_span_elastic`], instead
-    /// of restarting the attempt from the last checkpoint. Scheduled churn
-    /// (leave/join events in the world's fault plan) is honored too.
+    /// Repair failures **inside** the failed step: survivors agree on the
+    /// eviction and replay only the current step on the shrunken ring via
+    /// [`run_span_elastic`], instead of restarting the attempt from the
+    /// last checkpoint. Scheduled churn (leave/join events in the world's
+    /// fault plan) is honored too. Needs a ring backend; any other backend
+    /// fails with [`io::ErrorKind::InvalidInput`] before a world is built.
     pub in_step: bool,
     /// Suppress the one-line recovery summary printed on completion.
     pub quiet: bool,
@@ -940,17 +909,18 @@ pub struct RecoveryReport {
     pub evicted_ranks: Vec<usize>,
     /// Ranks re-admitted by the Join leg, in admission order.
     pub rejoined_ranks: Vec<usize>,
-    /// Shard files read across every sharded restore.
+    /// Shard files read across every restore.
     pub shards_reloaded: usize,
     /// Completed-then-lost steps re-run after restarts (work between the
     /// last checkpoint and each failure).
     pub steps_replayed: usize,
 }
 
-/// Elastic training: run `steps` optimizer steps, checkpointing every
-/// `recovery.every` steps, and when any rank fails — crash, timeout, lost
-/// peer, corrupted message or poisoned loss — restore the last good
-/// checkpoint and replay from there on a fresh world.
+/// Elastic training: run `steps` optimizer steps, committing a sharded
+/// checkpoint every `recovery.every` steps, and when any rank fails —
+/// crash, timeout, lost peer, corrupted message or poisoned loss — restore
+/// the last good checkpoint and replay from there on a fresh world. Restart
+/// and in-step recovery write and read checkpoints the same way.
 ///
 /// `make_world(attempt, shrink_to)` builds the cluster for each attempt
 /// (attempt 0 first); a fault-injection test hands back a faulty world
@@ -967,11 +937,14 @@ pub fn train_with_recovery(
     steps: usize,
     recovery: &RecoveryCfg,
 ) -> io::Result<RecoveryReport> {
-    if recovery.in_step {
-        assert!(
-            recovery.sharded,
-            "RecoveryCfg::in_step requires sharded checkpoints (the joiner warm-start path)"
-        );
+    if recovery.in_step && !matches!(cfg.backend, Backend::Ring(_)) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "in-step recovery requires a ring backend, not {:?}",
+                cfg.backend
+            ),
+        ));
     }
     let every = recovery.every.max(1);
     let mut restarts = 0usize;
@@ -989,27 +962,17 @@ pub fn train_with_recovery(
     let mut lost_from: Option<usize> = None;
     loop {
         // Resume from the last good checkpoint, or start fresh when none
-        // has been written yet. A present-but-invalid file is a hard error:
+        // has been written yet. A present-but-invalid one is a hard error:
         // silently restarting a long job from step 0 would be worse.
-        let (start_model, start_step, prior_losses) = if recovery.sharded {
-            match load_sharded(&recovery.path) {
-                Ok((model, man, files)) => {
-                    shards_reloaded += files;
-                    (model, man.step as usize, man.losses)
-                }
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                    (Model::new(cfg.model, cfg.seed), 0, Vec::new())
-                }
-                Err(e) => return Err(e),
+        let (start_model, start_step, prior_losses) = match load_sharded(&recovery.path) {
+            Ok((model, man, files)) => {
+                shards_reloaded += files;
+                (model, man.step as usize, man.losses)
             }
-        } else {
-            match TrainCheckpoint::load(&recovery.path) {
-                Ok(ck) => (ck.model, ck.step, ck.losses),
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                    (Model::new(cfg.model, cfg.seed), 0, Vec::new())
-                }
-                Err(e) => return Err(e),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                (Model::new(cfg.model, cfg.seed), 0, Vec::new())
             }
+            Err(e) => return Err(e),
         };
         if let Some(reached) = lost_from.take() {
             steps_replayed += reached.saturating_sub(start_step);
@@ -1080,29 +1043,10 @@ pub fn train_with_recovery(
                     comm.span_begin(SpanKind::Checkpoint, "checkpoint");
                     let mut losses = prior_losses.clone();
                     losses.extend_from_slice(sofar);
-                    if recovery.sharded {
-                        // Parallel per-rank write: every rank persists its
-                        // own shard, then rank 0 commits the manifest.
-                        let res = commit_sharded(
-                            comm,
-                            &mut Group::World,
-                            &ckpt_path,
-                            m,
-                            done,
-                            &losses,
-                            epoch,
-                        );
-                        if let Err(e) = res {
-                            comm.escalate(e);
-                        }
-                    } else if comm.rank() == 0 {
-                        let ck = TrainCheckpoint {
-                            step: done,
-                            losses,
-                            model: m.clone(),
-                        };
-                        ck.save(&ckpt_path)
-                            .unwrap_or_else(|e| panic!("rank 0: checkpoint write failed: {e}"));
+                    let group = &mut Group::World;
+                    if let Err(e) = commit_sharded(comm, group, &ckpt_path, m, done, &losses, epoch)
+                    {
+                        comm.escalate(e);
                     }
                     comm.span_end();
                 },

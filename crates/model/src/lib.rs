@@ -50,7 +50,7 @@ pub use checkpoint::{cutoff_for, cutoff_for_masked, ActPrecision, StoredMat, Str
 pub use checkpoint_shard::{load_sharded, save_sharded, ShardManifest, ShardMeta};
 pub use engine::{
     run_span_elastic, train_with_recovery, ElasticCfg, ElasticOutcome, EngineConfig, RecoveryCfg,
-    RecoveryReport, SpanOutcome, TrainCheckpoint, TrainMetrics,
+    RecoveryReport, SpanOutcome, TrainMetrics,
 };
 pub use memory::MemoryTracker;
 pub use model::{Model, ModelConfig};

@@ -336,28 +336,6 @@ fn gradient_accumulation_runs_and_stays_consistent() {
 }
 
 #[test]
-fn engine_overlap_ablation_changes_time_not_numerics() {
-    use burst_dattn::OverlapMode;
-    let topo = Topology::a800(2, 2);
-    let mut fine = cfg(Backend::Ring(Algo::BurstFlat));
-    fine.cost = CostModel {
-        peak_flops: 1e9,
-        efficiency: 1.0,
-    };
-    let mut none = fine.clone();
-    none.overlap = OverlapMode::None;
-    let a = train(&World::new(topo.clone()), &fine, 2);
-    let b = train(&World::new(topo), &none, 2);
-    assert_eq!(a.losses, b.losses, "overlap is a pure scheduling change");
-    assert!(
-        a.wall_time < b.wall_time,
-        "fine overlap ({}) must beat serialized comm ({})",
-        a.wall_time,
-        b.wall_time
-    );
-}
-
-#[test]
 fn tgs_accounts_compute_and_comm() {
     let world = World::new(Topology::single_node(2));
     let mut c = cfg(Backend::Ring(Algo::BurstFlat));

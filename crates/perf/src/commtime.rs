@@ -539,9 +539,9 @@ mod tests {
                 let v: Vec<f32> = (0..16).map(|i| (comm.rank() * 100 + i) as f32).collect();
                 for _ in 0..steps {
                     if comm.rank() == 0 {
-                        comm.send_vec(1, &v);
+                        comm.try_send_vec(1, &v).expect("send");
                     } else {
-                        comm.recv_vec(0);
+                        comm.try_recv_vec(0).expect("recv");
                     }
                 }
             })

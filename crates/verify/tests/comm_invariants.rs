@@ -54,7 +54,7 @@ proptest! {
             let parts: Vec<Mat> = (0..g)
                 .map(|p| x.slice_rows(p * rows_per_rank, (p + 1) * rows_per_rank))
                 .collect();
-            let mine = comm.reduce_scatter_mat(&parts);
+            let mine = comm.try_reduce_scatter_mat(&parts).expect("reduce-scatter");
             let gathered = comm.all_gather_mat(&mine);
             let composed = Mat::vstack(&gathered);
             (fused, composed)
@@ -121,7 +121,7 @@ proptest! {
             stamps.push(comm.time());
             let _ = comm.all_to_all_mat((0..g).map(|d| rank_mat(d, rows, 2, salt)).collect());
             stamps.push(comm.time());
-            comm.barrier();
+            comm.try_barrier().expect("barrier");
             stamps.push(comm.time());
             stamps
         });

@@ -382,7 +382,7 @@ proptest! {
         let plan = FaultPlan::new(seed)
             .crash_at_op(dead, crash_op)
             .recv_deadline(60.0);
-        let opts = ElasticOpts { double_ring: true, warm_start: false, skip_masked_rounds: false };
+        let opts = ElasticOpts { double_ring: true, skip_masked_rounds: false };
         let out = run_elastic_on(&multi, n, d, seed, Some(&plan), opts)
             .expect("elastic double-ring recovery failed");
         prop_assert_eq!(out.evicted.clone(), vec![dead]);
@@ -462,7 +462,6 @@ fn fixed_fault_matrix_all_schedules() {
         Some(&crash_dr),
         ElasticOpts {
             double_ring: true,
-            warm_start: false,
             skip_masked_rounds: false,
         },
     )

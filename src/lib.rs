@@ -84,7 +84,7 @@ pub mod prelude {
     pub use burst_model::{
         load_sharded, run_span_elastic, save_sharded, train_with_recovery, AdamCfg, ElasticCfg,
         ElasticOutcome, LocalExec, Model, ModelConfig, MultiHeadAttention, RecoveryCfg,
-        RecoveryReport, ShardManifest, Strategy, TrainCheckpoint,
+        RecoveryReport, ShardManifest, Strategy,
     };
     pub use burst_perf::endtoend::{evaluate, BurstOpts, Method};
     pub use burst_perf::machine::{Cluster, PaperModel};

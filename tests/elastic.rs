@@ -66,8 +66,7 @@ fn fresh_small_world(world: usize) -> Vec<(Mat, Vec<f32>, Mat, Mat, Mat)> {
             lse: &fwd.lse,
             grad_o: &go,
         };
-        let (dq, dk, dv) =
-            try_burst_backward(comm, &ring, &shard, &back, OverlapMode::Fine).expect("clean bwd");
+        let (dq, dk, dv) = try_burst_backward(comm, &ring, &shard, &back).expect("clean bwd");
         (fwd.o, fwd.lse, dq, dk, dv)
     })
 }
@@ -291,9 +290,8 @@ fn poisoned_gradient_is_skipped_in_lockstep_without_a_restart() {
     let dir = scratch("poison-skip");
     let rcfg = RecoveryCfg {
         every: 2,
-        path: dir.join("train.ckpt"),
+        path: dir.clone(),
         max_restarts: 0,
-        sharded: false,
         shrink: false,
         in_step: false,
         quiet: true,
@@ -332,9 +330,8 @@ fn poisoned_micro_batch_is_rolled_back_and_rescaled() {
         .map(|in_step| {
             let rcfg = RecoveryCfg {
                 every: 2,
-                path: dir.join(if in_step { "in-step" } else { "train.ckpt" }),
+                path: dir.join(if in_step { "in-step" } else { "restart" }),
                 max_restarts: 0,
-                sharded: in_step,
                 shrink: false,
                 in_step,
                 quiet: true,
@@ -426,7 +423,6 @@ fn ragged_survivors_fall_back_to_the_flat_ring_bit_exactly() {
     let world = World::with_faults(Topology::a800(2, 2), plan);
     let opts = ElasticOpts {
         double_ring: true,
-        warm_start: false,
         skip_masked_rounds: false,
     };
     let outs = elastic_run(&world, 4, opts);
@@ -462,7 +458,6 @@ fn node_balanced_survivors_keep_the_double_ring() {
     let world = World::with_faults(Topology::a800(2, 2), plan);
     let opts = ElasticOpts {
         double_ring: true,
-        warm_start: false,
         skip_masked_rounds: false,
     };
     let outs = elastic_run(&world, 4, opts);
@@ -557,7 +552,6 @@ fn in_step_recovery_replays_only_the_failed_step_bit_exactly() {
         every: 100,
         path: dir.clone(),
         max_restarts: 0,
-        sharded: true,
         shrink: false,
         in_step: true,
         quiet: true,
@@ -648,7 +642,6 @@ fn crash_in_a_two_level_fsdp_gather_evicts_only_the_victim() {
                 every: 100,
                 path: dir.clone(),
                 max_restarts: 0,
-                sharded: true,
                 shrink: false,
                 in_step: true,
                 quiet: true,
@@ -688,7 +681,6 @@ fn leave_and_rejoin_runs_bit_identical_to_the_segmented_reference() {
         every: 2,
         path: dir.clone(),
         max_restarts: 0,
-        sharded: true,
         shrink: false,
         in_step: true,
         quiet: true,
@@ -769,7 +761,6 @@ fn seeded_churn_storm_completes_with_bounded_replay() {
         every: 2,
         path: dir.clone(),
         max_restarts: 0,
-        sharded: true,
         shrink: false,
         in_step: true,
         // CI sets RECOVERY_SUMMARY to collect the one-line `[recovery]`
@@ -827,7 +818,6 @@ fn sharded_checkpoints_and_shrink_recover_a_dead_rank() {
         every: 2,
         path: dir.clone(),
         max_restarts: 2,
-        sharded: true,
         shrink: true,
         in_step: false,
         quiet: true,

@@ -4,9 +4,11 @@
 //! operational guarantee behind the paper's week-long 1M-token runs.
 
 use burstengine::model::checkpoint_io::tmp_path;
+use burstengine::model::checkpoint_shard::shard_path;
 use burstengine::model::engine::{run_rank, run_span};
 use burstengine::model::fsdp;
 use burstengine::prelude::*;
+use std::cell::Cell;
 use std::path::PathBuf;
 
 fn scratch(name: &str) -> PathBuf {
@@ -17,117 +19,127 @@ fn scratch(name: &str) -> PathBuf {
 
 #[test]
 fn recovered_run_is_bit_identical_to_uninterrupted() {
-    let cfg = EngineConfig::tiny(Backend::Ring(Algo::BurstFlat));
-    let steps = 6;
-    let topo = || Topology::single_node(2);
+    // Restart recovery commits its sharded checkpoints inside every
+    // distributed backend's steps: the flat and the two-level ring, USP and
+    // Ulysses.
+    for (case, (topo, backend)) in [
+        (Topology::single_node(2), Backend::Ring(Algo::BurstFlat)),
+        (Topology::a800(2, 2), Backend::Ring(Algo::BurstTopo)),
+        (Topology::a800(2, 2), Backend::Usp { ulysses_size: 2 }),
+        (Topology::single_node(2), Backend::Ulysses),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let cfg = EngineConfig::tiny(backend);
+        let steps = 6;
 
-    // Reference: an uninterrupted run, plus the op count a full run needs so
-    // the crash below can be planted at ~2/3 of the job.
-    let probe = World::new(topo()).run_results(|comm| {
-        let (losses, _) = run_rank(comm, &cfg, steps);
-        (losses, comm.op_count())
-    });
-    let ref_losses = probe[0].0.clone();
-    let crash_op = probe[1].1 * 2 / 3;
-    assert!(crash_op > 0, "probe run must perform communication");
+        // Reference: an uninterrupted run, plus the op count a full run needs
+        // so the crash below can be planted at ~2/3 of the job.
+        let probe = World::new(topo.clone()).run_results(|comm| {
+            let (losses, _) = run_rank(comm, &cfg, steps);
+            (losses, comm.op_count())
+        });
+        let ref_losses = probe[0].0.clone();
+        let crash_op = probe[1].1 * 2 / 3;
+        assert!(crash_op > 0, "{backend:?}: probe run must communicate");
 
-    let dir = scratch("recovery");
-    let rcfg = RecoveryCfg {
-        every: 2,
-        path: dir.join("train.ckpt"),
-        max_restarts: 3,
-        sharded: false,
-        shrink: false,
-        in_step: false,
-        quiet: true,
-    };
-    // Attempt 0 runs on a cluster where rank 1 dies mid-job; every later
-    // attempt gets a healthy replacement cluster.
-    let report = train_with_recovery(
-        |attempt, _| {
-            if attempt == 0 {
-                let plan = FaultPlan::new(7)
-                    .crash_at_op(1, crash_op)
-                    .recv_deadline(60.0);
-                World::with_faults(topo(), plan)
-            } else {
-                World::new(topo())
-            }
-        },
-        &cfg,
-        steps,
-        &rcfg,
-    )
-    .expect("recovery must succeed within max_restarts");
+        let dir = scratch(&format!("recovery-{case}"));
+        let rcfg = RecoveryCfg {
+            every: 2,
+            path: dir.join("faulty"),
+            max_restarts: 3,
+            shrink: false,
+            in_step: false,
+            quiet: true,
+        };
+        // Attempt 0 runs on a cluster where rank 1 dies mid-job; every later
+        // attempt gets a healthy replacement cluster.
+        let report = train_with_recovery(
+            |attempt, _| {
+                if attempt == 0 {
+                    let plan = FaultPlan::new(7)
+                        .crash_at_op(1, crash_op)
+                        .recv_deadline(60.0);
+                    World::with_faults(topo.clone(), plan)
+                } else {
+                    World::new(topo.clone())
+                }
+            },
+            &cfg,
+            steps,
+            &rcfg,
+        )
+        .expect("recovery must succeed within max_restarts");
 
-    assert!(
-        report.restarts >= 1,
-        "the planted crash must trigger a restart"
-    );
-    assert_eq!(report.restarts, report.failures.len());
-    assert!(
-        report.failures.iter().all(|e| matches!(
-            e,
-            CommError::Crashed { .. } | CommError::PeerLost { .. } | CommError::Timeout { .. }
-        )),
-        "every failure must be typed: {:?}",
-        report.failures
-    );
-    assert_eq!(
-        report.losses, ref_losses,
-        "recovered loss history must be bit-identical to the uninterrupted run"
-    );
+        assert!(
+            report.restarts >= 1,
+            "{backend:?}: the planted crash must trigger a restart"
+        );
+        assert_eq!(report.restarts, report.failures.len());
+        assert!(
+            report.failures.iter().all(|e| matches!(
+                e,
+                CommError::Crashed { .. } | CommError::PeerLost { .. } | CommError::Timeout { .. }
+            )),
+            "{backend:?}: every failure must be typed: {:?}",
+            report.failures
+        );
+        assert_eq!(
+            report.losses, ref_losses,
+            "{backend:?}: recovered loss history must be bit-identical to the uninterrupted run"
+        );
 
-    // A never-failing recovery run reproduces the same final weights —
-    // compare the recovered model against it bit for bit.
-    let clean_rcfg = RecoveryCfg {
-        every: 2,
-        path: dir.join("clean.ckpt"),
-        max_restarts: 0,
-        sharded: false,
-        shrink: false,
-        in_step: false,
-        quiet: true,
-    };
-    let clean = train_with_recovery(|_, _| World::new(topo()), &cfg, steps, &clean_rcfg)
-        .expect("clean run cannot fail");
-    assert_eq!(clean.restarts, 0);
-    assert_eq!(clean.losses, ref_losses);
-    assert_eq!(
-        report.final_model.head.w, clean.final_model.head.w,
-        "recovered weights must match the uninterrupted run exactly"
-    );
-    assert_eq!(
-        report.final_model.embed.table.w,
-        clean.final_model.embed.table.w
-    );
+        // A never-failing recovery run reproduces the same final state —
+        // compare the recovered model against it bit for bit.
+        let clean_rcfg = RecoveryCfg {
+            path: dir.join("clean"),
+            max_restarts: 0,
+            ..rcfg
+        };
+        let clean = train_with_recovery(|_, _| World::new(topo.clone()), &cfg, steps, &clean_rcfg)
+            .expect("clean run cannot fail");
+        assert_eq!(clean.restarts, 0);
+        assert_eq!(clean.losses, ref_losses);
+        let bits = |m: &Model| -> Vec<u32> { m.flat_state().iter().map(|x| x.to_bits()).collect() };
+        assert!(
+            bits(&report.final_model) == bits(&clean.final_model),
+            "{backend:?}: recovered state must match the uninterrupted run exactly"
+        );
 
-    std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
 fn checkpoint_survives_a_crash_mid_write() {
-    let cfg = EngineConfig::tiny(Backend::Local);
+    let cfg = EngineConfig::tiny(Backend::Ring(Algo::RingFlat));
+    let world = || World::new(Topology::single_node(2));
     let dir = scratch("atomic-ckpt");
-    let path = dir.join("train.ckpt");
-    let ck = TrainCheckpoint {
-        step: 3,
-        losses: vec![1.5, 1.25, 1.0],
-        model: Model::new(cfg.model, 5),
+    let rcfg = RecoveryCfg {
+        every: 3,
+        path: dir.clone(),
+        max_restarts: 0,
+        shrink: false,
+        in_step: false,
+        quiet: true,
     };
-    ck.save(&path).unwrap();
-    // A later save dies mid-write: garbage sits in the staging file and the
-    // publishing rename never happens. The previous checkpoint must still
-    // load, and a fresh save must clean up after itself.
-    std::fs::write(tmp_path(&path), b"torn page").unwrap();
-    let restored = TrainCheckpoint::load(&path).unwrap();
-    assert_eq!(restored.step, 3);
-    assert_eq!(restored.losses, ck.losses);
-    assert_eq!(restored.model.head.w, ck.model.head.w);
-    ck.save(&path).unwrap();
+    let first = train_with_recovery(|_, _| world(), &cfg, 3, &rcfg).unwrap();
+    // A later commit dies mid-write: garbage sits in a shard's staging file
+    // and the publishing rename never happens. The previous checkpoint must
+    // still load, and the next commit must sweep the staging file away.
+    let torn = tmp_path(&shard_path(&dir, 1));
+    std::fs::write(&torn, b"torn page").unwrap();
+    let (restored, man, _) = load_sharded(&dir).unwrap();
+    assert_eq!(man.step, 3);
+    assert_eq!(man.losses, first.losses);
+    assert_eq!(restored.head.w, first.final_model.head.w);
+    let resumed = train_with_recovery(|_, _| world(), &cfg, 4, &rcfg).unwrap();
+    assert_eq!(resumed.shards_reloaded, 2, "the resume reads both shards");
+    assert_eq!(resumed.losses[..3], first.losses[..]);
     assert!(
-        !tmp_path(&path).exists(),
-        "save must reclaim the staging file"
+        !torn.exists(),
+        "the next commit must sweep the staging file"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -136,22 +148,16 @@ fn checkpoint_survives_a_crash_mid_write() {
 fn corrupt_train_checkpoint_fails_recovery_loudly() {
     let cfg = EngineConfig::tiny(Backend::Ring(Algo::RingFlat));
     let dir = scratch("corrupt-resume");
-    let path = dir.join("train.ckpt");
-    let ck = TrainCheckpoint {
-        step: 2,
-        losses: vec![2.0, 1.0],
-        model: Model::new(cfg.model, 6),
-    };
-    ck.save(&path).unwrap();
-    let mut bytes = std::fs::read(&path).unwrap();
+    save_sharded(&Model::new(cfg.model, 6), &dir, 2, 2, 0, &[2.0, 1.0]).unwrap();
+    let shard = shard_path(&dir, 1);
+    let mut bytes = std::fs::read(&shard).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x01;
-    std::fs::write(&path, &bytes).unwrap();
+    std::fs::write(&shard, &bytes).unwrap();
     let rcfg = RecoveryCfg {
         every: 2,
-        path: path.clone(),
+        path: dir.clone(),
         max_restarts: 1,
-        sharded: false,
         shrink: false,
         in_step: false,
         quiet: true,
@@ -160,6 +166,96 @@ fn corrupt_train_checkpoint_fails_recovery_loudly() {
         .expect_err("resuming from a rotten checkpoint must not silently restart from step 0");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_crash_inside_a_commit_keeps_the_last_checkpoint_whole() {
+    // Every rank stages its shard before the commit's first barrier, and
+    // only the leader publishes the shards, with the manifest. Rank 1 dies
+    // at each of its ops from the end of step 1 through its commit, where
+    // rank 0 may already have finished the step: the restart must always
+    // find the step-0 checkpoint whole and replay bit-identically.
+    let topo = Topology::single_node(2);
+    let cfg = EngineConfig::tiny(Backend::Ring(Algo::BurstFlat));
+    let dir = scratch("commit-crash");
+    let rcfg = RecoveryCfg {
+        every: 1,
+        path: dir.join("clean"),
+        max_restarts: 1,
+        shrink: false,
+        in_step: false,
+        quiet: true,
+    };
+    let clean = train_with_recovery(|_, _| World::new(topo.clone()), &cfg, 2, &rcfg)
+        .expect("clean run cannot fail");
+    let mut restarts = 0;
+    // The span probe counts no commit ops; the slack past its end covers
+    // the two commits' barriers.
+    let end = rank1_ops_after(&topo, |comm| {
+        let mut model = Model::new(cfg.model, cfg.seed);
+        run_span(comm, &cfg, &mut model, 0, 2, |_, _, _, _| {}).expect("clean span");
+    });
+    for op in end - 8..end + 16 {
+        let rcfg = RecoveryCfg {
+            path: dir.join(format!("crash-{op}")),
+            ..rcfg.clone()
+        };
+        let report = train_with_recovery(
+            |attempt, _| {
+                if attempt == 0 {
+                    World::with_faults(topo.clone(), FaultPlan::new(3).crash_at_op(1, op))
+                } else {
+                    World::new(topo.clone())
+                }
+            },
+            &cfg,
+            2,
+            &rcfg,
+        )
+        .unwrap_or_else(|e| panic!("crash at op {op}: {e}"));
+        assert_eq!(report.losses, clean.losses, "crash at op {op}");
+        restarts += report.restarts;
+    }
+    assert!(restarts > 0, "the sweep must crash some attempts");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn in_step_recovery_rejects_a_non_ring_backend_before_building_a_world() {
+    for backend in [
+        Backend::Local,
+        Backend::Usp { ulysses_size: 2 },
+        Backend::Ulysses,
+    ] {
+        let cfg = EngineConfig::tiny(backend);
+        let dir = scratch("in-step-backend");
+        let rcfg = RecoveryCfg {
+            every: 1,
+            path: dir.clone(),
+            max_restarts: 2,
+            shrink: false,
+            in_step: true,
+            quiet: true,
+        };
+        let worlds = Cell::new(0usize);
+        let err = train_with_recovery(
+            |_, _| {
+                worlds.set(worlds.get() + 1);
+                World::new(Topology::a800(2, 2))
+            },
+            &cfg,
+            2,
+            &rcfg,
+        )
+        .expect_err("in-step recovery needs a ring backend");
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidInput,
+            "{backend:?}: {err}"
+        );
+        assert_eq!(worlds.get(), 0, "{backend:?}: no world may be built");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// Rank 1's comm-op count after `f` runs on a clean `topo` world.
