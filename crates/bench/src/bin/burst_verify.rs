@@ -288,6 +288,7 @@ fn masked_cells(seed: u64, cells: &mut Vec<Cell>) {
                 mask,
                 None,
                 true,
+                None,
             )
             .map_err(|e| e.to_string())
             .and_then(|got| {
@@ -302,6 +303,7 @@ fn masked_cells(seed: u64, cells: &mut Vec<Cell>) {
                     mask,
                     None,
                     false,
+                    None,
                 )
                 .map_err(|e| e.to_string())?;
                 for (what, a, b) in [

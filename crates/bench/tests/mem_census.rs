@@ -10,11 +10,14 @@
 //! balances).
 
 use burst_comm::obs::{peak_census, validate_mem, PeakBytes};
-use burst_comm::{FaultPlan, Membership, RetryPolicy, Topology, WireDtype, World};
+use burst_comm::{
+    FaultPlan, Membership, RankOutput, RetryPolicy, SpanKind, Topology, WireDtype, World,
+};
+use burst_dattn::ring::AttnShard;
 use burst_dattn::usp::{try_usp_backward, try_usp_forward, UspTopo};
 use burst_dattn::{
-    try_elastic_attention_opts, try_run_attention_opts, Algo, CostModel, ElasticOpts, Layout,
-    ShardData,
+    try_elastic_attention_opts, try_run_attention_opts, try_run_attention_shard, Algo, CostModel,
+    ElasticOpts, Layout, ShardData,
 };
 use burst_kernels::AttnMask;
 use burst_perf::{exact_peak_bytes_dtype, exact_peak_bytes_masked_dtype, Cluster, PeakMethod};
@@ -36,44 +39,58 @@ fn shard_of(layout: Layout, n: usize, g: usize, rank: usize, full: &Mat) -> Mat 
     full.gather_rows(&layout.indices(n, g, rank))
 }
 
-/// Run `algo` through the dispatcher with accounting on and return each
-/// rank's measured gated census.
+/// The payload elements of every `Send` span the ranks traced.
+fn send_elems<R>(outs: &[RankOutput<R>]) -> Vec<u64> {
+    outs.iter()
+        .flat_map(|o| o.trace.iter().flat_map(|t| &t.spans))
+        .filter(|s| s.kind == SpanKind::Send)
+        .map(|s| s.elems)
+        .collect()
+}
+
+/// Run `algo` through the dispatcher, cut at `max_token`, with accounting
+/// and tracing on; return each rank's measured gated census and the
+/// payload elements of every message sent.
 fn measured_dispatch(
     algo: Algo,
     topo: &Topology,
     seq: usize,
     d: usize,
-    (mask, layout, skip): (&AttnMask, Layout, bool),
-) -> Vec<PeakBytes> {
+    (mask, layout, skip, max_token): (&AttnMask, Layout, bool, Option<usize>),
+) -> (Vec<PeakBytes>, Vec<u64>) {
     let g = topo.world_size();
     let (q, k, v, grad_o, scale) = problem(seq, d);
     let world = World::new(topo.clone());
-    world
-        .run(|comm| {
-            let r = comm.rank();
-            let (ql, kl, vl, dol) = (
-                shard_of(layout, seq, g, r, &q),
-                shard_of(layout, seq, g, r, &k),
-                shard_of(layout, seq, g, r, &v),
-                shard_of(layout, seq, g, r, &grad_o),
-            );
-            comm.start_mem_accounting();
-            try_run_attention_opts(
-                algo,
-                comm,
-                &ql,
-                &kl,
-                &vl,
-                &dol,
-                scale,
-                mask,
-                layout,
-                seq,
-                &CostModel::a800(),
-                skip,
-            )
-            .expect("fault-free attention");
-        })
+    let outs = world.run(|comm| {
+        let idx: Vec<usize> = layout
+            .spans(seq, g, comm.rank(), max_token)
+            .into_iter()
+            .flat_map(|s| s.iter())
+            .collect();
+        let (ql, kl, vl, dol) = (
+            q.gather_rows(&idx),
+            k.gather_rows(&idx),
+            v.gather_rows(&idx),
+            grad_o.gather_rows(&idx),
+        );
+        let shard = AttnShard {
+            q: &ql,
+            k: &kl,
+            v: &vl,
+            scale,
+            mask,
+            layout,
+            seq_len: seq,
+            cost: CostModel::a800(),
+            max_token,
+            skip,
+        };
+        comm.start_mem_accounting();
+        comm.start_trace();
+        try_run_attention_shard(algo, comm, &shard, &dol).expect("fault-free attention");
+    });
+    let sends = send_elems(&outs);
+    let peaks = outs
         .into_iter()
         .map(|o| {
             let m = o.mem.expect("accounting was on");
@@ -86,7 +103,8 @@ fn measured_dispatch(
             assert_eq!(m.live_at_close, 0);
             m.peak.gated()
         })
-        .collect()
+        .collect();
+    (peaks, sends)
 }
 
 #[test]
@@ -104,8 +122,9 @@ fn dispatcher_peaks_match_exact_census_on_every_topology_and_dtype() {
             let topo = Topology::a800(nodes, gpn).with_wire_dtype(dtype);
             for (algo, method) in methods {
                 let want = exact_peak_bytes_dtype(&cluster, seq, d, method, dtype);
-                let dense = (&AttnMask::Causal, Layout::Zigzag, false);
+                let dense = (&AttnMask::Causal, Layout::Zigzag, false, None);
                 for (rank, got) in measured_dispatch(algo, &topo, seq, d, dense)
+                    .0
                     .iter()
                     .enumerate()
                 {
@@ -147,7 +166,8 @@ fn skip_on_dispatcher_peaks_match_masked_census() {
                 for layout in [Layout::Contiguous, Layout::Zigzag] {
                     for (algo, method) in methods {
                         let dense = exact_peak_bytes_dtype(&cluster, seq, d, method, dtype);
-                        let got = measured_dispatch(algo, &topo, seq, d, (mask, layout, true));
+                        let (got, _) =
+                            measured_dispatch(algo, &topo, seq, d, (mask, layout, true, None));
                         for (rank, got) in got.iter().enumerate() {
                             below_dense += (got.comm_buffers < dense.comm_buffers) as usize;
                             let want = exact_peak_bytes_masked_dtype(
@@ -167,9 +187,83 @@ fn skip_on_dispatcher_peaks_match_masked_census() {
     assert!(below_dense > 0, "no rank's gates kept a slot empty");
 }
 
+/// Tile-aligned zigzag cells: at `seq = 64·G` the skip plans split shards
+/// into their two spans, so read-only hops carry single spans, yet every
+/// ledger slot still bills a whole shard and the ledger stays `==` the
+/// masked census — on every ring schedule, uncut and cut mid-chunk, and on
+/// USP's ring leg (U = 2), in f32 and bf16.
+#[test]
+fn aligned_zigzag_peaks_match_masked_census() {
+    let d = 8usize;
+    let methods = [
+        (Algo::RingFlat, PeakMethod::RingFlat),
+        (Algo::BurstFlat, PeakMethod::BurstFlat),
+        (Algo::DoubleRing, PeakMethod::DoubleRing),
+        (Algo::BurstTopo, PeakMethod::BurstTopo),
+    ];
+    for (nodes, gpn) in [(2usize, 2usize), (2, 4)] {
+        let g = nodes * gpn;
+        let (seq, chunk) = (64 * g, 32usize);
+        let mask = AttnMask::SlidingWindow { window: chunk };
+        let cluster = Cluster::a800(nodes, gpn);
+        for dtype in DTYPES {
+            let topo = Topology::a800(nodes, gpn).with_wire_dtype(dtype);
+            for max_token in [None, Some(seq - chunk / 2)] {
+                for (algo, method) in methods {
+                    let label = format!("{algo:?} {nodes}x{gpn} {dtype:?} cut {max_token:?}");
+                    let cell = (&mask, Layout::Zigzag, true, max_token);
+                    let (got, sends) = measured_dispatch(algo, &topo, seq, d, cell);
+                    for (rank, got) in got.iter().enumerate() {
+                        let want = exact_peak_bytes_masked_dtype(
+                            &cluster,
+                            seq,
+                            d,
+                            method,
+                            dtype,
+                            &mask,
+                            Layout::Zigzag,
+                            max_token,
+                            true,
+                            rank,
+                        );
+                        assert_eq!(*got, want, "{label} rank {rank}: ledger != masked census");
+                    }
+                    assert!(
+                        sends.contains(&((chunk * d) as u64)),
+                        "{label}: no read-only send carried a single span"
+                    );
+                }
+            }
+            // USP's ring leg: G / 2 ring positions over half the tokens.
+            let (heads, u) = (4usize, 2usize);
+            let (got, sends) = measured_usp(topo, seq / 2, heads, d, u, &mask, true);
+            assert!(
+                sends.contains(&((chunk * d) as u64)),
+                "usp {nodes}x{gpn} {dtype:?}: no read-only send carried a single span"
+            );
+            for (rank, got) in got.iter().enumerate() {
+                let want = exact_peak_bytes_masked_dtype(
+                    &cluster,
+                    seq / 2,
+                    heads * d,
+                    PeakMethod::Usp { heads, ulysses: u },
+                    dtype,
+                    &mask,
+                    Layout::Zigzag,
+                    None,
+                    true,
+                    rank,
+                );
+                assert_eq!(*got, want, "usp {nodes}x{gpn} {dtype:?} rank {rank}");
+            }
+        }
+    }
+}
+
 /// Run USP (`u`-rank Ulysses groups, ring leg skipping per `skip`) forward
-/// then backward with accounting on, and return each rank's measured gated
-/// census. `heads` heads of width `dh` over `seq` tokens.
+/// then backward with accounting and tracing on, and return each rank's
+/// measured gated census and the payload elements of every message sent.
+/// `heads` heads of width `dh` over `seq` tokens.
 #[allow(clippy::too_many_arguments)]
 fn measured_usp(
     topo: Topology,
@@ -179,7 +273,7 @@ fn measured_usp(
     u: usize,
     mask: &AttnMask,
     skip: bool,
-) -> Vec<PeakBytes> {
+) -> (Vec<PeakBytes>, Vec<u64>) {
     let scale = 1.0 / (dh as f32).sqrt();
     let inputs = |sd: f32, base: u64| -> Vec<Mat> {
         (0..heads)
@@ -192,50 +286,53 @@ fn measured_usp(
         inputs(0.7, 700),
         inputs(0.8, 800),
     );
-    World::new(topo)
-        .run(|comm| {
-            let utopo = UspTopo::new(comm, u).with_skip(skip);
-            let my_idx = utopo.local_idx(seq);
-            let ql: Vec<Mat> = qh.iter().map(|m| m.gather_rows(&my_idx)).collect();
-            let kl: Vec<Mat> = kh.iter().map(|m| m.gather_rows(&my_idx)).collect();
-            let vl: Vec<Mat> = vh.iter().map(|m| m.gather_rows(&my_idx)).collect();
-            let dol: Vec<Mat> = doh.iter().map(|m| m.gather_rows(&my_idx)).collect();
-            comm.start_mem_accounting();
-            let (o, lse) = try_usp_forward(
-                comm,
-                &utopo,
-                &ql,
-                &kl,
-                &vl,
-                scale,
-                mask,
-                seq,
-                &CostModel::free(),
-            )
-            .expect("usp forward");
-            try_usp_backward(
-                comm,
-                &utopo,
-                &ql,
-                &kl,
-                &vl,
-                &o,
-                &lse,
-                &dol,
-                scale,
-                mask,
-                seq,
-                &CostModel::free(),
-            )
-            .expect("usp backward");
-        })
+    let outs = World::new(topo).run(|comm| {
+        let utopo = UspTopo::new(comm, u).with_skip(skip);
+        let my_idx = utopo.local_idx(seq);
+        let ql: Vec<Mat> = qh.iter().map(|m| m.gather_rows(&my_idx)).collect();
+        let kl: Vec<Mat> = kh.iter().map(|m| m.gather_rows(&my_idx)).collect();
+        let vl: Vec<Mat> = vh.iter().map(|m| m.gather_rows(&my_idx)).collect();
+        let dol: Vec<Mat> = doh.iter().map(|m| m.gather_rows(&my_idx)).collect();
+        comm.start_mem_accounting();
+        comm.start_trace();
+        let (o, lse) = try_usp_forward(
+            comm,
+            &utopo,
+            &ql,
+            &kl,
+            &vl,
+            scale,
+            mask,
+            seq,
+            &CostModel::free(),
+        )
+        .expect("usp forward");
+        try_usp_backward(
+            comm,
+            &utopo,
+            &ql,
+            &kl,
+            &vl,
+            &o,
+            &lse,
+            &dol,
+            scale,
+            mask,
+            seq,
+            &CostModel::free(),
+        )
+        .expect("usp backward");
+    });
+    let sends = send_elems(&outs);
+    let peaks = outs
         .into_iter()
         .map(|o| {
             let m = o.mem.expect("accounting was on");
             validate_mem(&m).unwrap_or_else(|e| panic!("rank {}: {e}", o.rank));
             m.peak.gated()
         })
-        .collect()
+        .collect();
+    (peaks, sends)
 }
 
 #[test]
@@ -264,7 +361,7 @@ fn ulysses_and_usp_peaks_match_exact_census() {
                 PeakMethod::Usp { heads, ulysses: u },
                 dtype,
             );
-            let got = measured_usp(topo, seq, heads, dh, u, &AttnMask::Causal, false);
+            let (got, _) = measured_usp(topo, seq, heads, dh, u, &AttnMask::Causal, false);
             for (rank, got) in got.iter().enumerate() {
                 assert_eq!(
                     *got, want,
@@ -294,7 +391,7 @@ fn windowed_skip_on_usp_peaks_match_masked_census() {
                 PeakMethod::Usp { heads, ulysses: u },
                 dtype,
             );
-            let got = measured_usp(topo, seq, heads, dh, u, &mask, true);
+            let (got, _) = measured_usp(topo, seq, heads, dh, u, &mask, true);
             for (rank, got) in got.iter().enumerate() {
                 let want = exact_peak_bytes_masked_dtype(
                     &cluster,

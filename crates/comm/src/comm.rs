@@ -1095,6 +1095,18 @@ impl Communicator {
         self.try_send(dst, payload)
     }
 
+    /// Send a copy of rows `rows` of `m` to `dst`, as
+    /// [`Communicator::try_send_mat`] sends the whole matrix.
+    pub fn try_send_rows(
+        &mut self,
+        dst: usize,
+        m: &Mat,
+        rows: std::ops::Range<usize>,
+    ) -> Result<(), CommError> {
+        let payload = self.mat_payload(m.slice_rows(rows.start, rows.end));
+        self.try_send(dst, payload)
+    }
+
     /// Receive a matrix from `src`. Accepts either wire dtype — an f32
     /// payload is returned untouched, a bf16 payload is decoded (exactly)
     /// back to `f32`.

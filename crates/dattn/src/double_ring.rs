@@ -30,8 +30,18 @@
 //! accumulators and one reused [`Scratch`], and read the local shard (and
 //! each sweep's start bundle) by reference — steady-state rounds perform no
 //! heap allocations in the tile-compute path.
+//!
+//! With skipping on, each read-only hop carries the spans its consumers
+//! read, as on the flat ring ([`crate::ring`]): an intra hop the spans a
+//! later slot of the same sweep reads, an inter hop — a sweep's start
+//! bundle — the spans any later sweep reads. The start bundle arriving over
+//! a NIC is therefore never more than the spans the whole remaining ring
+//! needs, and the sweeps relay windows of it.
 
-use crate::ring::{AttnFailure, AttnShard, BackwardInputs, DistAttnOut, KvHold, Phase};
+use crate::ring::{
+    post_kv, post_ro, skip_kv, skip_ro, AttnFailure, AttnShard, BackwardInputs, DistAttnOut,
+    KvHold, Phase, RoHold,
+};
 /// The slot geometry every schedule here runs on. It lives in `burst-comm`,
 /// whose ring collectives run on it too.
 pub use burst_comm::DoubleRingSpec;
@@ -39,36 +49,16 @@ use burst_comm::{Communicator, MemCategory, MemId, SpanKind};
 use burst_kernels::{attn_tile_backward, attn_tile_backward_acc, flash_forward_acc, KernelWork};
 use burst_tensor::{Mat, Scratch};
 
-/// What a rank holds of a circulating read-only `(Q, ∇O, Lse, D)` bundle.
-/// `Absent` only arises with skipping on; gate monotonicity guarantees an
-/// absent bundle is never read.
-enum RoHold {
-    Local,
-    Owned(Mat, Mat, Vec<f32>, Vec<f32>),
-    Absent,
-}
-
-impl RoHold {
-    fn view<'a>(
-        &'a self,
-        q: &'a Mat,
-        grad_o: &'a Mat,
-        lse: &'a [f32],
-        d: &'a [f32],
-    ) -> (&'a Mat, &'a Mat, &'a [f32], &'a [f32]) {
-        match self {
-            RoHold::Local => (q, grad_o, lse, d),
-            RoHold::Owned(oq, oo, ol, od) => (oq, oo, ol, od),
-            RoHold::Absent => unreachable!("skip gates never read an absent bundle"),
-        }
-    }
-}
-
 /// Resolve the two-level `cur`-over-`start` K/V hold without touching
 /// `start` unless `cur` actually defers to it — with skipping on, a rank
 /// can own the current shard while the sweep's start shard was gated off
 /// and is legitimately absent.
-fn kv_pair<'a>(cur: &'a KvHold, start: &'a KvHold, k: &'a Mat, v: &'a Mat) -> (&'a Mat, &'a Mat) {
+fn kv_pair<'a>(
+    cur: &'a KvHold,
+    start: &'a KvHold,
+    k: &'a Mat,
+    v: &'a Mat,
+) -> (&'a Mat, &'a Mat, usize) {
     match cur {
         KvHold::Local => start.view(k, v),
         held => held.view(k, v),
@@ -182,12 +172,13 @@ pub fn try_double_ring_forward_heads_on(
     };
 
     let mut start_src = me;
-    let mut recv_start = false;
+    let mut recv_start = None;
     for outer in 0..nodes {
         let op = plan.dr_fwd_outer(me, outer, nodes, gpn);
         debug_assert_eq!(op.start_shard, start_src);
-        // Post a head's start bundle to the next node: it hides behind this
-        // and every later sweep until the peer's matching sweep.
+        // Post a head's start bundle to the next node — the spans a later
+        // sweep still folds: it hides behind this and every later sweep
+        // until the peer's matching sweep.
         let post = |comm: &mut Communicator,
                     shard: &AttnShard,
                     start: &KvHold|
@@ -195,16 +186,12 @@ pub fn try_double_ring_forward_heads_on(
             if outer == nodes - 1 {
                 return Ok(());
             }
-            if op.send_inter {
-                let at = AttnFailure::at(Phase::Forward, outer * gpn);
-                let (start_k, start_v) = start.view(shard.k, shard.v);
-                comm.try_send_mat(peer_next, start_k).map_err(&at)?;
-                comm.try_send_mat(peer_next, start_v).map_err(&at)?;
-            } else {
-                comm.note_skipped_mat(kidx_all[start_src].len() * shard.k.cols());
-                comm.note_skipped_mat(kidx_all[start_src].len() * shard.v.cols());
-            }
-            Ok(())
+            let rows = kidx_all[start_src].len();
+            let want = plan.window(start_src, op.send_inter, rows);
+            post_kv(comm, peer_next, want, rows, shard, || {
+                start.view(shard.k, shard.v)
+            })
+            .map_err(AttnFailure::at(Phase::Forward, outer * gpn))
         };
         if outer == 0 {
             for (shard, head) in heads.iter().zip(&state) {
@@ -213,15 +200,8 @@ pub fn try_double_ring_forward_heads_on(
         }
         for (shard, head) in heads.iter().zip(&mut state) {
             if outer > 0 {
-                head.start = if recv_start {
-                    let at = AttnFailure::at(Phase::Forward, outer * gpn - 1);
-                    KvHold::Owned(
-                        comm.try_recv_mat(peer_prev).map_err(&at)?,
-                        comm.try_recv_mat(peer_prev).map_err(&at)?,
-                    )
-                } else {
-                    KvHold::Absent
-                };
+                head.start = KvHold::recv(comm, peer_prev, recv_start.clone())
+                    .map_err(AttnFailure::at(Phase::Forward, outer * gpn - 1))?;
                 post(comm, shard, &head.start)?;
             }
             // `Local` current bundle = inner step 0, read the start bundle
@@ -231,14 +211,12 @@ pub fn try_double_ring_forward_heads_on(
             for inner in 0..gpn {
                 let s = plan.dr_fwd_slot(me, outer, inner, nodes, gpn);
                 debug_assert_eq!(s.shard, src);
-                let k_elems = kidx_all[src].len() * shard.k.cols();
-                let v_elems = kidx_all[src].len() * shard.v.cols();
+                let rows = kidx_all[src].len();
                 if s.idle() {
                     // Fully-masked slot: no span, no clock, no wire.
                     comm.note_round_skipped();
                     if inner < gpn - 1 {
-                        comm.note_skipped_mat(k_elems);
-                        comm.note_skipped_mat(v_elems);
+                        skip_kv(comm, rows, shard);
                         cur_held = KvHold::Absent;
                         src = spec.prev_in_node(src);
                     }
@@ -247,17 +225,14 @@ pub fn try_double_ring_forward_heads_on(
                 let at = AttnFailure::at(Phase::Forward, outer * gpn + inner);
                 comm.span_begin(SpanKind::AttnRound, "dr_fwd_slot");
                 if inner < gpn - 1 {
-                    if s.send {
-                        let (cur_k, cur_v) = kv_pair(&cur_held, &head.start, shard.k, shard.v);
-                        comm.try_send_mat(intra_next, cur_k).map_err(&at)?;
-                        comm.try_send_mat(intra_next, cur_v).map_err(&at)?;
-                    } else {
-                        comm.note_skipped_mat(k_elems);
-                        comm.note_skipped_mat(v_elems);
-                    }
+                    let want = plan.window(src, s.send, rows);
+                    post_kv(comm, intra_next, want, rows, shard, || {
+                        kv_pair(&cur_held, &head.start, shard.k, shard.v)
+                    })
+                    .map_err(&at)?;
                 }
                 if s.compute {
-                    let (cur_k, cur_v) = kv_pair(&cur_held, &head.start, shard.k, shard.v);
+                    let (cur_k, cur_v, off) = kv_pair(&cur_held, &head.start, shard.k, shard.v);
                     let w = flash_forward_acc(
                         shard.q,
                         cur_k,
@@ -265,7 +240,7 @@ pub fn try_double_ring_forward_heads_on(
                         shard.scale,
                         shard.mask,
                         &qi,
-                        &kidx_all[src],
+                        &kidx_all[src][off..off + cur_k.rows()],
                         &mut head.acc_o,
                         &mut head.acc_lse,
                         &mut scratch,
@@ -274,20 +249,14 @@ pub fn try_double_ring_forward_heads_on(
                     head.work.merge(w);
                 }
                 if inner < gpn - 1 {
-                    cur_held = if s.recv {
-                        KvHold::Owned(
-                            comm.try_recv_mat(intra_prev).map_err(&at)?,
-                            comm.try_recv_mat(intra_prev).map_err(&at)?,
-                        )
-                    } else {
-                        KvHold::Absent
-                    };
+                    let rows_in = plan.window(s.shard_in, s.recv, kidx_all[s.shard_in].len());
+                    cur_held = KvHold::recv(comm, intra_prev, rows_in).map_err(&at)?;
                     src = spec.prev_in_node(src);
                 }
                 comm.span_end();
             }
         }
-        recv_start = op.recv_inter;
+        recv_start = plan.window(op.start_in, op.recv_inter, kidx_all[op.start_in].len());
         start_src = spec.peer_prev_node(start_src);
     }
     comm.mem_note_workspace(scratch.resident_bytes());
@@ -371,15 +340,12 @@ pub fn try_double_ring_backward_alg1_on(
             debug_assert_eq!(s.shard, src);
             let last = t + 1 == g;
             let last_inner = inner == gpn - 1;
-            let k_elems = kidx_all[src].len() * shard.k.cols();
-            let v_elems = kidx_all[src].len() * shard.v.cols();
+            let rows = kidx_all[src].len();
             if s.idle() {
                 comm.note_round_skipped();
                 if !last {
-                    comm.note_skipped_mat(k_elems);
-                    comm.note_skipped_mat(v_elems);
-                    comm.note_skipped_mat(k_elems);
-                    comm.note_skipped_mat(v_elems);
+                    skip_kv(comm, rows, shard);
+                    skip_kv(comm, rows, shard);
                     held = KvHold::Absent;
                     dkv = None;
                     src = if last_inner {
@@ -393,11 +359,14 @@ pub fn try_double_ring_backward_alg1_on(
             let at = AttnFailure::at(Phase::Backward, t);
             comm.span_begin(SpanKind::AttnRound, "dr_bwd_slot");
             if s.compute {
-                let (cur_k, cur_v) = held.view(shard.k, shard.v);
+                // The received K/V rows accumulate into their rows of the
+                // shard's circulating ∇K/∇V.
+                let (cur_k, cur_v, off) = held.view(shard.k, shard.v);
+                let end = off + cur_k.rows();
                 if dkv.is_none() {
                     dkv = Some((
-                        Mat::zeros(kidx_all[src].len(), shard.k.cols()),
-                        Mat::zeros(kidx_all[src].len(), shard.v.cols()),
+                        Mat::zeros(rows, shard.k.cols()),
+                        Mat::zeros(rows, shard.v.cols()),
                     ));
                 }
                 let (cur_dk, cur_dv) = dkv.as_mut().expect("just materialized");
@@ -411,10 +380,10 @@ pub fn try_double_ring_backward_alg1_on(
                     shard.scale,
                     shard.mask,
                     &qi,
-                    &kidx_all[src],
-                    &mut grad_q,
-                    cur_dk,
-                    cur_dv,
+                    &kidx_all[src][off..end],
+                    grad_q.as_mut_slice(),
+                    cur_dk.rows_mut(off, end),
+                    cur_dv.rows_mut(off, end),
                     &mut scratch,
                 );
                 // Algorithm 1 recomputes D every round.
@@ -426,30 +395,17 @@ pub fn try_double_ring_backward_alg1_on(
             }
             let dst = if last_inner { peer_next } else { intra_next };
             let src_peer = if last_inner { peer_prev } else { intra_prev };
-            if s.send_kv {
-                let (cur_k, cur_v) = held.view(shard.k, shard.v);
-                comm.try_send_mat(dst, cur_k).map_err(&at)?;
-                comm.try_send_mat(dst, cur_v).map_err(&at)?;
-            } else {
-                comm.note_skipped_mat(k_elems);
-                comm.note_skipped_mat(v_elems);
-            }
+            let want = plan.window(src, s.send_kv, rows);
+            post_kv(comm, dst, want, rows, shard, || held.view(shard.k, shard.v)).map_err(&at)?;
             if s.send_dkv {
                 let (cur_dk, cur_dv) = dkv.as_ref().expect("∇K/∇V gate implies a contribution");
                 comm.try_send_mat(dst, cur_dk).map_err(&at)?;
                 comm.try_send_mat(dst, cur_dv).map_err(&at)?;
             } else {
-                comm.note_skipped_mat(k_elems);
-                comm.note_skipped_mat(v_elems);
+                skip_kv(comm, rows, shard);
             }
-            held = if s.recv_kv {
-                KvHold::Owned(
-                    comm.try_recv_mat(src_peer).map_err(&at)?,
-                    comm.try_recv_mat(src_peer).map_err(&at)?,
-                )
-            } else {
-                KvHold::Absent
-            };
+            let rows_in = plan.window(s.shard_in, s.recv_kv, kidx_all[s.shard_in].len());
+            held = KvHold::recv(comm, src_peer, rows_in).map_err(&at)?;
             dkv = if s.recv_dkv {
                 Some((
                     comm.try_recv_mat(src_peer).map_err(&at)?,
@@ -488,8 +444,7 @@ pub fn try_double_ring_backward_alg1_on(
                 comm.try_send_mat(dst, dk).map_err(&at)?;
                 comm.try_send_mat(dst, dv).map_err(&at)?;
             } else {
-                comm.note_skipped_mat(kidx_all[h.send_shard].len() * shard.k.cols());
-                comm.note_skipped_mat(kidx_all[h.send_shard].len() * shard.v.cols());
+                skip_kv(comm, kidx_all[h.send_shard].len(), shard);
             }
             dkv = if h.recv {
                 Some((
@@ -504,8 +459,7 @@ pub fn try_double_ring_backward_alg1_on(
     } else {
         comm.note_round_skipped();
         for h in &hops {
-            comm.note_skipped_mat(kidx_all[h.send_shard].len() * shard.k.cols());
-            comm.note_skipped_mat(kidx_all[h.send_shard].len() * shard.v.cols());
+            skip_kv(comm, kidx_all[h.send_shard].len(), shard);
         }
         dkv = None;
     }
@@ -618,6 +572,7 @@ pub fn try_double_ring_backward_alg2_on(
     let diag_next = spec.rank_at(spec.peer_next_node(spec.next_in_node(me)));
     let diag_prev = spec.rank_at(spec.peer_prev_node(spec.prev_in_node(me)));
 
+    let ro_cols = (shard.q.cols(), back.grad_o.cols());
     let mut start_held = RoHold::Local;
     let mut start_src = me;
 
@@ -625,21 +580,14 @@ pub fn try_double_ring_backward_alg2_on(
         let op = plan.dr_alg2_outer(me, outer, nodes, gpn);
         debug_assert_eq!(op.start_bundle, start_src);
         if outer < nodes - 1 {
-            if op.send_inter {
-                // Early inter-node post of the read-only bundle.
-                let at = AttnFailure::at(Phase::Backward, outer * gpn);
-                let (start_q, start_do, start_lse, start_d) =
-                    start_held.view(shard.q, back.grad_o, back.lse, &d_vec);
-                let p = peer_next;
-                comm.try_send_mat(p, start_q).map_err(&at)?;
-                comm.try_send_mat(p, start_do).map_err(&at)?;
-                comm.try_send_vec(p, start_lse).map_err(&at)?;
-                comm.try_send_vec(p, start_d).map_err(&at)?;
-            } else {
-                let rows = qidx_all[start_src].len();
-                comm.note_skipped_mat(rows * (shard.q.cols() + back.grad_o.cols()));
-                comm.note_skipped_vec(2 * rows);
-            }
+            // Early inter-node post of the read-only spans a later sweep
+            // reads.
+            let rows = qidx_all[start_src].len();
+            let want = plan.window(start_src, op.send_inter, rows);
+            post_ro(comm, peer_next, want, rows, ro_cols, || {
+                start_held.view(shard.q, back.grad_o, back.lse, &d_vec)
+            })
+            .map_err(AttnFailure::at(Phase::Backward, outer * gpn))?;
         }
         let mut cur_held = RoHold::Local;
         let mut src = start_src;
@@ -648,13 +596,11 @@ pub fn try_double_ring_backward_alg2_on(
             let s = plan.dr_alg2_slot(me, outer, inner, nodes, gpn);
             debug_assert_eq!(s.bundle, src);
             let rows_j = qidx_all[src].len();
-            let ro_mat_elems = rows_j * (shard.q.cols() + back.grad_o.cols());
             let dq_elems = rows_j * shard.q.cols();
             if s.idle() {
                 comm.note_round_skipped();
                 if inner < gpn - 1 {
-                    comm.note_skipped_mat(ro_mat_elems);
-                    comm.note_skipped_vec(2 * rows_j);
+                    skip_ro(comm, rows_j, ro_cols);
                     cur_held = RoHold::Absent;
                     src = spec.prev_in_node(src);
                 }
@@ -666,33 +612,22 @@ pub fn try_double_ring_backward_alg2_on(
             // Dereference the bundle lazily: a slot can be live purely for
             // the ∇Q stream (or an intra receive) while the read-only
             // bundle itself was gated off upstream and is absent here.
-            let ro = if s.send_ro || s.compute {
-                Some(match &cur_held {
-                    RoHold::Local => start_held.view(shard.q, back.grad_o, back.lse, &d_vec),
-                    held => held.view(shard.q, back.grad_o, back.lse, &d_vec),
-                })
-            } else {
-                None
+            let ro = || match &cur_held {
+                RoHold::Local => start_held.view(shard.q, back.grad_o, back.lse, &d_vec),
+                held => held.view(shard.q, back.grad_o, back.lse, &d_vec),
             };
             if inner < gpn - 1 {
-                if s.send_ro {
-                    // Read-only intra post before compute.
-                    let (cur_q, cur_do, cur_lse, cur_d) =
-                        ro.expect("send gate implies a held bundle");
-                    let n = intra_next;
-                    comm.try_send_mat(n, cur_q).map_err(&at)?;
-                    comm.try_send_mat(n, cur_do).map_err(&at)?;
-                    comm.try_send_vec(n, cur_lse).map_err(&at)?;
-                    comm.try_send_vec(n, cur_d).map_err(&at)?;
-                } else {
-                    comm.note_skipped_mat(ro_mat_elems);
-                    comm.note_skipped_vec(2 * rows_j);
-                }
+                // Read-only intra post before compute.
+                let want = plan.window(src, s.send_ro, rows_j);
+                post_ro(comm, intra_next, want, rows_j, ro_cols, ro).map_err(&at)?;
             }
             if s.compute {
-                let (cur_q, cur_do, cur_lse, cur_d) =
-                    ro.expect("compute gate implies a held bundle");
-                dq_buf.reshape_in_place(cur_q.rows(), cur_q.cols());
+                // ∇Q of the held rows lands in their rows of the bundle's
+                // ∇Q; the other rows stay zero, as the dense tile leaves
+                // them.
+                let (cur_q, cur_do, cur_lse, cur_d, off) = ro();
+                let end = off + cur_q.rows();
+                dq_buf.reshape_in_place(rows_j, shard.q.cols());
                 let w = attn_tile_backward_acc(
                     cur_q,
                     shard.k,
@@ -702,11 +637,11 @@ pub fn try_double_ring_backward_alg2_on(
                     cur_d,
                     shard.scale,
                     shard.mask,
-                    &qidx_all[src],
+                    &qidx_all[src][off..end],
                     &ki,
-                    &mut dq_buf,
-                    &mut grad_k,
-                    &mut grad_v,
+                    dq_buf.rows_mut(off, end),
+                    grad_k.as_mut_slice(),
+                    grad_v.as_mut_slice(),
                     &mut scratch,
                 );
                 comm.advance_compute(shard.cost.attn_bwd_secs(w.pairs, d));
@@ -745,34 +680,16 @@ pub fn try_double_ring_backward_alg2_on(
                 comm.note_skipped_mat(dq_elems);
             }
             if inner < gpn - 1 {
-                cur_held = if s.recv_ro {
-                    let p = intra_prev;
-                    RoHold::Owned(
-                        comm.try_recv_mat(p).map_err(&at)?,
-                        comm.try_recv_mat(p).map_err(&at)?,
-                        comm.try_recv_vec(p).map_err(&at)?,
-                        comm.try_recv_vec(p).map_err(&at)?,
-                    )
-                } else {
-                    RoHold::Absent
-                };
+                let rows_in = plan.window(s.bundle_in, s.recv_ro, qidx_all[s.bundle_in].len());
+                cur_held = RoHold::recv(comm, intra_prev, rows_in).map_err(&at)?;
                 src = spec.prev_in_node(src);
             }
             comm.span_end();
         }
         if outer < nodes - 1 {
-            start_held = if op.recv_inter {
-                let at = AttnFailure::at(Phase::Backward, (outer + 1) * gpn - 1);
-                let p = peer_prev;
-                RoHold::Owned(
-                    comm.try_recv_mat(p).map_err(&at)?,
-                    comm.try_recv_mat(p).map_err(&at)?,
-                    comm.try_recv_vec(p).map_err(&at)?,
-                    comm.try_recv_vec(p).map_err(&at)?,
-                )
-            } else {
-                RoHold::Absent
-            };
+            let rows_in = plan.window(op.start_in, op.recv_inter, qidx_all[op.start_in].len());
+            start_held = RoHold::recv(comm, peer_prev, rows_in)
+                .map_err(AttnFailure::at(Phase::Backward, (outer + 1) * gpn - 1))?;
             start_src = spec.peer_prev_node(start_src);
         }
     }

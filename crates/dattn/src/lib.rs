@@ -46,7 +46,7 @@ pub use ring::{
 };
 pub use skip::{
     census_dr_alg1, census_dr_alg2, census_dr_forward, census_flat_alg1, census_flat_alg2,
-    census_flat_forward, MaskedWire, RingGeom, SkipPlan,
+    census_flat_forward, MaskedWire, RingGeom, SkipPlan, SpanSet,
 };
 
 use burst_comm::{CommError, Communicator, MemCategory};
@@ -134,8 +134,9 @@ pub enum Algo {
 /// A mid-loop communication fault surfaces as an [`AttnFailure`] naming the
 /// rank, the peer, the ring round and the phase. With `skip` on, every
 /// schedule counts the allowed pairs of each (q-shard × kv-shard) tile in
-/// closed form ([`AttnMask::pairs_between`]) and elides rounds whose tiles
-/// hold none — no compute, no wire traffic, no virtual time — while staying
+/// closed form ([`AttnMask::pairs_between`]), elides rounds whose tiles
+/// hold none — no compute, no wire traffic, no virtual time — and cuts
+/// each read-only hop to the spans later ranks read, while staying
 /// bit-identical to the unskipped run (a skipped tile contributes exactly
 /// nothing).
 #[allow(clippy::too_many_arguments)]
@@ -165,24 +166,33 @@ pub fn try_run_attention_opts(
         max_token: None,
         skip,
     };
+    try_run_attention_shard(algo, comm, &shard, grad_o)
+}
+
+/// [`try_run_attention_opts`] on a shard the caller built — one cut at a
+/// `max_token`, say.
+pub fn try_run_attention_shard(
+    algo: Algo,
+    comm: &mut Communicator,
+    shard: &AttnShard,
+    grad_o: &Mat,
+) -> Result<(Mat, Vec<f32>, Mat, Mat, Mat), AttnFailure> {
     // The rank's resident sequence shards — Q, K, V and ∇O, f32 on device —
     // live for the whole forward+backward call.
     let mem_inputs = comm.mem_alloc(
         "attn_inputs",
         MemCategory::RingShards,
-        (q.nbytes() + k.nbytes() + v.nbytes() + grad_o.nbytes()) as u64,
+        (shard.q.nbytes() + shard.k.nbytes() + shard.v.nbytes() + grad_o.nbytes()) as u64,
     );
     let ring = Ring::global(comm);
     let spec = DoubleRingSpec::full(comm.topology());
     let fwd = match algo {
-        Algo::RingFlat | Algo::BurstFlat => try_ring_forward(comm, &ring, &shard)?,
-        Algo::DoubleRing | Algo::BurstTopo => double_ring::try_double_ring_forward_heads_on(
-            comm,
-            std::slice::from_ref(&shard),
-            &spec,
-        )?
-        .pop()
-        .expect("one head in, one head out"),
+        Algo::RingFlat | Algo::BurstFlat => try_ring_forward(comm, &ring, shard)?,
+        Algo::DoubleRing | Algo::BurstTopo => {
+            double_ring::try_double_ring_forward_heads_on(comm, std::slice::from_ref(shard), &spec)?
+                .pop()
+                .expect("one head in, one head out")
+        }
     };
     // The forward's (O, Lse) outputs stay live through the backward (the
     // schedule's own accumulator entry closed when it returned them).
@@ -197,13 +207,13 @@ pub fn try_run_attention_opts(
         grad_o,
     };
     let (dq, dk, dv) = match algo {
-        Algo::RingFlat => try_ring_backward(comm, &ring, &shard, &back)?,
-        Algo::BurstFlat => try_burst_backward(comm, &ring, &shard, &back)?,
+        Algo::RingFlat => try_ring_backward(comm, &ring, shard, &back)?,
+        Algo::BurstFlat => try_burst_backward(comm, &ring, shard, &back)?,
         Algo::DoubleRing => {
-            double_ring::try_double_ring_backward_alg1_on(comm, &shard, &back, &spec)?
+            double_ring::try_double_ring_backward_alg1_on(comm, shard, &back, &spec)?
         }
         Algo::BurstTopo => {
-            double_ring::try_double_ring_backward_alg2_on(comm, &shard, &back, &spec)?
+            double_ring::try_double_ring_backward_alg2_on(comm, shard, &back, &spec)?
         }
     };
     comm.mem_free(mem_out);

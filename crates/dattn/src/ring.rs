@@ -14,6 +14,17 @@
 //! These counts are asserted exactly from the simulator's byte counters in
 //! the crate tests.
 //!
+//! ## Skipping
+//!
+//! With skipping on, the pass's [`SkipPlan`] gates every hop. A read-only
+//! hop — the forward's `(K, V)`, Algorithm 1's `(K, V)` half, Algorithm 2's
+//! `(Q, ∇O, Lse, D)` — carries only the spans of its shard that some later
+//! rank reads: on a zigzag shard, often one chunk of the two. It arrives as
+//! a window of the shard's rows, and the kernels fold that window with its
+//! global indices; Algorithm 1 accumulates into the matching rows of the
+//! circulating `∇K, ∇V`, Algorithm 2 into the matching rows of the bundle's
+//! `∇Q`. Compute and the gradient hops keep whole-shard gates.
+//!
 //! ## Overlap
 //!
 //! Read-only payloads are posted *before* the local compute of each step
@@ -31,6 +42,7 @@ use burst_kernels::{
     attn_tile_backward, attn_tile_backward_acc, flash_forward_acc, AttnMask, KernelWork, Span,
 };
 use burst_tensor::{Mat, Scratch};
+use std::ops::Range;
 
 /// Which half of the attention computation a failure struck.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,11 +142,12 @@ pub struct AttnShard<'a> {
     /// sequence.
     pub max_token: Option<usize>,
     /// Mask-aware round skipping: classify every (q-shard × kv-shard) tile
-    /// up front and elide fully-masked rounds (no compute, no wire bytes,
-    /// no virtual time). Off by default — the dense path reproduces the
-    /// paper's headline `2Nd`/`4Nd`/`3Nd + 2N` traffic exactly; with skip
-    /// on the counters shrink to the masked census (and Algorithm 1's
-    /// read-only K/V homecoming hop disappears even under a full mask).
+    /// up front, elide fully-masked rounds (no compute, no wire bytes, no
+    /// virtual time) and cut each read-only hop to the spans downstream
+    /// ranks read. Off by default — the dense path reproduces the paper's
+    /// headline `2Nd`/`4Nd`/`3Nd + 2N` traffic exactly; with skip on the
+    /// counters shrink to the masked census (and Algorithm 1's read-only
+    /// K/V homecoming hop disappears even under a full mask).
     pub skip: bool,
 }
 
@@ -200,20 +213,157 @@ pub struct DistAttnOut {
 pub(crate) enum KvHold {
     /// Round 0: the local shard, by reference.
     Local,
-    /// A received partition (owned ring buffers).
-    Owned(Mat, Mat),
+    /// A received window of the shard's rows (owned ring buffers) and the
+    /// shard row it starts at.
+    Owned(Mat, Mat, usize),
     /// Gated off upstream — no consumer here or downstream.
     Absent,
 }
 
 impl KvHold {
-    pub(crate) fn view<'a>(&'a self, k: &'a Mat, v: &'a Mat) -> (&'a Mat, &'a Mat) {
+    /// The held K and V rows and the shard row they start at.
+    pub(crate) fn view<'a>(&'a self, k: &'a Mat, v: &'a Mat) -> (&'a Mat, &'a Mat, usize) {
         match self {
-            KvHold::Local => (k, v),
-            KvHold::Owned(ok, ov) => (ok, ov),
+            KvHold::Local => (k, v, 0),
+            KvHold::Owned(ok, ov, off) => (ok, ov, *off),
             KvHold::Absent => unreachable!("skip gates never read an absent shard"),
         }
     }
+
+    /// Receive the `rows` window of a (K, V) shard from `src`; a hop gated
+    /// off upstream (`None`) leaves the shard `Absent`.
+    pub(crate) fn recv(
+        comm: &mut Communicator,
+        src: usize,
+        rows: Option<Range<usize>>,
+    ) -> Result<KvHold, CommError> {
+        let Some(rows) = rows else {
+            return Ok(KvHold::Absent);
+        };
+        let k = comm.try_recv_mat(src)?;
+        Ok(KvHold::Owned(k, comm.try_recv_mat(src)?, rows.start))
+    }
+}
+
+/// What a rank holds of a circulating read-only `(Q, ∇O, Lse, D)` bundle,
+/// as [`KvHold`] holds a (K, V) pair.
+pub(crate) enum RoHold {
+    Local,
+    Owned(Mat, Mat, Vec<f32>, Vec<f32>, usize),
+    Absent,
+}
+
+/// A held `(Q, ∇O, Lse, D)` window and the bundle row it starts at.
+pub(crate) type RoView<'a> = (&'a Mat, &'a Mat, &'a [f32], &'a [f32], usize);
+
+impl RoHold {
+    pub(crate) fn view<'a>(
+        &'a self,
+        q: &'a Mat,
+        grad_o: &'a Mat,
+        lse: &'a [f32],
+        d: &'a [f32],
+    ) -> RoView<'a> {
+        match self {
+            RoHold::Local => (q, grad_o, lse, d, 0),
+            RoHold::Owned(oq, oo, ol, od, off) => (oq, oo, ol, od, *off),
+            RoHold::Absent => unreachable!("skip gates never read an absent bundle"),
+        }
+    }
+
+    /// Receive the `rows` window of a read-only bundle from `src`.
+    pub(crate) fn recv(
+        comm: &mut Communicator,
+        src: usize,
+        rows: Option<Range<usize>>,
+    ) -> Result<RoHold, CommError> {
+        let Some(rows) = rows else {
+            return Ok(RoHold::Absent);
+        };
+        let q = comm.try_recv_mat(src)?;
+        let grad_o = comm.try_recv_mat(src)?;
+        let lse = comm.try_recv_vec(src)?;
+        Ok(RoHold::Owned(
+            q,
+            grad_o,
+            lse,
+            comm.try_recv_vec(src)?,
+            rows.start,
+        ))
+    }
+}
+
+/// Send rows `want` of a shard from the held window `m`, which starts at
+/// shard row `off` and covers `want`; the whole window goes as is.
+fn send_rows(
+    comm: &mut Communicator,
+    dst: usize,
+    m: &Mat,
+    off: usize,
+    want: &Range<usize>,
+) -> Result<(), CommError> {
+    if want.len() == m.rows() {
+        comm.try_send_mat(dst, m)
+    } else {
+        comm.try_send_rows(dst, m, want.start - off..want.end - off)
+    }
+}
+
+/// Bill a (K, V) — or (∇K, ∇V) — hop of `rows` rows the gates kept off
+/// the wire.
+pub(crate) fn skip_kv(comm: &mut Communicator, rows: usize, shard: &AttnShard) {
+    comm.note_skipped_mat(rows * shard.k.cols());
+    comm.note_skipped_mat(rows * shard.v.cols());
+}
+
+/// Bill a read-only `(Q, ∇O, Lse, D)` hop of `rows` rows, whose Q and ∇O
+/// have `q_cols` and `do_cols` columns, that the gates kept off the wire.
+pub(crate) fn skip_ro(comm: &mut Communicator, rows: usize, (q_cols, do_cols): (usize, usize)) {
+    comm.note_skipped_mat(rows * (q_cols + do_cols));
+    comm.note_skipped_vec(2 * rows);
+}
+
+/// Post the `want` window of a read-only (K, V) shard of `rows` rows from
+/// the hold `held` resolves, and bill the rows it leaves behind to the
+/// skip dual. A gated-off hop (`None`) posts nothing and never reads the
+/// hold.
+pub(crate) fn post_kv<'a>(
+    comm: &mut Communicator,
+    dst: usize,
+    want: Option<Range<usize>>,
+    rows: usize,
+    shard: &AttnShard,
+    held: impl FnOnce() -> (&'a Mat, &'a Mat, usize),
+) -> Result<(), CommError> {
+    skip_kv(comm, rows - want.as_ref().map_or(0, Range::len), shard);
+    let Some(want) = want else {
+        return Ok(());
+    };
+    let (k, v, off) = held();
+    send_rows(comm, dst, k, off, &want)?;
+    send_rows(comm, dst, v, off, &want)
+}
+
+/// Post the `want` window of a read-only `(Q, ∇O, Lse, D)` bundle of
+/// `rows` rows, as [`post_kv`] posts a (K, V) shard.
+pub(crate) fn post_ro<'a>(
+    comm: &mut Communicator,
+    dst: usize,
+    want: Option<Range<usize>>,
+    rows: usize,
+    cols: (usize, usize),
+    held: impl FnOnce() -> RoView<'a>,
+) -> Result<(), CommError> {
+    skip_ro(comm, rows - want.as_ref().map_or(0, Range::len), cols);
+    let Some(want) = want else {
+        return Ok(());
+    };
+    let (q, grad_o, lse, d, off) = held();
+    let vals = want.start - off..want.end - off;
+    send_rows(comm, dst, q, off, &want)?;
+    send_rows(comm, dst, grad_o, off, &want)?;
+    comm.try_send_vec(dst, &lse[vals.clone()])?;
+    comm.try_send_vec(dst, &d[vals])
 }
 
 /// Communication/computation overlap discipline. Only the fine-grained
@@ -320,15 +470,13 @@ pub fn try_ring_forward(
     for step in 0..g {
         let at = AttnFailure::at(Phase::Forward, step);
         let r = plan.flat_fwd_round(ring.pos, step);
-        let k_elems = kidx_all[r.shard_out].len() * shard.k.cols();
-        let v_elems = kidx_all[r.shard_out].len() * shard.v.cols();
+        let rows = kidx_all[r.shard_out].len();
         if r.idle() {
             // Fully-masked round: no span, no clock, no wire. The sends the
             // dense schedule would have posted are billed to the skip dual.
             comm.note_round_skipped();
             if step < g - 1 {
-                comm.note_skipped_mat(k_elems);
-                comm.note_skipped_mat(v_elems);
+                skip_kv(comm, rows, shard);
             }
             held = KvHold::Absent;
             continue;
@@ -337,19 +485,16 @@ pub fn try_ring_forward(
         // collector force-closes it at crash time (with a warning).
         comm.span_begin(SpanKind::AttnRound, "fwd_round");
         // Post the shift before computing so the transfer hides under the
-        // kernel (double buffering).
+        // kernel (double buffering): the spans a later rank still folds.
         if step < g - 1 {
-            if r.send {
-                let (cur_k, cur_v) = held.view(shard.k, shard.v);
-                comm.try_send_mat(ring.next(), cur_k).map_err(&at)?;
-                comm.try_send_mat(ring.next(), cur_v).map_err(&at)?;
-            } else {
-                comm.note_skipped_mat(k_elems);
-                comm.note_skipped_mat(v_elems);
-            }
+            let want = plan.window(r.shard_out, r.send, rows);
+            post_kv(comm, ring.next(), want, rows, shard, || {
+                held.view(shard.k, shard.v)
+            })
+            .map_err(&at)?;
         }
         if r.compute {
-            let (cur_k, cur_v) = held.view(shard.k, shard.v);
+            let (cur_k, cur_v, off) = held.view(shard.k, shard.v);
             let w = flash_forward_acc(
                 shard.q,
                 cur_k,
@@ -357,7 +502,7 @@ pub fn try_ring_forward(
                 shard.scale,
                 shard.mask,
                 &qi,
-                &kidx_all[r.shard_out],
+                &kidx_all[r.shard_out][off..off + cur_k.rows()],
                 &mut acc_o,
                 &mut acc_lse,
                 &mut scratch,
@@ -366,14 +511,8 @@ pub fn try_ring_forward(
             work.merge(w);
         }
         if step < g - 1 {
-            held = if r.recv {
-                KvHold::Owned(
-                    comm.try_recv_mat(ring.prev()).map_err(&at)?,
-                    comm.try_recv_mat(ring.prev()).map_err(&at)?,
-                )
-            } else {
-                KvHold::Absent
-            };
+            let rows_in = plan.window(r.shard_in, r.recv, kidx_all[r.shard_in].len());
+            held = KvHold::recv(comm, ring.prev(), rows_in).map_err(&at)?;
         }
         comm.span_end();
     }
@@ -457,14 +596,11 @@ pub fn try_ring_backward(
     for step in 0..g {
         let at = AttnFailure::at(Phase::Backward, step);
         let r = plan.flat_alg1_round(ring.pos, step);
-        let k_elems = kidx_all[r.shard_out].len() * shard.k.cols();
-        let v_elems = kidx_all[r.shard_out].len() * shard.v.cols();
+        let rows = kidx_all[r.shard_out].len();
         if r.idle() {
             comm.note_round_skipped();
-            comm.note_skipped_mat(k_elems);
-            comm.note_skipped_mat(v_elems);
-            comm.note_skipped_mat(k_elems);
-            comm.note_skipped_mat(v_elems);
+            skip_kv(comm, rows, shard);
+            skip_kv(comm, rows, shard);
             held = KvHold::Absent;
             dkv = None;
             continue;
@@ -472,25 +608,23 @@ pub fn try_ring_backward(
         comm.span_begin(SpanKind::AttnRound, "bwd_round");
         // Activations can depart before the compute that reads them (we own
         // a copy); gradients cannot.
-        if r.send_kv {
-            let (cur_k, cur_v) = held.view(shard.k, shard.v);
-            comm.try_send_mat(ring.next(), cur_k).map_err(&at)?;
-            comm.try_send_mat(ring.next(), cur_v).map_err(&at)?;
-        } else {
-            comm.note_skipped_mat(k_elems);
-            comm.note_skipped_mat(v_elems);
-        }
+        let want = plan.window(r.shard_out, r.send_kv, rows);
+        post_kv(comm, ring.next(), want, rows, shard, || {
+            held.view(shard.k, shard.v)
+        })
+        .map_err(&at)?;
         if r.compute {
             if dkv.is_none() {
                 // First live consumer after a gated-off stretch: carry the
                 // zeros the dense ring would have delivered.
                 dkv = Some((
-                    Mat::zeros(kidx_all[r.shard_out].len(), shard.k.cols()),
-                    Mat::zeros(kidx_all[r.shard_out].len(), shard.v.cols()),
+                    Mat::zeros(rows, shard.k.cols()),
+                    Mat::zeros(rows, shard.v.cols()),
                 ));
             }
             let (cur_dk, cur_dv) = dkv.as_mut().expect("just materialized");
-            let (cur_k, cur_v) = held.view(shard.k, shard.v);
+            let (cur_k, cur_v, off) = held.view(shard.k, shard.v);
+            let end = off + cur_k.rows();
             let w = attn_tile_backward_acc(
                 shard.q,
                 cur_k,
@@ -501,10 +635,10 @@ pub fn try_ring_backward(
                 shard.scale,
                 shard.mask,
                 &qi,
-                &kidx_all[r.shard_out],
-                &mut grad_q,
-                cur_dk,
-                cur_dv,
+                &kidx_all[r.shard_out][off..end],
+                grad_q.as_mut_slice(),
+                cur_dk.rows_mut(off, end),
+                cur_dv.rows_mut(off, end),
                 &mut scratch,
             );
             comm.advance_compute(shard.cost.attn_bwd_secs(w.pairs, d) + d_recompute);
@@ -514,17 +648,10 @@ pub fn try_ring_backward(
             comm.try_send_mat(ring.next(), cur_dk).map_err(&at)?;
             comm.try_send_mat(ring.next(), cur_dv).map_err(&at)?;
         } else {
-            comm.note_skipped_mat(k_elems);
-            comm.note_skipped_mat(v_elems);
+            skip_kv(comm, rows, shard);
         }
-        held = if r.recv_kv {
-            KvHold::Owned(
-                comm.try_recv_mat(ring.prev()).map_err(&at)?,
-                comm.try_recv_mat(ring.prev()).map_err(&at)?,
-            )
-        } else {
-            KvHold::Absent
-        };
+        let rows_in = plan.window(r.shard_in, r.recv_kv, kidx_all[r.shard_in].len());
+        held = KvHold::recv(comm, ring.prev(), rows_in).map_err(&at)?;
         dkv = if r.recv_dkv {
             Some((
                 comm.try_recv_mat(ring.prev()).map_err(&at)?,
@@ -640,27 +767,23 @@ pub fn try_burst_backward(
         None
     };
     let dq_elems = |j: usize| qidx_all[j].len() * shard.q.cols();
-    let ro_mat_elems = |j: usize| qidx_all[j].len() * (shard.q.cols() + back.grad_o.cols());
+    let ro_cols = (shard.q.cols(), back.grad_o.cols());
     // Warm-up round: the read-only parts depart before the local
     // compute; ∇Q follows one round behind it.
     let r0 = plan.flat_alg2_round(me, 0);
+    let rows_me = qidx_all[me].len();
     if r0.idle() {
         comm.note_round_skipped();
-        comm.note_skipped_mat(ro_mat_elems(me));
-        comm.note_skipped_vec(2 * qidx_all[me].len());
+        skip_ro(comm, rows_me, ro_cols);
         comm.note_skipped_mat(dq_elems(me));
     } else {
         let at = AttnFailure::at(Phase::Backward, 0);
         comm.span_begin(SpanKind::AttnRound, "burst_warmup");
-        if r0.fwd_ro {
-            comm.try_send_mat(next, shard.q).map_err(&at)?;
-            comm.try_send_mat(next, back.grad_o).map_err(&at)?;
-            comm.try_send_vec(next, back.lse).map_err(&at)?;
-            comm.try_send_vec(next, &d_vec).map_err(&at)?;
-        } else {
-            comm.note_skipped_mat(ro_mat_elems(me));
-            comm.note_skipped_vec(2 * qidx_all[me].len());
-        }
+        let want = plan.window(me, r0.fwd_ro, rows_me);
+        post_ro(comm, next, want, rows_me, ro_cols, || {
+            (shard.q, back.grad_o, back.lse, &d_vec, 0)
+        })
+        .map_err(&at)?;
         if r0.compute {
             dq_buf.reshape_in_place(shard.q.rows(), shard.q.cols());
             let w = attn_tile_backward_acc(
@@ -674,9 +797,9 @@ pub fn try_burst_backward(
                 shard.mask,
                 &qidx_all[me],
                 &ki,
-                &mut dq_buf,
-                &mut grad_k,
-                &mut grad_v,
+                dq_buf.as_mut_slice(),
+                grad_k.as_mut_slice(),
+                grad_v.as_mut_slice(),
                 &mut scratch,
             );
             comm.advance_compute(shard.cost.attn_bwd_secs(w.pairs, d));
@@ -693,44 +816,30 @@ pub fn try_burst_backward(
         let at = AttnFailure::at(Phase::Backward, s);
         let r = plan.flat_alg2_round(me, s);
         let j = r.bundle;
+        let rows_j = qidx_all[j].len();
         if r.idle() {
             comm.note_round_skipped();
             if s < g - 1 {
-                comm.note_skipped_mat(ro_mat_elems(j));
-                comm.note_skipped_vec(2 * qidx_all[j].len());
+                skip_ro(comm, rows_j, ro_cols);
             }
             comm.note_skipped_mat(dq_elems(j));
             continue;
         }
         comm.span_begin(SpanKind::AttnRound, "burst_round");
-        let bundle = if r.recv_ro {
-            Some((
-                comm.try_recv_mat(prev).map_err(&at)?,
-                comm.try_recv_mat(prev).map_err(&at)?,
-                comm.try_recv_vec(prev).map_err(&at)?,
-                comm.try_recv_vec(prev).map_err(&at)?,
-            ))
-        } else {
-            None
-        };
+        let bundle = RoHold::recv(comm, prev, plan.window(j, r.recv_ro, rows_j)).map_err(&at)?;
+        let view = || bundle.view(shard.q, back.grad_o, back.lse, &d_vec);
         if s < g - 1 {
-            if r.fwd_ro {
-                // The next rank is not the bundle's home: forward the
-                // read-only parts immediately, before computing.
-                let (q_j, do_j, lse_j, d_j) =
-                    bundle.as_ref().expect("forward gate implies receipt");
-                comm.try_send_mat(next, q_j).map_err(&at)?;
-                comm.try_send_mat(next, do_j).map_err(&at)?;
-                comm.try_send_vec(next, lse_j).map_err(&at)?;
-                comm.try_send_vec(next, d_j).map_err(&at)?;
-            } else {
-                comm.note_skipped_mat(ro_mat_elems(j));
-                comm.note_skipped_vec(2 * qidx_all[j].len());
-            }
+            // The next rank is not the bundle's home: forward the read-only
+            // spans it or a later rank reads immediately, before computing.
+            let want = plan.window(j, r.fwd_ro, rows_j);
+            post_ro(comm, next, want, rows_j, ro_cols, view).map_err(&at)?;
         }
         if r.compute {
-            let (q_j, do_j, lse_j, d_j) = bundle.as_ref().expect("compute gate implies receipt");
-            dq_buf.reshape_in_place(q_j.rows(), q_j.cols());
+            // ∇Q of the received rows lands in their rows of the bundle's
+            // ∇Q; the other rows stay zero, as the dense tile leaves them.
+            let (q_j, do_j, lse_j, d_j, off) = view();
+            let end = off + q_j.rows();
+            dq_buf.reshape_in_place(rows_j, shard.q.cols());
             let w = attn_tile_backward_acc(
                 q_j,
                 shard.k,
@@ -740,11 +849,11 @@ pub fn try_burst_backward(
                 d_j,
                 shard.scale,
                 shard.mask,
-                &qidx_all[j],
+                &qidx_all[j][off..end],
                 &ki,
-                &mut dq_buf,
-                &mut grad_k,
-                &mut grad_v,
+                dq_buf.rows_mut(off, end),
+                grad_k.as_mut_slice(),
+                grad_v.as_mut_slice(),
                 &mut scratch,
             );
             comm.advance_compute(shard.cost.attn_bwd_secs(w.pairs, d));

@@ -7,76 +7,158 @@
 //! round. A [`SkipPlan`] counts the allowed pairs of every tile once per
 //! pass — each shard is at most two arithmetic progressions of tokens
 //! ([`Layout::spans`]), so [`AttnMask::pairs_between`] counts a tile in
-//! closed form without visiting its tokens — and derives, for each hop of
-//! each schedule, a *gate*: whether that hop's payload still has a
-//! consumer downstream. A tile is live when its count is positive. A
-//! gated-off hop sends nothing; a round with no compute, no send and no
-//! receive is *idle* — no span, no virtual time, one `rounds_skipped` tick.
+//! closed form without visiting its tokens, span pair by span pair — and
+//! derives, for each hop of each schedule, a *gate*: what of that hop's
+//! payload still has a consumer downstream. A tile is live when its count
+//! is positive. A gated-off hop sends nothing; a round with no compute, no
+//! send and no receive is *idle* — no span, no virtual time, one
+//! `rounds_skipped` tick.
 //!
 //! The same gates drive both the live loops (`ring.rs`, `double_ring.rs`)
 //! and the symbolic per-rank censuses below, so the masked analytic wire
 //! counts equal the measured counters *by construction* — there is exactly
-//! one place deciding whether a hop happens.
+//! one place deciding whether a hop happens and what it carries.
 //!
 //! ## Gate algebra (flat ring, `G` ranks)
 //!
 //! Write `live[i][j]` for "tile (q-shard `i`, kv-shard `j`) has at least
-//! one allowed pair". The processor of kv-shard `x` at ring step `t` is
-//! rank `(x + t) mod G`; the consumer of q-bundle `j` at step `t` is rank
-//! `(j + t) mod G`. Then:
+//! one allowed pair", `kv[i][j]` for the set of kv-shard `j`'s spans that
+//! hold a key some query of q-shard `i` attends to, and `q[i][j]` for the
+//! set of q-shard `i`'s spans that hold a query attending into kv-shard
+//! `j` ([`SpanSet`]; both are empty exactly when the tile is dead). The
+//! processor of kv-shard `x` at ring step `t` is rank `(x + t) mod G`; the
+//! consumer of q-bundle `j` at step `t` is rank `(j + t) mod G`. Then:
 //!
-//! * forward kv hop at step `t`: keep iff `∃ t' ∈ (t, G): live[(x+t')%G][x]`
-//!   — some later rank still folds shard `x`;
-//! * Algorithm 1 kv hop: same predicate over `t' ∈ (t, G)` — at the final
+//! * forward kv hop at step `t` carries `⋃ kv[(x+t')%G][x]` over
+//!   `t' ∈ (t, G)` — the spans some later rank still folds; empty means
+//!   gated off;
+//! * Algorithm 1 kv hop: the same union over `t' ∈ (t, G)` — at the final
 //!   (homecoming) step the range is empty, so the read-only K/V never ride
 //!   home with skipping on (the waste Algorithm 2 removes, here recovered
 //!   for free);
-//! * Algorithm 1 ∇K/∇V hop at step `t`: keep iff
+//! * Algorithm 1 ∇K/∇V hop at step `t`: keep the whole shard iff
 //!   `∃ t' ∈ [0, t]: live[(x+t')%G][x]` — some contribution is already in
 //!   the circulating buffer and must reach home;
-//! * Algorithm 2 read-only hop: keep iff `∃ t' ∈ (t, G): live[j][(j+t')%G]`;
-//! * Algorithm 2 ∇Q hop: keep iff `∃ t' ∈ [0, t]: live[j][(j+t')%G]`.
+//! * Algorithm 2 read-only hop: `⋃ q[j][(j+t')%G]` over `t' ∈ (t, G)`;
+//! * Algorithm 2 ∇Q hop: keep the whole shard iff
+//!   `∃ t' ∈ [0, t]: live[j][(j+t')%G]`.
 //!
-//! All gates are monotone along the ring, so sender and receiver always
-//! agree without any metadata exchange: if a rank never received a shard,
-//! no later gate can ask it to forward that shard, and the first live
-//! consumer after a gap *materializes* the zero gradient buffers the dense
-//! schedule would have carried to it (bit-identical, since a skipped tile
-//! contributes exactly nothing to the accumulators).
+//! The read-only payloads — the forward's K/V, Algorithm 1's (K, V) half
+//! and Algorithm 2's (Q, ∇O, Lse, D) bundle — are cut per span; compute
+//! and the gradient streams keep whole-shard gates. Under causal and
+//! window masks a shard's own tile touches both of its zigzag chunks, so
+//! both gradient spans are live from step 0 and a span gate on a gradient
+//! would drop nothing.
 //!
-//! A [`SkipPlan::dense`] plan short-circuits every gate to `true` and
-//! reports no idle rounds — the skip-off path *is* the legacy schedule,
-//! byte for byte and span for span.
+//! All gates are monotone along the ring: a hop's span set is a subset of
+//! what the sender holds, because its consumer range nests inside the
+//! range of the hop that delivered the shard. So sender and receiver agree
+//! without any metadata exchange — the receiver reads the set from the
+//! plan — no later gate can ask a rank to forward a span it never
+//! received, and the first live consumer after a gap *materializes* the
+//! zero gradient buffers the dense schedule would have carried to it
+//! (bit-identical, since a skipped tile contributes exactly nothing to the
+//! accumulators).
+//!
+//! ## Span gates and bit identity
+//!
+//! A shard stores its spans one after the other, so every span set is one
+//! window of its rows ([`SkipPlan::window`]), and the kernels take the
+//! window's rows with their global indices. The plan splits a shard into
+//! its spans only when the first span ends on a kernel tile boundary
+//! ([`burst_kernels::flash::DEFAULT_BLOCK`]): a dropped span is then whole
+//! tiles that are fully masked for every consumer the hop feeds — tiles
+//! the kernels skip anyway — and every kept tile keeps its rows, its
+//! indices and its place in the accumulation order. Any other shard gets
+//! all of its spans or none, which is the shard gate.
+//!
+//! A [`SkipPlan::dense`] plan opens every gate on every span and reports
+//! no idle rounds — the skip-off path *is* the legacy schedule, byte for
+//! byte and span for span.
 
 use crate::layout::Layout;
+use burst_kernels::flash::DEFAULT_BLOCK;
 use burst_kernels::AttnMask;
+use std::ops::{BitOr, Range};
+
+/// A set of one shard's token spans ([`Layout::spans`]): bit `s` is span
+/// `s`. What a read-only hop carries; empty means the hop is gated off.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpanSet(u8);
+
+impl SpanSet {
+    /// No span: nothing to send.
+    pub const NONE: SpanSet = SpanSet(0);
+    /// Every span: the whole shard.
+    pub const ALL: SpanSet = SpanSet(0b11);
+
+    fn span(s: usize) -> SpanSet {
+        SpanSet(1 << s)
+    }
+
+    /// The set holds at least one span.
+    #[inline]
+    pub fn any(self) -> bool {
+        self.0 != 0
+    }
+
+    /// This set where the hop exists, nothing where it does not.
+    fn when(self, open: bool) -> SpanSet {
+        if open {
+            self
+        } else {
+            SpanSet::NONE
+        }
+    }
+}
+
+impl BitOr for SpanSet {
+    type Output = SpanSet;
+
+    fn bitor(self, rhs: SpanSet) -> SpanSet {
+        SpanSet(self.0 | rhs.0)
+    }
+}
 
 /// Per-pass tile pair counts for one ring, plus the hop gates derived from
-/// their liveness.
+/// which spans of each tile hold allowed pairs.
 #[derive(Debug, Clone)]
 pub struct SkipPlan {
     g: usize,
-    /// Dense plans gate nothing (legacy traffic); built plans consult
-    /// `pairs`.
+    /// Dense plans gate nothing (legacy traffic); built plans consult the
+    /// tables below, which are empty on the dense plan.
     dense: bool,
-    /// `pairs[q * g + k]` — allowed pairs of tile (q-shard, kv-shard);
-    /// empty on the dense plan.
+    /// `pairs[q * g + k]` — allowed pairs of tile (q-shard, kv-shard).
     pairs: Vec<u128>,
+    /// `kv_reads[q * g + k]` — the spans of kv-shard `k` that q-shard `q`
+    /// reads.
+    kv_reads: Vec<SpanSet>,
+    /// `q_reads[q * g + k]` — the spans of q-shard `q` that read kv-shard
+    /// `k`.
+    q_reads: Vec<SpanSet>,
+    /// Rows of each position's first span.
+    head: Vec<usize>,
 }
 
 impl SkipPlan {
-    /// The skip-off plan: every gate true, no round ever idle.
+    /// The skip-off plan: every gate open on every span, no round ever
+    /// idle.
     pub fn dense(g: usize) -> SkipPlan {
         SkipPlan {
             g,
             dense: true,
             pairs: Vec::new(),
+            kv_reads: Vec::new(),
+            q_reads: Vec::new(),
+            head: Vec::new(),
         }
     }
 
     /// Count the allowed pairs of all `g²` tiles of a `g`-position ring
-    /// over `layout`, every position cut at `max_token`: O(g²) closed-form
-    /// span counts ([`AttnMask::pairs_between`]), no token scan.
+    /// over `layout`, every position cut at `max_token`, span pair by span
+    /// pair: O(g²) closed-form counts ([`AttnMask::pairs_between`]), no
+    /// token scan. A shard is split into its spans only when its first
+    /// span ends on a kernel tile boundary (module docs).
     pub fn build(
         mask: &AttnMask,
         layout: Layout,
@@ -87,14 +169,40 @@ impl SkipPlan {
         let spans: Vec<_> = (0..g)
             .map(|p| layout.spans(seq_len, g, p, max_token))
             .collect();
-        let pairs = spans
+        let split: Vec<bool> = spans
             .iter()
-            .flat_map(|q| spans.iter().map(|k| mask.pairs_between(q, k)))
+            .map(|s| s.len() == 2 && s[0].len.is_multiple_of(DEFAULT_BLOCK))
             .collect();
+        let mut pairs = Vec::with_capacity(g * g);
+        let mut kv_reads = Vec::with_capacity(g * g);
+        let mut q_reads = Vec::with_capacity(g * g);
+        for (qi, q) in spans.iter().enumerate() {
+            for (ki, k) in spans.iter().enumerate() {
+                let (mut n, mut q_set, mut kv_set) = (0, SpanSet::NONE, SpanSet::NONE);
+                for (a, sa) in q.iter().enumerate() {
+                    for (b, sb) in k.iter().enumerate() {
+                        let c =
+                            mask.pairs_between(std::slice::from_ref(sa), std::slice::from_ref(sb));
+                        if c > 0 {
+                            n += c;
+                            q_set = q_set | SpanSet::span(a);
+                            kv_set = kv_set | SpanSet::span(b);
+                        }
+                    }
+                }
+                let whole = if n > 0 { SpanSet::ALL } else { SpanSet::NONE };
+                pairs.push(n);
+                q_reads.push(if split[qi] { q_set } else { whole });
+                kv_reads.push(if split[ki] { kv_set } else { whole });
+            }
+        }
         SkipPlan {
             g,
             dense: false,
             pairs,
+            kv_reads,
+            q_reads,
+            head: spans.iter().map(|s| s[0].len).collect(),
         }
     }
 
@@ -118,6 +226,44 @@ impl SkipPlan {
         self.pairs[q_shard * self.g + kv_shard]
     }
 
+    /// The spans of kv-shard `kv_shard` that q-shard `q_shard` reads: every
+    /// span on the dense plan, none when the tile is dead, all of them
+    /// when the plan does not split the kv shard.
+    #[inline]
+    fn kv_reads(&self, q_shard: usize, kv_shard: usize) -> SpanSet {
+        if self.dense {
+            SpanSet::ALL
+        } else {
+            self.kv_reads[q_shard * self.g + kv_shard]
+        }
+    }
+
+    /// The spans of q-shard `q_shard` that read kv-shard `kv_shard` (as
+    /// [`Self::kv_reads`], split on the q shard instead).
+    #[inline]
+    fn q_reads(&self, q_shard: usize, kv_shard: usize) -> SpanSet {
+        if self.dense {
+            SpanSet::ALL
+        } else {
+            self.q_reads[q_shard * self.g + kv_shard]
+        }
+    }
+
+    /// The window of `shard`'s `rows` rows that `set` covers; `None` for
+    /// the empty set, which sends nothing (a shard cut to no rows still
+    /// sends when its set is not empty, as the dense schedule does). Only
+    /// built plans split a shard, so on the dense plan a set is all or
+    /// nothing.
+    pub fn window(&self, shard: usize, set: SpanSet, rows: usize) -> Option<Range<usize>> {
+        let head = if self.dense { rows } else { self.head[shard] };
+        match set.0 {
+            0 => None,
+            0b01 => Some(0..head),
+            0b10 => Some(head..rows),
+            _ => Some(0..rows),
+        }
+    }
+
     /// Any kv-shard live for this q-shard (the q-shard's ∇Q is nonzero-able).
     pub fn row_any(&self, q_shard: usize) -> bool {
         (0..self.g).any(|k| self.live(q_shard, k))
@@ -128,50 +274,59 @@ impl SkipPlan {
         (0..self.g).any(|q| self.live(q, kv_shard))
     }
 
-    /// Rounds on which every rank is idle never even open a span; counting
-    /// per rank happens in the censuses.
-    /// `∃ t ∈ [lo, hi): live[(shard + t) % g][shard]` — kv-shard `shard`
-    /// has a consumer somewhere in that step range.
-    #[inline]
-    fn kv_consumer_in(&self, shard: usize, lo: usize, hi: usize) -> bool {
-        (lo..hi).any(|t| self.live((shard + t) % self.g, shard))
+    /// The spans of kv-shard `shard` that some step `t ∈ [lo, hi)` folds:
+    /// `⋃ kv[(shard + t) % g][shard]` (every span on the dense plan).
+    fn kv_consumer_in(&self, shard: usize, lo: usize, hi: usize) -> SpanSet {
+        let g = self.g;
+        self.union(lo..hi, |t| self.kv_reads((shard + t) % g, shard))
     }
 
-    /// `∃ t ∈ [lo, hi): live[bundle][(bundle + t) % g]` — q-bundle `bundle`
-    /// has a consumer somewhere in that step range.
-    #[inline]
-    fn ro_consumer_in(&self, bundle: usize, lo: usize, hi: usize) -> bool {
-        (lo..hi).any(|t| self.live(bundle, (bundle + t) % self.g))
+    /// The spans of q-bundle `bundle` that some step `t ∈ [lo, hi)` reads:
+    /// `⋃ q[bundle][(bundle + t) % g]`.
+    fn ro_consumer_in(&self, bundle: usize, lo: usize, hi: usize) -> SpanSet {
+        let g = self.g;
+        self.union(lo..hi, |t| self.q_reads(bundle, (bundle + t) % g))
+    }
+
+    /// Union of `set(t)` over `steps`; every span on the dense plan, which
+    /// gates nothing.
+    fn union(&self, steps: Range<usize>, set: impl Fn(usize) -> SpanSet) -> SpanSet {
+        if self.dense {
+            return SpanSet::ALL;
+        }
+        steps.fold(SpanSet::NONE, |acc, t| acc | set(t))
     }
 
     // ---- flat-ring hop gates -------------------------------------------
 
-    /// Forward kv hop: shard `shard` leaves its step-`hop` holder iff a
-    /// later rank still folds it.
-    pub fn fwd_kv_hop(&self, shard: usize, hop: usize) -> bool {
-        self.dense || self.kv_consumer_in(shard, hop + 1, self.g)
+    /// Forward kv hop: the spans of `shard` that leave its step-`hop`
+    /// holder — those a later rank still folds.
+    pub fn fwd_kv_hop(&self, shard: usize, hop: usize) -> SpanSet {
+        self.kv_consumer_in(shard, hop + 1, self.g)
     }
 
     /// Algorithm 1 read-only kv hop (steps `0..g`; the homecoming step
-    /// `g−1` has an empty consumer range, so it is never kept when built).
-    pub fn alg1_kv_hop(&self, shard: usize, hop: usize) -> bool {
-        self.dense || self.kv_consumer_in(shard, hop + 1, self.g)
+    /// `g−1` has an empty consumer range, so it carries nothing when
+    /// built).
+    pub fn alg1_kv_hop(&self, shard: usize, hop: usize) -> SpanSet {
+        self.kv_consumer_in(shard, hop + 1, self.g)
     }
 
-    /// Algorithm 1 ∇K/∇V hop: kept once any contribution is in flight.
+    /// Algorithm 1 ∇K/∇V hop: the whole shard, once any contribution is in
+    /// flight.
     pub fn alg1_dkv_hop(&self, shard: usize, hop: usize) -> bool {
-        self.dense || self.kv_consumer_in(shard, 0, hop + 1)
+        self.kv_consumer_in(shard, 0, hop + 1).any()
     }
 
     /// Algorithm 2 read-only bundle hop.
-    pub fn alg2_ro_hop(&self, bundle: usize, hop: usize) -> bool {
-        self.dense || self.ro_consumer_in(bundle, hop + 1, self.g)
+    pub fn alg2_ro_hop(&self, bundle: usize, hop: usize) -> SpanSet {
+        self.ro_consumer_in(bundle, hop + 1, self.g)
     }
 
-    /// Algorithm 2 ∇Q hop: kept once any contribution is in flight; the
-    /// homecoming gate (`hop = g−1`) is `row_any(bundle)`.
+    /// Algorithm 2 ∇Q hop: the whole shard, once any contribution is in
+    /// flight; the homecoming gate (`hop = g−1`) is `row_any(bundle)`.
     pub fn alg2_dq_hop(&self, bundle: usize, hop: usize) -> bool {
-        self.dense || self.ro_consumer_in(bundle, 0, hop + 1)
+        self.ro_consumer_in(bundle, 0, hop + 1).any()
     }
 
     // ---- per-round plans (single source of truth for loop + census) ----
@@ -181,12 +336,12 @@ impl SkipPlan {
         let g = self.g;
         let shard_out = (me + g - step % g) % g;
         let shard_in = (me + g - step % g + g - 1) % g;
-        let last = step == g - 1;
+        let hop = |shard| self.fwd_kv_hop(shard, step).when(step < g - 1);
         FlatFwdRound {
             shard_out,
             shard_in,
-            send: !last && self.fwd_kv_hop(shard_out, step),
-            recv: !last && self.fwd_kv_hop(shard_in, step),
+            send: hop(shard_out),
+            recv: hop(shard_in),
             compute: self.live(me, shard_out),
         }
     }
@@ -215,8 +370,12 @@ impl SkipPlan {
         let warmup = round == 0;
         FlatAlg2Round {
             bundle,
-            recv_ro: !warmup && self.alg2_ro_hop(bundle, round - 1),
-            fwd_ro: round < g - 1 && self.alg2_ro_hop(bundle, round),
+            recv_ro: if warmup {
+                SpanSet::NONE
+            } else {
+                self.alg2_ro_hop(bundle, round - 1)
+            },
+            fwd_ro: self.alg2_ro_hop(bundle, round).when(round < g - 1),
             recv_dq: !warmup && self.alg2_dq_hop(bundle, round - 1),
             send_dq: self.alg2_dq_hop(bundle, round),
             compute: self.live(bundle, me),
@@ -232,7 +391,7 @@ impl SkipPlan {
 
     /// Does the flat forward ever land a received (K, V) bundle here?
     pub fn flat_fwd_recv_any(&self, me: usize) -> bool {
-        (0..self.g).any(|s| self.flat_fwd_round(me, s).recv)
+        (0..self.g).any(|s| self.flat_fwd_round(me, s).recv.any())
     }
 
     /// Which halves of Algorithm 1's circulating (K, V, ∇K, ∇V) slot this
@@ -242,7 +401,7 @@ impl SkipPlan {
         let mut dkv = false;
         for s in 0..self.g {
             let r = self.flat_alg1_round(me, s);
-            kv |= r.recv_kv;
+            kv |= r.recv_kv.any();
             dkv |= r.recv_dkv || r.compute;
         }
         (kv, dkv)
@@ -256,7 +415,7 @@ impl SkipPlan {
         let mut dq_buf = false;
         for s in 0..self.g {
             let r = self.flat_alg2_round(me, s);
-            ro |= r.recv_ro;
+            ro |= r.recv_ro.any();
             dq_ring |= r.send_dq || r.recv_dq;
             dq_buf |= r.compute || r.recv_dq;
         }
@@ -297,19 +456,39 @@ impl SkipPlan {
         ((om + n - q % n) % n) * p + (im + p - (t - q) % p) % p
     }
 
-    /// `∃ t ∈ [lo, hi): live[dr_proc(shard, t)][shard]`.
-    fn dr_kv_consumer_in(&self, shard: usize, lo: usize, hi: usize, n: usize, p: usize) -> bool {
-        (lo..hi).any(|t| self.live(Self::dr_proc(shard, t, n, p), shard))
+    /// `⋃ kv[dr_proc(shard, t)][shard]` over `t ∈ [lo, hi)`.
+    fn dr_kv_consumer_in(&self, shard: usize, lo: usize, hi: usize, n: usize, p: usize) -> SpanSet {
+        self.union(lo..hi, |t| {
+            self.kv_reads(Self::dr_proc(shard, t, n, p), shard)
+        })
     }
 
-    /// `∃ t ∈ [lo, hi): live[bundle][dr_proc(bundle, t)]`.
-    fn dr_ro_consumer_in(&self, bundle: usize, lo: usize, hi: usize, n: usize, p: usize) -> bool {
-        (lo..hi).any(|t| self.live(bundle, Self::dr_proc(bundle, t, n, p)))
+    /// `⋃ q[bundle][dr_proc(bundle, t)]` over `t ∈ [lo, hi)`.
+    fn dr_ro_consumer_in(
+        &self,
+        bundle: usize,
+        lo: usize,
+        hi: usize,
+        n: usize,
+        p: usize,
+    ) -> SpanSet {
+        self.union(lo..hi, |t| {
+            self.q_reads(bundle, Self::dr_proc(bundle, t, n, p))
+        })
     }
 
-    /// `∃ t ∈ [lo, hi): live[dr_alg1_proc(shard, t)][shard]`.
-    fn dr_alg1_consumer_in(&self, shard: usize, lo: usize, hi: usize, n: usize, p: usize) -> bool {
-        (lo..hi).any(|t| self.live(Self::dr_alg1_proc(shard, t, n, p), shard))
+    /// `⋃ kv[dr_alg1_proc(shard, t)][shard]` over `t ∈ [lo, hi)`.
+    fn dr_alg1_consumer_in(
+        &self,
+        shard: usize,
+        lo: usize,
+        hi: usize,
+        n: usize,
+        p: usize,
+    ) -> SpanSet {
+        self.union(lo..hi, |t| {
+            self.kv_reads(Self::dr_alg1_proc(shard, t, n, p), shard)
+        })
     }
 
     // ---- double-ring per-round plans ------------------------------------
@@ -317,26 +496,26 @@ impl SkipPlan {
     /// Gates for one outer-ring boundary of the double-ring forward: the
     /// early posting of the *next sweep's* start shard to the peer node,
     /// and the matching receive after this sweep drains. A start shard
-    /// travels iff any slot of a later sweep still folds it.
+    /// carries the spans some slot of a later sweep still folds.
     pub fn dr_fwd_outer(&self, me: usize, outer: usize, n: usize, p: usize) -> DrFwdOuter {
         let start_shard = Self::dr_held(me, outer, 0, n, p);
         let start_in = Self::dr_held(me, outer + 1, 0, n, p);
-        let boundary = outer + 1 < n;
-        let np = n * p;
+        let later = |shard| {
+            self.dr_kv_consumer_in(shard, (outer + 1) * p, n * p, n, p)
+                .when(outer + 1 < n)
+        };
         DrFwdOuter {
             start_shard,
             start_in,
-            send_inter: boundary
-                && (self.dense || self.dr_kv_consumer_in(start_shard, (outer + 1) * p, np, n, p)),
-            recv_inter: boundary
-                && (self.dense || self.dr_kv_consumer_in(start_in, (outer + 1) * p, np, n, p)),
+            send_inter: later(start_shard),
+            recv_inter: later(start_in),
         }
     }
 
     /// Gates for one inner slot of the double-ring forward. Intra hops are
-    /// scoped to the current sweep: a shard leaves this slot iff a later
-    /// slot of the *same* sweep still folds it (later sweeps reach it via
-    /// the outer ring's start-shard chain instead).
+    /// scoped to the current sweep: a shard leaves this slot with the spans
+    /// a later slot of the *same* sweep still folds (later sweeps reach it
+    /// via the outer ring's start-shard chain instead).
     pub fn dr_fwd_slot(
         &self,
         me: usize,
@@ -348,35 +527,39 @@ impl SkipPlan {
         let shard = Self::dr_held(me, outer, inner, n, p);
         let shard_in = Self::dr_held(me, outer, inner + 1, n, p);
         let t = outer * p + inner;
-        let within = inner + 1 < p;
-        let sweep_end = (outer + 1) * p;
+        let sweep = |x| {
+            self.dr_kv_consumer_in(x, t + 1, (outer + 1) * p, n, p)
+                .when(inner + 1 < p)
+        };
         DrFwdSlot {
             shard,
             shard_in,
-            send: within && (self.dense || self.dr_kv_consumer_in(shard, t + 1, sweep_end, n, p)),
-            recv: within
-                && (self.dense || self.dr_kv_consumer_in(shard_in, t + 1, sweep_end, n, p)),
+            send: sweep(shard),
+            recv: sweep(shard_in),
             compute: self.live(me, shard),
         }
     }
 
     /// Gates for one step of Algorithm 1's double-ring backward (the
-    /// continuous 4-mat circulation). The read-only (K, V) half travels on
-    /// future consumers, the (∇K, ∇V) half on accumulated contributions;
-    /// the final step `n·p − 1` breaks before sending.
+    /// continuous 4-mat circulation). The read-only (K, V) half carries the
+    /// spans future consumers read, the (∇K, ∇V) half travels whole on
+    /// accumulated contributions; the final step `n·p − 1` breaks before
+    /// sending.
     pub fn dr_alg1_slot(&self, me: usize, t: usize, n: usize, p: usize) -> DrAlg1Slot {
         let np = n * p;
         let shard = Self::dr_alg1_held(me, t, n, p);
         let shard_in = Self::dr_alg1_held(me, t + 1, n, p);
         let last = t + 1 == np;
+        let kv = |x| self.dr_alg1_consumer_in(x, t + 1, np, n, p).when(!last);
+        let dkv = |x| !last && self.dr_alg1_consumer_in(x, 0, t + 1, n, p).any();
         DrAlg1Slot {
             shard,
             shard_in,
             inter: t % p == p - 1,
-            send_kv: !last && (self.dense || self.dr_alg1_consumer_in(shard, t + 1, np, n, p)),
-            send_dkv: !last && (self.dense || self.dr_alg1_consumer_in(shard, 0, t + 1, n, p)),
-            recv_kv: !last && (self.dense || self.dr_alg1_consumer_in(shard_in, t + 1, np, n, p)),
-            recv_dkv: !last && (self.dense || self.dr_alg1_consumer_in(shard_in, 0, t + 1, n, p)),
+            send_kv: kv(shard),
+            send_dkv: dkv(shard),
+            recv_kv: kv(shard_in),
+            recv_dkv: dkv(shard_in),
             compute: self.live(me, shard),
         }
     }
@@ -420,21 +603,21 @@ impl SkipPlan {
     pub fn dr_alg2_outer(&self, me: usize, outer: usize, n: usize, p: usize) -> DrAlg2Outer {
         let start_bundle = Self::dr_held(me, outer, 0, n, p);
         let start_in = Self::dr_held(me, outer + 1, 0, n, p);
-        let boundary = outer + 1 < n;
-        let np = n * p;
+        let later = |bundle| {
+            self.dr_ro_consumer_in(bundle, (outer + 1) * p, n * p, n, p)
+                .when(outer + 1 < n)
+        };
         DrAlg2Outer {
             start_bundle,
             start_in,
-            send_inter: boundary
-                && (self.dense || self.dr_ro_consumer_in(start_bundle, (outer + 1) * p, np, n, p)),
-            recv_inter: boundary
-                && (self.dense || self.dr_ro_consumer_in(start_in, (outer + 1) * p, np, n, p)),
+            send_inter: later(start_bundle),
+            recv_inter: later(start_in),
         }
     }
 
     /// Gates for one inner slot of Algorithm 2's double-ring backward. The
     /// ∇Q stream rides the slot ladder (intra within a sweep, one diagonal
-    /// hop per boundary): held once any contribution is aboard.
+    /// hop per boundary): held whole once any contribution is aboard.
     pub fn dr_alg2_slot(
         &self,
         me: usize,
@@ -446,18 +629,18 @@ impl SkipPlan {
         let bundle = Self::dr_held(me, outer, inner, n, p);
         let bundle_in = Self::dr_held(me, outer, inner + 1, n, p);
         let t = outer * p + inner;
-        let within = inner + 1 < p;
-        let sweep_end = (outer + 1) * p;
+        let sweep = |x| {
+            self.dr_ro_consumer_in(x, t + 1, (outer + 1) * p, n, p)
+                .when(inner + 1 < p)
+        };
         DrAlg2Slot {
             bundle,
             bundle_in,
             diag: inner + 1 == p,
-            send_ro: within
-                && (self.dense || self.dr_ro_consumer_in(bundle, t + 1, sweep_end, n, p)),
-            recv_ro: within
-                && (self.dense || self.dr_ro_consumer_in(bundle_in, t + 1, sweep_end, n, p)),
-            recv_dq: t > 0 && (self.dense || self.dr_ro_consumer_in(bundle, 0, t, n, p)),
-            send_dq: self.dense || self.dr_ro_consumer_in(bundle, 0, t + 1, n, p),
+            send_ro: sweep(bundle),
+            recv_ro: sweep(bundle_in),
+            recv_dq: t > 0 && self.dr_ro_consumer_in(bundle, 0, t, n, p).any(),
+            send_dq: self.dr_ro_consumer_in(bundle, 0, t + 1, n, p).any(),
             compute: self.live(bundle, me),
         }
     }
@@ -473,8 +656,8 @@ impl SkipPlan {
 
     /// Double-ring forward buffers this rank ever lands: `(start, cur)`.
     pub fn dr_fwd_bufs(&self, me: usize, n: usize, p: usize) -> (bool, bool) {
-        let start = (0..n).any(|o| self.dr_fwd_outer(me, o, n, p).recv_inter);
-        let cur = (0..n).any(|o| (0..p).any(|i| self.dr_fwd_slot(me, o, i, n, p).recv));
+        let start = (0..n).any(|o| self.dr_fwd_outer(me, o, n, p).recv_inter.any());
+        let cur = (0..n).any(|o| (0..p).any(|i| self.dr_fwd_slot(me, o, i, n, p).recv.any()));
         (start, cur)
     }
 
@@ -486,7 +669,7 @@ impl SkipPlan {
         let mut dkv = false;
         for t in 0..np {
             let s = self.dr_alg1_slot(me, t, n, p);
-            kv |= s.recv_kv;
+            kv |= s.recv_kv.any();
             dkv |= s.recv_dkv || s.compute;
         }
         for h in self.dr_alg1_completion(me, n, p) {
@@ -498,14 +681,14 @@ impl SkipPlan {
     /// Algorithm 2 double-ring slots this rank ever touches:
     /// `(start, cur, dq_ring, dq_buf)`.
     pub fn dr_alg2_bufs(&self, me: usize, n: usize, p: usize) -> (bool, bool, bool, bool) {
-        let start = (0..n).any(|o| self.dr_alg2_outer(me, o, n, p).recv_inter);
+        let start = (0..n).any(|o| self.dr_alg2_outer(me, o, n, p).recv_inter.any());
         let mut cur = false;
         let mut dq_ring = self.dr_alg2_final(me);
         let mut dq_buf = false;
         for o in 0..n {
             for i in 0..p {
                 let s = self.dr_alg2_slot(me, o, i, n, p);
-                cur |= s.recv_ro;
+                cur |= s.recv_ro.any();
                 dq_ring |= s.send_dq || s.recv_dq;
                 dq_buf |= s.compute || s.recv_dq;
             }
@@ -521,15 +704,15 @@ pub struct FlatFwdRound {
     pub shard_out: usize,
     /// Shard arriving this round (if any).
     pub shard_in: usize,
-    pub send: bool,
-    pub recv: bool,
+    pub send: SpanSet,
+    pub recv: SpanSet,
     pub compute: bool,
 }
 
 impl FlatFwdRound {
     /// No compute, no send, no receive: the round never opens.
     pub fn idle(&self) -> bool {
-        !(self.send || self.recv || self.compute)
+        !(self.send.any() || self.recv.any() || self.compute)
     }
 }
 
@@ -538,16 +721,20 @@ impl FlatFwdRound {
 pub struct FlatAlg1Round {
     pub shard_out: usize,
     pub shard_in: usize,
-    pub send_kv: bool,
+    pub send_kv: SpanSet,
     pub send_dkv: bool,
-    pub recv_kv: bool,
+    pub recv_kv: SpanSet,
     pub recv_dkv: bool,
     pub compute: bool,
 }
 
 impl FlatAlg1Round {
     pub fn idle(&self) -> bool {
-        !(self.send_kv || self.send_dkv || self.recv_kv || self.recv_dkv || self.compute)
+        !(self.send_kv.any()
+            || self.send_dkv
+            || self.recv_kv.any()
+            || self.recv_dkv
+            || self.compute)
     }
 }
 
@@ -556,8 +743,8 @@ impl FlatAlg1Round {
 pub struct FlatAlg2Round {
     /// Which q-bundle this round handles.
     pub bundle: usize,
-    pub recv_ro: bool,
-    pub fwd_ro: bool,
+    pub recv_ro: SpanSet,
+    pub fwd_ro: SpanSet,
     pub recv_dq: bool,
     pub send_dq: bool,
     pub compute: bool,
@@ -565,7 +752,7 @@ pub struct FlatAlg2Round {
 
 impl FlatAlg2Round {
     pub fn idle(&self) -> bool {
-        !(self.recv_ro || self.fwd_ro || self.recv_dq || self.send_dq || self.compute)
+        !(self.recv_ro.any() || self.fwd_ro.any() || self.recv_dq || self.send_dq || self.compute)
     }
 }
 
@@ -576,8 +763,8 @@ pub struct DrFwdOuter {
     pub start_shard: usize,
     /// Start shard of the next sweep (the one received after draining).
     pub start_in: usize,
-    pub send_inter: bool,
-    pub recv_inter: bool,
+    pub send_inter: SpanSet,
+    pub recv_inter: SpanSet,
 }
 
 /// Gates for one inner slot of the double-ring forward.
@@ -587,15 +774,15 @@ pub struct DrFwdSlot {
     pub shard: usize,
     /// Shard arriving on the intra ring this slot (if any).
     pub shard_in: usize,
-    pub send: bool,
-    pub recv: bool,
+    pub send: SpanSet,
+    pub recv: SpanSet,
     pub compute: bool,
 }
 
 impl DrFwdSlot {
     /// No compute, no intra send, no intra receive: the slot never opens.
     pub fn idle(&self) -> bool {
-        !(self.send || self.recv || self.compute)
+        !(self.send.any() || self.recv.any() || self.compute)
     }
 }
 
@@ -606,16 +793,20 @@ pub struct DrAlg1Slot {
     pub shard_in: usize,
     /// This step's outbound hop crosses the outer (node) ring.
     pub inter: bool,
-    pub send_kv: bool,
+    pub send_kv: SpanSet,
     pub send_dkv: bool,
-    pub recv_kv: bool,
+    pub recv_kv: SpanSet,
     pub recv_dkv: bool,
     pub compute: bool,
 }
 
 impl DrAlg1Slot {
     pub fn idle(&self) -> bool {
-        !(self.send_kv || self.send_dkv || self.recv_kv || self.recv_dkv || self.compute)
+        !(self.send_kv.any()
+            || self.send_dkv
+            || self.recv_kv.any()
+            || self.recv_dkv
+            || self.compute)
     }
 }
 
@@ -637,8 +828,8 @@ pub struct DrCompletionHop {
 pub struct DrAlg2Outer {
     pub start_bundle: usize,
     pub start_in: usize,
-    pub send_inter: bool,
-    pub recv_inter: bool,
+    pub send_inter: SpanSet,
+    pub recv_inter: SpanSet,
 }
 
 /// Gates for one inner slot of Algorithm 2's double-ring backward.
@@ -650,8 +841,8 @@ pub struct DrAlg2Slot {
     pub bundle_in: usize,
     /// This slot's ∇Q hop is the per-sweep diagonal (inter when `n > 1`).
     pub diag: bool,
-    pub send_ro: bool,
-    pub recv_ro: bool,
+    pub send_ro: SpanSet,
+    pub recv_ro: SpanSet,
     pub recv_dq: bool,
     pub send_dq: bool,
     pub compute: bool,
@@ -659,7 +850,7 @@ pub struct DrAlg2Slot {
 
 impl DrAlg2Slot {
     pub fn idle(&self) -> bool {
-        !(self.send_ro || self.recv_ro || self.recv_dq || self.send_dq || self.compute)
+        !(self.send_ro.any() || self.recv_ro.any() || self.recv_dq || self.send_dq || self.compute)
     }
 }
 
@@ -763,6 +954,37 @@ impl MaskedWire {
             self.intra_vec_elems += elems;
         }
     }
+
+    /// One (K, V) or (∇K, ∇V) hop of a `rows`-row shard carrying `sent` of
+    /// its rows (`None`: gated off): two matrices when it is posted, the
+    /// other rows billed to the skip dual.
+    fn kv_hop(&mut self, inter: bool, sent: Option<usize>, rows: usize, geom: &RingGeom) {
+        if let Some(n) = sent {
+            self.mat(inter, (n * geom.d) as u64);
+            self.mat(inter, (n * geom.dv) as u64);
+        }
+        let dropped = rows - sent.unwrap_or(0);
+        self.skipped_mat_elems += (dropped * (geom.d + geom.dv)) as u64;
+    }
+
+    /// One read-only (Q, ∇O, Lse, D) hop of a `rows`-row bundle carrying
+    /// `sent` of its rows: two matrices and two statistics vectors.
+    fn ro_hop(&mut self, inter: bool, sent: Option<usize>, rows: usize, geom: &RingGeom) {
+        if let Some(n) = sent {
+            self.mat(inter, (n * geom.d) as u64);
+            self.mat(inter, (n * geom.dv) as u64);
+            self.vec(inter, n as u64);
+            self.vec(inter, n as u64);
+        }
+        let dropped = rows - sent.unwrap_or(0);
+        self.skipped_mat_elems += (dropped * (geom.d + geom.dv)) as u64;
+        self.skipped_vec_elems += 2 * dropped as u64;
+    }
+}
+
+/// Rows of `shard` a hop carrying `set` sends (`None`: gated off).
+fn sent(plan: &SkipPlan, geom: &RingGeom, shard: usize, set: SpanSet) -> Option<usize> {
+    plan.window(shard, set, geom.rows[shard]).map(|w| w.len())
 }
 
 /// Flat forward census for `me`. `edge_inter` is the link class of this
@@ -781,14 +1003,13 @@ pub fn census_flat_forward(
             w.rounds_skipped += 1;
         }
         if step < g - 1 {
-            let k = (geom.rows[r.shard_out] * geom.d) as u64;
-            let v = (geom.rows[r.shard_out] * geom.dv) as u64;
-            if r.send {
-                w.mat(edge_inter, k);
-                w.mat(edge_inter, v);
-            } else {
-                w.skipped_mat_elems += k + v;
-            }
+            let rows = geom.rows[r.shard_out];
+            w.kv_hop(
+                edge_inter,
+                sent(plan, geom, r.shard_out, r.send),
+                rows,
+                geom,
+            );
         }
     }
     w
@@ -811,20 +1032,14 @@ pub fn census_flat_alg1(
         if r.idle() {
             w.rounds_skipped += 1;
         }
-        let k = (geom.rows[r.shard_out] * geom.d) as u64;
-        let v = (geom.rows[r.shard_out] * geom.dv) as u64;
-        if r.send_kv {
-            w.mat(edge_inter, k);
-            w.mat(edge_inter, v);
-        } else {
-            w.skipped_mat_elems += k + v;
-        }
-        if r.send_dkv {
-            w.mat(edge_inter, k);
-            w.mat(edge_inter, v);
-        } else {
-            w.skipped_mat_elems += k + v;
-        }
+        let rows = geom.rows[r.shard_out];
+        w.kv_hop(
+            edge_inter,
+            sent(plan, geom, r.shard_out, r.send_kv),
+            rows,
+            geom,
+        );
+        w.kv_hop(edge_inter, r.send_dkv.then_some(rows), rows, geom);
     }
     w
 }
@@ -847,21 +1062,11 @@ pub fn census_flat_alg2(
         if r.idle() {
             w.rounds_skipped += 1;
         }
-        let rows = geom.rows[r.bundle] as u64;
         if round < g - 1 {
-            let q = rows * geom.d as u64;
-            let dout = rows * geom.dv as u64;
-            if r.fwd_ro {
-                w.mat(edge_inter, q);
-                w.mat(edge_inter, dout);
-                w.vec(edge_inter, rows);
-                w.vec(edge_inter, rows);
-            } else {
-                w.skipped_mat_elems += q + dout;
-                w.skipped_vec_elems += 2 * rows;
-            }
+            let rows = geom.rows[r.bundle];
+            w.ro_hop(edge_inter, sent(plan, geom, r.bundle, r.fwd_ro), rows, geom);
         }
-        let dq = rows * geom.d as u64;
+        let dq = (geom.rows[r.bundle] * geom.d) as u64;
         if r.send_dq {
             w.mat(edge_inter, dq);
         } else {
@@ -889,14 +1094,13 @@ pub fn census_dr_forward(
     for outer in 0..n {
         let op = plan.dr_fwd_outer(me, outer, n, p);
         if outer + 1 < n {
-            let k = (geom.rows[op.start_shard] * geom.d) as u64;
-            let v = (geom.rows[op.start_shard] * geom.dv) as u64;
-            if op.send_inter {
-                w.mat(true, k);
-                w.mat(true, v);
-            } else {
-                w.skipped_mat_elems += k + v;
-            }
+            let rows = geom.rows[op.start_shard];
+            w.kv_hop(
+                true,
+                sent(plan, geom, op.start_shard, op.send_inter),
+                rows,
+                geom,
+            );
         }
         for inner in 0..p {
             let s = plan.dr_fwd_slot(me, outer, inner, n, p);
@@ -904,14 +1108,8 @@ pub fn census_dr_forward(
                 w.rounds_skipped += 1;
             }
             if inner + 1 < p {
-                let k = (geom.rows[s.shard] * geom.d) as u64;
-                let v = (geom.rows[s.shard] * geom.dv) as u64;
-                if s.send {
-                    w.mat(false, k);
-                    w.mat(false, v);
-                } else {
-                    w.skipped_mat_elems += k + v;
-                }
+                let rows = geom.rows[s.shard];
+                w.kv_hop(false, sent(plan, geom, s.shard, s.send), rows, geom);
             }
         }
     }
@@ -936,20 +1134,9 @@ pub fn census_dr_alg1(
             w.rounds_skipped += 1;
         }
         if t + 1 < np {
-            let k = (geom.rows[s.shard] * geom.d) as u64;
-            let v = (geom.rows[s.shard] * geom.dv) as u64;
-            if s.send_kv {
-                w.mat(s.inter, k);
-                w.mat(s.inter, v);
-            } else {
-                w.skipped_mat_elems += k + v;
-            }
-            if s.send_dkv {
-                w.mat(s.inter, k);
-                w.mat(s.inter, v);
-            } else {
-                w.skipped_mat_elems += k + v;
-            }
+            let rows = geom.rows[s.shard];
+            w.kv_hop(s.inter, sent(plan, geom, s.shard, s.send_kv), rows, geom);
+            w.kv_hop(s.inter, s.send_dkv.then_some(rows), rows, geom);
         }
     }
     let hops = plan.dr_alg1_completion(me, n, p);
@@ -957,14 +1144,8 @@ pub fn census_dr_alg1(
         w.rounds_skipped += 1;
     }
     for h in &hops {
-        let dk = (geom.rows[h.send_shard] * geom.d) as u64;
-        let dv = (geom.rows[h.send_shard] * geom.dv) as u64;
-        if h.send {
-            w.mat(h.inter, dk);
-            w.mat(h.inter, dv);
-        } else {
-            w.skipped_mat_elems += dk + dv;
-        }
+        let rows = geom.rows[h.send_shard];
+        w.kv_hop(h.inter, h.send.then_some(rows), rows, geom);
     }
     w
 }
@@ -986,39 +1167,24 @@ pub fn census_dr_alg2(
     for outer in 0..n {
         let op = plan.dr_alg2_outer(me, outer, n, p);
         if outer + 1 < n {
-            let rows = geom.rows[op.start_bundle] as u64;
-            let q = rows * geom.d as u64;
-            let dout = rows * geom.dv as u64;
-            if op.send_inter {
-                w.mat(true, q);
-                w.mat(true, dout);
-                w.vec(true, rows);
-                w.vec(true, rows);
-            } else {
-                w.skipped_mat_elems += q + dout;
-                w.skipped_vec_elems += 2 * rows;
-            }
+            let rows = geom.rows[op.start_bundle];
+            w.ro_hop(
+                true,
+                sent(plan, geom, op.start_bundle, op.send_inter),
+                rows,
+                geom,
+            );
         }
         for inner in 0..p {
             let s = plan.dr_alg2_slot(me, outer, inner, n, p);
             if s.idle() {
                 w.rounds_skipped += 1;
             }
-            let rows = geom.rows[s.bundle] as u64;
+            let rows = geom.rows[s.bundle];
             if inner + 1 < p {
-                let q = rows * geom.d as u64;
-                let dout = rows * geom.dv as u64;
-                if s.send_ro {
-                    w.mat(false, q);
-                    w.mat(false, dout);
-                    w.vec(false, rows);
-                    w.vec(false, rows);
-                } else {
-                    w.skipped_mat_elems += q + dout;
-                    w.skipped_vec_elems += 2 * rows;
-                }
+                w.ro_hop(false, sent(plan, geom, s.bundle, s.send_ro), rows, geom);
             }
-            let dq = rows * geom.d as u64;
+            let dq = (rows * geom.d) as u64;
             let inter = s.diag && n > 1;
             if s.send_dq {
                 w.mat(inter, dq);
@@ -1046,9 +1212,9 @@ mod tests {
         let p = SkipPlan::dense(4);
         for x in 0..4 {
             for h in 0..4 {
-                assert!(p.alg1_kv_hop(x, h));
+                assert_eq!(p.alg1_kv_hop(x, h), SpanSet::ALL);
                 assert!(p.alg1_dkv_hop(x, h));
-                assert!(p.alg2_ro_hop(x, h));
+                assert_eq!(p.alg2_ro_hop(x, h), SpanSet::ALL);
                 assert!(p.alg2_dq_hop(x, h));
                 assert!(!p.flat_fwd_round(x, h).idle());
                 assert!(!p.flat_alg1_round(x, h).idle());
@@ -1074,12 +1240,12 @@ mod tests {
         // it, i.e. h ≤ g−2−c; the last shard never moves.
         for c in 0..g {
             for h in 0..g - 1 {
-                assert_eq!(p.fwd_kv_hop(c, h), h + c + 1 < g, "shard {c} hop {h}");
+                assert_eq!(p.fwd_kv_hop(c, h).any(), h + c + 1 < g, "shard {c} hop {h}");
             }
         }
         // Alg 1 homecoming kv hop is always gated off on built plans.
         for c in 0..g {
-            assert!(!p.alg1_kv_hop(c, g - 1));
+            assert_eq!(p.alg1_kv_hop(c, g - 1), SpanSet::NONE);
         }
     }
 
@@ -1300,7 +1466,7 @@ mod tests {
                             let s = plan.dr_fwd_slot(me, o, i, n, p);
                             let sp = plan.dr_fwd_slot(intra_prev(me), o, i, n, p);
                             assert_eq!(s.recv, sp.send);
-                            if s.recv {
+                            if s.recv.any() {
                                 assert_eq!(s.shard_in, sp.shard);
                             }
                             let b = plan.dr_alg2_slot(me, o, i, n, p);
@@ -1332,7 +1498,7 @@ mod tests {
                         let ss = plan.dr_alg1_slot(src, t, n, p);
                         assert_eq!(s.recv_kv, ss.send_kv);
                         assert_eq!(s.recv_dkv, ss.send_dkv);
-                        if s.recv_kv || s.recv_dkv {
+                        if s.recv_kv.any() || s.recv_dkv {
                             assert_eq!(s.shard_in, ss.shard);
                         }
                         // Compute requires the shard to actually be here: any
@@ -1340,7 +1506,7 @@ mod tests {
                         // on (or hold the local shard at t = 0).
                         if s.compute && t > 0 {
                             let prev = plan.dr_alg1_slot(me, t - 1, n, p);
-                            assert!(prev.recv_kv, "t={t} me={me} n={n} p={p}");
+                            assert!(prev.recv_kv.any(), "t={t} me={me} n={n} p={p}");
                         }
                     }
                     // Homecoming: the diagonal sender's last-slot ∇Q gate must
@@ -1369,7 +1535,7 @@ mod tests {
         );
         for me in 0..g {
             for o in 0..n {
-                let have_start = o == 0 || plan.dr_fwd_outer(me, o - 1, n, p).recv_inter;
+                let have_start = o == 0 || plan.dr_fwd_outer(me, o - 1, n, p).recv_inter.any();
                 for i in 0..p {
                     let s = plan.dr_fwd_slot(me, o, i, n, p);
                     if !s.compute {
@@ -1379,7 +1545,7 @@ mod tests {
                         assert!(have_start, "me={me} o={o}");
                     } else {
                         assert!(
-                            plan.dr_fwd_slot(me, o, i - 1, n, p).recv,
+                            plan.dr_fwd_slot(me, o, i - 1, n, p).recv.any(),
                             "me={me} o={o} i={i}"
                         );
                     }

@@ -663,6 +663,13 @@ pub fn attn_tile_backward_with_block(
 /// rounds, so steady-state rounds allocate nothing. Runs the serial sweep —
 /// accumulation order per destination row matches [`attn_tile_backward`]
 /// exactly, so partition sums are bit-identical to the one-shot kernel.
+///
+/// The gradients are raw row-major rows: `grad_q` holds `q.rows()` rows of
+/// `q.cols()` floats and `grad_k`/`grad_v` hold `k.rows()` rows, each
+/// possibly a row window of a larger buffer. A ring schedule that receives
+/// only some of a shard's rows accumulates straight into the matching rows
+/// of the shard's gradient, in the same per-element order as the whole
+/// shard.
 #[allow(clippy::too_many_arguments)]
 #[track_caller]
 pub fn attn_tile_backward_acc(
@@ -676,9 +683,9 @@ pub fn attn_tile_backward_acc(
     mask: &AttnMask,
     q_idx: &[usize],
     k_idx: &[usize],
-    grad_q: &mut Mat,
-    grad_k: &mut Mat,
-    grad_v: &mut Mat,
+    grad_q: &mut [f32],
+    grad_k: &mut [f32],
+    grad_v: &mut [f32],
     scratch: &mut Scratch,
 ) -> KernelWork {
     assert_eq!(
@@ -694,21 +701,9 @@ pub fn attn_tile_backward_acc(
     assert_eq!(q.rows(), grad_o.rows(), "attn_tile_backward_acc: ∇O rows");
     assert_eq!(q.rows(), lse.len(), "attn_tile_backward_acc: Lse length");
     assert_eq!(q.rows(), d_vec.len(), "attn_tile_backward_acc: D length");
-    assert_eq!(
-        grad_q.shape(),
-        q.shape(),
-        "attn_tile_backward_acc: ∇Q shape"
-    );
-    assert_eq!(
-        grad_k.shape(),
-        k.shape(),
-        "attn_tile_backward_acc: ∇K shape"
-    );
-    assert_eq!(
-        grad_v.shape(),
-        v.shape(),
-        "attn_tile_backward_acc: ∇V shape"
-    );
+    assert_eq!(grad_q.len(), q.len(), "attn_tile_backward_acc: ∇Q rows");
+    assert_eq!(grad_k.len(), k.len(), "attn_tile_backward_acc: ∇K rows");
+    assert_eq!(grad_v.len(), v.len(), "attn_tile_backward_acc: ∇V rows");
     let ctx = BwdCtx {
         fwd: Ctx {
             q: q.view(),
@@ -724,13 +719,7 @@ pub fn attn_tile_backward_acc(
         lse,
         d_vec,
     };
-    backward_sweep(
-        &ctx,
-        grad_q.as_mut_slice(),
-        grad_k.as_mut_slice(),
-        grad_v.as_mut_slice(),
-        scratch,
-    )
+    backward_sweep(&ctx, grad_q, grad_k, grad_v, scratch)
 }
 
 /// Single-device blocked backward: computes `D = rowsum(∇O ∘ O)` and runs
@@ -992,48 +981,31 @@ mod tests {
         let (gq_ref, gk_ref, gv_ref, _) = attn_tile_backward(
             &q, &k, &v, &grad_o, &out.lse, &d_vec, scale, &mask, &all_idx, &all_idx,
         );
+        // Each key partition accumulates into its row window of ∇K/∇V.
         let half = 11;
         let mut gq = Mat::zeros(n, d);
-        let mut gk1 = Mat::zeros(half, d);
-        let mut gv1 = Mat::zeros(half, d);
-        let mut gk2 = Mat::zeros(n - half, d);
-        let mut gv2 = Mat::zeros(n - half, d);
+        let mut gk = Mat::zeros(n, d);
+        let mut gv = Mat::zeros(n, d);
         let mut scratch = Scratch::new();
-        attn_tile_backward_acc(
-            &q,
-            &k.slice_rows(0, half),
-            &v.slice_rows(0, half),
-            &grad_o,
-            &out.lse,
-            &d_vec,
-            scale,
-            &mask,
-            &all_idx,
-            &all_idx[..half],
-            &mut gq,
-            &mut gk1,
-            &mut gv1,
-            &mut scratch,
-        );
-        attn_tile_backward_acc(
-            &q,
-            &k.slice_rows(half, n),
-            &v.slice_rows(half, n),
-            &grad_o,
-            &out.lse,
-            &d_vec,
-            scale,
-            &mask,
-            &all_idx,
-            &all_idx[half..],
-            &mut gq,
-            &mut gk2,
-            &mut gv2,
-            &mut scratch,
-        );
+        for (lo, hi) in [(0, half), (half, n)] {
+            attn_tile_backward_acc(
+                &q,
+                &k.slice_rows(lo, hi),
+                &v.slice_rows(lo, hi),
+                &grad_o,
+                &out.lse,
+                &d_vec,
+                scale,
+                &mask,
+                &all_idx,
+                &all_idx[lo..hi],
+                gq.as_mut_slice(),
+                gk.rows_mut(lo, hi),
+                gv.rows_mut(lo, hi),
+                &mut scratch,
+            );
+        }
         assert_allclose(&gq, &gq_ref, 1e-4, "acc dQ");
-        let gk = burst_tensor::Mat::vstack(&[gk1, gk2]);
-        let gv = burst_tensor::Mat::vstack(&[gv1, gv2]);
         assert_allclose(&gk, &gk_ref, 1e-4, "acc dK");
         assert_allclose(&gv, &gv_ref, 1e-4, "acc dV");
     }

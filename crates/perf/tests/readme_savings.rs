@@ -8,8 +8,8 @@
 //! ```
 //!
 //! and paste the printed markdown. The assertions keep the README honest —
-//! every non-causal row must save bytes on every schedule, and actual
-//! traffic plus the saved dual must reconstruct the dense census exactly.
+//! every row must save bytes on every schedule, and actual traffic plus the
+//! saved dual must reconstruct the dense census exactly.
 
 use burst_comm::WireDtype;
 use burst_dattn::Layout;
@@ -17,7 +17,9 @@ use burst_kernels::{AttnMask, BlockSparseMask};
 use burst_perf::{exact_wire_counts_dtype, exact_wire_counts_masked_dtype, Cluster, RingMethod};
 
 /// The README configuration: 1Mi tokens on 4 nodes × 8 GPUs, head dim
-/// 128, contiguous layout (the skip-rich one), bf16 wire payloads.
+/// 128, bf16 wire payloads, on the contiguous layout (whole shards skip)
+/// and on zigzag (16Ki-token chunks, whole kernel tiles, so the span gates
+/// drop the chunk no downstream consumer reads).
 const SEQ: usize = 1 << 20;
 const D: usize = 128;
 const NODES: usize = 4;
@@ -66,42 +68,50 @@ fn readme_wire_savings_table_at_1m_tokens() {
         ("burst", RingMethod::Burst),
     ];
 
-    println!("| mask | ring | double_ring | burst |");
-    println!("|---|---|---|---|");
+    println!("| mask | layout | ring | double_ring | burst |");
+    println!("|---|---|---|---|---|");
     for (mask_name, mask) in &masks {
-        let mut cells = Vec::new();
-        for (_, method) in methods {
-            let dense = exact_wire_counts_dtype(&cluster, SEQ, D, method, WireDtype::Bf16);
-            let dense_bytes = dense.intra_bytes + dense.inter_bytes;
-            let got = exact_wire_counts_masked_dtype(
-                &cluster,
-                SEQ,
-                D,
-                method,
-                WireDtype::Bf16,
-                mask,
-                Layout::Contiguous,
-                None,
-                true,
-            );
-            // The dual reconstructs the dense census to the byte.
-            assert_eq!(
-                got.counts.intra_bytes + got.counts.inter_bytes + got.skipped_bytes,
-                dense_bytes,
-                "{mask_name}: skipped dual does not reconstruct the dense census"
-            );
-            // Every mask saves on the contiguous layout — causal included,
-            // since a contiguous rank's keys are entirely in the future of
-            // every earlier rank's queries (the imbalance zigzag exists to
-            // spread, and the skip gates turn into elided traffic here).
-            assert!(got.rounds_skipped > 0, "{mask_name}: no rounds skipped");
-            assert!(got.skipped_bytes > 0.0, "{mask_name}: no bytes saved");
-            cells.push(format!(
-                "{:.1} GB ({:.0} %)",
-                got.skipped_bytes / 1e9,
-                100.0 * got.skipped_bytes / dense_bytes
-            ));
+        for layout in [Layout::Contiguous, Layout::Zigzag] {
+            let mut cells = Vec::new();
+            for (_, method) in methods {
+                let dense = exact_wire_counts_dtype(&cluster, SEQ, D, method, WireDtype::Bf16);
+                let dense_bytes = dense.intra_bytes + dense.inter_bytes;
+                let got = exact_wire_counts_masked_dtype(
+                    &cluster,
+                    SEQ,
+                    D,
+                    method,
+                    WireDtype::Bf16,
+                    mask,
+                    layout,
+                    None,
+                    true,
+                );
+                // The dual reconstructs the dense census to the byte.
+                assert_eq!(
+                    got.counts.intra_bytes + got.counts.inter_bytes + got.skipped_bytes,
+                    dense_bytes,
+                    "{mask_name}: skipped dual does not reconstruct the dense census"
+                );
+                // Every mask saves — causal included: on the contiguous layout
+                // a rank's keys are entirely in the future of every earlier
+                // rank's queries, so whole rounds go, and on zigzag a shard's
+                // late chunk is in the future of every later rank's queries,
+                // so no hop past those ranks carries it.
+                if layout == Layout::Contiguous {
+                    assert!(got.rounds_skipped > 0, "{mask_name}: no rounds skipped");
+                }
+                assert!(
+                    got.skipped_bytes > 0.0,
+                    "{mask_name} {layout:?}: no bytes saved"
+                );
+                cells.push(format!(
+                    "{:.1} GB ({:.0} %)",
+                    got.skipped_bytes / 1e9,
+                    100.0 * got.skipped_bytes / dense_bytes
+                ));
+            }
+            println!("| {mask_name} | {layout:?} | {} |", cells.join(" | "));
         }
-        println!("| {mask_name} | {} |", cells.join(" | "));
     }
 }

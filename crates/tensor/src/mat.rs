@@ -242,6 +242,13 @@ impl Mat {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// Mutably borrow rows `[start, end)`, row-major.
+    #[inline]
+    #[track_caller]
+    pub fn rows_mut(&mut self, start: usize, end: usize) -> &mut [f32] {
+        &mut self.data[start * self.cols..end * self.cols]
+    }
+
     /// Borrowed view of the whole matrix.
     #[inline]
     pub fn view(&self) -> MatRef<'_> {

@@ -7,11 +7,13 @@
 //! striped, head-parallel, or an elastic re-partition after an eviction) —
 //! reassembly is the harness's job so the comparisons stay one-liners.
 
-use burst_comm::{CommError, FaultPlan, Membership, RetryPolicy, Topology, World};
-use burst_dattn::ring::AttnFailure;
+use burst_comm::{
+    CommError, FaultPlan, Membership, RankOutput, RetryPolicy, SpanKind, Topology, World,
+};
+use burst_dattn::ring::{AttnFailure, AttnShard};
 use burst_dattn::usp::{try_usp_backward, try_usp_forward, UspTopo};
 use burst_dattn::{
-    try_elastic_attention_opts, try_run_attention_opts, Algo, CostModel, DattnError, ElasticOpts,
+    try_elastic_attention_opts, try_run_attention_shard, Algo, CostModel, DattnError, ElasticOpts,
     Layout, ShardData,
 };
 use burst_kernels::AttnMask;
@@ -27,6 +29,9 @@ pub struct GlobalAttn {
     pub dq: Mat,
     pub dk: Mat,
     pub dv: Mat,
+    /// The payload elements of every message the run sent, rank by rank in
+    /// send order, read off the ranks' `Send` spans.
+    pub sends: Vec<u64>,
 }
 
 impl GlobalAttn {
@@ -37,6 +42,7 @@ impl GlobalAttn {
             dq: Mat::zeros(n, d),
             dk: Mat::zeros(n, d),
             dv: Mat::zeros(n, d),
+            sends: Vec::new(),
         }
     }
 
@@ -72,6 +78,15 @@ fn world_for(topo: &Topology, plan: Option<&FaultPlan>) -> World {
     }
 }
 
+/// The payload elements of every `Send` span the ranks traced.
+fn send_elems<R>(outs: &[RankOutput<R>]) -> Vec<u64> {
+    outs.iter()
+        .flat_map(|o| o.trace.iter().flat_map(|t| &t.spans))
+        .filter(|s| s.kind == SpanKind::Send)
+        .map(|s| s.elems)
+        .collect()
+}
+
 /// Run a ring-family schedule (flat ring, BurstAttention backward,
 /// double-ring, or topology-aware Burst) and reassemble.
 #[allow(clippy::too_many_arguments)]
@@ -85,11 +100,13 @@ pub fn run_ring_family(
     mask: &AttnMask,
     plan: Option<&FaultPlan>,
 ) -> Result<GlobalAttn, AttnFailure> {
-    run_ring_family_opts(algo, layout, topo, n, d, seed, mask, plan, false)
+    run_ring_family_opts(algo, layout, topo, n, d, seed, mask, plan, false, None)
 }
 
 /// [`run_ring_family`] with mask-aware round skipping toggled explicitly —
-/// the entry point for the skip-on vs skip-off bit-identity cells.
+/// the entry point for the skip-on vs skip-off bit-identity cells — and
+/// the problem cut at `max_token`: every rank holds its tokens below the
+/// cutoff, and the rows at or past it stay zero.
 #[allow(clippy::too_many_arguments)]
 pub fn run_ring_family_opts(
     algo: Algo,
@@ -101,30 +118,42 @@ pub fn run_ring_family_opts(
     mask: &AttnMask,
     plan: Option<&FaultPlan>,
     skip: bool,
+    max_token: Option<usize>,
 ) -> Result<GlobalAttn, AttnFailure> {
     let g = topo.world_size();
     let (q, k, v, go) = attn_inputs(n, d, seed);
     let world = world_for(topo, plan);
     let mask = mask.clone();
     let outs = world.run_faulty::<_, AttnFailure, _>(move |comm| {
-        let idx = layout.indices(n, g, comm.rank());
-        let (o, lse, dq, dk, dv) = try_run_attention_opts(
-            algo,
-            comm,
-            &q.gather_rows(&idx),
-            &k.gather_rows(&idx),
-            &v.gather_rows(&idx),
-            &go.gather_rows(&idx),
-            head_scale(d),
-            &mask,
+        comm.start_trace();
+        let idx: Vec<usize> = layout
+            .spans(n, g, comm.rank(), max_token)
+            .into_iter()
+            .flat_map(|s| s.iter())
+            .collect();
+        let (ql, kl, vl) = (
+            q.gather_rows(&idx),
+            k.gather_rows(&idx),
+            v.gather_rows(&idx),
+        );
+        let shard = AttnShard {
+            q: &ql,
+            k: &kl,
+            v: &vl,
+            scale: head_scale(d),
+            mask: &mask,
             layout,
-            n,
-            &CostModel::free(),
+            seq_len: n,
+            cost: CostModel::free(),
+            max_token,
             skip,
-        )?;
+        };
+        let (o, lse, dq, dk, dv) =
+            try_run_attention_shard(algo, comm, &shard, &go.gather_rows(&idx))?;
         Ok((idx, o, lse, dq, dk, dv))
     });
     let mut global = GlobalAttn::empty(n, d);
+    global.sends = send_elems(&outs);
     for out in outs {
         let (idx, o, lse, dq, dk, dv) = out.result?;
         global.scatter(&idx, &o, &lse, &dq, &dk, &dv);
@@ -170,6 +199,7 @@ pub fn run_usp_opts(
     let mask = mask.clone();
     let inputs = per_head.clone();
     let outs = world.run_faulty::<_, DattnError, _>(move |comm| {
+        comm.start_trace();
         let utopo = UspTopo::new(comm, ulysses_size).with_skip(skip);
         let idx = utopo.local_idx(n);
         let gather = |sel: fn(&(Mat, Mat, Mat, Mat)) -> &Mat| -> Vec<Mat> {
@@ -207,6 +237,10 @@ pub fn run_usp_opts(
         Ok((idx, o_heads, lse_heads, dq, dk, dv))
     });
     let mut global: Vec<GlobalAttn> = (0..heads).map(|_| GlobalAttn::empty(n, d)).collect();
+    let sends = send_elems(&outs);
+    for head in &mut global {
+        head.sends = sends.clone();
+    }
     for out in outs {
         let (idx, o_heads, lse_heads, dq, dk, dv) = out.result?;
         for h in 0..heads {
@@ -290,6 +324,7 @@ pub fn run_elastic_masked_on(
     let (qc, kc, vc, goc) = (q.clone(), k.clone(), v.clone(), go.clone());
     let mask = mask.clone();
     let outs = world.run_faulty::<_, AttnFailure, _>(move |comm| {
+        comm.start_trace();
         let mut m = Membership::new(comm.world_size());
         let policy = RetryPolicy::default();
         let shard_of = |r: usize| -> ShardData {
@@ -322,6 +357,7 @@ pub fn run_elastic_masked_on(
         Ok(out)
     });
     let mut global = GlobalAttn::empty(n, d);
+    global.sends = send_elems(&outs);
     let mut evicted: Vec<usize> = Vec::new();
     let mut attempts = 1usize;
     let mut flat_fallbacks = 0usize;

@@ -10,11 +10,12 @@
 use burst_comm::{FaultPlan, Topology, WireDtype};
 use burst_dattn::{Algo, ElasticOpts, Layout};
 use burst_kernels::{AttnMask, BlockSparseMask};
+use burst_tensor::Mat;
 use burst_verify::diff::{
     attn_inputs, run_elastic, run_elastic_masked_on, run_elastic_on, run_ring_family,
     run_ring_family_opts, run_usp, run_usp_opts, GlobalAttn,
 };
-use burst_verify::oracle::oracle_attention;
+use burst_verify::oracle::{oracle_attention, OracleAttn};
 use burst_verify::{
     assert_bits_eq, compare_slice, BF16_ATTN_ATOL, BF16_ATTN_RTOL, BF16_GRAD_ATOL, BF16_GRAD_RTOL,
     ORACLE_ATTN_ATOL, ORACLE_ATTN_RTOL, ORACLE_GRAD_ATOL, ORACLE_GRAD_RTOL,
@@ -599,6 +600,65 @@ fn sparse_masks(n: usize, seed: u64) -> Vec<(&'static str, AttnMask)> {
     ]
 }
 
+/// The oracle of the problem cut at `cut` tokens, padded with zero rows
+/// (and zero Lse) to `n`, as the runners reassemble a cut run.
+fn oracle_cut(n: usize, d: usize, seed: u64, mask: &AttnMask, cut: usize) -> OracleAttn {
+    let (q, k, v, go) = attn_inputs(n, d, seed);
+    let head = |m: &Mat| m.slice_rows(0, cut);
+    let o = oracle_attention(&head(&q), &head(&k), &head(&v), &head(&go), scale(d), mask);
+    let pad = |m: Mat| Mat::vstack(&[m, Mat::zeros(n - cut, d)]);
+    let mut lse = o.lse;
+    lse.resize(n, 0.0);
+    OracleAttn {
+        o: pad(o.o),
+        lse,
+        dq: pad(o.dq),
+        dk: pad(o.dk),
+        dv: pad(o.dv),
+    }
+}
+
+/// The ring schedules, in the order the matrices run them.
+const ALGOS: [Algo; 4] = [
+    Algo::RingFlat,
+    Algo::BurstFlat,
+    Algo::DoubleRing,
+    Algo::BurstTopo,
+];
+
+/// Tile-aligned shapes: with `n = 64·G` tokens every zigzag chunk is one
+/// 32-row kernel tile, so the skip plans split each shard into its two
+/// spans, and a read-only hop can carry one of them. One and two ring
+/// members per node.
+const ALIGNED_TOPOS: [(usize, usize); 2] = [(2, 2), (2, 4)];
+const ALIGNED_D: usize = 8;
+
+/// The masks of the aligned cells, sized off the zigzag chunk.
+fn aligned_masks(n: usize, chunk: usize, seed: u64) -> Vec<(&'static str, AttnMask)> {
+    vec![
+        ("causal", AttnMask::Causal),
+        ("sliding-window", AttnMask::SlidingWindow { window: chunk }),
+        (
+            "dilated",
+            AttnMask::Dilated {
+                window: 2 * chunk,
+                step: 3,
+            },
+        ),
+        ("block-sparse", random_block_sparse(n, chunk / 2, seed)),
+    ]
+}
+
+/// A window cell's witness that span gates engaged: some read-only send
+/// carried one `chunk`-row span of a two-span shard (whole shards are
+/// `2·chunk` rows, gradients always travel whole).
+fn assert_span_send(label: &str, sends: &[u64], chunk: usize) {
+    assert!(
+        sends.contains(&((chunk * ALIGNED_D) as u64)),
+        "{label}: no read-only send carried a single span"
+    );
+}
+
 /// Every sparse mask kind through every schedule — the fixed-seed rows of
 /// the mask × schedule acceptance matrix. Ring family runs multi-node (so
 /// forwarding-only hops exist), head-parallel and elastic run single-node.
@@ -645,6 +705,70 @@ fn sparse_mask_matrix_all_schedules() {
         .unwrap_or_else(|e| panic!("elastic+{name} failed: {e}"));
         expect_matches_oracle(&format!("elastic+{name}"), &el.attn, &want);
     }
+    // Tile-aligned window cells, skipping on: the span gates engage and
+    // every schedule still matches the oracle, cut mid-chunk too.
+    let d = ALIGNED_D;
+    for (nodes, gpn) in ALIGNED_TOPOS {
+        let g = nodes * gpn;
+        let (n, chunk) = (64 * g, 32);
+        let mask = AttnMask::SlidingWindow { window: chunk };
+        for dtype in [WireDtype::F32, WireDtype::Bf16] {
+            let topo = Topology::a800(nodes, gpn).with_wire_dtype(dtype);
+            let check = |label: &str, got: &GlobalAttn, want: &OracleAttn| {
+                if dtype == WireDtype::F32 {
+                    expect_matches_oracle(label, got, want);
+                } else {
+                    expect_matches_oracle_bf16(label, got, want);
+                }
+                assert_span_send(label, &got.sends, chunk);
+            };
+            for cut in [n, n - chunk / 2] {
+                let want = oracle_cut(n, d, seed, &mask, cut);
+                let max_token = (cut < n).then_some(cut);
+                for algo in ALGOS {
+                    let label = format!(
+                        "aligned {nodes}x{gpn} {dtype:?} {} cut {cut}",
+                        algo_name(algo)
+                    );
+                    let got = run_ring_family_opts(
+                        algo,
+                        Layout::Zigzag,
+                        &topo,
+                        n,
+                        d,
+                        seed,
+                        &mask,
+                        None,
+                        true,
+                        max_token,
+                    )
+                    .unwrap_or_else(|e| panic!("{label} failed: {e}"));
+                    check(&label, &got, &want);
+                }
+            }
+            let usp = run_usp_opts(&topo, 64 * g / 2, d, 4, 2, seed, &mask, None, true)
+                .unwrap_or_else(|e| panic!("aligned usp {nodes}x{gpn} failed: {e}"));
+            for (h, got_h) in usp.iter().enumerate() {
+                let want_h = oracle_for(64 * g / 2, d, seed.wrapping_mul(64) + h as u64, &mask);
+                check(
+                    &format!("aligned usp {nodes}x{gpn} {dtype:?}/head{h}"),
+                    got_h,
+                    &want_h,
+                );
+            }
+            let opts = ElasticOpts {
+                double_ring: true,
+                skip_masked_rounds: true,
+            };
+            let el = run_elastic_masked_on(&topo, n, d, seed, &mask, Layout::Zigzag, None, opts)
+                .unwrap_or_else(|e| panic!("aligned elastic {nodes}x{gpn} failed: {e}"));
+            check(
+                &format!("aligned elastic {nodes}x{gpn} {dtype:?}"),
+                &el.attn,
+                &oracle_for(n, d, seed, &mask),
+            );
+        }
+    }
 }
 
 /// Mask-aware round skipping is bit-invisible: for every mask kind (causal
@@ -667,10 +791,12 @@ fn skip_on_is_bit_identical_to_skip_off_matrix() {
                 Algo::BurstTopo,
             ] {
                 let label = format!("{}+{name}+{layout:?}", algo_name(algo));
-                let off = run_ring_family_opts(algo, layout, &multi, n, d, seed, mask, None, false)
-                    .unwrap_or_else(|e| panic!("{label} skip-off failed: {e}"));
-                let on = run_ring_family_opts(algo, layout, &multi, n, d, seed, mask, None, true)
-                    .unwrap_or_else(|e| panic!("{label} skip-on failed: {e}"));
+                let off =
+                    run_ring_family_opts(algo, layout, &multi, n, d, seed, mask, None, false, None)
+                        .unwrap_or_else(|e| panic!("{label} skip-off failed: {e}"));
+                let on =
+                    run_ring_family_opts(algo, layout, &multi, n, d, seed, mask, None, true, None)
+                        .unwrap_or_else(|e| panic!("{label} skip-on failed: {e}"));
                 bits_eq_attn(&label, &on, &off);
             }
             let opts_off = ElasticOpts::default();
@@ -692,6 +818,107 @@ fn skip_on_is_bit_identical_to_skip_off_matrix() {
         for (h, (a, b)) in on.iter().zip(&off).enumerate() {
             bits_eq_attn(&format!("usp+{name}/head{h}"), a, b);
         }
+    }
+    // Tile-aligned zigzag cells: the plans split shards into spans, on both
+    // wire dtypes and with the pass cut mid-chunk inside rank 0's second
+    // span. Window cells must show a single-span send.
+    let d = ALIGNED_D;
+    for (nodes, gpn) in ALIGNED_TOPOS {
+        let g = nodes * gpn;
+        let (n, chunk) = (64 * g, 32);
+        for dtype in [WireDtype::F32, WireDtype::Bf16] {
+            let topo = Topology::a800(nodes, gpn).with_wire_dtype(dtype);
+            for (name, mask) in aligned_masks(n, chunk, seed) {
+                let window = name == "sliding-window";
+                for max_token in [None, Some(n - chunk / 2)] {
+                    for algo in ALGOS {
+                        let label = format!(
+                            "aligned {nodes}x{gpn} {dtype:?} {}+{name} cut {max_token:?}",
+                            algo_name(algo)
+                        );
+                        let run = |skip| {
+                            run_ring_family_opts(
+                                algo,
+                                Layout::Zigzag,
+                                &topo,
+                                n,
+                                d,
+                                seed,
+                                &mask,
+                                None,
+                                skip,
+                                max_token,
+                            )
+                            .unwrap_or_else(|e| panic!("{label} skip={skip} failed: {e}"))
+                        };
+                        let on = run(true);
+                        bits_eq_attn(&label, &on, &run(false));
+                        if window {
+                            assert_span_send(&label, &on.sends, chunk);
+                        }
+                    }
+                }
+                // USP's two-level ring leg (U = 2) over a ring of G / 2.
+                let label = format!("aligned usp {nodes}x{gpn} {dtype:?}+{name}");
+                let run = |skip| {
+                    run_usp_opts(&topo, n / 2, d, heads, 2, seed, &mask, None, skip)
+                        .unwrap_or_else(|e| panic!("{label} skip={skip} failed: {e}"))
+                };
+                let on = run(true);
+                for (h, (a, b)) in on.iter().zip(&run(false)).enumerate() {
+                    bits_eq_attn(&format!("{label}/head{h}"), a, b);
+                }
+                if window {
+                    assert_span_send(&label, &on[0].sends, chunk);
+                }
+                // The elastic wrapper, on the two-level and the flat ring.
+                for double_ring in [true, false] {
+                    let label = format!(
+                        "aligned elastic {nodes}x{gpn} {dtype:?}+{name} double_ring={double_ring}"
+                    );
+                    let run = |skip_masked_rounds| {
+                        let opts = ElasticOpts {
+                            double_ring,
+                            skip_masked_rounds,
+                        };
+                        run_elastic_masked_on(&topo, n, d, seed, &mask, Layout::Zigzag, None, opts)
+                            .unwrap_or_else(|e| panic!("{label} failed: {e}"))
+                    };
+                    let on = run(true);
+                    bits_eq_attn(&label, &on.attn, &run(false).attn);
+                    if window {
+                        assert_span_send(&label, &on.attn.sends, chunk);
+                    }
+                }
+            }
+        }
+    }
+    // An unaligned cell pins the fallback: 24-token chunks end mid-tile, so
+    // no plan splits a shard and every send carries a whole 48-row shard —
+    // its matrices or its two statistics vectors.
+    let (n, rows) = (192, 48);
+    let mask = AttnMask::SlidingWindow { window: 24 };
+    for algo in ALGOS {
+        let label = format!("unaligned {}", algo_name(algo));
+        let on = run_ring_family_opts(
+            algo,
+            Layout::Zigzag,
+            &multi,
+            n,
+            d,
+            seed,
+            &mask,
+            None,
+            true,
+            None,
+        )
+        .unwrap_or_else(|e| panic!("{label} failed: {e}"));
+        let whole = [(rows * d) as u64, rows as u64];
+        assert!(
+            on.sends.iter().all(|e| whole.contains(e)),
+            "{label}: a send carried part of a shard: {:?}",
+            on.sends
+        );
     }
 }
 
@@ -718,10 +945,10 @@ proptest! {
         let (name, mask) = sparse_masks(n, seed).swap_remove(kind);
         let topo = Topology::single_node(g);
         let want = oracle_for(n, d, seed, &mask);
-        let on = run_ring_family_opts(algo, layout, &topo, n, d, seed, &mask, None, true)
+        let on = run_ring_family_opts(algo, layout, &topo, n, d, seed, &mask, None, true, None)
             .unwrap_or_else(|e| panic!("{}+{name} skip-on failed: {e}", algo_name(algo)));
         expect_matches_oracle(&format!("{}+{name}+skip", algo_name(algo)), &on, &want);
-        let off = run_ring_family_opts(algo, layout, &topo, n, d, seed, &mask, None, false)
+        let off = run_ring_family_opts(algo, layout, &topo, n, d, seed, &mask, None, false, None)
             .unwrap_or_else(|e| panic!("{}+{name} skip-off failed: {e}", algo_name(algo)));
         bits_eq_attn(&format!("{}+{name}", algo_name(algo)), &on, &off);
     }

@@ -6,8 +6,12 @@
 //! census to the byte, and the virtual clock must stay monotone and never
 //! run longer than the unskipped schedule.
 
-use burst_comm::{CommStats, Topology, WireDtype, World};
-use burst_dattn::{try_run_attention_opts, Algo, CostModel, Layout};
+use burst_comm::{CommStats, SpanKind, Topology, WireDtype, World};
+use burst_dattn::ring::AttnShard;
+use burst_dattn::{
+    census_flat_alg2, census_flat_forward, try_run_attention_shard, Algo, CostModel, Layout,
+    MaskedWire, RingGeom, SkipPlan,
+};
 use burst_kernels::{AttnMask, BlockSparseMask};
 use burst_perf::{exact_wire_counts_dtype, exact_wire_counts_masked_dtype, Cluster, RingMethod};
 use burst_tensor::randn_mat;
@@ -48,9 +52,11 @@ const METHODS: [(Algo, RingMethod); 3] = [
     (Algo::BurstTopo, RingMethod::Burst),
 ];
 
-/// Run one attention layer (forward + backward) on a fresh world with
-/// skipping toggled, returning each rank's comm stats and its clock
-/// readings around the schedule.
+/// Run one attention layer (forward + backward), cut at `max_token`, on a
+/// fresh world with skipping toggled, returning each rank's comm stats and
+/// its clock readings around the schedule, and the payload elements of
+/// every message sent.
+#[allow(clippy::too_many_arguments)]
 fn run_once(
     topo: &Topology,
     algo: Algo,
@@ -59,7 +65,8 @@ fn run_once(
     d: usize,
     mask: &AttnMask,
     skip: bool,
-) -> Vec<(CommStats, f64, f64)> {
+    max_token: Option<usize>,
+) -> (Vec<(CommStats, f64, f64)>, Vec<u64>) {
     let g = topo.world_size();
     let q = randn_mat(seq, d, 0.7, 71);
     let k = randn_mat(seq, d, 0.7, 72);
@@ -67,31 +74,46 @@ fn run_once(
     let go = randn_mat(seq, d, 0.8, 74);
     let mask = mask.clone();
     let world = World::new(topo.clone());
-    world
-        .run(move |comm| {
-            let idx = layout.indices(seq, g, comm.rank());
-            let t0 = comm.time();
-            try_run_attention_opts(
-                algo,
-                comm,
-                &q.gather_rows(&idx),
-                &k.gather_rows(&idx),
-                &v.gather_rows(&idx),
-                &go.gather_rows(&idx),
-                1.0 / (d as f32).sqrt(),
-                &mask,
-                layout,
-                seq,
-                &CostModel::free(),
-                skip,
-            )
+    let outs = world.run(move |comm| {
+        comm.start_trace();
+        let idx: Vec<usize> = layout
+            .spans(seq, g, comm.rank(), max_token)
+            .into_iter()
+            .flat_map(|s| s.iter())
+            .collect();
+        let (ql, kl, vl) = (
+            q.gather_rows(&idx),
+            k.gather_rows(&idx),
+            v.gather_rows(&idx),
+        );
+        let shard = AttnShard {
+            q: &ql,
+            k: &kl,
+            v: &vl,
+            scale: 1.0 / (d as f32).sqrt(),
+            mask: &mask,
+            layout,
+            seq_len: seq,
+            cost: CostModel::free(),
+            max_token,
+            skip,
+        };
+        let t0 = comm.time();
+        try_run_attention_shard(algo, comm, &shard, &go.gather_rows(&idx))
             .expect("fault-free schedule failed");
-            let t1 = comm.time();
-            (t0, t1)
-        })
+        (t0, comm.time())
+    });
+    let sends = outs
+        .iter()
+        .flat_map(|o| o.trace.iter().flat_map(|t| &t.spans))
+        .filter(|s| s.kind == SpanKind::Send)
+        .map(|s| s.elems)
+        .collect();
+    let stats = outs
         .into_iter()
         .map(|o| (o.stats, o.result.0, o.result.1))
-        .collect()
+        .collect();
+    (stats, sends)
 }
 
 fn sum_stats(outs: &[(CommStats, f64, f64)]) -> (u64, u64, f64, f64, u64, f64) {
@@ -142,7 +164,7 @@ proptest! {
             dtype.label()
         );
 
-        let on = run_once(&topo, algo, layout, seq, d, &mask, true);
+        let (on, _) = run_once(&topo, algo, layout, seq, d, &mask, true, None);
         let (im, xm, ib, xb, skipped_rounds, skipped_bytes) = sum_stats(&on);
         let want =
             exact_wire_counts_masked_dtype(&cluster, seq, d, method, dtype, &mask, layout, None, true);
@@ -174,7 +196,7 @@ proptest! {
         );
 
         // Skip-OFF reproduces the dense census and bills no skips.
-        let off = run_once(&topo, algo, layout, seq, d, &mask, false);
+        let (off, _) = run_once(&topo, algo, layout, seq, d, &mask, false, None);
         let (im0, xm0, ib0, xb0, sr0, sb0) = sum_stats(&off);
         prop_assert_eq!((sr0, sb0), (0u64, 0.0f64), "{}: dense run billed skips", label);
         prop_assert_eq!(
@@ -225,7 +247,7 @@ fn window_on_contiguous_actually_skips() {
             "{algo:?}: census predicts no skipped rounds — witness is vacuous"
         );
         assert!(want.skipped_bytes > 0.0, "{algo:?}: no bytes saved");
-        let outs = run_once(&topo, algo, Layout::Contiguous, seq, d, &mask, true);
+        let (outs, _) = run_once(&topo, algo, Layout::Contiguous, seq, d, &mask, true, None);
         let (_, _, ib, xb, rounds, bytes) = sum_stats(&outs);
         assert_eq!(rounds, want.rounds_skipped, "{algo:?}: measured skips");
         assert_eq!(bytes, want.skipped_bytes, "{algo:?}: measured saved bytes");
@@ -234,5 +256,129 @@ fn window_on_contiguous_actually_skips() {
             (want.counts.intra_bytes, want.counts.inter_bytes),
             "{algo:?}: measured wire bytes"
         );
+    }
+}
+
+/// The masked census of one pass on the zigzag layout, in `sum_stats`'
+/// shape: `(intra msgs, inter msgs, intra bytes, inter bytes, rounds
+/// skipped, skipped bytes)`. Flat Algorithm 2 has no [`RingMethod`], so its
+/// census is summed here from the flat forward's and Algorithm 2's walkers.
+#[allow(clippy::too_many_arguments)]
+fn zigzag_census(
+    algo: Algo,
+    (nodes, gpn): (usize, usize),
+    seq: usize,
+    d: usize,
+    dtype: WireDtype,
+    mask: &AttnMask,
+    max_token: Option<usize>,
+    skip: bool,
+) -> (u64, u64, f64, f64, u64, f64) {
+    let method = match algo {
+        Algo::RingFlat => RingMethod::Ring,
+        Algo::DoubleRing => RingMethod::DoubleRing,
+        Algo::BurstTopo => RingMethod::Burst,
+        Algo::BurstFlat => {
+            let g = nodes * gpn;
+            let plan = if skip {
+                SkipPlan::build(mask, Layout::Zigzag, seq, g, max_token)
+            } else {
+                SkipPlan::dense(g)
+            };
+            let geom = RingGeom::build(Layout::Zigzag, seq, g, d, d, max_token);
+            let w = (0..g).fold(MaskedWire::default(), |acc, me| {
+                // A flat rank's ring edge crosses nodes from a node's last GPU.
+                let inter = nodes > 1 && (me + 1) % gpn == 0;
+                acc.add(&census_flat_forward(&plan, &geom, inter, me))
+                    .add(&census_flat_alg2(&plan, &geom, inter, me))
+            });
+            let bytes = |mat: u64, vec: u64| mat as f64 * dtype.width() + vec as f64 * 4.0;
+            return (
+                w.intra_msgs,
+                w.inter_msgs,
+                bytes(w.intra_mat_elems, w.intra_vec_elems),
+                bytes(w.inter_mat_elems, w.inter_vec_elems),
+                w.rounds_skipped,
+                bytes(w.skipped_mat_elems, w.skipped_vec_elems),
+            );
+        }
+    };
+    let cluster = Cluster::a800(nodes, gpn);
+    let c = exact_wire_counts_masked_dtype(
+        &cluster,
+        seq,
+        d,
+        method,
+        dtype,
+        mask,
+        Layout::Zigzag,
+        max_token,
+        skip,
+    );
+    (
+        c.counts.intra_msgs,
+        c.counts.inter_msgs,
+        c.counts.intra_bytes,
+        c.counts.inter_bytes,
+        c.rounds_skipped,
+        c.skipped_bytes,
+    )
+}
+
+/// Tile-aligned zigzag cells: at `seq = 64·G` every chunk is one 32-row
+/// kernel tile, so the skip plans split shards into their two spans and a
+/// read-only hop may carry one of them. On all four ring schedules the
+/// measured traffic still equals the masked census to the message and
+/// byte, and measured plus skipped bytes equal the dense census — uncut
+/// and cut mid-chunk (inside rank 0's second span), on both wire dtypes.
+/// Window cells must show a single-span send.
+#[test]
+fn aligned_zigzag_span_traffic_equals_masked_census() {
+    let d = 8usize;
+    for shape in [(2usize, 2usize), (2, 4)] {
+        let g = shape.0 * shape.1;
+        let (seq, chunk) = (64 * g, 32usize);
+        let masks = [
+            AttnMask::SlidingWindow { window: chunk },
+            AttnMask::Dilated {
+                window: 2 * chunk,
+                step: 3,
+            },
+            random_block_sparse(seq, chunk / 2, 7),
+        ];
+        for dtype in [WireDtype::F32, WireDtype::Bf16] {
+            let topo = Topology::a800(shape.0, shape.1).with_wire_dtype(dtype);
+            for mask in &masks {
+                for max_token in [None, Some(seq - chunk / 2)] {
+                    for algo in [
+                        Algo::RingFlat,
+                        Algo::BurstFlat,
+                        Algo::DoubleRing,
+                        Algo::BurstTopo,
+                    ] {
+                        let label =
+                            format!("{algo:?} {shape:?} {dtype:?} {mask:?} cut {max_token:?}");
+                        let census =
+                            |skip| zigzag_census(algo, shape, seq, d, dtype, mask, max_token, skip);
+                        let (on, sends) =
+                            run_once(&topo, algo, Layout::Zigzag, seq, d, mask, true, max_token);
+                        let got = sum_stats(&on);
+                        assert_eq!(got, census(true), "{label}: measured != masked census");
+                        let dense = census(false);
+                        assert_eq!(
+                            got.2 + got.3 + got.5,
+                            dense.2 + dense.3,
+                            "{label}: measured + skipped != dense census"
+                        );
+                        if matches!(mask, AttnMask::SlidingWindow { .. }) {
+                            assert!(
+                                sends.contains(&((chunk * d) as u64)),
+                                "{label}: no read-only send carried a single span"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -10,6 +10,7 @@ use burst_dattn::{Layout, SkipPlan};
 use burst_kernels::{AttnMask, BlockSparseMask, Span};
 use burst_model::{cutoff_for, cutoff_for_masked};
 use proptest::prelude::*;
+use std::ops::Range;
 
 /// Deterministic random block pattern (xorshift64) with the diagonal kept.
 fn random_block_sparse(block: usize, nblocks: usize, seed: u64) -> AttnMask {
@@ -180,5 +181,175 @@ fn paper_scale_plans_count_every_pair_of_the_cut_sequence() {
                 );
             }
         }
+    }
+}
+
+/// Zigzag shard `x` of a `g`-position ring over `n` tokens, spelled out:
+/// chunk `x`, then chunk `2g − 1 − x`.
+fn zigzag(n: usize, g: usize, x: usize) -> Vec<usize> {
+    let c = n / (2 * g);
+    (x * c..(x + 1) * c)
+        .chain((2 * g - 1 - x) * c..(2 * g - x) * c)
+        .collect()
+}
+
+/// Which rows of `k` some query of `q` attends to, and which rows of `q`
+/// attend into `k`, one pair at a time.
+fn read_rows(mask: &AttnMask, q: &[usize], k: &[usize]) -> (Vec<bool>, Vec<bool>) {
+    let mut k_read = vec![false; k.len()];
+    let mut q_read = vec![false; q.len()];
+    for (a, &i) in q.iter().enumerate() {
+        for (b, &j) in k.iter().enumerate() {
+            if mask.allowed(i, j) {
+                k_read[b] = true;
+                q_read[a] = true;
+            }
+        }
+    }
+    (k_read, q_read)
+}
+
+/// The rows of a two-span shard covering every read row, a whole span at
+/// a time; `None` when no row is read.
+fn span_rows<'a>(reads: impl Iterator<Item = &'a Vec<bool>>, rows: usize) -> Option<Range<usize>> {
+    let half = rows / 2;
+    let (mut early, mut late) = (false, false);
+    for r in reads {
+        early |= r[..half].iter().any(|&x| x);
+        late |= r[half..].iter().any(|&x| x);
+    }
+    match (early, late) {
+        (false, false) => None,
+        (true, false) => Some(0..half),
+        (false, true) => Some(half..rows),
+        (true, true) => Some(0..rows),
+    }
+}
+
+/// The span gates of every read-only hop, against a token scan that shares
+/// nothing with `SkipPlan`. On tile-aligned zigzag shapes (`n = 64·G`, one
+/// 32-row kernel tile per chunk) every shard splits into its two spans, and
+/// each hop of each schedule must carry exactly the spans holding a row
+/// some downstream consumer reads — found here by scanning
+/// `AttnMask::allowed` over the consumers the schedule's traversal visits
+/// after the hop:
+///
+/// * flat forward and Algorithm 1 (K, V): shard `x` is at rank `x + t` at
+///   step `t`, and the hop at `t` feeds steps `(t, G)`;
+/// * flat Algorithm 2 (Q, ∇O, Lse, D): bundle `j` is at rank `j + t`;
+/// * two-level forward and Algorithm 2: at sweep `o`, slot `i`, shard `x`
+///   is on node `x/p + o`, local `x%p + i`; an intra hop feeds the later
+///   slots of its sweep, an inter hop every later sweep;
+/// * two-level Algorithm 1: step `t` has crossed `⌊t/p⌋` nodes and taken
+///   `t − ⌊t/p⌋` local hops; the hop at `t` feeds steps `(t, n·p)`.
+///
+/// Each receiver must expect the same rows the sender posts.
+#[test]
+fn span_gates_equal_the_rows_downstream_consumers_read() {
+    let block = |n: usize, b: usize, seed| random_block_sparse(b, n.div_ceil(b), seed);
+    for (nodes, p) in [(1usize, 3usize), (2, 2), (3, 2), (2, 3), (2, 4)] {
+        let g = nodes * p;
+        let n = 64 * g;
+        let masks = [
+            AttnMask::Causal,
+            AttnMask::SlidingWindow { window: 16 },
+            AttnMask::SlidingWindow { window: 32 },
+            AttnMask::SlidingWindow { window: 80 },
+            AttnMask::Dilated {
+                window: 64,
+                step: 3,
+            },
+            block(n, 16, 3),
+            block(n, 32, 5),
+        ];
+        let shards: Vec<Vec<usize>> = (0..g).map(|x| zigzag(n, g, x)).collect();
+        let rows = shards[0].len();
+        // Hops that carry one span of two: the check is not vacuous.
+        let mut single = 0;
+        for mask in &masks {
+            let label = format!("{mask:?} {nodes}x{p}");
+            // kv[q][k]: rows of kv-shard k that q-shard q reads;
+            // qr[q][k]: rows of q-shard q that read kv-shard k.
+            let mut kv = vec![vec![Vec::new(); g]; g];
+            let mut qr = vec![vec![Vec::new(); g]; g];
+            for q in 0..g {
+                for k in 0..g {
+                    (kv[q][k], qr[q][k]) = read_rows(mask, &shards[q], &shards[k]);
+                }
+            }
+            let plan = SkipPlan::build(mask, Layout::Zigzag, n, g, None);
+            let win = |x: usize, set| plan.window(x, set, rows);
+
+            // Flat ring.
+            for x in 0..g {
+                for t in 0..g {
+                    let (me, next) = ((x + t) % g, (x + t + 1) % g);
+                    let want = span_rows((t + 1..g).map(|u| &kv[(x + u) % g][x]), rows);
+                    single += (want.as_ref().map(|w| w.len()) == Some(rows / 2)) as usize;
+                    let a1 = plan.flat_alg1_round(me, t);
+                    assert_eq!(a1.shard_out, x, "{label}");
+                    assert_eq!(win(x, a1.send_kv), want, "{label}: alg1 kv {x} step {t}");
+                    let r1 = plan.flat_alg1_round(next, t);
+                    assert_eq!(win(r1.shard_in, r1.recv_kv), want, "{label}: alg1 recv");
+                    if t + 1 < g {
+                        let f = plan.flat_fwd_round(me, t);
+                        assert_eq!(win(x, f.send), want, "{label}: fwd kv {x} step {t}");
+                        let rf = plan.flat_fwd_round(next, t);
+                        assert_eq!(win(rf.shard_in, rf.recv), want, "{label}: fwd recv");
+                        let want = span_rows((t + 1..g).map(|u| &qr[x][(x + u) % g]), rows);
+                        let a2 = plan.flat_alg2_round(me, t);
+                        assert_eq!(a2.bundle, x, "{label}");
+                        assert_eq!(win(x, a2.fwd_ro), want, "{label}: alg2 ro {x} step {t}");
+                        let r2 = plan.flat_alg2_round(next, t + 1);
+                        assert_eq!(win(r2.bundle, r2.recv_ro), want, "{label}: alg2 recv");
+                    }
+                }
+            }
+
+            // Two-level ring.
+            let at = |x: usize, o: usize, i: usize| ((x / p + o) % nodes) * p + (x % p + i) % p;
+            for x in 0..g {
+                for o in 0..nodes {
+                    if o + 1 < nodes {
+                        let later = || (o + 1..nodes).flat_map(|u| (0..p).map(move |i| (u, i)));
+                        let me = at(x, o, 0);
+                        let f = plan.dr_fwd_outer(me, o, nodes, p);
+                        assert_eq!(f.start_shard, x, "{label}");
+                        let want = span_rows(later().map(|(u, i)| &kv[at(x, u, i)][x]), rows);
+                        assert_eq!(win(x, f.send_inter), want, "{label}: fwd inter {x} @{o}");
+                        let a2 = plan.dr_alg2_outer(me, o, nodes, p);
+                        let want = span_rows(later().map(|(u, i)| &qr[x][at(x, u, i)]), rows);
+                        assert_eq!(win(x, a2.send_inter), want, "{label}: alg2 inter {x} @{o}");
+                        let peer = plan.dr_alg2_outer(at(x, o + 1, 0), o, nodes, p);
+                        assert_eq!(win(peer.start_in, peer.recv_inter), want, "{label}");
+                    }
+                    for i in 0..p - 1 {
+                        let me = at(x, o, i);
+                        let f = plan.dr_fwd_slot(me, o, i, nodes, p);
+                        assert_eq!(f.shard, x, "{label}");
+                        let want = span_rows((i + 1..p).map(|u| &kv[at(x, o, u)][x]), rows);
+                        assert_eq!(win(x, f.send), want, "{label}: fwd intra {x} @{o},{i}");
+                        let rf = plan.dr_fwd_slot(at(x, o, i + 1), o, i, nodes, p);
+                        assert_eq!(win(rf.shard_in, rf.recv), want, "{label}: fwd intra recv");
+                        let a2 = plan.dr_alg2_slot(me, o, i, nodes, p);
+                        let want = span_rows((i + 1..p).map(|u| &qr[x][at(x, o, u)]), rows);
+                        assert_eq!(win(x, a2.send_ro), want, "{label}: alg2 intra {x} @{o},{i}");
+                    }
+                }
+                let step = |x: usize, t: usize| {
+                    let hops = t / p;
+                    ((x / p + hops) % nodes) * p + (x % p + t - hops) % p
+                };
+                for t in 0..g - 1 {
+                    let s = plan.dr_alg1_slot(step(x, t), t, nodes, p);
+                    assert_eq!(s.shard, x, "{label}");
+                    let want = span_rows((t + 1..g).map(|u| &kv[step(x, u)][x]), rows);
+                    assert_eq!(win(x, s.send_kv), want, "{label}: alg1 kv {x} step {t}");
+                    let r = plan.dr_alg1_slot(step(x, t + 1), t, nodes, p);
+                    assert_eq!(win(r.shard_in, r.recv_kv), want, "{label}: alg1 recv");
+                }
+            }
+        }
+        assert!(single > 0, "{nodes}x{p}: no hop carried a single span");
     }
 }
