@@ -49,7 +49,6 @@ use burst_dattn::{escalate_attn, try_run_attention_opts, Algo, CostModel, Layout
 use burst_kernels::AttnMask;
 use burst_perf::commtime::{
     exact_wire_counts_dtype, exact_wire_counts_masked_dtype, layer_comm_times, RetransCensus,
-    RingMethod,
 };
 use burst_perf::Cluster;
 use burst_tensor::randn_mat;
@@ -479,7 +478,7 @@ fn transport_demo(args: &Args, topo: &Topology, cluster: &Cluster) -> Result<(),
     // The ≤1% comm gate holds with faults on: Retransmit spans live on
     // their own lane, outside the clean wire census.
     let predicted =
-        exact_wire_counts_dtype(cluster, args.seq, args.d, RingMethod::Burst, WireDtype::F32)
+        exact_wire_counts_dtype(cluster, args.seq, args.d, Algo::BurstTopo, WireDtype::F32)
             .secs(cluster);
     let (intra, inter) = obs::wire_secs(&healed.traces);
     let measured = intra + inter;
@@ -657,7 +656,6 @@ fn run(args: &Args) -> Result<(), String> {
     struct Row {
         name: &'static str,
         algo: Algo,
-        method: RingMethod,
         table1_secs: f64,
         mask: AttnMask,
         layout: Layout,
@@ -666,46 +664,29 @@ fn run(args: &Args) -> Result<(), String> {
     let window = AttnMask::SlidingWindow {
         window: (args.seq / 4).max(1),
     };
-    let dense_row = |name, algo, method, table1_secs| Row {
+    let dense_row = |name, algo, table1_secs| Row {
         name,
         algo,
-        method,
         table1_secs,
         mask: AttnMask::Causal,
         layout: Layout::Zigzag,
         skip: false,
     };
-    let masked_row = |name, algo, method, table1_secs| Row {
+    let masked_row = |name, algo, table1_secs| Row {
         name,
         algo,
-        method,
         table1_secs,
         mask: window.clone(),
         layout: Layout::Contiguous,
         skip: true,
     };
     let rows = [
-        dense_row("ring", Algo::RingFlat, RingMethod::Ring, table1.ring),
-        dense_row(
-            "double_ring",
-            Algo::DoubleRing,
-            RingMethod::DoubleRing,
-            table1.double_ring,
-        ),
-        dense_row("burst", Algo::BurstTopo, RingMethod::Burst, table1.burst),
-        masked_row("ring_masked", Algo::RingFlat, RingMethod::Ring, table1.ring),
-        masked_row(
-            "double_ring_masked",
-            Algo::DoubleRing,
-            RingMethod::DoubleRing,
-            table1.double_ring,
-        ),
-        masked_row(
-            "burst_masked",
-            Algo::BurstTopo,
-            RingMethod::Burst,
-            table1.burst,
-        ),
+        dense_row("ring", Algo::RingFlat, table1.ring),
+        dense_row("double_ring", Algo::DoubleRing, table1.double_ring),
+        dense_row("burst", Algo::BurstTopo, table1.burst),
+        masked_row("ring_masked", Algo::RingFlat, table1.ring),
+        masked_row("double_ring_masked", Algo::DoubleRing, table1.double_ring),
+        masked_row("burst_masked", Algo::BurstTopo, table1.burst),
     ];
 
     std::fs::create_dir_all(&args.out).map_err(|e| format!("mkdir {}: {e}", args.out))?;
@@ -743,7 +724,7 @@ fn run(args: &Args) -> Result<(), String> {
                 &cluster,
                 args.seq,
                 args.d,
-                row.method,
+                row.algo,
                 WireDtype::F32,
                 &row.mask,
                 row.layout,
@@ -753,7 +734,7 @@ fn run(args: &Args) -> Result<(), String> {
             .counts
             .secs(&cluster)
         } else {
-            exact_wire_counts_dtype(&cluster, args.seq, args.d, row.method, WireDtype::F32)
+            exact_wire_counts_dtype(&cluster, args.seq, args.d, row.algo, WireDtype::F32)
                 .secs(&cluster)
         };
         let rounds_skipped: u64 = run.stats.iter().map(|s| s.rounds_skipped).sum();
@@ -788,7 +769,7 @@ fn run(args: &Args) -> Result<(), String> {
                 ));
             }
             let dense =
-                exact_wire_counts_dtype(&cluster, args.seq, args.d, row.method, WireDtype::F32);
+                exact_wire_counts_dtype(&cluster, args.seq, args.d, row.algo, WireDtype::F32);
             let measured_bytes: f64 = run.stats.iter().map(|s| s.total_bytes()).sum();
             if measured_bytes + m.wire_bytes_saved != dense.intra_bytes + dense.inter_bytes {
                 return Err(format!(

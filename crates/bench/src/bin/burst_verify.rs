@@ -1,10 +1,10 @@
 //! `burst-verify`: the self-validating differential gate, as a binary.
 //!
 //! Runs a seeded matrix of every distributed attention schedule (flat ring,
-//! BurstAttention, double-ring, topology-aware Burst, Ulysses, USP, and the
-//! elastic shrunken ring) plus full engine train steps against the serial
-//! `f64` oracle from `crates/verify`, including one fault + recovery case
-//! per schedule. Prints one line per cell and exits non-zero on the first
+//! BurstAttention, double-ring, topology-aware Burst, Ulysses and USP) plus
+//! full engine train steps against the serial `f64` oracle from
+//! `crates/verify`, including one fault + recovery case per schedule and
+//! the engine's in-step recovery on the flat and the two-level ring. Prints one line per cell and exits non-zero on the first
 //! divergence — which is what the CI `verify` job keys on.
 //!
 //! ```text
@@ -19,12 +19,12 @@ use std::io::Write as _;
 use std::process::ExitCode;
 
 use burst_comm::{FaultPlan, Topology, TransportPolicy};
-use burst_dattn::{Algo, ElasticOpts, Layout};
+use burst_dattn::{Algo, Layout};
 use burst_kernels::{AttnMask, BlockSparseMask};
 use burst_model::engine::{Backend, EngineConfig};
 use burst_verify::diff::{
     attn_inputs, elastic_ops_after, engine_elastic, engine_resume, engine_run, engine_span,
-    run_elastic, run_elastic_on, run_ring_family, run_ring_family_opts, run_usp, GlobalAttn,
+    run_ring_family, run_ring_family_opts, run_usp, GlobalAttn,
 };
 use burst_verify::oracle::{oracle_attention, oracle_train, OracleAttn};
 use burst_verify::{
@@ -186,48 +186,6 @@ fn attention_cells(seed: u64, cells: &mut Vec<Cell>) {
             push(cells, &label, seed, outcome);
         }
     }
-
-    // Elastic: crash one rank mid-ring, survivors evict + re-run. The
-    // fault+recovery cell of the ring family.
-    let dead = (seed % g as u64) as usize;
-    let crash = FaultPlan::new(seed).crash_at_op(dead, 3 + seed % 6);
-    let label = "attn/elastic/crash-recover".to_string();
-    let outcome = run_elastic(g, 24, d, seed, Some(&crash))
-        .map_err(|e| e.to_string())
-        .and_then(|out| {
-            if out.evicted != vec![dead] {
-                return Err(format!("evicted {:?}, expected [{dead}]", out.evicted));
-            }
-            let want = oracle_for(24, d, seed, &AttnMask::Causal);
-            check_attn(&label, &out.attn, &want).map_err(|d| d.to_string())
-        });
-    push(cells, &label, seed, outcome);
-
-    // Multi-node elastic double-ring: crash one of four ranks on a
-    // 2-node × 2-GPU cluster; the three survivors are ragged across the
-    // nodes, so the topology-aware schedule must fall back to the flat
-    // ring — and still match the oracle over all rows.
-    let label = "attn/elastic-dr/multinode-crash".to_string();
-    let crash_dr = FaultPlan::new(seed)
-        .crash_at_op(dead, 3 + seed % 6)
-        .recv_deadline(60.0);
-    let dr_opts = ElasticOpts {
-        double_ring: true,
-        skip_masked_rounds: false,
-    };
-    let outcome = run_elastic_on(&multi, 24, d, seed, Some(&crash_dr), dr_opts)
-        .map_err(|e| e.to_string())
-        .and_then(|out| {
-            if out.evicted != vec![dead] {
-                return Err(format!("evicted {:?}, expected [{dead}]", out.evicted));
-            }
-            if out.flat_fallbacks == 0 {
-                return Err("ragged 3-survivor set must fall back to the flat ring".into());
-            }
-            let want = oracle_for(24, d, seed, &AttnMask::Causal);
-            check_attn(&label, &out.attn, &want).map_err(|d| d.to_string())
-        });
-    push(cells, &label, seed, outcome);
 }
 
 /// Deterministic random block-sparse pattern (xorshift64, diagonal kept
@@ -409,63 +367,76 @@ fn engine_cells(seed: u64, steps: usize, cells: &mut Vec<Cell>) {
         push(cells, &label, seed, outcome);
     }
 
-    // Elastic shrink-and-continue: crash one rank mid-step on a 4-rank
-    // ring; survivors evict it, replay the step in place on the 3-rank
-    // ring, and the whole run must be bit-identical to a fresh 4-rank
-    // world chained into a fresh 3-rank world at the crash step.
+    // In-step recovery: crash one rank mid-step; the survivors evict it,
+    // replay the step in place and train on. The whole run must be
+    // bit-identical to a fresh full world chained into a fresh 3-rank flat
+    // world at the crash step. On 4 ranks of one node that is the flat
+    // BurstAttention ring. On 2 × 2, topology-aware Burst's three survivors
+    // are ragged across the nodes, so every step from the crash on falls
+    // back to the flat ring.
     let steps = steps.max(2);
-    let mut cfg = EngineConfig::tiny(Backend::Ring(Algo::BurstFlat));
-    cfg.model.seq_len = 48; // zigzag needs n % 2g == 0 for g in {3, 4}
-    cfg.seed = seed;
-    let topo = Topology::single_node(4);
+    let mut flat = EngineConfig::tiny(Backend::Ring(Algo::BurstFlat));
+    flat.model.seq_len = 48; // zigzag needs n % 2g == 0 for g in {3, 4}
+    flat.seed = seed;
     let victim = 1 + (seed % 3) as usize;
     let f = 1usize;
-    let label = "engine/elastic/shrink-continue".to_string();
-    let before = elastic_ops_after(&cfg, &topo, victim, f);
-    let after = elastic_ops_after(&cfg, &topo, victim, f + 1);
-    let plan = FaultPlan::new(seed)
-        .crash_at_op(victim, (before + after) / 2)
-        .recv_deadline(60.0);
-    let outcome = engine_elastic(&cfg, &topo, steps, Some(&plan), None, 0)
-        .map_err(|e| e.to_string())
-        .and_then(|run| {
-            if run.evicted != vec![victim] {
-                return Err(format!("evicted {:?}, expected [{victim}]", run.evicted));
-            }
-            if run.steps_replayed != 1 {
-                return Err(format!("steps_replayed {}, expected 1", run.steps_replayed));
-            }
-            let phase1 = engine_span(&cfg, &topo, 0, f, None, None).map_err(|e| e.to_string())?;
-            let small = Topology::single_node(3);
-            let phase2 = engine_span(&cfg, &small, f, steps, Some(&phase1.flat), None)
-                .map_err(|e| e.to_string())?;
-            let want: Vec<f32> = phase1
-                .losses
-                .iter()
-                .chain(&phase2.losses)
-                .copied()
-                .collect();
-            if run.losses.len() != want.len()
-                || run
+    let mut topo_aware = flat.clone();
+    topo_aware.backend = Backend::Ring(Algo::BurstTopo);
+    for (label, cfg, topo, fallbacks) in [
+        (
+            "engine/elastic/shrink-continue",
+            &flat,
+            Topology::single_node(4),
+            0,
+        ),
+        (
+            "engine/elastic-burst-topo/ragged-fallback",
+            &topo_aware,
+            Topology::a800(2, 2),
+            steps - f,
+        ),
+    ] {
+        let before = elastic_ops_after(cfg, &topo, victim, f);
+        let after = elastic_ops_after(cfg, &topo, victim, f + 1);
+        let plan = FaultPlan::new(seed)
+            .crash_at_op(victim, (before + after) / 2)
+            .recv_deadline(60.0);
+        let outcome = engine_elastic(cfg, &topo, steps, Some(&plan), None, 0)
+            .map_err(|e| e.to_string())
+            .and_then(|run| {
+                if run.evicted != vec![victim] {
+                    return Err(format!("evicted {:?}, expected [{victim}]", run.evicted));
+                }
+                if run.steps_replayed != 1 {
+                    return Err(format!("steps_replayed {}, expected 1", run.steps_replayed));
+                }
+                if run.flat_fallbacks != fallbacks {
+                    return Err(format!(
+                        "flat_fallbacks {}, expected {fallbacks}",
+                        run.flat_fallbacks
+                    ));
+                }
+                let phase1 =
+                    engine_span(cfg, &topo, 0, f, None, None).map_err(|e| e.to_string())?;
+                let small = Topology::single_node(3);
+                let phase2 = engine_span(&flat, &small, f, steps, Some(&phase1.flat), None)
+                    .map_err(|e| e.to_string())?;
+                let want: Vec<f32> = phase1
                     .losses
                     .iter()
-                    .zip(&want)
-                    .any(|(a, b)| a.to_bits() != b.to_bits())
-            {
-                return Err("elastic losses diverge from segmented reference".to_string());
-            }
-            if run.flat.len() != phase2.flat.len()
-                || run
-                    .flat
-                    .iter()
-                    .zip(&phase2.flat)
-                    .any(|(a, b)| a.to_bits() != b.to_bits())
-            {
-                return Err("elastic final state diverges from segmented reference".to_string());
-            }
-            Ok(())
-        });
-    push(cells, &label, seed, outcome);
+                    .chain(&phase2.losses)
+                    .copied()
+                    .collect();
+                if bits_differ(&run.losses, &want) {
+                    return Err("elastic losses diverge from segmented reference".to_string());
+                }
+                if bits_differ(&run.flat, &phase2.flat) {
+                    return Err("elastic final state diverges from segmented reference".to_string());
+                }
+                Ok(())
+            });
+        push(cells, label, seed, outcome);
+    }
 }
 
 /// The recovery-ladder cells of the reliable transport.

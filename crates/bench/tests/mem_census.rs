@@ -10,20 +10,21 @@
 //! balances).
 
 use burst_comm::obs::{peak_census, validate_mem, PeakBytes};
-use burst_comm::{
-    FaultPlan, Membership, RankOutput, RetryPolicy, SpanKind, Topology, WireDtype, World,
-};
+use burst_comm::{FaultPlan, RankOutput, SpanKind, Topology, WireDtype, World};
 use burst_dattn::ring::AttnShard;
 use burst_dattn::usp::{try_usp_backward, try_usp_forward, UspTopo};
-use burst_dattn::{
-    try_elastic_attention_opts, try_run_attention_opts, try_run_attention_shard, Algo, CostModel,
-    ElasticOpts, Layout, ShardData,
-};
+use burst_dattn::{try_run_attention_opts, try_run_attention_shard, Algo, CostModel, Layout};
 use burst_kernels::AttnMask;
 use burst_perf::{exact_peak_bytes_dtype, exact_peak_bytes_masked_dtype, Cluster, PeakMethod};
 use burst_tensor::{randn_mat, Mat};
 
 const DTYPES: [WireDtype; 2] = [WireDtype::F32, WireDtype::Bf16];
+const ALGOS: [Algo; 4] = [
+    Algo::RingFlat,
+    Algo::BurstFlat,
+    Algo::DoubleRing,
+    Algo::BurstTopo,
+];
 
 fn problem(n: usize, d: usize) -> (Mat, Mat, Mat, Mat, f32) {
     (
@@ -110,17 +111,12 @@ fn measured_dispatch(
 #[test]
 fn dispatcher_peaks_match_exact_census_on_every_topology_and_dtype() {
     let (seq, d) = (128usize, 16usize);
-    let methods = [
-        (Algo::RingFlat, PeakMethod::RingFlat),
-        (Algo::BurstFlat, PeakMethod::BurstFlat),
-        (Algo::DoubleRing, PeakMethod::DoubleRing),
-        (Algo::BurstTopo, PeakMethod::BurstTopo),
-    ];
     for (nodes, gpn) in [(2usize, 4usize), (1, 4), (4, 2)] {
         let cluster = Cluster::a800(nodes, gpn);
         for dtype in DTYPES {
             let topo = Topology::a800(nodes, gpn).with_wire_dtype(dtype);
-            for (algo, method) in methods {
+            for algo in ALGOS {
+                let method = PeakMethod::Ring(algo);
                 let want = exact_peak_bytes_dtype(&cluster, seq, d, method, dtype);
                 let dense = (&AttnMask::Causal, Layout::Zigzag, false, None);
                 for (rank, got) in measured_dispatch(algo, &topo, seq, d, dense)
@@ -144,12 +140,6 @@ fn skip_on_dispatcher_peaks_match_masked_census() {
     // With skipping on, each schedule bills only the comm-buffer slots its
     // gates ever fill; the masked census prices the same gates per rank.
     let (seq, d) = (128usize, 16usize);
-    let methods = [
-        (Algo::RingFlat, PeakMethod::RingFlat),
-        (Algo::BurstFlat, PeakMethod::BurstFlat),
-        (Algo::DoubleRing, PeakMethod::DoubleRing),
-        (Algo::BurstTopo, PeakMethod::BurstTopo),
-    ];
     let masks = [
         AttnMask::SlidingWindow { window: seq / 8 },
         AttnMask::Dilated {
@@ -164,7 +154,8 @@ fn skip_on_dispatcher_peaks_match_masked_census() {
             let topo = Topology::a800(nodes, gpn).with_wire_dtype(dtype);
             for mask in &masks {
                 for layout in [Layout::Contiguous, Layout::Zigzag] {
-                    for (algo, method) in methods {
+                    for algo in ALGOS {
+                        let method = PeakMethod::Ring(algo);
                         let dense = exact_peak_bytes_dtype(&cluster, seq, d, method, dtype);
                         let (got, _) =
                             measured_dispatch(algo, &topo, seq, d, (mask, layout, true, None));
@@ -195,12 +186,6 @@ fn skip_on_dispatcher_peaks_match_masked_census() {
 #[test]
 fn aligned_zigzag_peaks_match_masked_census() {
     let d = 8usize;
-    let methods = [
-        (Algo::RingFlat, PeakMethod::RingFlat),
-        (Algo::BurstFlat, PeakMethod::BurstFlat),
-        (Algo::DoubleRing, PeakMethod::DoubleRing),
-        (Algo::BurstTopo, PeakMethod::BurstTopo),
-    ];
     for (nodes, gpn) in [(2usize, 2usize), (2, 4)] {
         let g = nodes * gpn;
         let (seq, chunk) = (64 * g, 32usize);
@@ -209,7 +194,8 @@ fn aligned_zigzag_peaks_match_masked_census() {
         for dtype in DTYPES {
             let topo = Topology::a800(nodes, gpn).with_wire_dtype(dtype);
             for max_token in [None, Some(seq - chunk / 2)] {
-                for (algo, method) in methods {
+                for algo in ALGOS {
+                    let method = PeakMethod::Ring(algo);
                     let label = format!("{algo:?} {nodes}x{gpn} {dtype:?} cut {max_token:?}");
                     let cell = (&mask, Layout::Zigzag, true, max_token);
                     let (got, sends) = measured_dispatch(algo, &topo, seq, d, cell);
@@ -415,69 +401,6 @@ fn windowed_skip_on_usp_peaks_match_masked_census() {
             assert!(
                 got.iter().any(|p| p.comm_buffers < dense.comm_buffers),
                 "seq {seq} {dtype:?}: no rank billed below the dense census"
-            );
-        }
-    }
-}
-
-#[test]
-fn elastic_healthy_peaks_match_exact_census() {
-    let (nodes, gpn, seq, d) = (1usize, 4usize, 64usize, 8usize);
-    let g = nodes * gpn;
-    let cluster = Cluster::a800(nodes, gpn);
-    let (q, k, v, grad_o, scale) = problem(seq, d);
-    let layout = Layout::Zigzag;
-    for dtype in DTYPES {
-        let topo = Topology::a800(nodes, gpn).with_wire_dtype(dtype);
-        let want = exact_peak_bytes_dtype(&cluster, seq, d, PeakMethod::ElasticHealthy, dtype);
-        let world = World::new(topo);
-        let outs = world.run(|comm| {
-            let r = comm.rank();
-            let (ql, kl, vl, dol) = (
-                shard_of(layout, seq, g, r, &q),
-                shard_of(layout, seq, g, r, &k),
-                shard_of(layout, seq, g, r, &v),
-                shard_of(layout, seq, g, r, &grad_o),
-            );
-            comm.start_mem_accounting();
-            let mut membership = Membership::new(g);
-            let mut load = |rank: usize| -> ShardData {
-                (
-                    shard_of(layout, seq, g, rank, &q),
-                    shard_of(layout, seq, g, rank, &k),
-                    shard_of(layout, seq, g, rank, &v),
-                    shard_of(layout, seq, g, rank, &grad_o),
-                )
-            };
-            let out = try_elastic_attention_opts(
-                comm,
-                &mut membership,
-                &ql,
-                &kl,
-                &vl,
-                &dol,
-                scale,
-                &AttnMask::Causal,
-                layout,
-                seq,
-                &CostModel::a800(),
-                &mut load,
-                &RetryPolicy::default(),
-                ElasticOpts::default(),
-            )
-            .expect("healthy elastic run");
-            assert_eq!(out.attempts, 1);
-            assert_eq!(out.shards_loaded, 0);
-        });
-        for o in outs {
-            let m = o.mem.expect("accounting was on");
-            validate_mem(&m).unwrap_or_else(|e| panic!("rank {}: {e}", o.rank));
-            assert!(m.warnings.is_empty(), "{:?}", m.warnings);
-            assert_eq!(
-                m.peak.gated(),
-                want,
-                "elastic {dtype:?} rank {}: census mismatch",
-                o.rank
             );
         }
     }

@@ -8,14 +8,14 @@ use burst_comm::obs::{wire_secs, E2eReport, MethodReport, RankTrace};
 use burst_comm::{Topology, WireDtype, World};
 use burst_dattn::{try_run_attention_opts, Algo, CostModel, Layout};
 use burst_kernels::AttnMask;
-use burst_perf::commtime::{exact_wire_counts_dtype, layer_comm_times, RingMethod};
+use burst_perf::commtime::{exact_wire_counts_dtype, layer_comm_times};
 use burst_perf::Cluster;
 use burst_tensor::randn_mat;
 
-const METHODS: [(&str, Algo, RingMethod); 3] = [
-    ("ring", Algo::RingFlat, RingMethod::Ring),
-    ("double_ring", Algo::DoubleRing, RingMethod::DoubleRing),
-    ("burst", Algo::BurstTopo, RingMethod::Burst),
+const METHODS: [(&str, Algo); 3] = [
+    ("ring", Algo::RingFlat),
+    ("double_ring", Algo::DoubleRing),
+    ("burst", Algo::BurstTopo),
 ];
 
 fn traces(algo: Algo, topo: &Topology, seq: usize, d: usize) -> Vec<RankTrace> {
@@ -64,10 +64,10 @@ fn measured_wire_time_matches_exact_census_within_1_percent() {
     for (nodes, gpn) in [(2usize, 4usize), (1, 4), (4, 2)] {
         let topo = Topology::a800(nodes, gpn);
         let cluster = Cluster::a800(nodes, gpn);
-        for (name, algo, method) in METHODS {
+        for (name, algo) in METHODS {
             let t = traces(algo, &topo, seq, d);
             let (intra, inter) = wire_secs(&t);
-            let counts = exact_wire_counts_dtype(&cluster, seq, d, method, WireDtype::F32);
+            let counts = exact_wire_counts_dtype(&cluster, seq, d, algo, WireDtype::F32);
             let pred_intra = counts.intra_msgs as f64 * cluster.nvlink.latency
                 + counts.intra_bytes / cluster.nvlink.bandwidth;
             let pred_inter = counts.inter_msgs as f64 * cluster.nic.latency
@@ -99,14 +99,14 @@ fn e2e_report_populates_all_methods_and_round_trips() {
     let cluster = Cluster::a800(nodes, gpn);
     let table1 = layer_comm_times(&cluster, seq, d);
     let mut report = E2eReport::new(nodes, gpn, seq, d);
-    for (name, algo, method) in METHODS {
+    for (name, algo) in METHODS {
         let t = traces(algo, &topo, seq, d);
         let predicted =
-            exact_wire_counts_dtype(&cluster, seq, d, method, WireDtype::F32).secs(&cluster);
-        let table1_secs = match method {
-            RingMethod::Ring => table1.ring,
-            RingMethod::DoubleRing => table1.double_ring,
-            RingMethod::Burst => table1.burst,
+            exact_wire_counts_dtype(&cluster, seq, d, algo, WireDtype::F32).secs(&cluster);
+        let table1_secs = match algo {
+            Algo::RingFlat => table1.ring,
+            Algo::DoubleRing => table1.double_ring,
+            Algo::BurstFlat | Algo::BurstTopo => table1.burst,
         };
         report.methods.push(MethodReport::from_traces(
             name,

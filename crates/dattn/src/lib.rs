@@ -27,10 +27,14 @@
 //!   the partition alone — including for block-wise sparse masks (Fig. 11);
 //! * [`cost`] — the FLOP→seconds model that turns kernel work counters into
 //!   virtual compute time on the simulated A800s.
+//!
+//! A communication fault inside any schedule surfaces as a typed
+//! [`AttnFailure`]. Surviving a lost rank — evicting it, shrinking the ring
+//! and replaying — is the training engine's in-step recovery
+//! (`burst_model::engine::run_span_elastic`), not this crate's.
 
 pub mod cost;
 pub mod double_ring;
-pub mod elastic;
 pub mod layout;
 pub mod ring;
 pub mod skip;
@@ -38,7 +42,6 @@ pub mod usp;
 
 pub use cost::CostModel;
 pub use double_ring::DoubleRingSpec;
-pub use elastic::{try_elastic_attention_opts, ElasticAttnOut, ElasticOpts, ShardData};
 pub use layout::Layout;
 pub use ring::{
     try_burst_backward, try_ring_backward, try_ring_forward, AttnFailure, AttnShard,

@@ -1,7 +1,7 @@
 //! Property-based tests: distributed attention ≡ single-device flash under
 //! randomised shapes, topologies, layouts, masks and algorithms.
 
-use burst_comm::{Topology, World};
+use burst_comm::{Topology, WireDtype, World};
 use burst_dattn::{try_run_attention_opts, Algo, CostModel, Layout};
 use burst_kernels::{flash_backward, flash_forward, AttnMask};
 use burst_tensor::randn_mat;
@@ -41,6 +41,72 @@ fn arb_mask() -> impl Strategy<Value = AttnMask> {
     ]
 }
 
+/// Distributed attention of `algo` on `topo` equals single-device flash
+/// attention (outputs and gradients) on `2·G·chunks` random rows of width
+/// `d`.
+fn check_distributed_equals_single_device(
+    topo: Topology,
+    layout: Layout,
+    algo: Algo,
+    mask: &AttnMask,
+    chunks: usize,
+    d: usize,
+    seed: u64,
+) {
+    let g = topo.world_size();
+    let n = 2 * g * chunks; // divisible by 2G for zigzag
+    let q = randn_mat(n, d, 0.7, seed);
+    let k = randn_mat(n, d, 0.7, seed + 1);
+    let v = randn_mat(n, d, 0.7, seed + 2);
+    let go = randn_mat(n, d, 0.8, seed + 3);
+    let scale = 1.0 / (d as f32).sqrt();
+
+    let idx: Vec<usize> = (0..n).collect();
+    let fwd = flash_forward(&q, &k, &v, scale, mask, &idx, &idx);
+    let (dq_ref, dk_ref, dv_ref, _) =
+        flash_backward(&q, &k, &v, &fwd.o, &go, &fwd.lse, scale, mask, &idx, &idx);
+
+    let world = World::new(topo);
+    let mask2 = mask.clone();
+    let outs = world.run_results(move |comm| {
+        let my = layout.indices(n, g, comm.rank());
+        try_run_attention_opts(
+            algo,
+            comm,
+            &q.gather_rows(&my),
+            &k.gather_rows(&my),
+            &v.gather_rows(&my),
+            &go.gather_rows(&my),
+            scale,
+            &mask2,
+            layout,
+            n,
+            &CostModel::free(),
+            false,
+        )
+        .expect("fault-free attention")
+    });
+    for (rank, (o, _, dq, dk, dv)) in outs.iter().enumerate() {
+        let my = layout.indices(n, g, rank);
+        assert!(
+            allclose(o, &fwd.o.gather_rows(&my), 2e-3, 2e-3),
+            "O rank {rank} ({algo:?}, {layout:?}, {mask:?})"
+        );
+        assert!(
+            allclose(dq, &dq_ref.gather_rows(&my), 2e-3, 2e-3),
+            "dQ rank {rank}"
+        );
+        assert!(
+            allclose(dk, &dk_ref.gather_rows(&my), 2e-3, 2e-3),
+            "dK rank {rank}"
+        );
+        assert!(
+            allclose(dv, &dv_ref.gather_rows(&my), 2e-3, 2e-3),
+            "dV rank {rank}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
@@ -54,49 +120,7 @@ proptest! {
         d in 2usize..6,
         seed in 0u64..200,
     ) {
-        let g = topo.world_size();
-        let n = 2 * g * chunks; // divisible by 2G for zigzag
-        let q = randn_mat(n, d, 0.7, seed);
-        let k = randn_mat(n, d, 0.7, seed + 1);
-        let v = randn_mat(n, d, 0.7, seed + 2);
-        let go = randn_mat(n, d, 0.8, seed + 3);
-        let scale = 1.0 / (d as f32).sqrt();
-
-        let idx: Vec<usize> = (0..n).collect();
-        let fwd = flash_forward(&q, &k, &v, scale, &mask, &idx, &idx);
-        let (dq_ref, dk_ref, dv_ref, _) =
-            flash_backward(&q, &k, &v, &fwd.o, &go, &fwd.lse, scale, &mask, &idx, &idx);
-
-        let world = World::new(topo);
-        let mask2 = mask.clone();
-        let outs = world.run_results(move |comm| {
-            let my = layout.indices(n, g, comm.rank());
-            try_run_attention_opts(
-                algo,
-                comm,
-                &q.gather_rows(&my),
-                &k.gather_rows(&my),
-                &v.gather_rows(&my),
-                &go.gather_rows(&my),
-                scale,
-                &mask2,
-                layout,
-                n,
-                &CostModel::free(),
-                false,
-            )
-            .expect("fault-free attention")
-        });
-        for (rank, (o, _, dq, dk, dv)) in outs.iter().enumerate() {
-            let my = layout.indices(n, g, rank);
-            prop_assert!(
-                allclose(o, &fwd.o.gather_rows(&my), 2e-3, 2e-3),
-                "O rank {rank} ({algo:?}, {layout:?}, {mask:?})"
-            );
-            prop_assert!(allclose(dq, &dq_ref.gather_rows(&my), 2e-3, 2e-3), "dQ rank {rank}");
-            prop_assert!(allclose(dk, &dk_ref.gather_rows(&my), 2e-3, 2e-3), "dK rank {rank}");
-            prop_assert!(allclose(dv, &dv_ref.gather_rows(&my), 2e-3, 2e-3), "dV rank {rank}");
-        }
+        check_distributed_equals_single_device(topo, layout, algo, &mask, chunks, d, seed);
     }
 
     #[test]
@@ -170,4 +194,20 @@ proptest! {
             prop_assert_eq!(burst_b, ((g - 1) * (2 * p * d + 2 * p) + g * p * d) as u64);
         }
     }
+}
+
+/// A counterexample the property once shrank to: one rank on a bf16 wire,
+/// contiguous layout, flat RingAttention, no mask, `d` = 2.
+#[test]
+fn one_rank_on_a_bf16_wire_equals_single_device() {
+    let topo = Topology::single_node(1).with_wire_dtype(WireDtype::Bf16);
+    check_distributed_equals_single_device(
+        topo,
+        Layout::Contiguous,
+        Algo::RingFlat,
+        &AttnMask::Full,
+        1,
+        2,
+        0,
+    );
 }

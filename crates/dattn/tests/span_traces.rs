@@ -8,16 +8,11 @@
 //! * the span sink allocates nothing in the steady state: repeated rounds
 //!   reuse the pre-sized buffer (checked via the buffer fingerprint);
 //! * a crashed rank's open spans are force-closed at crash time with
-//!   warnings, and the resulting timeline still validates;
-//! * elastic recovery marks retry attempts with `Replay` spans and
-//!   evictions with `Eviction` spans.
+//!   warnings, and the resulting timeline still validates.
 
 use burst_comm::obs::{self, SpanKind};
-use burst_comm::{FaultPlan, Membership, RetryPolicy, Topology, World};
-use burst_dattn::{
-    try_elastic_attention_opts, try_run_attention_opts, Algo, CostModel, ElasticOpts, Layout,
-    ShardData,
-};
+use burst_comm::{FaultPlan, Topology, World};
+use burst_dattn::{try_run_attention_opts, Algo, CostModel, Layout};
 use burst_kernels::AttnMask;
 use burst_tensor::{randn_mat, Mat};
 
@@ -243,71 +238,4 @@ fn crash_force_closes_open_spans_with_warnings() {
         warned += t.warnings.len();
     }
     assert!(warned > 0, "a mid-ring crash must force-close open spans");
-}
-
-#[test]
-fn elastic_replay_and_eviction_are_traced() {
-    // 48 splits into 2G zigzag chunks both before (G=4) and after (G=3)
-    // the eviction.
-    let (n, d) = (48usize, 8usize);
-    let topo = Topology::a800(1, 4);
-    let g = topo.world_size();
-    let (q, k, v, grad_o, scale) = problem(n, d);
-    let layout = Layout::Zigzag;
-    let victim = 2usize;
-    let world = World::with_faults(topo, FaultPlan::new(5).crash_at_op(victim, 8));
-    let outs = world.run_faulty(|comm| {
-        let r = comm.rank();
-        let (ql, kl, vl, dol) = (
-            shard_of(layout, n, g, r, &q),
-            shard_of(layout, n, g, r, &k),
-            shard_of(layout, n, g, r, &v),
-            shard_of(layout, n, g, r, &grad_o),
-        );
-        comm.start_trace();
-        let mut membership = Membership::new(g);
-        let mut load = |rank: usize| -> ShardData {
-            (
-                shard_of(layout, n, g, rank, &q),
-                shard_of(layout, n, g, rank, &k),
-                shard_of(layout, n, g, rank, &v),
-                shard_of(layout, n, g, rank, &grad_o),
-            )
-        };
-        try_elastic_attention_opts(
-            comm,
-            &mut membership,
-            &ql,
-            &kl,
-            &vl,
-            &dol,
-            scale,
-            &AttnMask::Causal,
-            layout,
-            n,
-            &CostModel::a800(),
-            &mut load,
-            &RetryPolicy::default(),
-            ElasticOpts::default(),
-        )
-        .map(|out| out.attempts)
-    });
-    let mut replayed = 0usize;
-    for o in &outs {
-        let t = o.trace.as_ref().expect("trace survives elastic recovery");
-        obs::validate(t).unwrap_or_else(|e| panic!("rank {}: {e}", o.rank));
-        if o.rank == victim {
-            assert!(o.result.is_err(), "the victim must report its own crash");
-            continue;
-        }
-        let attempts = *o.result.as_ref().expect("survivors recover");
-        assert!(attempts > 1, "rank {} never retried", o.rank);
-        assert!(
-            t.count(SpanKind::Eviction) > 0,
-            "rank {}: eviction untraced",
-            o.rank
-        );
-        replayed += t.count(SpanKind::Replay);
-    }
-    assert!(replayed > 0, "no survivor recorded a replay span");
 }

@@ -4,7 +4,7 @@
 //! head-divisibility failure mode the paper exploits (40 heads on 32 GPUs)
 //! and ring shards a Ulysses group cannot split evenly.
 
-use burst_comm::{Communicator, Topology, World};
+use burst_comm::{CommStats, Communicator, Topology, WireDtype, World};
 use burst_dattn::usp::{
     try_usp_backward, try_usp_forward, HeadGrads, HeadOuts, UlyssesError, UspTopo,
 };
@@ -185,42 +185,79 @@ fn ulysses_rejects_indivisible_heads() {
     }
 }
 
+/// `(msgs, bytes)` on the intra- and the inter-node links.
+fn by_link(s: &CommStats) -> [(u64, f64); 2] {
+    [(s.intra_msgs, s.intra_bytes), (s.inter_msgs, s.inter_bytes)]
+}
+
 #[test]
 fn ulysses_communication_scales_inversely_with_group() {
-    // Per-rank all-to-all volume shrinks as the group grows — the property
-    // that makes Ulysses cheap (until head count caps it).
+    // At U = G (DeepSpeed-Ulysses) the ring has one position, so every
+    // message is an all-to-all block: a rank sends each of its G − 1 peers
+    // one matrix per all-to-all, in the order they run — forward Q, K, V,
+    // (O, Lse); backward Q, K, V, (O, Lse), ∇O, ∇Q, ∇K, ∇V — plus the Lse
+    // vector riding each (O, Lse) round. A block holds H/G heads of n/G
+    // rows, so per peer that is 4 + 8 = 12 matrices of (n/G)·(H/G)·dh
+    // elements at the wire dtype and 1 + 1 = 2 Lse vectors of (H/G)·(n/G)
+    // f32 elements: per-rank volume 12·n·H·dh·(G − 1)/G² shrinks with G.
     let (n, heads, dh) = (32usize, 8usize, 4usize);
     let p = head_problem(n, heads, dh);
-    let measure = |g: usize| {
-        let world = World::new(Topology::single_node(g));
-        let outs = world.run(|comm| {
-            let topo = UspTopo::new(comm, g);
-            let my_idx = topo.local_idx(n);
-            let ql: Vec<Mat> = p.q.iter().map(|m| m.gather_rows(&my_idx)).collect();
-            let kl: Vec<Mat> = p.k.iter().map(|m| m.gather_rows(&my_idx)).collect();
-            let vl: Vec<Mat> = p.v.iter().map(|m| m.gather_rows(&my_idx)).collect();
-            try_usp_forward(
-                comm,
-                &topo,
-                &ql,
-                &kl,
-                &vl,
-                p.scale,
-                &AttnMask::Causal,
-                n,
-                &CostModel::free(),
-            )
-            .expect("fwd");
-        });
-        outs[0].stats.total_elems()
-    };
-    let v2 = measure(2);
-    let v4 = measure(4);
-    // Volume per rank ≈ 4·(N/G)·d·(G−1)/G: strictly decreasing in G.
-    assert!(
-        v4 < v2,
-        "per-rank Ulysses volume should shrink with G: G=2 → {v2}, G=4 → {v4}"
-    );
+    let mut volume = Vec::new();
+    for topo in [
+        Topology::single_node(2),
+        Topology::single_node(4),
+        Topology::a800(2, 2),
+    ] {
+        for dtype in [WireDtype::F32, WireDtype::Bf16] {
+            let g = topo.world_size();
+            let mat = ((n / g) * (heads / g) * dh) as f64 * dtype.width();
+            let lse = ((heads / g) * (n / g) * 4) as f64;
+            // A rank's peers: the rest of its node, then the other nodes.
+            let peers = [topo.gpus_per_node - 1, g - topo.gpus_per_node].map(|k| k as u64);
+            let want =
+                |mats: u64| peers.map(|k| (k * (mats + 1), k as f64 * (mats as f64 * mat + lse)));
+            let outs = World::new(topo.clone().with_wire_dtype(dtype)).run(|comm| {
+                let usp = UspTopo::new(comm, g);
+                let idx = usp.local_idx(n);
+                let local =
+                    |hs: &[Mat]| -> Vec<Mat> { hs.iter().map(|m| m.gather_rows(&idx)).collect() };
+                let (q, k, v) = (local(&p.q), local(&p.k), local(&p.v));
+                let (mask, free) = (AttnMask::Causal, CostModel::free());
+                let (o, l) = try_usp_forward(comm, &usp, &q, &k, &v, p.scale, &mask, n, &free)
+                    .expect("usp forward");
+                let fwd = comm.stats();
+                let go = local(&p.grad_o);
+                try_usp_backward(
+                    comm, &usp, &q, &k, &v, &o, &l, &go, p.scale, &mask, n, &free,
+                )
+                .expect("usp backward");
+                (fwd, comm.stats())
+            });
+            for out in &outs {
+                let (fwd, all) = &out.result;
+                let ctx = format!(
+                    "{g} ranks, {} nodes, {dtype:?}, rank {}",
+                    topo.nodes, out.rank
+                );
+                assert_eq!(by_link(fwd), want(4), "{ctx}: forward");
+                let [intra, inter] = by_link(all);
+                let [fi, fx] = by_link(fwd);
+                let bwd = [
+                    (intra.0 - fi.0, intra.1 - fi.1),
+                    (inter.0 - fx.0, inter.1 - fx.1),
+                ];
+                assert_eq!(bwd, want(8), "{ctx}: backward");
+            }
+            volume.push((g, dtype, outs[0].result.1.total_bytes()));
+        }
+    }
+    for dtype in [WireDtype::F32, WireDtype::Bf16] {
+        let of = |g| volume.iter().find(|v| v.0 == g && v.1 == dtype).unwrap().2;
+        assert!(
+            of(4) < of(2),
+            "{dtype:?}: per-rank volume must shrink with G"
+        );
+    }
 }
 
 #[test]

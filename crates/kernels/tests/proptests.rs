@@ -21,6 +21,28 @@ fn arb_mask(n: usize) -> impl Strategy<Value = AttnMask> {
     ]
 }
 
+/// Blocked flash forward with `block`-row tiles matches the explicit-matrix
+/// reference on `n` random rows of width `d`, and counts exactly the
+/// mask's allowed pairs.
+fn check_flash_forward(n: usize, d: usize, block: usize, seed: u64, mask: &AttnMask) {
+    let q = randn_mat(n, d, 0.7, seed);
+    let k = randn_mat(n, d, 0.7, seed + 1);
+    let v = randn_mat(n, d, 0.7, seed + 2);
+    let idx: Vec<usize> = (0..n).collect();
+    let scale = 1.0 / (d as f32).sqrt();
+    let (o_ref, lse_ref) = naive_forward(&q, &k, &v, scale, mask, &idx, &idx);
+    let out = flash_forward_with_block(&q, &k, &v, scale, mask, &idx, &idx, block);
+    assert!(
+        allclose(&out.o, &o_ref, 1e-3, 1e-3),
+        "O mismatch for {mask:?}"
+    );
+    for (a, b) in out.lse.iter().zip(&lse_ref) {
+        assert!(a == b || (a - b).abs() < 1e-3);
+    }
+    // Work counter equals the mask's exact pair count.
+    assert_eq!(out.work.pairs as u128, mask.allowed_pairs(n));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -32,19 +54,7 @@ proptest! {
         seed in 0u64..500,
         mask in (2usize..20).prop_flat_map(arb_mask),
     ) {
-        let q = randn_mat(n, d, 0.7, seed);
-        let k = randn_mat(n, d, 0.7, seed + 1);
-        let v = randn_mat(n, d, 0.7, seed + 2);
-        let idx: Vec<usize> = (0..n).collect();
-        let scale = 1.0 / (d as f32).sqrt();
-        let (o_ref, lse_ref) = naive_forward(&q, &k, &v, scale, &mask, &idx, &idx);
-        let out = flash_forward_with_block(&q, &k, &v, scale, &mask, &idx, &idx, block);
-        prop_assert!(allclose(&out.o, &o_ref, 1e-3, 1e-3), "O mismatch for {mask:?}");
-        for (a, b) in out.lse.iter().zip(&lse_ref) {
-            prop_assert!(a == b || (a - b).abs() < 1e-3);
-        }
-        // Work counter equals the mask's exact pair count.
-        prop_assert_eq!(out.work.pairs as u128, mask.allowed_pairs(n));
+        check_flash_forward(n, d, block, seed, &mask);
     }
 
     #[test]
@@ -151,4 +161,13 @@ proptest! {
             }
         }
     }
+}
+
+/// A counterexample the forward property once shrank to: 5 rows of width
+/// 1 in one-row tiles under a block-diagonal mask of 4-token blocks, so the
+/// last block is ragged.
+#[test]
+fn flash_forward_matches_naive_on_a_ragged_block_sparse_tail() {
+    let mask = AttnMask::BlockSparse(BlockSparseMask::new(4, 2, vec![true, false, false, true]));
+    check_flash_forward(5, 1, 1, 0, &mask);
 }

@@ -15,7 +15,6 @@
 
 use crate::attention::AttnExec;
 use crate::block::{BlockSaved, TransformerBlock};
-use crate::memory::MemoryTracker;
 use burst_comm::SpanKind;
 use burst_kernels::{AttnMask, Span};
 use burst_tensor::{Bf16Mat, Mat};
@@ -132,38 +131,17 @@ impl Stored {
     }
 }
 
-/// Forward through all blocks, storing per `strategy`. Registers stored
-/// bytes with the tracker (freed by [`backward_blocks`]).
-pub fn forward_blocks<E: AttnExec>(
-    blocks: &[TransformerBlock],
-    x: &Mat,
-    exec: &mut E,
-    strategy: Strategy,
-    seq_len: usize,
-    tracker: &mut MemoryTracker,
-) -> (Mat, Vec<Stored>) {
-    forward_blocks_prec(
-        blocks,
-        x,
-        exec,
-        strategy,
-        seq_len,
-        tracker,
-        ActPrecision::F32,
-    )
-}
-
-/// [`forward_blocks`] at an explicit stash precision: under
-/// [`ActPrecision::Bf16`] every kept block input and cached attention
-/// output occupies 2 bytes per element, halving the tracked stash.
-#[allow(clippy::too_many_arguments)]
+/// Forward through all blocks, storing per `strategy` at the stash
+/// `precision`: under [`ActPrecision::Bf16`] every kept block input and
+/// cached attention output occupies 2 bytes per element. Each block's
+/// stash is billed to the executor's ledger ([`AttnExec::stash_push`]) and
+/// released by [`backward_blocks`].
 pub fn forward_blocks_prec<E: AttnExec>(
     blocks: &[TransformerBlock],
     x: &Mat,
     exec: &mut E,
     strategy: Strategy,
     seq_len: usize,
-    tracker: &mut MemoryTracker,
     precision: ActPrecision,
 ) -> (Mat, Vec<Stored>) {
     let mut cur = x.clone();
@@ -220,7 +198,6 @@ pub fn forward_blocks_prec<E: AttnExec>(
                 }
             }
         };
-        tracker.alloc(keep.nbytes());
         exec.stash_push(keep.nbytes());
         stored.push(keep);
         cur = y;
@@ -274,14 +251,13 @@ pub fn cutoff_for_masked(rho: f32, seq_len: usize, mask: &AttnMask) -> usize {
 }
 
 /// Backward through all blocks in reverse, recomputing per the stored kind.
-/// Frees each block's stored bytes as it is consumed and accounts the
+/// Releases each block's stash entry as it is consumed and notes the
 /// transient recompute working set.
 pub fn backward_blocks<E: AttnExec>(
     blocks: &mut [TransformerBlock],
     stored: Vec<Stored>,
     grad_y: &Mat,
     exec: &mut E,
-    tracker: &mut MemoryTracker,
 ) -> Mat {
     assert_eq!(
         blocks.len(),
@@ -313,8 +289,7 @@ pub fn backward_blocks<E: AttnExec>(
         // block's backward.
         let transient = saved.nbytes().saturating_sub(kept_bytes);
         exec.note_workspace(transient);
-        grad = tracker.with_transient(transient, |_t| block.backward(&saved, &grad, exec));
-        tracker.free(kept_bytes);
+        grad = block.backward(&saved, &grad, exec);
         exec.stash_pop();
         exec.span_end();
     }
@@ -345,11 +320,9 @@ mod tests {
         let x = randn_mat(n, d, 0.8, 600);
         let gy = randn_mat(n, d, 1.0, 601);
         let mut exec = LocalExec::new(AttnMask::Causal, n);
-        let mut tracker = MemoryTracker::new();
-        let (y, stored) =
-            forward_blocks_prec(&bs, &x, &mut exec, strategy, n, &mut tracker, precision);
-        let stored_peak = tracker.current();
-        let gx = backward_blocks(&mut bs, stored, &gy, &mut exec, &mut tracker);
+        let (y, stored) = forward_blocks_prec(&bs, &x, &mut exec, strategy, n, precision);
+        let stored_bytes = stored.iter().map(Stored::nbytes).sum();
+        let gx = backward_blocks(&mut bs, stored, &gy, &mut exec);
         let grads: Vec<Mat> = bs
             .iter()
             .flat_map(|b| {
@@ -363,7 +336,7 @@ mod tests {
         let mut all = vec![y, gx];
         all.extend(grads);
         let out = all.remove(0);
-        (out, all, stored_peak)
+        (out, all, stored_bytes)
     }
 
     #[test]
@@ -381,26 +354,6 @@ mod tests {
                 assert_allclose(g, gr, 1e-5, &format!("{strategy:?} grads"));
             }
         }
-    }
-
-    #[test]
-    fn stored_memory_ordering_matches_figure_7() {
-        let (_, _, m_none) = run(Strategy::None);
-        let (_, _, m_full) = run(Strategy::Full);
-        let (_, _, m_pp) = run(Strategy::SelectivePlusPlus);
-        let (_, _, m_seq) = run(Strategy::SeqSelective { rho: 0.5 });
-        assert!(m_full < m_seq, "full ckpt {m_full} < seq-selective {m_seq}");
-        assert!(m_seq < m_pp, "seq-selective {m_seq} < selective++ {m_pp}");
-        assert!(m_pp < m_none, "selective++ {m_pp} < no ckpt {m_none}");
-        // Sequence-level at ρ=0.5 halves the attention-output storage of ++
-        // (plus the shared block-input storage).
-        let attn_pp = m_pp - m_full;
-        let attn_seq = m_seq - m_full;
-        let ratio = attn_seq as f64 / attn_pp as f64;
-        assert!(
-            (0.4..0.6).contains(&ratio),
-            "tail storage should be ~half of ++: {ratio}"
-        );
     }
 
     #[test]
@@ -482,10 +435,10 @@ mod tests {
             let x = randn_mat(n, d, 0.8, 610);
             let gy = randn_mat(n, d, 1.0, 611);
             let mut exec = LocalExec::new(mask.clone(), n);
-            let mut tracker = MemoryTracker::new();
-            let (y, stored) = forward_blocks(&bs, &x, &mut exec, strategy, n, &mut tracker);
-            let stash = tracker.current();
-            let gx = backward_blocks(&mut bs, stored, &gy, &mut exec, &mut tracker);
+            let (y, stored) =
+                forward_blocks_prec(&bs, &x, &mut exec, strategy, n, ActPrecision::F32);
+            let stash: usize = stored.iter().map(Stored::nbytes).sum();
+            let gx = backward_blocks(&mut bs, stored, &gy, &mut exec);
             let gw = bs[0].attn.wq.weight.grad.clone();
             (y, gx, gw, stash)
         };

@@ -12,7 +12,7 @@ use crate::checkpoint_shard::{
 use crate::fsdp::{self, Group};
 use crate::model::{Model, ModelConfig, StepOutput};
 use crate::param::AdamCfg;
-use burst_comm::obs::{MemCategory, MemId};
+use burst_comm::obs::{peak_census, MemCategory, MemId, MemReport, PeakBytes};
 use burst_comm::{
     agree_on_eviction, agree_on_join, agree_on_leave, send_abort, ChurnKind, CommError, CommStats,
     Communicator, Membership, RetryPolicy, SpanKind, World,
@@ -112,8 +112,9 @@ pub struct TrainMetrics {
     pub tgs: f64,
     /// Model FLOPs utilisation (useful FLOPs / device peak).
     pub mfu: f64,
-    /// Max over ranks of tracked peak activation bytes.
-    pub peak_activation_bytes: usize,
+    /// Per-lane max over ranks of the memory ledger's peaks: every rank
+    /// runs with accounting on ([`peak_census`]).
+    pub peak_census: PeakBytes,
     /// Modeled device-resident parameter/gradient/optimizer bytes per rank
     /// (shrinks under FSDP sharding and optimizer offloading).
     pub state_bytes_per_rank: usize,
@@ -494,8 +495,13 @@ fn step_with<E: AttnExec>(
 }
 
 /// Run a full distributed training job on `world` and aggregate metrics.
+/// Every rank keeps a memory ledger, which observes without changing a bit
+/// of the run.
 pub fn train(world: &World, cfg: &EngineConfig, steps: usize) -> TrainMetrics {
-    let outs = world.run(|comm| run_rank(comm, cfg, steps));
+    let mut outs = world.run(|comm| {
+        comm.start_mem_accounting();
+        run_rank(comm, cfg, steps)
+    });
     let wall_time = outs.iter().map(|o| o.time).fold(0.0, f64::max);
     let comm = outs
         .iter()
@@ -517,11 +523,7 @@ pub fn train(world: &World, cfg: &EngineConfig, steps: usize) -> TrainMetrics {
     } else {
         f64::NAN
     };
-    let peak_activation_bytes = outs
-        .iter()
-        .map(|o| o.result.1.peak_activation_bytes)
-        .max()
-        .unwrap_or(0);
+    let ledgers: Vec<MemReport> = outs.iter_mut().filter_map(|o| o.mem.take()).collect();
     let shard = if cfg.fsdp {
         world.topology().world_size()
     } else {
@@ -532,7 +534,7 @@ pub fn train(world: &World, cfg: &EngineConfig, steps: usize) -> TrainMetrics {
         wall_time,
         tgs,
         mfu,
-        peak_activation_bytes,
+        peak_census: peak_census(&ledgers),
         state_bytes_per_rank: fsdp::device_state_bytes(
             cfg.model.param_count(),
             shard,

@@ -38,7 +38,6 @@ pub mod engine;
 pub mod ffn;
 pub mod fsdp;
 pub mod linear;
-pub mod memory;
 pub mod model;
 pub mod norm;
 pub mod param;
@@ -52,6 +51,5 @@ pub use engine::{
     run_span_elastic, train_with_recovery, ElasticCfg, ElasticOutcome, EngineConfig, RecoveryCfg,
     RecoveryReport, SpanOutcome, TrainMetrics,
 };
-pub use memory::MemoryTracker;
 pub use model::{Model, ModelConfig};
 pub use param::{AdamCfg, Param};

@@ -5,7 +5,6 @@ use crate::attention::AttnExec;
 use crate::block::TransformerBlock;
 use crate::checkpoint::{backward_blocks, forward_blocks_prec, ActPrecision, Strategy};
 use crate::embedding::Embedding;
-use crate::memory::MemoryTracker;
 use crate::norm::RmsNorm;
 use crate::param::{AdamCfg, Param};
 use burst_kernels::lmhead::{fused_lm_loss_with_blocks, naive_lm_loss};
@@ -69,8 +68,6 @@ pub struct StepOutput {
     pub loss_sum: f32,
     /// Number of local rows.
     pub tokens: usize,
-    /// Peak tracked activation bytes.
-    pub peak_activation_bytes: usize,
     /// Peak live logits elements in the LM head (Fig. 8's quantity).
     pub peak_logits_elems: usize,
 }
@@ -206,8 +203,8 @@ impl Model {
 
     /// [`Model::train_step`] at an explicit activation-stash precision:
     /// under [`ActPrecision::Bf16`] every checkpointed block input and
-    /// cached attention output is held at 2 bytes per element, halving
-    /// `peak_activation_bytes`' stash component.
+    /// cached attention output is held at 2 bytes per element, halving the
+    /// stash the executor bills to its ledger.
     pub fn train_step_prec<E: AttnExec>(
         &mut self,
         tokens: &[usize],
@@ -218,48 +215,34 @@ impl Model {
         precision: ActPrecision,
     ) -> StepOutput {
         assert_eq!(tokens.len(), targets.len(), "train_step: token/target");
-        let mut tracker = MemoryTracker::new();
         // ---- forward ----
         let x = self.embed.forward(tokens);
-        tracker.alloc(x.nbytes());
         let (h, stored) = forward_blocks_prec(
             &self.blocks,
             &x,
             exec,
             strategy,
             self.cfg.seq_len,
-            &mut tracker,
             precision,
         );
         let (hn, norm_saved) = self.final_norm.forward(&h);
-        tracker.alloc(norm_saved.nbytes());
         // ---- fused LM head + loss (forward AND backward, Algorithm 3) ----
         let lm = match self.lm_tiles {
             Some((bs, bv)) => fused_lm_loss_with_blocks(&hn, &self.head.w, targets, bs, bv),
             None => naive_lm_loss(&hn, &self.head.w, targets),
         };
-        tracker.alloc(lm.peak_logits_elems * 4);
         let loss_sum: f32 = lm.losses.iter().sum();
         // Rescale mean-of-local to global mean.
         let rescale = tokens.len() as f32 / global_tokens as f32;
         self.head.grad.axpy(rescale, &lm.grad_w);
         let grad_hn = lm.grad_h.scaled(rescale);
-        tracker.free(lm.peak_logits_elems * 4);
         // ---- backward ----
         let grad_h = self.final_norm.backward(&norm_saved, &grad_hn);
-        tracker.free(norm_saved.nbytes());
-        let grad_x = backward_blocks(&mut self.blocks, stored, &grad_h, exec, &mut tracker);
+        let grad_x = backward_blocks(&mut self.blocks, stored, &grad_h, exec);
         self.embed.backward(tokens, &grad_x);
-        tracker.free(x.nbytes());
-        // Mirror the model-layer tracked peak onto the accountant's ungated
-        // workspace lane, so a rank's ledger also carries the dense-path
-        // activation high-water mark (stash entries are billed exactly;
-        // everything else here is transient).
-        exec.note_workspace(tracker.peak());
         StepOutput {
             loss_sum,
             tokens: tokens.len(),
-            peak_activation_bytes: tracker.peak(),
             peak_logits_elems: lm.peak_logits_elems,
         }
     }
@@ -403,10 +386,6 @@ mod tests {
             let (o, g) = run(strategy);
             assert!((o.loss_sum - o_ref.loss_sum).abs() < 1e-3);
             burst_tensor::testutil::assert_allclose(&g, &g_ref, 1e-4, "wq grads");
-            assert!(
-                o.peak_activation_bytes < o_ref.peak_activation_bytes,
-                "{strategy:?} must use less memory than no checkpointing"
-            );
         }
     }
 

@@ -221,24 +221,6 @@ fn head_parallel_backward_reruns_no_forward_under_selective_pp() {
 }
 
 #[test]
-fn seq_selective_memory_sits_between_full_and_pp_distributed() {
-    let world = World::new(Topology::single_node(4));
-    let mem = |strategy: Strategy| {
-        let mut c = cfg(Backend::Ring(Algo::BurstFlat));
-        c.strategy = strategy;
-        train(&world, &c, 1).peak_activation_bytes
-    };
-    let full = mem(Strategy::Full);
-    let seq = mem(Strategy::SeqSelective { rho: 0.5 });
-    let pp = mem(Strategy::SelectivePlusPlus);
-    let none = mem(Strategy::None);
-    assert!(
-        full < seq && seq < pp && pp < none,
-        "{full} {seq} {pp} {none}"
-    );
-}
-
-#[test]
 fn virtual_step_time_orders_methods_on_multinode() {
     // End-to-end: with realistic A800 costs, BurstTopo must beat the flat
     // ring on a 2×4 cluster (the Fig. 12 mechanism at miniature scale).
@@ -484,5 +466,66 @@ fn elastic_fsdp_step_runs_three_eviction_agreements() {
             .filter(|s| s.kind == SpanKind::Eviction && s.name == "agree_on_eviction")
             .count();
         assert_eq!(agreements, 3 * steps, "rank {}", o.rank);
+    }
+}
+
+#[test]
+fn in_step_recovery_traces_its_eviction_and_replay() {
+    // A rank dies mid-step under in-step recovery. Every rank's trace still
+    // validates; each survivor marks the agreed eviction with an epoch bump
+    // inside its `Eviction` spans, and holds the step it re-ran on the
+    // shrunken ring as one `Replay` span.
+    use burst_comm::obs::{self, SpanKind};
+    use burst_comm::FaultPlan;
+    use burst_model::engine::run_span_elastic;
+    use burst_model::ElasticCfg;
+    let mut c = cfg(Backend::Ring(Algo::BurstFlat));
+    c.model.seq_len = 48; // zigzag needs 2·g | seq for g = 4 and g = 3
+    c.cost = CostModel::a800();
+    let (steps, victim) = (2, 2);
+    let topo = Topology::single_node(4);
+    // The victim's op count after `s` clean steps, to aim the crash inside
+    // step 1.
+    let ops_after = |s: usize| {
+        World::new(topo.clone()).run(|comm| {
+            let mut model = Model::new(c.model, c.seed);
+            run_span_elastic(comm, &c, &mut model, 0, s, &[], &ElasticCfg::default())
+                .expect("clean elastic probe");
+            comm.op_count()
+        })[victim]
+            .result
+    };
+    let crash_op = (ops_after(1) + ops_after(2)) / 2;
+    let plan = FaultPlan::new(5)
+        .crash_at_op(victim, crash_op)
+        .recv_deadline(60.0);
+    let outs = World::with_faults(topo, plan).run_faulty(|comm| {
+        comm.start_trace();
+        let mut model = Model::new(c.model, c.seed);
+        run_span_elastic(comm, &c, &mut model, 0, steps, &[], &ElasticCfg::default())
+    });
+    for o in &outs {
+        let t = o.trace.as_ref().expect("tracing was on");
+        obs::validate(t).unwrap_or_else(|e| panic!("rank {}: {e}", o.rank));
+        if o.rank == victim {
+            assert!(o.result.is_err(), "the victim reports its own crash");
+            continue;
+        }
+        let out = o.result.as_ref().expect("survivors recover in the step");
+        assert_eq!(out.evicted, vec![victim], "rank {}", o.rank);
+        assert_eq!(out.steps_replayed, 1, "rank {}", o.rank);
+        assert!(t.count(SpanKind::Eviction) > 0, "rank {}", o.rank);
+        assert_eq!(
+            t.count(SpanKind::Epoch),
+            1,
+            "rank {}: one epoch bump",
+            o.rank
+        );
+        assert_eq!(
+            t.count(SpanKind::Replay),
+            1,
+            "rank {}: one replayed step",
+            o.rank
+        );
     }
 }

@@ -48,6 +48,32 @@ fn bf16_activation_stash_is_exactly_half_of_f32() {
     assert_eq!(f32_peak, 2 * bf16_peak, "2-byte stash vs 4-byte stash");
 }
 
+/// Fig. 7 on the ledger of a 4-rank BurstAttention step: the checkpoint
+/// stash orders full checkpointing < sequence-selective (ρ = 0.5) <
+/// selective++ < none, and at ρ = 0.5 the sequence-level scheme keeps about
+/// half of the attention outputs selective++ adds to the block inputs.
+#[test]
+fn stash_ordering_matches_figure_7() {
+    let stash = |strategy: Strategy| {
+        let mut cfg = EngineConfig::tiny(Backend::Ring(Algo::BurstFlat));
+        cfg.strategy = strategy;
+        let reports = run_accounted(&cfg, Topology::a800(1, 4), 1);
+        reports.iter().map(|r| r.peak.ckpt_stash).max().unwrap()
+    };
+    let full = stash(Strategy::Full);
+    let seq = stash(Strategy::SeqSelective { rho: 0.5 });
+    let pp = stash(Strategy::SelectivePlusPlus);
+    let none = stash(Strategy::None);
+    assert!(full < seq, "full ckpt {full} < seq-selective {seq}");
+    assert!(seq < pp, "seq-selective {seq} < selective++ {pp}");
+    assert!(pp < none, "selective++ {pp} < no ckpt {none}");
+    let ratio = (seq - full) as f64 / (pp - full) as f64;
+    assert!(
+        (0.4..0.6).contains(&ratio),
+        "tail storage should be ~half of ++: {ratio}"
+    );
+}
+
 #[test]
 fn device_state_entries_match_the_fsdp_decomposition() {
     let mut cfg = EngineConfig::tiny(Backend::Ring(Algo::RingFlat));
@@ -87,7 +113,7 @@ fn fsdp_buffers_stash_and_workspace_land_on_their_lanes() {
         assert!(r.warnings.is_empty(), "clean run: {:?}", r.warnings);
         assert!(r.peak.comm_buffers > 0, "FSDP + ring buffers were billed");
         assert!(r.peak.ckpt_stash > 0, "selective++ stash was billed");
-        assert!(r.peak.workspace > 0, "dense-path peak was noted");
+        assert!(r.peak.workspace > 0, "recompute transients were noted");
         assert!(
             r.entries.iter().any(|e| e.name == "fsdp_gather_buf"),
             "weight gather buffers appear by name"

@@ -18,8 +18,8 @@
 use crate::machine::Cluster;
 use burst_comm::{CommStats, WireDtype};
 use burst_dattn::{
-    census_dr_alg1, census_dr_alg2, census_dr_forward, census_flat_alg1, census_flat_forward,
-    Layout, MaskedWire, RingGeom, SkipPlan,
+    census_dr_alg1, census_dr_alg2, census_dr_forward, census_flat_alg1, census_flat_alg2,
+    census_flat_forward, Algo, Layout, MaskedWire, RingGeom, SkipPlan,
 };
 use burst_kernels::AttnMask;
 use serde::{Deserialize, Serialize};
@@ -85,17 +85,6 @@ pub fn layer_comm_times(cluster: &Cluster, seq_len: usize, d_model: usize) -> Co
     comm_times(cluster, partition_bytes(seq_len, d_model, cluster.world()))
 }
 
-/// One of the three ring disciplines of Table 1, for the exact census.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RingMethod {
-    /// Flat-ring forward + Algorithm 1 backward (RingAttention).
-    Ring,
-    /// Two-level forward + Algorithm 1 backward (LoongTrain DoubleRing).
-    DoubleRing,
-    /// Two-level forward + Algorithm 2 backward (full BurstAttention).
-    Burst,
-}
-
 /// Exact wire-message census of one attention layer (forward + backward),
 /// aggregated over every rank and split by link class.
 ///
@@ -143,7 +132,7 @@ impl WireCounts {
     }
 }
 
-/// Count every message the schedule for `method` posts, over all ranks,
+/// Count every message the schedule `algo` posts, over all ranks,
 /// for per-rank partitions of `seq_len / world` rows of width `d`, at the
 /// matrix wire dtype `dtype` (`WireDtype::F32` is the simulator's default).
 /// Only the `Mat` payloads change width: the softmax statistics vectors
@@ -153,6 +142,9 @@ impl WireCounts {
 /// * flat ring: `2(G−1)` forward + `4G` Algorithm 1 backward `Mat` hops on
 ///   each rank's single outgoing edge; `nodes` of the `G` edges cross a
 ///   node boundary when `nodes > 1`;
+/// * Algorithm 2 over the flat ring replaces Algorithm 1's hops with
+///   `G−1` read-only bundles (2 `Mat` + 2 `Vec`) and `G` `∇Q` `Mat` hops
+///   on the same edge;
 /// * two-level forward: `2(n−1)` inter + `2n(p−1)` intra `Mat` hops;
 /// * Algorithm 1 over the two-level ring adds `4(n−1)` inter +
 ///   `4n(p−1)` intra hops plus the completion hops (`2` inter when
@@ -164,7 +156,7 @@ pub fn exact_wire_counts_dtype(
     cluster: &Cluster,
     seq_len: usize,
     d: usize,
-    method: RingMethod,
+    algo: Algo,
     dtype: WireDtype,
 ) -> WireCounts {
     let g = cluster.world();
@@ -177,20 +169,27 @@ pub fn exact_wire_counts_dtype(
         return w; // single rank: both backwards early-return, no sends
     }
     let gr = g as u64;
-    match method {
-        RingMethod::Ring => {
+    // Flat rings: every rank sends on its one outgoing edge.
+    let inter_ranks = if n > 1 { n } else { 0 };
+    match algo {
+        Algo::RingFlat => {
             let per_rank = 2 * (gr - 1) + 4 * gr;
-            let inter_ranks = if n > 1 { n } else { 0 };
             w.add(true, inter_ranks * per_rank, mat);
             w.add(false, (gr - inter_ranks) * per_rank, mat);
         }
-        RingMethod::DoubleRing => {
+        Algo::BurstFlat => {
+            for (inter, ranks) in [(true, inter_ranks), (false, gr - inter_ranks)] {
+                w.add(inter, ranks * (4 * (gr - 1) + gr), mat);
+                w.add(inter, ranks * 2 * (gr - 1), vec);
+            }
+        }
+        Algo::DoubleRing => {
             let inter_per = 6 * (n - 1) + if n > 1 { 2 } else { 0 };
             let intra_per = 6 * n * (p - 1) + 2 * (n % p);
             w.add(true, gr * inter_per, mat);
             w.add(false, gr * intra_per, mat);
         }
-        RingMethod::Burst => {
+        Algo::BurstTopo => {
             // Forward K/V and the backward read-only Q/∇O share the
             // two-level traversal: 2 Mat hops each way per boundary.
             let ro_inter = n - 1;
@@ -235,7 +234,7 @@ impl MaskedWireCounts {
     }
 }
 
-/// Exact per-rank wire activity of one *masked* pass of `method`, in
+/// Exact per-rank wire activity of one *masked* pass of `algo`, in
 /// logical elements. This is the symbolic twin of the gated send sites in
 /// `burst-dattn`: for every `(schedule × mask × layout)` cell the returned
 /// [`MaskedWire`] matches rank `me`'s measured `CommStats` — messages,
@@ -248,7 +247,7 @@ pub fn masked_wire_rank(
     cluster: &Cluster,
     seq_len: usize,
     d: usize,
-    method: RingMethod,
+    algo: Algo,
     mask: &AttnMask,
     layout: Layout,
     max_token: Option<usize>,
@@ -266,19 +265,19 @@ pub fn masked_wire_rank(
     // A flat rank's single outgoing edge crosses the node boundary exactly
     // when the rank is the last GPU of its node.
     let edge_inter = n > 1 && (me + 1).is_multiple_of(p);
-    let fwd = match method {
-        RingMethod::Ring => census_flat_forward(&plan, &geom, edge_inter, me),
-        RingMethod::DoubleRing | RingMethod::Burst => census_dr_forward(&plan, &geom, n, p, me),
+    let fwd = match algo {
+        Algo::RingFlat | Algo::BurstFlat => census_flat_forward(&plan, &geom, edge_inter, me),
+        Algo::DoubleRing | Algo::BurstTopo => census_dr_forward(&plan, &geom, n, p, me),
     };
-    match method {
-        // Flat Algorithm 1 and two-level Algorithm 2 early-return into one
-        // dense local tile on a single rank, before any gating; two-level
-        // Algorithm 1 still runs its (single, gated) slot.
-        RingMethod::Ring if g == 1 => fwd,
-        RingMethod::Burst if g == 1 => fwd,
-        RingMethod::Ring => fwd.add(&census_flat_alg1(&plan, &geom, edge_inter, me)),
-        RingMethod::DoubleRing => fwd.add(&census_dr_alg1(&plan, &geom, n, p, me)),
-        RingMethod::Burst => fwd.add(&census_dr_alg2(&plan, &geom, n, p, me)),
+    match algo {
+        // The flat backwards and two-level Algorithm 2 early-return into
+        // one dense local tile on a single rank, before any gating;
+        // two-level Algorithm 1 still runs its (single, gated) slot.
+        Algo::RingFlat | Algo::BurstFlat | Algo::BurstTopo if g == 1 => fwd,
+        Algo::RingFlat => fwd.add(&census_flat_alg1(&plan, &geom, edge_inter, me)),
+        Algo::BurstFlat => fwd.add(&census_flat_alg2(&plan, &geom, edge_inter, me)),
+        Algo::DoubleRing => fwd.add(&census_dr_alg1(&plan, &geom, n, p, me)),
+        Algo::BurstTopo => fwd.add(&census_dr_alg2(&plan, &geom, n, p, me)),
     }
 }
 
@@ -290,7 +289,7 @@ pub fn exact_wire_counts_masked_dtype(
     cluster: &Cluster,
     seq_len: usize,
     d: usize,
-    method: RingMethod,
+    algo: Algo,
     dtype: WireDtype,
     mask: &AttnMask,
     layout: Layout,
@@ -300,7 +299,7 @@ pub fn exact_wire_counts_masked_dtype(
     let g = cluster.world();
     let total = (0..g).fold(MaskedWire::default(), |acc, me| {
         acc.add(&masked_wire_rank(
-            cluster, seq_len, d, method, mask, layout, max_token, skip, me,
+            cluster, seq_len, d, algo, mask, layout, max_token, skip, me,
         ))
     });
     let width = dtype.width();
@@ -454,18 +453,25 @@ mod tests {
     fn exact_census_matches_hand_count() {
         // 2 nodes × 2 GPUs, 8 tokens, d = 4: m = 2 rows, f32 Mat = 32 bytes.
         let c = Cluster::a800(2, 2);
-        let w = exact_wire_counts_dtype(&c, 8, 4, RingMethod::Ring, WireDtype::F32);
+        let w = exact_wire_counts_dtype(&c, 8, 4, Algo::RingFlat, WireDtype::F32);
         // Per rank 2·3 fwd + 4·4 bwd = 22 Mat hops; 2 of 4 edges are inter.
         assert_eq!(w.inter_msgs, 2 * 22);
         assert_eq!(w.intra_msgs, 2 * 22);
         assert_eq!(w.inter_bytes, 44.0 * 32.0);
 
-        let w = exact_wire_counts_dtype(&c, 8, 4, RingMethod::DoubleRing, WireDtype::F32);
+        let w = exact_wire_counts_dtype(&c, 8, 4, Algo::BurstFlat, WireDtype::F32);
+        // Per rank 2·3 fwd + 2·3 read-only + 4 ∇Q = 16 Mat hops and 2·3 Vec
+        // hops (Vec = 2 rows · 4 bytes), on the same edges as the flat ring.
+        assert_eq!(w.inter_msgs, 2 * 22);
+        assert_eq!(w.intra_msgs, 2 * 22);
+        assert_eq!(w.inter_bytes, 2.0 * (16.0 * 32.0 + 6.0 * 8.0));
+
+        let w = exact_wire_counts_dtype(&c, 8, 4, Algo::DoubleRing, WireDtype::F32);
         // Per rank inter: 6·1 + 2 completion = 8; intra: 6·2·1 + 2·(2%2) = 12.
         assert_eq!(w.inter_msgs, 4 * 8);
         assert_eq!(w.intra_msgs, 4 * 12);
 
-        let w = exact_wire_counts_dtype(&c, 8, 4, RingMethod::Burst, WireDtype::F32);
+        let w = exact_wire_counts_dtype(&c, 8, 4, Algo::BurstTopo, WireDtype::F32);
         // Per rank inter: 4 Mat read-only + 2 Vec + 2 ∇Q; intra: 8 Mat
         // read-only + 4 Vec + 2 ∇Q. Vec = 2 rows · 4 bytes.
         assert_eq!(w.inter_msgs, 4 * 8);
@@ -476,7 +482,7 @@ mod tests {
     #[test]
     fn bf16_wire_halves_mat_bytes_but_not_vec_bytes() {
         let c = Cluster::a800(2, 2);
-        for method in [RingMethod::Ring, RingMethod::DoubleRing] {
+        for method in [Algo::RingFlat, Algo::DoubleRing] {
             // Mat-only methods: total bytes halve exactly.
             let f = exact_wire_counts_dtype(&c, 8, 4, method, WireDtype::F32);
             let h = exact_wire_counts_dtype(&c, 8, 4, method, WireDtype::Bf16);
@@ -485,17 +491,16 @@ mod tests {
         }
         // Burst also ships f32 statistics vectors, so the halving applies
         // only to the Mat share: Bf16 Mat = 2·4·2 = 16 B, Vec stays 8 B.
-        let h = exact_wire_counts_dtype(&c, 8, 4, RingMethod::Burst, WireDtype::Bf16);
+        let h = exact_wire_counts_dtype(&c, 8, 4, Algo::BurstTopo, WireDtype::Bf16);
         assert_eq!(h.inter_bytes, 4.0 * (6.0 * 16.0 + 2.0 * 8.0));
     }
 
     #[test]
     fn exact_burst_moves_fewest_bytes() {
         let c = cluster();
-        let ring = exact_wire_counts_dtype(&c, 1 << 16, 128, RingMethod::Ring, WireDtype::F32);
-        let double =
-            exact_wire_counts_dtype(&c, 1 << 16, 128, RingMethod::DoubleRing, WireDtype::F32);
-        let burst = exact_wire_counts_dtype(&c, 1 << 16, 128, RingMethod::Burst, WireDtype::F32);
+        let ring = exact_wire_counts_dtype(&c, 1 << 16, 128, Algo::RingFlat, WireDtype::F32);
+        let double = exact_wire_counts_dtype(&c, 1 << 16, 128, Algo::DoubleRing, WireDtype::F32);
+        let burst = exact_wire_counts_dtype(&c, 1 << 16, 128, Algo::BurstTopo, WireDtype::F32);
         assert!(burst.bytes() < double.bytes());
         assert!(burst.bytes() < ring.bytes());
         assert!(burst.secs(&c) < double.secs(&c));
@@ -504,7 +509,12 @@ mod tests {
     #[test]
     fn exact_census_single_node_has_no_inter_traffic() {
         let c = Cluster::a800(1, 8);
-        for method in [RingMethod::Ring, RingMethod::DoubleRing, RingMethod::Burst] {
+        for method in [
+            Algo::RingFlat,
+            Algo::BurstFlat,
+            Algo::DoubleRing,
+            Algo::BurstTopo,
+        ] {
             let w = exact_wire_counts_dtype(&c, 1 << 12, 64, method, WireDtype::F32);
             assert_eq!(w.inter_msgs, 0, "{method:?}");
             assert_eq!(w.inter_bytes, 0.0, "{method:?}");
@@ -515,7 +525,12 @@ mod tests {
     #[test]
     fn exact_census_single_rank_is_silent() {
         let c = Cluster::a800(1, 1);
-        for method in [RingMethod::Ring, RingMethod::DoubleRing, RingMethod::Burst] {
+        for method in [
+            Algo::RingFlat,
+            Algo::BurstFlat,
+            Algo::DoubleRing,
+            Algo::BurstTopo,
+        ] {
             assert_eq!(
                 exact_wire_counts_dtype(&c, 64, 8, method, WireDtype::F32).msgs(),
                 0
@@ -600,7 +615,12 @@ mod tests {
             AttnMask::Causal,
             AttnMask::SlidingWindow { window: 7 },
         ];
-        for method in [RingMethod::Ring, RingMethod::DoubleRing, RingMethod::Burst] {
+        for method in [
+            Algo::RingFlat,
+            Algo::BurstFlat,
+            Algo::DoubleRing,
+            Algo::BurstTopo,
+        ] {
             for dtype in [WireDtype::F32, WireDtype::Bf16] {
                 let dense = exact_wire_counts_dtype(&c, 48, 8, method, dtype);
                 for mask in &masks {
@@ -625,7 +645,7 @@ mod tests {
         // flag only — Full + skip uses live gates and those are all-true,
         // so the monotone futures ranges still fire every hop).
         let c = Cluster::a800(2, 2);
-        for method in [RingMethod::DoubleRing, RingMethod::Burst] {
+        for method in [Algo::DoubleRing, Algo::BurstTopo] {
             let dense = exact_wire_counts_dtype(&c, 32, 8, method, WireDtype::F32);
             let m = exact_wire_counts_masked_dtype(
                 &c,
@@ -653,7 +673,12 @@ mod tests {
             AttnMask::SlidingWindow { window: 9 },
             AttnMask::Dilated { window: 9, step: 2 },
         ];
-        for method in [RingMethod::Ring, RingMethod::DoubleRing, RingMethod::Burst] {
+        for method in [
+            Algo::RingFlat,
+            Algo::BurstFlat,
+            Algo::DoubleRing,
+            Algo::BurstTopo,
+        ] {
             for dtype in [WireDtype::F32, WireDtype::Bf16] {
                 let dense = exact_wire_counts_dtype(&c, 48, 8, method, dtype);
                 for mask in &masks {
@@ -688,7 +713,12 @@ mod tests {
         // tiles fully masked: rounds disappear and bytes move to the dual.
         let c = Cluster::a800(2, 3);
         let mask = AttnMask::SlidingWindow { window: 8 };
-        for method in [RingMethod::Ring, RingMethod::DoubleRing, RingMethod::Burst] {
+        for method in [
+            Algo::RingFlat,
+            Algo::BurstFlat,
+            Algo::DoubleRing,
+            Algo::BurstTopo,
+        ] {
             let dense = exact_wire_counts_dtype(&c, 48, 8, method, WireDtype::F32);
             let m = exact_wire_counts_masked_dtype(
                 &c,
@@ -714,7 +744,7 @@ mod tests {
             &c,
             48,
             8,
-            RingMethod::Burst,
+            Algo::BurstTopo,
             WireDtype::F32,
             &mask,
             Layout::Zigzag,
@@ -725,7 +755,7 @@ mod tests {
             &c,
             48,
             8,
-            RingMethod::Burst,
+            Algo::BurstTopo,
             WireDtype::F32,
             &mask,
             Layout::Contiguous,
@@ -739,7 +769,12 @@ mod tests {
     fn masked_census_per_rank_sums_to_aggregate() {
         let c = Cluster::a800(2, 2);
         let mask = AttnMask::SlidingWindow { window: 8 };
-        for method in [RingMethod::Ring, RingMethod::DoubleRing, RingMethod::Burst] {
+        for method in [
+            Algo::RingFlat,
+            Algo::BurstFlat,
+            Algo::DoubleRing,
+            Algo::BurstTopo,
+        ] {
             let agg = exact_wire_counts_masked_dtype(
                 &c,
                 32,

@@ -38,7 +38,7 @@ pub mod peakmem;
 
 pub use commtime::{
     exact_wire_counts_dtype, exact_wire_counts_masked_dtype, masked_wire_rank, MaskedWireCounts,
-    RingMethod, WireCounts,
+    WireCounts,
 };
 pub use endtoend::{evaluate, EndToEnd, Infeasible, Method};
 pub use machine::{Cluster, PaperModel};

@@ -18,23 +18,14 @@
 
 use crate::machine::Cluster;
 use burst_comm::{PeakBytes, WireDtype};
-use burst_dattn::{Layout, RingGeom, SkipPlan};
+use burst_dattn::{Algo, Layout, RingGeom, SkipPlan};
 use burst_kernels::AttnMask;
 
-/// Which distributed-attention schedule to predict. The first four mirror
-/// `burst_dattn::Algo` (driven through `try_run_attention_opts`); the last two
-/// cover the head-parallel baselines and the elastic wrapper's healthy
-/// (full-membership, flat-ring) path.
+/// Which distributed-attention schedule to predict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PeakMethod {
-    /// RingAttention on the flat ring (Algorithm 1 backward, fine overlap).
-    RingFlat,
-    /// BurstAttention on the flat ring (Algorithm 2 backward, fine overlap).
-    BurstFlat,
-    /// DoubleRingAttention: two-level rings, Algorithm 1 backward.
-    DoubleRing,
-    /// Full BurstAttention: two-level rings, Algorithm 2 backward.
-    BurstTopo,
+    /// A ring-family schedule as `try_run_attention_opts` runs it.
+    Ring(Algo),
     /// USP hybrid: Ulysses groups of size `ulysses` × context rings of size
     /// `world / ulysses` on the two-level ring (one level when a ring's
     /// members are ragged across nodes); `ulysses` = world is
@@ -43,10 +34,6 @@ pub enum PeakMethod {
     /// tensors and the forward's `(O, Lse)` and runs Algorithm 1 one head at
     /// a time.
     Usp { heads: usize, ulysses: usize },
-    /// `try_elastic_attention_opts` with default options on a fault-free
-    /// full world: local-shard checkpoint stash + flat ring forward +
-    /// Algorithm 2 backward.
-    ElasticHealthy,
 }
 
 /// Exact per-rank peak bytes of `method` on `cluster` at the matrix wire
@@ -67,10 +54,7 @@ pub fn exact_peak_bytes_dtype(
     let (n, p) = (cluster.nodes, cluster.gpus_per_node);
     let mut peak = PeakBytes::default();
     match method {
-        PeakMethod::RingFlat
-        | PeakMethod::BurstFlat
-        | PeakMethod::DoubleRing
-        | PeakMethod::BurstTopo => {
+        PeakMethod::Ring(algo) => {
             let r = seq_len / g;
             // `attn_inputs`: the rank's resident Q/K/V/∇O shards, f32,
             // live for the whole dispatcher call.
@@ -82,22 +66,22 @@ pub fn exact_peak_bytes_dtype(
             // Forward circulating (K, V) bundles at the wire dtype: one slot
             // on the flat ring, one per active level on the double ring.
             let lvls = (n > 1) as u64 + (p > 1) as u64;
-            let cb_fwd = match method {
-                PeakMethod::RingFlat | PeakMethod::BurstFlat => {
+            let cb_fwd = match algo {
+                Algo::RingFlat | Algo::BurstFlat => {
                     if g > 1 {
                         wire(2 * r * d)
                     } else {
                         0
                     }
                 }
-                _ => lvls * wire(2 * r * d),
+                Algo::DoubleRing | Algo::BurstTopo => lvls * wire(2 * r * d),
             };
             // Backward extras on top of `attn_fwd_out`.
             let ro_bundle = wire(2 * r * d) + 8 * r as u64; // Q+∇O at wire, Lse+D at f32
-            let (act_bwd, cb_bwd) = match method {
+            let (act_bwd, cb_bwd) = match algo {
                 // Algorithm 1, flat: ∇Q accumulator + fused (K,V,∇K,∇V)
                 // bundle — both skipped by the single-rank early return.
-                PeakMethod::RingFlat => {
+                Algo::RingFlat => {
                     if g > 1 {
                         ((4 * r * d) as u64, wire(4 * r * d))
                     } else {
@@ -106,7 +90,7 @@ pub fn exact_peak_bytes_dtype(
                 }
                 // Algorithm 2, flat: ∇K/∇V accumulators + ∇Q staging buffer;
                 // read-only bundle + ∇Q ring slot.
-                PeakMethod::BurstFlat => {
+                Algo::BurstFlat => {
                     if g > 1 {
                         ((12 * r * d) as u64, ro_bundle + wire(r * d))
                     } else {
@@ -115,21 +99,20 @@ pub fn exact_peak_bytes_dtype(
                 }
                 // Algorithm 1 on the double ring always registers its ∇Q
                 // accumulator; the bundle slot needs a circulating ring.
-                PeakMethod::DoubleRing => {
+                Algo::DoubleRing => {
                     let cb = if g > 1 { wire(4 * r * d) } else { 0 };
                     ((4 * r * d) as u64, cb)
                 }
                 // Algorithm 2 on the double ring: one read-only-bundle slot
                 // per active level plus the ∇Q partial riding one step
                 // behind.
-                PeakMethod::BurstTopo => {
+                Algo::BurstTopo => {
                     if g > 1 {
                         ((12 * r * d) as u64, lvls * ro_bundle + wire(r * d))
                     } else {
                         (0, 0)
                     }
                 }
-                _ => unreachable!(),
             };
             peak.activations = acc + act_bwd;
             peak.comm_buffers = cb_fwd.max(cb_bwd);
@@ -140,29 +123,6 @@ pub fn exact_peak_bytes_dtype(
         }
         PeakMethod::Usp { heads, ulysses } => {
             return usp_peak(cluster, seq_len, d, heads, ulysses, dtype, None, 0);
-        }
-        PeakMethod::ElasticHealthy => {
-            let r = seq_len / g;
-            // `elastic_local_stash`: the cloned Q/K/V/∇O recovery shard,
-            // held across the whole call. Healthy runs never touch the
-            // shard cache or rebuild a partition.
-            let stash = 16 * (r * d) as u64;
-            peak.ckpt_stash = stash;
-            // Flat ring forward + Algorithm 2 backward, without the
-            // dispatcher's `attn_inputs`/`attn_fwd_out` wrappers.
-            let acc = (4 * r * d + 4 * r) as u64;
-            let (act_bwd, cb_fwd, cb_bwd) = if g > 1 {
-                (
-                    (12 * r * d) as u64,
-                    wire(2 * r * d),
-                    wire(2 * r * d) + 8 * r as u64 + wire(r * d),
-                )
-            } else {
-                (0, 0, 0)
-            };
-            peak.activations = acc.max(act_bwd);
-            peak.comm_buffers = cb_fwd.max(cb_bwd);
-            peak.gated_total = stash + (acc + cb_fwd).max(act_bwd + cb_bwd);
         }
     }
     peak
@@ -193,18 +153,13 @@ pub fn exact_peak_bytes_masked_dtype(
     skip: bool,
     me: usize,
 ) -> PeakBytes {
-    if let PeakMethod::Usp { heads, ulysses } = method {
-        return usp_peak(
-            cluster,
-            seq_len,
-            d,
-            heads,
-            ulysses,
-            dtype,
-            skip.then_some(mask),
-            me,
-        );
-    }
+    let algo = match method {
+        PeakMethod::Ring(algo) => algo,
+        PeakMethod::Usp { heads, ulysses } => {
+            let skip_mask = skip.then_some(mask);
+            return usp_peak(cluster, seq_len, d, heads, ulysses, dtype, skip_mask, me);
+        }
+    };
     let wire = |elems: usize| -> u64 { (elems as f64 * dtype.width()) as u64 };
     let g = cluster.world();
     let (n, p) = (cluster.nodes, cluster.gpus_per_node);
@@ -226,21 +181,9 @@ pub fn exact_peak_bytes_masked_dtype(
     } else {
         0
     };
-    // Flat Algorithm 2 backward extras (also the elastic healthy path):
-    // `burst_bwd_dkv` is unconditional past the single-rank early return;
-    // `burst_dq_buf` / `burst_ro_bundle` / `burst_dq_ring` are flag-gated.
-    let flat_alg2 = |plan: &SkipPlan| -> (u64, u64) {
-        if g == 1 {
-            return (0, 0);
-        }
-        let (ro, dq_ring, dq_buf) = plan.flat_alg2_bufs(me);
-        let act = (8 * r * d) as u64 + if dq_buf { (4 * r * d) as u64 } else { 0 };
-        let cb = if ro { ro_bundle } else { 0 } + if dq_ring { wire(r * d) } else { 0 };
-        (act, cb)
-    };
     let mut peak = PeakBytes::default();
-    match method {
-        PeakMethod::RingFlat => {
+    match algo {
+        Algo::RingFlat => {
             peak.ring_shards = 16 * (r * d) as u64;
             // `ring_bwd_dq` is unconditional past the early return; the
             // fused `ring_bwd_kv_grads` slot bills only the halves this
@@ -261,14 +204,24 @@ pub fn exact_peak_bytes_masked_dtype(
             peak.comm_buffers = flat_cb_fwd.max(cb_bwd);
             peak.gated_total = peak.ring_shards + acc + flat_cb_fwd.max(act_bwd + cb_bwd);
         }
-        PeakMethod::BurstFlat => {
+        Algo::BurstFlat => {
             peak.ring_shards = 16 * (r * d) as u64;
-            let (act_bwd, cb_bwd) = flat_alg2(&plan);
+            // `burst_bwd_dkv` is unconditional past the single-rank early
+            // return; `burst_dq_buf` / `burst_ro_bundle` / `burst_dq_ring`
+            // are flag-gated.
+            let (act_bwd, cb_bwd) = if g > 1 {
+                let (ro, dq_ring, dq_buf) = plan.flat_alg2_bufs(me);
+                let act = (8 * r * d) as u64 + if dq_buf { (4 * r * d) as u64 } else { 0 };
+                let cb = if ro { ro_bundle } else { 0 } + if dq_ring { wire(r * d) } else { 0 };
+                (act, cb)
+            } else {
+                (0, 0)
+            };
             peak.activations = acc + act_bwd;
             peak.comm_buffers = flat_cb_fwd.max(cb_bwd);
             peak.gated_total = peak.ring_shards + acc + flat_cb_fwd.max(act_bwd + cb_bwd);
         }
-        PeakMethod::DoubleRing => {
+        Algo::DoubleRing => {
             peak.ring_shards = 16 * (r * d) as u64;
             // `dr_fwd_start_kv` / `dr_fwd_cur_kv`: one slot per active
             // level this rank's gates ever fill.
@@ -289,7 +242,7 @@ pub fn exact_peak_bytes_masked_dtype(
             peak.comm_buffers = cb_fwd.max(cb_bwd);
             peak.gated_total = peak.ring_shards + acc + cb_fwd.max(act_bwd + cb_bwd);
         }
-        PeakMethod::BurstTopo => {
+        Algo::BurstTopo => {
             peak.ring_shards = 16 * (r * d) as u64;
             let (buf_start, buf_cur) = plan.dr_fwd_bufs(me, n, p);
             let cb_fwd = if n > 1 && buf_start { kv_slot } else { 0 }
@@ -310,14 +263,6 @@ pub fn exact_peak_bytes_masked_dtype(
             peak.comm_buffers = cb_fwd.max(cb_bwd);
             peak.gated_total = peak.ring_shards + acc + cb_fwd.max(act_bwd + cb_bwd);
         }
-        PeakMethod::ElasticHealthy => {
-            peak.ckpt_stash = 16 * (r * d) as u64;
-            let (act_bwd, cb_bwd) = flat_alg2(&plan);
-            peak.activations = acc.max(act_bwd);
-            peak.comm_buffers = flat_cb_fwd.max(cb_bwd);
-            peak.gated_total = peak.ckpt_stash + (acc + flat_cb_fwd).max(act_bwd + cb_bwd);
-        }
-        PeakMethod::Usp { .. } => unreachable!(),
     }
     peak
 }
@@ -429,10 +374,10 @@ mod tests {
     #[test]
     fn census_is_gated_only() {
         for m in [
-            PeakMethod::RingFlat,
-            PeakMethod::BurstFlat,
-            PeakMethod::DoubleRing,
-            PeakMethod::BurstTopo,
+            PeakMethod::Ring(Algo::RingFlat),
+            PeakMethod::Ring(Algo::BurstFlat),
+            PeakMethod::Ring(Algo::DoubleRing),
+            PeakMethod::Ring(Algo::BurstTopo),
             PeakMethod::Usp {
                 heads: 8,
                 ulysses: 8,
@@ -441,7 +386,6 @@ mod tests {
                 heads: 8,
                 ulysses: 4,
             },
-            PeakMethod::ElasticHealthy,
         ] {
             let p = exact_peak_bytes_dtype(&cluster(), SEQ, D, m, WireDtype::F32);
             assert_eq!(p, p.gated(), "{m:?} census must not predict ungated lanes");
@@ -453,8 +397,8 @@ mod tests {
     #[test]
     fn bf16_wire_halves_circulating_buffers_only() {
         for m in [
-            PeakMethod::RingFlat,
-            PeakMethod::BurstTopo,
+            PeakMethod::Ring(Algo::RingFlat),
+            PeakMethod::Ring(Algo::BurstTopo),
             PeakMethod::Usp {
                 heads: 8,
                 ulysses: 8,
@@ -472,21 +416,32 @@ mod tests {
         }
         // Algorithm 1's pure-Mat bundle halves exactly; Algorithm 2's
         // carries f32 statistics vectors, so it shrinks by less than half.
-        let rf = exact_peak_bytes_dtype(&cluster(), SEQ, D, PeakMethod::RingFlat, WireDtype::F32);
-        let rb = exact_peak_bytes_dtype(&cluster(), SEQ, D, PeakMethod::RingFlat, WireDtype::Bf16);
+        let rf = exact_peak_bytes_dtype(
+            &cluster(),
+            SEQ,
+            D,
+            PeakMethod::Ring(Algo::RingFlat),
+            WireDtype::F32,
+        );
+        let rb = exact_peak_bytes_dtype(
+            &cluster(),
+            SEQ,
+            D,
+            PeakMethod::Ring(Algo::RingFlat),
+            WireDtype::Bf16,
+        );
         assert_eq!(rb.comm_buffers * 2, rf.comm_buffers);
     }
 
     #[test]
     fn gated_total_is_at_most_the_sum_and_at_least_the_max_of_lanes() {
         for m in [
-            PeakMethod::BurstFlat,
-            PeakMethod::DoubleRing,
+            PeakMethod::Ring(Algo::BurstFlat),
+            PeakMethod::Ring(Algo::DoubleRing),
             PeakMethod::Usp {
                 heads: 8,
                 ulysses: 4,
             },
-            PeakMethod::ElasticHealthy,
         ] {
             let p = exact_peak_bytes_dtype(&cluster(), SEQ, D, m, WireDtype::F32);
             let lanes = [p.activations, p.ckpt_stash, p.ring_shards, p.comm_buffers];
@@ -501,8 +456,13 @@ mod tests {
     fn ulysses_trades_ring_shards_for_stash() {
         // The paper's qualitative claim: head parallelism stashes the full
         // sequence per owned head, while ring methods keep only their shard.
-        let burst =
-            exact_peak_bytes_dtype(&cluster(), SEQ, D, PeakMethod::BurstTopo, WireDtype::F32);
+        let burst = exact_peak_bytes_dtype(
+            &cluster(),
+            SEQ,
+            D,
+            PeakMethod::Ring(Algo::BurstTopo),
+            WireDtype::F32,
+        );
         let uly = exact_peak_bytes_dtype(
             &cluster(),
             SEQ,
@@ -525,10 +485,10 @@ mod tests {
         // every rank, both wire dtypes — regardless of the mask.
         let c = cluster();
         let methods = [
-            PeakMethod::RingFlat,
-            PeakMethod::BurstFlat,
-            PeakMethod::DoubleRing,
-            PeakMethod::BurstTopo,
+            PeakMethod::Ring(Algo::RingFlat),
+            PeakMethod::Ring(Algo::BurstFlat),
+            PeakMethod::Ring(Algo::DoubleRing),
+            PeakMethod::Ring(Algo::BurstTopo),
             PeakMethod::Usp {
                 heads: 8,
                 ulysses: 8,
@@ -537,7 +497,6 @@ mod tests {
                 heads: 8,
                 ulysses: 4,
             },
-            PeakMethod::ElasticHealthy,
         ];
         for m in methods {
             for dtype in [WireDtype::F32, WireDtype::Bf16] {
@@ -584,11 +543,10 @@ mod tests {
         // exchange with no forwarding, and causal consumers cross it one
         // way only, so the last node's inter-level bundle slots are freed.
         for (m, expect_shrink) in [
-            (PeakMethod::RingFlat, true),
-            (PeakMethod::BurstFlat, false),
-            (PeakMethod::DoubleRing, false),
-            (PeakMethod::BurstTopo, true),
-            (PeakMethod::ElasticHealthy, false),
+            (PeakMethod::Ring(Algo::RingFlat), true),
+            (PeakMethod::Ring(Algo::BurstFlat), false),
+            (PeakMethod::Ring(Algo::DoubleRing), false),
+            (PeakMethod::Ring(Algo::BurstTopo), true),
         ] {
             let dense = exact_peak_bytes_dtype(&c, SEQ, D, m, WireDtype::F32);
             let mut any_shrunk = false;
@@ -621,7 +579,10 @@ mod tests {
     fn masked_peak_full_mask_with_skip_is_dense() {
         // Full leaves every tile live: skipping on changes nothing.
         let c = cluster();
-        for m in [PeakMethod::BurstTopo, PeakMethod::RingFlat] {
+        for m in [
+            PeakMethod::Ring(Algo::BurstTopo),
+            PeakMethod::Ring(Algo::RingFlat),
+        ] {
             let dense = exact_peak_bytes_dtype(&c, SEQ, D, m, WireDtype::F32);
             for me in 0..c.world() {
                 let p = exact_peak_bytes_masked_dtype(
@@ -644,7 +605,13 @@ mod tests {
     #[test]
     fn single_rank_keeps_only_resident_state() {
         let solo = Cluster::a800(1, 1);
-        let p = exact_peak_bytes_dtype(&solo, SEQ, D, PeakMethod::RingFlat, WireDtype::F32);
+        let p = exact_peak_bytes_dtype(
+            &solo,
+            SEQ,
+            D,
+            PeakMethod::Ring(Algo::RingFlat),
+            WireDtype::F32,
+        );
         assert_eq!(p.comm_buffers, 0);
         let r = SEQ; // whole sequence on the one rank
         assert_eq!(p.ring_shards, 16 * (r * D) as u64);

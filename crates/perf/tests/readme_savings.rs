@@ -12,9 +12,9 @@
 //! saved dual must reconstruct the dense census exactly.
 
 use burst_comm::WireDtype;
-use burst_dattn::Layout;
+use burst_dattn::{Algo, Layout};
 use burst_kernels::{AttnMask, BlockSparseMask};
-use burst_perf::{exact_wire_counts_dtype, exact_wire_counts_masked_dtype, Cluster, RingMethod};
+use burst_perf::{exact_wire_counts_dtype, exact_wire_counts_masked_dtype, Cluster};
 
 /// The README configuration: 1Mi tokens on 4 nodes × 8 GPUs, head dim
 /// 128, bf16 wire payloads, on the contiguous layout (whole shards skip)
@@ -63,9 +63,9 @@ fn readme_wire_savings_table_at_1m_tokens() {
         ("block-sparse 32Ki (seed 7)", block_sparse_1m()),
     ];
     let methods = [
-        ("ring", RingMethod::Ring),
-        ("double_ring", RingMethod::DoubleRing),
-        ("burst", RingMethod::Burst),
+        ("ring", Algo::RingFlat),
+        ("double_ring", Algo::DoubleRing),
+        ("burst", Algo::BurstTopo),
     ];
 
     println!("| mask | layout | ring | double_ring | burst |");

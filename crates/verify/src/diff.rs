@@ -4,18 +4,13 @@
 //!
 //! Every runner here returns per-token tensors indexed by global position,
 //! regardless of how the schedule sharded the sequence (contiguous, zigzag,
-//! striped, head-parallel, or an elastic re-partition after an eviction) —
-//! reassembly is the harness's job so the comparisons stay one-liners.
+//! striped or head-parallel) — reassembly is the harness's job so the
+//! comparisons stay one-liners.
 
-use burst_comm::{
-    CommError, FaultPlan, Membership, RankOutput, RetryPolicy, SpanKind, Topology, World,
-};
+use burst_comm::{CommError, FaultPlan, RankOutput, RetryPolicy, SpanKind, Topology, World};
 use burst_dattn::ring::{AttnFailure, AttnShard};
 use burst_dattn::usp::{try_usp_backward, try_usp_forward, UspTopo};
-use burst_dattn::{
-    try_elastic_attention_opts, try_run_attention_shard, Algo, CostModel, DattnError, ElasticOpts,
-    Layout, ShardData,
-};
+use burst_dattn::{try_run_attention_shard, Algo, CostModel, DattnError, Layout};
 use burst_kernels::AttnMask;
 use burst_model::engine::{run_span, run_span_elastic, ElasticCfg, EngineConfig};
 use burst_model::Model;
@@ -250,150 +245,6 @@ pub fn run_usp_opts(
     Ok(global)
 }
 
-/// What an elastic run produced beyond the tensors: who was evicted, how
-/// many ring attempts it took, and how often a topology-aware schedule had
-/// to fall back to the flat ring on a ragged survivor set.
-#[derive(Debug, Clone)]
-pub struct ElasticOutcome {
-    pub attn: GlobalAttn,
-    pub evicted: Vec<usize>,
-    pub attempts: usize,
-    pub flat_fallbacks: usize,
-}
-
-/// Run elastic attention on an `orig_world`-rank zigzag ring with a fault
-/// plan (typically a mid-ring crash). Survivors evict the dead, re-partition
-/// from "checkpoint" shards (served straight from the global tensors) and
-/// re-run; the reassembled result covers **all** `n` rows.
-pub fn run_elastic(
-    orig_world: usize,
-    n: usize,
-    d: usize,
-    seed: u64,
-    plan: Option<&FaultPlan>,
-) -> Result<ElasticOutcome, AttnFailure> {
-    run_elastic_on(
-        &Topology::single_node(orig_world),
-        n,
-        d,
-        seed,
-        plan,
-        ElasticOpts::default(),
-    )
-}
-
-/// [`run_elastic`] on an explicit (typically multi-node) topology with
-/// [`ElasticOpts`] — the entry point for the topology-aware double-ring
-/// elastic cells.
-pub fn run_elastic_on(
-    topo: &Topology,
-    n: usize,
-    d: usize,
-    seed: u64,
-    plan: Option<&FaultPlan>,
-    opts: ElasticOpts,
-) -> Result<ElasticOutcome, AttnFailure> {
-    run_elastic_masked_on(
-        topo,
-        n,
-        d,
-        seed,
-        &AttnMask::Causal,
-        Layout::Zigzag,
-        plan,
-        opts,
-    )
-}
-
-/// [`run_elastic_on`] with an explicit mask and layout — the entry point
-/// for the sparse-mask elastic cells and their skip-on/off twins.
-#[allow(clippy::too_many_arguments)]
-pub fn run_elastic_masked_on(
-    topo: &Topology,
-    n: usize,
-    d: usize,
-    seed: u64,
-    mask: &AttnMask,
-    layout: Layout,
-    plan: Option<&FaultPlan>,
-    opts: ElasticOpts,
-) -> Result<ElasticOutcome, AttnFailure> {
-    let orig_world = topo.world_size();
-    let (q, k, v, go) = attn_inputs(n, d, seed);
-    let world = world_for(topo, plan);
-    let (qc, kc, vc, goc) = (q.clone(), k.clone(), v.clone(), go.clone());
-    let mask = mask.clone();
-    let outs = world.run_faulty::<_, AttnFailure, _>(move |comm| {
-        comm.start_trace();
-        let mut m = Membership::new(comm.world_size());
-        let policy = RetryPolicy::default();
-        let shard_of = |r: usize| -> ShardData {
-            let idx = layout.indices(n, orig_world, r);
-            (
-                qc.gather_rows(&idx),
-                kc.gather_rows(&idx),
-                vc.gather_rows(&idx),
-                goc.gather_rows(&idx),
-            )
-        };
-        let (sq, sk, sv, sgo) = shard_of(comm.rank());
-        let mut load = |r: usize| shard_of(r);
-        let out = try_elastic_attention_opts(
-            comm,
-            &mut m,
-            &sq,
-            &sk,
-            &sv,
-            &sgo,
-            head_scale(d),
-            &mask,
-            layout,
-            n,
-            &CostModel::free(),
-            &mut load,
-            &policy,
-            opts,
-        )?;
-        Ok(out)
-    });
-    let mut global = GlobalAttn::empty(n, d);
-    global.sends = send_elems(&outs);
-    let mut evicted: Vec<usize> = Vec::new();
-    let mut attempts = 1usize;
-    let mut flat_fallbacks = 0usize;
-    let mut survivors = 0usize;
-    for out in outs {
-        match out.result {
-            Ok(e) => {
-                global.scatter(&e.idx, &e.o, &e.lse, &e.dq, &e.dk, &e.dv);
-                for r in e.evicted {
-                    if !evicted.contains(&r) {
-                        evicted.push(r);
-                    }
-                }
-                attempts = attempts.max(e.attempts);
-                flat_fallbacks = flat_fallbacks.max(e.flat_fallbacks);
-                survivors += 1;
-            }
-            Err(e) => {
-                // The dead rank reports its own crash; anything else is a
-                // real failure the caller must see.
-                if !matches!(e.source, CommError::Crashed { .. }) {
-                    return Err(e);
-                }
-            }
-        }
-    }
-    assert!(survivors > 0, "elastic run lost every rank");
-    evicted.sort_unstable();
-    Ok(ElasticOutcome {
-        attn: global,
-        evicted,
-        attempts,
-        flat_fallbacks,
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Engine-level differential runs.
 // ---------------------------------------------------------------------------
@@ -482,6 +333,9 @@ pub struct ElasticEngineRun {
     pub rejoined: Vec<usize>,
     /// Steps replayed from their top by in-step recovery.
     pub steps_replayed: usize,
+    /// Steps a topology-aware ring ran on the flat ring because the
+    /// survivors were ragged across nodes.
+    pub flat_fallbacks: usize,
     /// Optimizer steps skipped in lockstep (gradient poison).
     pub skipped: usize,
 }
@@ -527,6 +381,7 @@ pub fn engine_elastic(
                     evicted,
                     rejoined: eo.rejoined,
                     steps_replayed: eo.steps_replayed,
+                    flat_fallbacks: eo.flat_fallbacks,
                     skipped: eo.skipped_steps,
                 };
                 match &first {

@@ -1,8 +1,8 @@
 //! # burst-verify
 //!
 //! The correctness backbone of the reproduction: every distributed schedule
-//! in this workspace — ring, double-ring, Ulysses, USP, the elastic
-//! shrunken ring, and the full training engine on top of them — claims to
+//! in this workspace — ring, double-ring, Ulysses, USP, and the full
+//! training engine on top of them, in-step recovery included — claims to
 //! compute **the same function** as a plain serial transformer. This crate
 //! turns that claim into an executable gate:
 //!
@@ -29,8 +29,9 @@
 //!    not `1e-4`).
 //! 2. **Bit-exact gates** ([`assert_bits_eq`]): pairs that share an
 //!    accumulation order must agree to the last bit — the same schedule run
-//!    twice, a resumed run vs an uninterrupted one, an elastic re-run vs a
-//!    fresh smaller world, and every rank's FSDP replica of the parameters.
+//!    twice, a resumed run vs an uninterrupted one, an in-step recovered
+//!    run vs fresh worlds chained at the eviction step, and every rank's
+//!    FSDP replica of the parameters.
 //!
 //! bf16 runs (`EngineConfig::emulate_bf16`) round weights to 8 mantissa
 //! bits each step; comparisons against a bf16 oracle use [`BF16_RTOL`]

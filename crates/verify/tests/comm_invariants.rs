@@ -12,7 +12,7 @@
 use burst_comm::{Topology, WireDtype, World};
 use burst_dattn::{try_run_attention_opts, Algo, CostModel, Layout};
 use burst_kernels::AttnMask;
-use burst_perf::commtime::{exact_wire_counts_dtype, RingMethod};
+use burst_perf::commtime::exact_wire_counts_dtype;
 use burst_perf::machine::Cluster;
 use burst_tensor::{randn_mat, Mat};
 use burst_verify::assert_bits_eq;
@@ -139,17 +139,18 @@ proptest! {
     }
 }
 
-/// Byte conservation: run each ring method's full forward+backward on the
+/// Byte conservation: run each ring schedule's full forward+backward on the
 /// simulated wire and census the bytes and messages every rank actually
 /// sent. The totals must equal `exact_wire_counts_dtype`' closed-form prediction
 /// *exactly*, per link class — the analytic model and the simulator count
 /// the same wire.
 #[test]
 fn measured_wire_traffic_equals_exact_census() {
-    const METHODS: [(&str, Algo, RingMethod); 3] = [
-        ("ring", Algo::RingFlat, RingMethod::Ring),
-        ("double_ring", Algo::DoubleRing, RingMethod::DoubleRing),
-        ("burst", Algo::BurstTopo, RingMethod::Burst),
+    const ALGOS: [Algo; 4] = [
+        Algo::RingFlat,
+        Algo::BurstFlat,
+        Algo::DoubleRing,
+        Algo::BurstTopo,
     ];
     let (seq, d) = (64usize, 8usize);
     for (nodes, gpn) in [(1usize, 4usize), (2, 2), (2, 4)] {
@@ -160,7 +161,7 @@ fn measured_wire_traffic_equals_exact_census() {
         // way, so bf16 does NOT simply halve the totals).
         for dtype in [WireDtype::F32, WireDtype::Bf16] {
             let topo = Topology::a800(nodes, gpn).with_wire_dtype(dtype);
-            for (name, algo, method) in METHODS {
+            for algo in ALGOS {
                 let q = randn_mat(seq, d, 0.7, 61);
                 let k = randn_mat(seq, d, 0.7, 62);
                 let v = randn_mat(seq, d, 0.7, 63);
@@ -194,17 +195,17 @@ fn measured_wire_traffic_equals_exact_census() {
                     intra_bytes += o.stats.intra_bytes;
                     inter_bytes += o.stats.inter_bytes;
                 }
-                let want = exact_wire_counts_dtype(&cluster, seq, d, method, dtype);
+                let want = exact_wire_counts_dtype(&cluster, seq, d, algo, dtype);
                 assert_eq!(
                     (intra_msgs, inter_msgs),
                     (want.intra_msgs, want.inter_msgs),
-                    "{name} {nodes}x{gpn} {}: message census mismatch",
+                    "{algo:?} {nodes}x{gpn} {}: message census mismatch",
                     dtype.label()
                 );
                 assert_eq!(
                     (intra_bytes, inter_bytes),
                     (want.intra_bytes, want.inter_bytes),
-                    "{name} {nodes}x{gpn} {}: byte census mismatch",
+                    "{algo:?} {nodes}x{gpn} {}: byte census mismatch",
                     dtype.label()
                 );
             }
@@ -234,7 +235,7 @@ fn single_rank_world_moves_no_bytes() {
     assert_eq!(stats.total_msgs(), 0, "single rank sent messages");
     assert_eq!(stats.intra_bytes + stats.inter_bytes, 0.0);
     let cluster = Cluster::a800(1, 1);
-    let counts = exact_wire_counts_dtype(&cluster, 32, 8, RingMethod::Ring, WireDtype::F32);
+    let counts = exact_wire_counts_dtype(&cluster, 32, 8, Algo::RingFlat, WireDtype::F32);
     assert_eq!(counts.msgs(), 0);
     assert_eq!(counts.bytes(), 0.0);
 }

@@ -8,12 +8,11 @@
 //!   determinism re-runs and timing-only fault runs.
 
 use burst_comm::{FaultPlan, Topology, WireDtype};
-use burst_dattn::{Algo, ElasticOpts, Layout};
+use burst_dattn::{Algo, Layout};
 use burst_kernels::{AttnMask, BlockSparseMask};
 use burst_tensor::Mat;
 use burst_verify::diff::{
-    attn_inputs, run_elastic, run_elastic_masked_on, run_elastic_on, run_ring_family,
-    run_ring_family_opts, run_usp, run_usp_opts, GlobalAttn,
+    attn_inputs, run_ring_family, run_ring_family_opts, run_usp, run_usp_opts, GlobalAttn,
 };
 use burst_verify::oracle::{oracle_attention, OracleAttn};
 use burst_verify::{
@@ -334,70 +333,6 @@ proptest! {
             bits_eq_attn(&format!("usp+delay/head{h}"), x, y);
         }
     }
-
-    /// Fault + recovery: crash one rank mid-attention; the survivors evict
-    /// it, reload shards, re-partition and still match the oracle — and
-    /// match a fresh world of the surviving size bit-for-bit (the re-run
-    /// shares its accumulation order with a clean small-world run).
-    #[test]
-    fn elastic_recovery_matches_oracle_and_fresh_small_world(
-        dead in 0usize..4,
-        seed in 0u64..500,
-        crash_op in 2u64..12,
-    ) {
-        let orig = 4usize;
-        let (n, d) = (24, 8);                  // divisible by 2·4 and 2·3
-        let plan = FaultPlan::new(seed).crash_at_op(dead, crash_op);
-        let out = run_elastic(orig, n, d, seed, Some(&plan)).expect("elastic recovery failed");
-        prop_assert_eq!(out.evicted.clone(), vec![dead]);
-        prop_assert!(out.attempts > 1, "crash at op {} was never hit", crash_op);
-
-        let want = oracle_for(n, d, seed, &AttnMask::Causal);
-        expect_matches_oracle("elastic", &out.attn, &want);
-
-        // A clean run with no fault plan takes the fast path (attempts == 1).
-        let clean = run_elastic(orig, n, d, seed, None).expect("clean elastic run failed");
-        prop_assert_eq!(clean.attempts, 1);
-        expect_matches_oracle("elastic-clean", &clean.attn, &want);
-
-        // The recovered run re-partitions over the 3 survivors with the
-        // same layout formula a fresh 3-rank world uses, so the two share
-        // their accumulation order exactly: bit-identical results.
-        let fresh = run_elastic(orig - 1, n, d, seed, None).expect("fresh small world failed");
-        bits_eq_attn("elastic-vs-fresh", &out.attn, &fresh.attn);
-    }
-
-    /// Multi-node elastic double-ring: crash one of four ranks on a
-    /// 2-node × 2-GPU cluster. Any three survivors are ragged across the
-    /// nodes, so the topology-aware retry must fall back to the flat ring
-    /// — and still match the oracle, and a fresh 3-rank world bit for bit
-    /// (the fallback shares its accumulation order with the flat path).
-    #[test]
-    fn elastic_double_ring_shrink_matches_oracle(
-        dead in 0usize..4,
-        seed in 0u64..500,
-        crash_op in 2u64..10,
-    ) {
-        let (n, d) = (24, 8);
-        let multi = Topology::a800(2, 2);
-        let plan = FaultPlan::new(seed)
-            .crash_at_op(dead, crash_op)
-            .recv_deadline(60.0);
-        let opts = ElasticOpts { double_ring: true, skip_masked_rounds: false };
-        let out = run_elastic_on(&multi, n, d, seed, Some(&plan), opts)
-            .expect("elastic double-ring recovery failed");
-        prop_assert_eq!(out.evicted.clone(), vec![dead]);
-        prop_assert!(
-            out.flat_fallbacks >= 1,
-            "3 ragged survivors must fall back to the flat ring"
-        );
-
-        let want = oracle_for(n, d, seed, &AttnMask::Causal);
-        expect_matches_oracle("elastic-dr", &out.attn, &want);
-
-        let fresh = run_elastic(3, n, d, seed, None).expect("fresh small world failed");
-        bits_eq_attn("elastic-dr-vs-fresh", &out.attn, &fresh.attn);
-    }
 }
 
 /// One deliberate, non-random fault+resume case per schedule — the
@@ -445,32 +380,6 @@ fn fixed_fault_matrix_all_schedules() {
         let want = oracle_for(n, d, 11u64.wrapping_mul(64) + h as u64, &AttnMask::Causal);
         expect_matches_oracle("usp", got_h, &want);
     }
-    let crash = FaultPlan::new(7).crash_at_op(1, 5);
-    let out = run_elastic(g, 24, d, 11, Some(&crash)).unwrap();
-    assert_eq!(out.evicted, vec![1]);
-    let want = oracle_for(24, d, 11, &AttnMask::Causal);
-    expect_matches_oracle("elastic", &out.attn, &want);
-
-    // The same crash on a 2×2 multi-node cluster with the topology-aware
-    // schedule enabled: the ragged survivor set forces a flat-ring
-    // fallback, which must still satisfy the oracle gate.
-    let crash_dr = FaultPlan::new(7).crash_at_op(1, 5).recv_deadline(60.0);
-    let out = run_elastic_on(
-        &Topology::a800(2, 2),
-        24,
-        d,
-        11,
-        Some(&crash_dr),
-        ElasticOpts {
-            double_ring: true,
-            skip_masked_rounds: false,
-        },
-    )
-    .unwrap();
-    assert_eq!(out.evicted, vec![1]);
-    assert!(out.flat_fallbacks >= 1, "expected a flat-ring fallback");
-    expect_matches_oracle("elastic-dr", &out.attn, &want);
-
     // bf16-wire rows: the same four ring schedules with rounded payloads,
     // including one under the link-delay plan (timing faults still must
     // not touch the — now rounded — numerics).
@@ -661,7 +570,7 @@ fn assert_span_send(label: &str, sends: &[u64], chunk: usize) {
 
 /// Every sparse mask kind through every schedule — the fixed-seed rows of
 /// the mask × schedule acceptance matrix. Ring family runs multi-node (so
-/// forwarding-only hops exist), head-parallel and elastic run single-node.
+/// forwarding-only hops exist), head-parallel runs single-node.
 #[test]
 fn sparse_mask_matrix_all_schedules() {
     let (n, d, g, heads, seed) = (32usize, 8usize, 4usize, 4usize, 11u64);
@@ -692,18 +601,6 @@ fn sparse_mask_matrix_all_schedules() {
             let want_h = oracle_for(n, d, seed.wrapping_mul(64) + h as u64, &mask);
             expect_matches_oracle(&format!("usp+{name}/head{h}"), got_h, &want_h);
         }
-        let el = run_elastic_masked_on(
-            &single,
-            n,
-            d,
-            seed,
-            &mask,
-            Layout::Zigzag,
-            None,
-            ElasticOpts::default(),
-        )
-        .unwrap_or_else(|e| panic!("elastic+{name} failed: {e}"));
-        expect_matches_oracle(&format!("elastic+{name}"), &el.attn, &want);
     }
     // Tile-aligned window cells, skipping on: the span gates engage and
     // every schedule still matches the oracle, cut mid-chunk too.
@@ -756,24 +653,13 @@ fn sparse_mask_matrix_all_schedules() {
                     &want_h,
                 );
             }
-            let opts = ElasticOpts {
-                double_ring: true,
-                skip_masked_rounds: true,
-            };
-            let el = run_elastic_masked_on(&topo, n, d, seed, &mask, Layout::Zigzag, None, opts)
-                .unwrap_or_else(|e| panic!("aligned elastic {nodes}x{gpn} failed: {e}"));
-            check(
-                &format!("aligned elastic {nodes}x{gpn} {dtype:?}"),
-                &el.attn,
-                &oracle_for(n, d, seed, &mask),
-            );
         }
     }
 }
 
 /// Mask-aware round skipping is bit-invisible: for every mask kind (causal
-/// included), every ring-family schedule, USP, the elastic loop, and both a
-/// skip-rich layout (contiguous) and a balanced one (zigzag), the skip-on
+/// included), every ring-family schedule and USP, and both a skip-rich
+/// layout (contiguous) and a balanced one (zigzag), the skip-on
 /// run is bit-identical to the skip-off run of the same cell.
 #[test]
 fn skip_on_is_bit_identical_to_skip_off_matrix() {
@@ -799,17 +685,6 @@ fn skip_on_is_bit_identical_to_skip_off_matrix() {
                         .unwrap_or_else(|e| panic!("{label} skip-on failed: {e}"));
                 bits_eq_attn(&label, &on, &off);
             }
-            let opts_off = ElasticOpts::default();
-            let opts_on = ElasticOpts {
-                skip_masked_rounds: true,
-                ..ElasticOpts::default()
-            };
-            let label = format!("elastic+{name}+{layout:?}");
-            let off = run_elastic_masked_on(&single, n, d, seed, mask, layout, None, opts_off)
-                .unwrap_or_else(|e| panic!("{label} skip-off failed: {e}"));
-            let on = run_elastic_masked_on(&single, n, d, seed, mask, layout, None, opts_on)
-                .unwrap_or_else(|e| panic!("{label} skip-on failed: {e}"));
-            bits_eq_attn(&label, &on.attn, &off.attn);
         }
         let off = run_usp_opts(&single, n, d, heads, 2, seed, mask, None, false)
             .unwrap_or_else(|e| panic!("usp+{name} skip-off failed: {e}"));
@@ -870,25 +745,6 @@ fn skip_on_is_bit_identical_to_skip_off_matrix() {
                 }
                 if window {
                     assert_span_send(&label, &on[0].sends, chunk);
-                }
-                // The elastic wrapper, on the two-level and the flat ring.
-                for double_ring in [true, false] {
-                    let label = format!(
-                        "aligned elastic {nodes}x{gpn} {dtype:?}+{name} double_ring={double_ring}"
-                    );
-                    let run = |skip_masked_rounds| {
-                        let opts = ElasticOpts {
-                            double_ring,
-                            skip_masked_rounds,
-                        };
-                        run_elastic_masked_on(&topo, n, d, seed, &mask, Layout::Zigzag, None, opts)
-                            .unwrap_or_else(|e| panic!("{label} failed: {e}"))
-                    };
-                    let on = run(true);
-                    bits_eq_attn(&label, &on.attn, &run(false).attn);
-                    if window {
-                        assert_span_send(&label, &on.attn.sends, chunk);
-                    }
                 }
             }
         }

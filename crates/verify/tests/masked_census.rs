@@ -8,12 +8,9 @@
 
 use burst_comm::{CommStats, SpanKind, Topology, WireDtype, World};
 use burst_dattn::ring::AttnShard;
-use burst_dattn::{
-    census_flat_alg2, census_flat_forward, try_run_attention_shard, Algo, CostModel, Layout,
-    MaskedWire, RingGeom, SkipPlan,
-};
+use burst_dattn::{try_run_attention_shard, Algo, CostModel, Layout};
 use burst_kernels::{AttnMask, BlockSparseMask};
-use burst_perf::{exact_wire_counts_dtype, exact_wire_counts_masked_dtype, Cluster, RingMethod};
+use burst_perf::{exact_wire_counts_dtype, exact_wire_counts_masked_dtype, Cluster};
 use burst_tensor::randn_mat;
 use proptest::prelude::*;
 
@@ -46,11 +43,7 @@ fn mask_for(kind: usize, seq: usize, seed: u64) -> AttnMask {
     }
 }
 
-const METHODS: [(Algo, RingMethod); 3] = [
-    (Algo::RingFlat, RingMethod::Ring),
-    (Algo::DoubleRing, RingMethod::DoubleRing),
-    (Algo::BurstTopo, RingMethod::Burst),
-];
+const ALGOS: [Algo; 3] = [Algo::RingFlat, Algo::DoubleRing, Algo::BurstTopo];
 
 /// Run one attention layer (forward + backward), cut at `max_token`, on a
 /// fresh world with skipping toggled, returning each rank's comm stats and
@@ -154,7 +147,7 @@ proptest! {
         let g = nodes * gpn;
         let (seq, d) = (8 * g, 8usize);
         let mask = mask_for(mask_kind, seq, mask_seed);
-        let (algo, method) = METHODS[method_idx];
+        let algo = ALGOS[method_idx];
         let layout = [Layout::Contiguous, Layout::Zigzag][layout_idx];
         let dtype = [WireDtype::F32, WireDtype::Bf16][dtype_idx];
         let cluster = Cluster::a800(nodes, gpn);
@@ -167,7 +160,7 @@ proptest! {
         let (on, _) = run_once(&topo, algo, layout, seq, d, &mask, true, None);
         let (im, xm, ib, xb, skipped_rounds, skipped_bytes) = sum_stats(&on);
         let want =
-            exact_wire_counts_masked_dtype(&cluster, seq, d, method, dtype, &mask, layout, None, true);
+            exact_wire_counts_masked_dtype(&cluster, seq, d, algo, dtype, &mask, layout, None, true);
         prop_assert_eq!(
             (im, xm),
             (want.counts.intra_msgs, want.counts.inter_msgs),
@@ -188,7 +181,7 @@ proptest! {
         );
 
         // The dual reconstructs the dense schedule to the byte.
-        let dense = exact_wire_counts_dtype(&cluster, seq, d, method, dtype);
+        let dense = exact_wire_counts_dtype(&cluster, seq, d, algo, dtype);
         prop_assert_eq!(
             ib + xb + skipped_bytes,
             dense.intra_bytes + dense.inter_bytes,
@@ -230,12 +223,12 @@ fn window_on_contiguous_actually_skips() {
     let mask = AttnMask::SlidingWindow { window: seq / 4 };
     let cluster = Cluster::a800(nodes, gpn);
     let topo = Topology::a800(nodes, gpn);
-    for (algo, method) in METHODS {
+    for algo in ALGOS {
         let want = exact_wire_counts_masked_dtype(
             &cluster,
             seq,
             d,
-            method,
+            algo,
             WireDtype::F32,
             &mask,
             Layout::Contiguous,
@@ -261,8 +254,7 @@ fn window_on_contiguous_actually_skips() {
 
 /// The masked census of one pass on the zigzag layout, in `sum_stats`'
 /// shape: `(intra msgs, inter msgs, intra bytes, inter bytes, rounds
-/// skipped, skipped bytes)`. Flat Algorithm 2 has no [`RingMethod`], so its
-/// census is summed here from the flat forward's and Algorithm 2's walkers.
+/// skipped, skipped bytes)`.
 #[allow(clippy::too_many_arguments)]
 fn zigzag_census(
     algo: Algo,
@@ -274,41 +266,12 @@ fn zigzag_census(
     max_token: Option<usize>,
     skip: bool,
 ) -> (u64, u64, f64, f64, u64, f64) {
-    let method = match algo {
-        Algo::RingFlat => RingMethod::Ring,
-        Algo::DoubleRing => RingMethod::DoubleRing,
-        Algo::BurstTopo => RingMethod::Burst,
-        Algo::BurstFlat => {
-            let g = nodes * gpn;
-            let plan = if skip {
-                SkipPlan::build(mask, Layout::Zigzag, seq, g, max_token)
-            } else {
-                SkipPlan::dense(g)
-            };
-            let geom = RingGeom::build(Layout::Zigzag, seq, g, d, d, max_token);
-            let w = (0..g).fold(MaskedWire::default(), |acc, me| {
-                // A flat rank's ring edge crosses nodes from a node's last GPU.
-                let inter = nodes > 1 && (me + 1) % gpn == 0;
-                acc.add(&census_flat_forward(&plan, &geom, inter, me))
-                    .add(&census_flat_alg2(&plan, &geom, inter, me))
-            });
-            let bytes = |mat: u64, vec: u64| mat as f64 * dtype.width() + vec as f64 * 4.0;
-            return (
-                w.intra_msgs,
-                w.inter_msgs,
-                bytes(w.intra_mat_elems, w.intra_vec_elems),
-                bytes(w.inter_mat_elems, w.inter_vec_elems),
-                w.rounds_skipped,
-                bytes(w.skipped_mat_elems, w.skipped_vec_elems),
-            );
-        }
-    };
     let cluster = Cluster::a800(nodes, gpn);
     let c = exact_wire_counts_masked_dtype(
         &cluster,
         seq,
         d,
-        method,
+        algo,
         dtype,
         mask,
         Layout::Zigzag,

@@ -77,10 +77,12 @@ fn main() {
         metrics.losses.last().unwrap()
     );
     println!(
-        "virtual step time {:.2} ms · TGS {:.0} tokens/s/GPU · peak activations {} KiB/rank",
+        "virtual step time {:.2} ms · TGS {:.0} tokens/s/GPU · peak device memory {} KiB/rank \
+         ({} KiB checkpoint stash)",
         metrics.wall_time / steps as f64 * 1e3,
         metrics.tgs,
-        metrics.peak_activation_bytes / 1024
+        metrics.peak_census.gated_total / 1024,
+        metrics.peak_census.ckpt_stash / 1024
     );
     println!(
         "communication: {:.1} KiB intra-node, {:.1} KiB inter-node",

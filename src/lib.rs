@@ -73,9 +73,8 @@ pub mod prelude {
         Membership, RetryPolicy, Topology, TransportPolicy, World,
     };
     pub use burst_dattn::{
-        escalate_attn, try_elastic_attention_opts, try_run_attention_opts, Algo, AttnFailure,
-        AttnShard, CostModel, DattnError, DoubleRingSpec, ElasticAttnOut, ElasticOpts, Layout,
-        OverlapMode, Phase, Ring,
+        escalate_attn, try_run_attention_opts, Algo, AttnFailure, AttnShard, CostModel, DattnError,
+        DoubleRingSpec, Layout, OverlapMode, Phase, Ring,
     };
     pub use burst_kernels::{
         flash_backward, flash_forward, fused_lm_loss, AttnMask, BlockSparseMask, OnlineState,

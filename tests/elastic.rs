@@ -1,267 +1,309 @@
-//! Elastic shrink-recovery integration tests: a rank that dies mid-ring is
-//! evicted by the survivors, its sequence shard is recovered from
-//! checkpoint data, and the re-run on the shrunken ring must be
-//! **bit-identical** to a run that started with the smaller world — the
-//! paper's fine-grained ring schedules made fault-tolerant without losing
-//! numerical exactness.
+//! Elastic training integration tests. In-step recovery is the engine's
+//! one evict-shrink-replay loop ([`run_span_elastic`], or
+//! [`train_with_recovery`] with `in_step`): when a rank dies mid-step the
+//! survivors agree to evict it, restore the step-start model and replay the
+//! step on the shrunken ring, bit-identical to a segmented reference of
+//! fresh worlds chained at the failed step. Also covered: scheduled leaves
+//! and rejoins, gradient poison, stragglers and restart recovery from
+//! sharded checkpoints.
 
-use burstengine::dattn::double_ring::{
-    try_double_ring_backward_alg2_on, try_double_ring_forward_heads_on,
-};
-use burstengine::dattn::ring::{try_burst_backward, try_ring_forward, AttnShard, BackwardInputs};
+use burstengine::comm::obs::{RankTrace, SpanKind};
+use burstengine::comm::RankOutput;
+use burstengine::model::fsdp::{try_gather_weights, Group};
 use burstengine::prelude::*;
 use std::path::PathBuf;
 
-const N: usize = 24;
-const D: usize = 8;
-
-fn globals() -> (Mat, Mat, Mat, Mat) {
-    (
-        randn_mat(N, D, 0.7, 1),
-        randn_mat(N, D, 0.7, 2),
-        randn_mat(N, D, 0.7, 3),
-        randn_mat(N, D, 0.8, 4),
-    )
+/// Engine config whose sequence length keeps the zigzag layout valid for
+/// every world size the elastic tests pass through: 48 is divisible by
+/// `2·g` for g ∈ {2, 3, 4, 6, 8}.
+fn elastic_cfg() -> EngineConfig {
+    let mut cfg = EngineConfig::tiny(Backend::Ring(Algo::BurstFlat));
+    cfg.model.seq_len = 48;
+    cfg
 }
 
-fn scale() -> f32 {
-    1.0 / (D as f32).sqrt()
+/// Reference segment: steps `start..end` on a fresh, never-faulted world
+/// of `topo`, warm-started from `warm` flat state (`None` = fresh model).
+/// Returns the segment's losses and the final flat state, after checking
+/// all ranks agree bit-for-bit.
+fn segment(
+    topo: Topology,
+    warm: Option<&[f32]>,
+    start: usize,
+    end: usize,
+    cfg: &EngineConfig,
+) -> (Vec<f32>, Vec<f32>) {
+    let w = World::new(topo);
+    let mut outs = w.run_results(|comm| {
+        let mut model = Model::new(cfg.model, cfg.seed);
+        if let Some(f) = warm {
+            model.load_flat_state(f);
+        }
+        let out = burstengine::model::engine::run_span(
+            comm,
+            cfg,
+            &mut model,
+            start,
+            end,
+            |_, _, _, _| {},
+        )
+        .expect("clean reference segment");
+        (out.losses, model.flat_state())
+    });
+    let first = outs.remove(0);
+    for o in &outs {
+        assert_eq!(o.0, first.0, "reference ranks disagree on losses");
+        assert_eq!(o.1, first.1, "reference ranks disagree on state");
+    }
+    first
 }
 
-/// Rank `r`'s zigzag shard of the globals under a `world`-rank partition.
-fn shard_of(world: usize, r: usize) -> (Mat, Mat, Mat, Mat) {
-    let (q, k, v, go) = globals();
-    let idx = Layout::Zigzag.indices(N, world, r);
-    (
-        q.gather_rows(&idx),
-        k.gather_rows(&idx),
-        v.gather_rows(&idx),
-        go.gather_rows(&idx),
-    )
+/// The op count rank `victim` has accumulated after `s` clean elastic
+/// steps — used to aim a crash inside a specific step.
+fn elastic_ops_after(cfg: &EngineConfig, topo: Topology, victim: usize, s: usize) -> u64 {
+    let outs = World::new(topo).run_results(|comm| {
+        let mut model = Model::new(cfg.model, cfg.seed);
+        run_span_elastic(comm, cfg, &mut model, 0, s, &[], &ElasticCfg::default())
+            .expect("clean elastic probe");
+        comm.op_count()
+    });
+    outs[victim]
 }
 
-/// Reference: BurstAttention forward+backward on a fresh `world`-rank
-/// cluster that never saw a fault. Returns per-position `(O, Lse, dQ, dK,
-/// dV)`.
-fn fresh_small_world(world: usize) -> Vec<(Mat, Vec<f32>, Mat, Mat, Mat)> {
-    let w = World::new(Topology::single_node(world));
-    w.run_results(|comm| {
-        let (q, k, v, go) = shard_of(world, comm.rank());
-        let shard = AttnShard {
-            q: &q,
-            k: &k,
-            v: &v,
-            scale: scale(),
-            mask: &AttnMask::Causal,
-            layout: Layout::Zigzag,
-            seq_len: N,
-            cost: CostModel::free(),
-            max_token: None,
-            skip: false,
-        };
-        let ring = Ring::global(comm);
-        let fwd = try_ring_forward(comm, &ring, &shard).expect("clean forward");
-        let back = BackwardInputs {
-            o: &fwd.o,
-            lse: &fwd.lse,
-            grad_o: &go,
-        };
-        let (dq, dk, dv) = try_burst_backward(comm, &ring, &shard, &back).expect("clean bwd");
-        (fwd.o, fwd.lse, dq, dk, dv)
+/// One rank's in-step recovery: its outcome and its final flat state.
+type ElasticRun = Result<(ElasticOutcome, Vec<f32>), CommError>;
+
+/// Train `steps` steps with in-step recovery on a world of `topo` under
+/// `plan`, tracing every rank.
+fn recover_in_step(
+    cfg: &EngineConfig,
+    topo: Topology,
+    steps: usize,
+    plan: FaultPlan,
+) -> Vec<RankOutput<ElasticRun>> {
+    World::with_faults(topo, plan).run_faulty(|comm| {
+        comm.start_trace();
+        let mut model = Model::new(cfg.model, cfg.seed);
+        let out = run_span_elastic(comm, cfg, &mut model, 0, steps, &[], &ElasticCfg::default())?;
+        Ok((out, model.flat_state()))
     })
 }
 
-/// Run elastic attention with `opts` on a possibly-faulty `world`-rank
-/// cluster. Each rank returns its output plus the list of original-owner
-/// shards its checkpoint loader was asked for.
-#[allow(clippy::type_complexity)]
-fn elastic_run(
-    world: &World,
-    orig_world: usize,
-    opts: ElasticOpts,
-) -> Vec<burstengine::comm::RankOutput<Result<(ElasticAttnOut, Vec<usize>), AttnFailure>>> {
-    world.run_faulty::<_, AttnFailure, _>(move |comm| {
+/// The segmented reference: a fresh world of `first` over `[0, f)`, then a
+/// fresh world of `then` over `[f, steps)` warm-started from it. Returns
+/// the losses of both segments and the final flat state.
+fn chained(
+    first: (Topology, &EngineConfig),
+    f: usize,
+    then: (Topology, &EngineConfig),
+    steps: usize,
+) -> (Vec<f32>, Vec<f32>) {
+    let (mut losses, flat_a) = segment(first.0, None, 0, f, first.1);
+    let (lb, flat_b) = segment(then.0, Some(&flat_a), f, steps, then.1);
+    losses.extend(lb);
+    (losses, flat_b)
+}
+
+/// Check every rank of an in-step recovery run: the `dead` report their
+/// own crash; each survivor evicted exactly them and ended on the
+/// reference's losses and state, bit for bit. Returns the survivors'
+/// outcomes.
+fn survivors_match<'a>(
+    outs: &'a [RankOutput<ElasticRun>],
+    dead: &[usize],
+    want: &(Vec<f32>, Vec<f32>),
+) -> Vec<&'a ElasticOutcome> {
+    let mut survivors = Vec::new();
+    for o in outs {
+        let r = o.rank;
+        if dead.contains(&r) {
+            assert!(
+                matches!(&o.result, Err(CommError::Crashed { rank, .. }) if *rank == r),
+                "rank {r} was scheduled to die: {:?}",
+                o.result.as_ref().err()
+            );
+            continue;
+        }
+        let (out, flat) = o.result.as_ref().expect("survivor completes");
+        let mut evicted = out.evicted.clone();
+        evicted.sort_unstable();
+        assert_eq!(evicted, dead, "rank {r}");
+        assert!(out.parked_at.is_none(), "rank {r} finished the span");
+        assert_eq!(out.losses, want.0, "rank {r}: losses");
+        assert!(
+            *flat == want.1,
+            "rank {r}: parameters differ from the reference"
+        );
+        survivors.push(out);
+    }
+    survivors
+}
+
+/// Whether `t` records its rank's crash inside an attention ring round.
+fn crashed_in_a_ring_round(t: &RankTrace) -> bool {
+    let Some(i) = t
+        .spans
+        .iter()
+        .position(|s| s.kind == SpanKind::Fault && s.name == "crash")
+    else {
+        return false;
+    };
+    let mut up = t.spans[i].parent;
+    while up >= 0 {
+        let s = &t.spans[up as usize];
+        if s.kind == SpanKind::AttnRound {
+            return true;
+        }
+        up = s.parent;
+    }
+    false
+}
+
+/// The midpoint of `rank`'s ops in clean step `f`: a crash aimed there
+/// lands inside that step.
+fn mid_step_op(cfg: &EngineConfig, topo: &Topology, rank: usize, f: usize) -> u64 {
+    let before = elastic_ops_after(cfg, topo.clone(), rank, f);
+    let after = elastic_ops_after(cfg, topo.clone(), rank, f + 1);
+    assert!(after > before, "a step must cost comm ops");
+    (before + after) / 2
+}
+
+/// `rank`'s op count when an elastic step starts its first attention ring:
+/// the step's FSDP weight gather, with its eviction agreement, comes first.
+fn first_ring_op(cfg: &EngineConfig, topo: Topology, rank: usize) -> u64 {
+    let outs = World::new(topo).run_results(|comm| {
         let mut m = Membership::new(comm.world_size());
         let policy = RetryPolicy::default();
-        let (q, k, v, go) = shard_of(orig_world, comm.rank());
-        let mut loaded: Vec<usize> = Vec::new();
-        let out = {
-            let mut load = |r: usize| {
-                loaded.push(r);
-                shard_of(orig_world, r)
-            };
-            try_elastic_attention_opts(
-                comm,
-                &mut m,
-                &q,
-                &k,
-                &v,
-                &go,
-                scale(),
-                &AttnMask::Causal,
-                Layout::Zigzag,
-                N,
-                &CostModel::free(),
-                &mut load,
-                &policy,
-                opts,
-            )?
-        };
-        Ok((out, loaded))
-    })
-}
-
-/// Original owners (under the `orig`-rank partition) of the tokens rank
-/// `me` holds at ring position `pos` of a `now`-rank partition — what an
-/// exact loader must fetch, and nothing more.
-fn needed_owners(orig: usize, now: usize, pos: usize, me: usize) -> Vec<usize> {
-    let mut home = [usize::MAX; N];
-    for r in 0..orig {
-        for t in Layout::Zigzag.indices(N, orig, r) {
-            home[t] = r;
-        }
-    }
-    let mut owners: Vec<usize> = Layout::Zigzag
-        .indices(N, now, pos)
-        .into_iter()
-        .map(|t| home[t])
-        .filter(|&o| o != me)
-        .collect();
-    owners.sort_unstable();
-    owners.dedup();
-    owners
+        let mut model = Model::new(cfg.model, cfg.seed);
+        let group = &mut Group::Alive(&mut m, &policy);
+        try_gather_weights(comm, group, &mut model.params_mut()).expect("clean gather");
+        comm.op_count()
+    });
+    outs[rank]
 }
 
 #[test]
 fn mid_ring_crash_shrinks_to_a_bit_identical_small_world_run() {
-    // Rank 2 of 4 dies mid-ring. The three survivors must evict it,
-    // re-partition (pulling missing rows from checkpoint shards), and
-    // produce output bit-identical to a fresh 3-rank run.
-    let plan = FaultPlan::new(7).crash_at_op(2, 5).recv_deadline(60.0);
-    let world = World::with_faults(Topology::single_node(4), plan);
-    let outs = elastic_run(&world, 4, ElasticOpts::default());
+    // Rank 2 of 4 dies inside an attention ring round of step 1. The three
+    // survivors evict it, replay the step on their shrunken ring and
+    // finish bit-identical to a fresh 4-rank world chained into a fresh
+    // 3-rank world at step 1.
+    let cfg = elastic_cfg();
+    let (steps, f, victim) = (3, 1, 2);
+    let topo = Topology::single_node(4);
+    let op = mid_step_op(&cfg, &topo, victim, f);
+    let plan = FaultPlan::new(7)
+        .crash_at_op(victim, op)
+        .recv_deadline(60.0);
+    let outs = recover_in_step(&cfg, topo.clone(), steps, plan);
 
-    match &outs[2].result {
-        Err(f) => {
-            assert!(
-                matches!(f.source, CommError::Crashed { rank: 2, .. }),
-                "dead rank reports its own crash: {f:?}"
-            );
-            assert!(
-                f.source.at_time().is_some(),
-                "the failure must carry its virtual time"
-            );
-        }
-        Ok(_) => panic!("rank 2 was scheduled to die"),
-    }
+    let t = outs[victim].trace.as_ref().expect("tracing was on");
+    assert!(crashed_in_a_ring_round(t), "op {op} is not mid-ring");
+    let Err(e) = &outs[victim].result else {
+        panic!("rank {victim} was scheduled to die");
+    };
+    assert!(
+        e.at_time().is_some(),
+        "the failure must carry its virtual time"
+    );
 
-    let reference = fresh_small_world(3);
-    for (pos, &r) in [0usize, 1, 3].iter().enumerate() {
-        let (out, loaded) = outs[r].result.as_ref().expect("survivor completes");
-        assert_eq!(out.evicted, vec![2], "rank {r}");
+    let want = chained((topo, &cfg), f, (Topology::single_node(3), &cfg), steps);
+    for out in survivors_match(&outs, &[victim], &want) {
         assert_eq!(out.epoch, 1, "one eviction bumps the epoch once");
-        assert_eq!(out.attempts, 2, "full-world try, then the shrunken ring");
-        assert_eq!(out.idx, Layout::Zigzag.indices(N, 3, pos));
-
-        // Bit-identity against the never-failed 3-rank run.
-        let (o, lse, dq, dk, dv) = &reference[pos];
-        assert_eq!(&out.o, o, "rank {r}: O");
-        assert_eq!(&out.lse, lse, "rank {r}: Lse");
-        assert_eq!(&out.dq, dq, "rank {r}: dQ");
-        assert_eq!(&out.dk, dk, "rank {r}: dK");
-        assert_eq!(&out.dv, dv, "rank {r}: dV");
-
-        // IO accounting: the loader is asked for exactly the shards whose
-        // rows this rank's new partition needs — no full-state broadcast.
-        let expect = needed_owners(4, 3, pos, r);
-        let mut got = loaded.clone();
-        got.sort_unstable();
-        assert_eq!(got, expect, "rank {r} must load only the shards it needs");
-        assert_eq!(out.shards_loaded, expect.len(), "rank {r}");
-        assert!(
-            !loaded.contains(&r),
-            "rank {r} must never reload its own shard"
-        );
+        assert_eq!(out.steps_replayed, 1, "only the failed step re-runs");
     }
 }
 
 #[test]
 fn two_ranks_dying_in_the_same_round_still_converge() {
+    // Ranks 1 and 3 of 4 both die in step 1. The two survivors absorb
+    // both deaths within the step and match a fresh 4-rank world chained
+    // into a fresh 2-rank world.
+    let cfg = elastic_cfg();
+    let (steps, f) = (3, 1);
+    let topo = Topology::single_node(4);
     let plan = FaultPlan::new(13)
-        .crash_at_op(1, 5)
-        .crash_at_op(3, 5)
+        .crash_at_op(1, mid_step_op(&cfg, &topo, 1, f))
+        .crash_at_op(3, mid_step_op(&cfg, &topo, 3, f))
         .recv_deadline(60.0);
-    let world = World::with_faults(Topology::single_node(4), plan);
-    let outs = elastic_run(&world, 4, ElasticOpts::default());
-
-    for dead in [1usize, 3] {
+    let outs = recover_in_step(&cfg, topo.clone(), steps, plan);
+    let want = chained((topo, &cfg), f, (Topology::single_node(2), &cfg), steps);
+    for out in survivors_match(&outs, &[1, 3], &want) {
         assert!(
-            matches!(
-                &outs[dead].result,
-                Err(f) if matches!(f.source, CommError::Crashed { .. })
-            ),
-            "rank {dead} was scheduled to die: {:?}",
-            outs[dead].result
+            (1..=2).contains(&out.steps_replayed),
+            "both deaths must be absorbed within two replays, took {}",
+            out.steps_replayed
         );
-    }
-    let reference = fresh_small_world(2);
-    for (pos, &r) in [0usize, 2].iter().enumerate() {
-        let (out, _) = outs[r].result.as_ref().expect("survivor completes");
-        let mut evicted = out.evicted.clone();
-        evicted.sort_unstable();
-        assert_eq!(evicted, vec![1, 3], "rank {r}");
-        assert!(
-            out.attempts <= 3,
-            "both deaths must be absorbed within two shrink rounds, took {}",
-            out.attempts
-        );
-        let (o, lse, dq, dk, dv) = &reference[pos];
-        assert_eq!(&out.o, o, "rank {r}: O");
-        assert_eq!(&out.lse, lse, "rank {r}: Lse");
-        assert_eq!(&out.dq, dq, "rank {r}: dQ");
-        assert_eq!(&out.dk, dk, "rank {r}: dK");
-        assert_eq!(&out.dv, dv, "rank {r}: dV");
     }
 }
 
 #[test]
 fn crash_on_the_very_first_ring_op_is_recovered() {
-    let plan = FaultPlan::new(17).crash_at_op(1, 0).recv_deadline(60.0);
-    let world = World::with_faults(Topology::single_node(3), plan);
-    let outs = elastic_run(&world, 3, ElasticOpts::default());
-
-    let reference = fresh_small_world(2);
-    for (pos, &r) in [0usize, 2].iter().enumerate() {
-        let (out, _) = outs[r].result.as_ref().expect("survivor completes");
-        assert_eq!(out.evicted, vec![1], "rank {r}");
-        let (o, lse, dq, dk, dv) = &reference[pos];
-        assert_eq!(&out.o, o, "rank {r}: O");
-        assert_eq!(&out.lse, lse, "rank {r}: Lse");
-        assert_eq!(&out.dq, dq, "rank {r}: dQ");
-        assert_eq!(&out.dk, dk, "rank {r}: dK");
-        assert_eq!(&out.dv, dv, "rank {r}: dV");
+    // Rank 1 of 3 dies at its first attention ring op, right after step
+    // 0's weight gather. The two survivors replay the step and match a
+    // fresh 2-rank world from the start.
+    let cfg = elastic_cfg();
+    let steps = 2;
+    let op = first_ring_op(&cfg, Topology::single_node(3), 1);
+    let plan = FaultPlan::new(17).crash_at_op(1, op).recv_deadline(60.0);
+    let outs = recover_in_step(&cfg, Topology::single_node(3), steps, plan);
+    let t = outs[1].trace.as_ref().expect("tracing was on");
+    assert!(crashed_in_a_ring_round(t), "op {op} is not a ring op");
+    let before = FaultPlan::new(17)
+        .crash_at_op(1, op - 1)
+        .recv_deadline(60.0);
+    let outs_before = recover_in_step(&cfg, Topology::single_node(3), steps, before);
+    let t = outs_before[1].trace.as_ref().expect("tracing was on");
+    assert!(!crashed_in_a_ring_round(t), "op {} is a ring op", op - 1);
+    let want = chained(
+        (Topology::single_node(3), &cfg),
+        0,
+        (Topology::single_node(2), &cfg),
+        steps,
+    );
+    for out in survivors_match(&outs, &[1], &want) {
+        assert_eq!(out.steps_replayed, 1, "step 0 re-runs once");
     }
 }
 
 #[test]
 fn clean_elastic_run_loads_nothing_and_matches_plain_burst_attention() {
-    let world = World::new(Topology::single_node(4));
-    let outs = elastic_run(&world, 4, ElasticOpts::default());
-    let reference = fresh_small_world(4);
-    for r in 0..4 {
-        let (out, loaded) = outs[r].result.as_ref().expect("no faults");
-        assert_eq!(out.attempts, 1);
-        assert_eq!(out.epoch, 0);
-        assert!(out.evicted.is_empty());
-        assert_eq!(out.shards_loaded, 0, "a clean run must not touch storage");
-        assert!(loaded.is_empty());
-        let (o, lse, dq, dk, dv) = &reference[r];
-        assert_eq!(&out.o, o);
-        assert_eq!(&out.lse, lse);
-        assert_eq!(&out.dq, dq);
-        assert_eq!(&out.dk, dk);
-        assert_eq!(&out.dv, dv);
-    }
+    // With no fault, in-step recovery never evicts, replays or reads a
+    // checkpoint shard back, and trains exactly what `run_span` trains.
+    let cfg = elastic_cfg();
+    let steps = 3;
+    let dir = scratch("clean-elastic");
+    let rcfg = RecoveryCfg {
+        every: 1,
+        path: dir.clone(),
+        max_restarts: 0,
+        shrink: false,
+        in_step: true,
+        quiet: true,
+    };
+    let report = train_with_recovery(
+        |_, _| World::new(Topology::single_node(4)),
+        &cfg,
+        steps,
+        &rcfg,
+    )
+    .expect("a clean run must finish");
+    assert_eq!(report.restarts, 0);
+    assert_eq!(
+        report.shards_reloaded, 0,
+        "a clean run must not read storage"
+    );
+    assert!(report.evicted_ranks.is_empty());
+    assert_eq!(report.steps_replayed, 0);
+    let (losses, flat) = segment(Topology::single_node(4), None, 0, steps, &cfg);
+    assert_eq!(report.losses, losses, "losses equal run_span's");
+    assert!(
+        report.final_model.flat_state() == flat,
+        "parameters equal run_span's, bit for bit"
+    );
+    let man = burstengine::model::checkpoint_shard::read_manifest(&dir).unwrap();
+    assert_eq!(man.epoch, 0, "no membership change");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -378,160 +420,66 @@ fn poisoned_micro_batch_is_rolled_back_and_rescaled() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Reference: double-ring forward + Algorithm 2 backward on a fresh
-/// `nodes × gpn` cluster that never saw a fault.
-fn fresh_double_ring_world(nodes: usize, gpn: usize) -> Vec<(Mat, Vec<f32>, Mat, Mat, Mat)> {
-    let w = World::new(Topology::a800(nodes, gpn));
-    let g = nodes * gpn;
-    w.run_results(|comm| {
-        let (q, k, v, go) = shard_of(g, comm.rank());
-        let shard = AttnShard {
-            q: &q,
-            k: &k,
-            v: &v,
-            scale: scale(),
-            mask: &AttnMask::Causal,
-            layout: Layout::Zigzag,
-            seq_len: N,
-            cost: CostModel::free(),
-            max_token: None,
-            skip: false,
-        };
-        let spec = DoubleRingSpec::full(comm.topology());
-        let fwd = try_double_ring_forward_heads_on(comm, std::slice::from_ref(&shard), &spec)
-            .expect("clean double-ring forward")
-            .remove(0);
-        let back = BackwardInputs {
-            o: &fwd.o,
-            lse: &fwd.lse,
-            grad_o: &go,
-        };
-        let (dq, dk, dv) = try_double_ring_backward_alg2_on(comm, &shard, &back, &spec)
-            .expect("clean double-ring backward");
-        (fwd.o, fwd.lse, dq, dk, dv)
-    })
-}
-
 #[test]
 fn ragged_survivors_fall_back_to_the_flat_ring_bit_exactly() {
-    // Rank 1 of a 2-node × 2-GPU cluster dies mid-double-ring. The
-    // survivor set [0, 2, 3] is ragged across nodes (1 GPU on node 0,
-    // 2 on node 1), so no inner/outer split exists: the re-run must land
-    // on the flat ring and still be bit-identical to a fresh 3-rank flat
-    // run.
-    let plan = FaultPlan::new(19).crash_at_op(1, 5).recv_deadline(60.0);
-    let world = World::with_faults(Topology::a800(2, 2), plan);
-    let opts = ElasticOpts {
-        double_ring: true,
-        skip_masked_rounds: false,
-    };
-    let outs = elastic_run(&world, 4, opts);
-
-    let reference = fresh_small_world(3);
-    for (pos, &r) in [0usize, 2, 3].iter().enumerate() {
-        let (out, _) = outs[r].result.as_ref().expect("survivor completes");
-        assert_eq!(out.evicted, vec![1], "rank {r}");
+    // Rank 1 of a 2-node × 2-GPU cluster dies in step 1 of topology-aware
+    // Burst training. The survivors [0, 2, 3] are ragged across the nodes
+    // (one GPU on node 0, two on node 1), so no two-level split exists:
+    // every step from the crash on runs on the flat ring, bit-identical
+    // to a fresh 3-rank flat BurstAttention world.
+    let flat = elastic_cfg();
+    let mut topo_aware = flat.clone();
+    topo_aware.backend = Backend::Ring(Algo::BurstTopo);
+    let (steps, f, victim) = (3, 1, 1);
+    let topo = Topology::a800(2, 2);
+    let op = mid_step_op(&topo_aware, &topo, victim, f);
+    let plan = FaultPlan::new(19)
+        .crash_at_op(victim, op)
+        .recv_deadline(60.0);
+    let outs = recover_in_step(&topo_aware, topo.clone(), steps, plan);
+    let want = chained(
+        (topo, &topo_aware),
+        f,
+        (Topology::single_node(3), &flat),
+        steps,
+    );
+    for out in survivors_match(&outs, &[victim], &want) {
         assert!(
             out.flat_fallbacks >= 1,
-            "rank {r}: ragged [0,2,3] has no node-local split, got {} fallbacks",
+            "ragged [0, 2, 3] has no node-local split, got {} fallbacks",
             out.flat_fallbacks
         );
-        let (o, lse, dq, dk, dv) = &reference[pos];
-        assert_eq!(&out.o, o, "rank {r}: O");
-        assert_eq!(&out.lse, lse, "rank {r}: Lse");
-        assert_eq!(&out.dq, dq, "rank {r}: dQ");
-        assert_eq!(&out.dk, dk, "rank {r}: dK");
-        assert_eq!(&out.dv, dv, "rank {r}: dV");
+        assert_eq!(
+            out.flat_fallbacks,
+            steps - f,
+            "every step from the crash on"
+        );
     }
 }
 
 #[test]
 fn node_balanced_survivors_keep_the_double_ring() {
-    // Ranks 1 and 3 die, one per node. The survivor set [0, 2] is
-    // node-balanced (1 GPU per node), so the topology-aware schedule must
-    // survive the shrink: the final attempt runs a genuine 2-node × 1-GPU
-    // double ring, bit-identical to a fresh cluster of that shape.
+    // Ranks 1 and 5, one per node of a 2 × 4 cluster, die at their first
+    // op of step 1. Neither can take part in another exchange, so one
+    // agreement evicts both. (Deaths aimed mid-step may be agreed on one
+    // at a time, through a seven-rank world the zigzag layout cannot
+    // split 48 tokens over.) The survivors [0, 2, 3, 4, 6, 7] hold three
+    // GPUs on each node, so the replayed step and the rest of the run stay
+    // on the two-level ring, bit-identical to a fresh 2 × 3 world.
+    let mut cfg = elastic_cfg();
+    cfg.backend = Backend::Ring(Algo::BurstTopo);
+    let (steps, f) = (3, 1);
+    let topo = Topology::a800(2, 4);
     let plan = FaultPlan::new(29)
-        .crash_at_op(1, 5)
-        .crash_at_op(3, 9)
+        .crash_at_op(1, elastic_ops_after(&cfg, topo.clone(), 1, f))
+        .crash_at_op(5, elastic_ops_after(&cfg, topo.clone(), 5, f))
         .recv_deadline(60.0);
-    let world = World::with_faults(Topology::a800(2, 2), plan);
-    let opts = ElasticOpts {
-        double_ring: true,
-        skip_masked_rounds: false,
-    };
-    let outs = elastic_run(&world, 4, opts);
-
-    let reference = fresh_double_ring_world(2, 1);
-    for (pos, &r) in [0usize, 2].iter().enumerate() {
-        let (out, _) = outs[r].result.as_ref().expect("survivor completes");
-        let mut evicted = out.evicted.clone();
-        evicted.sort_unstable();
-        assert_eq!(evicted, vec![1, 3], "rank {r}");
-        let (o, lse, dq, dk, dv) = &reference[pos];
-        assert_eq!(&out.o, o, "rank {r}: O");
-        assert_eq!(&out.lse, lse, "rank {r}: Lse");
-        assert_eq!(&out.dq, dq, "rank {r}: dQ");
-        assert_eq!(&out.dk, dk, "rank {r}: dK");
-        assert_eq!(&out.dv, dv, "rank {r}: dV");
+    let outs = recover_in_step(&cfg, topo.clone(), steps, plan);
+    let want = chained((topo, &cfg), f, (Topology::a800(2, 3), &cfg), steps);
+    for out in survivors_match(&outs, &[1, 5], &want) {
+        assert_eq!(out.steps_replayed, 1, "one agreement, one replay");
+        assert_eq!(out.flat_fallbacks, 0, "node-balanced survivors");
     }
-}
-
-/// Engine config whose sequence length keeps the zigzag layout valid for
-/// every world size the elastic tests pass through: 48 is divisible by
-/// `2·g` for g ∈ {2, 3, 4}.
-fn elastic_cfg() -> EngineConfig {
-    let mut cfg = EngineConfig::tiny(Backend::Ring(Algo::BurstFlat));
-    cfg.model.seq_len = 48;
-    cfg
-}
-
-/// Reference segment: steps `start..end` on a fresh, never-faulted world
-/// of `topo`, warm-started from `warm` flat state (`None` = fresh model).
-/// Returns the segment's losses and the final flat state, after checking
-/// all ranks agree bit-for-bit.
-fn segment(
-    topo: Topology,
-    warm: Option<&[f32]>,
-    start: usize,
-    end: usize,
-    cfg: &EngineConfig,
-) -> (Vec<f32>, Vec<f32>) {
-    let w = World::new(topo);
-    let mut outs = w.run_results(|comm| {
-        let mut model = Model::new(cfg.model, cfg.seed);
-        if let Some(f) = warm {
-            model.load_flat_state(f);
-        }
-        let out = burstengine::model::engine::run_span(
-            comm,
-            cfg,
-            &mut model,
-            start,
-            end,
-            |_, _, _, _| {},
-        )
-        .expect("clean reference segment");
-        (out.losses, model.flat_state())
-    });
-    let first = outs.remove(0);
-    for o in &outs {
-        assert_eq!(o.0, first.0, "reference ranks disagree on losses");
-        assert_eq!(o.1, first.1, "reference ranks disagree on state");
-    }
-    first
-}
-
-/// The op count rank `victim` has accumulated after `s` clean elastic
-/// steps — used to aim a crash inside a specific step.
-fn elastic_ops_after(cfg: &EngineConfig, topo: Topology, victim: usize, s: usize) -> u64 {
-    let outs = World::new(topo).run_results(|comm| {
-        let mut model = Model::new(cfg.model, cfg.seed);
-        run_span_elastic(comm, cfg, &mut model, 0, s, &[], &ElasticCfg::default())
-            .expect("clean elastic probe");
-        comm.op_count()
-    });
-    outs[victim]
 }
 
 #[test]
@@ -540,12 +488,7 @@ fn in_step_recovery_replays_only_the_failed_step_bit_exactly() {
     let steps = 4;
     let f = 2; // the step the crash interrupts
     let victim = 2;
-    // Aim the crash mid-step: between the victim's op counts at the end of
-    // step f-1 and the end of step f.
-    let before = elastic_ops_after(&cfg, Topology::single_node(4), victim, f);
-    let after = elastic_ops_after(&cfg, Topology::single_node(4), victim, f + 1);
-    assert!(after > before, "a step must cost comm ops");
-    let crash_op = (before + after) / 2;
+    let crash_op = mid_step_op(&cfg, &Topology::single_node(4), victim, f);
 
     let dir = scratch("in-step");
     let rcfg = RecoveryCfg {
@@ -589,10 +532,12 @@ fn in_step_recovery_replays_only_the_failed_step_bit_exactly() {
     // Bit-identity against the segmented reference: a fresh 4-rank world
     // over [0, f), then a fresh 3-rank world over [f, steps) warm-started
     // from the first segment's final state.
-    let (la, flat_a) = segment(Topology::single_node(4), None, 0, f, &cfg);
-    let (lb, flat_b) = segment(Topology::single_node(3), Some(&flat_a), f, steps, &cfg);
-    let mut expect = la;
-    expect.extend(lb);
+    let (expect, flat_b) = chained(
+        (Topology::single_node(4), &cfg),
+        f,
+        (Topology::single_node(3), &cfg),
+        steps,
+    );
     assert_eq!(
         report.losses, expect,
         "losses must match the segmented reference bit-for-bit"
@@ -629,12 +574,10 @@ fn crash_in_a_two_level_fsdp_gather_evicts_only_the_victim() {
     let topo = Topology::a800(2, 4);
     for (cfg, ops) in [(flat.clone(), gather), (topo_aware, forward)] {
         let before = elastic_ops_after(&cfg, topo.clone(), victim, f);
-        let (la, flat_a) = segment(topo.clone(), None, 0, f, &cfg);
         // Seven survivors are ragged across the two nodes: they fall back
         // to the flat ring.
-        let (lb, flat_b) = segment(Topology::single_node(7), Some(&flat_a), f, steps, &flat);
-        let mut expect = la;
-        expect.extend(lb);
+        let seven = (Topology::single_node(7), &flat);
+        let (expect, flat_b) = chained((topo.clone(), &cfg), f, seven, steps);
         for op in ops.start + before..ops.end + before {
             let ctx = format!("{:?} op {op}", cfg.backend);
             let dir = scratch(&format!("two-level-crash-{op}"));
