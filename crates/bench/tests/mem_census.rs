@@ -9,7 +9,7 @@
 //! and the crash semantics (a crashed rank's force-closed ledger still
 //! balances).
 
-use burst_comm::obs::{peak_census, validate_mem, PeakBytes};
+use burst_comm::obs::{peak_census, validate_mem, MemCategory, MemReport, PeakBytes};
 use burst_comm::{FaultPlan, RankOutput, SpanKind, Topology, WireDtype, World};
 use burst_dattn::ring::AttnShard;
 use burst_dattn::usp::{try_usp_backward, try_usp_forward, UspTopo};
@@ -222,7 +222,8 @@ fn aligned_zigzag_peaks_match_masked_census() {
             }
             // USP's ring leg: G / 2 ring positions over half the tokens.
             let (heads, u) = (4usize, 2usize);
-            let (got, sends) = measured_usp(topo, seq / 2, heads, d, u, &mask, true);
+            let (got, sends) = measured_usp(topo, seq / 2, heads, d, u, &mask, true, true);
+            let got = gated(&got);
             assert!(
                 sends.contains(&((chunk * d) as u64)),
                 "usp {nodes}x{gpn} {dtype:?}: no read-only send carried a single span"
@@ -248,8 +249,9 @@ fn aligned_zigzag_peaks_match_masked_census() {
 
 /// Run USP (`u`-rank Ulysses groups, ring leg skipping per `skip`) forward
 /// then backward with accounting and tracing on, and return each rank's
-/// measured gated census and the payload elements of every message sent.
-/// `heads` heads of width `dh` over `seq` tokens.
+/// validated ledger and the payload elements of every message sent. The
+/// backward runs on the forward's context when `hold` is set, and on one it
+/// rebuilds otherwise. `heads` heads of width `dh` over `seq` tokens.
 #[allow(clippy::too_many_arguments)]
 fn measured_usp(
     topo: Topology,
@@ -259,7 +261,8 @@ fn measured_usp(
     u: usize,
     mask: &AttnMask,
     skip: bool,
-) -> (Vec<PeakBytes>, Vec<u64>) {
+    hold: bool,
+) -> (Vec<MemReport>, Vec<u64>) {
     let scale = 1.0 / (dh as f32).sqrt();
     let inputs = |sd: f32, base: u64| -> Vec<Mat> {
         (0..heads)
@@ -281,7 +284,7 @@ fn measured_usp(
         let dol: Vec<Mat> = doh.iter().map(|m| m.gather_rows(&my_idx)).collect();
         comm.start_mem_accounting();
         comm.start_trace();
-        let (o, lse) = try_usp_forward(
+        let ((o, lse), ctx) = try_usp_forward(
             comm,
             &utopo,
             &ql,
@@ -293,9 +296,16 @@ fn measured_usp(
             &CostModel::free(),
         )
         .expect("usp forward");
+        let held = if hold {
+            Some(ctx)
+        } else {
+            ctx.release(comm);
+            None
+        };
         try_usp_backward(
             comm,
             &utopo,
+            held,
             &ql,
             &kl,
             &vl,
@@ -310,15 +320,20 @@ fn measured_usp(
         .expect("usp backward");
     });
     let sends = send_elems(&outs);
-    let peaks = outs
+    let reports = outs
         .into_iter()
         .map(|o| {
             let m = o.mem.expect("accounting was on");
             validate_mem(&m).unwrap_or_else(|e| panic!("rank {}: {e}", o.rank));
-            m.peak.gated()
+            m
         })
         .collect();
-    (peaks, sends)
+    (reports, sends)
+}
+
+/// Each rank's measured gated census.
+fn gated(reports: &[MemReport]) -> Vec<PeakBytes> {
+    reports.iter().map(|r| r.peak.gated()).collect()
 }
 
 #[test]
@@ -326,10 +341,11 @@ fn ulysses_and_usp_peaks_match_exact_census() {
     // Each shape: (nodes, gpn, seq, heads, head dim, Ulysses size). On 2×2,
     // pure Ulysses (one group spanning the world) and USP with U = 2, whose
     // rings hold one member per node. On 2×4 the U = 2 rings hold two
-    // members per node, so the ring leg runs on both levels, and with head
-    // dim above heads per rank every head's start bundle shows in the
-    // comm-buffer peak. On 2×3 the U = 2 rings are ragged across nodes and
-    // take the one-level ring.
+    // members per node, so the ring leg runs on both levels with a start
+    // bundle per head. On 2×3 the U = 2 rings are ragged across nodes and
+    // take the one-level ring. The backward runs on the forward's context
+    // and on one it rebuilds, at the same census: the rebuilding all-to-all
+    // repeats the forward's first instant.
     let shapes = [
         (2, 2, 32, 4, 6, 4),
         (2, 2, 32, 4, 6, 2),
@@ -347,12 +363,23 @@ fn ulysses_and_usp_peaks_match_exact_census() {
                 PeakMethod::Usp { heads, ulysses: u },
                 dtype,
             );
-            let (got, _) = measured_usp(topo, seq, heads, dh, u, &AttnMask::Causal, false);
-            for (rank, got) in got.iter().enumerate() {
-                assert_eq!(
-                    *got, want,
-                    "{nodes}x{gpn} U={u} {dtype:?} rank {rank}: census mismatch"
+            for hold in [true, false] {
+                let (got, _) = measured_usp(
+                    topo.clone(),
+                    seq,
+                    heads,
+                    dh,
+                    u,
+                    &AttnMask::Causal,
+                    false,
+                    hold,
                 );
+                for (rank, got) in gated(&got).iter().enumerate() {
+                    assert_eq!(
+                        *got, want,
+                        "{nodes}x{gpn} U={u} {dtype:?} hold={hold} rank {rank}: census mismatch"
+                    );
+                }
             }
         }
     }
@@ -362,10 +389,22 @@ fn ulysses_and_usp_peaks_match_exact_census() {
 fn windowed_skip_on_usp_peaks_match_masked_census() {
     // USP's ring leg gates its two-level slots on the ring's skip plan: with
     // a window of seq/8 on 2×4 and U = 2, the middle ring positions never
-    // receive some bundles and bill less comm-buffer memory than the dense
-    // census. Each shape: (seq, heads, head dim).
+    // receive some bundles and bill fewer slot bytes than a dense run. No
+    // USP peak shows it: the packed Q|K|V all-to-all stages more than the
+    // ring's slots, and the forward's slots, under the held head-shard
+    // Q, K, V, stay below the backward's ring pass. The masked census
+    // prices them anyway and must equal the ledger. Each shape: (seq,
+    // heads, head dim).
     let (nodes, gpn, u) = (2usize, 4usize, 2usize);
     let cluster = Cluster::a800(nodes, gpn);
+    // Bytes of the two-level ring's slot entries a rank opened.
+    let slot_bytes = |r: &MemReport| -> u64 {
+        r.entries
+            .iter()
+            .filter(|e| e.name.starts_with("dr_") && e.cat == MemCategory::CommBuffers)
+            .map(|e| e.bytes)
+            .sum()
+    };
     for (seq, heads, dh) in [(64usize, 8usize, 16usize), (128, 4, 8)] {
         let mask = AttnMask::SlidingWindow { window: seq / 8 };
         for dtype in DTYPES {
@@ -377,8 +416,8 @@ fn windowed_skip_on_usp_peaks_match_masked_census() {
                 PeakMethod::Usp { heads, ulysses: u },
                 dtype,
             );
-            let (got, _) = measured_usp(topo, seq, heads, dh, u, &mask, true);
-            for (rank, got) in got.iter().enumerate() {
+            let (masked, _) = measured_usp(topo.clone(), seq, heads, dh, u, &mask, true, true);
+            for (rank, got) in gated(&masked).iter().enumerate() {
                 let want = exact_peak_bytes_masked_dtype(
                     &cluster,
                     seq,
@@ -398,9 +437,13 @@ fn windowed_skip_on_usp_peaks_match_masked_census() {
                 assert!(want.comm_buffers <= dense.comm_buffers);
             }
             // Non-vacuity: some rank's gates keep a slot empty.
+            let (unmasked, _) = measured_usp(topo, seq, heads, dh, u, &mask, false, true);
             assert!(
-                got.iter().any(|p| p.comm_buffers < dense.comm_buffers),
-                "seq {seq} {dtype:?}: no rank billed below the dense census"
+                masked
+                    .iter()
+                    .zip(&unmasked)
+                    .any(|(m, d)| slot_bytes(m) < slot_bytes(d)),
+                "seq {seq} {dtype:?}: no rank billed fewer ring-slot bytes than the dense run"
             );
         }
     }

@@ -626,6 +626,12 @@ impl Communicator {
         }
     }
 
+    /// Whether a recompute scope is open (see
+    /// [`Communicator::recompute_scope`]).
+    pub fn in_recompute_scope(&self) -> bool {
+        self.recompute_depth > 0
+    }
+
     /// Named form of [`Communicator::advance_compute`] — the name tags the
     /// recorded kernel span; the clock math is byte-for-byte the same for
     /// every name, so instrumentation choices cannot change numerics.
@@ -1115,9 +1121,27 @@ impl Communicator {
         self.expect_mat(src, data)
     }
 
+    /// Send `m` to `dst` in the wire dtype's payload with `vals` riding
+    /// beside it at `f32` ([`MsgData::WithVals`]); empty `vals` send the
+    /// plain matrix payload.
+    pub fn try_send_mat_vals(
+        &mut self,
+        dst: usize,
+        m: Mat,
+        vals: Vec<f32>,
+    ) -> Result<(), CommError> {
+        let payload = self.mat_payload(m);
+        let payload = if vals.is_empty() {
+            payload
+        } else {
+            MsgData::WithVals(Box::new(payload), vals)
+        };
+        self.try_send(dst, payload)
+    }
+
     /// Receive a matrix from `src` with the values riding beside it
     /// ([`MsgData::WithVals`]); a plain matrix payload carries none.
-    pub(crate) fn try_recv_mat_vals(&mut self, src: usize) -> Result<(Mat, Vec<f32>), CommError> {
+    pub fn try_recv_mat_vals(&mut self, src: usize) -> Result<(Mat, Vec<f32>), CommError> {
         let (data, vals) = match self.try_recv(src)? {
             MsgData::WithVals(data, vals) => (*data, vals),
             data => (data, Vec::new()),

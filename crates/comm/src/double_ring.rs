@@ -18,7 +18,7 @@
 //! messages that forward its block, so a small reduction needs no
 //! collective of its own: each member sums the gathered values itself.
 
-use crate::comm::{Communicator, MsgData};
+use crate::comm::Communicator;
 use crate::fault::CommError;
 use crate::topology::Topology;
 use burst_tensor::Mat;
@@ -184,8 +184,8 @@ impl DoubleRingSpec {
 
 /// Two-level ring all-gather over `spec`: every member's block and
 /// values, indexed by slot. `vals` ride beside `mine` in every message that
-/// forwards it ([`MsgData::WithVals`], at f32 whatever the wire dtype);
-/// empty values send the plain matrix payload. `recv` receives one part
+/// forwards it ([`crate::MsgData::WithVals`], at f32 whatever the wire
+/// dtype); empty values send the plain matrix payload. `recv` receives one part
 /// from a physical rank — the fixed world's plain receive, or a shrinking
 /// collective's retrying one.
 pub(crate) fn all_gather_on(
@@ -202,13 +202,7 @@ pub(crate) fn all_gather_on(
     parts[me] = Some((mine.clone(), vals.to_vec()));
     let forward = |comm: &mut Communicator, part: &Option<(Mat, Vec<f32>)>, dst: usize| {
         let (block, vals) = part.clone().expect("ring all-gather invariant");
-        let payload = comm.mat_payload(block);
-        let payload = if vals.is_empty() {
-            payload
-        } else {
-            MsgData::WithVals(Box::new(payload), vals)
-        };
-        comm.try_send(dst, payload)
+        comm.try_send_mat_vals(dst, block, vals)
     };
     // Across nodes: each step forwards the block received in the previous
     // one, so after `nodes − 1` steps a member holds every block at its

@@ -5,7 +5,8 @@
 //! NVLink neighbours — form a Ulysses group of size `U`; same-position
 //! ranks across groups form a context-parallel ring of size `R`):
 //!
-//! 1. an intra-group all-to-all turns sequence shards into head shards
+//! 1. one intra-group all-to-all turns the sequence shards of `Q, K, V`
+//!    into head shards, the three tensors packed in one message per peer
 //!    (all NVLink traffic),
 //! 2. each rank attends its `H/U` heads over its ring shard: ring attention
 //!    over the zigzag shards of the size-`R` ring, or — when `U = G` and
@@ -13,7 +14,7 @@
 //!    which is DeepSpeed-Ulysses,
 //! 3. a reverse all-to-all restores the sequence partition and returns
 //!    each head's `(O, Lse)` on the caller's rows; the Lse rides the same
-//!    round as f32 vectors, so a bf16 wire never rounds it.
+//!    message as f32 values, so a bf16 wire never rounds it.
 //!
 //! The ring leg runs on the two-level ring of LoongTrain's
 //! DoubleRingAttention ([`crate::double_ring`]). Its members — every
@@ -31,10 +32,23 @@
 //! USP stays an Algorithm-1 baseline.
 //!
 //! The backward consumes the forward's outputs, as a FlashAttention-style
-//! kernel does, and never reruns the forward: all-to-alls move `Q, K, V`,
-//! `O` with its Lse and `∇O` to head shards, the ring (or local) backward
-//! runs per owned head, and all-to-alls return `∇Q, ∇K, ∇V`. What a
-//! training step recomputes is the checkpointing strategy's choice alone.
+//! kernel does, and never reruns the forward. The forward hands back its
+//! head-shard `Q, K, V` ([`UspCtx`]), as LoongTrain keeps them, so the
+//! backward that follows moves only `(O, Lse)` and `∇O` to head shards, in
+//! one all-to-all; a backward handed no context first runs the forward's
+//! packed `Q, K, V` exchange. The ring (or local) backward runs per owned
+//! head, and one all-to-all returns `∇Q, ∇K, ∇V`. Every phase is one
+//! all-to-all: two in the forward, two in a backward with a context, three
+//! without. What a training step recomputes is the checkpointing
+//! strategy's choice alone.
+//!
+//! Ledger: each all-to-all stages its outgoing and incoming blocks
+//! (`a2a_staging`) for its duration; the context (`usp_saved`) holds the
+//! head-shard `Q, K, V` from the landing of their exchange and, in the
+//! backward, the head-shard `O` and Lse from the landing of theirs; the
+//! ring-shard gradients (`usp_grads`) open before the first head's ring
+//! pass. The whole context closes after the last head's ring pass, before
+//! the gradient exchange, and the gradients when that exchange is done.
 //!
 //! The ring carries `N/R`-token shards instead of `N/G`, but only `R` hops;
 //! the all-to-alls add `O(N·d/G)` NVLink traffic. USP's win over pure ring
@@ -57,9 +71,10 @@ use crate::double_ring::{
 use crate::layout::Layout;
 use crate::ring::{AttnFailure, AttnShard, BackwardInputs, Phase};
 use crate::DattnError;
-use burst_comm::{CommError, Communicator, MemCategory, SpanKind};
+use burst_comm::{CommError, Communicator, MemCategory, MemId, SpanKind};
 use burst_kernels::{flash_backward, flash_forward, AttnMask};
 use burst_tensor::Mat;
+use std::ops::Range;
 
 /// Why a head-parallel geometry cannot run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -187,14 +202,35 @@ impl UspTopo {
     }
 }
 
-/// One member's share of an all-to-all: its heads side by side and, for
-/// the attention output, those heads' Lse one after another. The Lse
-/// travels as an f32 vector, so a bf16 wire never rounds it.
-type Block = (Mat, Option<Vec<f32>>);
+/// The head-shard `Q, K, V` of one forward: what this rank's owned heads
+/// attended with, each over the ring shard (the whole sequence at
+/// `U = G`). [`try_usp_forward`] hands it back so the backward that
+/// follows need not exchange `Q, K, V` again, as LoongTrain keeps its head
+/// shards. It is billed as `usp_saved` from the landing of its exchange
+/// until [`try_usp_backward`] consumes it or [`UspCtx::release`] drops it.
+#[derive(Debug)]
+pub struct UspCtx {
+    q: Vec<Mat>,
+    k: Vec<Mat>,
+    v: Vec<Mat>,
+    mem: Option<MemId>,
+}
+
+impl UspCtx {
+    /// Drop the context unused, closing its ledger entry.
+    pub fn release(self, comm: &mut Communicator) {
+        comm.mem_free(self.mem);
+    }
+}
+
+/// One member's share of an all-to-all: a block of head matrices packed
+/// side by side, with `f32` values riding beside it in the same message
+/// (empty for none). The values are Lse, which a bf16 wire never rounds.
+type Block = (Mat, Vec<f32>);
 
 /// All-to-all within the Ulysses group (outgoing indexed by member
-/// position). Each call is one `a2a` round in the trace; a failure
-/// mid-exchange settles the span before propagating.
+/// position): one message per peer. Each call is one `a2a` round in the
+/// trace; a failure mid-exchange settles the span before propagating.
 fn all_to_all(
     comm: &mut Communicator,
     members: &[usize],
@@ -204,10 +240,10 @@ fn all_to_all(
     comm.span_begin(SpanKind::AttnRound, "a2a");
     // Staging for the exchange: the outgoing blocks plus the equal-sized
     // incoming set, live for the duration of the a2a, billed at the wire
-    // dtype (the Lse at 4 bytes).
+    // dtype (the values at 4 bytes).
     let mats: usize = outgoing.iter().map(|b| b.0.len()).sum();
-    let lse: usize = outgoing.iter().flat_map(|b| &b.1).map(Vec::len).sum();
-    let staging = 2 * (comm.mem_wire_bytes(mats) + 4 * lse as u64);
+    let vals: usize = outgoing.iter().map(|b| b.1.len()).sum();
+    let staging = 2 * (comm.mem_wire_bytes(mats) + 4 * vals as u64);
     let mem = comm.mem_alloc("a2a_staging", MemCategory::CommBuffers, staging);
     let res = exchange(comm, members, outgoing);
     comm.mem_free(mem);
@@ -225,27 +261,17 @@ fn exchange(
         .position(|&m| m == comm.rank())
         .expect("all_to_all: caller not in group");
     let len = members.len();
-    let with_lse = outgoing[pos].1.is_some();
     let mut incoming: Vec<Option<Block>> = vec![None; len];
-    for (p, block) in outgoing.into_iter().enumerate() {
+    for (p, (mat, vals)) in outgoing.into_iter().enumerate() {
         if p == pos {
-            incoming[pos] = Some(block);
-            continue;
-        }
-        comm.try_send_mat(members[p], &block.0)?;
-        if let Some(lse) = &block.1 {
-            comm.try_send_vec(members[p], lse)?;
+            incoming[pos] = Some((mat, vals));
+        } else {
+            comm.try_send_mat_vals(members[p], mat, vals)?;
         }
     }
     for off in 1..len {
         let sp = (pos + len - off) % len;
-        let mat = comm.try_recv_mat(members[sp])?;
-        let lse = if with_lse {
-            Some(comm.try_recv_vec(members[sp])?)
-        } else {
-            None
-        };
-        incoming[sp] = Some((mat, lse));
+        incoming[sp] = Some(comm.try_recv_mat_vals(members[sp])?);
     }
     Ok(incoming
         .into_iter()
@@ -253,99 +279,150 @@ fn exchange(
         .collect())
 }
 
-/// Split a bundle of `n` equal column groups back into heads.
-fn unbundle(bundle: &Mat, n: usize) -> Vec<Mat> {
-    let dh = bundle.cols() / n;
-    (0..n)
-        .map(|h| bundle.slice_cols(h * dh, (h + 1) * dh))
-        .collect()
+/// What an all-to-all delivered: per tensor, its head matrices, and the
+/// heads' Lse (empty when none rode along).
+type Moved = (Vec<Vec<Mat>>, Vec<Vec<f32>>);
+
+/// Rows `rows` of every matrix in `parts`, side by side.
+fn pack(parts: &[&Mat], rows: Range<usize>) -> Mat {
+    let cols: usize = parts.iter().map(|m| m.cols()).sum();
+    let mut data = Vec::with_capacity(rows.len() * cols);
+    for r in rows.clone() {
+        for m in parts {
+            data.extend_from_slice(m.row(r));
+        }
+    }
+    Mat::from_vec(rows.len(), cols, data)
 }
 
-/// Head `h` of a block's Lse vector, which holds `n` equal pieces.
-fn lse_piece(lse: &[f32], n: usize, h: usize) -> &[f32] {
-    let rows = lse.len() / n;
-    &lse[h * rows..(h + 1) * rows]
-}
-
-/// Sequence shards → head shards: member `p` receives heads
-/// `p·hpr..(p+1)·hpr` of every member's rows, stacked in member order,
-/// with their Lse when `lse` is given (empty otherwise).
+/// Sequence shards → head shards. `tensors` are per-head matrices on this
+/// rank's rows; member `p` receives heads `p·hpr..(p+1)·hpr` of every
+/// tensor in one block, with the Lse of those heads when `lse` is given.
+/// Returns, per tensor, the owned heads over every member's rows stacked
+/// in member order, and the owned heads' Lse (empty without `lse`).
 fn to_heads(
     comm: &mut Communicator,
     topo: &UspTopo,
-    heads: &[Mat],
+    tensors: &[&[Mat]],
     lse: Option<&[Vec<f32>]>,
     hpr: usize,
     at: impl Fn(CommError) -> AttnFailure,
-) -> Result<(Vec<Mat>, Vec<Vec<f32>>), AttnFailure> {
+) -> Result<Moved, AttnFailure> {
+    let rows = tensors[0][0].rows();
     let outgoing: Vec<Block> = (0..topo.ulysses)
         .map(|p| {
             let owned = p * hpr..(p + 1) * hpr;
-            let stats = lse.map(|l| l[owned.clone()].concat());
-            (Mat::hstack(&heads[owned]), stats)
+            let parts: Vec<&Mat> = tensors.iter().flat_map(|t| &t[owned.clone()]).collect();
+            let stats = lse.map_or_else(Vec::new, |l| l[owned].concat());
+            (pack(&parts, 0..rows), stats)
         })
         .collect();
     let incoming = all_to_all(comm, &topo.u_members, outgoing).map_err(at)?;
-    let (mats, stats): (Vec<Mat>, Vec<Option<Vec<f32>>>) = incoming.into_iter().unzip();
-    let stats: Vec<Vec<f32>> = stats.into_iter().flatten().collect();
+    // Column group `i` of every block is one head: stack its rows.
+    let dh = tensors[0][0].cols();
+    let total = rows * topo.ulysses;
+    let group = |i: usize| {
+        let mut data = Vec::with_capacity(total * dh);
+        for (block, _) in &incoming {
+            for r in 0..block.rows() {
+                data.extend_from_slice(&block.row(r)[i * dh..(i + 1) * dh]);
+            }
+        }
+        Mat::from_vec(total, dh, data)
+    };
+    let heads = (0..tensors.len())
+        .map(|t| (0..hpr).map(|h| group(t * hpr + h)).collect())
+        .collect();
+    // Each block's values are its sender's rows of the owned heads' Lse,
+    // one head after another.
     let lse = lse.map_or_else(Vec::new, |_| {
         (0..hpr)
             .map(|h| {
-                stats
+                incoming
                     .iter()
-                    .flat_map(|s| lse_piece(s, hpr, h))
+                    .flat_map(|(_, s)| &s[h * rows..(h + 1) * rows])
                     .copied()
                     .collect()
             })
             .collect()
     });
-    Ok((unbundle(&Mat::vstack(&mats), hpr), lse))
+    Ok((heads, lse))
 }
 
 /// Head shards → sequence shards, the reverse of [`to_heads`]: member `p`
-/// receives its row slice of this rank's heads, with their Lse when `lse`
-/// is given (empty otherwise).
+/// receives its row slice of this rank's heads of every tensor in one
+/// block, with those heads' Lse when `lse` is given. Returns, per tensor,
+/// every head on this rank's rows, and their Lse (empty without `lse`).
 fn to_rows(
     comm: &mut Communicator,
     topo: &UspTopo,
-    shards: &[Mat],
+    tensors: &[&[Mat]],
     lse: Option<&[Vec<f32>]>,
     hpr: usize,
     at: impl Fn(CommError) -> AttnFailure,
-) -> Result<(Vec<Mat>, Vec<Vec<f32>>), AttnFailure> {
-    let rows = shards[0].rows() / topo.ulysses;
+) -> Result<Moved, AttnFailure> {
+    let rows = tensors[0][0].rows() / topo.ulysses;
+    let parts: Vec<&Mat> = tensors.iter().flat_map(|t| t.iter()).collect();
     let outgoing: Vec<Block> = (0..topo.ulysses)
         .map(|p| {
             let mine = p * rows..(p + 1) * rows;
-            let slices: Vec<Mat> = shards
-                .iter()
-                .map(|s| s.slice_rows(mine.start, mine.end))
-                .collect();
-            let stats = lse.map(|l| l.iter().flat_map(|h| &h[mine.clone()]).copied().collect());
-            (Mat::hstack(&slices), stats)
+            let stats = lse.map_or_else(Vec::new, |l| {
+                l.iter().flat_map(|h| &h[mine.clone()]).copied().collect()
+            });
+            (pack(&parts, mine), stats)
         })
         .collect();
     let incoming = all_to_all(comm, &topo.u_members, outgoing).map_err(at)?;
-    let mats = incoming.iter().flat_map(|b| unbundle(&b.0, hpr)).collect();
-    let lse = incoming
-        .iter()
-        .filter_map(|b| b.1.as_deref())
-        .flat_map(|s| (0..hpr).map(move |h| lse_piece(s, hpr, h).to_vec()))
+    // Member `m`'s block holds heads `m·hpr..(m+1)·hpr` of every tensor.
+    let dh = tensors[0][0].cols();
+    let heads = (0..tensors.len())
+        .map(|t| {
+            incoming
+                .iter()
+                .flat_map(|(block, _)| {
+                    (0..hpr)
+                        .map(move |h| block.slice_cols((t * hpr + h) * dh, (t * hpr + h + 1) * dh))
+                })
+                .collect()
+        })
         .collect();
-    Ok((mats, lse))
+    let lse = lse.map_or_else(Vec::new, |_| {
+        incoming
+            .iter()
+            .flat_map(|(_, s)| (0..hpr).map(move |h| s[h * rows..(h + 1) * rows].to_vec()))
+            .collect()
+    });
+    Ok((heads, lse))
 }
 
-/// USP forward: all-to-alls move Q, K and V to head shards, attention runs
-/// over the ring shard for every owned head at once (one pipelined pass
-/// over the two-level ring, or local flash attention for a ring of one),
-/// and a reverse all-to-all returns each head's `(O, Lse)` on this rank's
-/// rows. Nothing is kept for the backward: [`try_usp_backward`] takes the
-/// outputs back from the caller.
+/// One packed all-to-all of `Q, K, V` to head shards, billed as
+/// `usp_saved` from the moment it lands.
+fn context(
+    comm: &mut Communicator,
+    topo: &UspTopo,
+    qkv: [&[Mat]; 3],
+    hpr: usize,
+    at: impl Fn(CommError) -> AttnFailure,
+) -> Result<UspCtx, AttnFailure> {
+    let (heads, _) = to_heads(comm, topo, &qkv, None, hpr, at)?;
+    let bytes: usize = heads.iter().flatten().map(Mat::nbytes).sum();
+    let mem = comm.mem_alloc("usp_saved", MemCategory::CkptStash, bytes as u64);
+    let [q, k, v]: [Vec<Mat>; 3] = heads.try_into().expect("three tensors");
+    Ok(UspCtx { q, k, v, mem })
+}
+
+/// USP forward: one packed all-to-all moves Q, K and V to head shards,
+/// attention runs over the ring shard for every owned head at once (one
+/// pipelined pass over the two-level ring, or local flash attention for a
+/// ring of one), and a reverse all-to-all returns each head's `(O, Lse)`
+/// on this rank's rows. The head-shard `Q, K, V` come back as a
+/// [`UspCtx`] for [`try_usp_backward`]; a caller with no backward to follow
+/// releases it.
 ///
-/// All-to-all failures carry `(Phase::Forward, k)` with `k` the all-to-all
-/// index in the order they run: 0 = Q, 1 = K, 2 = V, 3 = O with its Lse.
-/// Ring failures carry `(Phase::Forward, outer · gpn + inner)`, the
-/// two-level slot label (see the module docs).
+/// All-to-all failures carry `(Phase::Forward, k)` with `k` the
+/// all-to-all index in the order they run: 0 = Q|K|V, 1 = (O, Lse). Ring
+/// failures carry `(Phase::Forward, outer · gpn + inner)`, the two-level
+/// slot label (see the module docs).
 #[allow(clippy::too_many_arguments)]
 pub fn try_usp_forward(
     comm: &mut Communicator,
@@ -357,12 +434,11 @@ pub fn try_usp_forward(
     mask: &AttnMask,
     seq_len: usize,
     cost: &CostModel,
-) -> Result<HeadOuts, DattnError> {
+) -> Result<(HeadOuts, UspCtx), DattnError> {
     let hpr = topo.heads_per_rank(q_heads.len(), seq_len)?;
     let at = |k| AttnFailure::at(Phase::Forward, k);
-    let (q, _) = to_heads(comm, topo, q_heads, None, hpr, at(0))?;
-    let (k, _) = to_heads(comm, topo, k_heads, None, hpr, at(1))?;
-    let (v, _) = to_heads(comm, topo, v_heads, None, hpr, at(2))?;
+    let ctx = context(comm, topo, [q_heads, k_heads, v_heads], hpr, at(0))?;
+    let (q, k, v) = (&ctx.q, &ctx.k, &ctx.v);
 
     let mut o = Vec::with_capacity(hpr);
     let mut lse = Vec::with_capacity(hpr);
@@ -396,28 +472,36 @@ pub fn try_usp_forward(
             lse.push(out.lse);
         }
     }
-    Ok(to_rows(comm, topo, &o, Some(&lse), hpr, at(3))?)
+    let (outs, lse) = to_rows(comm, topo, &[&o], Some(&lse), hpr, at(1))?;
+    let [o]: [Vec<Mat>; 1] = outs.try_into().expect("one tensor");
+    Ok(((o, lse), ctx))
 }
 
 /// USP backward from the tensors the caller holds on its rows: `Q, K, V`,
-/// the forward's `(O, Lse)` and `∇O`. All-to-alls move them to head
-/// shards, the backward runs one owned head at a time over the ring shard
-/// (Algorithm 1 over the two-level ring, LoongTrain's DoubleRing backward,
-/// or the local flash backward for a ring of one), and all-to-alls return
-/// the input gradients. No forward runs here.
+/// the forward's `(O, Lse)` and `∇O`. `held` is the context the forward
+/// over the same `Q, K, V` handed back; without one, the forward's packed
+/// all-to-all first moves `Q, K, V` to head shards. One all-to-all moves
+/// `(O, Lse)` and `∇O`: the caller's `(O, Lse)`, not the forward's, so
+/// outputs a checkpointing strategy stitched from a recompute and a cache
+/// are the ones differentiated. The backward then runs one owned head at a
+/// time over the ring shard (Algorithm 1 over the two-level ring,
+/// LoongTrain's DoubleRing backward, or the local flash backward for a ring
+/// of one), and one all-to-all returns the input gradients. No forward
+/// runs here.
 ///
-/// The rebuilt head-shard context (`Q, K, V, O` and Lse) is billed as
-/// `usp_saved` from the first all-to-all until the gradients have left.
+/// The context is billed as `usp_saved` — its `Q, K, V` from the landing of
+/// their exchange, the head-shard `O` and Lse from the landing of theirs —
+/// and closes after the last head's ring pass, before the gradients leave.
 ///
 /// All-to-all failures carry `(Phase::Backward, k)` with `k` the
-/// all-to-all index in the order they run: 0 = Q, 1 = K, 2 = V, 3 = O with
-/// its Lse, 4 = ∇O, 5 = ∇Q, 6 = ∇K, 7 = ∇V. Ring failures carry
-/// `(Phase::Backward, outer · gpn + inner)`, the two-level slot label (see
-/// the module docs).
+/// all-to-all's index: 0 = Q|K|V (run only without `held`), 1 = (O, Lse)|∇O,
+/// 2 = ∇Q|∇K|∇V. Ring failures carry `(Phase::Backward, outer · gpn +
+/// inner)`, the two-level slot label (see the module docs).
 #[allow(clippy::too_many_arguments)]
 pub fn try_usp_backward(
     comm: &mut Communicator,
     topo: &UspTopo,
+    held: Option<UspCtx>,
     q_heads: &[Mat],
     k_heads: &[Mat],
     v_heads: &[Mat],
@@ -431,23 +515,26 @@ pub fn try_usp_backward(
 ) -> Result<HeadGrads, DattnError> {
     let hpr = topo.heads_per_rank(q_heads.len(), seq_len)?;
     let at = |k| AttnFailure::at(Phase::Backward, k);
-    // The all-to-alls only move elements between ranks, so the head-shard
-    // context is as large as the row-shard tensors it is built from.
-    let mats: usize = [q_heads, k_heads, v_heads, o_heads]
-        .iter()
-        .flat_map(|hs| hs.iter())
-        .map(Mat::nbytes)
-        .sum();
-    let vecs: usize = lse_heads.iter().map(|l| 4 * l.len()).sum();
-    let mem_saved = comm.mem_alloc("usp_saved", MemCategory::CkptStash, (mats + vecs) as u64);
-    let (q, _) = to_heads(comm, topo, q_heads, None, hpr, at(0))?;
-    let (k, _) = to_heads(comm, topo, k_heads, None, hpr, at(1))?;
-    let (v, _) = to_heads(comm, topo, v_heads, None, hpr, at(2))?;
-    let (o, lse) = to_heads(comm, topo, o_heads, Some(lse_heads), hpr, at(3))?;
-    let (grad_o, _) = to_heads(comm, topo, grad_o_heads, None, hpr, at(4))?;
+    let ctx = match held {
+        Some(ctx) => ctx,
+        None => context(comm, topo, [q_heads, k_heads, v_heads], hpr, at(0))?,
+    };
+    let (outs, lse) = to_heads(
+        comm,
+        topo,
+        &[o_heads, grad_o_heads],
+        Some(lse_heads),
+        hpr,
+        at(1),
+    )?;
+    let [o, grad_o]: [Vec<Mat>; 2] = outs.try_into().expect("two tensors");
+    let out_bytes: usize =
+        o.iter().map(Mat::nbytes).sum::<usize>() + 4 * lse.iter().map(Vec::len).sum::<usize>();
+    let mem_out = comm.mem_alloc("usp_saved", MemCategory::CkptStash, out_bytes as u64);
+    let (q, k, v) = (&ctx.q, &ctx.k, &ctx.v);
 
     // The ring-shard (∇Q, ∇K, ∇V) of this rank's owned heads, live from the
-    // per-head backwards until the all-to-alls return them.
+    // per-head backwards until the all-to-all returns them.
     let grads_bytes: usize = 3 * q.iter().map(Mat::nbytes).sum::<usize>();
     let mem_grads = comm.mem_alloc("usp_grads", MemCategory::Activations, grads_bytes as u64);
     let mut dq = Vec::with_capacity(hpr);
@@ -490,11 +577,13 @@ pub fn try_usp_backward(
             dv.push(c);
         }
     }
+    // The whole context goes before the gradients leave.
+    comm.mem_free(mem_out);
+    ctx.release(comm);
+    drop((o, grad_o, lse));
 
-    let (dq, _) = to_rows(comm, topo, &dq, None, hpr, at(5))?;
-    let (dk, _) = to_rows(comm, topo, &dk, None, hpr, at(6))?;
-    let (dv, _) = to_rows(comm, topo, &dv, None, hpr, at(7))?;
+    let (grads, _) = to_rows(comm, topo, &[&dq, &dk, &dv], None, hpr, at(2))?;
     comm.mem_free(mem_grads);
-    comm.mem_free(mem_saved);
+    let [dq, dk, dv]: [Vec<Mat>; 3] = grads.try_into().expect("three tensors");
     Ok((dq, dk, dv))
 }

@@ -4,7 +4,7 @@
 //! head-divisibility failure mode the paper exploits (40 heads on 32 GPUs)
 //! and ring shards a Ulysses group cannot split evenly.
 
-use burst_comm::{CommStats, Communicator, Topology, WireDtype, World};
+use burst_comm::{CommStats, Communicator, RankTrace, SpanKind, Topology, WireDtype, World};
 use burst_dattn::usp::{
     try_usp_backward, try_usp_forward, HeadGrads, HeadOuts, UlyssesError, UspTopo,
 };
@@ -96,7 +96,9 @@ fn assert_lse_close(got: &[f32], want: &[f32], idx: &[usize], ctx: &str) {
 
 /// One forward + backward of USP with Ulysses groups of `u` ranks on this
 /// rank's rows of the global per-head tensors, ring-round skipping set by
-/// `skip`: `(local_idx, (O, Lse), (∇Q, ∇K, ∇V))`.
+/// `skip`: `(local_idx, (O, Lse), (∇Q, ∇K, ∇V))`. The backward runs twice,
+/// on the forward's context and on one it rebuilds, and the two must agree
+/// bit for bit.
 fn run_usp(
     comm: &mut Communicator,
     p: &HeadProblem,
@@ -108,25 +110,27 @@ fn run_usp(
     let topo = UspTopo::new(comm, u).with_skip(skip);
     let idx = topo.local_idx(n);
     let local = |hs: &[Mat]| -> Vec<Mat> { hs.iter().map(|m| m.gather_rows(&idx)).collect() };
-    let (q, k, v) = (local(&p.q), local(&p.k), local(&p.v));
+    let (q, k, v, go) = (local(&p.q), local(&p.k), local(&p.v), local(&p.grad_o));
     let free = CostModel::free();
-    let (o, lse) =
+    let ((o, lse), ctx) =
         try_usp_forward(comm, &topo, &q, &k, &v, p.scale, mask, n, &free).expect("usp forward");
-    let grads = try_usp_backward(
-        comm,
-        &topo,
-        &q,
-        &k,
-        &v,
-        &o,
-        &lse,
-        &local(&p.grad_o),
-        p.scale,
-        mask,
-        n,
-        &free,
-    )
-    .expect("usp backward");
+    let mut backward = |held| {
+        try_usp_backward(
+            comm, &topo, held, &q, &k, &v, &o, &lse, &go, p.scale, mask, n, &free,
+        )
+        .expect("usp backward")
+    };
+    let grads = backward(Some(ctx));
+    let rebuilt = backward(None);
+    for (held, rebuilt) in [
+        (&grads.0, &rebuilt.0),
+        (&grads.1, &rebuilt.1),
+        (&grads.2, &rebuilt.2),
+    ] {
+        for (a, b) in held.iter().zip(rebuilt) {
+            assert_eq!(bits(a), bits(b), "held vs rebuilt context");
+        }
+    }
     (idx, (o, lse), grads)
 }
 
@@ -190,65 +194,135 @@ fn by_link(s: &CommStats) -> [(u64, f64); 2] {
     [(s.intra_msgs, s.intra_bytes), (s.inter_msgs, s.inter_bytes)]
 }
 
+/// The sends of every `a2a` span of a rank's trace, in run order: per
+/// all-to-all, `(peer, payload elements, crossed a NIC)` per message.
+fn a2a_sends(trace: &RankTrace) -> Vec<Vec<(usize, u64, bool)>> {
+    let rounds: Vec<usize> = (0..trace.spans.len())
+        .filter(|&i| trace.spans[i].kind == SpanKind::AttnRound && trace.spans[i].name == "a2a")
+        .collect();
+    rounds
+        .iter()
+        .map(|&r| {
+            trace
+                .spans
+                .iter()
+                .filter(|s| s.kind == SpanKind::Send && s.parent == r as i32)
+                .map(|s| (s.peer as usize, s.elems, s.inter))
+                .collect()
+        })
+        .collect()
+}
+
 #[test]
 fn ulysses_communication_scales_inversely_with_group() {
-    // At U = G (DeepSpeed-Ulysses) the ring has one position, so every
-    // message is an all-to-all block: a rank sends each of its G − 1 peers
-    // one matrix per all-to-all, in the order they run — forward Q, K, V,
-    // (O, Lse); backward Q, K, V, (O, Lse), ∇O, ∇Q, ∇K, ∇V — plus the Lse
-    // vector riding each (O, Lse) round. A block holds H/G heads of n/G
-    // rows, so per peer that is 4 + 8 = 12 matrices of (n/G)·(H/G)·dh
-    // elements at the wire dtype and 1 + 1 = 2 Lse vectors of (H/G)·(n/G)
-    // f32 elements: per-rank volume 12·n·H·dh·(G − 1)/G² shrinks with G.
+    // Every phase is one all-to-all: a rank sends each of its U − 1
+    // Ulysses peers one message per all-to-all, in the order they run —
+    // forward Q|K|V, (O, Lse); a backward on the forward's context
+    // (O, Lse)|∇O, ∇Q|∇K|∇V; a backward without one Q|K|V first. A message
+    // packs `t` tensors' H/U heads on n/G rows, t·(n/G)·(H/U)·dh matrix
+    // elements at the wire dtype, and the two (O, Lse) rounds add
+    // (H/U)·(n/G) Lse values at f32. The Ulysses group is consecutive
+    // ranks, so a peer is across a NIC only when the group spans nodes.
+    // At U = G (DeepSpeed-Ulysses) the ring has one position and these
+    // are all of a rank's messages, so the forward plus a backward on its
+    // context moves 9·n·H·dh·(G − 1)/G² matrix elements per rank, which
+    // shrinks with G. At U < G the ring leg sends too, outside the
+    // all-to-alls.
     let (n, heads, dh) = (32usize, 8usize, 4usize);
     let p = head_problem(n, heads, dh);
+    // Each all-to-all in run order: (tensors packed, carries the Lse).
+    let rounds = [
+        (3, false),
+        (1, true),
+        (2, true),
+        (3, false),
+        (3, false),
+        (2, true),
+        (3, false),
+    ];
     let mut volume = Vec::new();
-    for topo in [
-        Topology::single_node(2),
-        Topology::single_node(4),
-        Topology::a800(2, 2),
+    for (topo, u) in [
+        (Topology::single_node(2), 2),
+        (Topology::single_node(4), 4),
+        (Topology::a800(2, 2), 4),
+        (Topology::a800(2, 2), 2),
+        (Topology::a800(2, 4), 2),
     ] {
         for dtype in [WireDtype::F32, WireDtype::Bf16] {
             let g = topo.world_size();
-            let mat = ((n / g) * (heads / g) * dh) as f64 * dtype.width();
-            let lse = ((heads / g) * (n / g) * 4) as f64;
-            // A rank's peers: the rest of its node, then the other nodes.
-            let peers = [topo.gpus_per_node - 1, g - topo.gpus_per_node].map(|k| k as u64);
-            let want =
-                |mats: u64| peers.map(|k| (k * (mats + 1), k as f64 * (mats as f64 * mat + lse)));
+            let gpn = topo.gpus_per_node;
+            let (rows, hpr) = (n / g, heads / u);
+            let mat = (rows * hpr * dh) as u64;
+            let lse = (hpr * rows) as u64;
+            let elems = |(t, with_lse): (u64, bool)| t * mat + if with_lse { lse } else { 0 };
+            let bytes = |(t, with_lse): (u64, bool)| {
+                (t * mat) as f64 * dtype.width() + if with_lse { 4.0 * lse as f64 } else { 0.0 }
+            };
             let outs = World::new(topo.clone().with_wire_dtype(dtype)).run(|comm| {
-                let usp = UspTopo::new(comm, g);
+                comm.start_trace();
+                let usp = UspTopo::new(comm, u);
                 let idx = usp.local_idx(n);
                 let local =
                     |hs: &[Mat]| -> Vec<Mat> { hs.iter().map(|m| m.gather_rows(&idx)).collect() };
-                let (q, k, v) = (local(&p.q), local(&p.k), local(&p.v));
+                let (q, k, v, go) = (local(&p.q), local(&p.k), local(&p.v), local(&p.grad_o));
                 let (mask, free) = (AttnMask::Causal, CostModel::free());
-                let (o, l) = try_usp_forward(comm, &usp, &q, &k, &v, p.scale, &mask, n, &free)
-                    .expect("usp forward");
+                let ((o, l), ctx) =
+                    try_usp_forward(comm, &usp, &q, &k, &v, p.scale, &mask, n, &free)
+                        .expect("usp forward");
                 let fwd = comm.stats();
-                let go = local(&p.grad_o);
-                try_usp_backward(
-                    comm, &usp, &q, &k, &v, &o, &l, &go, p.scale, &mask, n, &free,
-                )
-                .expect("usp backward");
+                let mut backward = |held| {
+                    try_usp_backward(
+                        comm, &usp, held, &q, &k, &v, &o, &l, &go, p.scale, &mask, n, &free,
+                    )
+                    .expect("usp backward");
+                };
+                backward(Some(ctx));
+                backward(None);
                 (fwd, comm.stats())
             });
             for out in &outs {
-                let (fwd, all) = &out.result;
                 let ctx = format!(
-                    "{g} ranks, {} nodes, {dtype:?}, rank {}",
+                    "U={u} on {g} ranks, {} nodes, {dtype:?}, rank {}",
                     topo.nodes, out.rank
                 );
-                assert_eq!(by_link(fwd), want(4), "{ctx}: forward");
-                let [intra, inter] = by_link(all);
-                let [fi, fx] = by_link(fwd);
-                let bwd = [
-                    (intra.0 - fi.0, intra.1 - fi.1),
-                    (inter.0 - fx.0, inter.1 - fx.1),
-                ];
-                assert_eq!(bwd, want(8), "{ctx}: backward");
+                let trace = out.trace.as_ref().expect("traced");
+                let sent = a2a_sends(trace);
+                assert_eq!(sent.len(), rounds.len(), "{ctx}: all-to-alls");
+                let group = out.rank / u * u..out.rank / u * u + u;
+                let mut per_link = vec![[(0u64, 0.0f64); 2]; rounds.len()];
+                for (i, (msgs, &(t, with_lse))) in sent.iter().zip(&rounds).enumerate() {
+                    let mut peers: Vec<usize> = msgs.iter().map(|m| m.0).collect();
+                    peers.sort_unstable();
+                    let want: Vec<usize> = group.clone().filter(|&m| m != out.rank).collect();
+                    assert_eq!(peers, want, "{ctx}: all-to-all {i} peers");
+                    for &(peer, got, inter) in msgs {
+                        assert_eq!(got, elems((t, with_lse)), "{ctx}: all-to-all {i} elements");
+                        assert_eq!(inter, peer / gpn != out.rank / gpn, "{ctx}: link to {peer}");
+                        let link = &mut per_link[i][inter as usize];
+                        link.0 += 1;
+                        link.1 += bytes((t, with_lse));
+                    }
+                }
+                if u == g {
+                    // Nothing but the all-to-alls: the link counters hold
+                    // exactly their messages and bytes.
+                    let sum = |rounds: std::ops::Range<usize>| {
+                        let mut acc = [(0u64, 0.0f64); 2];
+                        for r in &per_link[rounds] {
+                            for (a, b) in acc.iter_mut().zip(r) {
+                                a.0 += b.0;
+                                a.1 += b.1;
+                            }
+                        }
+                        acc
+                    };
+                    let (fwd, all) = &out.result;
+                    assert_eq!(by_link(fwd), sum(0..2), "{ctx}: forward");
+                    assert_eq!(by_link(all), sum(0..rounds.len()), "{ctx}: both backwards");
+                    let [intra, inter] = sum(0..4);
+                    volume.push((g, dtype, intra.1 + inter.1));
+                }
             }
-            volume.push((g, dtype, outs[0].result.1.total_bytes()));
         }
     }
     for dtype in [WireDtype::F32, WireDtype::Bf16] {
@@ -384,7 +458,7 @@ fn usp_rejects_a_ring_shard_its_group_cannot_split_before_sending() {
         let mask = AttnMask::Causal;
         let fwd = try_usp_forward(comm, &topo, &ql, &ql, &ql, p.scale, &mask, n, &free).err();
         let bwd = try_usp_backward(
-            comm, &topo, &ql, &ql, &ql, &ql, &lse, &ql, p.scale, &mask, n, &free,
+            comm, &topo, None, &ql, &ql, &ql, &ql, &lse, &ql, p.scale, &mask, n, &free,
         )
         .err();
         [fwd, bwd]

@@ -18,7 +18,7 @@
 use crate::linear::{Linear, LinearSaved};
 use crate::rope::{rope_apply, rope_backward, ROPE_THETA};
 use burst_comm::{CommError, Communicator, SpanKind};
-use burst_dattn::usp::{try_usp_backward, try_usp_forward, HeadGrads, UspTopo};
+use burst_dattn::usp::{try_usp_backward, try_usp_forward, HeadGrads, UspCtx, UspTopo};
 use burst_dattn::{
     double_ring, escalate_attn, try_burst_backward, try_ring_backward, try_ring_forward, Algo,
     AttnShard, BackwardInputs, CostModel, DattnError, DistAttnOut, DoubleRingSpec, Layout, Ring,
@@ -107,7 +107,8 @@ pub trait AttnExec {
     }
 
     /// Enter/leave a recompute scope: compute charged inside is tagged
-    /// `"recompute"` in the trace.
+    /// `"recompute"` in the trace, and [`UspExec`] keeps the head-shard
+    /// context of a forward run inside one for the backward that follows.
     fn recompute_scope(&mut self, enter: bool) {
         if let Some(comm) = self.comm() {
             comm.recompute_scope(enter);
@@ -447,9 +448,17 @@ impl AttnExec for DistExec<'_> {
 /// members are ragged across nodes): every owned head through one pipelined
 /// forward pass, and Algorithm 1 one head at a time in the backward (see
 /// [`burst_dattn::usp`]). The forward returns each head's `(O, Lse)`, and
-/// the backward consumes the tensors it is handed, as the ring family does:
-/// rebuilding them is the checkpointing strategy's business. A
-/// communication fault is latched (see [`AttnExec::take_failure`]).
+/// the backward consumes the `(O, Lse)` it is handed, as the ring family
+/// does: rebuilding them is the checkpointing strategy's business.
+///
+/// A forward run inside a recompute scope (see
+/// [`AttnExec::recompute_scope`]) — the Full and sequence-selective
+/// strategies rebuild a block's outputs right before that block's
+/// backward — keeps its head-shard `Q, K, V` ([`UspCtx`]) until the next
+/// backward, which then exchanges only `(O, Lse)` and `∇O`. Any other
+/// forward releases its context on return, and a backward without one
+/// exchanges `Q, K, V` first. A communication fault is latched (see
+/// [`AttnExec::take_failure`]).
 pub struct UspExec<'a> {
     pub comm: &'a mut Communicator,
     pub ulysses_size: usize,
@@ -459,6 +468,9 @@ pub struct UspExec<'a> {
     /// Mask-aware round skipping on the context-parallel ring legs (the
     /// all-to-alls are mask-independent). Off by default.
     pub skip: bool,
+    /// The head-shard context of the last forward run in a recompute
+    /// scope, until the backward consumes it.
+    held: Option<UspCtx>,
     latch: FaultLatch,
 }
 
@@ -477,6 +489,7 @@ impl<'a> UspExec<'a> {
             seq_len,
             cost,
             skip: false,
+            held: None,
             latch: FaultLatch::default(),
         }
     }
@@ -494,6 +507,17 @@ impl AttnExec for UspExec<'_> {
         let out = self.latch.run(self.comm, |comm| {
             try_usp_forward(comm, &topo, q, k, v, scale, mask, seq_len, cost)
         });
+        let out = out.map(|(out, ctx)| {
+            let stale = if self.comm.in_recompute_scope() {
+                self.held.replace(ctx)
+            } else {
+                Some(ctx)
+            };
+            if let Some(ctx) = stale {
+                ctx.release(self.comm);
+            }
+            out
+        });
         zero_padded_out(out.unwrap_or_default(), q, v)
     }
 
@@ -509,9 +533,10 @@ impl AttnExec for UspExec<'_> {
         let topo = self.topo();
         let (mask, seq_len, cost) = (&self.mask, self.seq_len, &self.cost);
         let scale = head_scale(&q[0]);
+        let held = self.held.take();
         let grads = self.latch.run(self.comm, |comm| {
             try_usp_backward(
-                comm, &topo, q, k, v, o, lse, grad_o, scale, mask, seq_len, cost,
+                comm, &topo, held, q, k, v, o, lse, grad_o, scale, mask, seq_len, cost,
             )
         });
         zero_padded_grads(grads.unwrap_or_default(), q, k, v)

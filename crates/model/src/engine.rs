@@ -49,8 +49,10 @@ pub struct EngineConfig {
     pub strategy: Strategy,
     pub mask: AttnMask,
     pub cost: CostModel,
-    /// Synchronise parameters FSDP-style (all-gather weights, all-reduce
-    /// gradients) every step.
+    /// Shard the training state FSDP-style: all-gather the weights every
+    /// step and bill weights, gradients and Adam moments at `1/G` per rank.
+    /// Gradients are summed across the world every step either way, so
+    /// replicas stay identical.
     pub fsdp: bool,
     /// ZeRO-Offload: keep Adam moments in host memory; each step pays the
     /// PCIe round trip in virtual time but frees device state (the paper's
@@ -302,10 +304,10 @@ struct StepDone {
 /// One optimizer step over `group`: the FSDP weight gather, every
 /// micro-batch through the backend's executor (rolling back a poisoned one
 /// when accumulation allows), the gradient sync that also reduces the loss
-/// and agrees on a lockstep skip (a loss all-reduce without FSDP), then
-/// Adam and the offload charge. The same messages in the same order for the
-/// fixed world and an alive set of the same shape. A typed error leaves
-/// spans open for the caller to settle; the model is then mid-step.
+/// and agrees on a lockstep skip, then Adam and the offload charge. The
+/// same messages in the same order for the fixed world and an alive set of
+/// the same shape. A typed error leaves spans open for the caller to
+/// settle; the model is then mid-step.
 fn step_on(
     comm: &mut Communicator,
     group: &mut Group<'_>,
@@ -421,15 +423,10 @@ fn step_on(
         }
     }
     // Global mean loss + the poison flag, reduced together so every rank
-    // takes the same skip decision. Under FSDP they ride the gradient
-    // sync, the step's one collective after its last micro-batch;
-    // otherwise they take a leader all-reduce of their own.
+    // takes the same skip decision: they ride the gradient sync, the step's
+    // one collective after its last micro-batch.
     let local = [step_loss_sum, local_bad];
-    let reduced = if cfg.fsdp {
-        fsdp::try_sync_grads(comm, group, &mut model.params_mut(), &local)?
-    } else {
-        group.all_reduce_vec(comm, &local)?
-    };
+    let reduced = fsdp::try_sync_grads(comm, group, &mut model.params_mut(), &local)?;
     let loss = reduced[0] / (n * accum) as f32;
     if !loss.is_finite() {
         // A poisoned reduction: some rank fed NaN/Inf into the loss

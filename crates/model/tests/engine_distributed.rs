@@ -128,6 +128,27 @@ fn run_state(topo: &Topology, c: &EngineConfig, steps: usize) -> Vec<(Vec<f32>, 
 }
 
 #[test]
+fn replicated_weights_train_identical_replicas() {
+    // Without FSDP every rank holds the whole model, and the gradient sync
+    // still sums every rank's gradients, so the replicas take the same Adam
+    // step: bit-identical state on every rank. On an f32 wire the FSDP
+    // weight gather returns each replica unchanged, so the losses are the
+    // FSDP run's.
+    let topo = Topology::single_node(3);
+    let mut c = cfg(Backend::Ring(Algo::BurstFlat));
+    c.model.seq_len = 48; // three zigzag shards
+    c.fsdp = false;
+    let replicated = run_state(&topo, &c, 3);
+    for (rank, (losses, state)) in replicated.iter().enumerate() {
+        assert_eq!(losses, &replicated[0].0, "rank {rank}: losses");
+        assert!(state == &replicated[0].1, "rank {rank}: state diverged");
+    }
+    c.fsdp = true;
+    let sharded = run_state(&topo, &c, 3);
+    assert_eq!(replicated[0].0, sharded[0].0, "fsdp on vs off: losses");
+}
+
+#[test]
 fn checkpoint_strategies_equivalent_distributed() {
     let world = World::new(Topology::single_node(4));
     let run = |strategy: Strategy| {
@@ -215,6 +236,30 @@ fn head_parallel_backward_reruns_no_forward_under_selective_pp() {
                 let ring = matches!(backend, Backend::Usp { .. }) && reruns;
                 let slot = rerun_in_bwd(t, SpanKind::AttnRound, "dr_fwd_slot");
                 assert_eq!(slot, ring, "{ctx}: dr_fwd_slot in layer_bwd");
+                // A rerun forward moves Q|K|V and (O, Lse), and the backward
+                // on its context (O, Lse)|∇O and the gradients; without a
+                // rerun the backward first moves Q|K|V itself.
+                let a2a = if reruns { 4 } else { 3 };
+                let under = |mut up: i32, layer: usize| {
+                    while up >= 0 && up as usize != layer {
+                        up = t.spans[up as usize].parent;
+                    }
+                    up >= 0
+                };
+                for (i, _) in t
+                    .spans
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| s.kind == SpanKind::Layer && s.name == "layer_bwd")
+                {
+                    let n = t
+                        .spans
+                        .iter()
+                        .filter(|s| s.kind == SpanKind::AttnRound && s.name == "a2a")
+                        .filter(|s| under(s.parent, i))
+                        .count();
+                    assert_eq!(n, a2a, "{ctx}: all-to-alls in layer_bwd span {i}");
+                }
             }
         }
     }

@@ -3,7 +3,7 @@
 //! the gate that a bf16 activation stash is exactly half the f32 one.
 
 use burst_comm::obs::{validate_mem, MemReport};
-use burst_comm::{Topology, World};
+use burst_comm::{Topology, WireDtype, World};
 use burst_dattn::{Algo, Layout};
 use burst_kernels::AttnMask;
 use burst_model::engine::{run_rank, Backend, EngineConfig};
@@ -93,7 +93,7 @@ fn device_state_entries_match_the_fsdp_decomposition() {
         assert_eq!(r.peak.params, bytes);
         assert_eq!(r.peak.optim_state, 0, "offloaded moments are host-side");
     }
-    // No FSDP: fully replicated state, no gather/sync buffers.
+    // No FSDP: fully replicated state, still summed by the gradient sync.
     cfg.offload_optimizer = false;
     cfg.fsdp = false;
     for r in &run_accounted(&cfg, Topology::a800(1, g as usize), 1) {
@@ -127,18 +127,39 @@ fn fsdp_buffers_stash_and_workspace_land_on_their_lanes() {
 
 #[test]
 fn ulysses_and_usp_forwards_close_their_stash_entries() {
-    // The head-parallel forward keeps nothing for the backward, which
-    // rebuilds its head-shard context (`usp_saved`) from the tensors it is
-    // handed; that entry must close before the backward returns.
+    // The head-parallel context (`usp_saved`) is the one ledger entry that
+    // spans two executor calls: a forward inside a recompute scope keeps
+    // it for the backward that follows, any other forward releases it, and
+    // a backward without one rebuilds it. Every strategy takes a different
+    // one of those paths, so each must close every entry, on both wire
+    // dtypes and with micro-batches accumulated.
+    let strategies = [
+        Strategy::None,
+        Strategy::Full,
+        Strategy::SelectivePlusPlus,
+        Strategy::SeqSelective { rho: 0.5 },
+    ];
     for (backend, topo) in [
         (Backend::Ulysses, Topology::a800(1, 2)),
         (Backend::Usp { ulysses_size: 2 }, Topology::a800(2, 2)),
     ] {
-        let cfg = EngineConfig::tiny(backend);
-        for r in &run_accounted(&cfg, topo, 2) {
-            validate_mem(r).unwrap();
-            assert!(r.warnings.is_empty(), "{backend:?}: {:?}", r.warnings);
-            assert_eq!(r.live_at_close, 0, "{backend:?} rank {} leaked", r.rank);
+        for dtype in [WireDtype::F32, WireDtype::Bf16] {
+            let topo = topo.clone().with_wire_dtype(dtype);
+            let runs = strategies
+                .iter()
+                .map(|&strategy| (strategy, 1))
+                .chain([(Strategy::Full, 2)]);
+            for (strategy, grad_accum) in runs {
+                let mut cfg = EngineConfig::tiny(backend);
+                cfg.strategy = strategy;
+                cfg.grad_accum = grad_accum;
+                let ctx = format!("{backend:?} {dtype:?} {strategy:?} accum {grad_accum}");
+                for r in &run_accounted(&cfg, topo.clone(), 2) {
+                    validate_mem(r).unwrap();
+                    assert!(r.warnings.is_empty(), "{ctx}: {:?}", r.warnings);
+                    assert_eq!(r.live_at_close, 0, "{ctx}: rank {} leaked", r.rank);
+                }
+            }
         }
     }
 }

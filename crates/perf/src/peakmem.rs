@@ -29,10 +29,12 @@ pub enum PeakMethod {
     /// USP hybrid: Ulysses groups of size `ulysses` × context rings of size
     /// `world / ulysses` on the two-level ring (one level when a ring's
     /// members are ragged across nodes); `ulysses` = world is
-    /// DeepSpeed-Ulysses. One forward over every owned head at once, then a
-    /// backward that rebuilds the head-shard context from the caller's
-    /// tensors and the forward's `(O, Lse)` and runs Algorithm 1 one head at
-    /// a time.
+    /// DeepSpeed-Ulysses. One forward over every owned head at once, which
+    /// keeps its head-shard `Q, K, V` for the backward, then a backward that
+    /// lands the caller's `(O, Lse)` and `∇O` beside them, runs Algorithm 1
+    /// one head at a time and closes the context before the gradient
+    /// all-to-all. A backward without a context runs the forward's `Q, K,
+    /// V` all-to-all first, an instant the forward already prices.
     Usp { heads: usize, ulysses: usize },
 }
 
@@ -291,12 +293,20 @@ fn usp_peak(
     );
     let ring = g / ulysses;
     let (hpr, dh) = (heads / ulysses, d / heads);
-    let ns = seq_len / ring; // ring-shard rows per owned head
-    let stash = (16 * ns * hpr * dh + 4 * ns * hpr) as u64;
-    let grads = (12 * ns * hpr * dh) as u64;
-    let staging = 2 * wire(ns * hpr * dh);
-    // An all-to-all of O also stages its Lse, in and out, at f32.
-    let o_staging = staging + (8 * ns * hpr) as u64;
+    // Ring-shard rows per owned head, and the elements of one tensor's
+    // owned heads over them.
+    let ns = seq_len / ring;
+    let x = ns * hpr * dh;
+    // The context's `usp_saved` entries: the head-shard Q, K, V (f32) from
+    // the landing of their all-to-all, and in the backward the head-shard
+    // O and Lse from the landing of theirs.
+    let qkv = (12 * x) as u64;
+    let out = (4 * x + 4 * ns * hpr) as u64;
+    let grads = (12 * x) as u64;
+    // An all-to-all's `a2a_staging`: `t` packed tensors out and in at the
+    // wire dtype, and the Lse, in and out, at f32 when it rides along.
+    let staging =
+        |t: usize, lse: bool| 2 * wire(t * x) + if lse { (8 * ns * hpr) as u64 } else { 0 };
     // The ring leg runs on the two-level ring. Forward: one pass over every
     // owned head, so all their `dr_fwd_acc` (O, Lse) accumulators are live
     // at once, with one `dr_fwd_start_kv` (K, V) bundle per head when the
@@ -343,19 +353,37 @@ fn usp_peak(
     } else {
         (0, 0, 0, 0)
     };
+    // The gated sum at each instant that can be the deepest, in run order:
+    // the Q|K|V all-to-all (the forward's, or a backward's without a
+    // context); the forward's ring pass on top of the context, then its
+    // (O, Lse) all-to-all; the backward's (O, Lse)|∇O all-to-all on top of
+    // the context; its ring pass with the whole context and the gradient
+    // block live; and, the context closed, the gradient all-to-all.
+    let gated_total = [
+        staging(3, false),
+        qkv + fwd_act + fwd_cb,
+        qkv + staging(1, true),
+        qkv + staging(2, true),
+        qkv + out + grads + ring_dq + ring_cb_bwd,
+        grads + staging(3, false),
+    ]
+    .into_iter()
+    .max()
+    .expect("instants");
     PeakBytes {
-        // The backward's `usp_saved`: the head-shard Q, K, V, O (f32) plus
-        // Lse it rebuilds, live from its first all-to-all on.
-        ckpt_stash: stash,
+        ckpt_stash: qkv + out,
         activations: fwd_act.max(grads + ring_dq),
-        comm_buffers: o_staging.max(fwd_cb).max(ring_cb_bwd),
-        // Deepest instant: the forward's ring pass, or the backward with
-        // the rebuilt context and the gradient block live, plus whichever
-        // is larger of a gradient all-to-all's staging or a ring slot's ∇Q
-        // + bundle. The gradient block opens after the inbound
-        // all-to-alls, so the O round (context + `o_staging`) stays below
-        // it.
-        gated_total: (fwd_act + fwd_cb).max(stash + grads + staging.max(ring_dq + ring_cb_bwd)),
+        comm_buffers: [
+            staging(3, false),
+            staging(1, true),
+            staging(2, true),
+            fwd_cb,
+            ring_cb_bwd,
+        ]
+        .into_iter()
+        .max()
+        .expect("buffers"),
+        gated_total,
         ..PeakBytes::default()
     }
 }

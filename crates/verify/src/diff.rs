@@ -204,7 +204,7 @@ pub fn run_usp_opts(
         let k_heads = gather(|t| &t.1);
         let v_heads = gather(|t| &t.2);
         let go_heads = gather(|t| &t.3);
-        let (o_heads, lse_heads) = try_usp_forward(
+        let ((o_heads, lse_heads), ctx) = try_usp_forward(
             comm,
             &utopo,
             &q_heads,
@@ -218,6 +218,7 @@ pub fn run_usp_opts(
         let (dq, dk, dv) = try_usp_backward(
             comm,
             &utopo,
+            Some(ctx),
             &q_heads,
             &k_heads,
             &v_heads,
