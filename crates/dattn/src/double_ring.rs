@@ -20,11 +20,15 @@
 //!   *nothing* can be posted early: each transfer waits for the compute
 //!   that updated it (the paper's "fails to overlap gradient
 //!   communication" critique);
-//! * [`try_double_ring_backward_alg2_on`] — full BurstAttention:
+//! * [`try_double_ring_backward_alg2_heads_on`] — full BurstAttention:
 //!   Algorithm 2's read-only bundle `(Q, ∇O, Lse, D)` flows exactly like
 //!   the forward (early posts), while `∇Q` follows one compute step behind
 //!   on a delayed stream (warm-up-round schedule, Fig. 5 bottom), so
-//!   gradient communication also hides under compute.
+//!   gradient communication also hides under compute. The heads run one
+//!   after another and hand off: the next head's start bundle leaves for
+//!   the next node during the last sweep, and each head's final `∇Q`
+//!   lands behind the next head's work. One head is
+//!   `std::slice::from_ref(&(shard, back))`.
 //!
 //! All three schedules use the `_acc` tile kernels with persistent
 //! accumulators and one reused [`Scratch`], and read the local shard (and
@@ -63,6 +67,26 @@ fn kv_pair<'a>(
         KvHold::Local => start.view(k, v),
         held => held.view(k, v),
     }
+}
+
+/// The first of `heads`, after checking that every head poses the same
+/// attention problem (mask, layout, `seq_len`, `max_token`, skip and cost),
+/// so one index table and one skip plan serve them all. Panics otherwise,
+/// or without a head.
+fn one_problem<'s, 'a: 's>(
+    mut heads: impl Iterator<Item = &'s AttnShard<'a>>,
+) -> &'s AttnShard<'a> {
+    let first = heads.next().expect("double-ring pass needs a head");
+    assert!(
+        heads.all(|h| h.mask == first.mask
+            && h.layout == first.layout
+            && h.seq_len == first.seq_len
+            && h.max_token == first.max_token
+            && h.skip == first.skip
+            && h.cost == first.cost),
+        "double-ring heads must share one attention problem"
+    );
+    first
 }
 
 /// One head's state across a multi-head forward: its accumulators, the
@@ -111,16 +135,7 @@ pub fn try_double_ring_forward_heads_on(
     heads: &[AttnShard],
     spec: &DoubleRingSpec,
 ) -> Result<Vec<DistAttnOut>, AttnFailure> {
-    let first = heads.first().expect("double-ring forward needs a head");
-    assert!(
-        heads.iter().all(|h| h.mask == first.mask
-            && h.layout == first.layout
-            && h.seq_len == first.seq_len
-            && h.max_token == first.max_token
-            && h.skip == first.skip
-            && h.cost == first.cost),
-        "double-ring heads must share one attention problem"
-    );
+    let first = one_problem(heads.iter());
     let (nodes, gpn) = (spec.nodes(), spec.gpus_per_node());
     let g = spec.len();
     let me = spec
@@ -478,8 +493,54 @@ pub fn try_double_ring_backward_alg1_on(
     Ok((grad_q, grad_k, grad_v))
 }
 
+/// Heads whose final `∇Q` is still on the diagonal link, oldest first. A
+/// head's homecoming waits there until this rank next receives on that
+/// link, or the call ends, so it lands behind the next head's work and the
+/// link stays FIFO.
+struct DqHomecoming {
+    /// The diagonal predecessor, which sends every head's final `∇Q`.
+    from: usize,
+    /// The failure round of a homecoming receive, `nodes · gpus_per_node − 1`.
+    round: usize,
+    heads: Vec<usize>,
+}
+
+impl DqHomecoming {
+    /// Land every pending `∇Q` in its head's slot of `out`, oldest first.
+    fn land(
+        &mut self,
+        comm: &mut Communicator,
+        out: &mut [(Mat, Mat, Mat)],
+    ) -> Result<(), AttnFailure> {
+        for h in self.heads.drain(..) {
+            comm.span_begin(SpanKind::AttnRound, "dr_dq_final");
+            out[h].0 = comm
+                .try_recv_mat(self.from)
+                .map_err(AttnFailure::at(Phase::Backward, self.round))?;
+            comm.span_end();
+        }
+        Ok(())
+    }
+
+    /// Land the pending homecomings ahead of a receive from `src`, when
+    /// that receive shares their link.
+    fn before_recv(
+        &mut self,
+        comm: &mut Communicator,
+        src: usize,
+        out: &mut [(Mat, Mat, Mat)],
+    ) -> Result<(), AttnFailure> {
+        if src == self.from {
+            self.land(comm, out)
+        } else {
+            Ok(())
+        }
+    }
+}
+
 /// Full BurstAttention backward: Algorithm 2 over the two-level ring with
-/// fine-grained gradient overlap.
+/// fine-grained gradient overlap, one head after another, each handing the
+/// next its NIC time. Returns each head's `(∇Q, ∇K, ∇V)`.
 ///
 /// The read-only bundle `(Q_j, ∇O_j, Lse_j, D_j)` takes the forward's
 /// traversal (early inter posts, intra posts before compute). `∇Q_j`
@@ -487,232 +548,348 @@ pub fn try_double_ring_backward_alg1_on(
 /// contribution at slot `(o, t)`, it forwards `∇Q_j` to the rank that
 /// processes bundle `j` at the next slot — `next_in_node(r)` within a
 /// sweep, and the *diagonal* peer `peer_next(next_in(r))` across sweeps.
-pub fn try_double_ring_backward_alg2_on(
+/// A failure at slot `(outer, inner)` is reported with global round
+/// `outer · gpus_per_node + inner`, and one at a final `∇Q` receive with
+/// `nodes · gpus_per_node − 1`.
+///
+/// * **Hand-off.** A head's start bundle is dead once the first slot of
+///   its last sweep has read it: after that slot's kernel, or at once when
+///   the slot is idle. There head `h + 1` computes its `D` and posts its
+///   first start bundle to the next node, so that transfer hides behind
+///   the rest of head `h`'s sweep. With one GPU per node the slot's `∇Q`
+///   goes to that same peer, so the bundle follows it. Head `h`'s own final
+///   `∇Q` waits on the diagonal link until this rank next receives on that
+///   link (or the call ends), so it lands behind head `h + 1`'s work. Every
+///   link stays FIFO, also where the diagonal link is the intra link (one
+///   node) or the inter link (one GPU per node). Each head keeps its
+///   kernels, accumulation order, messages and bytes, so its gradients are
+///   bit-identical to a pass of its own.
+/// * **Billing.** Each head bills its pass's `dr_bwd_dkv`, `dr_bwd_dq_buf`,
+///   `dr_bwd_start_bundle`, `dr_bwd_cur_bundle` and `dr_dq_ring` and closes
+///   each at its last use: the start bundle at the hand-off, the rest after
+///   the head's last slot, before the next head opens its own. No two start
+///   bundles are ever open at once, so the gated peak is the one-head
+///   pass's. A finished head's gradients are outputs and stay unbilled.
+/// * **One head** (`std::slice::from_ref(&(shard, back))`) is the plain
+///   pass: its final `∇Q` is received at the end, then its entries close.
+///
+/// All heads must share one attention problem, as in
+/// [`try_double_ring_forward_heads_on`]; this panics otherwise.
+pub fn try_double_ring_backward_alg2_heads_on(
     comm: &mut Communicator,
-    shard: &AttnShard,
-    back: &BackwardInputs,
+    heads: &[(AttnShard, BackwardInputs)],
     spec: &DoubleRingSpec,
-) -> Result<(Mat, Mat, Mat), AttnFailure> {
+) -> Result<Vec<(Mat, Mat, Mat)>, AttnFailure> {
+    let first = one_problem(heads.iter().map(|(shard, _)| shard));
     let (nodes, gpn) = (spec.nodes(), spec.gpus_per_node());
     let g = spec.len();
     let me = spec
         .slot_of(comm.rank())
         .expect("double-ring caller must be a spec member");
+    let ki = first.idx_at(g, me);
+    // A head's `D = rowsum(∇O ∘ O)`, charged as one thin GEMM.
+    let head_d = |comm: &mut Communicator, (shard, back): &(AttnShard, BackwardInputs)| {
+        let d_vec = back.grad_o.rowsum_hadamard(back.o);
+        comm.advance_compute(shard.cost.gemm_secs(shard.q.rows(), shard.q.cols(), 1));
+        d_vec
+    };
+
+    if g == 1 {
+        return Ok(heads
+            .iter()
+            .map(|head| {
+                let d_vec = head_d(comm, head);
+                let (shard, back) = head;
+                let (dq, dk, dv, w) = attn_tile_backward(
+                    shard.q,
+                    shard.k,
+                    shard.v,
+                    back.grad_o,
+                    back.lse,
+                    &d_vec,
+                    shard.scale,
+                    shard.mask,
+                    &ki,
+                    &ki,
+                );
+                comm.advance_compute(shard.cost.attn_bwd_secs(w.pairs, shard.q.cols()));
+                (dq, dk, dv)
+            })
+            .collect());
+    }
+
     let intra_next = spec.rank_at(spec.next_in_node(me));
     let intra_prev = spec.rank_at(spec.prev_in_node(me));
     let peer_next = spec.rank_at(spec.peer_next_node(me));
     let peer_prev = spec.rank_at(spec.peer_prev_node(me));
-    let d = shard.q.cols();
-    let ki = shard.idx_at(g, me);
-    let qidx_all: Vec<Vec<usize>> = (0..g).map(|s| shard.idx_at(g, s)).collect();
-    let d_vec = back.grad_o.rowsum_hadamard(back.o);
-    comm.advance_compute(shard.cost.gemm_secs(shard.q.rows(), d, 1));
-    let mut grad_k = Mat::zeros(shard.k.rows(), shard.k.cols());
-    let mut grad_v = Mat::zeros(shard.v.rows(), shard.v.cols());
-    let mut scratch = Scratch::new();
-    let mut dq_buf = Mat::default();
-
-    if g == 1 {
-        let (dq, dk, dv, w) = attn_tile_backward(
-            shard.q,
-            shard.k,
-            shard.v,
-            back.grad_o,
-            back.lse,
-            &d_vec,
-            shard.scale,
-            shard.mask,
-            &ki,
-            &ki,
-        );
-        comm.advance_compute(shard.cost.attn_bwd_secs(w.pairs, d));
-        return Ok((dq, dk, dv));
-    }
-
-    let plan = shard.skip_plan(g);
-    let (buf_start, buf_cur, buf_dq_ring, buf_dq_buf) = plan.dr_alg2_bufs(me, nodes, gpn);
-    // Pass-scoped accountant entries: ∇K/∇V accumulators and the per-round
-    // ∇Q staging buffer, plus one read-only-bundle slot per active ring
-    // level and one slot for the ∇Q partial riding one step behind.
-    let mem_dkv = comm.mem_alloc(
-        "dr_bwd_dkv",
-        MemCategory::Activations,
-        (grad_k.nbytes() + grad_v.nbytes()) as u64,
-    );
-    let mem_dq_buf = if buf_dq_buf {
-        comm.mem_alloc(
-            "dr_bwd_dq_buf",
-            MemCategory::Activations,
-            shard.q.nbytes() as u64,
-        )
-    } else {
-        None
-    };
-    let ro_wire = comm.mem_wire_bytes(shard.q.len() + back.grad_o.len())
-        + 4 * (back.lse.len() + d_vec.len()) as u64;
-    let mem_start = if nodes > 1 && buf_start {
-        comm.mem_alloc("dr_bwd_start_bundle", MemCategory::CommBuffers, ro_wire)
-    } else {
-        None
-    };
-    let mem_cur = if gpn > 1 && buf_cur {
-        comm.mem_alloc("dr_bwd_cur_bundle", MemCategory::CommBuffers, ro_wire)
-    } else {
-        None
-    };
-    let dq_wire = comm.mem_wire_bytes(shard.q.len());
-    let mem_dq_ring = if buf_dq_ring {
-        comm.mem_alloc("dr_dq_ring", MemCategory::CommBuffers, dq_wire)
-    } else {
-        None
-    };
-
     // The rank that processes a bundle right after us when crossing nodes,
     // and the one that processed it right before us.
     let diag_next = spec.rank_at(spec.peer_next_node(spec.next_in_node(me)));
     let diag_prev = spec.rank_at(spec.peer_prev_node(spec.prev_in_node(me)));
-
-    let ro_cols = (shard.q.cols(), back.grad_o.cols());
-    let mut start_held = RoHold::Local;
-    let mut start_src = me;
-
-    for outer in 0..nodes {
-        let op = plan.dr_alg2_outer(me, outer, nodes, gpn);
-        debug_assert_eq!(op.start_bundle, start_src);
-        if outer < nodes - 1 {
-            // Early inter-node post of the read-only spans a later sweep
-            // reads.
-            let rows = qidx_all[start_src].len();
-            let want = plan.window(start_src, op.send_inter, rows);
-            post_ro(comm, peer_next, want, rows, ro_cols, || {
-                start_held.view(shard.q, back.grad_o, back.lse, &d_vec)
-            })
-            .map_err(AttnFailure::at(Phase::Backward, outer * gpn))?;
+    let qidx_all: Vec<Vec<usize>> = (0..g).map(|s| first.idx_at(g, s)).collect();
+    let plan = first.skip_plan(g);
+    let (buf_start, buf_cur, buf_dq_ring, buf_dq_buf) = plan.dr_alg2_bufs(me, nodes, gpn);
+    let ro_cols = (first.q.cols(), heads[0].1.grad_o.cols());
+    // Pass-scoped accountant entries, per head: ∇K/∇V accumulators and the
+    // per-round ∇Q staging buffer, plus one read-only-bundle slot per
+    // active ring level and one slot for the ∇Q partial riding one step
+    // behind. A start-bundle slot opens before its head's first post.
+    let ro_wire = |comm: &Communicator, (shard, back): &(AttnShard, BackwardInputs)| {
+        comm.mem_wire_bytes(shard.q.len() + back.grad_o.len())
+            + 4 * (back.lse.len() + back.grad_o.rows()) as u64
+    };
+    let start_entry = |comm: &mut Communicator, head: &(AttnShard, BackwardInputs)| {
+        if nodes > 1 && buf_start {
+            let bytes = ro_wire(comm, head);
+            comm.mem_alloc("dr_bwd_start_bundle", MemCategory::CommBuffers, bytes)
+        } else {
+            None
         }
-        let mut cur_held = RoHold::Local;
-        let mut src = start_src;
-        for inner in 0..gpn {
-            let t = outer * gpn + inner;
-            let s = plan.dr_alg2_slot(me, outer, inner, nodes, gpn);
-            debug_assert_eq!(s.bundle, src);
-            let rows_j = qidx_all[src].len();
-            let dq_elems = rows_j * shard.q.cols();
-            if s.idle() {
-                comm.note_round_skipped();
+    };
+    // Early inter-node post of a head's start bundle at outer step `outer`:
+    // the read-only spans a later sweep reads.
+    let post_start = |comm: &mut Communicator,
+                      outer: usize,
+                      src: usize,
+                      held: &RoHold,
+                      (shard, back): &(AttnShard, BackwardInputs),
+                      d_vec: &[f32]|
+     -> Result<(), AttnFailure> {
+        let op = plan.dr_alg2_outer(me, outer, nodes, gpn);
+        let rows = qidx_all[src].len();
+        let want = plan.window(src, op.send_inter, rows);
+        post_ro(comm, peer_next, want, rows, ro_cols, || {
+            held.view(shard.q, back.grad_o, back.lse, d_vec)
+        })
+        .map_err(AttnFailure::at(Phase::Backward, outer * gpn))
+    };
+
+    let mut scratch = Scratch::new();
+    let mut dq_buf = Mat::default();
+    let mut out: Vec<(Mat, Mat, Mat)> = Vec::with_capacity(heads.len());
+    let mut homecoming = DqHomecoming {
+        from: diag_prev,
+        round: nodes * gpn - 1,
+        heads: Vec::new(),
+    };
+    // The next head's `D` and start-bundle entry, opened at the hand-off.
+    let mut handed: Option<(Vec<f32>, Option<MemId>)> = None;
+    for (h, head) in heads.iter().enumerate() {
+        let (shard, back) = head;
+        let d = shard.q.cols();
+        let posted = handed.is_some();
+        let (d_vec, early_start) = match handed.take() {
+            Some((d_vec, mem)) => (d_vec, Some(mem)),
+            None => (head_d(comm, head), None),
+        };
+        let mut grad_k = Mat::zeros(shard.k.rows(), shard.k.cols());
+        let mut grad_v = Mat::zeros(shard.v.rows(), shard.v.cols());
+        let mem_dkv = comm.mem_alloc(
+            "dr_bwd_dkv",
+            MemCategory::Activations,
+            (grad_k.nbytes() + grad_v.nbytes()) as u64,
+        );
+        let mem_dq_buf = if buf_dq_buf {
+            comm.mem_alloc(
+                "dr_bwd_dq_buf",
+                MemCategory::Activations,
+                shard.q.nbytes() as u64,
+            )
+        } else {
+            None
+        };
+        let mut mem_start = match early_start {
+            Some(mem) => mem,
+            None => start_entry(comm, head),
+        };
+        let mem_cur = if gpn > 1 && buf_cur {
+            let bytes = ro_wire(comm, head);
+            comm.mem_alloc("dr_bwd_cur_bundle", MemCategory::CommBuffers, bytes)
+        } else {
+            None
+        };
+        let dq_wire = comm.mem_wire_bytes(shard.q.len());
+        let mem_dq_ring = if buf_dq_ring {
+            comm.mem_alloc("dr_dq_ring", MemCategory::CommBuffers, dq_wire)
+        } else {
+            None
+        };
+
+        // Hand-off: the first slot of the last sweep is the last reader of
+        // the start bundle. Once it has read it, the next head's `D` and
+        // bundle take the bundle's slot, and the bundle leaves for the next
+        // node.
+        let mut hand_off = |comm: &mut Communicator| -> Result<(), AttnFailure> {
+            let Some(next) = heads.get(h + 1) else {
+                return Ok(());
+            };
+            comm.mem_free(mem_start.take());
+            let d_next = head_d(comm, next);
+            let mem_next = start_entry(comm, next);
+            if nodes > 1 {
+                post_start(comm, 0, me, &RoHold::Local, next, &d_next)?;
+            }
+            handed = Some((d_next, mem_next));
+            Ok(())
+        };
+        let mut start_held = RoHold::Local;
+        let mut start_src = me;
+        for outer in 0..nodes {
+            let op = plan.dr_alg2_outer(me, outer, nodes, gpn);
+            debug_assert_eq!(op.start_bundle, start_src);
+            if outer < nodes - 1 && !(outer == 0 && posted) {
+                post_start(comm, outer, start_src, &start_held, head, &d_vec)?;
+            }
+            let mut cur_held = RoHold::Local;
+            let mut src = start_src;
+            for inner in 0..gpn {
+                let t = outer * gpn + inner;
+                let s = plan.dr_alg2_slot(me, outer, inner, nodes, gpn);
+                debug_assert_eq!(s.bundle, src);
+                let rows_j = qidx_all[src].len();
+                let dq_elems = rows_j * shard.q.cols();
+                let last_read = outer == nodes - 1 && inner == 0;
+                if s.idle() {
+                    comm.note_round_skipped();
+                    if inner < gpn - 1 {
+                        skip_ro(comm, rows_j, ro_cols);
+                        cur_held = RoHold::Absent;
+                        src = spec.prev_in_node(src);
+                    }
+                    comm.note_skipped_mat(dq_elems);
+                    if last_read {
+                        hand_off(comm)?;
+                    }
+                    continue;
+                }
+                let at = AttnFailure::at(Phase::Backward, t);
+                comm.span_begin(SpanKind::AttnRound, "dr_bwd_slot");
+                // Dereference the bundle lazily: a slot can be live
+                // purely for the ∇Q stream (or an intra receive) while
+                // the read-only bundle itself was gated off upstream
+                // and is absent here.
+                let ro = || match &cur_held {
+                    RoHold::Local => start_held.view(shard.q, back.grad_o, back.lse, &d_vec),
+                    held => held.view(shard.q, back.grad_o, back.lse, &d_vec),
+                };
                 if inner < gpn - 1 {
-                    skip_ro(comm, rows_j, ro_cols);
-                    cur_held = RoHold::Absent;
-                    src = spec.prev_in_node(src);
+                    // Read-only intra post before compute.
+                    let want = plan.window(src, s.send_ro, rows_j);
+                    post_ro(comm, intra_next, want, rows_j, ro_cols, ro).map_err(&at)?;
                 }
-                comm.note_skipped_mat(dq_elems);
-                continue;
-            }
-            let at = AttnFailure::at(Phase::Backward, t);
-            comm.span_begin(SpanKind::AttnRound, "dr_bwd_slot");
-            // Dereference the bundle lazily: a slot can be live purely for
-            // the ∇Q stream (or an intra receive) while the read-only
-            // bundle itself was gated off upstream and is absent here.
-            let ro = || match &cur_held {
-                RoHold::Local => start_held.view(shard.q, back.grad_o, back.lse, &d_vec),
-                held => held.view(shard.q, back.grad_o, back.lse, &d_vec),
-            };
-            if inner < gpn - 1 {
-                // Read-only intra post before compute.
-                let want = plan.window(src, s.send_ro, rows_j);
-                post_ro(comm, intra_next, want, rows_j, ro_cols, ro).map_err(&at)?;
-            }
-            if s.compute {
-                // ∇Q of the held rows lands in their rows of the bundle's
-                // ∇Q; the other rows stay zero, as the dense tile leaves
-                // them.
-                let (cur_q, cur_do, cur_lse, cur_d, off) = ro();
-                let end = off + cur_q.rows();
-                dq_buf.reshape_in_place(rows_j, shard.q.cols());
-                let w = attn_tile_backward_acc(
-                    cur_q,
-                    shard.k,
-                    shard.v,
-                    cur_do,
-                    cur_lse,
-                    cur_d,
-                    shard.scale,
-                    shard.mask,
-                    &qidx_all[src][off..end],
-                    &ki,
-                    dq_buf.rows_mut(off, end),
-                    grad_k.as_mut_slice(),
-                    grad_v.as_mut_slice(),
-                    &mut scratch,
-                );
-                comm.advance_compute(shard.cost.attn_bwd_secs(w.pairs, d));
-            }
-            // ∇Q stream, one step behind: receive the partial sum from the
-            // bundle's previous processor (none at the very first slot),
-            // add our contribution, forward to the next processor.
-            let to = if inner == gpn - 1 {
-                diag_next
-            } else {
-                intra_next
-            };
-            if s.recv_dq {
-                let from = if inner == 0 { diag_prev } else { intra_prev };
-                let mut dq_j = comm.try_recv_mat(from).map_err(&at)?;
-                if !s.compute {
-                    // Mirror the dense pass-through bit-for-bit: the reshape
-                    // zeroes the staging buffer and the add replays dense's
-                    // elementwise `+ 0.0`.
-                    dq_buf.reshape_in_place(dq_j.rows(), dq_j.cols());
+                if s.compute {
+                    // ∇Q of the held rows lands in their rows of the
+                    // bundle's ∇Q; the other rows stay zero, as the
+                    // dense tile leaves them.
+                    let (cur_q, cur_do, cur_lse, cur_d, off) = ro();
+                    let end = off + cur_q.rows();
+                    dq_buf.reshape_in_place(rows_j, shard.q.cols());
+                    let w = attn_tile_backward_acc(
+                        cur_q,
+                        shard.k,
+                        shard.v,
+                        cur_do,
+                        cur_lse,
+                        cur_d,
+                        shard.scale,
+                        shard.mask,
+                        &qidx_all[src][off..end],
+                        &ki,
+                        dq_buf.rows_mut(off, end),
+                        grad_k.as_mut_slice(),
+                        grad_v.as_mut_slice(),
+                        &mut scratch,
+                    );
+                    comm.advance_compute(shard.cost.attn_bwd_secs(w.pairs, d));
                 }
-                dq_j.add_assign(&dq_buf);
-                comm.try_send_mat(to, &dq_j).map_err(&at)?;
-            } else if s.send_dq {
-                debug_assert!(s.compute, "first ∇Q contribution implies a live tile");
-                if t == 0 {
-                    comm.try_send_mat(to, &dq_buf).map_err(&at)?;
+                // ∇Q stream, one step behind: receive the partial sum
+                // from the bundle's previous processor (none at the
+                // very first slot), add our contribution, forward to
+                // the next processor.
+                let to = if inner == gpn - 1 {
+                    diag_next
                 } else {
-                    // First contributor mid-ring: every upstream dense add
-                    // was `0.0 + 0.0`, so materialize the zeros and add.
-                    let mut dq_j = Mat::zeros(rows_j, shard.q.cols());
+                    intra_next
+                };
+                // The next head's bundle leaves right after the kernel —
+                // behind this slot's ∇Q when that goes to the same peer
+                // (one GPU per node), so the link stays FIFO.
+                let dq_first = to == peer_next;
+                if last_read && !dq_first {
+                    hand_off(comm)?;
+                }
+                if s.recv_dq {
+                    let from = if inner == 0 { diag_prev } else { intra_prev };
+                    homecoming.before_recv(comm, from, &mut out)?;
+                    let mut dq_j = comm.try_recv_mat(from).map_err(&at)?;
+                    if !s.compute {
+                        // Mirror the dense pass-through bit-for-bit:
+                        // the reshape zeroes the staging buffer and the
+                        // add replays dense's elementwise `+ 0.0`.
+                        dq_buf.reshape_in_place(dq_j.rows(), dq_j.cols());
+                    }
                     dq_j.add_assign(&dq_buf);
                     comm.try_send_mat(to, &dq_j).map_err(&at)?;
+                } else if s.send_dq {
+                    debug_assert!(s.compute, "first ∇Q contribution implies a live tile");
+                    if t == 0 {
+                        comm.try_send_mat(to, &dq_buf).map_err(&at)?;
+                    } else {
+                        // First contributor mid-ring: every upstream
+                        // dense add was `0.0 + 0.0`, so materialize the
+                        // zeros and add.
+                        let mut dq_j = Mat::zeros(rows_j, shard.q.cols());
+                        dq_j.add_assign(&dq_buf);
+                        comm.try_send_mat(to, &dq_j).map_err(&at)?;
+                    }
+                } else {
+                    comm.note_skipped_mat(dq_elems);
                 }
-            } else {
-                comm.note_skipped_mat(dq_elems);
+                if last_read && dq_first {
+                    hand_off(comm)?;
+                }
+                if inner < gpn - 1 {
+                    let rows_in = plan.window(s.bundle_in, s.recv_ro, qidx_all[s.bundle_in].len());
+                    if rows_in.is_some() {
+                        homecoming.before_recv(comm, intra_prev, &mut out)?;
+                    }
+                    cur_held = RoHold::recv(comm, intra_prev, rows_in).map_err(&at)?;
+                    src = spec.prev_in_node(src);
+                }
+                comm.span_end();
             }
-            if inner < gpn - 1 {
-                let rows_in = plan.window(s.bundle_in, s.recv_ro, qidx_all[s.bundle_in].len());
-                cur_held = RoHold::recv(comm, intra_prev, rows_in).map_err(&at)?;
-                src = spec.prev_in_node(src);
+            if outer < nodes - 1 {
+                let rows_in = plan.window(op.start_in, op.recv_inter, qidx_all[op.start_in].len());
+                if rows_in.is_some() {
+                    homecoming.before_recv(comm, peer_prev, &mut out)?;
+                }
+                start_held = RoHold::recv(comm, peer_prev, rows_in)
+                    .map_err(AttnFailure::at(Phase::Backward, (outer + 1) * gpn - 1))?;
+                start_src = spec.peer_prev_node(start_src);
             }
-            comm.span_end();
         }
-        if outer < nodes - 1 {
-            let rows_in = plan.window(op.start_in, op.recv_inter, qidx_all[op.start_in].len());
-            start_held = RoHold::recv(comm, peer_prev, rows_in)
-                .map_err(AttnFailure::at(Phase::Backward, (outer + 1) * gpn - 1))?;
-            start_src = spec.peer_prev_node(start_src);
+        // The very last ∇Q send above (slot (nodes−1, gpn−1)) delivered
+        // that bundle's gradient home via the diagonal; symmetrically, our
+        // own ∇Q arrives from our diagonal predecessor — unless no rank
+        // anywhere attends to our queries, in which case ∇Q is identically
+        // zero.
+        let grad_q = if plan.dr_alg2_final(me) {
+            homecoming.heads.push(h);
+            Mat::default()
+        } else {
+            comm.note_round_skipped();
+            Mat::zeros(shard.q.rows(), shard.q.cols())
+        };
+        out.push((grad_q, grad_k, grad_v));
+        if h + 1 == heads.len() {
+            homecoming.land(comm, &mut out)?;
+            comm.mem_note_workspace(scratch.resident_bytes());
         }
+        comm.mem_free(mem_dq_ring);
+        comm.mem_free(mem_cur);
+        comm.mem_free(mem_start);
+        comm.mem_free(mem_dq_buf);
+        comm.mem_free(mem_dkv);
     }
-    // The very last ∇Q send above (slot (nodes−1, gpn−1)) delivered that
-    // bundle's gradient home via the diagonal; symmetrically, our own ∇Q
-    // arrives from our diagonal predecessor — unless no rank anywhere
-    // attends to our queries, in which case ∇Q is identically zero.
-    let grad_q = if plan.dr_alg2_final(me) {
-        comm.span_begin(SpanKind::AttnRound, "dr_dq_final");
-        let gq = comm
-            .try_recv_mat(diag_prev)
-            .map_err(AttnFailure::at(Phase::Backward, nodes * gpn - 1))?;
-        comm.span_end();
-        gq
-    } else {
-        comm.note_round_skipped();
-        Mat::zeros(shard.q.rows(), shard.q.cols())
-    };
-    comm.mem_note_workspace(scratch.resident_bytes());
-    comm.mem_free(mem_dq_ring);
-    comm.mem_free(mem_cur);
-    comm.mem_free(mem_start);
-    comm.mem_free(mem_dq_buf);
-    comm.mem_free(mem_dkv);
-    Ok((grad_q, grad_k, grad_v))
+    Ok(out)
 }

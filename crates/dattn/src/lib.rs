@@ -17,7 +17,9 @@
 //!   the inter-node exchange posted early so it hides behind a whole
 //!   intra-node sweep. Provides both the DoubleRingAttention baseline
 //!   (no gradient overlap in backward) and BurstAttention's topology-aware
-//!   variant;
+//!   variant. Both run every head's forward through one pipelined pass;
+//!   BurstAttention's backward also takes every head in one call, handing
+//!   each head's NIC time to the next;
 //! * [`usp`] — head parallelism: LoongTrain's hybrid head+context USP, its
 //!   context-parallel ring on the two-level ring of [`double_ring`], and
 //!   its ring-of-one case (Ulysses group = world), DeepSpeed-Ulysses;
@@ -215,9 +217,13 @@ pub fn try_run_attention_shard(
         Algo::DoubleRing => {
             double_ring::try_double_ring_backward_alg1_on(comm, shard, &back, &spec)?
         }
-        Algo::BurstTopo => {
-            double_ring::try_double_ring_backward_alg2_on(comm, shard, &back, &spec)?
-        }
+        Algo::BurstTopo => double_ring::try_double_ring_backward_alg2_heads_on(
+            comm,
+            std::slice::from_ref(&(*shard, back)),
+            &spec,
+        )?
+        .pop()
+        .expect("one head in, one head out"),
     };
     comm.mem_free(mem_out);
     comm.mem_free(mem_inputs);

@@ -125,6 +125,7 @@ impl std::error::Error for AttnFailure {
 }
 
 /// This rank's slice of the attention problem plus the global parameters.
+#[derive(Clone, Copy)]
 pub struct AttnShard<'a> {
     pub q: &'a Mat,
     pub k: &'a Mat,
@@ -193,6 +194,7 @@ impl AttnShard<'_> {
 }
 
 /// Extra inputs for the backward pass.
+#[derive(Clone, Copy)]
 pub struct BackwardInputs<'a> {
     pub o: &'a Mat,
     pub lse: &'a [f32],

@@ -3,11 +3,12 @@
 //! and masks. Real tensors move between rank threads, so these are exact
 //! (up to f32 accumulation-order noise) equivalences.
 
+use burst_comm::obs::{validate_mem, MemReport};
 use burst_comm::{CommStats, Topology, WireDtype, World};
 use burst_dattn::usp::UspTopo;
 use burst_dattn::{
-    double_ring, try_ring_forward, try_run_attention_opts, Algo, AttnShard, CostModel,
-    DoubleRingSpec, Layout, Ring,
+    double_ring, try_ring_forward, try_run_attention_opts, Algo, AttnShard, BackwardInputs,
+    CostModel, DoubleRingSpec, Layout, Ring,
 };
 use burst_kernels::{flash_backward, flash_forward, AttnMask, BlockSparseMask};
 use burst_tensor::testutil::assert_allclose;
@@ -322,6 +323,17 @@ fn bits(x: &[f32]) -> Vec<u32> {
     x.iter().map(|v| v.to_bits()).collect()
 }
 
+/// The wire counters a schedule change must not move.
+type Counters = ((u64, u64, u64, u64), (f64, f64), (u64, f64));
+
+fn counters(c: &CommStats) -> Counters {
+    (
+        (c.intra_msgs, c.inter_msgs, c.intra_elems, c.inter_elems),
+        (c.intra_bytes, c.inter_bytes),
+        (c.rounds_skipped, c.skipped_bytes),
+    )
+}
+
 /// The pipelined multi-head forward against one single-head pass per head
 /// on one case: bit-identical `(O, Lse)` per head, equal counters per rank,
 /// and a makespan never above the sequential one.
@@ -333,13 +345,6 @@ fn check_heads(topo: &Topology, heads: usize, case: (&AttnMask, Layout, bool, Op
     );
     let piped = run_heads(topo, heads, case, true);
     let seq = run_heads(topo, heads, case, false);
-    let counters = |c: &CommStats| {
-        (
-            (c.intra_msgs, c.inter_msgs, c.intra_elems, c.inter_elems),
-            (c.intra_bytes, c.inter_bytes),
-            (c.rounds_skipped, c.skipped_bytes),
-        )
-    };
     for (rank, (p, s)) in piped.iter().zip(&seq).enumerate() {
         for (h, ((po, pl), (so, sl))) in p.0.iter().zip(&s.0).enumerate() {
             let at = format!("{ctx} rank {rank} head {h}");
@@ -393,6 +398,165 @@ fn multi_head_double_ring_forward_equals_one_pass_per_head() {
                         for heads in 1..=3 {
                             check_heads(&topo, heads, (mask, *layout, skip, max_token));
                         }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One rank's side of an Algorithm 2 backward over several heads: per-head
+/// `(∇Q, ∇K, ∇V)`, the rank's counters, its final virtual clock and its
+/// memory ledger.
+type BwdHeadsRun = (Vec<(Mat, Mat, Mat)>, CommStats, f64, MemReport);
+
+/// Every rank's `BwdHeadsRun` for `heads` heads on `topo`, each head's
+/// `(O, Lse)` from the single-device forward: one multi-head call handing
+/// each head to the next, or one single-head call per head.
+fn run_bwd_heads(
+    topo: &Topology,
+    heads: usize,
+    (mask, layout, skip): (&AttnMask, Layout, bool),
+    handed: bool,
+) -> Vec<BwdHeadsRun> {
+    let g = topo.world_size();
+    let (n, d) = (8 * g, 8);
+    let scale = 1.0 / (d as f32).sqrt();
+    let all: Vec<usize> = (0..n).collect();
+    let data: Vec<[Mat; 6]> = (0..heads as u64)
+        .map(|h| {
+            let q = randn_mat(n, d, 0.7, 10 * h + 1);
+            let k = randn_mat(n, d, 0.7, 10 * h + 2);
+            let v = randn_mat(n, d, 0.7, 10 * h + 3);
+            let fwd = flash_forward(&q, &k, &v, scale, mask, &all, &all);
+            let lse = Mat::from_vec(n, 1, fwd.lse);
+            let grad_o = randn_mat(n, d, 0.8, 10 * h + 4);
+            [q, k, v, fwd.o, lse, grad_o]
+        })
+        .collect();
+    World::new(topo.clone()).run_results(|comm| {
+        comm.start_mem_accounting();
+        let idx = layout.indices(n, g, comm.rank());
+        let local: Vec<Vec<Mat>> = data
+            .iter()
+            .map(|mats| mats.iter().map(|m| m.gather_rows(&idx)).collect())
+            .collect();
+        let pass: Vec<(AttnShard, BackwardInputs)> = local
+            .iter()
+            .map(|m| {
+                let shard = AttnShard {
+                    q: &m[0],
+                    k: &m[1],
+                    v: &m[2],
+                    scale,
+                    mask,
+                    layout,
+                    seq_len: n,
+                    cost: CostModel::a800(),
+                    max_token: None,
+                    skip,
+                };
+                let back = BackwardInputs {
+                    o: &m[3],
+                    lse: m[4].as_slice(),
+                    grad_o: &m[5],
+                };
+                (shard, back)
+            })
+            .collect();
+        let spec = DoubleRingSpec::full(comm.topology());
+        let grads = if handed {
+            double_ring::try_double_ring_backward_alg2_heads_on(comm, &pass, &spec).unwrap()
+        } else {
+            pass.iter()
+                .map(|head| {
+                    double_ring::try_double_ring_backward_alg2_heads_on(
+                        comm,
+                        std::slice::from_ref(head),
+                        &spec,
+                    )
+                    .unwrap()
+                    .remove(0)
+                })
+                .collect()
+        };
+        let mem = comm.take_mem_report().expect("accounting was on");
+        (grads, comm.stats(), comm.time(), mem)
+    })
+}
+
+/// The handed-off multi-head Algorithm 2 backward against one single-head
+/// call per head on one case: bit-identical gradients per head, equal
+/// counters per rank, and no rank finishing later. On `a800(2, 4)` every
+/// rank finishes strictly earlier. The ledger's gated peak is the one-head
+/// call's, and no two heads' start bundles are ever open at once.
+fn check_bwd_heads(topo: &Topology, heads: usize, case: (&AttnMask, Layout, bool)) {
+    let (mask, layout, skip) = case;
+    let ctx = format!(
+        "{}x{} {:?} {mask:?}/{layout:?} skip={skip} heads={heads}",
+        topo.nodes, topo.gpus_per_node, topo.wire_dtype
+    );
+    let handed = run_bwd_heads(topo, heads, case, true);
+    let seq = run_bwd_heads(topo, heads, case, false);
+    let strict = (topo.nodes, topo.gpus_per_node) == (2, 4);
+    for (rank, (p, s)) in handed.iter().zip(&seq).enumerate() {
+        let at = format!("{ctx} rank {rank}");
+        let grads = |g: &(Mat, Mat, Mat)| [&g.0, &g.1, &g.2].map(|m| bits(m.as_slice()));
+        for (h, (pg, sg)) in p.0.iter().zip(&s.0).enumerate() {
+            assert_eq!(grads(pg), grads(sg), "{at} head {h} (dQ, dK, dV)");
+        }
+        assert_eq!(counters(&p.1), counters(&s.1), "{at} stats");
+        let (tp, ts) = (p.2, s.2);
+        assert!(tp <= ts, "{at}: handed off {tp} after sequential {ts}");
+        if strict {
+            assert!(tp < ts, "{at}: handed off {tp} not before sequential {ts}");
+        }
+        validate_mem(&p.3).unwrap_or_else(|e| panic!("{at}: {e}"));
+        assert_eq!(p.3.live_at_close, 0, "{at}: live at close");
+        assert_eq!(p.3.peak.gated(), s.3.peak.gated(), "{at}: gated peak");
+        let mut starts: Vec<(f64, f64)> =
+            p.3.entries
+                .iter()
+                .filter(|e| e.name == "dr_bwd_start_bundle")
+                .map(|e| (e.open, e.close.expect("closed")))
+                .collect();
+        starts.sort_by(|a, b| a.0.total_cmp(&b.0));
+        for w in starts.windows(2) {
+            assert!(
+                w[0].1 <= w[1].0,
+                "{at}: start bundles open at once: {:?} and {:?}",
+                w[0],
+                w[1]
+            );
+        }
+    }
+}
+
+#[test]
+fn multi_head_burst_backward_equals_one_call_per_head() {
+    let topos = [
+        Topology::a800(2, 2),
+        Topology::a800(2, 4),
+        Topology::a800(3, 2),
+        Topology::single_node(4),
+        Topology::a800(4, 1),
+    ];
+    for topo in topos {
+        let n = 8 * topo.world_size();
+        let masks = [
+            (AttnMask::Causal, Layout::Zigzag),
+            (AttnMask::Full, Layout::Zigzag),
+            (
+                AttnMask::SlidingWindow { window: n / 4 },
+                Layout::Contiguous,
+            ),
+        ];
+        for wire in [WireDtype::F32, WireDtype::Bf16] {
+            let topo = topo.clone().with_wire_dtype(wire);
+            for (mask, layout) in &masks {
+                for skip in [false, true] {
+                    for heads in 2..=3 {
+                        check_bwd_heads(&topo, heads, (mask, *layout, skip));
                     }
                 }
             }

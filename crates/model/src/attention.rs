@@ -260,10 +260,15 @@ impl AttnExec for LocalExec {
 /// head through one pipelined pass
 /// ([`double_ring::try_double_ring_forward_heads_on`]): head `h + 1`'s
 /// inter-node `(K, V)` transfer hides behind head `h`'s intra-node sweeps.
-/// The flat ring runs one pass per head, and the backward runs one pass per
-/// head on every algorithm; on the flat ring that pass is the one
-/// fine-grained overlap schedule of [`burst_dattn::ring`]. A communication
-/// fault is latched (see [`AttnExec::take_failure`]).
+/// BurstTopo's backward there runs every head through one call too
+/// ([`double_ring::try_double_ring_backward_alg2_heads_on`]): head `h + 1`'s
+/// inter-node start bundle leaves during head `h`'s last sweep, and head
+/// `h`'s final `∇Q` lands behind head `h + 1`'s work. DoubleRing's
+/// Algorithm 1 backward and every pass on the flat ring run one head at a
+/// time; on the flat ring that pass is the one fine-grained overlap
+/// schedule of [`burst_dattn::ring`]. A communication fault is latched (see
+/// [`AttnExec::take_failure`]); in a call over every head it zeroes every
+/// head, and one head at a time it zeroes the heads from the fault on.
 pub struct DistExec<'a> {
     pub comm: &'a mut Communicator,
     /// The ring: the ascending members, this rank at its position.
@@ -372,46 +377,55 @@ impl AttnExec for DistExec<'_> {
         lse: &[Vec<f32>],
         grad_o: &[Mat],
     ) -> (Vec<Mat>, Vec<Mat>, Vec<Mat>) {
-        let mut grads: HeadGrads = Default::default();
-        for h in 0..q.len() {
-            let shard = AttnShard {
-                q: &q[h],
-                k: &k[h],
-                v: &v[h],
-                scale: head_scale(&q[h]),
-                mask: &self.mask,
-                layout: self.layout,
-                seq_len: self.seq_len,
-                cost: self.cost,
-                max_token: None,
-                skip: self.skip,
-            };
-            let back = BackwardInputs {
-                o: &o[h],
-                lse: &lse[h],
-                grad_o: &grad_o[h],
-            };
-            let (ring, spec, algo) = (&self.ring, &self.spec, self.algo);
-            let res = self.latch.run(self.comm, |comm| match (spec, algo) {
-                (Some(spec), Algo::DoubleRing) => {
-                    double_ring::try_double_ring_backward_alg1_on(comm, &shard, &back, spec)
-                }
-                (Some(spec), _) => {
-                    double_ring::try_double_ring_backward_alg2_on(comm, &shard, &back, spec)
-                }
-                (None, Algo::RingFlat | Algo::DoubleRing) => {
-                    try_ring_backward(comm, ring, &shard, &back)
-                }
-                (None, Algo::BurstFlat | Algo::BurstTopo) => {
-                    try_burst_backward(comm, ring, &shard, &back)
-                }
-            });
-            let Some((a, b, c)) = res else { break };
-            grads.0.push(a);
-            grads.1.push(b);
-            grads.2.push(c);
-        }
-        zero_padded_grads(grads, q, k, v)
+        let heads: Vec<(AttnShard, BackwardInputs)> = (0..q.len())
+            .map(|h| {
+                let shard = AttnShard {
+                    q: &q[h],
+                    k: &k[h],
+                    v: &v[h],
+                    scale: head_scale(&q[h]),
+                    mask: &self.mask,
+                    layout: self.layout,
+                    seq_len: self.seq_len,
+                    cost: self.cost,
+                    max_token: None,
+                    skip: self.skip,
+                };
+                let back = BackwardInputs {
+                    o: &o[h],
+                    lse: &lse[h],
+                    grad_o: &grad_o[h],
+                };
+                (shard, back)
+            })
+            .collect();
+        let (comm, ring, latch) = (&mut *self.comm, &self.ring, &mut self.latch);
+        let grads: Vec<(Mat, Mat, Mat)> = match (&self.spec, self.algo) {
+            (Some(spec), Algo::BurstTopo) => latch
+                .run(comm, |c| {
+                    double_ring::try_double_ring_backward_alg2_heads_on(c, &heads, spec)
+                })
+                .unwrap_or_default(),
+            (spec, algo) => heads
+                .iter()
+                .map_while(|(shard, back)| {
+                    latch.run(comm, |c| match (spec, algo) {
+                        // DoubleRing: BurstTopo took the call over every head.
+                        (Some(spec), _) => {
+                            double_ring::try_double_ring_backward_alg1_on(c, shard, back, spec)
+                        }
+                        (None, Algo::RingFlat | Algo::DoubleRing) => {
+                            try_ring_backward(c, ring, shard, back)
+                        }
+                        (None, Algo::BurstFlat | Algo::BurstTopo) => {
+                            try_burst_backward(c, ring, shard, back)
+                        }
+                    })
+                })
+                .collect(),
+        };
+        let (dq, (dk, dv)) = grads.into_iter().map(|(a, b, c)| (a, (b, c))).unzip();
+        zero_padded_grads((dq, dk, dv), q, k, v)
     }
 
     fn forward_partial(

@@ -233,6 +233,35 @@ proptest! {
     }
 }
 
+/// `world_for` puts every ring backend on `single_node(4)`, where the
+/// two-level ring has one node and no inter-node hop runs. On `a800(2, 2)`
+/// the topology-aware backends cross nodes: DoubleRing's Algorithm 1, and
+/// BurstTopo's multi-head Algorithm 2, which posts the next head's start
+/// bundle across the NIC during the last sweep of the head before it.
+#[test]
+fn two_node_ring_backends_match_oracle_train() {
+    let steps = 3;
+    for algo in [Algo::DoubleRing, Algo::BurstTopo] {
+        let backend = Backend::Ring(algo);
+        for bf16 in [false, true] {
+            for grad_accum in [1, 2] {
+                let mut cfg = cfg_for(backend, grad_accum, 11);
+                cfg.emulate_bf16 = bf16;
+                let run =
+                    engine_run(&cfg, &Topology::a800(2, 2), steps, None).expect("train failed");
+                assert_eq!(run.skipped, 0);
+                let want = oracle_train(&cfg, steps, &[]);
+                let rtol = if bf16 { BF16_RTOL } else { ORACLE_TRAIN_RTOL };
+                let label = format!(
+                    "{} on 2x2, bf16={bf16}, grad_accum={grad_accum}",
+                    backend_name(backend)
+                );
+                expect_train_matches(&label, &run.losses, &run.flat, &want, rtol);
+            }
+        }
+    }
+}
+
 /// The fixed-seed acceptance row: one fault+resume case per backend —
 /// poison step 1, skip in lockstep, resume at the cut, match the skipping
 /// oracle. This is the deliberate (non-randomised) instance of the

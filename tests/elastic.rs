@@ -611,6 +611,82 @@ fn crash_in_a_two_level_fsdp_gather_evicts_only_the_victim() {
     }
 }
 
+/// The ops `rank` runs in clean step `f` of BurstTopo training on `topo`
+/// between head 0's last backward slot and its deferred `∇Q` homecoming,
+/// read off the rank's trace: head 1's first sweep runs there, while head
+/// 0's final `∇Q` waits on the diagonal link. A rank's op index of a span is
+/// the number of sends and receives recorded before it.
+fn homecoming_window_ops(
+    cfg: &EngineConfig,
+    topo: &Topology,
+    rank: usize,
+    f: usize,
+) -> std::ops::Range<u64> {
+    let before = elastic_ops_after(cfg, topo.clone(), rank, f);
+    let traces = World::new(topo.clone()).run_results(|comm| {
+        comm.start_trace();
+        let mut model = Model::new(cfg.model, cfg.seed);
+        run_span_elastic(comm, cfg, &mut model, 0, f + 1, &[], &ElasticCfg::default())
+            .expect("clean elastic probe");
+        comm.take_rank_trace().expect("tracing was on")
+    });
+    let spans = &traces[rank].spans;
+    let mut ops = 0;
+    let op_at: Vec<u64> = spans
+        .iter()
+        .map(|s| {
+            let at = ops;
+            ops += matches!(s.kind, SpanKind::Send | SpanKind::Recv) as u64;
+            at
+        })
+        .collect();
+    let is_slot = |i: usize| spans[i].kind == SpanKind::AttnRound && spans[i].name == "dr_bwd_slot";
+    // The step's first homecoming received inside a slot of the next head.
+    let home = (0..spans.len())
+        .find(|&i| {
+            op_at[i] >= before
+                && spans[i].name == "dr_dq_final"
+                && spans[i].parent >= 0
+                && is_slot(spans[i].parent as usize)
+        })
+        .expect("a deferred homecoming in step f");
+    // Head 1's slots from its first up to the one that lands head 0's
+    // `∇Q`: its first sweep, then the first slot of its second.
+    let gpn = topo.gpus_per_node;
+    let slots: Vec<usize> = (0..home).filter(|&i| is_slot(i)).collect();
+    let head1_first = slots[slots.len() - 1 - gpn];
+    op_at[head1_first]..op_at[home]
+}
+
+#[test]
+fn crash_while_a_heads_homecoming_is_deferred_is_recovered() {
+    // On 2 nodes x 4 GPUs the BurstTopo backward hands each head to the
+    // next: head 0's final ∇Q waits on the diagonal link while head 1's
+    // first sweep runs. Rank 5 dies at an op in that window of step 1. The
+    // survivors must evict rank 5 alone, replay the step on the seven-rank
+    // flat ring, and match fresh 2 x 4 and 7-rank worlds bit for bit.
+    let mut flat = elastic_cfg();
+    flat.model.seq_len = 112; // zigzag needs 2·g | seq for g = 8 and g = 7
+    let mut cfg = flat.clone();
+    cfg.backend = Backend::Ring(Algo::BurstTopo);
+    let (steps, f, victim) = (2, 1, 5);
+    let topo = Topology::a800(2, 4);
+    let window = homecoming_window_ops(&cfg, &topo, victim, f);
+    assert!(!window.is_empty(), "head 1's first sweep runs ops");
+    let op = (window.start + window.end) / 2;
+    let plan = FaultPlan::new(31)
+        .crash_at_op(victim, op)
+        .recv_deadline(60.0);
+    let outs = recover_in_step(&cfg, topo.clone(), steps, plan);
+    let t = outs[victim].trace.as_ref().expect("tracing was on");
+    assert!(crashed_in_a_ring_round(t), "op {op} is not mid-ring");
+    let want = chained((topo, &cfg), f, (Topology::single_node(7), &flat), steps);
+    for out in survivors_match(&outs, &[victim], &want) {
+        assert_eq!(out.epoch, 1, "one eviction bumps the epoch once");
+        assert_eq!(out.steps_replayed, 1, "only the failed step re-runs");
+    }
+}
+
 #[test]
 fn leave_and_rejoin_runs_bit_identical_to_the_segmented_reference() {
     // Rank 2 of 3 leaves before step 1 and rejoins before step 3,
