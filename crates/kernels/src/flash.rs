@@ -29,10 +29,14 @@
 use crate::mask::{AttnMask, TileState};
 use crate::online::OnlineState;
 use burst_tensor::{
-    axpy_rows_slice, matmul_into, matmul_nt_into, matmul_tn_into, simd, Mat, MatRef, Scratch,
+    matmul_nt_with, matmul_tn_with, matmul_with, simd, Epilogue, Mat, MatRef, Scratch,
 };
 
-/// Default square tile edge. Correctness never depends on it.
+/// Default square tile edge. The values never depend on it, but the bits
+/// do: the online merge rounds once per key tile, so a different edge folds
+/// the same scores in a different order. Every entry point that keeps a
+/// ring's partition sums bit-identical to the one-shot kernels runs at this
+/// edge.
 pub const DEFAULT_BLOCK: usize = 32;
 
 /// Problem volume (`q_rows · k_rows · head_dim`) below which the fork/join
@@ -69,27 +73,22 @@ pub struct FlashOut {
     pub work: KernelWork,
 }
 
-fn count_pairs(mask: &AttnMask, state: TileState, q_idx: &[usize], k_idx: &[usize]) -> u64 {
-    match state {
-        TileState::FullyAllowed => (q_idx.len() * k_idx.len()) as u64,
-        TileState::FullyMasked => 0,
-        TileState::Partial => q_idx
-            .iter()
-            .map(|&i| k_idx.iter().filter(|&&j| mask.allowed(i, j)).count() as u64)
-            .sum(),
-    }
-}
-
-/// Apply `mask` to a score tile in place (`-inf` where disallowed).
-fn mask_tile(s: &mut Mat, mask: &AttnMask, q_idx: &[usize], k_idx: &[usize]) {
-    for (r, &gi) in q_idx.iter().enumerate() {
-        let row = s.row_mut(r);
-        for (c, &gj) in k_idx.iter().enumerate() {
-            if !mask.allowed(gi, gj) {
-                row[c] = f32::NEG_INFINITY;
+/// Write `-inf` over every pair of a `q_idx × k_idx` score tile (row-major,
+/// `k_idx.len()` columns) that `mask` disallows, and return how many pairs
+/// it allows: one scan of a partial tile serves the masking and the work
+/// counter.
+fn mask_tile(s: &mut [f32], mask: &AttnMask, q_idx: &[usize], k_idx: &[usize]) -> u64 {
+    let mut allowed = 0;
+    for (row, &gi) in s.chunks_exact_mut(k_idx.len()).zip(q_idx) {
+        for (x, &gj) in row.iter_mut().zip(k_idx) {
+            if mask.allowed(gi, gj) {
+                allowed += 1;
+            } else {
+                *x = f32::NEG_INFINITY;
             }
         }
     }
+    allowed
 }
 
 /// Borrowed problem description threaded through the tile loops.
@@ -126,6 +125,32 @@ pub(crate) fn row_blocks(n: usize, block: usize) -> Vec<(usize, usize)> {
     blocks
 }
 
+/// `scale · Q_b K_tᵀ` for query rows `[r0, r1)` against key rows
+/// `[c0, c1)` into `score`, the scale applied as the product leaves the
+/// registers and `-inf` written over masked pairs. Returns the tile's
+/// allowed pairs.
+fn score_tile(
+    ctx: &Ctx<'_>,
+    (r0, r1): (usize, usize),
+    (c0, c1): (usize, usize),
+    tstate: TileState,
+    score: &mut Mat,
+) -> u64 {
+    score.reshape_in_place(r1 - r0, c1 - c0);
+    let (qb, kt) = (ctx.q.rows_view(r0, r1), ctx.k.rows_view(c0, c1));
+    matmul_nt_with(qb, kt, score.as_mut_slice(), Epilogue::Scale(ctx.scale));
+    if tstate == TileState::Partial {
+        mask_tile(
+            score.as_mut_slice(),
+            ctx.mask,
+            &ctx.q_idx[r0..r1],
+            &ctx.k_idx[c0..c1],
+        )
+    } else {
+        score.len() as u64
+    }
+}
+
 /// Forward for query rows `[r0, r1)`: tile over all keys and merge each
 /// tile into `(o_rows, lse_rows)` online.
 ///
@@ -133,7 +158,8 @@ pub(crate) fn row_blocks(n: usize, block: usize) -> Vec<(usize, usize)> {
 /// unnormalised `P̃ = exp(s − rowmax)`, and since
 /// `Õ = P̃ · V = exp(s − m) · V`, the normalised-tile merge weight
 /// `exp(l_t − l_new) / Σp̃` collapses to `exp(m − l_new)` — no second
-/// normalisation pass either.
+/// normalisation pass either. The weights are known before `P̃ · V` runs,
+/// so the product merges into `O` as it leaves the registers.
 fn forward_rows(
     ctx: &Ctx<'_>,
     r0: usize,
@@ -142,69 +168,53 @@ fn forward_rows(
     lse_rows: &mut [f32],
     scratch: &mut Scratch,
 ) -> KernelWork {
-    let dv = ctx.v.cols();
-    let qb = ctx.q.rows_view(r0, r1);
     let qi = &ctx.q_idx[r0..r1];
     let mut work = KernelWork::default();
-    let Scratch {
-        score,
-        gtmp,
-        tile_lse,
-        tile_max,
-        ..
-    } = scratch;
+    let Scratch { score, merge, .. } = scratch;
     let mut c0 = 0;
     while c0 < ctx.k.rows() {
         let c1 = (c0 + ctx.block).min(ctx.k.rows());
-        let ki = &ctx.k_idx[c0..c1];
-        let tstate = ctx.mask.tile_state(qi, ki);
+        let tstate = ctx.mask.tile_state(qi, &ctx.k_idx[c0..c1]);
         if tstate == TileState::FullyMasked {
             work.tiles_skipped += 1;
             c0 = c1;
             continue;
         }
-        matmul_nt_into(qb, ctx.k.rows_view(c0, c1), score);
-        score.scale(ctx.scale);
-        if tstate == TileState::Partial {
-            mask_tile(score, ctx.mask, qi, ki);
-        }
-        // P̃ = exp(s − rowmax) in place, Σp̃ accumulated on the fly.
-        tile_max.clear();
-        tile_lse.clear();
-        for r in 0..score.rows() {
-            let row = score.row_mut(r);
-            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        work.pairs += score_tile(ctx, (r0, r1), (c0, c1), tstate, score);
+        // P̃ = exp(s − rowmax) in place, parking each row's (max, Σp̃) in
+        // `merge` ...
+        merge.clear();
+        for row in score.as_mut_slice().chunks_exact_mut(c1 - c0) {
+            let m = simd::row_max(row);
             if m == f32::NEG_INFINITY {
                 row.fill(0.0);
-                tile_max.push(f32::NEG_INFINITY);
-                tile_lse.push(f32::NEG_INFINITY);
-                continue;
+                merge.push(None);
+            } else {
+                merge.push(Some((m, simd::exp_shift_sum_inplace(row, m))));
             }
-            let sum = simd::exp_shift_sum_inplace(row, m);
-            tile_max.push(m);
-            tile_lse.push(m + sum.ln());
         }
-        // Õ = P̃ · V_tile (unnormalised).
-        matmul_into(score.view(), ctx.v.rows_view(c0, c1), gtmp);
-        for r in 0..gtmp.rows() {
-            let lt = tile_lse[r];
-            if lt == f32::NEG_INFINITY {
-                continue;
-            }
-            let la = lse_rows[r];
-            let lnew = OnlineState::merge_lse(la, lt);
-            let wa = if la == f32::NEG_INFINITY {
+        // ... then turn them into the merge weights `(wa, wt)`. The per-row
+        // `ln`/`exp` are scalar libm calls (they have no bit-exact vector
+        // form); with the vector work out of this loop, rows overlap.
+        for (w, la) in merge.iter_mut().zip(lse_rows.iter_mut()) {
+            let Some((m, sum)) = *w else { continue };
+            let lnew = OnlineState::merge_lse(*la, m + sum.ln());
+            let wa = if *la == f32::NEG_INFINITY {
                 0.0
             } else {
-                (la - lnew).exp()
+                (*la - lnew).exp()
             };
-            let wt = (tile_max[r] - lnew).exp();
-            let orow = &mut o_rows[r * dv..(r + 1) * dv];
-            simd::weighted_merge(orow, gtmp.row(r), wa, wt);
-            lse_rows[r] = lnew;
+            *w = Some((wa, (m - lnew).exp()));
+            *la = lnew;
         }
+        // O = wt · (P̃ · V_tile) + wa · O, row by row.
+        matmul_with(
+            score.view(),
+            ctx.v.rows_view(c0, c1),
+            o_rows,
+            Epilogue::Merge(merge),
+        );
         work.tiles_computed += 1;
-        work.pairs += count_pairs(ctx.mask, tstate, qi, ki);
         c0 = c1;
     }
     work
@@ -365,31 +375,51 @@ pub fn flash_forward_acc(
     work
 }
 
-/// Recompute the probability tile `P = exp(scale·Q_b K_bᵀ − Lse_b)` into
-/// `score` from the stored global `Lse`.
-fn recompute_p(
+/// One (query block, key tile) step of the backward, fused.
+///
+/// `P = exp(scale·Q_b K_tᵀ − Lse_b)` is recomputed into `score` from the
+/// stored global `Lse`. `∇V += Pᵀ ∇O` lands in `gkv`'s value rows, then the
+/// `∇O Vᵀ` product turns `score` into `∇S = P ∘ (∇P − D)` in its epilogue,
+/// and `∇Q += scale · ∇S K` and `∇K += scale · ∇Sᵀ Q` land in `gq` and in
+/// `gkv`'s key rows. Each gradient is given only when the calling pass owns
+/// it: `gq` holds query rows `[r0, r1)`, `gkv` key rows `[c0, c1)` of ∇K
+/// and ∇V. Every product accumulates straight into those rows. Returns the
+/// tile's allowed pairs.
+fn backward_tile(
     ctx: &BwdCtx<'_>,
-    r0: usize,
-    r1: usize,
-    c0: usize,
-    c1: usize,
+    (r0, r1): (usize, usize),
+    (c0, c1): (usize, usize),
     tstate: TileState,
     score: &mut Mat,
-) {
+    gq: Option<&mut [f32]>,
+    mut gkv: Option<(&mut [f32], &mut [f32])>,
+) -> u64 {
     let f = &ctx.fwd;
-    matmul_nt_into(f.q.rows_view(r0, r1), f.k.rows_view(c0, c1), score);
-    score.scale(f.scale);
-    if tstate == TileState::Partial {
-        mask_tile(score, f.mask, &f.q_idx[r0..r1], &f.k_idx[c0..c1]);
-    }
+    let pairs = score_tile(f, (r0, r1), (c0, c1), tstate, score);
     score.exp_sub_rowwise_inplace(&ctx.lse[r0..r1]);
-}
-
-/// `∇S = P ∘ (∇P − D)`, overwriting `P` in `score` (vectorized per row).
-fn ds_in_place(score: &mut Mat, gp: &Mat, d_b: &[f32]) {
-    for (r, &drow) in d_b.iter().enumerate().take(score.rows()) {
-        simd::mul_by_diff(score.row_mut(r), gp.row(r), drow);
+    let dob = ctx.grad_o.rows_view(r0, r1);
+    if let Some((_, gv)) = &mut gkv {
+        matmul_tn_with(score.view(), dob, gv, Epilogue::Axpy(1.0));
     }
+    let ds = Epilogue::MulDiff(&ctx.d_vec[r0..r1]);
+    matmul_nt_with(dob, f.v.rows_view(c0, c1), score.as_mut_slice(), ds);
+    if let Some(gq) = gq {
+        matmul_with(
+            score.view(),
+            f.k.rows_view(c0, c1),
+            gq,
+            Epilogue::Axpy(f.scale),
+        );
+    }
+    if let Some((gk, _)) = gkv {
+        matmul_tn_with(
+            score.view(),
+            f.q.rows_view(r0, r1),
+            gk,
+            Epilogue::Axpy(f.scale),
+        );
+    }
+    pairs
 }
 
 /// Serial single sweep over all (query, key) tiles, accumulating into the
@@ -403,40 +433,34 @@ fn backward_sweep(
     scratch: &mut Scratch,
 ) -> KernelWork {
     let f = &ctx.fwd;
+    let (dq, dk, dv) = (f.q.cols(), f.k.cols(), f.v.cols());
     let mut work = KernelWork::default();
-    let Scratch {
-        score, gp, gtmp, ..
-    } = scratch;
+    let score = &mut scratch.score;
     let mut r0 = 0;
     while r0 < f.q.rows() {
         let r1 = (r0 + f.block).min(f.q.rows());
         let qi = &f.q_idx[r0..r1];
-        let dob = ctx.grad_o.rows_view(r0, r1);
-        let d_b = &ctx.d_vec[r0..r1];
         let mut c0 = 0;
         while c0 < f.k.rows() {
             let c1 = (c0 + f.block).min(f.k.rows());
-            let ki = &f.k_idx[c0..c1];
-            let tstate = f.mask.tile_state(qi, ki);
+            let tstate = f.mask.tile_state(qi, &f.k_idx[c0..c1]);
             if tstate == TileState::FullyMasked {
                 work.tiles_skipped += 1;
                 c0 = c1;
                 continue;
             }
-            recompute_p(ctx, r0, r1, c0, c1, tstate, score);
-            // ∇V_tile += Pᵀ ∇O
-            matmul_tn_into(score.view(), dob, gtmp);
-            axpy_rows_slice(gv, c0, 1.0, gtmp);
-            // ∇P = ∇O Vᵀ ; ∇S = P ∘ (∇P − D)
-            matmul_nt_into(dob, f.v.rows_view(c0, c1), gp);
-            ds_in_place(score, gp, d_b);
-            // ∇Q_block += scale · ∇S K ; ∇K_tile += scale · ∇Sᵀ Q
-            matmul_into(score.view(), f.k.rows_view(c0, c1), gtmp);
-            axpy_rows_slice(gq, r0, f.scale, gtmp);
-            matmul_tn_into(score.view(), f.q.rows_view(r0, r1), gtmp);
-            axpy_rows_slice(gk, c0, f.scale, gtmp);
+            let gkv = (&mut gk[c0 * dk..c1 * dk], &mut gv[c0 * dv..c1 * dv]);
+            let gq_rows = &mut gq[r0 * dq..r1 * dq];
+            work.pairs += backward_tile(
+                ctx,
+                (r0, r1),
+                (c0, c1),
+                tstate,
+                score,
+                Some(gq_rows),
+                Some(gkv),
+            );
             work.tiles_computed += 1;
-            work.pairs += count_pairs(f.mask, tstate, qi, ki);
             c0 = c1;
         }
         r0 = r1;
@@ -455,29 +479,19 @@ fn backward_q_rows(
 ) -> KernelWork {
     let f = &ctx.fwd;
     let mut work = KernelWork::default();
-    let Scratch {
-        score, gp, gtmp, ..
-    } = scratch;
+    let score = &mut scratch.score;
     let qi = &f.q_idx[r0..r1];
-    let dob = ctx.grad_o.rows_view(r0, r1);
-    let d_b = &ctx.d_vec[r0..r1];
     let mut c0 = 0;
     while c0 < f.k.rows() {
         let c1 = (c0 + f.block).min(f.k.rows());
-        let ki = &f.k_idx[c0..c1];
-        let tstate = f.mask.tile_state(qi, ki);
+        let tstate = f.mask.tile_state(qi, &f.k_idx[c0..c1]);
         if tstate == TileState::FullyMasked {
             work.tiles_skipped += 1;
             c0 = c1;
             continue;
         }
-        recompute_p(ctx, r0, r1, c0, c1, tstate, score);
-        matmul_nt_into(dob, f.v.rows_view(c0, c1), gp);
-        ds_in_place(score, gp, d_b);
-        matmul_into(score.view(), f.k.rows_view(c0, c1), gtmp);
-        axpy_rows_slice(gq_rows, 0, f.scale, gtmp);
+        work.pairs += backward_tile(ctx, (r0, r1), (c0, c1), tstate, score, Some(gq_rows), None);
         work.tiles_computed += 1;
-        work.pairs += count_pairs(f.mask, tstate, qi, ki);
         c0 = c1;
     }
     work
@@ -495,27 +509,23 @@ fn backward_kv_rows(
     scratch: &mut Scratch,
 ) {
     let f = &ctx.fwd;
-    let Scratch {
-        score, gp, gtmp, ..
-    } = scratch;
     let ki = &f.k_idx[c0..c1];
     let mut r0 = 0;
     while r0 < f.q.rows() {
         let r1 = (r0 + f.block).min(f.q.rows());
-        let qi = &f.q_idx[r0..r1];
-        let tstate = f.mask.tile_state(qi, ki);
-        if tstate == TileState::FullyMasked {
-            r0 = r1;
-            continue;
+        let tstate = f.mask.tile_state(&f.q_idx[r0..r1], ki);
+        if tstate != TileState::FullyMasked {
+            let gkv = Some((&mut *gk_rows, &mut *gv_rows));
+            backward_tile(
+                ctx,
+                (r0, r1),
+                (c0, c1),
+                tstate,
+                &mut scratch.score,
+                None,
+                gkv,
+            );
         }
-        let dob = ctx.grad_o.rows_view(r0, r1);
-        recompute_p(ctx, r0, r1, c0, c1, tstate, score);
-        matmul_tn_into(score.view(), dob, gtmp);
-        axpy_rows_slice(gv_rows, 0, 1.0, gtmp);
-        matmul_nt_into(dob, f.v.rows_view(c0, c1), gp);
-        ds_in_place(score, gp, &ctx.d_vec[r0..r1]);
-        matmul_tn_into(score.view(), f.q.rows_view(r0, r1), gtmp);
-        axpy_rows_slice(gk_rows, 0, f.scale, gtmp);
         r0 = r1;
     }
 }

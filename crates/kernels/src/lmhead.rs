@@ -28,8 +28,7 @@
 use crate::flash::row_blocks;
 use crate::online::OnlineState;
 use burst_tensor::{
-    axpy_rows_slice, matmul_into, matmul_nt_into, matmul_tn_into, simd, tree_sum, Mat, MatRef,
-    Scratch,
+    matmul_nt_into, matmul_tn_with, matmul_with, simd, tree_sum, Epilogue, Mat, MatRef, Scratch,
 };
 
 /// Default sequence-tile rows.
@@ -134,7 +133,7 @@ fn lm_forward_rows(
         let maxes = &mut tile_max[j * rows..(j + 1) * rows];
         for r in 0..rows {
             let row = pt.row_mut(r);
-            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let m = simd::row_max(row);
             if m == f32::NEG_INFINITY {
                 row.fill(0.0);
                 maxes[r] = f32::NEG_INFINITY;
@@ -192,11 +191,9 @@ fn lm_backward_rows(
     let v = ctx.w.rows();
     let hb = ctx.h.rows_view(r0, r1);
     let n_vtiles = v.div_ceil(ctx.block_v);
+    let d = hb.cols();
     let Scratch {
-        vtiles,
-        tile_max,
-        gtmp,
-        ..
+        vtiles, tile_max, ..
     } = scratch;
     for (j, pt) in vtiles.iter_mut().take(n_vtiles).enumerate() {
         let c0 = j * ctx.block_v;
@@ -204,11 +201,11 @@ fn lm_backward_rows(
         let maxes = &tile_max[j * rows..(j + 1) * rows];
         scale_to_grad_logits(pt, maxes, lse_rows, ctx.inv_n, ctx.targets, r0, c0, c1);
         // ∇H_block += ∇Logits_tile · W_tile
-        matmul_into(pt.view(), ctx.w.rows_view(c0, c1), gtmp);
-        axpy_rows_slice(grad_h_rows, 0, 1.0, gtmp);
+        let wt = ctx.w.rows_view(c0, c1);
+        matmul_with(pt.view(), wt, grad_h_rows, Epilogue::Axpy(1.0));
         // ∇W_tile += ∇Logitsᵀ · H_block
-        matmul_tn_into(pt.view(), hb, gtmp);
-        axpy_rows_slice(grad_w, c0, 1.0, gtmp);
+        let gw_tile = &mut grad_w[c0 * d..c1 * d];
+        matmul_tn_with(pt.view(), hb, gw_tile, Epilogue::Axpy(1.0));
     }
 }
 
@@ -228,18 +225,15 @@ fn lm_pass_h_rows(
     let v = ctx.w.rows();
     let n_vtiles = v.div_ceil(ctx.block_v);
     let Scratch {
-        vtiles,
-        tile_max,
-        gtmp,
-        ..
+        vtiles, tile_max, ..
     } = scratch;
     for (j, pt) in vtiles.iter_mut().take(n_vtiles).enumerate() {
         let c0 = j * ctx.block_v;
         let c1 = (c0 + ctx.block_v).min(v);
         let maxes = &tile_max[j * rows..(j + 1) * rows];
         scale_to_grad_logits(pt, maxes, lse_rows, ctx.inv_n, ctx.targets, r0, c0, c1);
-        matmul_into(pt.view(), ctx.w.rows_view(c0, c1), gtmp);
-        axpy_rows_slice(grad_h_rows, 0, 1.0, gtmp);
+        let wt = ctx.w.rows_view(c0, c1);
+        matmul_with(pt.view(), wt, grad_h_rows, Epilogue::Axpy(1.0));
     }
 }
 
@@ -257,10 +251,7 @@ fn lm_pass_w_tile(
     let n = ctx.h.rows();
     let wb = ctx.w.rows_view(c0, c1);
     let Scratch {
-        score,
-        gtmp,
-        tile_max,
-        ..
+        score, tile_max, ..
     } = scratch;
     let mut r0 = 0;
     while r0 < n {
@@ -270,7 +261,7 @@ fn lm_pass_w_tile(
         tile_max.clear();
         for r in 0..score.rows() {
             let row = score.row_mut(r);
-            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let m = simd::row_max(row);
             if m == f32::NEG_INFINITY {
                 row.fill(0.0);
                 tile_max.push(f32::NEG_INFINITY);
@@ -289,8 +280,7 @@ fn lm_pass_w_tile(
             c0,
             c1,
         );
-        matmul_tn_into(score.view(), hb, gtmp);
-        axpy_rows_slice(gw_rows, 0, 1.0, gtmp);
+        matmul_tn_with(score.view(), hb, gw_rows, Epilogue::Axpy(1.0));
         r0 = r1;
     }
 }

@@ -37,6 +37,10 @@ impl OnlineState {
     }
 
     /// Stable log-sum-exp of two scalars.
+    ///
+    /// The larger operand's term is `exp(±0)`, which libm returns as exactly
+    /// `1.0` (C Annex F), so it costs no call: this stays bit-identical to
+    /// `m + ((a − m).exp() + (b − m).exp()).ln()`.
     #[inline]
     pub fn merge_lse(a: f32, b: f32) -> f32 {
         if a == f32::NEG_INFINITY {
@@ -46,7 +50,15 @@ impl OnlineState {
             return a;
         }
         let m = a.max(b);
-        m + ((a - m).exp() + (b - m).exp()).ln()
+        let term = |x: f32| {
+            let d = x - m;
+            if d == 0.0 {
+                1.0
+            } else {
+                d.exp()
+            }
+        };
+        m + (term(a) + term(b)).ln()
     }
 
     /// Fold `other` into `self`:

@@ -33,6 +33,9 @@ pub mod testutil;
 
 pub use bf16::{decode_bf16, encode_bf16, round_bf16, Bf16Mat};
 pub use mat::{Mat, MatRef};
-pub use ops::{axpy_rows_slice, matmul_into, matmul_nt_into, matmul_tn_into, tree_sum};
+pub use ops::{
+    matmul_into, matmul_nt_into, matmul_nt_with, matmul_tn_into, matmul_tn_with, matmul_with,
+    tree_sum, Epilogue,
+};
 pub use random::{randn_mat, uniform_mat, SeedStream};
 pub use scratch::Scratch;

@@ -1,11 +1,13 @@
 //! Linear algebra and reduction kernels on [`Mat`].
 //!
 //! Matrix products go through one set of register-blocked micro-kernels
-//! (see `nt_micro` and friends): 4×4 output blocks with sixteen
-//! independent accumulators, K-tiled so the streamed operands stay
-//! L1-resident, written so LLVM autovectorizes the inner loops. Dispatch is
-//! cache-blocked over output row blocks and parallelised with rayon above a
-//! volume threshold.
+//! (see `nt_micro` and friends): `MR × NR` output tiles of `nn`/`tn` and
+//! `NTR × NTC` blocks of `nt` held in vector accumulators, written so LLVM
+//! autovectorizes the scalar twins' inner loops. Each finished element
+//! leaves the registers through an [`Epilogue`] — a plain store, or the
+//! scale, merge or accumulation a tile loop would otherwise apply in a
+//! second pass. Dispatch is cache-blocked over output row blocks and
+//! parallelised with rayon above a volume threshold.
 //!
 //! Every product has two entry points: the owned `Mat` method
 //! (`a.matmul(&b)`) and an `_into` free function
@@ -20,22 +22,26 @@ use crate::mat::{Mat, MatRef};
 use crate::simd;
 use rayon::prelude::*;
 
-/// Row-block size used to split work across rayon tasks. Must stay a
-/// multiple of [`MR`] so serial and parallel dispatch group rows into the
-/// same 4-row quads.
+/// Row-block size used to split work across rayon tasks.
 const PAR_ROW_BLOCK: usize = 32;
-/// Register-block row edge: micro-kernels process `MR` output rows at once.
-pub(crate) const MR: usize = 4;
+/// Register-block row edge of the `nn`/`tn` kernels: `MR × NR` outputs are
+/// twelve vector accumulators, which with the two streamed `B` vectors and
+/// one broadcast fill fifteen of the 16 SIMD registers. Leftover rows run
+/// in bands of 2, then 1. How rows are banded never changes a value: each
+/// element accumulates on its own.
+pub(crate) const MR: usize = 6;
 /// Column width of the output-stationary register tile in [`nn_micro`] /
 /// [`tn_micro`] (two 8-lane SIMD registers per output row).
 pub(crate) const NR: usize = 16;
 /// Emulated SIMD width: reduction accumulators in [`nt_micro`] are
 /// `[f32; VL]` arrays whose element-wise update LLVM lowers to one FMA.
 const VL: usize = 8;
-/// Column edge of the `nt` register block. `MR × NTC` vector accumulators
-/// must fit the 16 architectural SIMD registers with room for operands;
-/// 4×4 spills.
-pub(crate) const NTC: usize = 2;
+/// Row and column edges of the `nt` register block: `NTR × NTC` vector
+/// accumulators plus the `NTC` streamed key vectors fit the 16
+/// architectural SIMD registers, and the `NTC` outputs of one row are
+/// contiguous, so the AVX2 kernel reduces them into one 128-bit store.
+pub(crate) const NTR: usize = 2;
+pub(crate) const NTC: usize = 4;
 
 /// Smallest matrix volume (`m * n * k`) worth parallelising; below this the
 /// rayon fork/join overhead dominates.
@@ -250,10 +256,62 @@ impl Mat {
     }
 }
 
-/// `C = A · B` into a caller-provided matrix; `out` is reshaped to `m × n`
-/// in place (zero heap traffic once its capacity has reached steady state).
+/// What a product does with each finished output element as it leaves the
+/// registers, so a tile loop needs no second pass over the product.
+///
+/// `h` is the value the plain product stores: `0.0 + Σ`, the element's sum
+/// accumulated from `+0.0` in the fixed order of its microkernel, then
+/// added to the zero the output buffer held. `r` is the element's output
+/// row within the call. Each variant rounds exactly like the plain product
+/// followed by the separate elementwise pass it replaces, and the AVX2
+/// epilogue in [`crate::simd`] performs the same operations lane for lane.
+#[derive(Clone, Copy, Debug)]
+pub enum Epilogue<'a> {
+    /// `out = h`: the plain product.
+    Store,
+    /// `out = h · s`: the scaled score tile `s · Q Kᵀ`.
+    Scale(f32),
+    /// `out = out · (h − c[r])`: `∇S = P ∘ (∇P − D)` over the `P` already
+    /// in `out`.
+    MulDiff(&'a [f32]),
+    /// `out += α · h`, a product and then a sum (two roundings):
+    /// accumulation into the caller's gradient rows.
+    Axpy(f32),
+    /// `out = fma(wt, h, wa · out)` on rows holding `Some((wa, wt))`; rows
+    /// holding `None` keep `out`. The online-softmax merge of `P̃ · V`.
+    Merge(&'a [Option<(f32, f32)>]),
+}
+
+impl Epilogue<'_> {
+    /// Finish one element. The scalar kernels call this per element; the
+    /// AVX2 twin is `simd::x86::apply8`/`apply4`.
+    #[inline(always)]
+    pub(crate) fn apply(self, o: &mut f32, r: usize, h: f32) {
+        match self {
+            Epilogue::Store => *o = h,
+            Epilogue::Scale(s) => *o = h * s,
+            Epilogue::MulDiff(c) => *o *= h - c[r],
+            Epilogue::Axpy(alpha) => *o += alpha * h,
+            Epilogue::Merge(w) => {
+                if let Some((wa, wt)) = w[r] {
+                    *o = wt.mul_add(h, wa * *o);
+                }
+            }
+        }
+    }
+
+    /// Output rows the per-row operands cover.
+    fn rows(self) -> usize {
+        match self {
+            Epilogue::MulDiff(c) => c.len(),
+            Epilogue::Merge(w) => w.len(),
+            _ => usize::MAX,
+        }
+    }
+}
+
 #[track_caller]
-pub fn matmul_into(a: MatRef<'_>, b: MatRef<'_>, out: &mut Mat) {
+fn nn_dims(a: MatRef<'_>, b: MatRef<'_>) -> (usize, usize, usize) {
     assert_eq!(
         a.cols(),
         b.rows(),
@@ -263,18 +321,11 @@ pub fn matmul_into(a: MatRef<'_>, b: MatRef<'_>, out: &mut Mat) {
         b.rows(),
         b.cols()
     );
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    out.reshape_in_place(m, n);
-    let use_simd = simd::avx2_active();
-    let panel = simd::col_panel(n);
-    run_blocked(out, m, m * n * k, |rows, r0, len| {
-        matmul_nn_block(a, b, rows, r0, len, n, use_simd, panel);
-    });
+    (a.rows(), a.cols(), b.cols())
 }
 
-/// `C = A · Bᵀ` into a caller-provided matrix (see [`matmul_into`]).
 #[track_caller]
-pub fn matmul_nt_into(a: MatRef<'_>, b: MatRef<'_>, out: &mut Mat) {
+fn nt_dims(a: MatRef<'_>, b: MatRef<'_>) -> (usize, usize, usize) {
     assert_eq!(
         a.cols(),
         b.cols(),
@@ -284,19 +335,11 @@ pub fn matmul_nt_into(a: MatRef<'_>, b: MatRef<'_>, out: &mut Mat) {
         b.rows(),
         b.cols()
     );
-    let (m, k, n) = (a.rows(), a.cols(), b.rows());
-    out.reshape_in_place(m, n);
-    let use_simd = simd::avx2_active();
-    run_blocked(out, m, m * n * k, |rows, r0, len| {
-        matmul_nt_block(a, b, rows, r0, len, n, use_simd);
-    });
+    (a.rows(), a.cols(), b.rows())
 }
 
-/// `C = Aᵀ · B` into a caller-provided matrix (see [`matmul_into`]).
-/// Output rows index columns of `A`, so row blocks are independent and the
-/// same dispatch applies.
 #[track_caller]
-pub fn matmul_tn_into(a: MatRef<'_>, b: MatRef<'_>, out: &mut Mat) {
+fn tn_dims(a: MatRef<'_>, b: MatRef<'_>) -> (usize, usize, usize) {
     assert_eq!(
         a.rows(),
         b.rows(),
@@ -306,26 +349,86 @@ pub fn matmul_tn_into(a: MatRef<'_>, b: MatRef<'_>, out: &mut Mat) {
         b.rows(),
         b.cols()
     );
-    let (m, k, n) = (a.cols(), a.rows(), b.cols());
+    (a.cols(), a.rows(), b.cols())
+}
+
+#[track_caller]
+fn check_out(out: &[f32], m: usize, n: usize, epi: Epilogue<'_>) {
+    assert_eq!(
+        out.len(),
+        m * n,
+        "matmul: output holds {} not {m}x{n}",
+        out.len()
+    );
+    assert!(
+        epi.rows() >= m,
+        "matmul: epilogue covers {} of {m} rows",
+        epi.rows()
+    );
+}
+
+/// `C = A · B` into a caller-provided matrix; `out` is reshaped to `m × n`
+/// in place (zero heap traffic once its capacity has reached steady state).
+#[track_caller]
+pub fn matmul_into(a: MatRef<'_>, b: MatRef<'_>, out: &mut Mat) {
+    let (m, k, n) = nn_dims(a, b);
     out.reshape_in_place(m, n);
     let use_simd = simd::avx2_active();
-    run_blocked(out, m, m * n * k, |rows, c0, len| {
-        matmul_tn_block(a, b, rows, c0, len, n, use_simd);
+    let panel = simd::col_panel(n);
+    run_blocked(out, m, m * n * k, |rows, r0, len| {
+        matmul_nn_block(a, b, rows, r0, len, n, use_simd, panel, Epilogue::Store);
     });
 }
 
-/// `dst[row0..][..src.rows()] += alpha · src`, where `dst` is the raw
-/// row-major storage of a matrix with `src.cols()` columns.
-///
-/// The tiled kernels accumulate per-tile products into gradient buffers
-/// through this; it takes a raw slice (not [`Mat`]) so parallel passes can
-/// hand each task a disjoint `split_at_mut` region of one output.
-pub fn axpy_rows_slice(dst: &mut [f32], row0: usize, alpha: f32, src: &Mat) {
-    let w = src.cols();
-    let dst = &mut dst[row0 * w..(row0 + src.rows()) * w];
-    for (d, s) in dst.iter_mut().zip(src.as_slice()) {
-        *d += alpha * s;
-    }
+/// `C = A · Bᵀ` into a caller-provided matrix (see [`matmul_into`]).
+#[track_caller]
+pub fn matmul_nt_into(a: MatRef<'_>, b: MatRef<'_>, out: &mut Mat) {
+    let (m, k, n) = nt_dims(a, b);
+    out.reshape_in_place(m, n);
+    let use_simd = simd::avx2_active();
+    run_blocked(out, m, m * n * k, |rows, r0, len| {
+        matmul_nt_block(a, b, rows, r0, len, n, use_simd, Epilogue::Store);
+    });
+}
+
+/// `C = Aᵀ · B` into a caller-provided matrix (see [`matmul_into`]).
+/// Output rows index columns of `A`, so row blocks are independent and the
+/// same dispatch applies.
+#[track_caller]
+pub fn matmul_tn_into(a: MatRef<'_>, b: MatRef<'_>, out: &mut Mat) {
+    let (m, k, n) = tn_dims(a, b);
+    out.reshape_in_place(m, n);
+    let use_simd = simd::avx2_active();
+    run_blocked(out, m, m * n * k, |rows, c0, len| {
+        matmul_tn_block(a, b, rows, c0, len, n, use_simd, Epilogue::Store);
+    });
+}
+
+/// `A · B` finished by `epi` over the row-major `m × n` region `out`, on
+/// the calling thread: the tile loops' fused product, with the same
+/// microkernels (and so the same bits) as [`matmul_into`].
+#[track_caller]
+pub fn matmul_with(a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32], epi: Epilogue<'_>) {
+    let (m, _, n) = nn_dims(a, b);
+    check_out(out, m, n, epi);
+    let panel = simd::col_panel(n);
+    matmul_nn_block(a, b, out, 0, m, n, simd::avx2_active(), panel, epi);
+}
+
+/// `A · Bᵀ` finished by `epi` (see [`matmul_with`]).
+#[track_caller]
+pub fn matmul_nt_with(a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32], epi: Epilogue<'_>) {
+    let (m, _, n) = nt_dims(a, b);
+    check_out(out, m, n, epi);
+    matmul_nt_block(a, b, out, 0, m, n, simd::avx2_active(), epi);
+}
+
+/// `Aᵀ · B` finished by `epi` (see [`matmul_with`]).
+#[track_caller]
+pub fn matmul_tn_with(a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32], epi: Epilogue<'_>) {
+    let (m, _, n) = tn_dims(a, b);
+    check_out(out, m, n, epi);
+    matmul_tn_block(a, b, out, 0, m, n, simd::avx2_active(), epi);
 }
 
 /// Deterministic pairwise (tree) reduction of a slice. The association is a
@@ -346,11 +449,9 @@ pub fn tree_sum(xs: &[f32]) -> f32 {
 /// Dispatch a row-blocked kernel either serially or across rayon tasks.
 ///
 /// The parallel path hands each `PAR_ROW_BLOCK`-row chunk to a task; the
-/// serial path runs one call covering all rows. Because every kernel
-/// processes rows in [`MR`]-row quads *relative to the chunk start* and
-/// `PAR_ROW_BLOCK % MR == 0`, both paths group the same global rows into
-/// the same quads, and each output element sees the same ascending-k
-/// accumulation either way — results are bit-identical across thread
+/// serial path runs one call covering all rows. Each output element
+/// accumulates on its own in the same ascending-k order whichever register
+/// band or chunk holds its row, so results are bit-identical across thread
 /// counts.
 fn run_blocked(
     out: &mut Mat,
@@ -390,16 +491,17 @@ pub(crate) fn hsum8(v: [f32; VL]) -> f32 {
 // ---------------------------------------------------------------------------
 // Dispatch happens at the *block driver* level: each `matmul_*_block` below
 // jumps to its AVX2+FMA twin in [`crate::simd`] when `use_simd` is set
-// (decided once per `_into` call by `simd::avx2_active`), so the vector
-// path pays one branch per block and the `#[target_feature]` microkernels
-// inline into their drivers. Both branches contract every multiply-add into
-// a single-rounding IEEE FMA (`f32::mul_add` ⟷ `_mm256_fmadd_ps`), so
-// either yields the same bits. Column tails run the shared scalar tail
-// kernels in both modes.
+// (decided once per call by `simd::avx2_active`), so the vector path pays
+// one branch per block and the `#[target_feature]` microkernels inline into
+// their drivers. Both branches contract every multiply-add into a
+// single-rounding IEEE FMA (`f32::mul_add` ⟷ `_mm256_fmadd_ps`) and finish
+// each element through the same [`Epilogue`] arithmetic, so either yields
+// the same bits. Column tails run the shared scalar tail kernels in both
+// modes.
 // ---------------------------------------------------------------------------
 
-/// `R × C` register-blocked panel of `A · Bᵀ`: accumulate
-/// `out[or0+p][c0+q] += Σ_k a[r0+p][k] · b[c0+q][k]`.
+/// `R × C` register-blocked panel of `A · Bᵀ`: element
+/// `out[or0+p][c0+q]` is `Σ_k a[r0+p][k] · b[c0+q][k]`, finished by `epi`.
 ///
 /// A plain dot product is one serial FP add chain, which LLVM cannot
 /// vectorize (float addition is not associative). Each accumulator here is
@@ -411,6 +513,7 @@ pub(crate) fn hsum8(v: [f32; VL]) -> f32 {
 /// only on this code path — never on `R`, `C`, or the dispatch that chose
 /// them. This is where the scores (`Q Kᵀ`) and logits (`H Wᵀ`) products get
 /// their speedup.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn nt_micro<const R: usize, const C: usize>(
     a: MatRef<'_>,
@@ -420,6 +523,7 @@ fn nt_micro<const R: usize, const C: usize>(
     r0: usize,
     or0: usize,
     c0: usize,
+    epi: Epilogue<'_>,
 ) {
     let k = a.cols();
     let arows: [&[f32]; R] = std::array::from_fn(|p| &a.row(r0 + p)[..k]);
@@ -449,7 +553,11 @@ fn nt_micro<const R: usize, const C: usize>(
     }
     for p in 0..R {
         for q in 0..C {
-            out[(or0 + p) * n + c0 + q] += hsum8(acc[p][q]);
+            epi.apply(
+                &mut out[(or0 + p) * n + c0 + q],
+                or0 + p,
+                0.0 + hsum8(acc[p][q]),
+            );
         }
     }
 }
@@ -457,11 +565,11 @@ fn nt_micro<const R: usize, const C: usize>(
 /// `R × NR` output-stationary panel of `A · B`: the `R`-row,
 /// `NR`-column output tile lives in registers across the whole `k` loop;
 /// each step broadcasts `a[r0+p][i]` against a contiguous `NR`-wide slice
-/// of row `b[i]`. Output memory is touched exactly once per tile and each
-/// streamed `B` slice is reused `R` times from registers.
+/// of row `b[i]`. Output memory is touched exactly once per tile, by the
+/// epilogue, and each streamed `B` slice is reused `R` times from registers.
 // Index-form loops are deliberate here: the accumulation order is part of
 // the determinism contract and the codegen is tuned around this exact shape.
-#[allow(clippy::needless_range_loop)]
+#[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
 #[inline(always)]
 fn nn_micro<const R: usize>(
     a: MatRef<'_>,
@@ -471,6 +579,7 @@ fn nn_micro<const R: usize>(
     r0: usize,
     or0: usize,
     c0: usize,
+    epi: Epilogue<'_>,
 ) {
     let k = a.cols();
     let arows: [&[f32]; R] = std::array::from_fn(|p| &a.row(r0 + p)[..k]);
@@ -484,18 +593,32 @@ fn nn_micro<const R: usize>(
             }
         }
     }
-    for p in 0..R {
-        let orow = &mut out[(or0 + p) * n + c0..(or0 + p) * n + c0 + NR];
-        for l in 0..NR {
-            orow[l] += acc[p][l];
+    finish_rows(&acc, NR, out, n, or0, c0, epi);
+}
+
+/// Hand an `R × cn` block of finished sums to the epilogue.
+#[inline(always)]
+fn finish_rows<const R: usize>(
+    acc: &[[f32; NR]; R],
+    cn: usize,
+    out: &mut [f32],
+    n: usize,
+    or0: usize,
+    c0: usize,
+    epi: Epilogue<'_>,
+) {
+    for (p, sums) in acc.iter().enumerate() {
+        let orow = &mut out[(or0 + p) * n + c0..(or0 + p) * n + c0 + cn];
+        for (o, &s) in orow.iter_mut().zip(sums) {
+            epi.apply(o, or0 + p, 0.0 + s);
         }
     }
 }
 
-/// Column remainder of [`nn_micro`] (`cn < NR` trailing columns):
-/// accumulates straight into `out` in the same ascending-`k` order. Only
-/// runs when `n % NR != 0`, so its throughput is irrelevant; it is shared
-/// verbatim with the AVX2 drivers in [`crate::simd`].
+/// Column remainder of [`nn_micro`] (`cn < NR` trailing columns), in the
+/// same ascending-`k` order. Only runs when `n % NR != 0`, so its
+/// throughput is irrelevant; it is shared verbatim with the AVX2 drivers
+/// in [`crate::simd`].
 #[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
 #[inline(always)]
 pub(crate) fn nn_micro_tail<const R: usize>(
@@ -507,25 +630,28 @@ pub(crate) fn nn_micro_tail<const R: usize>(
     or0: usize,
     c0: usize,
     cn: usize,
+    epi: Epilogue<'_>,
 ) {
     let k = a.cols();
     let arows: [&[f32]; R] = std::array::from_fn(|p| &a.row(r0 + p)[..k]);
+    let mut acc = [[0.0f32; NR]; R];
     for i in 0..k {
         let brow = &b.row(i)[c0..c0 + cn];
         for p in 0..R {
             let x = arows[p][i];
-            let orow = &mut out[(or0 + p) * n + c0..(or0 + p) * n + c0 + cn];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o = x.mul_add(bv, *o);
+            for (s, &bv) in acc[p].iter_mut().zip(brow) {
+                *s = x.mul_add(bv, *s);
             }
         }
     }
+    finish_rows(&acc, cn, out, n, or0, c0, epi);
 }
 
 /// `R × NR` output-stationary panel of `Aᵀ · B` (outer-product
 /// accumulation): structure mirrors [`nn_micro`] with the broadcast taken
 /// from a column of `A`; output rows `[i0, i0+R)` gather
 /// `Σ_r a[r][ac0+i0+p] · b[r][c0..c0+NR]` in ascending-`r` order.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn tn_micro<const R: usize>(
     a: MatRef<'_>,
@@ -535,6 +661,7 @@ fn tn_micro<const R: usize>(
     ac0: usize,
     i0: usize,
     c0: usize,
+    epi: Epilogue<'_>,
 ) {
     let k = a.rows();
     let mut acc = [[0.0f32; NR]; R];
@@ -548,12 +675,7 @@ fn tn_micro<const R: usize>(
             }
         }
     }
-    for p in 0..R {
-        let orow = &mut out[(i0 + p) * n + c0..(i0 + p) * n + c0 + NR];
-        for l in 0..NR {
-            orow[l] += acc[p][l];
-        }
-    }
+    finish_rows(&acc, NR, out, n, i0, c0, epi);
 }
 
 /// Column remainder of [`tn_micro`], analogous to [`nn_micro_tail`].
@@ -568,26 +690,29 @@ pub(crate) fn tn_micro_tail<const R: usize>(
     i0: usize,
     c0: usize,
     cn: usize,
+    epi: Epilogue<'_>,
 ) {
     let k = a.rows();
+    let mut acc = [[0.0f32; NR]; R];
     for r in 0..k {
         let arow = a.row(r);
         let brow = &b.row(r)[c0..c0 + cn];
         for p in 0..R {
             let x = arow[ac0 + i0 + p];
-            let orow = &mut out[(i0 + p) * n + c0..(i0 + p) * n + c0 + cn];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o = x.mul_add(bv, *o);
+            for (s, &bv) in acc[p].iter_mut().zip(brow) {
+                *s = x.mul_add(bv, *s);
             }
         }
     }
+    finish_rows(&acc, cn, out, n, i0, c0, epi);
 }
 
-/// `out[0..len] += A[r0..r0+len] · B`, in `MR`-row quads relative to `r0`
-/// and `NR`-column register tiles, visited one column panel at a time.
+/// `out[0..len] ⟵ A[r0..r0+len] · B` through `epi`, in `MR`-row bands
+/// relative to `r0` and `NR`-column register tiles, visited one column
+/// panel at a time.
 ///
-/// Panelling bounds how much of `B` each pass over the row quads streams,
-/// so a panel of `B` stays cache-resident across all quads; `panel` comes
+/// Panelling bounds how much of `B` each pass over the row bands streams,
+/// so a panel of `B` stays cache-resident across all bands; `panel` comes
 /// from the autotuner ([`simd::col_panel`], `usize::MAX` = no panelling).
 /// Every output element still accumulates inside a single micro call in
 /// ascending-`k` order, so the panel width never affects values — only the
@@ -602,10 +727,13 @@ fn matmul_nn_block(
     n: usize,
     use_simd: bool,
     panel: usize,
+    epi: Epilogue<'_>,
 ) {
     #[cfg(target_arch = "x86_64")]
     if use_simd {
-        unsafe { simd::x86::nn_block_avx2(a, b, out, r0, len, n, panel) };
+        // SAFETY: `use_simd` comes from `simd::avx2_active()`, which found
+        // AVX2 and FMA on this CPU; `out` holds the block's `len × n` outputs.
+        unsafe { simd::x86::nn_block_avx2(a, b, out, r0, len, n, panel, epi) };
         return;
     }
     let _ = use_simd;
@@ -620,29 +748,40 @@ fn matmul_nn_block(
         let cwhole = p0 + (span - span % NR);
         let mut r = 0;
         while r < len {
-            let mut c = p0;
-            if r + MR <= len {
-                while c < cwhole {
-                    nn_micro::<MR>(a, b, out, n, r0 + r, r, c);
-                    c += NR;
-                }
-                if c < pend {
-                    nn_micro_tail::<MR>(a, b, out, n, r0 + r, r, c, pend - c);
-                }
-                r += MR;
-            } else {
-                while c < cwhole {
-                    nn_micro::<1>(a, b, out, n, r0 + r, r, c);
-                    c += NR;
-                }
-                if c < pend {
-                    nn_micro_tail::<1>(a, b, out, n, r0 + r, r, c, pend - c);
-                }
-                r += 1;
-            }
+            let cols = (p0, cwhole, pend);
+            r += match len - r {
+                MR.. => nn_rows::<MR>(a, b, out, n, r0, r, cols, epi),
+                2.. => nn_rows::<2>(a, b, out, n, r0, r, cols, epi),
+                _ => nn_rows::<1>(a, b, out, n, r0, r, cols, epi),
+            };
         }
         p0 = pend;
     }
+}
+
+/// One `R`-row band of [`matmul_nn_block`] across a column panel; returns
+/// `R`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn nn_rows<const R: usize>(
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    out: &mut [f32],
+    n: usize,
+    r0: usize,
+    r: usize,
+    (p0, cwhole, pend): (usize, usize, usize),
+    epi: Epilogue<'_>,
+) -> usize {
+    let mut c = p0;
+    while c < cwhole {
+        nn_micro::<R>(a, b, out, n, r0 + r, r, c, epi);
+        c += NR;
+    }
+    if c < pend {
+        nn_micro_tail::<R>(a, b, out, n, r0 + r, r, c, pend - c, epi);
+    }
+    R
 }
 
 /// [`matmul_nn_block`] with an explicit panel width — the autotuner's probe
@@ -656,11 +795,23 @@ pub(crate) fn nn_block_with_panel(
     n: usize,
     panel: usize,
 ) {
-    matmul_nn_block(a, b, out, r0, len, n, simd::avx2_active(), panel);
+    matmul_nn_block(
+        a,
+        b,
+        out,
+        r0,
+        len,
+        n,
+        simd::avx2_active(),
+        panel,
+        Epilogue::Store,
+    );
 }
 
-/// `out[0..len] += A[r0..r0+len] · Bᵀ`, in `MR × NTC` register blocks
-/// (eight 8-lane accumulators — small enough to stay in registers).
+/// `out[0..len] ⟵ A[r0..r0+len] · Bᵀ` through `epi`, in `NTR × NTC`
+/// register blocks (eight 8-lane accumulators — small enough to stay in
+/// registers).
+#[allow(clippy::too_many_arguments)]
 fn matmul_nt_block(
     a: MatRef<'_>,
     b: MatRef<'_>,
@@ -669,41 +820,46 @@ fn matmul_nt_block(
     len: usize,
     n: usize,
     use_simd: bool,
+    epi: Epilogue<'_>,
 ) {
     #[cfg(target_arch = "x86_64")]
     if use_simd {
-        unsafe { simd::x86::nt_block_avx2(a, b, out, r0, len, n) };
+        // SAFETY: `use_simd` comes from `simd::avx2_active()`, which found
+        // AVX2 and FMA on this CPU; `out` holds the block's `len × n` outputs.
+        unsafe { simd::x86::nt_block_avx2(a, b, out, r0, len, n, epi) };
         return;
     }
     let _ = use_simd;
     let mut r = 0;
-    while r + MR <= len {
+    while r + NTR <= len {
         let mut c = 0;
         while c + NTC <= n {
-            nt_micro::<MR, NTC>(a, b, out, n, r0 + r, r, c);
+            nt_micro::<NTR, NTC>(a, b, out, n, r0 + r, r, c, epi);
             c += NTC;
         }
         while c < n {
-            nt_micro::<MR, 1>(a, b, out, n, r0 + r, r, c);
+            nt_micro::<NTR, 1>(a, b, out, n, r0 + r, r, c, epi);
             c += 1;
         }
-        r += MR;
+        r += NTR;
     }
     while r < len {
         let mut c = 0;
         while c + NTC <= n {
-            nt_micro::<1, NTC>(a, b, out, n, r0 + r, r, c);
+            nt_micro::<1, NTC>(a, b, out, n, r0 + r, r, c, epi);
             c += NTC;
         }
         while c < n {
-            nt_micro::<1, 1>(a, b, out, n, r0 + r, r, c);
+            nt_micro::<1, 1>(a, b, out, n, r0 + r, r, c, epi);
             c += 1;
         }
         r += 1;
     }
 }
 
-/// `out[0..len] += (Aᵀ · B)[c0..c0+len]` where `out` rows index columns of A.
+/// `out[0..len] ⟵ (Aᵀ · B)[c0..c0+len]` through `epi`, where `out` rows
+/// index columns of A.
+#[allow(clippy::too_many_arguments)]
 fn matmul_tn_block(
     a: MatRef<'_>,
     b: MatRef<'_>,
@@ -712,37 +868,49 @@ fn matmul_tn_block(
     len: usize,
     n: usize,
     use_simd: bool,
+    epi: Epilogue<'_>,
 ) {
     #[cfg(target_arch = "x86_64")]
     if use_simd {
-        unsafe { simd::x86::tn_block_avx2(a, b, out, c0, len, n) };
+        // SAFETY: `use_simd` comes from `simd::avx2_active()`, which found
+        // AVX2 and FMA on this CPU; `out` holds the block's `len × n` outputs.
+        unsafe { simd::x86::tn_block_avx2(a, b, out, c0, len, n, epi) };
         return;
     }
     let _ = use_simd;
     let cwhole = n - n % NR;
     let mut i = 0;
     while i < len {
-        let mut c = 0;
-        if i + MR <= len {
-            while c < cwhole {
-                tn_micro::<MR>(a, b, out, n, c0, i, c);
-                c += NR;
-            }
-            if c < n {
-                tn_micro_tail::<MR>(a, b, out, n, c0, i, c, n - c);
-            }
-            i += MR;
-        } else {
-            while c < cwhole {
-                tn_micro::<1>(a, b, out, n, c0, i, c);
-                c += NR;
-            }
-            if c < n {
-                tn_micro_tail::<1>(a, b, out, n, c0, i, c, n - c);
-            }
-            i += 1;
-        }
+        i += match len - i {
+            MR.. => tn_rows::<MR>(a, b, out, n, c0, i, cwhole, epi),
+            2.. => tn_rows::<2>(a, b, out, n, c0, i, cwhole, epi),
+            _ => tn_rows::<1>(a, b, out, n, c0, i, cwhole, epi),
+        };
     }
+}
+
+/// One `R`-row band of [`matmul_tn_block`]; returns `R`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn tn_rows<const R: usize>(
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    out: &mut [f32],
+    n: usize,
+    c0: usize,
+    i: usize,
+    cwhole: usize,
+    epi: Epilogue<'_>,
+) -> usize {
+    let mut c = 0;
+    while c < cwhole {
+        tn_micro::<R>(a, b, out, n, c0, i, c, epi);
+        c += NR;
+    }
+    if c < n {
+        tn_micro_tail::<R>(a, b, out, n, c0, i, c, n - c, epi);
+    }
+    R
 }
 
 #[cfg(test)]
@@ -928,8 +1096,8 @@ mod tests {
         // A 40-row product crosses the 32-row parallel block boundary, so
         // rows 32..40 land in a second chunk; results must still be
         // bit-identical to computing each row block separately, because
-        // quads are aligned to multiples of MR from each chunk start and
-        // PAR_ROW_BLOCK % MR == 0.
+        // each element accumulates on its own whichever register block or
+        // chunk holds its row.
         let a = arange(40, 64, 0.6);
         let b = arange(48, 64, 0.9);
         let whole = a.matmul_nt(&b);

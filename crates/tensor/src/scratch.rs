@@ -20,21 +20,20 @@ use crate::Mat;
 /// * `score` — attention scores / probabilities (`bq × bk`), or a logits
 ///   tile in the LM head (`bs × bv`); doubles as `dS` in the backward pass
 ///   since `dS` overwrites `P` element-wise.
-/// * `gp` — `dP = dO · Vᵀ` in the attention backward (`bq × bk`).
-/// * `gtmp` — small dense products accumulated into caller outputs:
-///   `P · V`, `dS · K`, `dSᵀ · Q`, `dL · W`, … (`b × d`).
-/// * `tile_lse` — per-row log-sum-exp of the current tile.
-/// * `tile_max` — per-row score maximum of the current tile (the online
-///   merge weights an unnormalised tile by `exp(max − lse_new)`).
+/// * `merge` — per-row online-softmax merge weights `(wa, wt)` of the
+///   current attention tile (`None` for a row the tile leaves untouched).
+/// * `tile_max` — per-row logit maxima of the LM head's vocabulary tiles
+///   (the backward rescales each retained tile by `exp(max − lse)`).
 /// * `vtiles` — retained per-vocab-tile probability matrices for the fused
 ///   LM head (forward writes, backward re-reads); each slot is itself
 ///   reshaped in place across calls.
+///
+/// Products land straight in the caller's rows through their epilogue
+/// ([`crate::Epilogue`]), so no product temporary is needed.
 #[derive(Debug, Default)]
 pub struct Scratch {
     pub score: Mat,
-    pub gp: Mat,
-    pub gtmp: Mat,
-    pub tile_lse: Vec<f32>,
+    pub merge: Vec<Option<(f32, f32)>>,
     pub tile_max: Vec<f32>,
     pub vtiles: Vec<Mat>,
 }
@@ -43,14 +42,6 @@ impl Scratch {
     /// An empty workspace; buffers grow to steady-state sizes on first use.
     pub fn new() -> Self {
         Scratch::default()
-    }
-
-    /// Resize `tile_lse` to `n` entries of `fill` without shrinking the
-    /// allocation.
-    pub fn lse_fill(&mut self, n: usize, fill: f32) -> &mut [f32] {
-        self.tile_lse.clear();
-        self.tile_lse.resize(n, fill);
-        &mut self.tile_lse
     }
 
     /// Make sure `vtiles` has at least `n` slots (empty `Mat`s are cheap;
@@ -67,10 +58,9 @@ impl Scratch {
     /// ungated `workspace` lane rather than gating it against the analytic
     /// census.
     pub fn resident_bytes(&self) -> u64 {
-        let mats = self.score.nbytes() + self.gp.nbytes() + self.gtmp.nbytes();
-        let vecs = 4 * (self.tile_lse.len() + self.tile_max.len());
+        let vecs = std::mem::size_of_val(&self.merge[..]) + 4 * self.tile_max.len();
         let vtiles: usize = self.vtiles.iter().map(|m| m.nbytes()).sum();
-        (mats + vecs + vtiles) as u64
+        (self.score.nbytes() + vecs + vtiles) as u64
     }
 }
 
@@ -89,17 +79,6 @@ mod tests {
         s.score.reshape_in_place(32, 32);
         assert_eq!(s.score.as_slice().as_ptr(), ptr);
         assert!(s.score.as_slice().len() <= cap);
-    }
-
-    #[test]
-    fn lse_fill_resizes_and_fills() {
-        let mut s = Scratch::new();
-        let l = s.lse_fill(5, f32::NEG_INFINITY);
-        assert_eq!(l.len(), 5);
-        assert!(l.iter().all(|x| *x == f32::NEG_INFINITY));
-        let l = s.lse_fill(3, 0.0);
-        assert_eq!(l.len(), 3);
-        assert!(l.iter().all(|x| *x == 0.0));
     }
 
     #[test]

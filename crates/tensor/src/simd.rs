@@ -41,8 +41,8 @@
 //!
 //! ## Autotuner
 //!
-//! The output-stationary `nn` driver streams the whole `B` panel per 4-row
-//! quad; once `B` outgrows L2 that stream thrashes. [`col_panel`] probes a
+//! The output-stationary `nn` driver streams the whole `B` panel per row
+//! band; once `B` outgrows L2 that stream thrashes. [`col_panel`] probes a
 //! few candidate column-panel widths on a synthetic product at first use
 //! (per host, once per process) and caches the fastest. Panel choice only
 //! reorders *which output tiles* are visited — each output element still
@@ -274,37 +274,41 @@ pub fn scale_slice(xs: &mut [f32], s: f32) {
     }
 }
 
-/// `dst[i] *= src[i] - c` — one row of `∇S = P ∘ (∇P − D)`.
-pub fn mul_by_diff(dst: &mut [f32], src: &[f32], c: f32) {
-    debug_assert_eq!(dst.len(), src.len());
+/// `max(xs)`, or `-∞` for an empty or all-masked row — the softmax row
+/// max. NaN elements are skipped, as by `f32::max`. Eight lanes take the
+/// running max of every eighth element and a tree folds them; a max is
+/// exact, so only the sign of a zero maximum can depend on the fold, and no
+/// caller's result depends on it (`x − (±0)` and `exp(±0)` agree).
+pub fn row_max(xs: &[f32]) -> f32 {
     #[cfg(target_arch = "x86_64")]
     if avx2_active() {
-        unsafe { x86::mul_by_diff_avx2(dst, src, c) };
-        return;
+        // SAFETY: `avx2_active()` found AVX2 and FMA on this CPU.
+        return unsafe { x86::row_max_avx2(xs) };
     }
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d *= s - c;
+    let mut lanes = [f32::NEG_INFINITY; 8];
+    let whole = xs.len() - xs.len() % 8;
+    for chunk in xs[..whole].chunks_exact(8) {
+        for (l, &x) in lanes.iter_mut().zip(chunk) {
+            *l = x.max(*l);
+        }
     }
+    for &x in &xs[whole..] {
+        lanes[0] = x.max(lanes[0]);
+    }
+    max8(lanes)
 }
 
-/// `o[i] = wt·t[i] + wa·o[i]` (FMA) — the online-softmax output merge.
-pub fn weighted_merge(o: &mut [f32], t: &[f32], wa: f32, wt: f32) {
-    debug_assert_eq!(o.len(), t.len());
-    #[cfg(target_arch = "x86_64")]
-    if avx2_active() {
-        unsafe { x86::weighted_merge_avx2(o, t, wa, wt) };
-        return;
-    }
-    for (x, &y) in o.iter_mut().zip(t) {
-        *x = wt.mul_add(y, wa * *x);
-    }
+/// The fixed fold of [`row_max`]'s lanes.
+#[inline(always)]
+fn max8(v: [f32; 8]) -> f32 {
+    (v[0].max(v[1]).max(v[2].max(v[3]))).max(v[4].max(v[5]).max(v[6].max(v[7])))
 }
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
     use super::*;
     use crate::mat::MatRef;
-    use crate::ops::{hsum8, nn_micro_tail, tn_micro_tail, MR, NR, NTC};
+    use crate::ops::{hsum8, nn_micro_tail, tn_micro_tail, Epilogue, MR, NR, NTC, NTR};
     use std::arch::x86_64::*;
 
     #[target_feature(enable = "avx2,fma")]
@@ -324,45 +328,29 @@ pub(crate) mod x86 {
         }
     }
 
+    /// # Safety
+    /// The CPU must support AVX2 and FMA (see [`super::avx2_active`]).
     #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn mul_by_diff_avx2(dst: &mut [f32], src: &[f32], c: f32) {
-        let cv = _mm256_set1_ps(c);
-        let len = dst.len();
-        let dp = dst.as_mut_ptr();
-        let sp = src.as_ptr();
+    pub(crate) unsafe fn row_max_avx2(xs: &[f32]) -> f32 {
+        let len = xs.len();
+        let ptr = xs.as_ptr();
+        let mut acc = _mm256_set1_ps(f32::NEG_INFINITY);
         let mut i = 0;
         while i + 8 <= len {
-            let d = _mm256_loadu_ps(dp.add(i));
-            let s = _mm256_loadu_ps(sp.add(i));
-            _mm256_storeu_ps(dp.add(i), _mm256_mul_ps(d, _mm256_sub_ps(s, cv)));
+            // `maxps` returns its second operand when either is NaN, so a
+            // NaN element leaves the running max alone, as `f32::max` does.
+            acc = _mm256_max_ps(_mm256_loadu_ps(ptr.add(i)), acc);
             i += 8;
         }
+        // Fold the lanes in registers (no lane is NaN), then the tail.
+        let h = _mm_max_ps(_mm256_castps256_ps128(acc), _mm256_extractf128_ps::<1>(acc));
+        let h = _mm_max_ps(h, _mm_movehl_ps(h, h));
+        let mut m = _mm_cvtss_f32(_mm_max_ss(h, _mm_shuffle_ps::<0b01>(h, h)));
         while i < len {
-            *dp.add(i) *= *sp.add(i) - c;
+            m = (*ptr.add(i)).max(m);
             i += 1;
         }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn weighted_merge_avx2(o: &mut [f32], t: &[f32], wa: f32, wt: f32) {
-        let wav = _mm256_set1_ps(wa);
-        let wtv = _mm256_set1_ps(wt);
-        let len = o.len();
-        let op = o.as_mut_ptr();
-        let tp = t.as_ptr();
-        let mut i = 0;
-        while i + 8 <= len {
-            let ov = _mm256_loadu_ps(op.add(i));
-            let tv = _mm256_loadu_ps(tp.add(i));
-            // wt·t fused with + wa·o: same fma(mul) shape as the scalar loop.
-            let r = _mm256_fmadd_ps(wtv, tv, _mm256_mul_ps(wav, ov));
-            _mm256_storeu_ps(op.add(i), r);
-            i += 8;
-        }
-        while i < len {
-            *op.add(i) = wt.mul_add(*tp.add(i), wa * *op.add(i));
-            i += 1;
-        }
+        m
     }
 
     /// Vector twin of [`exp_scalar`] — identical op sequence per lane.
@@ -445,12 +433,97 @@ pub(crate) mod x86 {
     // 256-bit registers: `[f32; 8]` → one `__m256`, `[f32; 16]` → two.
     // `#[inline]` + matching target features lets them inline into the
     // block drivers below, so the vector path has no per-tile call cost.
+    // Operands are read through raw row pointers: the drivers keep every
+    // row and column index inside the operands' shapes.
     // -----------------------------------------------------------------------
 
+    /// Vector twin of [`Epilogue::apply`] for eight consecutive elements of
+    /// output row `r` at `o`; `h` already holds `0.0 + Σ`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA, and `o` must point at eight
+    /// writable outputs of row `r`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn apply8(epi: Epilogue<'_>, o: *mut f32, r: usize, h: __m256) {
+        match epi {
+            Epilogue::Store => _mm256_storeu_ps(o, h),
+            Epilogue::Scale(s) => _mm256_storeu_ps(o, _mm256_mul_ps(h, _mm256_set1_ps(s))),
+            Epilogue::MulDiff(c) => {
+                let d = _mm256_sub_ps(h, _mm256_set1_ps(c[r]));
+                _mm256_storeu_ps(o, _mm256_mul_ps(_mm256_loadu_ps(o), d));
+            }
+            Epilogue::Axpy(alpha) => {
+                let t = _mm256_mul_ps(_mm256_set1_ps(alpha), h);
+                _mm256_storeu_ps(o, _mm256_add_ps(_mm256_loadu_ps(o), t));
+            }
+            Epilogue::Merge(w) => {
+                if let Some((wa, wt)) = w[r] {
+                    let kept = _mm256_mul_ps(_mm256_set1_ps(wa), _mm256_loadu_ps(o));
+                    _mm256_storeu_ps(o, _mm256_fmadd_ps(_mm256_set1_ps(wt), h, kept));
+                }
+            }
+        }
+    }
+
+    /// [`apply8`] for four consecutive elements.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA, and `o` must point at four
+    /// writable outputs of row `r`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn apply4(epi: Epilogue<'_>, o: *mut f32, r: usize, h: __m128) {
+        match epi {
+            Epilogue::Store => _mm_storeu_ps(o, h),
+            Epilogue::Scale(s) => _mm_storeu_ps(o, _mm_mul_ps(h, _mm_set1_ps(s))),
+            Epilogue::MulDiff(c) => {
+                let d = _mm_sub_ps(h, _mm_set1_ps(c[r]));
+                _mm_storeu_ps(o, _mm_mul_ps(_mm_loadu_ps(o), d));
+            }
+            Epilogue::Axpy(alpha) => {
+                let t = _mm_mul_ps(_mm_set1_ps(alpha), h);
+                _mm_storeu_ps(o, _mm_add_ps(_mm_loadu_ps(o), t));
+            }
+            Epilogue::Merge(w) => {
+                if let Some((wa, wt)) = w[r] {
+                    let kept = _mm_mul_ps(_mm_set1_ps(wa), _mm_loadu_ps(o));
+                    _mm_storeu_ps(o, _mm_fmadd_ps(_mm_set1_ps(wt), h, kept));
+                }
+            }
+        }
+    }
+
+    /// `hsum8` of four accumulators at once, one result per lane.
+    ///
+    /// `hadd` adds adjacent lane pairs, so two rounds of it leave
+    /// `(l0+l1)+(l2+l3)` of each accumulator in the low half and
+    /// `(l4+l5)+(l6+l7)` in the high half; adding the halves completes
+    /// `hsum8`'s exact association for all four.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA; `acc` holds at least four vectors.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn hsum8x4(acc: &[__m256]) -> __m128 {
+        let t = _mm256_hadd_ps(
+            _mm256_hadd_ps(acc[0], acc[1]),
+            _mm256_hadd_ps(acc[2], acc[3]),
+        );
+        _mm_add_ps(_mm256_castps256_ps128(t), _mm256_extractf128_ps::<1>(t))
+    }
+
     /// AVX2 `nt_micro`: `R × C` panel of `A · Bᵀ` with one vector
-    /// accumulator per output element, spilled to an array and reduced by
-    /// the scalar kernel's fixed-order [`hsum8`] (same bits; the `k % 8`
-    /// tail lands in lane 0 exactly as in the scalar path).
+    /// accumulator per output element. A row's `NTC` accumulators reduce
+    /// together through [`hsum8x4`] into one 128-bit epilogue; a single
+    /// column spills its lanes to the scalar [`hsum8`] (same bits; the
+    /// `k % 8` tail lands in lane 0 exactly as in the scalar path).
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA (see [`super::avx2_active`]), and
+    /// every row and column the call touches must lie inside `a`, `b` and
+    /// `out` (row-major, `n` columns), as the block drivers ensure.
+    #[allow(clippy::too_many_arguments)]
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn nt_micro_avx2<const R: usize, const C: usize>(
@@ -461,59 +534,59 @@ pub(crate) mod x86 {
         r0: usize,
         or0: usize,
         c0: usize,
+        epi: Epilogue<'_>,
     ) {
         let k = a.cols();
-        let arows: [&[f32]; R] = std::array::from_fn(|p| &a.row(r0 + p)[..k]);
-        let brows: [&[f32]; C] = std::array::from_fn(|q| &b.row(c0 + q)[..k]);
+        let ap: [*const f32; R] = std::array::from_fn(|p| a.row(r0 + p).as_ptr());
+        let bp: [*const f32; C] = std::array::from_fn(|q| b.row(c0 + q).as_ptr());
         let mut acc = [[_mm256_setzero_ps(); C]; R];
         let whole = k - k % 8;
         let mut i = 0;
         while i < whole {
-            let bv: [__m256; C] =
-                std::array::from_fn(|q| _mm256_loadu_ps(brows[q].as_ptr().add(i)));
-            for (p, arow) in arows.iter().enumerate() {
-                let av = _mm256_loadu_ps(arow.as_ptr().add(i));
+            let bv: [__m256; C] = std::array::from_fn(|q| _mm256_loadu_ps(bp[q].add(i)));
+            for p in 0..R {
+                let av = _mm256_loadu_ps(ap[p].add(i));
                 for q in 0..C {
                     acc[p][q] = _mm256_fmadd_ps(av, bv[q], acc[p][q]);
                 }
             }
             i += 8;
         }
-        if R == 4 && whole == k {
-            // Reduce four accumulators (one output column, all four rows)
-            // at once with a horizontal-add tree. The association is
-            // exactly `hsum8`'s — hadd pairs adjacent lanes, the second
-            // hadd pairs the pairs, and the 128-bit fold adds the two
-            // quad-sums — so the bits match the lane-spill path below.
-            for q in 0..C {
-                let h1 = _mm256_hadd_ps(acc[0][q], acc[1][q]);
-                let h2 = _mm256_hadd_ps(acc[2][q], acc[3][q]);
-                let t = _mm256_hadd_ps(h1, h2);
-                let s4 = _mm_add_ps(_mm256_castps256_ps128(t), _mm256_extractf128_ps::<1>(t));
-                let mut s = [0.0f32; 4];
-                _mm_storeu_ps(s.as_mut_ptr(), s4);
-                for (p, &sum) in s.iter().enumerate() {
-                    out[(or0 + p) * n + c0 + q] += sum;
+        if whole < k {
+            for p in 0..R {
+                for q in 0..C {
+                    let mut lanes = [0.0f32; 8];
+                    _mm256_storeu_ps(lanes.as_mut_ptr(), acc[p][q]);
+                    for t in whole..k {
+                        lanes[0] = (*ap[p].add(t)).mul_add(*bp[q].add(t), lanes[0]);
+                    }
+                    acc[p][q] = _mm256_loadu_ps(lanes.as_ptr());
                 }
             }
-            return;
         }
-        for p in 0..R {
-            for q in 0..C {
-                let mut lanes = [0.0f32; 8];
-                _mm256_storeu_ps(lanes.as_mut_ptr(), acc[p][q]);
-                let mut t = whole;
-                while t < k {
-                    lanes[0] = arows[p][t].mul_add(brows[q][t], lanes[0]);
-                    t += 1;
+        for (p, row) in acc.iter().enumerate() {
+            let r = or0 + p;
+            let o = out.as_mut_ptr().add(r * n + c0);
+            if C == NTC {
+                apply4(epi, o, r, _mm_add_ps(_mm_setzero_ps(), hsum8x4(row)));
+            } else {
+                for (q, &v) in row.iter().enumerate() {
+                    let mut lanes = [0.0f32; 8];
+                    _mm256_storeu_ps(lanes.as_mut_ptr(), v);
+                    epi.apply(&mut *o.add(q), r, 0.0 + hsum8(lanes));
                 }
-                out[(or0 + p) * n + c0 + q] += hsum8(lanes);
             }
         }
     }
 
     /// AVX2 `nn_micro`: `R × 16` output-stationary panel of `A · B`; each
     /// 16-wide accumulator row lives in two `__m256`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA (see [`super::avx2_active`]), and
+    /// every row and column the call touches must lie inside `a`, `b` and
+    /// `out` (row-major, `n` columns), as the block drivers ensure.
+    #[allow(clippy::too_many_arguments)]
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn nn_micro_avx2<const R: usize>(
@@ -524,31 +597,59 @@ pub(crate) mod x86 {
         r0: usize,
         or0: usize,
         c0: usize,
+        epi: Epilogue<'_>,
     ) {
         let k = a.cols();
-        let arows: [&[f32]; R] = std::array::from_fn(|p| &a.row(r0 + p)[..k]);
+        let ap: [*const f32; R] = std::array::from_fn(|p| a.row(r0 + p).as_ptr());
+        let bb = b.as_slice().as_ptr().add(c0);
+        let bs = b.cols();
         let mut lo = [_mm256_setzero_ps(); R];
         let mut hi = [_mm256_setzero_ps(); R];
-        #[allow(clippy::needless_range_loop)] // `i` also indexes `b.row(i)`
         for i in 0..k {
-            let bp = b.row(i).as_ptr().add(c0);
+            let bp = bb.add(i * bs);
             let blo = _mm256_loadu_ps(bp);
             let bhi = _mm256_loadu_ps(bp.add(8));
             for p in 0..R {
-                let x = _mm256_set1_ps(arows[p][i]);
+                let x = _mm256_set1_ps(*ap[p].add(i));
                 lo[p] = _mm256_fmadd_ps(x, blo, lo[p]);
                 hi[p] = _mm256_fmadd_ps(x, bhi, hi[p]);
             }
         }
+        finish16(&lo, &hi, out, n, or0, c0, epi);
+    }
+
+    /// Hand `R` rows of 16 finished sums (two vectors each) to the epilogue.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA, and rows `[or0, or0 + R)` of
+    /// `out` must hold columns `[c0, c0 + 16)`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn finish16<const R: usize>(
+        lo: &[__m256; R],
+        hi: &[__m256; R],
+        out: &mut [f32],
+        n: usize,
+        or0: usize,
+        c0: usize,
+        epi: Epilogue<'_>,
+    ) {
+        let zero = _mm256_setzero_ps();
         for p in 0..R {
-            let op = out.as_mut_ptr().add((or0 + p) * n + c0);
-            _mm256_storeu_ps(op, _mm256_add_ps(_mm256_loadu_ps(op), lo[p]));
-            _mm256_storeu_ps(op.add(8), _mm256_add_ps(_mm256_loadu_ps(op.add(8)), hi[p]));
+            let o = out.as_mut_ptr().add((or0 + p) * n + c0);
+            apply8(epi, o, or0 + p, _mm256_add_ps(zero, lo[p]));
+            apply8(epi, o.add(8), or0 + p, _mm256_add_ps(zero, hi[p]));
         }
     }
 
     /// AVX2 `tn_micro`: `R × 16` outer-product panel of `Aᵀ · B`, the
     /// broadcast taken from a column of `A`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA (see [`super::avx2_active`]), and
+    /// every row and column the call touches must lie inside `a`, `b` and
+    /// `out` (row-major, `n` columns), as the block drivers ensure.
+    #[allow(clippy::too_many_arguments)]
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn tn_micro_avx2<const R: usize>(
@@ -559,36 +660,41 @@ pub(crate) mod x86 {
         ac0: usize,
         i0: usize,
         c0: usize,
+        epi: Epilogue<'_>,
     ) {
         let k = a.rows();
+        let ab = a.as_slice().as_ptr().add(ac0 + i0);
+        let bb = b.as_slice().as_ptr().add(c0);
+        let (as_, bs) = (a.cols(), b.cols());
         let mut lo = [_mm256_setzero_ps(); R];
         let mut hi = [_mm256_setzero_ps(); R];
         for r in 0..k {
-            let arow = a.row(r);
-            let bp = b.row(r).as_ptr().add(c0);
+            let arow = ab.add(r * as_);
+            let bp = bb.add(r * bs);
             let blo = _mm256_loadu_ps(bp);
             let bhi = _mm256_loadu_ps(bp.add(8));
             for p in 0..R {
-                let x = _mm256_set1_ps(arow[ac0 + i0 + p]);
+                let x = _mm256_set1_ps(*arow.add(p));
                 lo[p] = _mm256_fmadd_ps(x, blo, lo[p]);
                 hi[p] = _mm256_fmadd_ps(x, bhi, hi[p]);
             }
         }
-        for p in 0..R {
-            let op = out.as_mut_ptr().add((i0 + p) * n + c0);
-            _mm256_storeu_ps(op, _mm256_add_ps(_mm256_loadu_ps(op), lo[p]));
-            _mm256_storeu_ps(op.add(8), _mm256_add_ps(_mm256_loadu_ps(op.add(8)), hi[p]));
-        }
+        finish16(&lo, &hi, out, n, i0, c0, epi);
     }
 
     // -----------------------------------------------------------------------
     // Block drivers — loop structure mirrors ops::matmul_{nn,nt,tn}_block
-    // exactly (same quad grouping, same tails), with the microkernels
+    // exactly (same row bands, same tails), with the microkernels
     // inlined. ops dispatches here once per block when AVX2+FMA is active.
     // -----------------------------------------------------------------------
 
     /// AVX2 twin of `ops::matmul_nn_block` (including the column-panel
     /// loop; see [`super::col_panel`]).
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA (see [`super::avx2_active`]), and
+    /// `out` must hold `len × n` outputs.
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,fma")]
     pub(crate) unsafe fn nn_block_avx2(
         a: MatRef<'_>,
@@ -598,6 +704,7 @@ pub(crate) mod x86 {
         len: usize,
         n: usize,
         panel: usize,
+        epi: Epilogue<'_>,
     ) {
         let mut p0 = 0;
         while p0 < n {
@@ -610,32 +717,53 @@ pub(crate) mod x86 {
             let cwhole = p0 + (span - span % NR);
             let mut r = 0;
             while r < len {
-                let mut c = p0;
-                if r + MR <= len {
-                    while c < cwhole {
-                        nn_micro_avx2::<MR>(a, b, out, n, r0 + r, r, c);
-                        c += NR;
-                    }
-                    if c < pend {
-                        nn_micro_tail::<MR>(a, b, out, n, r0 + r, r, c, pend - c);
-                    }
-                    r += MR;
-                } else {
-                    while c < cwhole {
-                        nn_micro_avx2::<1>(a, b, out, n, r0 + r, r, c);
-                        c += NR;
-                    }
-                    if c < pend {
-                        nn_micro_tail::<1>(a, b, out, n, r0 + r, r, c, pend - c);
-                    }
-                    r += 1;
-                }
+                let cols = (p0, cwhole, pend);
+                r += match len - r {
+                    MR.. => nn_rows_avx2::<MR>(a, b, out, n, r0, r, cols, epi),
+                    2.. => nn_rows_avx2::<2>(a, b, out, n, r0, r, cols, epi),
+                    _ => nn_rows_avx2::<1>(a, b, out, n, r0, r, cols, epi),
+                };
             }
             p0 = pend;
         }
     }
 
+    /// AVX2 twin of `ops::nn_rows`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA (see [`super::avx2_active`]), and
+    /// every row and column the call touches must lie inside `a`, `b` and
+    /// `out` (row-major, `n` columns), as the block drivers ensure.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn nn_rows_avx2<const R: usize>(
+        a: MatRef<'_>,
+        b: MatRef<'_>,
+        out: &mut [f32],
+        n: usize,
+        r0: usize,
+        r: usize,
+        (p0, cwhole, pend): (usize, usize, usize),
+        epi: Epilogue<'_>,
+    ) -> usize {
+        let mut c = p0;
+        while c < cwhole {
+            nn_micro_avx2::<R>(a, b, out, n, r0 + r, r, c, epi);
+            c += NR;
+        }
+        if c < pend {
+            nn_micro_tail::<R>(a, b, out, n, r0 + r, r, c, pend - c, epi);
+        }
+        R
+    }
+
     /// AVX2 twin of `ops::matmul_nt_block`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA (see [`super::avx2_active`]), and
+    /// `out` must hold `len × n` outputs.
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,fma")]
     pub(crate) unsafe fn nt_block_avx2(
         a: MatRef<'_>,
@@ -644,28 +772,29 @@ pub(crate) mod x86 {
         r0: usize,
         len: usize,
         n: usize,
+        epi: Epilogue<'_>,
     ) {
         let mut r = 0;
-        while r + MR <= len {
+        while r + NTR <= len {
             let mut c = 0;
             while c + NTC <= n {
-                nt_micro_avx2::<MR, NTC>(a, b, out, n, r0 + r, r, c);
+                nt_micro_avx2::<NTR, NTC>(a, b, out, n, r0 + r, r, c, epi);
                 c += NTC;
             }
             while c < n {
-                nt_micro_avx2::<MR, 1>(a, b, out, n, r0 + r, r, c);
+                nt_micro_avx2::<NTR, 1>(a, b, out, n, r0 + r, r, c, epi);
                 c += 1;
             }
-            r += MR;
+            r += NTR;
         }
         while r < len {
             let mut c = 0;
             while c + NTC <= n {
-                nt_micro_avx2::<1, NTC>(a, b, out, n, r0 + r, r, c);
+                nt_micro_avx2::<1, NTC>(a, b, out, n, r0 + r, r, c, epi);
                 c += NTC;
             }
             while c < n {
-                nt_micro_avx2::<1, 1>(a, b, out, n, r0 + r, r, c);
+                nt_micro_avx2::<1, 1>(a, b, out, n, r0 + r, r, c, epi);
                 c += 1;
             }
             r += 1;
@@ -673,6 +802,11 @@ pub(crate) mod x86 {
     }
 
     /// AVX2 twin of `ops::matmul_tn_block`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA (see [`super::avx2_active`]), and
+    /// `out` must hold `len × n` outputs.
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,fma")]
     pub(crate) unsafe fn tn_block_avx2(
         a: MatRef<'_>,
@@ -681,31 +815,47 @@ pub(crate) mod x86 {
         c0: usize,
         len: usize,
         n: usize,
+        epi: Epilogue<'_>,
     ) {
         let cwhole = n - n % NR;
         let mut i = 0;
         while i < len {
-            let mut c = 0;
-            if i + MR <= len {
-                while c < cwhole {
-                    tn_micro_avx2::<MR>(a, b, out, n, c0, i, c);
-                    c += NR;
-                }
-                if c < n {
-                    tn_micro_tail::<MR>(a, b, out, n, c0, i, c, n - c);
-                }
-                i += MR;
-            } else {
-                while c < cwhole {
-                    tn_micro_avx2::<1>(a, b, out, n, c0, i, c);
-                    c += NR;
-                }
-                if c < n {
-                    tn_micro_tail::<1>(a, b, out, n, c0, i, c, n - c);
-                }
-                i += 1;
-            }
+            i += match len - i {
+                MR.. => tn_rows_avx2::<MR>(a, b, out, n, c0, i, cwhole, epi),
+                2.. => tn_rows_avx2::<2>(a, b, out, n, c0, i, cwhole, epi),
+                _ => tn_rows_avx2::<1>(a, b, out, n, c0, i, cwhole, epi),
+            };
         }
+    }
+
+    /// AVX2 twin of `ops::tn_rows`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA (see [`super::avx2_active`]), and
+    /// every row and column the call touches must lie inside `a`, `b` and
+    /// `out` (row-major, `n` columns), as the block drivers ensure.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn tn_rows_avx2<const R: usize>(
+        a: MatRef<'_>,
+        b: MatRef<'_>,
+        out: &mut [f32],
+        n: usize,
+        c0: usize,
+        i: usize,
+        cwhole: usize,
+        epi: Epilogue<'_>,
+    ) -> usize {
+        let mut c = 0;
+        while c < cwhole {
+            tn_micro_avx2::<R>(a, b, out, n, c0, i, c, epi);
+            c += NR;
+        }
+        if c < n {
+            tn_micro_tail::<R>(a, b, out, n, c0, i, c, n - c, epi);
+        }
+        R
     }
 }
 
@@ -742,7 +892,7 @@ mod tests {
 
     #[test]
     fn matmul_paths_bit_identical() {
-        // Ragged shapes exercise every remainder path (row quads, NR/NTC
+        // Ragged shapes exercise every remainder path (row bands, NR/NTC
         // column tails, k % 8 tails). On hosts without AVX2+FMA both runs
         // take the scalar path and the assertion is trivially true.
         for (m, k, n) in [(4, 8, 16), (7, 13, 19), (33, 40, 50), (64, 64, 64)] {
@@ -769,36 +919,109 @@ mod tests {
 
     #[test]
     fn elementwise_paths_bit_identical() {
-        let src = randn_mat(1, 37, 1.3, 7);
         let base = randn_mat(1, 37, 0.9, 8);
-        let tile = randn_mat(1, 37, 0.7, 9);
-        let mut simd = (
-            base.as_slice().to_vec(),
-            base.as_slice().to_vec(),
-            base.as_slice().to_vec(),
-            base.as_slice().to_vec(),
-        );
-        scale_slice(&mut simd.0, 0.37);
-        mul_by_diff(&mut simd.1, src.as_slice(), 0.21);
-        weighted_merge(&mut simd.2, tile.as_slice(), 0.6, 0.4);
-        exp_shift_inplace(&mut simd.3, 1.75);
-        let scalar = with_scalar(|| {
-            let mut out = (
-                base.as_slice().to_vec(),
-                base.as_slice().to_vec(),
-                base.as_slice().to_vec(),
-                base.as_slice().to_vec(),
-            );
-            scale_slice(&mut out.0, 0.37);
-            mul_by_diff(&mut out.1, src.as_slice(), 0.21);
-            weighted_merge(&mut out.2, tile.as_slice(), 0.6, 0.4);
-            exp_shift_inplace(&mut out.3, 1.75);
-            out
-        });
+        let run = || {
+            let mut scaled = base.as_slice().to_vec();
+            scale_slice(&mut scaled, 0.37);
+            let mut exps = base.as_slice().to_vec();
+            exp_shift_inplace(&mut exps, 1.75);
+            let mut summed = base.as_slice().to_vec();
+            let sum = exp_shift_sum_inplace(&mut summed, 1.75);
+            let maxes: Vec<f32> = (0..=37)
+                .map(|len| row_max(&base.as_slice()[..len]))
+                .collect();
+            (scaled, exps, summed, sum, maxes)
+        };
+        let simd = run();
+        let scalar = with_scalar(run);
         assert_bits(&simd.0, &scalar.0, "scale_slice");
-        assert_bits(&simd.1, &scalar.1, "mul_by_diff");
-        assert_bits(&simd.2, &scalar.2, "weighted_merge");
-        assert_bits(&simd.3, &scalar.3, "exp_shift_inplace");
+        assert_bits(&simd.1, &scalar.1, "exp_shift_inplace");
+        assert_bits(&simd.2, &scalar.2, "exp_shift_sum_inplace");
+        assert_bits(&[simd.3], &[scalar.3], "exp_shift_sum_inplace sum");
+        assert_bits(&simd.4, &scalar.4, "row_max");
+    }
+
+    #[test]
+    fn row_max_skips_nan_and_masked_lanes() {
+        let mut xs = vec![f32::NEG_INFINITY; 19];
+        assert_eq!(row_max(&xs), f32::NEG_INFINITY);
+        assert_eq!(row_max(&[]), f32::NEG_INFINITY);
+        xs[3] = f32::NAN;
+        xs[17] = -2.5;
+        xs[9] = -1.0;
+        assert_eq!(row_max(&xs), -1.0);
+        assert_eq!(with_scalar(|| row_max(&xs)), -1.0);
+    }
+
+    /// Every epilogue rounds exactly like the plain product followed by
+    /// the separate elementwise pass it replaces, on both dispatch paths.
+    #[test]
+    fn fused_epilogues_match_product_then_pass() {
+        use crate::ops::Epilogue;
+        use crate::{matmul_nt_with, matmul_tn_with, matmul_with};
+        // 7 rows and 19 columns leave tails on every register block; k = 13
+        // leaves a `k % 8` tail in the nt lanes.
+        let (m, k, n) = (7, 13, 19);
+        let a = randn_mat(m, k, 0.8, 31);
+        let b = randn_mat(k, n, 0.8, 32);
+        let bt = randn_mat(n, k, 0.8, 33);
+        let at = randn_mat(k, m, 0.8, 34);
+        let base = randn_mat(m, n, 0.9, 35);
+        let c: Vec<f32> = (0..m).map(|r| 0.1 * r as f32 - 0.3).collect();
+        let w: Vec<Option<(f32, f32)>> = (0..m)
+            .map(|r| (r % 3 != 1).then_some((0.25 + 0.1 * r as f32, 0.8 - 0.05 * r as f32)))
+            .collect();
+        let epis = [
+            Epilogue::Store,
+            Epilogue::Scale(0.37),
+            Epilogue::MulDiff(&c),
+            Epilogue::Axpy(-0.6),
+            Epilogue::Merge(&w),
+        ];
+        let then_pass = |plain: &Mat, epi: Epilogue<'_>| {
+            let mut out = base.as_slice().to_vec();
+            for (r, row) in out.chunks_exact_mut(n).enumerate() {
+                for (o, &h) in row.iter_mut().zip(plain.row(r)) {
+                    match epi {
+                        Epilogue::Store => *o = h,
+                        Epilogue::Scale(s) => *o = h * s,
+                        Epilogue::MulDiff(c) => *o *= h - c[r],
+                        Epilogue::Axpy(alpha) => *o += alpha * h,
+                        Epilogue::Merge(w) => {
+                            if let Some((wa, wt)) = w[r] {
+                                *o = wt.mul_add(h, wa * *o);
+                            }
+                        }
+                    }
+                }
+            }
+            out
+        };
+        let plain = (a.matmul(&b), a.matmul_nt(&bt), at.matmul_tn(&b));
+        let fused = |epi: Epilogue<'_>| {
+            let mut outs = [
+                base.as_slice().to_vec(),
+                base.as_slice().to_vec(),
+                base.as_slice().to_vec(),
+            ];
+            matmul_with(a.view(), b.view(), &mut outs[0], epi);
+            matmul_nt_with(a.view(), bt.view(), &mut outs[1], epi);
+            matmul_tn_with(at.view(), b.view(), &mut outs[2], epi);
+            outs
+        };
+        for epi in epis {
+            let want = [
+                then_pass(&plain.0, epi),
+                then_pass(&plain.1, epi),
+                then_pass(&plain.2, epi),
+            ];
+            let native = fused(epi);
+            let scalar = with_scalar(|| fused(epi));
+            for (i, what) in ["nn", "nt", "tn"].iter().enumerate() {
+                assert_bits(&native[i], &want[i], &format!("{what} {epi:?}"));
+                assert_bits(&scalar[i], &want[i], &format!("{what} {epi:?} scalar"));
+            }
+        }
     }
 
     #[test]
