@@ -96,7 +96,10 @@ impl DoubleRingSpec {
     }
 
     /// A one-level spec: the flat ring over `members`, in the given order.
-    fn one_level(members: &[usize]) -> Self {
+    /// Every slot sits on one logical node, so the inner ring is the whole
+    /// ring and there is no cross-node level; the two-level schedules run
+    /// on it as the flat ring of RingAttention and BurstAttention.
+    pub fn one_level(members: &[usize]) -> Self {
         assert!(!members.is_empty(), "a ring needs at least one member");
         DoubleRingSpec {
             nodes: 1,

@@ -7,13 +7,21 @@
 //! all NICs move data simultaneously — the bandwidth win over the flat
 //! ring, where the single node-boundary link serialises everything.
 //!
+//! The flat ring is the one-level case ([`DoubleRingSpec::one_level`]):
+//! one logical node whose sub-ring is the whole ring, one sweep of `G`
+//! slots and no inter-node exchange. On it the forward is the flat ring's
+//! forward and Algorithm 2 BurstAttention's flat backward; a one-level spec
+//! over a multi-node world simply has some intra hops cross nodes.
+//!
 //! Three schedules are provided:
 //!
-//! * [`try_double_ring_forward_heads_on`] — shared by DoubleRingAttention
-//!   and BurstAttention: `K, V` are read-only, so each head's inter-node
-//!   transfer is posted as soon as the rank holds it and hides behind the
-//!   whole intra-node sweep — and, with several heads, behind the earlier
-//!   heads' sweeps too. One head is `std::slice::from_ref(&shard)`;
+//! * [`try_double_ring_forward_heads_on`] — shared by every ring algorithm
+//!   (RingAttention and BurstAttention on the one-level ring,
+//!   DoubleRingAttention and BurstAttention on the two-level one): `K, V`
+//!   are read-only, so each head's inter-node transfer is posted as soon as
+//!   the rank holds it and hides behind the whole intra-node sweep — and,
+//!   with several heads, behind the earlier heads' sweeps too. One head is
+//!   `std::slice::from_ref(&shard)`;
 //! * [`try_double_ring_backward_alg1_on`] — the LoongTrain DoubleRing
 //!   baseline: Algorithm 1's `(K, V, ∇K, ∇V)` bundle circulates through
 //!   every rank. Gradients ride in the same buffers as activations, so
@@ -36,11 +44,11 @@
 //! heap allocations in the tile-compute path.
 //!
 //! With skipping on, each read-only hop carries the spans its consumers
-//! read, as on the flat ring ([`crate::ring`]): an intra hop the spans a
-//! later slot of the same sweep reads, an inter hop — a sweep's start
-//! bundle — the spans any later sweep reads. The start bundle arriving over
-//! a NIC is therefore never more than the spans the whole remaining ring
-//! needs, and the sweeps relay windows of it.
+//! read ([`crate::skip`]): an intra hop the spans a later slot of the same
+//! sweep reads, an inter hop — a sweep's start bundle — the spans any later
+//! sweep reads. The start bundle arriving over a NIC is therefore never
+//! more than the spans the whole remaining ring needs, and the sweeps relay
+//! windows of it.
 
 use crate::ring::{
     post_kv, post_ro, skip_kv, skip_ro, AttnFailure, AttnShard, BackwardInputs, DistAttnOut,

@@ -8,18 +8,21 @@
 //!
 //! Algorithms:
 //!
-//! * [`ring`] — the flat global ring: forward pass (shared by RingAttention
-//!   and BurstAttention, `2Nd` communication), RingAttention's backward
-//!   (Algorithm 1, `4Nd`) and BurstAttention's backward (Algorithm 2,
-//!   `3Nd + 2N`) with fine-grained gradient overlap;
-//! * [`double_ring`] — topology-aware two-level rings (paper §3.1, Fig. 4):
-//!   intra-node NVLink sub-rings nested inside an inter-node NIC ring, with
-//!   the inter-node exchange posted early so it hides behind a whole
-//!   intra-node sweep. Provides both the DoubleRingAttention baseline
-//!   (no gradient overlap in backward) and BurstAttention's topology-aware
-//!   variant. Both run every head's forward through one pipelined pass;
-//!   BurstAttention's backward also takes every head in one call, handing
-//!   each head's NIC time to the next;
+//! * [`double_ring`] — the ring schedules, on a [`DoubleRingSpec`]:
+//!   topology-aware two-level rings (paper §3.1, Fig. 4), intra-node NVLink
+//!   sub-rings nested inside an inter-node NIC ring, with the inter-node
+//!   exchange posted early so it hides behind a whole intra-node sweep. The
+//!   forward (`2Nd` communication) is shared by every ring algorithm;
+//!   Algorithm 1 there is the DoubleRingAttention baseline (no gradient
+//!   overlap in backward) and Algorithm 2 (`3Nd + 2N`) BurstAttention's,
+//!   with fine-grained gradient overlap. Both run every head's forward
+//!   through one pipelined pass; BurstAttention's backward also takes every
+//!   head in one call, handing each head's NIC time to the next. The flat
+//!   ring of RingAttention and BurstAttention is the one-level case
+//!   ([`DoubleRingSpec::one_level`]);
+//! * [`ring`] — the one schedule only the flat ring has, RingAttention's
+//!   backward (Algorithm 1, `4Nd`, its read-only `K, V` riding home), and
+//!   the shard, failure and hold types every schedule shares;
 //! * [`usp`] — head parallelism: LoongTrain's hybrid head+context USP, its
 //!   context-parallel ring on the two-level ring of [`double_ring`], and
 //!   its ring-of-one case (Ulysses group = world), DeepSpeed-Ulysses;
@@ -46,12 +49,11 @@ pub use cost::CostModel;
 pub use double_ring::DoubleRingSpec;
 pub use layout::Layout;
 pub use ring::{
-    try_burst_backward, try_ring_backward, try_ring_forward, AttnFailure, AttnShard,
-    BackwardInputs, DistAttnOut, OverlapMode, Phase, Ring,
+    try_ring_backward, AttnFailure, AttnShard, BackwardInputs, DistAttnOut, OverlapMode, Phase,
 };
 pub use skip::{
-    census_dr_alg1, census_dr_alg2, census_dr_forward, census_flat_alg1, census_flat_alg2,
-    census_flat_forward, MaskedWire, RingGeom, SkipPlan, SpanSet,
+    census_dr_alg1, census_dr_alg2, census_dr_forward, census_flat_alg1, MaskedWire, RingGeom,
+    SkipPlan, SpanSet,
 };
 
 use burst_comm::{CommError, Communicator, MemCategory};
@@ -189,16 +191,17 @@ pub fn try_run_attention_shard(
         MemCategory::RingShards,
         (shard.q.nbytes() + shard.k.nbytes() + shard.v.nbytes() + grad_o.nbytes()) as u64,
     );
-    let ring = Ring::global(comm);
-    let spec = DoubleRingSpec::full(comm.topology());
-    let fwd = match algo {
-        Algo::RingFlat | Algo::BurstFlat => try_ring_forward(comm, &ring, shard)?,
-        Algo::DoubleRing | Algo::BurstTopo => {
-            double_ring::try_double_ring_forward_heads_on(comm, std::slice::from_ref(shard), &spec)?
-                .pop()
-                .expect("one head in, one head out")
+    // The flat ring is the one-level ring over the world.
+    let spec = match algo {
+        Algo::RingFlat | Algo::BurstFlat => {
+            DoubleRingSpec::one_level(&(0..comm.world_size()).collect::<Vec<_>>())
         }
+        Algo::DoubleRing | Algo::BurstTopo => DoubleRingSpec::full(comm.topology()),
     };
+    let fwd =
+        double_ring::try_double_ring_forward_heads_on(comm, std::slice::from_ref(shard), &spec)?
+            .pop()
+            .expect("one head in, one head out");
     // The forward's (O, Lse) outputs stay live through the backward (the
     // schedule's own accumulator entry closed when it returned them).
     let mem_out = comm.mem_alloc(
@@ -212,12 +215,11 @@ pub fn try_run_attention_shard(
         grad_o,
     };
     let (dq, dk, dv) = match algo {
-        Algo::RingFlat => try_ring_backward(comm, &ring, shard, &back)?,
-        Algo::BurstFlat => try_burst_backward(comm, &ring, shard, &back)?,
+        Algo::RingFlat => try_ring_backward(comm, &spec, shard, &back)?,
         Algo::DoubleRing => {
             double_ring::try_double_ring_backward_alg1_on(comm, shard, &back, &spec)?
         }
-        Algo::BurstTopo => double_ring::try_double_ring_backward_alg2_heads_on(
+        Algo::BurstFlat | Algo::BurstTopo => double_ring::try_double_ring_backward_alg2_heads_on(
             comm,
             std::slice::from_ref(&(*shard, back)),
             &spec,

@@ -1,5 +1,13 @@
-//! Flat global-ring attention: the shared forward pass, RingAttention's
-//! backward (Algorithm 1) and BurstAttention's backward (Algorithm 2).
+//! The flat ring's own schedule, and the shard, failure and hold types
+//! every ring schedule shares.
+//!
+//! The flat ring of RingAttention and BurstAttention is the one-level case
+//! of the two-level ring ([`DoubleRingSpec::one_level`]): its forward and
+//! BurstAttention's backward (Algorithm 2) are the schedules of
+//! [`crate::double_ring`] on a one-level spec, one sweep of `G` slots with
+//! no inter-node exchange. What lives here is the one schedule only the
+//! flat ring has: RingAttention's backward (Algorithm 1), whose read-only
+//! `K, V` ride the ring all the way home.
 //!
 //! ## Communication accounting (per rank, `N` tokens, `G` ranks, head dim `d`)
 //!
@@ -17,30 +25,26 @@
 //! ## Skipping
 //!
 //! With skipping on, the pass's [`SkipPlan`] gates every hop. A read-only
-//! hop — the forward's `(K, V)`, Algorithm 1's `(K, V)` half, Algorithm 2's
-//! `(Q, ∇O, Lse, D)` — carries only the spans of its shard that some later
-//! rank reads: on a zigzag shard, often one chunk of the two. It arrives as
-//! a window of the shard's rows, and the kernels fold that window with its
-//! global indices; Algorithm 1 accumulates into the matching rows of the
-//! circulating `∇K, ∇V`, Algorithm 2 into the matching rows of the bundle's
-//! `∇Q`. Compute and the gradient hops keep whole-shard gates.
+//! hop — Algorithm 1's `(K, V)` half here, the forward's `(K, V)` and
+//! Algorithm 2's `(Q, ∇O, Lse, D)` on the two-level ring — carries only the
+//! spans of its shard that some later rank reads: on a zigzag shard, often
+//! one chunk of the two. It arrives as a window of the shard's rows, and
+//! the kernels fold that window with its global indices; Algorithm 1
+//! accumulates into the matching rows of the circulating `∇K, ∇V`.
+//! Compute and the gradient hops keep whole-shard gates.
 //!
 //! ## Overlap
 //!
-//! Read-only payloads are posted *before* the local compute of each step
-//! (activation overlapping, Fig. 5 top) and gradients are forwarded right
-//! after the compute that produced them, one round behind the read-only
-//! stream (the warm-up-round trick, Fig. 5 bottom) — so both transfer
-//! streams hide behind compute in virtual time. This fine-grained schedule
-//! is the only one.
+//! Algorithm 1's read-only `(K, V)` depart before the local compute of each
+//! step (activation overlapping, Fig. 5 top) and its gradients right after
+//! the compute that produced them, so both transfer streams hide behind
+//! compute in virtual time. This fine-grained schedule is the only one.
 
 use crate::cost::CostModel;
 use crate::layout::Layout;
 use crate::skip::SkipPlan;
-use burst_comm::{CommError, Communicator, MemCategory, SpanKind};
-use burst_kernels::{
-    attn_tile_backward, attn_tile_backward_acc, flash_forward_acc, AttnMask, KernelWork, Span,
-};
+use burst_comm::{CommError, Communicator, DoubleRingSpec, MemCategory, SpanKind};
+use burst_kernels::{attn_tile_backward, attn_tile_backward_acc, AttnMask, KernelWork, Span};
 use burst_tensor::{Mat, Scratch};
 use std::ops::Range;
 
@@ -177,15 +181,6 @@ impl AttnShard<'_> {
             .into_iter()
             .flat_map(Span::iter)
             .collect()
-    }
-
-    /// Global indices owned by `rank` on the global ring.
-    pub fn idx_of(&self, comm: &Communicator, rank: usize) -> Vec<usize> {
-        self.idx_at(comm.world_size(), rank)
-    }
-
-    pub fn my_idx(&self, comm: &Communicator) -> Vec<usize> {
-        self.idx_of(comm, comm.rank())
     }
 
     fn head_dim(&self) -> usize {
@@ -378,156 +373,6 @@ pub enum OverlapMode {
     Fine,
 }
 
-/// An ordered ring of ranks. [`Ring::global`] spans the whole world;
-/// sub-rings (e.g. the context-parallel groups of USP) list their members
-/// explicitly.
-#[derive(Debug, Clone)]
-pub struct Ring {
-    /// Global rank of each member, in ring order.
-    pub members: Vec<usize>,
-    /// This rank's position within `members`.
-    pub pos: usize,
-}
-
-impl Ring {
-    /// The flat ring over all ranks.
-    pub fn global(comm: &Communicator) -> Ring {
-        Ring {
-            members: (0..comm.world_size()).collect(),
-            pos: comm.rank(),
-        }
-    }
-
-    /// A sub-ring; panics if `comm`'s rank is not a member.
-    #[track_caller]
-    pub fn subgroup(comm: &Communicator, members: Vec<usize>) -> Ring {
-        let pos = members
-            .iter()
-            .position(|&m| m == comm.rank())
-            .expect("Ring::subgroup: calling rank not in member list");
-        Ring { members, pos }
-    }
-
-    #[inline]
-    pub fn size(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Global rank of the next member.
-    #[inline]
-    pub fn next(&self) -> usize {
-        self.members[(self.pos + 1) % self.members.len()]
-    }
-
-    /// Global rank of the previous member.
-    #[inline]
-    pub fn prev(&self) -> usize {
-        self.members[(self.pos + self.members.len() - 1) % self.members.len()]
-    }
-}
-
-/// Forward pass on the flat global ring (shared by RingAttention and
-/// BurstAttention): `K, V` partitions circulate, each rank folds every
-/// partition into its online-softmax state.
-///
-/// Steady-state rounds are allocation-free in the tile-compute path: the
-/// first round reads the local shard by reference (no clone), index tables
-/// for every ring position are precomputed, and the kernel merges each
-/// partition straight into persistent `(O, Lse)` accumulators through one
-/// reused [`Scratch`].
-///
-/// A failed send/receive at ring round `k` surfaces as an [`AttnFailure`]
-/// carrying `(Phase::Forward, k)`.
-pub fn try_ring_forward(
-    comm: &mut Communicator,
-    ring: &Ring,
-    shard: &AttnShard,
-) -> Result<DistAttnOut, AttnFailure> {
-    let g = ring.size();
-    let d = shard.head_dim();
-    let qi = shard.idx_at(g, ring.pos);
-    let kidx_all: Vec<Vec<usize>> = (0..g).map(|p| shard.idx_at(g, p)).collect();
-    let plan = shard.skip_plan(g);
-    let mut acc_o = Mat::zeros(shard.q.rows(), shard.v.cols());
-    let mut acc_lse = vec![f32::NEG_INFINITY; shard.q.rows()];
-    let mut scratch = Scratch::new();
-    let mut work = KernelWork::default();
-    // Accountant entries for the pass: the persistent (O, Lse) accumulators
-    // and — when the ring actually lands a partition here — one
-    // steady-state slot for the received (K, V) bundle, billed at the wire
-    // dtype. Registered once per pass, so steady-state rounds append
-    // nothing to the ledger.
-    let mem_acc = comm.mem_alloc(
-        "ring_fwd_acc",
-        MemCategory::Activations,
-        (acc_o.nbytes() + 4 * acc_lse.len()) as u64,
-    );
-    let kv_wire = comm.mem_wire_bytes(shard.k.len() + shard.v.len());
-    let mem_kv = if g > 1 && plan.flat_fwd_recv_any(ring.pos) {
-        comm.mem_alloc("ring_fwd_kv", MemCategory::CommBuffers, kv_wire)
-    } else {
-        None
-    };
-    let mut held = KvHold::Local;
-    for step in 0..g {
-        let at = AttnFailure::at(Phase::Forward, step);
-        let r = plan.flat_fwd_round(ring.pos, step);
-        let rows = kidx_all[r.shard_out].len();
-        if r.idle() {
-            // Fully-masked round: no span, no clock, no wire. The sends the
-            // dense schedule would have posted are billed to the skip dual.
-            comm.note_round_skipped();
-            if step < g - 1 {
-                skip_kv(comm, rows, shard);
-            }
-            held = KvHold::Absent;
-            continue;
-        }
-        // A rank that dies mid-round leaves this span open; the trace
-        // collector force-closes it at crash time (with a warning).
-        comm.span_begin(SpanKind::AttnRound, "fwd_round");
-        // Post the shift before computing so the transfer hides under the
-        // kernel (double buffering): the spans a later rank still folds.
-        if step < g - 1 {
-            let want = plan.window(r.shard_out, r.send, rows);
-            post_kv(comm, ring.next(), want, rows, shard, || {
-                held.view(shard.k, shard.v)
-            })
-            .map_err(&at)?;
-        }
-        if r.compute {
-            let (cur_k, cur_v, off) = held.view(shard.k, shard.v);
-            let w = flash_forward_acc(
-                shard.q,
-                cur_k,
-                cur_v,
-                shard.scale,
-                shard.mask,
-                &qi,
-                &kidx_all[r.shard_out][off..off + cur_k.rows()],
-                &mut acc_o,
-                &mut acc_lse,
-                &mut scratch,
-            );
-            comm.advance_compute(shard.cost.attn_fwd_secs(w.pairs, d));
-            work.merge(w);
-        }
-        if step < g - 1 {
-            let rows_in = plan.window(r.shard_in, r.recv, kidx_all[r.shard_in].len());
-            held = KvHold::recv(comm, ring.prev(), rows_in).map_err(&at)?;
-        }
-        comm.span_end();
-    }
-    comm.mem_note_workspace(scratch.resident_bytes());
-    comm.mem_free(mem_kv);
-    comm.mem_free(mem_acc);
-    Ok(DistAttnOut {
-        o: acc_o,
-        lse: acc_lse,
-        work,
-    })
-}
-
 /// RingAttention backward (Algorithm 1): `(K_j, V_j, ∇K_j, ∇V_j)` circulate
 /// for `G` full hops (exactly `4Nd` words per rank); `∇Q_i` accumulates
 /// locally. Per Algorithm 1 line 10, `D_i = rowsum(∇O_i ∘ O_i)` is
@@ -536,17 +381,25 @@ pub fn try_ring_forward(
 /// `(K_j, V_j)` depart before the round's compute and the gradients right
 /// after it.
 ///
-/// A failed send/receive at ring round `k` surfaces as an [`AttnFailure`]
-/// carrying `(Phase::Backward, k)`.
+/// It runs on a one-level spec ([`DoubleRingSpec::one_level`]), the flat
+/// ring over its members; this panics on a two-level one. A failed
+/// send/receive at ring round `k` surfaces as an [`AttnFailure`] carrying
+/// `(Phase::Backward, k)`.
 pub fn try_ring_backward(
     comm: &mut Communicator,
-    ring: &Ring,
+    spec: &DoubleRingSpec,
     shard: &AttnShard,
     back: &BackwardInputs,
 ) -> Result<(Mat, Mat, Mat), AttnFailure> {
-    let g = ring.size();
+    assert_eq!(spec.nodes(), 1, "Algorithm 1 runs on the one-level ring");
+    let g = spec.len();
+    let me = spec
+        .slot_of(comm.rank())
+        .expect("flat-ring caller must be a spec member");
+    let next = spec.rank_at(spec.next_in_node(me));
+    let prev = spec.rank_at(spec.prev_in_node(me));
     let d = shard.head_dim();
-    let qi = shard.idx_at(g, ring.pos);
+    let qi = shard.idx_at(g, me);
     let d_vec = back.grad_o.rowsum_hadamard(back.o);
     let d_recompute = shard.cost.gemm_secs(shard.q.rows(), d, 1);
     if g == 1 {
@@ -579,7 +432,7 @@ pub fn try_ring_backward(
         MemCategory::Activations,
         grad_q.nbytes() as u64,
     );
-    let (buf_kv, buf_dkv) = plan.flat_alg1_bufs(ring.pos);
+    let (buf_kv, buf_dkv) = plan.flat_alg1_bufs(me);
     let halves = buf_kv as usize + buf_dkv as usize;
     let mem_bundle = if halves > 0 {
         let bundle_wire = comm.mem_wire_bytes(halves * (shard.k.len() + shard.v.len()));
@@ -597,7 +450,7 @@ pub fn try_ring_backward(
     let mut scratch = Scratch::new();
     for step in 0..g {
         let at = AttnFailure::at(Phase::Backward, step);
-        let r = plan.flat_alg1_round(ring.pos, step);
+        let r = plan.flat_alg1_round(me, step);
         let rows = kidx_all[r.shard_out].len();
         if r.idle() {
             comm.note_round_skipped();
@@ -611,7 +464,7 @@ pub fn try_ring_backward(
         // Activations can depart before the compute that reads them (we own
         // a copy); gradients cannot.
         let want = plan.window(r.shard_out, r.send_kv, rows);
-        post_kv(comm, ring.next(), want, rows, shard, || {
+        post_kv(comm, next, want, rows, shard, || {
             held.view(shard.k, shard.v)
         })
         .map_err(&at)?;
@@ -647,17 +500,17 @@ pub fn try_ring_backward(
         }
         if r.send_dkv {
             let (cur_dk, cur_dv) = dkv.as_ref().expect("dkv gate implies a contribution");
-            comm.try_send_mat(ring.next(), cur_dk).map_err(&at)?;
-            comm.try_send_mat(ring.next(), cur_dv).map_err(&at)?;
+            comm.try_send_mat(next, cur_dk).map_err(&at)?;
+            comm.try_send_mat(next, cur_dv).map_err(&at)?;
         } else {
             skip_kv(comm, rows, shard);
         }
         let rows_in = plan.window(r.shard_in, r.recv_kv, kidx_all[r.shard_in].len());
-        held = KvHold::recv(comm, ring.prev(), rows_in).map_err(&at)?;
+        held = KvHold::recv(comm, prev, rows_in).map_err(&at)?;
         dkv = if r.recv_dkv {
             Some((
-                comm.try_recv_mat(ring.prev()).map_err(&at)?,
-                comm.try_recv_mat(ring.prev()).map_err(&at)?,
+                comm.try_recv_mat(prev).map_err(&at)?,
+                comm.try_recv_mat(prev).map_err(&at)?,
             ))
         } else {
             None
@@ -677,229 +530,4 @@ pub fn try_ring_backward(
     comm.mem_free(mem_bundle);
     comm.mem_free(mem_dq);
     Ok((grad_q, dk_home, dv_home))
-}
-
-/// BurstAttention backward (Algorithm 2): `K_i, V_i, ∇K_i, ∇V_i` stay
-/// local; the read-only bundle `(Q_j, ∇O_j, Lse_j, D_j)` circulates `G−1`
-/// hops and `∇Q_j` circulates `G` hops — `≈ 3Nd + 2N` words per rank.
-/// `D_i` is computed once, before the loop (Algorithm 2 line 2).
-///
-/// The read-only bundle is forwarded *on receipt* (before the local
-/// compute) and `∇Q` follows one round behind — the warm-up-round schedule
-/// of Fig. 5 that lets gradient communication hide under compute.
-///
-/// A failed send/receive at ring round `k` surfaces as an [`AttnFailure`]
-/// carrying `(Phase::Backward, k)`.
-pub fn try_burst_backward(
-    comm: &mut Communicator,
-    ring: &Ring,
-    shard: &AttnShard,
-    back: &BackwardInputs,
-) -> Result<(Mat, Mat, Mat), AttnFailure> {
-    let g = ring.size();
-    let d = shard.head_dim();
-    let ki = shard.idx_at(g, ring.pos);
-    let qidx_all: Vec<Vec<usize>> = (0..g).map(|p| shard.idx_at(g, p)).collect();
-    let d_vec = back.grad_o.rowsum_hadamard(back.o);
-    comm.advance_compute(shard.cost.gemm_secs(shard.q.rows(), d, 1));
-    let mut grad_k = Mat::zeros(shard.k.rows(), shard.k.cols());
-    let mut grad_v = Mat::zeros(shard.v.rows(), shard.v.cols());
-    let mut scratch = Scratch::new();
-
-    if g == 1 {
-        let (dq, dk, dv, w) = attn_tile_backward(
-            shard.q,
-            shard.k,
-            shard.v,
-            back.grad_o,
-            back.lse,
-            &d_vec,
-            shard.scale,
-            shard.mask,
-            &qidx_all[0],
-            &ki,
-        );
-        comm.advance_compute(shard.cost.attn_bwd_secs(w.pairs, d));
-        return Ok((dq, dk, dv));
-    }
-
-    let plan = shard.skip_plan(g);
-    let (buf_ro, buf_dq_ring, buf_dq_buf) = plan.flat_alg2_bufs(ring.pos);
-    // Pass-scoped accountant entries: the local ∇K/∇V accumulators, one
-    // steady-state slot for the circulating read-only bundle
-    // (Q, ∇O, Lse, D) — matrices at the wire dtype, softmax statistics as
-    // f32 — and one slot for the ∇Q partial riding the ring. With skipping
-    // on, slots this rank's gates never fill are not billed.
-    let mem_dkv = comm.mem_alloc(
-        "burst_bwd_dkv",
-        MemCategory::Activations,
-        (grad_k.nbytes() + grad_v.nbytes()) as u64,
-    );
-    let ro_wire = comm.mem_wire_bytes(shard.q.len() + back.grad_o.len())
-        + 4 * (back.lse.len() + d_vec.len()) as u64;
-    let mem_ro = if buf_ro {
-        comm.mem_alloc("burst_ro_bundle", MemCategory::CommBuffers, ro_wire)
-    } else {
-        None
-    };
-    let dq_wire = comm.mem_wire_bytes(shard.q.len());
-    let mem_dq_ring = if buf_dq_ring {
-        comm.mem_alloc("burst_dq_ring", MemCategory::CommBuffers, dq_wire)
-    } else {
-        None
-    };
-
-    // Warm-up round: process our own bundle before any communication
-    // (Fig. 5 bottom), then stream: forward the read-only bundle the
-    // moment it arrives, compute, and send ∇Q one round behind.
-    // `dq_buf` is re-zeroed in place each round (capacity reused),
-    // and ∇K/∇V accumulate directly into the local outputs — the
-    // steady-state tile-compute path allocates nothing.
-    let me = ring.pos;
-    let next = ring.next();
-    let prev = ring.prev();
-    let mut dq_buf = Mat::default();
-    let mem_dq_buf = if buf_dq_buf {
-        comm.mem_alloc(
-            "burst_dq_buf",
-            MemCategory::Activations,
-            shard.q.nbytes() as u64,
-        )
-    } else {
-        None
-    };
-    let dq_elems = |j: usize| qidx_all[j].len() * shard.q.cols();
-    let ro_cols = (shard.q.cols(), back.grad_o.cols());
-    // Warm-up round: the read-only parts depart before the local
-    // compute; ∇Q follows one round behind it.
-    let r0 = plan.flat_alg2_round(me, 0);
-    let rows_me = qidx_all[me].len();
-    if r0.idle() {
-        comm.note_round_skipped();
-        skip_ro(comm, rows_me, ro_cols);
-        comm.note_skipped_mat(dq_elems(me));
-    } else {
-        let at = AttnFailure::at(Phase::Backward, 0);
-        comm.span_begin(SpanKind::AttnRound, "burst_warmup");
-        let want = plan.window(me, r0.fwd_ro, rows_me);
-        post_ro(comm, next, want, rows_me, ro_cols, || {
-            (shard.q, back.grad_o, back.lse, &d_vec, 0)
-        })
-        .map_err(&at)?;
-        if r0.compute {
-            dq_buf.reshape_in_place(shard.q.rows(), shard.q.cols());
-            let w = attn_tile_backward_acc(
-                shard.q,
-                shard.k,
-                shard.v,
-                back.grad_o,
-                back.lse,
-                &d_vec,
-                shard.scale,
-                shard.mask,
-                &qidx_all[me],
-                &ki,
-                dq_buf.as_mut_slice(),
-                grad_k.as_mut_slice(),
-                grad_v.as_mut_slice(),
-                &mut scratch,
-            );
-            comm.advance_compute(shard.cost.attn_bwd_secs(w.pairs, d));
-        }
-        if r0.send_dq {
-            debug_assert!(r0.compute, "∇Q warm-up gate implies a live local tile");
-            comm.try_send_mat(next, &dq_buf).map_err(&at)?;
-        } else {
-            comm.note_skipped_mat(dq_elems(me));
-        }
-        comm.span_end();
-    }
-    for s in 1..g {
-        let at = AttnFailure::at(Phase::Backward, s);
-        let r = plan.flat_alg2_round(me, s);
-        let j = r.bundle;
-        let rows_j = qidx_all[j].len();
-        if r.idle() {
-            comm.note_round_skipped();
-            if s < g - 1 {
-                skip_ro(comm, rows_j, ro_cols);
-            }
-            comm.note_skipped_mat(dq_elems(j));
-            continue;
-        }
-        comm.span_begin(SpanKind::AttnRound, "burst_round");
-        let bundle = RoHold::recv(comm, prev, plan.window(j, r.recv_ro, rows_j)).map_err(&at)?;
-        let view = || bundle.view(shard.q, back.grad_o, back.lse, &d_vec);
-        if s < g - 1 {
-            // The next rank is not the bundle's home: forward the read-only
-            // spans it or a later rank reads immediately, before computing.
-            let want = plan.window(j, r.fwd_ro, rows_j);
-            post_ro(comm, next, want, rows_j, ro_cols, view).map_err(&at)?;
-        }
-        if r.compute {
-            // ∇Q of the received rows lands in their rows of the bundle's
-            // ∇Q; the other rows stay zero, as the dense tile leaves them.
-            let (q_j, do_j, lse_j, d_j, off) = view();
-            let end = off + q_j.rows();
-            dq_buf.reshape_in_place(rows_j, shard.q.cols());
-            let w = attn_tile_backward_acc(
-                q_j,
-                shard.k,
-                shard.v,
-                do_j,
-                lse_j,
-                d_j,
-                shard.scale,
-                shard.mask,
-                &qidx_all[j][off..end],
-                &ki,
-                dq_buf.rows_mut(off, end),
-                grad_k.as_mut_slice(),
-                grad_v.as_mut_slice(),
-                &mut scratch,
-            );
-            comm.advance_compute(shard.cost.attn_bwd_secs(w.pairs, d));
-        }
-        if r.recv_dq {
-            let mut dq_j = comm.try_recv_mat(prev).map_err(&at)?;
-            if !r.compute {
-                // The dense schedule adds a freshly zeroed buffer
-                // here; mirror it so the bits (±0.0 included) match.
-                dq_buf.reshape_in_place(dq_j.rows(), dq_j.cols());
-            }
-            dq_j.add_assign(&dq_buf);
-            debug_assert!(r.send_dq, "held ∇Q always travels on");
-            comm.try_send_mat(next, &dq_j).map_err(&at)?;
-        } else if r.send_dq {
-            // First live contributor after a gated-off stretch:
-            // materialize the zeros the dense ring would have
-            // delivered, then add our contribution.
-            debug_assert!(r.compute, "first ∇Q hop implies a live tile");
-            let mut dq_j = Mat::zeros(qidx_all[j].len(), shard.q.cols());
-            dq_j.add_assign(&dq_buf);
-            comm.try_send_mat(next, &dq_j).map_err(&at)?;
-        } else {
-            comm.note_skipped_mat(dq_elems(j));
-        }
-        comm.span_end();
-    }
-    let grad_q = if plan.flat_alg2_final(me) {
-        comm.span_begin(SpanKind::AttnRound, "burst_final");
-        let gq = comm
-            .try_recv_mat(prev)
-            .map_err(AttnFailure::at(Phase::Backward, g - 1))?;
-        comm.span_end();
-        gq
-    } else {
-        // No rank anywhere attends to our queries: the homecoming
-        // hop is gated off and ∇Q is identically zero.
-        comm.note_round_skipped();
-        Mat::zeros(shard.q.rows(), shard.q.cols())
-    };
-    comm.mem_note_workspace(scratch.resident_bytes());
-    comm.mem_free(mem_dq_buf);
-    comm.mem_free(mem_dq_ring);
-    comm.mem_free(mem_ro);
-    comm.mem_free(mem_dkv);
-    Ok((grad_q, grad_k, grad_v))
 }

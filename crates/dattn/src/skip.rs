@@ -19,29 +19,37 @@
 //! counts equal the measured counters *by construction* — there is exactly
 //! one place deciding whether a hop happens and what it carries.
 //!
-//! ## Gate algebra (flat ring, `G` ranks)
+//! ## Gate algebra
 //!
 //! Write `live[i][j]` for "tile (q-shard `i`, kv-shard `j`) has at least
 //! one allowed pair", `kv[i][j]` for the set of kv-shard `j`'s spans that
 //! hold a key some query of q-shard `i` attends to, and `q[i][j]` for the
 //! set of q-shard `i`'s spans that hold a query attending into kv-shard
-//! `j` ([`SpanSet`]; both are empty exactly when the tile is dead). The
-//! processor of kv-shard `x` at ring step `t` is rank `(x + t) mod G`; the
-//! consumer of q-bundle `j` at step `t` is rank `(j + t) mod G`. Then:
+//! `j` ([`SpanSet`]; both are empty exactly when the tile is dead).
 //!
-//! * forward kv hop at step `t` carries `⋃ kv[(x+t')%G][x]` over
+//! **Flat ring, `G` ranks (Algorithm 1).** The flat ring's forward and
+//! Algorithm 2 are the two-level ring's on one node (below); its own gates
+//! cover RingAttention's backward. The processor of kv-shard `x` at ring
+//! step `t` is rank `(x + t) mod G`. Then:
+//!
+//! * the read-only kv hop at step `t` carries `⋃ kv[(x+t')%G][x]` over
 //!   `t' ∈ (t, G)` — the spans some later rank still folds; empty means
-//!   gated off;
-//! * Algorithm 1 kv hop: the same union over `t' ∈ (t, G)` — at the final
-//!   (homecoming) step the range is empty, so the read-only K/V never ride
-//!   home with skipping on (the waste Algorithm 2 removes, here recovered
-//!   for free);
-//! * Algorithm 1 ∇K/∇V hop at step `t`: keep the whole shard iff
+//!   gated off. At the final (homecoming) step the range is empty, so the
+//!   read-only K/V never ride home with skipping on (the waste Algorithm 2
+//!   removes, here recovered for free);
+//! * the ∇K/∇V hop at step `t` keeps the whole shard iff
 //!   `∃ t' ∈ [0, t]: live[(x+t')%G][x]` — some contribution is already in
-//!   the circulating buffer and must reach home;
-//! * Algorithm 2 read-only hop: `⋃ q[j][(j+t')%G]` over `t' ∈ (t, G)`;
-//! * Algorithm 2 ∇Q hop: keep the whole shard iff
-//!   `∃ t' ∈ [0, t]: live[j][(j+t')%G]`.
+//!   the circulating buffer and must reach home.
+//!
+//! **Two-level ring, `n` nodes × `p` GPUs.** Shard or bundle `x` is at slot
+//! `dr_proc(x, t)` at slot `t` of the forward and Algorithm 2 traversal
+//! (the inner ring advances every slot, the outer ring every `p`). The
+//! forward's kv hop carries `⋃ kv[dr_proc(x, t')][x]` and Algorithm 2's
+//! read-only hop `⋃ q[x][dr_proc(x, t')]` over the slots `t'` the hop
+//! feeds: the rest of its sweep for an intra hop, every later sweep for an
+//! inter hop. Algorithm 2's ∇Q hop keeps the whole shard iff
+//! `∃ t' ∈ [0, t]: live[x][dr_proc(x, t')]`. Algorithm 1 takes the flat
+//! ring's unions along its own continuous traversal.
 //!
 //! The read-only payloads — the forward's K/V, Algorithm 1's (K, V) half
 //! and Algorithm 2's (Q, ∇O, Lse, D) bundle — are cut per span; compute
@@ -281,13 +289,6 @@ impl SkipPlan {
         self.union(lo..hi, |t| self.kv_reads((shard + t) % g, shard))
     }
 
-    /// The spans of q-bundle `bundle` that some step `t ∈ [lo, hi)` reads:
-    /// `⋃ q[bundle][(bundle + t) % g]`.
-    fn ro_consumer_in(&self, bundle: usize, lo: usize, hi: usize) -> SpanSet {
-        let g = self.g;
-        self.union(lo..hi, |t| self.q_reads(bundle, (bundle + t) % g))
-    }
-
     /// Union of `set(t)` over `steps`; every span on the dense plan, which
     /// gates nothing.
     fn union(&self, steps: Range<usize>, set: impl Fn(usize) -> SpanSet) -> SpanSet {
@@ -297,13 +298,7 @@ impl SkipPlan {
         steps.fold(SpanSet::NONE, |acc, t| acc | set(t))
     }
 
-    // ---- flat-ring hop gates -------------------------------------------
-
-    /// Forward kv hop: the spans of `shard` that leave its step-`hop`
-    /// holder — those a later rank still folds.
-    pub fn fwd_kv_hop(&self, shard: usize, hop: usize) -> SpanSet {
-        self.kv_consumer_in(shard, hop + 1, self.g)
-    }
+    // ---- flat-ring (Algorithm 1) hop gates -----------------------------
 
     /// Algorithm 1 read-only kv hop (steps `0..g`; the homecoming step
     /// `g−1` has an empty consumer range, so it carries nothing when
@@ -318,33 +313,7 @@ impl SkipPlan {
         self.kv_consumer_in(shard, 0, hop + 1).any()
     }
 
-    /// Algorithm 2 read-only bundle hop.
-    pub fn alg2_ro_hop(&self, bundle: usize, hop: usize) -> SpanSet {
-        self.ro_consumer_in(bundle, hop + 1, self.g)
-    }
-
-    /// Algorithm 2 ∇Q hop: the whole shard, once any contribution is in
-    /// flight; the homecoming gate (`hop = g−1`) is `row_any(bundle)`.
-    pub fn alg2_dq_hop(&self, bundle: usize, hop: usize) -> bool {
-        self.ro_consumer_in(bundle, 0, hop + 1).any()
-    }
-
     // ---- per-round plans (single source of truth for loop + census) ----
-
-    /// One rank-round of the flat forward.
-    pub fn flat_fwd_round(&self, me: usize, step: usize) -> FlatFwdRound {
-        let g = self.g;
-        let shard_out = (me + g - step % g) % g;
-        let shard_in = (me + g - step % g + g - 1) % g;
-        let hop = |shard| self.fwd_kv_hop(shard, step).when(step < g - 1);
-        FlatFwdRound {
-            shard_out,
-            shard_in,
-            send: hop(shard_out),
-            recv: hop(shard_in),
-            compute: self.live(me, shard_out),
-        }
-    }
 
     /// One rank-round of Algorithm 1's backward.
     pub fn flat_alg1_round(&self, me: usize, step: usize) -> FlatAlg1Round {
@@ -362,37 +331,7 @@ impl SkipPlan {
         }
     }
 
-    /// One rank-round of Algorithm 2's backward (round `0` is the warm-up:
-    /// nothing is received, the local bundle departs).
-    pub fn flat_alg2_round(&self, me: usize, round: usize) -> FlatAlg2Round {
-        let g = self.g;
-        let bundle = (me + g - round % g) % g;
-        let warmup = round == 0;
-        FlatAlg2Round {
-            bundle,
-            recv_ro: if warmup {
-                SpanSet::NONE
-            } else {
-                self.alg2_ro_hop(bundle, round - 1)
-            },
-            fwd_ro: self.alg2_ro_hop(bundle, round).when(round < g - 1),
-            recv_dq: !warmup && self.alg2_dq_hop(bundle, round - 1),
-            send_dq: self.alg2_dq_hop(bundle, round),
-            compute: self.live(bundle, me),
-        }
-    }
-
-    /// Gate on Algorithm 2's final homecoming receive of this rank's ∇Q.
-    pub fn flat_alg2_final(&self, me: usize) -> bool {
-        self.dense || self.row_any(me)
-    }
-
     // ---- per-pass memory activity (gates the pass-scoped ledger slots) --
-
-    /// Does the flat forward ever land a received (K, V) bundle here?
-    pub fn flat_fwd_recv_any(&self, me: usize) -> bool {
-        (0..self.g).any(|s| self.flat_fwd_round(me, s).recv.any())
-    }
 
     /// Which halves of Algorithm 1's circulating (K, V, ∇K, ∇V) slot this
     /// rank ever holds: `(kv_buf, dkv_buf)`.
@@ -405,21 +344,6 @@ impl SkipPlan {
             dkv |= r.recv_dkv || r.compute;
         }
         (kv, dkv)
-    }
-
-    /// Which of Algorithm 2's steady-state slots this rank ever touches:
-    /// `(ro_bundle, dq_ring, dq_buf)`.
-    pub fn flat_alg2_bufs(&self, me: usize) -> (bool, bool, bool) {
-        let mut ro = false;
-        let mut dq_ring = self.flat_alg2_final(me);
-        let mut dq_buf = false;
-        for s in 0..self.g {
-            let r = self.flat_alg2_round(me, s);
-            ro |= r.recv_ro.any();
-            dq_ring |= r.send_dq || r.recv_dq;
-            dq_buf |= r.compute || r.recv_dq;
-        }
-        (ro, dq_ring, dq_buf)
     }
 
     // ---- double-ring hop gates -----------------------------------------
@@ -697,25 +621,6 @@ impl SkipPlan {
     }
 }
 
-/// Gates for one rank-round of the flat forward.
-#[derive(Debug, Clone, Copy)]
-pub struct FlatFwdRound {
-    /// Shard held (and computed against) this round.
-    pub shard_out: usize,
-    /// Shard arriving this round (if any).
-    pub shard_in: usize,
-    pub send: SpanSet,
-    pub recv: SpanSet,
-    pub compute: bool,
-}
-
-impl FlatFwdRound {
-    /// No compute, no send, no receive: the round never opens.
-    pub fn idle(&self) -> bool {
-        !(self.send.any() || self.recv.any() || self.compute)
-    }
-}
-
 /// Gates for one rank-round of Algorithm 1's backward.
 #[derive(Debug, Clone, Copy)]
 pub struct FlatAlg1Round {
@@ -735,24 +640,6 @@ impl FlatAlg1Round {
             || self.recv_kv.any()
             || self.recv_dkv
             || self.compute)
-    }
-}
-
-/// Gates for one rank-round of Algorithm 2's backward.
-#[derive(Debug, Clone, Copy)]
-pub struct FlatAlg2Round {
-    /// Which q-bundle this round handles.
-    pub bundle: usize,
-    pub recv_ro: SpanSet,
-    pub fwd_ro: SpanSet,
-    pub recv_dq: bool,
-    pub send_dq: bool,
-    pub compute: bool,
-}
-
-impl FlatAlg2Round {
-    pub fn idle(&self) -> bool {
-        !(self.recv_ro.any() || self.fwd_ro.any() || self.recv_dq || self.send_dq || self.compute)
     }
 }
 
@@ -987,34 +874,6 @@ fn sent(plan: &SkipPlan, geom: &RingGeom, shard: usize, set: SpanSet) -> Option<
     plan.window(shard, set, geom.rows[shard]).map(|w| w.len())
 }
 
-/// Flat forward census for `me`. `edge_inter` is the link class of this
-/// rank's ring edge to its successor (all flat-ring sends use it).
-pub fn census_flat_forward(
-    plan: &SkipPlan,
-    geom: &RingGeom,
-    edge_inter: bool,
-    me: usize,
-) -> MaskedWire {
-    let g = plan.ring_size();
-    let mut w = MaskedWire::default();
-    for step in 0..g {
-        let r = plan.flat_fwd_round(me, step);
-        if r.idle() {
-            w.rounds_skipped += 1;
-        }
-        if step < g - 1 {
-            let rows = geom.rows[r.shard_out];
-            w.kv_hop(
-                edge_inter,
-                sent(plan, geom, r.shard_out, r.send),
-                rows,
-                geom,
-            );
-        }
-    }
-    w
-}
-
 /// Algorithm 1 backward census for `me` (overlap-mode independent).
 pub fn census_flat_alg1(
     plan: &SkipPlan,
@@ -1044,50 +903,17 @@ pub fn census_flat_alg1(
     w
 }
 
-/// Algorithm 2 backward census for `me` (fine-overlap round structure;
-/// message and byte totals are overlap-mode independent).
-pub fn census_flat_alg2(
-    plan: &SkipPlan,
-    geom: &RingGeom,
-    edge_inter: bool,
-    me: usize,
-) -> MaskedWire {
-    let g = plan.ring_size();
-    let mut w = MaskedWire::default();
-    if g == 1 {
-        return w;
-    }
-    for round in 0..g {
-        let r = plan.flat_alg2_round(me, round);
-        if r.idle() {
-            w.rounds_skipped += 1;
-        }
-        if round < g - 1 {
-            let rows = geom.rows[r.bundle];
-            w.ro_hop(edge_inter, sent(plan, geom, r.bundle, r.fwd_ro), rows, geom);
-        }
-        let dq = (geom.rows[r.bundle] * geom.d) as u64;
-        if r.send_dq {
-            w.mat(edge_inter, dq);
-        } else {
-            w.skipped_mat_elems += dq;
-        }
-    }
-    if !plan.flat_alg2_final(me) {
-        w.rounds_skipped += 1;
-    }
-    w
-}
-
-/// Double-ring forward census for `me` on an `n`-node × `p`-GPU world
-/// (canonical slot-is-rank placement: intra-sweep hops ride node-local
-/// links; outer-ring start-shard hops are inter-node, which only exist
-/// when `n > 1`).
+/// Double-ring forward census for slot `me` of an `n`-node × `p`-GPU spec.
+/// Outer-ring start-shard hops are inter-node (they only exist when
+/// `n > 1`); intra-sweep hops take `intra_inter`, the link class of this
+/// slot's edge to its successor on the node's sub-ring. That edge is
+/// node-local on a two-level spec; on a one-level spec over a multi-node
+/// world (the flat ring) it crosses nodes at the last GPU of each node.
 pub fn census_dr_forward(
     plan: &SkipPlan,
     geom: &RingGeom,
-    n: usize,
-    p: usize,
+    (n, p): (usize, usize),
+    intra_inter: bool,
     me: usize,
 ) -> MaskedWire {
     let mut w = MaskedWire::default();
@@ -1109,7 +935,8 @@ pub fn census_dr_forward(
             }
             if inner + 1 < p {
                 let rows = geom.rows[s.shard];
-                w.kv_hop(false, sent(plan, geom, s.shard, s.send), rows, geom);
+                let set = sent(plan, geom, s.shard, s.send);
+                w.kv_hop(intra_inter, set, rows, geom);
             }
         }
     }
@@ -1117,13 +944,14 @@ pub fn census_dr_forward(
 }
 
 /// Algorithm 1 double-ring backward census for `me`, including the
-/// completion phase. The completion span counts as one skipped round iff
-/// it has hops and every one of this rank's gates is off.
+/// completion phase, with intra hops on `intra_inter` as in
+/// [`census_dr_forward`]. The completion span counts as one skipped round
+/// iff it has hops and every one of this rank's gates is off.
 pub fn census_dr_alg1(
     plan: &SkipPlan,
     geom: &RingGeom,
-    n: usize,
-    p: usize,
+    (n, p): (usize, usize),
+    intra_inter: bool,
     me: usize,
 ) -> MaskedWire {
     let np = n * p;
@@ -1135,8 +963,9 @@ pub fn census_dr_alg1(
         }
         if t + 1 < np {
             let rows = geom.rows[s.shard];
-            w.kv_hop(s.inter, sent(plan, geom, s.shard, s.send_kv), rows, geom);
-            w.kv_hop(s.inter, s.send_dkv.then_some(rows), rows, geom);
+            let inter = s.inter || intra_inter;
+            w.kv_hop(inter, sent(plan, geom, s.shard, s.send_kv), rows, geom);
+            w.kv_hop(inter, s.send_dkv.then_some(rows), rows, geom);
         }
     }
     let hops = plan.dr_alg1_completion(me, n, p);
@@ -1145,18 +974,19 @@ pub fn census_dr_alg1(
     }
     for h in &hops {
         let rows = geom.rows[h.send_shard];
-        w.kv_hop(h.inter, h.send.then_some(rows), rows, geom);
+        w.kv_hop(h.inter || intra_inter, h.send.then_some(rows), rows, geom);
     }
     w
 }
 
-/// Algorithm 2 double-ring backward census for `me`. The ∇Q diagonal hop
-/// (one per sweep) is inter-node when `n > 1`, node-local otherwise.
+/// Algorithm 2 double-ring backward census for `me`, with intra hops on
+/// `intra_inter` as in [`census_dr_forward`]. The ∇Q diagonal hop (one per
+/// sweep) is inter-node when `n > 1`; with one node it is the intra edge.
 pub fn census_dr_alg2(
     plan: &SkipPlan,
     geom: &RingGeom,
-    n: usize,
-    p: usize,
+    (n, p): (usize, usize),
+    intra_inter: bool,
     me: usize,
 ) -> MaskedWire {
     let np = n * p;
@@ -1182,10 +1012,11 @@ pub fn census_dr_alg2(
             }
             let rows = geom.rows[s.bundle];
             if inner + 1 < p {
-                w.ro_hop(false, sent(plan, geom, s.bundle, s.send_ro), rows, geom);
+                let set = sent(plan, geom, s.bundle, s.send_ro);
+                w.ro_hop(intra_inter, set, rows, geom);
             }
             let dq = (rows * geom.d) as u64;
-            let inter = s.diag && n > 1;
+            let inter = if s.diag && n > 1 { true } else { intra_inter };
             if s.send_dq {
                 w.mat(inter, dq);
             } else {
@@ -1209,21 +1040,23 @@ mod tests {
 
     #[test]
     fn dense_plan_gates_everything_on() {
+        // Algorithm 1 on the flat ring; the forward and Algorithm 2 on the
+        // one-level spec, whose last slot has no successor to send to.
         let p = SkipPlan::dense(4);
         for x in 0..4 {
             for h in 0..4 {
                 assert_eq!(p.alg1_kv_hop(x, h), SpanSet::ALL);
                 assert!(p.alg1_dkv_hop(x, h));
-                assert_eq!(p.alg2_ro_hop(x, h), SpanSet::ALL);
-                assert!(p.alg2_dq_hop(x, h));
-                assert!(!p.flat_fwd_round(x, h).idle());
                 assert!(!p.flat_alg1_round(x, h).idle());
-                assert!(!p.flat_alg2_round(x, h).idle());
+                let (f, b) = (p.dr_fwd_slot(x, 0, h, 1, 4), p.dr_alg2_slot(x, 0, h, 1, 4));
+                let open = SpanSet::ALL.when(h < 3);
+                assert_eq!((f.send, b.send_ro), (open, open));
+                assert!(b.send_dq && !f.idle() && !b.idle());
             }
-            assert!(p.flat_alg2_final(x));
+            assert!(p.dr_alg2_final(x));
             assert_eq!(p.flat_alg1_bufs(x), (true, true));
-            assert_eq!(p.flat_alg2_bufs(x), (true, true, true));
-            assert!(p.flat_fwd_recv_any(x));
+            assert_eq!(p.dr_alg2_bufs(x, 1, 4), (false, true, true, true));
+            assert_eq!(p.dr_fwd_bufs(x, 1, 4), (false, true));
         }
     }
 
@@ -1236,11 +1069,14 @@ mod tests {
                 assert_eq!(p.live(q, k), k <= q, "tile ({q},{k})");
             }
         }
-        // Forward: shard c is forwarded at hop h iff a rank > c still needs
-        // it, i.e. h ≤ g−2−c; the last shard never moves.
+        // Forward (the one-level spec): shard c is forwarded at hop h iff a
+        // rank > c still needs it, i.e. h ≤ g−2−c; the last shard never
+        // moves.
         for c in 0..g {
             for h in 0..g - 1 {
-                assert_eq!(p.fwd_kv_hop(c, h).any(), h + c + 1 < g, "shard {c} hop {h}");
+                let s = p.dr_fwd_slot((c + h) % g, 0, h, 1, g);
+                assert_eq!(s.shard, c);
+                assert_eq!(s.send.any(), h + c + 1 < g, "shard {c} hop {h}");
             }
         }
         // Alg 1 homecoming kv hop is always gated off on built plans.
@@ -1252,7 +1088,8 @@ mod tests {
     #[test]
     fn dense_census_matches_closed_forms() {
         // G ranks, r rows each, square heads: forward 2(G−1) mats per rank,
-        // alg1 4G mats, alg2 (G−1)(2 mats + 2 vecs) + G dq mats.
+        // alg1 4G mats, alg2 (G−1)(2 mats + 2 vecs) + G dq mats. The
+        // forward and alg2 run on the one-level spec.
         let (g, r, d) = (4, 3, 8);
         let plan = SkipPlan::dense(g);
         let geom = RingGeom {
@@ -1261,7 +1098,7 @@ mod tests {
             dv: d,
         };
         for me in 0..g {
-            let f = census_flat_forward(&plan, &geom, false, me);
+            let f = census_dr_forward(&plan, &geom, (1, g), false, me);
             assert_eq!(f.msgs(), 2 * (g as u64 - 1));
             assert_eq!(f.mat_elems(), 2 * (g as u64 - 1) * (r * d) as u64);
             assert_eq!(f.rounds_skipped, 0);
@@ -1271,7 +1108,7 @@ mod tests {
             assert_eq!(a1.msgs(), 4 * g as u64);
             assert_eq!(a1.mat_elems(), 4 * g as u64 * (r * d) as u64);
 
-            let a2 = census_flat_alg2(&plan, &geom, false, me);
+            let a2 = census_dr_alg2(&plan, &geom, (1, g), false, me);
             assert_eq!(a2.msgs(), 4 * (g as u64 - 1) + g as u64);
             assert_eq!(
                 a2.mat_elems(),
@@ -1299,14 +1136,14 @@ mod tests {
         ] {
             let plan = SkipPlan::build(&mask, Layout::Contiguous, n, g, None);
             for me in 0..g {
-                let m = census_flat_forward(&plan, &geom, false, me);
-                let d0 = census_flat_forward(&dense, &geom, false, me);
+                let m = census_dr_forward(&plan, &geom, (1, g), false, me);
+                let d0 = census_dr_forward(&dense, &geom, (1, g), false, me);
                 assert_eq!(m.mat_elems() + m.skipped_mat_elems, d0.mat_elems());
                 let m = census_flat_alg1(&plan, &geom, false, me);
                 let d0 = census_flat_alg1(&dense, &geom, false, me);
                 assert_eq!(m.mat_elems() + m.skipped_mat_elems, d0.mat_elems());
-                let m = census_flat_alg2(&plan, &geom, false, me);
-                let d0 = census_flat_alg2(&dense, &geom, false, me);
+                let m = census_dr_alg2(&plan, &geom, (1, g), false, me);
+                let d0 = census_dr_alg2(&dense, &geom, (1, g), false, me);
                 assert_eq!(m.mat_elems() + m.skipped_mat_elems, d0.mat_elems());
                 assert_eq!(m.vec_elems() + m.skipped_vec_elems, d0.vec_elems());
             }
@@ -1334,16 +1171,11 @@ mod tests {
             d: 4,
             dv: 4,
         };
-        let total: u64 = (0..g)
-            .map(|me| census_flat_forward(&plan, &geom, false, me).rounds_skipped)
-            .sum();
+        let fwd = |plan: &SkipPlan, me| census_dr_forward(plan, &geom, (1, g), false, me);
+        let total: u64 = (0..g).map(|me| fwd(&plan, me).rounds_skipped).sum();
         assert!(total > 0, "expected idle forward rounds under the window");
-        let dense_total: u64 = (0..g)
-            .map(|me| census_flat_forward(&SkipPlan::dense(g), &geom, false, me).msgs())
-            .sum();
-        let masked_total: u64 = (0..g)
-            .map(|me| census_flat_forward(&plan, &geom, false, me).msgs())
-            .sum();
+        let dense_total: u64 = (0..g).map(|me| fwd(&SkipPlan::dense(g), me).msgs()).sum();
+        let masked_total: u64 = (0..g).map(|me| fwd(&plan, me).msgs()).sum();
         assert!(masked_total < dense_total);
     }
 
@@ -1353,8 +1185,8 @@ mod tests {
         // row_any(3) is false and the final ∇Q homecoming is gated off.
         let plan = SkipPlan::build(&AttnMask::Causal, Layout::Contiguous, 32, 4, Some(24));
         assert!(!plan.row_any(3));
-        assert!(!plan.flat_alg2_final(3));
-        assert!(plan.flat_alg2_final(0));
+        assert!(!plan.dr_alg2_final(3));
+        assert!(plan.dr_alg2_final(0));
     }
 
     #[test]
@@ -1373,8 +1205,13 @@ mod tests {
             let exp_inter = if n > 1 { 6 * (n as u64 - 1) + 2 } else { 0 };
             let exp_intra = 6 * (n as u64) * (p as u64 - 1) + 2 * (n % p) as u64;
             for me in 0..g {
-                let w = census_dr_forward(&plan, &geom, n, p, me)
-                    .add(&census_dr_alg1(&plan, &geom, n, p, me));
+                let w = census_dr_forward(&plan, &geom, (n, p), false, me).add(&census_dr_alg1(
+                    &plan,
+                    &geom,
+                    (n, p),
+                    false,
+                    me,
+                ));
                 assert_eq!(w.inter_msgs, exp_inter, "n={n} p={p} me={me}");
                 assert_eq!(w.intra_msgs, exp_intra, "n={n} p={p} me={me}");
                 assert_eq!(w.rounds_skipped, 0);
@@ -1382,7 +1219,7 @@ mod tests {
 
                 // Alg2: RO boundaries are 4 msgs each, diagonal ∇Q hops are
                 // inter only across real node edges.
-                let a2 = census_dr_alg2(&plan, &geom, n, p, me);
+                let a2 = census_dr_alg2(&plan, &geom, (n, p), false, me);
                 let (e_inter, e_intra) = if g == 1 {
                     (0, 0)
                 } else if n > 1 {
@@ -1417,16 +1254,16 @@ mod tests {
                 for me in 0..g {
                     for (m, d0) in [
                         (
-                            census_dr_forward(&plan, &geom, n, p, me),
-                            census_dr_forward(&dense, &geom, n, p, me),
+                            census_dr_forward(&plan, &geom, (n, p), false, me),
+                            census_dr_forward(&dense, &geom, (n, p), false, me),
                         ),
                         (
-                            census_dr_alg1(&plan, &geom, n, p, me),
-                            census_dr_alg1(&dense, &geom, n, p, me),
+                            census_dr_alg1(&plan, &geom, (n, p), false, me),
+                            census_dr_alg1(&dense, &geom, (n, p), false, me),
                         ),
                         (
-                            census_dr_alg2(&plan, &geom, n, p, me),
-                            census_dr_alg2(&dense, &geom, n, p, me),
+                            census_dr_alg2(&plan, &geom, (n, p), false, me),
+                            census_dr_alg2(&dense, &geom, (n, p), false, me),
                         ),
                     ] {
                         assert_eq!(m.mat_elems() + m.skipped_mat_elems, d0.mat_elems());

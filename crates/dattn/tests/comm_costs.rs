@@ -10,9 +10,12 @@
 //!   clusters.
 
 use burst_comm::{CommStats, Topology, World};
+use burst_dattn::double_ring::{
+    try_double_ring_backward_alg2_heads_on, try_double_ring_forward_heads_on,
+};
 use burst_dattn::{
-    try_burst_backward, try_ring_backward, try_ring_forward, try_run_attention_opts, Algo,
-    AttnShard, BackwardInputs, CostModel, Layout, Ring,
+    try_ring_backward, try_run_attention_opts, Algo, AttnShard, BackwardInputs, CostModel,
+    DoubleRingSpec, Layout,
 };
 use burst_kernels::AttnMask;
 use burst_tensor::{randn_mat, Mat};
@@ -28,7 +31,7 @@ fn problem(n: usize, d: usize) -> (Mat, Mat, Mat, Mat, f32) {
 }
 
 /// Per-rank elements sent during forward and backward of one flat-ring
-/// algorithm, measured separately.
+/// algorithm (the one-level spec), measured separately.
 fn measure_flat(n: usize, d: usize, g: usize, burst: bool) -> (u64, u64) {
     let (q, k, v, grad_o, scale) = problem(n, d);
     let mask = AttnMask::Full;
@@ -52,8 +55,10 @@ fn measure_flat(n: usize, d: usize, g: usize, burst: bool) -> (u64, u64) {
             max_token: None,
             skip: false,
         };
-        let ring = Ring::global(comm);
-        let fwd = try_ring_forward(comm, &ring, &shard).expect("fault-free attention");
+        let spec = DoubleRingSpec::one_level(&(0..g).collect::<Vec<_>>());
+        let fwd = try_double_ring_forward_heads_on(comm, std::slice::from_ref(&shard), &spec)
+            .expect("fault-free attention")
+            .remove(0);
         let fwd_elems = comm.stats().total_elems();
         let back = BackwardInputs {
             o: &fwd.o,
@@ -61,9 +66,10 @@ fn measure_flat(n: usize, d: usize, g: usize, burst: bool) -> (u64, u64) {
             grad_o: &dol,
         };
         if burst {
-            try_burst_backward(comm, &ring, &shard, &back).expect("fault-free attention");
+            try_double_ring_backward_alg2_heads_on(comm, &[(shard, back)], &spec)
+                .expect("fault-free attention");
         } else {
-            try_ring_backward(comm, &ring, &shard, &back).expect("fault-free attention");
+            try_ring_backward(comm, &spec, &shard, &back).expect("fault-free attention");
         }
         (fwd_elems, comm.stats().total_elems() - fwd_elems)
     });

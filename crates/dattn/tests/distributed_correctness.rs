@@ -7,8 +7,8 @@ use burst_comm::obs::{validate_mem, MemReport};
 use burst_comm::{CommStats, Topology, WireDtype, World};
 use burst_dattn::usp::UspTopo;
 use burst_dattn::{
-    double_ring, try_ring_forward, try_run_attention_opts, Algo, AttnShard, BackwardInputs,
-    CostModel, DoubleRingSpec, Layout, Ring,
+    double_ring, try_run_attention_opts, Algo, AttnShard, BackwardInputs, CostModel,
+    DoubleRingSpec, Layout,
 };
 use burst_kernels::{flash_backward, flash_forward, AttnMask, BlockSparseMask};
 use burst_tensor::testutil::assert_allclose;
@@ -201,6 +201,7 @@ fn full_and_sliding_window_masks_work_distributed() {
     }
 }
 
+/// The two-level forward against the flat ring's, its one-level case.
 #[test]
 fn double_ring_forward_standalone_matches_flat_ring() {
     let n = 32;
@@ -223,16 +224,13 @@ fn double_ring_forward_standalone_matches_flat_ring() {
             max_token: None,
             skip: false,
         };
-        let flat =
-            try_ring_forward(comm, &Ring::global(comm), &shard).expect("fault-free attention");
-        let spec = DoubleRingSpec::full(comm.topology());
-        let topo = double_ring::try_double_ring_forward_heads_on(
-            comm,
-            std::slice::from_ref(&shard),
-            &spec,
-        )
-        .expect("fault-free attention")
-        .remove(0);
+        let mut run = |spec: &DoubleRingSpec| {
+            double_ring::try_double_ring_forward_heads_on(comm, std::slice::from_ref(&shard), spec)
+                .expect("fault-free attention")
+                .remove(0)
+        };
+        let flat = run(&DoubleRingSpec::one_level(&[0, 1, 2, 3]));
+        let topo = run(&DoubleRingSpec::full(&Topology::a800(2, 2)));
         (flat.o, topo.o, flat.lse, topo.lse)
     });
     for (rank, (fo, to, flse, tlse)) in outs.iter().enumerate() {
@@ -659,18 +657,18 @@ fn forward_work_equals_the_closed_form_pair_count() {
                                 max_token,
                                 skip,
                             };
-                            let out = if two_level {
-                                let spec = DoubleRingSpec::full(comm.topology());
-                                double_ring::try_double_ring_forward_heads_on(
-                                    comm,
-                                    std::slice::from_ref(&shard),
-                                    &spec,
-                                )
-                                .unwrap()
-                                .remove(0)
+                            let spec = if two_level {
+                                DoubleRingSpec::full(comm.topology())
                             } else {
-                                try_ring_forward(comm, &Ring::global(comm), &shard).unwrap()
+                                DoubleRingSpec::one_level(&(0..g).collect::<Vec<_>>())
                             };
+                            let out = double_ring::try_double_ring_forward_heads_on(
+                                comm,
+                                std::slice::from_ref(&shard),
+                                &spec,
+                            )
+                            .unwrap()
+                            .remove(0);
                             out.work.pairs
                         });
                         for (me, pairs) in works.into_iter().enumerate() {
@@ -732,4 +730,115 @@ fn forward_work_equals_the_closed_form_pair_count() {
             }
         }
     }
+}
+
+/// Fold `bytes` into the FNV-1a digest `h`.
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h = (*h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+/// Per topology row and flat algorithm, digests of every rank's
+/// `(O, Lse, ∇Q, ∇K, ∇V)` bits, final virtual clock, `CommStats` and ledger
+/// `PeakBytes`, folded over causal, full and N/4- and N/8-window masks, the
+/// zigzag and contiguous layouts and skipping off and on — recorded while
+/// the flat ring still ran schedules of its own.
+const FLAT_PINS: &str = "\
+2x4/F32 RingFlat 0x9e4218fe64444861 0x7dfd3442f160938e 0x5c80424213416429 0x94b7c65e7e457450
+2x4/F32 BurstFlat 0x5c9792892240d985 0xc91e1e7b58ebca95 0x39533d0f02299346 0xbb019b19bf9fc77f
+2x4/Bf16 RingFlat 0x70d4b2d06a169785 0x7e4dfb218aa6ba79 0x99c457573b2e8e0f 0x6f2806254d382910
+2x4/Bf16 BurstFlat 0x451da4a2b9ed5101 0x36e38a31702418f7 0x4f0a56e8c62fa54e 0x18a6722c5fa7ea42
+1x4/F32 RingFlat 0x782c1b7937f0ae5d 0x2a3195a030b9c189 0x6a789f361149cfc5 0x33b045c5d0bde38d
+1x4/F32 BurstFlat 0x31127b27aaaaf615 0x957b6f5b399a117e 0x8e9232cba7dbb717 0x3fd116b8f9e747b7
+4x2/F32 RingFlat 0x9e4218fe64444861 0xe90e7824ed33bbd7 0x3bd43aea722dcd68 0x31c3d3d038aa89ed
+4x2/F32 BurstFlat 0x5c9792892240d985 0xe6ad53434bdafd69 0xfc508e502cec82b7 0x203f7affdc28c1d3
+3x1/F32 RingFlat 0x1f476a3f7b8a4df1 0x2a69bbef49b13d2f 0xdac6fa08e980f030 0x3488fc104e2d0804
+3x1/F32 BurstFlat 0xebb93e1fd2d38f0d 0x9ef5ac7a3dd8e909 0xbcdaf1bf84c0f533 0x71deb9b30c0164b3
+1x1/F32 RingFlat 0x1d77451e86b3137d 0x8d44922d42847455 0x38660fad83827ec5 0x6308ac0bfcb19f25
+1x1/F32 BurstFlat 0x1d77451e86b3137d 0x8d44922d42847455 0x38660fad83827ec5 0x6308ac0bfcb19f25
+";
+
+/// The flat-ring rows of [`FLAT_PINS`], one line each.
+fn flat_ring_digests() -> String {
+    let topos = [
+        Topology::a800(2, 4),
+        Topology::a800(2, 4).with_wire_dtype(WireDtype::Bf16),
+        Topology::a800(1, 4),
+        Topology::a800(4, 2),
+        Topology::a800(3, 1),
+        Topology::a800(1, 1),
+    ];
+    let mut table = String::new();
+    for topo in topos {
+        let g = topo.world_size();
+        // Zigzag chunks of one kernel tile, so skip gates split shards.
+        let (n, d) = (64 * g, 8);
+        let (q, k, v, grad_o, scale) = problem(n, d);
+        for algo in [Algo::RingFlat, Algo::BurstFlat] {
+            let mut h = [0xcbf2_9ce4_8422_2325u64; 4];
+            for mask in [
+                AttnMask::Causal,
+                AttnMask::Full,
+                AttnMask::SlidingWindow { window: n / 4 },
+                AttnMask::SlidingWindow { window: n / 8 },
+            ] {
+                for layout in [Layout::Zigzag, Layout::Contiguous] {
+                    for skip in [false, true] {
+                        let ranks = World::new(topo.clone()).run_results(|comm| {
+                            comm.start_mem_accounting();
+                            let idx = layout.indices(n, g, comm.rank());
+                            let [ql, kl, vl, dol] =
+                                [&q, &k, &v, &grad_o].map(|m| m.gather_rows(&idx));
+                            let out = try_run_attention_opts(
+                                algo,
+                                comm,
+                                &ql,
+                                &kl,
+                                &vl,
+                                &dol,
+                                scale,
+                                &mask,
+                                layout,
+                                n,
+                                &CostModel::a800(),
+                                skip,
+                            )
+                            .expect("fault-free attention");
+                            let peak = comm.take_mem_report().expect("accounting on").peak;
+                            (out, comm.time(), comm.stats(), peak)
+                        });
+                        for ((o, lse, dq, dk, dv), time, stats, peak) in ranks {
+                            let outs = [o.as_slice(), &lse, dq.as_slice(), dk.as_slice()];
+                            for x in outs.into_iter().chain([dv.as_slice()]).flatten() {
+                                fnv(&mut h[0], &x.to_bits().to_le_bytes());
+                            }
+                            fnv(&mut h[1], &time.to_bits().to_le_bytes());
+                            fnv(&mut h[2], format!("{stats:?}").as_bytes());
+                            fnv(&mut h[3], format!("{peak:?}").as_bytes());
+                        }
+                    }
+                }
+            }
+            let hs: Vec<String> = h.iter().map(|x| format!("{x:#018x}")).collect();
+            table += &format!(
+                "{}x{}/{:?} {algo:?} {}\n",
+                topo.nodes,
+                topo.gpus_per_node,
+                topo.wire_dtype,
+                hs.join(" ")
+            );
+        }
+    }
+    table
+}
+
+/// RingAttention and BurstAttention on the flat ring keep their output
+/// bits, clocks, counters and ledger peaks: the flat ring is the one-level
+/// case of the two-level ring. If a change moves them on purpose, the
+/// failure prints the new table.
+#[test]
+fn flat_ring_matches_pinned_digests() {
+    let got = flat_ring_digests();
+    assert_eq!(got, FLAT_PINS, "flat-ring digests moved; now:\n{got}");
 }

@@ -146,10 +146,10 @@ proptest! {
         chunks in 1usize..4,
         d in 2usize..8,
     ) {
-        use burst_dattn::{
-            try_burst_backward, try_ring_backward, try_ring_forward, AttnShard, BackwardInputs,
-            Ring,
+        use burst_dattn::double_ring::{
+            try_double_ring_backward_alg2_heads_on, try_double_ring_forward_heads_on,
         };
+        use burst_dattn::{try_ring_backward, AttnShard, BackwardInputs, DoubleRingSpec};
         let n = 2 * g * chunks;
         let q = randn_mat(n, d, 0.7, 5);
         let k = randn_mat(n, d, 0.7, 6);
@@ -175,14 +175,18 @@ proptest! {
                 max_token: None,
                 skip: false,
             };
-            let ring = Ring::global(comm);
-            let fwd = try_ring_forward(comm, &ring, &shard).expect("fault-free attention");
+            // The flat ring: the one-level spec over the world.
+            let spec = DoubleRingSpec::one_level(&(0..g).collect::<Vec<_>>());
+            let fwd = try_double_ring_forward_heads_on(comm, std::slice::from_ref(&shard), &spec)
+                .expect("fault-free attention")
+                .remove(0);
             let after_fwd = comm.stats().total_elems();
-            let back = BackwardInputs { o: &fwd.o, lse: &fwd.lse, grad_o: &go.gather_rows(&my) };
-            try_ring_backward(comm, &ring, &shard, &back)
+            let grad_o = go.gather_rows(&my);
+            let back = BackwardInputs { o: &fwd.o, lse: &fwd.lse, grad_o: &grad_o };
+            try_ring_backward(comm, &spec, &shard, &back)
                 .expect("fault-free attention");
             let after_ring = comm.stats().total_elems();
-            try_burst_backward(comm, &ring, &shard, &back)
+            try_double_ring_backward_alg2_heads_on(comm, &[(shard, back)], &spec)
                 .expect("fault-free attention");
             let after_burst = comm.stats().total_elems();
             (after_fwd, after_ring - after_fwd, after_burst - after_ring)

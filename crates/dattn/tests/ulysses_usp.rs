@@ -8,7 +8,10 @@ use burst_comm::{CommStats, Communicator, RankTrace, SpanKind, Topology, WireDty
 use burst_dattn::usp::{
     try_usp_backward, try_usp_forward, HeadGrads, HeadOuts, UlyssesError, UspTopo,
 };
-use burst_dattn::{CostModel, DattnError};
+use burst_dattn::{
+    census_dr_alg1, census_dr_forward, CostModel, DattnError, Layout, MaskedWire, RingGeom,
+    SkipPlan,
+};
 use burst_kernels::{flash_backward, flash_forward, AttnMask};
 use burst_tensor::testutil::assert_allclose;
 use burst_tensor::{randn_mat, Mat};
@@ -194,6 +197,21 @@ fn by_link(s: &CommStats) -> [(u64, f64); 2] {
     [(s.intra_msgs, s.intra_bytes), (s.inter_msgs, s.inter_bytes)]
 }
 
+/// [`by_link`] for `times` passes of what the census `w` counts: matrices
+/// at `width` bytes per element, statistics vectors at f32.
+fn census_by_link(w: &MaskedWire, times: u64, width: f64) -> [(u64, f64); 2] {
+    [
+        (w.intra_msgs, w.intra_mat_elems, w.intra_vec_elems),
+        (w.inter_msgs, w.inter_mat_elems, w.inter_vec_elems),
+    ]
+    .map(|(m, e, v)| {
+        (
+            times * m,
+            (times * e) as f64 * width + (times * v) as f64 * 4.0,
+        )
+    })
+}
+
 /// The sends of every `a2a` span of a rank's trace, in run order: per
 /// all-to-all, `(peer, payload elements, crossed a NIC)` per message.
 fn a2a_sends(trace: &RankTrace) -> Vec<Vec<(usize, u64, bool)>> {
@@ -227,7 +245,9 @@ fn ulysses_communication_scales_inversely_with_group() {
     // are all of a rank's messages, so the forward plus a backward on its
     // context moves 9·n·H·dh·(G − 1)/G² matrix elements per rank, which
     // shrinks with G. At U < G the ring leg sends too, outside the
-    // all-to-alls.
+    // all-to-alls: per owned head one two-level forward and two Algorithm 1
+    // backwards, as the wire census counts them at this rank's slot — with
+    // skipping on, only the rows the gates keep.
     let (n, heads, dh) = (32usize, 8usize, 4usize);
     let p = head_problem(n, heads, dh);
     // Each all-to-all in run order: (tensors packed, carries the Lse).
@@ -241,15 +261,18 @@ fn ulysses_communication_scales_inversely_with_group() {
         (3, false),
     ];
     let mut volume = Vec::new();
-    for (topo, u) in [
-        (Topology::single_node(2), 2),
-        (Topology::single_node(4), 4),
-        (Topology::a800(2, 2), 4),
-        (Topology::a800(2, 2), 2),
-        (Topology::a800(2, 4), 2),
+    let window = AttnMask::SlidingWindow { window: n / 8 };
+    for (topo, u, mask, skip) in [
+        (Topology::single_node(2), 2, &AttnMask::Causal, false),
+        (Topology::single_node(4), 4, &AttnMask::Causal, false),
+        (Topology::a800(2, 2), 4, &AttnMask::Causal, false),
+        (Topology::a800(2, 2), 2, &AttnMask::Causal, false),
+        (Topology::a800(2, 4), 2, &AttnMask::Causal, false),
+        (Topology::a800(2, 4), 2, &window, true),
     ] {
         for dtype in [WireDtype::F32, WireDtype::Bf16] {
             let g = topo.world_size();
+            let ring = g / u;
             let gpn = topo.gpus_per_node;
             let (rows, hpr) = (n / g, heads / u);
             let mat = (rows * hpr * dh) as u64;
@@ -260,25 +283,38 @@ fn ulysses_communication_scales_inversely_with_group() {
             };
             let outs = World::new(topo.clone().with_wire_dtype(dtype)).run(|comm| {
                 comm.start_trace();
-                let usp = UspTopo::new(comm, u);
+                let usp = UspTopo::new(comm, u).with_skip(skip);
                 let idx = usp.local_idx(n);
                 let local =
                     |hs: &[Mat]| -> Vec<Mat> { hs.iter().map(|m| m.gather_rows(&idx)).collect() };
                 let (q, k, v, go) = (local(&p.q), local(&p.k), local(&p.v), local(&p.grad_o));
-                let (mask, free) = (AttnMask::Causal, CostModel::free());
+                let free = CostModel::free();
                 let ((o, l), ctx) =
-                    try_usp_forward(comm, &usp, &q, &k, &v, p.scale, &mask, n, &free)
+                    try_usp_forward(comm, &usp, &q, &k, &v, p.scale, mask, n, &free)
                         .expect("usp forward");
                 let fwd = comm.stats();
                 let mut backward = |held| {
                     try_usp_backward(
-                        comm, &usp, held, &q, &k, &v, &o, &l, &go, p.scale, &mask, n, &free,
+                        comm, &usp, held, &q, &k, &v, &o, &l, &go, p.scale, mask, n, &free,
                     )
                     .expect("usp backward");
                 };
                 backward(Some(ctx));
                 backward(None);
-                (fwd, comm.stats())
+                // The ring leg's censuses at this rank's slot of the ring.
+                let (spec, slot) = (usp.ring_spec(), usp.r_pos);
+                let next = spec.rank_at(spec.next_in_node(slot));
+                let intra_inter = !comm.topology().same_node(comm.rank(), next);
+                let plan = if skip {
+                    SkipPlan::build(mask, Layout::Zigzag, n, ring, None)
+                } else {
+                    SkipPlan::dense(ring)
+                };
+                let geom = RingGeom::build(Layout::Zigzag, n, ring, dh, dh, None);
+                let shape = (spec.nodes(), spec.gpus_per_node());
+                let census = [census_dr_forward, census_dr_alg1]
+                    .map(|c| c(&plan, &geom, shape, intra_inter, slot));
+                (fwd, comm.stats(), census)
             });
             for out in &outs {
                 let ctx = format!(
@@ -303,23 +339,28 @@ fn ulysses_communication_scales_inversely_with_group() {
                         link.1 += bytes((t, with_lse));
                     }
                 }
-                if u == g {
-                    // Nothing but the all-to-alls: the link counters hold
-                    // exactly their messages and bytes.
-                    let sum = |rounds: std::ops::Range<usize>| {
-                        let mut acc = [(0u64, 0.0f64); 2];
-                        for r in &per_link[rounds] {
-                            for (a, b) in acc.iter_mut().zip(r) {
-                                a.0 += b.0;
-                                a.1 += b.1;
-                            }
+                // The all-to-alls plus, on a ring of more than one
+                // position, the ring leg: the link counters hold exactly
+                // their messages and bytes.
+                let (fwd, all, [cf, ca]) = &out.result;
+                let (hpr, width) = (hpr as u64, dtype.width());
+                let ring_fwd = census_by_link(cf, hpr, width);
+                let ring_all = census_by_link(&cf.add(&ca.add(ca)), hpr, width);
+                let sum = |rounds: std::ops::Range<usize>, ring: [(u64, f64); 2]| {
+                    let mut acc = if u < g { ring } else { [(0, 0.0); 2] };
+                    for r in &per_link[rounds] {
+                        for (a, b) in acc.iter_mut().zip(r) {
+                            a.0 += b.0;
+                            a.1 += b.1;
                         }
-                        acc
-                    };
-                    let (fwd, all) = &out.result;
-                    assert_eq!(by_link(fwd), sum(0..2), "{ctx}: forward");
-                    assert_eq!(by_link(all), sum(0..rounds.len()), "{ctx}: both backwards");
-                    let [intra, inter] = sum(0..4);
+                    }
+                    acc
+                };
+                assert_eq!(by_link(fwd), sum(0..2, ring_fwd), "{ctx}: forward");
+                let want = sum(0..rounds.len(), ring_all);
+                assert_eq!(by_link(all), want, "{ctx}: both backwards");
+                if u == g {
+                    let [intra, inter] = sum(0..4, ring_fwd);
                     volume.push((g, dtype, intra.1 + inter.1));
                 }
             }

@@ -17,10 +17,13 @@
 //! through a reusable [`Scratch`] workspace; the ring loops call these every
 //! round so steady-state rounds perform zero heap allocations.
 //!
-//! Large single calls parallelise over query row-blocks (and key row-blocks
-//! in the backward) with a fixed block→task mapping, so results are
-//! bit-identical for any thread count: every output row sees the same tile
-//! contributions, computed by the same code, folded in the same order.
+//! Large forward calls parallelise over query row-blocks with a fixed
+//! block→task mapping, so results are bit-identical for any thread count:
+//! every output row sees the same tile contributions, computed by the same
+//! code, folded in the same order. The backward runs one serial sweep: it
+//! computes `P` and `∇S` once per tile for all three gradients, where
+//! disjoint-row parallel passes over query blocks and over key blocks
+//! would each recompute them.
 //!
 //! All kernels take global token indices (`q_idx`, `k_idx`) so the
 //! zigzag/striped layouts of §3.4 work unchanged, and they skip
@@ -378,53 +381,37 @@ pub fn flash_forward_acc(
 /// One (query block, key tile) step of the backward, fused.
 ///
 /// `P = exp(scale·Q_b K_tᵀ − Lse_b)` is recomputed into `score` from the
-/// stored global `Lse`. `∇V += Pᵀ ∇O` lands in `gkv`'s value rows, then the
-/// `∇O Vᵀ` product turns `score` into `∇S = P ∘ (∇P − D)` in its epilogue,
-/// and `∇Q += scale · ∇S K` and `∇K += scale · ∇Sᵀ Q` land in `gq` and in
-/// `gkv`'s key rows. Each gradient is given only when the calling pass owns
-/// it: `gq` holds query rows `[r0, r1)`, `gkv` key rows `[c0, c1)` of ∇K
-/// and ∇V. Every product accumulates straight into those rows. Returns the
-/// tile's allowed pairs.
+/// stored global `Lse`. `∇V += Pᵀ ∇O` lands in `gv`, then the `∇O Vᵀ`
+/// product turns `score` into `∇S = P ∘ (∇P − D)` in its epilogue, and
+/// `∇Q += scale · ∇S K` and `∇K += scale · ∇Sᵀ Q` land in `gq` and `gk`.
+/// `gq` holds query rows `[r0, r1)`, `gk` and `gv` key rows `[c0, c1)`;
+/// every product accumulates straight into those rows. Returns the tile's
+/// allowed pairs.
 fn backward_tile(
     ctx: &BwdCtx<'_>,
     (r0, r1): (usize, usize),
     (c0, c1): (usize, usize),
     tstate: TileState,
     score: &mut Mat,
-    gq: Option<&mut [f32]>,
-    mut gkv: Option<(&mut [f32], &mut [f32])>,
+    gq: &mut [f32],
+    (gk, gv): (&mut [f32], &mut [f32]),
 ) -> u64 {
     let f = &ctx.fwd;
     let pairs = score_tile(f, (r0, r1), (c0, c1), tstate, score);
     score.exp_sub_rowwise_inplace(&ctx.lse[r0..r1]);
     let dob = ctx.grad_o.rows_view(r0, r1);
-    if let Some((_, gv)) = &mut gkv {
-        matmul_tn_with(score.view(), dob, gv, Epilogue::Axpy(1.0));
-    }
+    matmul_tn_with(score.view(), dob, gv, Epilogue::Axpy(1.0));
     let ds = Epilogue::MulDiff(&ctx.d_vec[r0..r1]);
     matmul_nt_with(dob, f.v.rows_view(c0, c1), score.as_mut_slice(), ds);
-    if let Some(gq) = gq {
-        matmul_with(
-            score.view(),
-            f.k.rows_view(c0, c1),
-            gq,
-            Epilogue::Axpy(f.scale),
-        );
-    }
-    if let Some((gk, _)) = gkv {
-        matmul_tn_with(
-            score.view(),
-            f.q.rows_view(r0, r1),
-            gk,
-            Epilogue::Axpy(f.scale),
-        );
-    }
+    let axpy = Epilogue::Axpy(f.scale);
+    matmul_with(score.view(), f.k.rows_view(c0, c1), gq, axpy);
+    matmul_tn_with(score.view(), f.q.rows_view(r0, r1), gk, axpy);
     pairs
 }
 
 /// Serial single sweep over all (query, key) tiles, accumulating into the
-/// raw storage of all three gradients. This is both the small-problem path
-/// and the `_acc` ring path.
+/// raw storage of all three gradients: the one backward schedule, behind
+/// both the one-shot and the `_acc` ring entry points.
 fn backward_sweep(
     ctx: &BwdCtx<'_>,
     gq: &mut [f32],
@@ -449,16 +436,14 @@ fn backward_sweep(
                 c0 = c1;
                 continue;
             }
-            let gkv = (&mut gk[c0 * dk..c1 * dk], &mut gv[c0 * dv..c1 * dv]);
-            let gq_rows = &mut gq[r0 * dq..r1 * dq];
             work.pairs += backward_tile(
                 ctx,
                 (r0, r1),
                 (c0, c1),
                 tstate,
                 score,
-                Some(gq_rows),
-                Some(gkv),
+                &mut gq[r0 * dq..r1 * dq],
+                (&mut gk[c0 * dk..c1 * dk], &mut gv[c0 * dv..c1 * dv]),
             );
             work.tiles_computed += 1;
             c0 = c1;
@@ -466,105 +451,6 @@ fn backward_sweep(
         r0 = r1;
     }
     work
-}
-
-/// `∇Q` for query rows `[r0, r1)` (pass Q of the parallel backward):
-/// owns the work counters so each tile is counted exactly once.
-fn backward_q_rows(
-    ctx: &BwdCtx<'_>,
-    r0: usize,
-    r1: usize,
-    gq_rows: &mut [f32],
-    scratch: &mut Scratch,
-) -> KernelWork {
-    let f = &ctx.fwd;
-    let mut work = KernelWork::default();
-    let score = &mut scratch.score;
-    let qi = &f.q_idx[r0..r1];
-    let mut c0 = 0;
-    while c0 < f.k.rows() {
-        let c1 = (c0 + f.block).min(f.k.rows());
-        let tstate = f.mask.tile_state(qi, &f.k_idx[c0..c1]);
-        if tstate == TileState::FullyMasked {
-            work.tiles_skipped += 1;
-            c0 = c1;
-            continue;
-        }
-        work.pairs += backward_tile(ctx, (r0, r1), (c0, c1), tstate, score, Some(gq_rows), None);
-        work.tiles_computed += 1;
-        c0 = c1;
-    }
-    work
-}
-
-/// `∇K`/`∇V` for key rows `[c0, c1)` (pass K of the parallel backward).
-/// Per destination row the query blocks are folded in ascending order —
-/// the same order the serial sweep uses — so both paths are bit-identical.
-fn backward_kv_rows(
-    ctx: &BwdCtx<'_>,
-    c0: usize,
-    c1: usize,
-    gk_rows: &mut [f32],
-    gv_rows: &mut [f32],
-    scratch: &mut Scratch,
-) {
-    let f = &ctx.fwd;
-    let ki = &f.k_idx[c0..c1];
-    let mut r0 = 0;
-    while r0 < f.q.rows() {
-        let r1 = (r0 + f.block).min(f.q.rows());
-        let tstate = f.mask.tile_state(&f.q_idx[r0..r1], ki);
-        if tstate != TileState::FullyMasked {
-            let gkv = Some((&mut *gk_rows, &mut *gv_rows));
-            backward_tile(
-                ctx,
-                (r0, r1),
-                (c0, c1),
-                tstate,
-                &mut scratch.score,
-                None,
-                gkv,
-            );
-        }
-        r0 = r1;
-    }
-}
-
-fn par_backward_q(ctx: &BwdCtx<'_>, blocks: &[(usize, usize)], gq: &mut [f32]) -> KernelWork {
-    let Some(&(base, _)) = blocks.first() else {
-        return KernelWork::default();
-    };
-    if blocks.len() == 1 {
-        let (r0, r1) = blocks[0];
-        return backward_q_rows(ctx, r0, r1, gq, &mut Scratch::new());
-    }
-    let (lo, hi) = blocks.split_at(blocks.len() / 2);
-    let (gq_lo, gq_hi) = gq.split_at_mut((hi[0].0 - base) * ctx.fwd.q.cols());
-    let (mut wa, wb) = rayon::join(
-        || par_backward_q(ctx, lo, gq_lo),
-        || par_backward_q(ctx, hi, gq_hi),
-    );
-    wa.merge(wb);
-    wa
-}
-
-fn par_backward_kv(ctx: &BwdCtx<'_>, blocks: &[(usize, usize)], gk: &mut [f32], gv: &mut [f32]) {
-    let Some(&(base, _)) = blocks.first() else {
-        return;
-    };
-    if blocks.len() == 1 {
-        let (c0, c1) = blocks[0];
-        backward_kv_rows(ctx, c0, c1, gk, gv, &mut Scratch::new());
-        return;
-    }
-    let (lo, hi) = blocks.split_at(blocks.len() / 2);
-    let cut = hi[0].0 - base;
-    let (gk_lo, gk_hi) = gk.split_at_mut(cut * ctx.fwd.k.cols());
-    let (gv_lo, gv_hi) = gv.split_at_mut(cut * ctx.fwd.v.cols());
-    rayon::join(
-        || par_backward_kv(ctx, lo, gk_lo, gv_lo),
-        || par_backward_kv(ctx, hi, gk_hi, gv_hi),
-    );
 }
 
 /// The tile backward kernel of Algorithms 1–2 (default tile size).
@@ -600,13 +486,9 @@ pub fn attn_tile_backward(
     )
 }
 
-/// [`attn_tile_backward`] with an explicit tile size.
-///
-/// Large problems run two parallel passes — one over query blocks for `∇Q`,
-/// one over key blocks for `∇K`/`∇V` — each writing disjoint rows. Small
-/// problems run one serial sweep. Per destination row both schedules fold
-/// the same tile contributions in the same order, so the result does not
-/// depend on thread count.
+/// [`attn_tile_backward`] with an explicit tile size: one serial sweep over
+/// every (query block, key tile), so the result does not depend on thread
+/// count.
 #[allow(clippy::too_many_arguments)]
 #[track_caller]
 pub fn attn_tile_backward_with_block(
@@ -646,24 +528,13 @@ pub fn attn_tile_backward_with_block(
         lse,
         d_vec,
     };
-    let qblocks = row_blocks(q.rows(), block);
-    let kblocks = row_blocks(k.rows(), block);
-    let parallel = (qblocks.len() > 1 || kblocks.len() > 1)
-        && q.rows() * k.rows() * q.cols() >= PAR_VOLUME
-        && rayon::current_num_threads() > 1;
-    let work = if parallel {
-        let work = par_backward_q(&ctx, &qblocks, grad_q.as_mut_slice());
-        par_backward_kv(&ctx, &kblocks, grad_k.as_mut_slice(), grad_v.as_mut_slice());
-        work
-    } else {
-        backward_sweep(
-            &ctx,
-            grad_q.as_mut_slice(),
-            grad_k.as_mut_slice(),
-            grad_v.as_mut_slice(),
-            &mut Scratch::new(),
-        )
-    };
+    let work = backward_sweep(
+        &ctx,
+        grad_q.as_mut_slice(),
+        grad_k.as_mut_slice(),
+        grad_v.as_mut_slice(),
+        &mut Scratch::new(),
+    );
     (grad_q, grad_k, grad_v, work)
 }
 

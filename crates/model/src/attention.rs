@@ -20,8 +20,8 @@ use crate::rope::{rope_apply, rope_backward, ROPE_THETA};
 use burst_comm::{CommError, Communicator, SpanKind};
 use burst_dattn::usp::{try_usp_backward, try_usp_forward, HeadGrads, UspCtx, UspTopo};
 use burst_dattn::{
-    double_ring, escalate_attn, try_burst_backward, try_ring_backward, try_ring_forward, Algo,
-    AttnShard, BackwardInputs, CostModel, DattnError, DistAttnOut, DoubleRingSpec, Layout, Ring,
+    double_ring, escalate_attn, try_ring_backward, Algo, AttnShard, BackwardInputs, CostModel,
+    DattnError, DistAttnOut, DoubleRingSpec, Layout,
 };
 use burst_kernels::{flash_backward, flash_forward, AttnMask};
 use burst_tensor::Mat;
@@ -251,13 +251,18 @@ impl AttnExec for LocalExec {
 /// step).
 ///
 /// The ring is the member list with this rank at its position, so a
-/// `g`-member step reproduces a fresh `g`-rank world bit for bit. The
-/// topology-aware algorithms (`DoubleRing`, `BurstTopo`) run on
+/// `g`-member step reproduces a fresh `g`-rank world bit for bit. Every
+/// algorithm runs on a [`DoubleRingSpec`] over the members. The
+/// topology-aware algorithms (`DoubleRing`, `BurstTopo`) take
 /// [`DoubleRingSpec::from_members`] when the members are node-balanced
 /// (always, for the whole world) and fall back to the flat ring, counted in
-/// [`DistExec::flat_fallback`], when they are ragged across nodes. On the
-/// two-level ring the forward and the partial recompute forward run every
-/// head through one pipelined pass
+/// [`DistExec::flat_fallback`], when they are ragged across nodes. The flat
+/// ring is the one-level spec ([`DoubleRingSpec::one_level`]): its forward
+/// and Algorithm 2 are the two-level schedules of [`double_ring`] on it, and
+/// Algorithm 1 there is [`try_ring_backward`].
+///
+/// On a two-level spec the forward and the partial recompute forward run
+/// every head through one pipelined pass
 /// ([`double_ring::try_double_ring_forward_heads_on`]): head `h + 1`'s
 /// inter-node `(K, V)` transfer hides behind head `h`'s intra-node sweeps.
 /// BurstTopo's backward there runs every head through one call too
@@ -265,14 +270,12 @@ impl AttnExec for LocalExec {
 /// inter-node start bundle leaves during head `h`'s last sweep, and head
 /// `h`'s final `∇Q` lands behind head `h + 1`'s work. DoubleRing's
 /// Algorithm 1 backward and every pass on the flat ring run one head at a
-/// time; on the flat ring that pass is the one fine-grained overlap
-/// schedule of [`burst_dattn::ring`]. A communication fault is latched (see
-/// [`AttnExec::take_failure`]); in a call over every head it zeroes every
-/// head, and one head at a time it zeroes the heads from the fault on.
+/// time, so each flat head opens and closes its own accumulators. A
+/// communication fault is latched (see [`AttnExec::take_failure`]); in a
+/// call over every head it zeroes every head, and one head at a time it
+/// zeroes the heads from the fault on.
 pub struct DistExec<'a> {
     pub comm: &'a mut Communicator,
-    /// The ring: the ascending members, this rank at its position.
-    ring: Ring,
     pub algo: Algo,
     pub layout: Layout,
     pub mask: AttnMask,
@@ -282,9 +285,10 @@ pub struct DistExec<'a> {
     /// (no wire traffic, no compute, no virtual time) while remaining
     /// bit-identical to the dense schedule. Off by default.
     pub skip: bool,
-    /// Two-level geometry over the members (topology-aware algorithms with
-    /// node-balanced members only).
-    spec: Option<DoubleRingSpec>,
+    /// The ring over the ascending members, this rank at its slot: the
+    /// two-level split for a topology-aware algorithm on node-balanced
+    /// members, the one-level (flat) ring otherwise.
+    spec: DoubleRingSpec,
     /// A topology-aware algorithm runs on the flat ring because the members
     /// are ragged across nodes.
     flat_fallback: bool,
@@ -303,13 +307,16 @@ impl<'a> DistExec<'a> {
         cost: CostModel,
     ) -> Self {
         let topo_algo = matches!(algo, Algo::DoubleRing | Algo::BurstTopo);
-        let spec = if topo_algo {
-            DoubleRingSpec::from_members(comm.topology(), &members)
-        } else {
-            None
-        };
+        let two_level = topo_algo
+            .then(|| DoubleRingSpec::from_members(comm.topology(), &members))
+            .flatten();
+        let flat_fallback = topo_algo && two_level.is_none();
+        let spec = two_level.unwrap_or_else(|| DoubleRingSpec::one_level(&members));
+        assert!(
+            spec.slot_of(comm.rank()).is_some(),
+            "DistExec: calling rank not in member list"
+        );
         DistExec {
-            ring: Ring::subgroup(comm, members),
             comm,
             algo,
             layout,
@@ -317,7 +324,7 @@ impl<'a> DistExec<'a> {
             seq_len,
             cost,
             skip: false,
-            flat_fallback: topo_algo && spec.is_none(),
+            flat_fallback,
             spec,
             latch: FaultLatch::default(),
         }
@@ -327,6 +334,12 @@ impl<'a> DistExec<'a> {
     /// ragged across nodes.
     pub fn flat_fallback(&self) -> bool {
         self.flat_fallback
+    }
+
+    /// A topology-aware algorithm on its two-level spec: the forward takes
+    /// every head in one call there, and so does BurstTopo's backward.
+    fn two_level(&self) -> bool {
+        matches!(self.algo, Algo::DoubleRing | Algo::BurstTopo) && !self.flat_fallback
     }
 
     /// All heads' forward (restricted to tokens `< cutoff` when given). On
@@ -347,18 +360,17 @@ impl<'a> DistExec<'a> {
                 skip: self.skip,
             })
             .collect();
-        let (comm, ring, latch) = (&mut *self.comm, &self.ring, &mut self.latch);
-        let outs: Vec<DistAttnOut> = match &self.spec {
-            Some(spec) => latch
-                .run(comm, |c| {
-                    double_ring::try_double_ring_forward_heads_on(c, &heads, spec)
+        let per_call = if self.two_level() { heads.len() } else { 1 };
+        let (comm, spec, latch) = (&mut *self.comm, &self.spec, &mut self.latch);
+        let outs: Vec<DistAttnOut> = heads
+            .chunks(per_call)
+            .map_while(|hs| {
+                latch.run(comm, |c| {
+                    double_ring::try_double_ring_forward_heads_on(c, hs, spec)
                 })
-                .unwrap_or_default(),
-            None => heads
-                .iter()
-                .map_while(|shard| latch.run(comm, |c| try_ring_forward(c, ring, shard)))
-                .collect(),
-        };
+            })
+            .flatten()
+            .collect();
         zero_padded_out(outs.into_iter().map(|out| (out.o, out.lse)).unzip(), q, v)
     }
 }
@@ -399,31 +411,32 @@ impl AttnExec for DistExec<'_> {
                 (shard, back)
             })
             .collect();
-        let (comm, ring, latch) = (&mut *self.comm, &self.ring, &mut self.latch);
-        let grads: Vec<(Mat, Mat, Mat)> = match (&self.spec, self.algo) {
-            (Some(spec), Algo::BurstTopo) => latch
-                .run(comm, |c| {
-                    double_ring::try_double_ring_backward_alg2_heads_on(c, &heads, spec)
-                })
-                .unwrap_or_default(),
-            (spec, algo) => heads
-                .iter()
-                .map_while(|(shard, back)| {
-                    latch.run(comm, |c| match (spec, algo) {
-                        // DoubleRing: BurstTopo took the call over every head.
-                        (Some(spec), _) => {
-                            double_ring::try_double_ring_backward_alg1_on(c, shard, back, spec)
-                        }
-                        (None, Algo::RingFlat | Algo::DoubleRing) => {
-                            try_ring_backward(c, ring, shard, back)
-                        }
-                        (None, Algo::BurstFlat | Algo::BurstTopo) => {
-                            try_burst_backward(c, ring, shard, back)
-                        }
-                    })
-                })
-                .collect(),
+        let (algo, two_level) = (self.algo, self.two_level());
+        let per_call = if two_level && algo == Algo::BurstTopo {
+            heads.len()
+        } else {
+            1
         };
+        let (comm, spec, latch) = (&mut *self.comm, &self.spec, &mut self.latch);
+        let grads: Vec<(Mat, Mat, Mat)> = heads
+            .chunks(per_call)
+            .map_while(|hs| {
+                latch.run(comm, |c| match algo {
+                    Algo::BurstFlat | Algo::BurstTopo => {
+                        double_ring::try_double_ring_backward_alg2_heads_on(c, hs, spec)
+                    }
+                    Algo::DoubleRing if two_level => {
+                        let (shard, back) = &hs[0];
+                        double_ring::try_double_ring_backward_alg1_on(c, shard, back, spec)
+                            .map(|g| vec![g])
+                    }
+                    Algo::RingFlat | Algo::DoubleRing => {
+                        try_ring_backward(c, spec, &hs[0].0, &hs[0].1).map(|g| vec![g])
+                    }
+                })
+            })
+            .flatten()
+            .collect();
         let (dq, (dk, dv)) = grads.into_iter().map(|(a, b, c)| (a, (b, c))).unzip();
         zero_padded_grads((dq, dk, dv), q, k, v)
     }
@@ -439,8 +452,8 @@ impl AttnExec for DistExec<'_> {
     }
 
     fn local_indices(&self) -> Vec<usize> {
-        self.layout
-            .indices(self.seq_len, self.ring.size(), self.ring.pos)
+        let slot = self.spec.slot_of(self.comm.rank()).expect("member");
+        self.layout.indices(self.seq_len, self.spec.len(), slot)
     }
 
     fn take_failure(&mut self) -> Option<CommError> {

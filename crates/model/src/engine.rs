@@ -68,9 +68,9 @@ pub struct EngineConfig {
     /// outputs) at genuine 2-byte bf16 width, halving the tracked stash
     /// (see [`ActPrecision`]).
     pub bf16_activations: bool,
-    /// Not read: the flat-ring backwards have one schedule, the
-    /// fine-grained overlap of [`burst_dattn::ring`]. The field stays
-    /// because the benchmark's engine configuration sets it.
+    /// Not read: every ring schedule has one overlap discipline, the
+    /// fine-grained one ([`burst_dattn::ring`], [`burst_dattn::double_ring`]).
+    /// The field stays because the benchmark's engine configuration sets it.
     pub overlap: OverlapMode,
     /// Mask-aware round skipping in the distributed attention schedules:
     /// fully-masked (q-shard × kv-shard) rounds are elided — no wire

@@ -574,3 +574,24 @@ fn in_step_recovery_traces_its_eviction_and_replay() {
         );
     }
 }
+
+/// `EngineConfig::tiny` on the flat ring under the A800 cost model keeps
+/// its losses, `tgs` and gated memory census: FNV-1a digests of them per
+/// flat backend, recorded while the flat ring still ran schedules of its
+/// own.
+#[test]
+fn flat_ring_training_matches_pinned_digests() {
+    for (algo, pin) in [
+        (Algo::RingFlat, 0x19fddb2b8a56ad9f_u64),
+        (Algo::BurstFlat, 0xd46aaf5c2376a329),
+    ] {
+        let mut c = EngineConfig::tiny(Backend::Ring(algo));
+        c.cost = CostModel::a800();
+        let m = train(&World::new(Topology::a800(2, 2)), &c, 2);
+        let text = format!("{:?} {:?} {:?}", m.losses, m.tgs.to_bits(), m.peak_census);
+        let digest = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(digest, pin, "{algo:?}: {text} digests to {digest:#018x}");
+    }
+}

@@ -18,8 +18,8 @@
 use crate::machine::Cluster;
 use burst_comm::{CommStats, WireDtype};
 use burst_dattn::{
-    census_dr_alg1, census_dr_alg2, census_dr_forward, census_flat_alg1, census_flat_alg2,
-    census_flat_forward, Algo, Layout, MaskedWire, RingGeom, SkipPlan,
+    census_dr_alg1, census_dr_alg2, census_dr_forward, census_flat_alg1, Algo, Layout, MaskedWire,
+    RingGeom, SkipPlan,
 };
 use burst_kernels::AttnMask;
 use serde::{Deserialize, Serialize};
@@ -239,6 +239,8 @@ impl MaskedWireCounts {
 /// `burst-dattn`: for every `(schedule × mask × layout)` cell the returned
 /// [`MaskedWire`] matches rank `me`'s measured `CommStats` — messages,
 /// matrix/vector elements, skipped rounds and skipped elements — exactly.
+/// The flat algorithms' forward and Algorithm 2 are the two-level arms at
+/// `(n, p) = (1, G)`.
 ///
 /// `skip = false` builds the dense plan (every gate forced open), so the
 /// census then reproduces the unmasked schedule regardless of `mask`.
@@ -262,22 +264,25 @@ pub fn masked_wire_rank(
         SkipPlan::dense(g)
     };
     let geom = RingGeom::build(layout, seq_len, g, d, d, max_token);
-    // A flat rank's single outgoing edge crosses the node boundary exactly
-    // when the rank is the last GPU of its node.
-    let edge_inter = n > 1 && (me + 1).is_multiple_of(p);
-    let fwd = match algo {
-        Algo::RingFlat | Algo::BurstFlat => census_flat_forward(&plan, &geom, edge_inter, me),
-        Algo::DoubleRing | Algo::BurstTopo => census_dr_forward(&plan, &geom, n, p, me),
-    };
+    let shape = ring_shape(cluster, algo);
+    // On the one-level ring over several nodes (the flat ring) a rank's
+    // edge to its successor crosses the node boundary exactly when the rank
+    // is the last GPU of its node; two-level intra edges stay on the node.
+    let intra_inter = shape.0 == 1 && n > 1 && (me + 1).is_multiple_of(p);
+    let fwd = census_dr_forward(&plan, &geom, shape, intra_inter, me);
+    fwd.add(&match algo {
+        Algo::RingFlat => census_flat_alg1(&plan, &geom, intra_inter, me),
+        Algo::DoubleRing => census_dr_alg1(&plan, &geom, shape, intra_inter, me),
+        Algo::BurstFlat | Algo::BurstTopo => census_dr_alg2(&plan, &geom, shape, intra_inter, me),
+    })
+}
+
+/// `(nodes, gpus_per_node)` of the ring `algo` runs on: the cluster's for
+/// the topology-aware algorithms, one level of `G` slots for the flat ones.
+pub(crate) fn ring_shape(cluster: &Cluster, algo: Algo) -> (usize, usize) {
     match algo {
-        // The flat backwards and two-level Algorithm 2 early-return into
-        // one dense local tile on a single rank, before any gating;
-        // two-level Algorithm 1 still runs its (single, gated) slot.
-        Algo::RingFlat | Algo::BurstFlat | Algo::BurstTopo if g == 1 => fwd,
-        Algo::RingFlat => fwd.add(&census_flat_alg1(&plan, &geom, edge_inter, me)),
-        Algo::BurstFlat => fwd.add(&census_flat_alg2(&plan, &geom, edge_inter, me)),
-        Algo::DoubleRing => fwd.add(&census_dr_alg1(&plan, &geom, n, p, me)),
-        Algo::BurstTopo => fwd.add(&census_dr_alg2(&plan, &geom, n, p, me)),
+        Algo::RingFlat | Algo::BurstFlat => (1, cluster.world()),
+        Algo::DoubleRing | Algo::BurstTopo => (cluster.nodes, cluster.gpus_per_node),
     }
 }
 

@@ -16,6 +16,7 @@
 //! leaves `Params`/`Grads`/`OptimState` at zero — those belong to the
 //! training-engine census, which layers on top.
 
+use crate::commtime::ring_shape;
 use crate::machine::Cluster;
 use burst_comm::{PeakBytes, WireDtype};
 use burst_dattn::{Algo, Layout, RingGeom, SkipPlan};
@@ -24,7 +25,9 @@ use burst_kernels::AttnMask;
 /// Which distributed-attention schedule to predict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PeakMethod {
-    /// A ring-family schedule as `try_run_attention_opts` runs it.
+    /// A ring-family schedule as `try_run_attention_opts` runs it. The flat
+    /// algorithms run on the one-level ring, so their forward and
+    /// Algorithm 2 are priced as the two-level ones at `(n, p) = (1, G)`.
     Ring(Algo),
     /// USP hybrid: Ulysses groups of size `ulysses` × context rings of size
     /// `world / ulysses` on the two-level ring (one level when a ring's
@@ -53,31 +56,22 @@ pub fn exact_peak_bytes_dtype(
     // Same arithmetic as `Topology::wire_bytes` (f64 product, truncated).
     let wire = |elems: usize| -> u64 { (elems as f64 * dtype.width()) as u64 };
     let g = cluster.world();
-    let (n, p) = (cluster.nodes, cluster.gpus_per_node);
     let mut peak = PeakBytes::default();
     match method {
         PeakMethod::Ring(algo) => {
+            let (n, p) = ring_shape(cluster, algo);
             let r = seq_len / g;
             // `attn_inputs`: the rank's resident Q/K/V/∇O shards, f32,
             // live for the whole dispatcher call.
             peak.ring_shards = 16 * (r * d) as u64;
-            // `ring_fwd_acc`/`dr_fwd_acc` then `attn_fwd_out`: the (O, Lse)
-            // accumulator hands over to the dispatcher's saved output at the
-            // same instant (release-before-charge), so one term covers both.
+            // `dr_fwd_acc` then `attn_fwd_out`: the (O, Lse) accumulator
+            // hands over to the dispatcher's saved output at the same
+            // instant (release-before-charge), so one term covers both.
             let acc = (4 * r * d + 4 * r) as u64;
             // Forward circulating (K, V) bundles at the wire dtype: one slot
-            // on the flat ring, one per active level on the double ring.
+            // per active level.
             let lvls = (n > 1) as u64 + (p > 1) as u64;
-            let cb_fwd = match algo {
-                Algo::RingFlat | Algo::BurstFlat => {
-                    if g > 1 {
-                        wire(2 * r * d)
-                    } else {
-                        0
-                    }
-                }
-                Algo::DoubleRing | Algo::BurstTopo => lvls * wire(2 * r * d),
-            };
+            let cb_fwd = lvls * wire(2 * r * d);
             // Backward extras on top of `attn_fwd_out`.
             let ro_bundle = wire(2 * r * d) + 8 * r as u64; // Q+∇O at wire, Lse+D at f32
             let (act_bwd, cb_bwd) = match algo {
@@ -90,25 +84,16 @@ pub fn exact_peak_bytes_dtype(
                         (0, 0)
                     }
                 }
-                // Algorithm 2, flat: ∇K/∇V accumulators + ∇Q staging buffer;
-                // read-only bundle + ∇Q ring slot.
-                Algo::BurstFlat => {
-                    if g > 1 {
-                        ((12 * r * d) as u64, ro_bundle + wire(r * d))
-                    } else {
-                        (0, 0)
-                    }
-                }
                 // Algorithm 1 on the double ring always registers its ∇Q
                 // accumulator; the bundle slot needs a circulating ring.
                 Algo::DoubleRing => {
                     let cb = if g > 1 { wire(4 * r * d) } else { 0 };
                     ((4 * r * d) as u64, cb)
                 }
-                // Algorithm 2 on the double ring: one read-only-bundle slot
-                // per active level plus the ∇Q partial riding one step
-                // behind.
-                Algo::BurstTopo => {
+                // Algorithm 2: ∇K/∇V accumulators + ∇Q staging buffer; one
+                // read-only-bundle slot per active level plus the ∇Q
+                // partial riding one step behind.
+                Algo::BurstFlat | Algo::BurstTopo => {
                     if g > 1 {
                         ((12 * r * d) as u64, lvls * ro_bundle + wire(r * d))
                     } else {
@@ -164,7 +149,7 @@ pub fn exact_peak_bytes_masked_dtype(
     };
     let wire = |elems: usize| -> u64 { (elems as f64 * dtype.width()) as u64 };
     let g = cluster.world();
-    let (n, p) = (cluster.nodes, cluster.gpus_per_node);
+    let (n, p) = ring_shape(cluster, algo);
     let plan = if skip {
         SkipPlan::build(mask, layout, seq_len, g, max_token)
     } else {
@@ -177,96 +162,47 @@ pub fn exact_peak_bytes_masked_dtype(
     let acc = (4 * r * d + 4 * r) as u64;
     let kv_slot = wire(2 * r * d);
     let ro_bundle = wire(2 * r * d) + 8 * r as u64;
-    // Flat forward (K, V) slot: `ring_fwd_kv`, gated on ever receiving.
-    let flat_cb_fwd = if g > 1 && plan.flat_fwd_recv_any(me) {
-        kv_slot
-    } else {
-        0
-    };
-    let mut peak = PeakBytes::default();
-    match algo {
-        Algo::RingFlat => {
-            peak.ring_shards = 16 * (r * d) as u64;
-            // `ring_bwd_dq` is unconditional past the early return; the
-            // fused `ring_bwd_kv_grads` slot bills only the halves this
-            // rank's gates ever hold.
-            let (act_bwd, cb_bwd) = if g > 1 {
-                let (kv, dkv) = plan.flat_alg1_bufs(me);
-                let halves = kv as usize + dkv as usize;
-                let cb = if halves > 0 {
-                    wire(halves * 2 * r * d)
-                } else {
-                    0
-                };
-                ((4 * r * d) as u64, cb)
-            } else {
-                (0, 0)
-            };
-            peak.activations = acc + act_bwd;
-            peak.comm_buffers = flat_cb_fwd.max(cb_bwd);
-            peak.gated_total = peak.ring_shards + acc + flat_cb_fwd.max(act_bwd + cb_bwd);
+    // `dr_fwd_start_kv` / `dr_fwd_cur_kv`: one slot per active level this
+    // rank's gates ever fill.
+    let (buf_start, buf_cur) = plan.dr_fwd_bufs(me, n, p);
+    let cb_fwd =
+        if n > 1 && buf_start { kv_slot } else { 0 } + if p > 1 && buf_cur { kv_slot } else { 0 };
+    let (act_bwd, cb_bwd) = match algo {
+        // Flat Algorithm 1: `ring_bwd_dq` is unconditional past the early
+        // return; the fused `ring_bwd_kv_grads` slot bills only the halves
+        // this rank's gates ever hold.
+        Algo::RingFlat if g > 1 => {
+            let (kv, dkv) = plan.flat_alg1_bufs(me);
+            let halves = kv as u64 + dkv as u64;
+            ((4 * r * d) as u64, halves * kv_slot)
         }
-        Algo::BurstFlat => {
-            peak.ring_shards = 16 * (r * d) as u64;
-            // `burst_bwd_dkv` is unconditional past the single-rank early
-            // return; `burst_dq_buf` / `burst_ro_bundle` / `burst_dq_ring`
-            // are flag-gated.
-            let (act_bwd, cb_bwd) = if g > 1 {
-                let (ro, dq_ring, dq_buf) = plan.flat_alg2_bufs(me);
-                let act = (8 * r * d) as u64 + if dq_buf { (4 * r * d) as u64 } else { 0 };
-                let cb = if ro { ro_bundle } else { 0 } + if dq_ring { wire(r * d) } else { 0 };
-                (act, cb)
-            } else {
-                (0, 0)
-            };
-            peak.activations = acc + act_bwd;
-            peak.comm_buffers = flat_cb_fwd.max(cb_bwd);
-            peak.gated_total = peak.ring_shards + acc + flat_cb_fwd.max(act_bwd + cb_bwd);
-        }
+        // `dr_bwd_dq` is unconditional (no single-rank early return);
+        // `dr_bwd_kv_grads` bills per held half.
         Algo::DoubleRing => {
-            peak.ring_shards = 16 * (r * d) as u64;
-            // `dr_fwd_start_kv` / `dr_fwd_cur_kv`: one slot per active
-            // level this rank's gates ever fill.
-            let (buf_start, buf_cur) = plan.dr_fwd_bufs(me, n, p);
-            let cb_fwd = if n > 1 && buf_start { kv_slot } else { 0 }
-                + if p > 1 && buf_cur { kv_slot } else { 0 };
-            // `dr_bwd_dq` is unconditional (no single-rank early return);
-            // `dr_bwd_kv_grads` bills per held half.
             let (buf_kv, buf_dkv) = plan.dr_alg1_bufs(me, n, p);
             let halves = buf_kv as u64 + buf_dkv as u64;
-            let cb_bwd = if g > 1 && halves > 0 {
-                halves * kv_slot
-            } else {
-                0
-            };
-            let act_bwd = (4 * r * d) as u64;
-            peak.activations = acc + act_bwd;
-            peak.comm_buffers = cb_fwd.max(cb_bwd);
-            peak.gated_total = peak.ring_shards + acc + cb_fwd.max(act_bwd + cb_bwd);
+            let cb_bwd = if g > 1 { halves * kv_slot } else { 0 };
+            ((4 * r * d) as u64, cb_bwd)
         }
-        Algo::BurstTopo => {
-            peak.ring_shards = 16 * (r * d) as u64;
-            let (buf_start, buf_cur) = plan.dr_fwd_bufs(me, n, p);
-            let cb_fwd = if n > 1 && buf_start { kv_slot } else { 0 }
-                + if p > 1 && buf_cur { kv_slot } else { 0 };
-            // Algorithm 2 on the double ring: `dr_bwd_dkv` unconditional
-            // past the early return, the bundle slots per active level.
-            let (act_bwd, cb_bwd) = if g > 1 {
-                let (start, cur, dq_ring, dq_buf) = plan.dr_alg2_bufs(me, n, p);
-                let act = (8 * r * d) as u64 + if dq_buf { (4 * r * d) as u64 } else { 0 };
-                let cb = if n > 1 && start { ro_bundle } else { 0 }
-                    + if p > 1 && cur { ro_bundle } else { 0 }
-                    + if dq_ring { wire(r * d) } else { 0 };
-                (act, cb)
-            } else {
-                (0, 0)
-            };
-            peak.activations = acc + act_bwd;
-            peak.comm_buffers = cb_fwd.max(cb_bwd);
-            peak.gated_total = peak.ring_shards + acc + cb_fwd.max(act_bwd + cb_bwd);
+        // Algorithm 2: `dr_bwd_dkv` unconditional past the early return,
+        // the bundle slots per active level.
+        Algo::BurstFlat | Algo::BurstTopo if g > 1 => {
+            let (start, cur, dq_ring, dq_buf) = plan.dr_alg2_bufs(me, n, p);
+            let act = (8 * r * d) as u64 + if dq_buf { (4 * r * d) as u64 } else { 0 };
+            let cb = if n > 1 && start { ro_bundle } else { 0 }
+                + if p > 1 && cur { ro_bundle } else { 0 }
+                + if dq_ring { wire(r * d) } else { 0 };
+            (act, cb)
         }
+        Algo::RingFlat | Algo::BurstFlat | Algo::BurstTopo => (0, 0),
+    };
+    PeakBytes {
+        ring_shards: 16 * (r * d) as u64,
+        activations: acc + act_bwd,
+        comm_buffers: cb_fwd.max(cb_bwd),
+        gated_total: 16 * (r * d) as u64 + acc + cb_fwd.max(act_bwd + cb_bwd),
+        ..PeakBytes::default()
     }
-    peak
 }
 
 /// USP's census on rank `me`. With `skip_mask`, the ring leg gates its

@@ -236,7 +236,9 @@ fn span_rows<'a>(reads: impl Iterator<Item = &'a Vec<bool>>, rows: usize) -> Opt
 ///
 /// * flat forward and Algorithm 1 (K, V): shard `x` is at rank `x + t` at
 ///   step `t`, and the hop at `t` feeds steps `(t, G)`;
-/// * flat Algorithm 2 (Q, ∇O, Lse, D): bundle `j` is at rank `j + t`;
+/// * flat Algorithm 2 (Q, ∇O, Lse, D): bundle `j` is at rank `j + t`. The
+///   flat forward and Algorithm 2 run on the one-level spec, slot `t` of
+///   its one sweep;
 /// * two-level forward and Algorithm 2: at sweep `o`, slot `i`, shard `x`
 ///   is on node `x/p + o`, local `x%p + i`; an intra hop feeds the later
 ///   slots of its sweep, an inter hop every later sweep;
@@ -292,16 +294,17 @@ fn span_gates_equal_the_rows_downstream_consumers_read() {
                     let r1 = plan.flat_alg1_round(next, t);
                     assert_eq!(win(r1.shard_in, r1.recv_kv), want, "{label}: alg1 recv");
                     if t + 1 < g {
-                        let f = plan.flat_fwd_round(me, t);
+                        let f = plan.dr_fwd_slot(me, 0, t, 1, g);
+                        assert_eq!(f.shard, x, "{label}");
                         assert_eq!(win(x, f.send), want, "{label}: fwd kv {x} step {t}");
-                        let rf = plan.flat_fwd_round(next, t);
+                        let rf = plan.dr_fwd_slot(next, 0, t, 1, g);
                         assert_eq!(win(rf.shard_in, rf.recv), want, "{label}: fwd recv");
                         let want = span_rows((t + 1..g).map(|u| &qr[x][(x + u) % g]), rows);
-                        let a2 = plan.flat_alg2_round(me, t);
+                        let a2 = plan.dr_alg2_slot(me, 0, t, 1, g);
                         assert_eq!(a2.bundle, x, "{label}");
-                        assert_eq!(win(x, a2.fwd_ro), want, "{label}: alg2 ro {x} step {t}");
-                        let r2 = plan.flat_alg2_round(next, t + 1);
-                        assert_eq!(win(r2.bundle, r2.recv_ro), want, "{label}: alg2 recv");
+                        assert_eq!(win(x, a2.send_ro), want, "{label}: alg2 ro {x} step {t}");
+                        let r2 = plan.dr_alg2_slot(next, 0, t, 1, g);
+                        assert_eq!(win(r2.bundle_in, r2.recv_ro), want, "{label}: alg2 recv");
                     }
                 }
             }

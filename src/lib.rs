@@ -74,7 +74,7 @@ pub mod prelude {
     };
     pub use burst_dattn::{
         escalate_attn, try_run_attention_opts, Algo, AttnFailure, AttnShard, CostModel, DattnError,
-        DoubleRingSpec, Layout, OverlapMode, Phase, Ring,
+        DoubleRingSpec, Layout, OverlapMode, Phase,
     };
     pub use burst_kernels::{
         flash_backward, flash_forward, fused_lm_loss, AttnMask, BlockSparseMask, OnlineState,

@@ -196,7 +196,7 @@ fn prelude_exports_cover_the_readme_workflow() {
     let _state = OnlineState::empty(2, 2);
     let _stats = CommStats::default();
     let _link = Link::new(1e-6, 1e9);
-    let _ring: Option<Ring> = None;
+    let _ring = DoubleRingSpec::one_level(&[0, 1]);
     let _om = OverlapMode::Fine;
     let _mha = MultiHeadAttention::new(8, 2, 1);
     let _exec = LocalExec::new(AttnMask::Causal, 8);
