@@ -234,10 +234,11 @@ pub struct Communicator {
     /// but never advance time, so accounting on is bit-identical to off.
     mem: Option<MemLedger>,
     /// LIFO stack of open checkpoint-stash entries: the model layer pushes
-    /// one entry per stored block in the forward and pops in reverse block
-    /// order during the backward, without threading ledger ids through the
-    /// checkpointing data structures.
-    mem_stash: Vec<MemId>,
+    /// each stored block's entries in the forward and pops them in reverse
+    /// block order during the backward, without threading ledger ids through
+    /// the checkpointing data structures. The flag marks a block's cached
+    /// attention output `O`, which the backward closes early.
+    mem_stash: Vec<(MemId, bool)>,
     fault: Option<FaultPlan>,
     /// Injected-fault firing counters (always on; zero on a healthy run).
     pub(crate) faults: FaultCounters,
@@ -365,22 +366,44 @@ impl Communicator {
         }
     }
 
-    /// Open a checkpoint-stash entry and push it on the stash stack. The
-    /// model's checkpointing code stores per-block stashes in forward order
-    /// and consumes them in reverse, so LIFO pairing frees the right entry
-    /// without the `Stored` structures carrying ledger ids. No-op when
-    /// accounting is off.
-    pub fn mem_stash_push(&mut self, bytes: u64) {
+    /// Open one block's checkpoint-stash entries and push them on the stash
+    /// stack: `bytes` the block keeps until its backward ends, and — when
+    /// `o_bytes > 0` — its cached attention output `O` as an entry of its own
+    /// (`ckpt_stash_o`) above it, which the backward closes once it no longer
+    /// reads `O` ([`Communicator::mem_stash_close_o`]). The model's
+    /// checkpointing code stores blocks in forward order and consumes them in
+    /// reverse, so LIFO pairing frees the right entries without the `Stored`
+    /// structures carrying ledger ids. No-op when accounting is off.
+    pub fn mem_stash_push(&mut self, bytes: u64, o_bytes: u64) {
         if let Some(id) = self.mem_alloc("ckpt_stash", MemCategory::CkptStash, bytes) {
-            self.mem_stash.push(id);
+            self.mem_stash.push((id, false));
+        }
+        if o_bytes > 0 {
+            if let Some(id) = self.mem_alloc("ckpt_stash_o", MemCategory::CkptStash, o_bytes) {
+                self.mem_stash.push((id, true));
+            }
         }
     }
 
-    /// Close the most recently opened, still-open stash entry. No-op when
-    /// accounting is off or the stack is empty (a crashed pass's leftovers
-    /// are force-closed by [`Communicator::take_mem_report`] instead).
+    /// Close the innermost block's cached `O` if it is still open: a
+    /// backward calls this once `D = rowsum(∇O ∘ O)` exists for every head
+    /// (or once an exchange has sent `O`), the last read of `O`. No-op when
+    /// the block cached no `O`, or with accounting off.
+    pub fn mem_stash_close_o(&mut self) {
+        if let Some(&(id, true)) = self.mem_stash.last() {
+            self.mem_stash.pop();
+            self.mem_free(Some(id));
+        }
+    }
+
+    /// Close the innermost block's stash entries: a cached `O` still open
+    /// (a backward that stopped before forming `D`), then the rest. No-op
+    /// when accounting is off or the stack is empty (a crashed pass's
+    /// leftovers are force-closed by [`Communicator::take_mem_report`]
+    /// instead).
     pub fn mem_stash_pop(&mut self) {
-        let id = self.mem_stash.pop();
+        self.mem_stash_close_o();
+        let id = self.mem_stash.pop().map(|(id, _)| id);
         self.mem_free(id);
     }
 

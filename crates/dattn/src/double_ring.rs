@@ -323,7 +323,6 @@ pub fn try_double_ring_backward_alg1_on(
     let d = shard.q.cols();
     let qi = shard.idx_at(g, me);
     let kidx_all: Vec<Vec<usize>> = (0..g).map(|s| shard.idx_at(g, s)).collect();
-    let d_vec = back.grad_o.rowsum_hadamard(back.o);
     let d_recompute = shard.cost.gemm_secs(shard.q.rows(), d, 1);
     let mut grad_q = Mat::zeros(shard.q.rows(), shard.q.cols());
     let mut held = KvHold::Local;
@@ -399,7 +398,7 @@ pub fn try_double_ring_backward_alg1_on(
                     cur_v,
                     back.grad_o,
                     back.lse,
-                    &d_vec,
+                    back.d,
                     shard.scale,
                     shard.mask,
                     &qi,
@@ -560,11 +559,13 @@ impl DqHomecoming {
 /// `outer · gpus_per_node + inner`, and one at a final `∇Q` receive with
 /// `nodes · gpus_per_node − 1`.
 ///
+/// * **`D` up front.** Every head's `D` ([`BackwardInputs::d`]) is charged
+///   as one thin GEMM before the first slot opens, so no slot reads `O`.
 /// * **Hand-off.** A head's start bundle is dead once the first slot of
 ///   its last sweep has read it: after that slot's kernel, or at once when
-///   the slot is idle. There head `h + 1` computes its `D` and posts its
-///   first start bundle to the next node, so that transfer hides behind
-///   the rest of head `h`'s sweep. With one GPU per node the slot's `∇Q`
+///   the slot is idle. There head `h + 1` posts its first start bundle to
+///   the next node, so that transfer hides behind the rest of head `h`'s
+///   sweep. With one GPU per node the slot's `∇Q`
 ///   goes to that same peer, so the bundle follows it. Head `h`'s own final
 ///   `∇Q` waits on the diagonal link until this rank next receives on that
 ///   link (or the call ends), so it lands behind head `h + 1`'s work. Every
@@ -595,26 +596,22 @@ pub fn try_double_ring_backward_alg2_heads_on(
         .slot_of(comm.rank())
         .expect("double-ring caller must be a spec member");
     let ki = first.idx_at(g, me);
-    // A head's `D = rowsum(∇O ∘ O)`, charged as one thin GEMM.
-    let head_d = |comm: &mut Communicator, (shard, back): &(AttnShard, BackwardInputs)| {
-        let d_vec = back.grad_o.rowsum_hadamard(back.o);
+    // Every head's `D`, one thin GEMM each, before the first slot.
+    for (shard, _) in heads {
         comm.advance_compute(shard.cost.gemm_secs(shard.q.rows(), shard.q.cols(), 1));
-        d_vec
-    };
+    }
 
     if g == 1 {
         return Ok(heads
             .iter()
-            .map(|head| {
-                let d_vec = head_d(comm, head);
-                let (shard, back) = head;
+            .map(|(shard, back)| {
                 let (dq, dk, dv, w) = attn_tile_backward(
                     shard.q,
                     shard.k,
                     shard.v,
                     back.grad_o,
                     back.lse,
-                    &d_vec,
+                    back.d,
                     shard.scale,
                     shard.mask,
                     &ki,
@@ -660,14 +657,13 @@ pub fn try_double_ring_backward_alg2_heads_on(
                       outer: usize,
                       src: usize,
                       held: &RoHold,
-                      (shard, back): &(AttnShard, BackwardInputs),
-                      d_vec: &[f32]|
+                      (shard, back): &(AttnShard, BackwardInputs)|
      -> Result<(), AttnFailure> {
         let op = plan.dr_alg2_outer(me, outer, nodes, gpn);
         let rows = qidx_all[src].len();
         let want = plan.window(src, op.send_inter, rows);
         post_ro(comm, peer_next, want, rows, ro_cols, || {
-            held.view(shard.q, back.grad_o, back.lse, d_vec)
+            held.view(shard.q, back.grad_o, back.lse, back.d)
         })
         .map_err(AttnFailure::at(Phase::Backward, outer * gpn))
     };
@@ -680,16 +676,13 @@ pub fn try_double_ring_backward_alg2_heads_on(
         round: nodes * gpn - 1,
         heads: Vec::new(),
     };
-    // The next head's `D` and start-bundle entry, opened at the hand-off.
-    let mut handed: Option<(Vec<f32>, Option<MemId>)> = None;
+    // The next head's start-bundle entry, opened at the hand-off.
+    let mut handed: Option<Option<MemId>> = None;
     for (h, head) in heads.iter().enumerate() {
         let (shard, back) = head;
         let d = shard.q.cols();
-        let posted = handed.is_some();
-        let (d_vec, early_start) = match handed.take() {
-            Some((d_vec, mem)) => (d_vec, Some(mem)),
-            None => (head_d(comm, head), None),
-        };
+        let early_start = handed.take();
+        let posted = early_start.is_some();
         let mut grad_k = Mat::zeros(shard.k.rows(), shard.k.cols());
         let mut grad_v = Mat::zeros(shard.v.rows(), shard.v.cols());
         let mem_dkv = comm.mem_alloc(
@@ -724,20 +717,18 @@ pub fn try_double_ring_backward_alg2_heads_on(
         };
 
         // Hand-off: the first slot of the last sweep is the last reader of
-        // the start bundle. Once it has read it, the next head's `D` and
-        // bundle take the bundle's slot, and the bundle leaves for the next
-        // node.
+        // the start bundle. Once it has read it, the next head's bundle
+        // takes the bundle's slot and leaves for the next node.
         let mut hand_off = |comm: &mut Communicator| -> Result<(), AttnFailure> {
             let Some(next) = heads.get(h + 1) else {
                 return Ok(());
             };
             comm.mem_free(mem_start.take());
-            let d_next = head_d(comm, next);
             let mem_next = start_entry(comm, next);
             if nodes > 1 {
-                post_start(comm, 0, me, &RoHold::Local, next, &d_next)?;
+                post_start(comm, 0, me, &RoHold::Local, next)?;
             }
-            handed = Some((d_next, mem_next));
+            handed = Some(mem_next);
             Ok(())
         };
         let mut start_held = RoHold::Local;
@@ -746,7 +737,7 @@ pub fn try_double_ring_backward_alg2_heads_on(
             let op = plan.dr_alg2_outer(me, outer, nodes, gpn);
             debug_assert_eq!(op.start_bundle, start_src);
             if outer < nodes - 1 && !(outer == 0 && posted) {
-                post_start(comm, outer, start_src, &start_held, head, &d_vec)?;
+                post_start(comm, outer, start_src, &start_held, head)?;
             }
             let mut cur_held = RoHold::Local;
             let mut src = start_src;
@@ -777,8 +768,8 @@ pub fn try_double_ring_backward_alg2_heads_on(
                 // the read-only bundle itself was gated off upstream
                 // and is absent here.
                 let ro = || match &cur_held {
-                    RoHold::Local => start_held.view(shard.q, back.grad_o, back.lse, &d_vec),
-                    held => held.view(shard.q, back.grad_o, back.lse, &d_vec),
+                    RoHold::Local => start_held.view(shard.q, back.grad_o, back.lse, back.d),
+                    held => held.view(shard.q, back.grad_o, back.lse, back.d),
                 };
                 if inner < gpn - 1 {
                     // Read-only intra post before compute.

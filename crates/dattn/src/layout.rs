@@ -61,6 +61,31 @@ impl Layout {
         }
     }
 
+    /// Whether every rank's tokens below `cut` fill whole `block`-row tiles
+    /// of its storage: each span the cut leaves nonempty
+    /// ([`Layout::spans`]) starts at a storage offset that is a multiple of
+    /// `block` and keeps a multiple of `block` tokens. A flash pass over the
+    /// tokens below `cut` then runs the forward's own key tiles, with the
+    /// same keys in the same SIMD lanes, and every tile only the whole pass
+    /// runs is masked for those queries under a causal mask: both passes
+    /// give them the same bits. Otherwise a cut tile sums its rows in
+    /// another association (a row's last `len % 8` keys land in lane 0), and
+    /// the bits may differ.
+    pub fn cut_on_tiles(&self, n: usize, g: usize, cut: usize, block: usize) -> bool {
+        (0..g).all(|rank| {
+            let mut offset = 0;
+            let whole = self.spans(n, g, rank, None);
+            whole
+                .iter()
+                .zip(self.spans(n, g, rank, Some(cut)))
+                .all(|(span, kept)| {
+                    let on_tiles = kept.len == 0 || (offset % block == 0 && kept.len % block == 0);
+                    offset += span.len;
+                    on_tiles
+                })
+        })
+    }
+
     /// Global indices owned by `rank`, in the local storage order.
     #[track_caller]
     pub fn indices(&self, n: usize, g: usize, rank: usize) -> Vec<usize> {
@@ -105,6 +130,27 @@ impl Layout {
 mod tests {
     use super::*;
     use burst_tensor::Mat;
+
+    #[test]
+    fn cut_on_tiles_checks_every_span_left_by_the_cut() {
+        // Zigzag on 4 ranks of 256 tokens: 32-token chunks. The causal
+        // midpoint keeps one whole chunk per rank; a cut inside a chunk, a
+        // smaller chunk or a larger tile does not fill whole tiles.
+        assert!(Layout::Zigzag.cut_on_tiles(256, 4, 128, 32));
+        assert!(Layout::Zigzag.cut_on_tiles(256, 4, 192, 32));
+        assert!(!Layout::Zigzag.cut_on_tiles(256, 4, 144, 32));
+        assert!(!Layout::Zigzag.cut_on_tiles(32, 4, 16, 32));
+        assert!(!Layout::Zigzag.cut_on_tiles(256, 4, 128, 64));
+        // A cut that keeps nothing runs no tile.
+        assert!(Layout::Zigzag.cut_on_tiles(32, 4, 0, 32));
+        // Contiguous: ranks wholly above or below the cut always qualify;
+        // the one it splits needs a tile-aligned remainder.
+        assert!(Layout::Contiguous.cut_on_tiles(256, 4, 96, 32));
+        assert!(!Layout::Contiguous.cut_on_tiles(256, 4, 80, 32));
+        // Striped: one progression per rank, cut to `⌈cut / G⌉`-ish tokens.
+        assert!(Layout::Striped.cut_on_tiles(256, 2, 128, 32));
+        assert!(!Layout::Striped.cut_on_tiles(256, 2, 96, 32));
+    }
 
     fn check_partition(layout: Layout, n: usize, g: usize) {
         let mut seen = vec![false; n];

@@ -209,10 +209,11 @@ pub fn try_run_attention_shard(
         MemCategory::Activations,
         (fwd.o.nbytes() + 4 * fwd.lse.len()) as u64,
     );
+    let d = grad_o.rowsum_hadamard(&fwd.o);
     let back = BackwardInputs {
-        o: &fwd.o,
         lse: &fwd.lse,
         grad_o,
+        d: &d,
     };
     let (dq, dk, dv) = match algo {
         Algo::RingFlat => try_ring_backward(comm, &spec, shard, &back)?,

@@ -188,12 +188,18 @@ impl AttnShard<'_> {
     }
 }
 
-/// Extra inputs for the backward pass.
+/// Extra inputs for the backward pass. Neither algorithm reads the forward's
+/// `O` beyond `D = rowsum(∇O ∘ O)`, so the caller forms `D` and may free `O`
+/// before the first slot opens.
 #[derive(Clone, Copy)]
 pub struct BackwardInputs<'a> {
-    pub o: &'a Mat,
     pub lse: &'a [f32],
     pub grad_o: &'a Mat,
+    /// `D = grad_o.rowsum_hadamard(o)`, one value per local row. The
+    /// schedules charge its thin GEMM: Algorithm 2 once per head before its
+    /// first slot, Algorithm 1 in every round, as RingAttention recomputes
+    /// it.
+    pub d: &'a [f32],
 }
 
 /// Per-rank result of a distributed attention forward.
@@ -400,7 +406,6 @@ pub fn try_ring_backward(
     let prev = spec.rank_at(spec.prev_in_node(me));
     let d = shard.head_dim();
     let qi = shard.idx_at(g, me);
-    let d_vec = back.grad_o.rowsum_hadamard(back.o);
     let d_recompute = shard.cost.gemm_secs(shard.q.rows(), d, 1);
     if g == 1 {
         let (dq, dk, dv, w) = attn_tile_backward(
@@ -409,7 +414,7 @@ pub fn try_ring_backward(
             shard.v,
             back.grad_o,
             back.lse,
-            &d_vec,
+            back.d,
             shard.scale,
             shard.mask,
             &qi,
@@ -486,7 +491,7 @@ pub fn try_ring_backward(
                 cur_v,
                 back.grad_o,
                 back.lse,
-                &d_vec,
+                back.d,
                 shard.scale,
                 shard.mask,
                 &qi,

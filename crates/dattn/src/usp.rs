@@ -492,6 +492,8 @@ pub fn try_usp_forward(
 /// The context is billed as `usp_saved` — its `Q, K, V` from the landing of
 /// their exchange, the head-shard `O` and Lse from the landing of theirs —
 /// and closes after the last head's ring pass, before the gradients leave.
+/// Once the exchange has sent the caller's `O`, a checkpoint stash's cached
+/// copy of it closes ([`Communicator::mem_stash_close_o`]).
 ///
 /// All-to-all failures carry `(Phase::Backward, k)` with `k` the
 /// all-to-all's index: 0 = Q|K|V (run only without `held`), 1 = (O, Lse)|∇O,
@@ -528,6 +530,9 @@ pub fn try_usp_backward(
         at(1),
     )?;
     let [o, grad_o]: [Vec<Mat>; 2] = outs.try_into().expect("two tensors");
+    // The exchange has sent the caller's `O`: a checkpoint stash's cached
+    // copy of it is dead.
+    comm.mem_stash_close_o();
     let out_bytes: usize =
         o.iter().map(Mat::nbytes).sum::<usize>() + 4 * lse.iter().map(Vec::len).sum::<usize>();
     let mem_out = comm.mem_alloc("usp_saved", MemCategory::CkptStash, out_bytes as u64);
@@ -566,10 +571,11 @@ pub fn try_usp_backward(
                 max_token: None,
                 skip: topo.skip,
             };
+            let d = grad_o[h].rowsum_hadamard(&o[h]);
             let back = BackwardInputs {
-                o: &o[h],
                 lse: &lse[h],
                 grad_o: &grad_o[h],
+                d: &d,
             };
             let (a, b, c) = try_double_ring_backward_alg1_on(comm, &shard, &back, &topo.ring_spec)?;
             dq.push(a);

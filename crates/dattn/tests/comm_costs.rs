@@ -60,10 +60,11 @@ fn measure_flat(n: usize, d: usize, g: usize, burst: bool) -> (u64, u64) {
             .expect("fault-free attention")
             .remove(0);
         let fwd_elems = comm.stats().total_elems();
+        let d = dol.rowsum_hadamard(&fwd.o);
         let back = BackwardInputs {
-            o: &fwd.o,
             lse: &fwd.lse,
             grad_o: &dol,
+            d: &d,
         };
         if burst {
             try_double_ring_backward_alg2_heads_on(comm, &[(shard, back)], &spec)

@@ -10,6 +10,7 @@ use burst_dattn::{
     double_ring, try_run_attention_opts, Algo, AttnShard, BackwardInputs, CostModel,
     DoubleRingSpec, Layout,
 };
+use burst_kernels::flash::DEFAULT_BLOCK;
 use burst_kernels::{flash_backward, flash_forward, AttnMask, BlockSparseMask};
 use burst_tensor::testutil::assert_allclose;
 use burst_tensor::{randn_mat, Mat};
@@ -403,6 +404,102 @@ fn multi_head_double_ring_forward_equals_one_pass_per_head() {
     }
 }
 
+/// Every rank's front-row `(O, Lse)` bits of one forward on `spec`: the
+/// whole pass's rows below `cut`, or a pass over those rows alone
+/// (`max_token`), as sequence-selective checkpointing recomputes them.
+fn front_bits(
+    topo: &Topology,
+    one_level: bool,
+    (n, mask, layout, skip): (usize, &AttnMask, Layout, bool),
+    cut: usize,
+    partial: bool,
+) -> Vec<(Vec<u32>, Vec<u32>)> {
+    let g = topo.world_size();
+    let d = 8;
+    let (q, k, v) = (
+        randn_mat(n, d, 0.7, 31),
+        randn_mat(n, d, 0.7, 32),
+        randn_mat(n, d, 0.7, 33),
+    );
+    World::new(topo.clone()).run_results(|comm| {
+        let idx = layout.indices(n, g, comm.rank());
+        let front = idx.iter().take_while(|&&i| i < cut).count();
+        let rows = if partial { &idx[..front] } else { &idx[..] };
+        let (ql, kl, vl) = (
+            q.gather_rows(rows),
+            k.gather_rows(rows),
+            v.gather_rows(rows),
+        );
+        let shard = AttnShard {
+            q: &ql,
+            k: &kl,
+            v: &vl,
+            scale: 1.0 / (d as f32).sqrt(),
+            mask,
+            layout,
+            seq_len: n,
+            cost: CostModel::a800(),
+            max_token: partial.then_some(cut),
+            skip,
+        };
+        let spec = if one_level {
+            DoubleRingSpec::one_level(&(0..g).collect::<Vec<_>>())
+        } else {
+            DoubleRingSpec::full(comm.topology())
+        };
+        let out = double_ring::try_double_ring_forward_heads_on(
+            comm,
+            std::slice::from_ref(&shard),
+            &spec,
+        )
+        .unwrap()
+        .remove(0);
+        let o = (0..front).flat_map(|r| bits(out.o.row(r))).collect();
+        (o, bits(&out.lse[..front]))
+    })
+}
+
+/// Sequence-selective checkpointing keeps the last block's outputs only
+/// where a recompute rebuilds the forward's bits. Where every rank's tokens
+/// below the cut fill whole kernel tiles (`Layout::cut_on_tiles`), a pass
+/// over those tokens alone gives them the whole pass's bits: on both ring
+/// levels, every layout, causal and windowed masks, skipping off and on.
+/// A cut through a tile may not: the 4-token zigzag chunks of 32 tokens on
+/// four ranks do not.
+#[test]
+fn a_cut_on_whole_tiles_rebuilds_the_forward_bits() {
+    let mut cut_tiles_differ = false;
+    for (topo, one_level) in [
+        (Topology::single_node(4), true),
+        (Topology::a800(2, 2), false),
+        (Topology::a800(2, 4), false),
+    ] {
+        let g = topo.world_size();
+        for n in [32 * g, 64 * g, 8 * g] {
+            for layout in [Layout::Zigzag, Layout::Contiguous, Layout::Striped] {
+                for mask in [AttnMask::Causal, AttnMask::SlidingWindow { window: n / 4 }] {
+                    for skip in [false, true] {
+                        for cut in [n / 4, n / 2, 3 * n / 4, n / 2 + 4] {
+                            let case = (n, &mask, layout, skip);
+                            let whole = front_bits(&topo, one_level, case, cut, false);
+                            let part = front_bits(&topo, one_level, case, cut, true);
+                            if layout.cut_on_tiles(n, g, cut, DEFAULT_BLOCK) {
+                                assert!(
+                                    whole == part,
+                                    "{topo:?} {layout:?} {mask:?} skip={skip} n={n} cut={cut}"
+                                );
+                            } else {
+                                cut_tiles_differ |= whole != part;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(cut_tiles_differ, "some cut through a tile changes a bit");
+}
+
 /// One rank's side of an Algorithm 2 backward over several heads: per-head
 /// `(∇Q, ∇K, ∇V)`, the rank's counters, its final virtual clock and its
 /// memory ledger.
@@ -439,9 +536,11 @@ fn run_bwd_heads(
             .iter()
             .map(|mats| mats.iter().map(|m| m.gather_rows(&idx)).collect())
             .collect();
+        let ds: Vec<Vec<f32>> = local.iter().map(|m| m[5].rowsum_hadamard(&m[3])).collect();
         let pass: Vec<(AttnShard, BackwardInputs)> = local
             .iter()
-            .map(|m| {
+            .zip(&ds)
+            .map(|(m, d)| {
                 let shard = AttnShard {
                     q: &m[0],
                     k: &m[1],
@@ -455,9 +554,9 @@ fn run_bwd_heads(
                     skip,
                 };
                 let back = BackwardInputs {
-                    o: &m[3],
                     lse: m[4].as_slice(),
                     grad_o: &m[5],
+                    d,
                 };
                 (shard, back)
             })

@@ -182,7 +182,8 @@ proptest! {
                 .remove(0);
             let after_fwd = comm.stats().total_elems();
             let grad_o = go.gather_rows(&my);
-            let back = BackwardInputs { o: &fwd.o, lse: &fwd.lse, grad_o: &grad_o };
+            let d = grad_o.rowsum_hadamard(&fwd.o);
+            let back = BackwardInputs { lse: &fwd.lse, grad_o: &grad_o, d: &d };
             try_ring_backward(comm, &spec, &shard, &back)
                 .expect("fault-free attention");
             let after_ring = comm.stats().total_elems();

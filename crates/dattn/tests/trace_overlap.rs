@@ -247,9 +247,11 @@ fn two_head_backward(handed: bool) -> Vec<RankTrace> {
             .iter()
             .map(|mats| mats.iter().map(|m| m.gather_rows(&idx)).collect())
             .collect();
+        let ds: Vec<Vec<f32>> = local.iter().map(|m| m[5].rowsum_hadamard(&m[3])).collect();
         let heads: Vec<(AttnShard, BackwardInputs)> = local
             .iter()
-            .map(|m| {
+            .zip(&ds)
+            .map(|(m, d)| {
                 let shard = AttnShard {
                     q: &m[0],
                     k: &m[1],
@@ -263,9 +265,9 @@ fn two_head_backward(handed: bool) -> Vec<RankTrace> {
                     skip: false,
                 };
                 let back = BackwardInputs {
-                    o: &m[3],
                     lse: m[4].as_slice(),
                     grad_o: &m[5],
+                    d,
                 };
                 (shard, back)
             })

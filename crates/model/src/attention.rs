@@ -17,13 +17,14 @@
 
 use crate::linear::{Linear, LinearSaved};
 use crate::rope::{rope_apply, rope_backward, ROPE_THETA};
-use burst_comm::{CommError, Communicator, SpanKind};
+use burst_comm::{CommError, Communicator, MemCategory, SpanKind};
 use burst_dattn::usp::{try_usp_backward, try_usp_forward, HeadGrads, UspCtx, UspTopo};
 use burst_dattn::{
     double_ring, escalate_attn, try_ring_backward, Algo, AttnShard, BackwardInputs, CostModel,
     DattnError, DistAttnOut, DoubleRingSpec, Layout,
 };
-use burst_kernels::{flash_backward, flash_forward, AttnMask};
+use burst_kernels::flash::DEFAULT_BLOCK;
+use burst_kernels::{flash_backward, flash_forward, AttnMask, Span};
 use burst_tensor::Mat;
 use serde::{Deserialize, Serialize};
 
@@ -62,6 +63,14 @@ pub trait AttnExec {
         _cutoff: usize,
     ) -> Option<AttnOut> {
         None
+    }
+
+    /// Whether recomputing the outputs of global tokens `< cutoff` from the
+    /// same f32 inputs ([`AttnExec::forward_partial`], or the full forward
+    /// where a backend has none) rebuilds the forward's bits for them. A
+    /// backend that reruns its whole forward always does.
+    fn recompute_rebuilds_forward(&self, _cutoff: usize) -> bool {
+        true
     }
 
     /// Global token indices of this rank's local rows, in storage order.
@@ -115,17 +124,21 @@ pub trait AttnExec {
         }
     }
 
-    /// Register `bytes` of checkpoint stash kept for one block, freed in
-    /// reverse block order by [`AttnExec::stash_pop`] during the backward.
+    /// Register one block's checkpoint stash: `bytes` kept until the
+    /// block's backward ends, freed in reverse block order by
+    /// [`AttnExec::stash_pop`], and `o_bytes` of cached attention output `O`
+    /// as an entry of its own, which the block's attention backward closes
+    /// once it no longer reads `O` ([`Communicator::mem_stash_close_o`]).
     /// Lands on the accountant's `CkptStash` lane (no-op with accounting
     /// off).
-    fn stash_push(&mut self, bytes: usize) {
+    fn stash_push(&mut self, bytes: usize, o_bytes: usize) {
         if let Some(comm) = self.comm() {
-            comm.mem_stash_push(bytes as u64);
+            comm.mem_stash_push(bytes as u64, o_bytes as u64);
         }
     }
 
-    /// Release the most recently pushed, still-open stash entry.
+    /// Release the most recently pushed block's stash entries that are
+    /// still open.
     fn stash_pop(&mut self) {
         if let Some(comm) = self.comm() {
             comm.mem_stash_pop();
@@ -139,6 +152,15 @@ pub trait AttnExec {
             comm.mem_note_workspace(bytes as u64);
         }
     }
+}
+
+/// Whether a pass over the global tokens `< cut` alone gives them the
+/// forward's bits: no query below the cut may attend a key at or above it,
+/// and the cut leaves whole kernel tiles on each of the `g` members
+/// ([`Layout::cut_on_tiles`]).
+fn partial_pass_exact(mask: &AttnMask, layout: Layout, n: usize, g: usize, cut: usize) -> bool {
+    mask.pairs_between(&[Span::range(0, cut)], &[Span::range(cut, n)]) == 0
+        && layout.cut_on_tiles(n, g, cut, DEFAULT_BLOCK)
 }
 
 /// Single-device blocked flash attention.
@@ -237,6 +259,11 @@ impl AttnExec for LocalExec {
         Some((o, lse))
     }
 
+    /// The partial pass runs the tokens below the cutoff as one run.
+    fn recompute_rebuilds_forward(&self, cutoff: usize) -> bool {
+        partial_pass_exact(&self.mask, Layout::Contiguous, self.seq_len, 1, cutoff)
+    }
+
     fn local_indices(&self) -> Vec<usize> {
         (0..self.seq_len).collect()
     }
@@ -270,7 +297,10 @@ impl AttnExec for LocalExec {
 /// inter-node start bundle leaves during head `h`'s last sweep, and head
 /// `h`'s final `∇Q` lands behind head `h + 1`'s work. DoubleRing's
 /// Algorithm 1 backward and every pass on the flat ring run one head at a
-/// time, so each flat head opens and closes its own accumulators. A
+/// time, so each flat head opens and closes its own accumulators. Every
+/// backward first forms each head's `D = rowsum(∇O ∘ O)`, billed as
+/// `attn_bwd_d` until it returns, and closes the block's cached `O`
+/// ([`AttnExec::stash_push`]): no slot reads `O`. A
 /// communication fault is latched (see [`AttnExec::take_failure`]); in a
 /// call over every head it zeroes every head, and one head at a time it
 /// zeroes the heads from the fault on.
@@ -389,6 +419,19 @@ impl AttnExec for DistExec<'_> {
         lse: &[Vec<f32>],
         grad_o: &[Mat],
     ) -> (Vec<Mat>, Vec<Mat>, Vec<Mat>) {
+        // Every head's `D` before the first slot opens: no slot reads `O`,
+        // so a block's cached `O` closes here. The `D` vectors stay billed
+        // until the backward returns.
+        let d: Vec<Vec<f32>> = o
+            .iter()
+            .zip(grad_o)
+            .map(|(o, g)| g.rowsum_hadamard(o))
+            .collect();
+        let d_bytes = 4 * d.iter().map(Vec::len).sum::<usize>() as u64;
+        let mem_d = self
+            .comm
+            .mem_alloc("attn_bwd_d", MemCategory::Activations, d_bytes);
+        self.comm.mem_stash_close_o();
         let heads: Vec<(AttnShard, BackwardInputs)> = (0..q.len())
             .map(|h| {
                 let shard = AttnShard {
@@ -404,9 +447,9 @@ impl AttnExec for DistExec<'_> {
                     skip: self.skip,
                 };
                 let back = BackwardInputs {
-                    o: &o[h],
                     lse: &lse[h],
                     grad_o: &grad_o[h],
+                    d: &d[h],
                 };
                 (shard, back)
             })
@@ -437,6 +480,7 @@ impl AttnExec for DistExec<'_> {
             })
             .flatten()
             .collect();
+        comm.mem_free(mem_d);
         let (dq, (dk, dv)) = grads.into_iter().map(|(a, b, c)| (a, (b, c))).unzip();
         zero_padded_grads((dq, dk, dv), q, k, v)
     }
@@ -449,6 +493,13 @@ impl AttnExec for DistExec<'_> {
         cutoff: usize,
     ) -> Option<AttnOut> {
         Some(self.fwd(q, k, v, Some(cutoff)))
+    }
+
+    /// Every member's tokens below the cutoff circulate as the ring's
+    /// partial key tiles.
+    fn recompute_rebuilds_forward(&self, cutoff: usize) -> bool {
+        let g = self.spec.len();
+        partial_pass_exact(&self.mask, self.layout, self.seq_len, g, cutoff)
     }
 
     fn local_indices(&self) -> Vec<usize> {

@@ -2,9 +2,11 @@
 //! (paper §3.2, Fig. 6–7).
 //!
 //! The forward decides what to *store* per block; the backward rebuilds
-//! whatever is missing by recomputation. All four strategies produce
-//! bit-identical gradients for ring-family backends — only memory and
-//! recompute differ (asserted in the crate tests):
+//! whatever is missing by recomputation. Only memory and recompute differ:
+//! at an f32 stash `Full` and `SelectivePlusPlus` train the bits of `None`,
+//! and so does `SeqSelective` where its front fills whole kernel tiles (a
+//! cut tile's recompute may differ in the last bit; asserted in the crate
+//! tests):
 //!
 //! | strategy          | stored per block          | attention recompute |
 //! |--------------------|---------------------------|---------------------|
@@ -12,6 +14,24 @@
 //! | `Full`             | block input               | full                |
 //! | `SelectivePlusPlus`| block input + `(O, Lse)`  | none                |
 //! | `SeqSelective{ρ}`  | block input + tail `(O, Lse)` | front segment (≈ ρ² of full for causal) |
+//!
+//! **The last block under `SeqSelective`** keeps its whole `(O, Lse)`, as
+//! `SelectivePlusPlus` does, wherever recomputing its front would rebuild the
+//! forward's own bits: its backward follows its forward with only the LM
+//! head in between, so the recompute would be a ring pass on the critical
+//! path that changes nothing. That holds at an f32 stash when no front
+//! query may attend a later key and the front fills whole kernel tiles on
+//! every rank ([`AttnExec::recompute_rebuilds_forward`]), and always for
+//! the head-parallel backends, which rerun their whole forward. A bf16
+//! stash rounds the recompute's input, and a cut tile sums its rows in
+//! another association, so there the last block recomputes like the others
+//! and the rule never changes a bit.
+//!
+//! **The cached `O` is its own stash entry.** Every attention backward
+//! reads `O` only to form `D = rowsum(∇O ∘ O)` (or to send it to the head
+//! shards), so it closes that entry once `D` exists for every head
+//! ([`burst_comm::Communicator::mem_stash_close_o`]); the block input and
+//! `Lse` stay billed until the block's backward ends.
 
 use crate::attention::AttnExec;
 use crate::block::{BlockSaved, TransformerBlock};
@@ -84,18 +104,21 @@ pub enum AttnCache {
 
 impl AttnCache {
     pub fn nbytes(&self) -> usize {
-        match self {
-            AttnCache::Full { o, lse } => {
-                o.iter().map(|m| m.nbytes()).sum::<usize>()
-                    + lse.iter().map(|l| l.len() * 4).sum::<usize>()
-            }
-            AttnCache::Tail {
-                o_tail, lse_tail, ..
-            } => {
-                o_tail.iter().map(|m| m.nbytes()).sum::<usize>()
-                    + lse_tail.iter().map(|l| l.len() * 4).sum::<usize>()
-            }
-        }
+        let lse = match self {
+            AttnCache::Full { lse, .. } => lse,
+            AttnCache::Tail { lse_tail, .. } => lse_tail,
+        };
+        self.o_nbytes() + lse.iter().map(|l| l.len() * 4).sum::<usize>()
+    }
+
+    /// Bytes of the cached `O` alone, the stash entry a backward closes
+    /// once `D` exists.
+    fn o_nbytes(&self) -> usize {
+        let o = match self {
+            AttnCache::Full { o, .. } => o,
+            AttnCache::Tail { o_tail, .. } => o_tail,
+        };
+        o.iter().map(|m| m.nbytes()).sum()
     }
 }
 
@@ -129,13 +152,24 @@ impl Stored {
             Stored::WithCache { x, cache } => x.nbytes() + cache.nbytes(),
         }
     }
+
+    /// Bytes of a cached attention output `O` (0 without a cache).
+    fn o_nbytes(&self) -> usize {
+        match self {
+            Stored::WithCache { cache, .. } => cache.o_nbytes(),
+            _ => 0,
+        }
+    }
 }
 
 /// Forward through all blocks, storing per `strategy` at the stash
 /// `precision`: under [`ActPrecision::Bf16`] every kept block input and
-/// cached attention output occupies 2 bytes per element. Each block's
-/// stash is billed to the executor's ledger ([`AttnExec::stash_push`]) and
-/// released by [`backward_blocks`].
+/// cached attention output occupies 2 bytes per element. Under
+/// `SeqSelective` the last block keeps its whole `(O, Lse)` where a
+/// recompute would rebuild the forward's bits (see the module docs). Each
+/// block's stash is billed to the executor's ledger, its cached `O` as an
+/// entry of its own ([`AttnExec::stash_push`]), and released by
+/// [`backward_blocks`].
 pub fn forward_blocks_prec<E: AttnExec>(
     blocks: &[TransformerBlock],
     x: &Mat,
@@ -146,10 +180,24 @@ pub fn forward_blocks_prec<E: AttnExec>(
 ) -> (Mat, Vec<Stored>) {
     let mut cur = x.clone();
     let mut stored = Vec::with_capacity(blocks.len());
-    for block in blocks {
+    for (l, block) in blocks.iter().enumerate() {
         exec.span_begin(SpanKind::Layer, "layer_fwd");
         let input = cur.clone();
         let (y, saved) = block.forward(&cur, exec);
+        let strategy = match strategy {
+            Strategy::SeqSelective { rho }
+                if l + 1 == blocks.len()
+                    && precision == ActPrecision::F32
+                    && exec.recompute_rebuilds_forward(cutoff_for_masked(
+                        rho,
+                        seq_len,
+                        exec.mask(),
+                    )) =>
+            {
+                Strategy::SelectivePlusPlus
+            }
+            s => s,
+        };
         let keep = match strategy {
             Strategy::None => Stored::Everything(Box::new(saved)),
             Strategy::Full => Stored::InputOnly {
@@ -198,7 +246,8 @@ pub fn forward_blocks_prec<E: AttnExec>(
                 }
             }
         };
-        exec.stash_push(keep.nbytes());
+        let o_bytes = keep.o_nbytes();
+        exec.stash_push(keep.nbytes() - o_bytes, o_bytes);
         stored.push(keep);
         cur = y;
         exec.span_end();
@@ -251,8 +300,9 @@ pub fn cutoff_for_masked(rho: f32, seq_len: usize, mask: &AttnMask) -> usize {
 }
 
 /// Backward through all blocks in reverse, recomputing per the stored kind.
-/// Releases each block's stash entry as it is consumed and notes the
-/// transient recompute working set.
+/// Releases each block's stash entries as they are consumed (the cached `O`
+/// inside the attention backward, once `D` exists) and notes the transient
+/// recompute working set.
 pub fn backward_blocks<E: AttnExec>(
     blocks: &mut [TransformerBlock],
     stored: Vec<Stored>,

@@ -5,9 +5,10 @@
 
 use burst_comm::{Topology, World};
 use burst_dattn::{Algo, CostModel, Layout};
+use burst_kernels::flash::DEFAULT_BLOCK;
 use burst_kernels::AttnMask;
 use burst_model::engine::{run_span, train, Backend, EngineConfig};
-use burst_model::{Model, ModelConfig, Strategy};
+use burst_model::{cutoff_for_masked, Model, ModelConfig, Strategy};
 
 fn cfg(backend: Backend) -> EngineConfig {
     EngineConfig {
@@ -150,44 +151,104 @@ fn replicated_weights_train_identical_replicas() {
 
 #[test]
 fn checkpoint_strategies_equivalent_distributed() {
-    let world = World::new(Topology::single_node(4));
-    let run = |strategy: Strategy| {
-        let mut c = cfg(Backend::Ring(Algo::BurstTopo));
-        c.strategy = strategy;
-        train(&world, &c, 3).losses
-    };
-    let reference = run(Strategy::None);
-    for strategy in STRATEGIES {
-        close(&run(strategy), &reference, 1e-3, &format!("{strategy:?}"));
-    }
-    // The head-parallel backward consumes whatever `(O, Lse)` a strategy
-    // hands it. Kept or recomputed, those are the forward's bits, so
-    // losses and the trained state are bit-identical across strategies.
+    // Every backward consumes whatever `(O, Lse)` a strategy hands it. At
+    // an f32 stash, kept or rebuilt, those are the forward's bits, so losses
+    // and every rank's trained state are bit-identical across strategies —
+    // which is what lets the last block under `SeqSelective` keep its whole
+    // `(O, Lse)`. The one exception is a ring's partial recompute when the
+    // front cuts a kernel tile: at 32 tokens on four ranks the zigzag chunks
+    // hold 4 tokens, and there `SeqSelective` recomputes every block
+    // (`Layout::cut_on_tiles` is false) and stays within the tolerance it
+    // has always had. At 256 tokens every front fills whole 32-token tiles.
     // On `a800(2, 4)` USP's rings hold two members per node, so its ring
     // leg runs on both levels of the two-level ring.
-    for (backend, topo) in [
-        (Backend::Usp { ulysses_size: 2 }, Topology::a800(2, 2)),
-        (Backend::Usp { ulysses_size: 2 }, Topology::a800(2, 4)),
-        (Backend::Ulysses, Topology::single_node(4)),
+    let window = AttnMask::SlidingWindow { window: 64 };
+    let ring = |algo| Backend::Ring(algo);
+    for (backend, topo, seq_len, mask) in [
+        (ring(Algo::RingFlat), Topology::single_node(4), 256, None),
+        (ring(Algo::BurstFlat), Topology::single_node(4), 256, None),
+        (ring(Algo::DoubleRing), Topology::a800(2, 2), 256, None),
+        (ring(Algo::BurstTopo), Topology::a800(2, 2), 256, None),
+        (
+            ring(Algo::BurstTopo),
+            Topology::a800(2, 2),
+            256,
+            Some(&window),
+        ),
+        (ring(Algo::BurstTopo), Topology::single_node(4), 32, None),
+        (ring(Algo::BurstTopo), Topology::a800(2, 2), 32, None),
+        (
+            Backend::Usp { ulysses_size: 2 },
+            Topology::a800(2, 2),
+            32,
+            None,
+        ),
+        (
+            Backend::Usp { ulysses_size: 2 },
+            Topology::a800(2, 4),
+            32,
+            None,
+        ),
+        (Backend::Ulysses, Topology::single_node(4), 32, None),
     ] {
+        let mut c = cfg(backend);
+        c.model.seq_len = seq_len;
+        if let Some(mask) = mask {
+            c.mask = mask.clone();
+            c.skip_masked_rounds = true;
+        }
         let run = |strategy: Strategy| {
-            let mut c = cfg(backend);
-            c.strategy = strategy;
+            let c = EngineConfig {
+                strategy,
+                ..c.clone()
+            };
             run_state(&topo, &c, 3)
         };
         let reference = run(Strategy::None);
         for strategy in STRATEGIES {
-            for (rank, (got, want)) in run(strategy).iter().zip(&reference).enumerate() {
-                assert_eq!(
-                    got.0, want.0,
-                    "{backend:?} {strategy:?} rank {rank}: losses"
-                );
-                assert!(
-                    got.1 == want.1,
-                    "{backend:?} {strategy:?} rank {rank}: state"
-                );
+            let ctx = format!("{backend:?} {topo:?} {seq_len} {mask:?} {strategy:?}");
+            let got = run(strategy);
+            let cut = match (backend, strategy) {
+                (Backend::Ring(_), Strategy::SeqSelective { rho }) => {
+                    Some(cutoff_for_masked(rho, seq_len, &c.mask))
+                }
+                _ => None,
+            };
+            let g = topo.world_size();
+            if cut.is_some_and(|cut| !c.layout.cut_on_tiles(seq_len, g, cut, DEFAULT_BLOCK)) {
+                assert_eq!(seq_len, 32, "{ctx}: only the 4-token chunks cut a tile");
+                close(&got[0].0, &reference[0].0, 1e-3, &ctx);
+                continue;
+            }
+            for (rank, (got, want)) in got.iter().zip(&reference).enumerate() {
+                assert_eq!(got.0, want.0, "{ctx} rank {rank}: losses");
+                assert!(got.1 == want.1, "{ctx} rank {rank}: state");
             }
         }
+    }
+}
+
+#[test]
+fn bf16_stash_recompute_differs_from_the_kept_outputs() {
+    // Why the last-block rule stops at a bf16 stash: recomputing a block
+    // from its bf16-rounded input does not rebuild the forward's outputs.
+    // With one block, `SelectivePlusPlus` keeps exactly what the rule would
+    // keep and `SeqSelective` recomputes the block's front; at f32, where
+    // the 256-token front fills whole tiles, the two train the same bits
+    // (the rule makes them one configuration), at bf16 they do not.
+    let topo = Topology::a800(2, 2);
+    for bf16 in [false, true] {
+        let run = |strategy: Strategy| {
+            let mut c = cfg(Backend::Ring(Algo::BurstTopo));
+            c.model.layers = 1;
+            c.model.seq_len = 256;
+            c.bf16_activations = bf16;
+            c.strategy = strategy;
+            run_state(&topo, &c, 2)
+        };
+        let kept = run(Strategy::SelectivePlusPlus);
+        let recomputed = run(Strategy::SeqSelective { rho: 0.5 });
+        assert_eq!(kept == recomputed, !bf16, "bf16 stash {bf16}");
     }
 }
 
@@ -260,6 +321,65 @@ fn head_parallel_backward_reruns_no_forward_under_selective_pp() {
                         .count();
                     assert_eq!(n, a2a, "{ctx}: all-to-alls in layer_bwd span {i}");
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn last_layer_backward_skips_the_recompute_that_would_rebuild_its_bits() {
+    // Under `SeqSelective` at an f32 stash over 256 tokens the last block
+    // keeps its whole `(O, Lse)` (its 32-token fronts fill whole tiles), so
+    // the last layer's backward runs no recompute kernel and no forward ring
+    // slot, while every other layer recomputes its front. A bf16 stash, 32
+    // tokens whose 4-token fronts cut a tile, or a mask that lets the front
+    // attend later keys recompute in every layer.
+    use burst_comm::obs::{RankTrace, SpanKind};
+    let has_under = |t: &RankTrace, layer: usize, kind: SpanKind, name: &str| {
+        t.spans.iter().any(|s| {
+            let mut up = s.parent;
+            while up >= 0 && up as usize != layer {
+                up = t.spans[up as usize].parent;
+            }
+            up >= 0 && s.kind == kind && s.name == name
+        })
+    };
+    for (seq_len, bf16, mask, last_recomputes) in [
+        (256, false, AttnMask::Causal, false),
+        (256, true, AttnMask::Causal, true),
+        (32, false, AttnMask::Causal, true),
+        (256, false, AttnMask::Full, true),
+    ] {
+        let mut c = cfg(Backend::Ring(Algo::BurstTopo));
+        c.model.seq_len = seq_len;
+        c.model.layers = 3;
+        c.mask = mask.clone();
+        c.strategy = Strategy::SeqSelective { rho: 0.5 };
+        c.bf16_activations = bf16;
+        // Zero-cost kernels emit no spans.
+        c.cost = CostModel::a800();
+        let outs = World::new(Topology::a800(2, 2)).run(|comm| {
+            comm.start_trace();
+            let mut model = Model::new(c.model, c.seed);
+            run_span(comm, &c, &mut model, 0, 1, |_, _, _, _| {}).expect("healthy run");
+        });
+        for o in &outs {
+            let t = o.trace.as_ref().expect("tracing was on");
+            // Backward order: the last block first.
+            let layers: Vec<usize> = (0..t.spans.len())
+                .filter(|&i| t.spans[i].kind == SpanKind::Layer && t.spans[i].name == "layer_bwd")
+                .collect();
+            assert_eq!(layers.len(), 3, "rank {}", o.rank);
+            for (pos, &i) in layers.iter().enumerate() {
+                let recomputes = last_recomputes || pos > 0;
+                let ctx = format!(
+                    "{seq_len} tokens, bf16 {bf16}, {mask:?}, rank {} backward {pos}",
+                    o.rank
+                );
+                let kernel = has_under(t, i, SpanKind::Kernel, "recompute");
+                assert_eq!(kernel, recomputes, "{ctx}: recompute kernel");
+                let slot = has_under(t, i, SpanKind::AttnRound, "dr_fwd_slot");
+                assert_eq!(slot, recomputes, "{ctx}: dr_fwd_slot");
             }
         }
     }
@@ -577,13 +697,18 @@ fn in_step_recovery_traces_its_eviction_and_replay() {
 
 /// `EngineConfig::tiny` on the flat ring under the A800 cost model keeps
 /// its losses, `tgs` and gated memory census: FNV-1a digests of them per
-/// flat backend, recorded while the flat ring still ran schedules of its
-/// own.
+/// flat backend. The losses, `tgs` and every lane but `activations` are
+/// those recorded while the flat ring still ran schedules of its own; the
+/// backward's up-front `D` vectors (2 heads × 8 rows × 4 B) moved the
+/// activations peak from 288 to 320 B on RingFlat (the forward's
+/// accumulator, 8 × 8 × 4 + 8 × 4, gave way to the backward's ∇Q, 256, plus
+/// both `D`) and from 768 to 832 B on BurstFlat (its ∇K, ∇V and ∇Q buffers
+/// plus both `D`).
 #[test]
 fn flat_ring_training_matches_pinned_digests() {
     for (algo, pin) in [
-        (Algo::RingFlat, 0x19fddb2b8a56ad9f_u64),
-        (Algo::BurstFlat, 0xd46aaf5c2376a329),
+        (Algo::RingFlat, 0x86bc573e0f4898ca_u64),
+        (Algo::BurstFlat, 0x634273537a0b61cf),
     ] {
         let mut c = EngineConfig::tiny(Backend::Ring(algo));
         c.cost = CostModel::a800();

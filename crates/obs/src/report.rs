@@ -44,29 +44,35 @@ pub fn causal_attn_flops(seq_len: usize, head_dim: usize) -> f64 {
     14.0 * head_dim as f64 * pairs
 }
 
-/// Everything we know about one method's run.
+/// Everything we know about one method's run. Every time field names its
+/// scope: `_max_` is the maximum over ranks, `_sum_` the sum over ranks, and
+/// `_critical_path_` one pass's communication along its critical path.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MethodReport {
     /// Method name: `"ring"`, `"double_ring"`, `"burst"`, `"burst_topo"`.
     pub method: String,
     pub world: usize,
-    /// Max final clock across ranks.
-    pub makespan_secs: f64,
+    /// Final clock, max over ranks.
+    pub makespan_max_secs: f64,
     /// Kernel seconds summed over ranks.
-    pub compute_secs: f64,
+    pub compute_sum_secs: f64,
     /// Wait seconds summed over ranks.
-    pub wait_secs: f64,
+    pub wait_sum_secs: f64,
+    /// `1 − wait/(wait + compute)` over the two sums.
     pub overlap_efficiency: f64,
     pub mfu: f64,
     pub tokens_per_gpu_per_sec: f64,
-    /// Wire seconds measured from `Send` spans (latency + serialization).
-    pub comm_measured_secs: f64,
-    pub comm_measured_intra_secs: f64,
-    pub comm_measured_inter_secs: f64,
-    /// Exact-count analytic prediction from `crates/perf`.
-    pub comm_predicted_secs: f64,
-    /// The paper's Table 1 closed form (coarse; reported for reference).
-    pub comm_table1_secs: f64,
+    /// Wire seconds measured from `Send` spans (latency + serialization),
+    /// summed over ranks, and its intra- and inter-node parts.
+    pub comm_measured_sum_secs: f64,
+    pub comm_measured_intra_sum_secs: f64,
+    pub comm_measured_inter_sum_secs: f64,
+    /// Exact-count analytic prediction from `crates/perf`, summed over
+    /// ranks like the measurement.
+    pub comm_predicted_sum_secs: f64,
+    /// The paper's Table 1 closed form: one pass's communication along its
+    /// critical path (coarse; reported for reference).
+    pub comm_table1_critical_path_secs: f64,
     /// `|measured − predicted| / predicted` (0 when predicted is 0).
     pub comm_rel_err: f64,
     /// Max-over-ranks measured peak bytes per accountant category (all
@@ -85,7 +91,8 @@ pub struct MethodReport {
 
 impl MethodReport {
     /// Assemble a report from the per-rank traces of one run plus the two
-    /// analytic comm-time predictions.
+    /// analytic comm-time predictions: the exact census summed over ranks
+    /// and the Table 1 critical-path closed form.
     #[allow(clippy::too_many_arguments)]
     pub fn from_traces(
         method: &str,
@@ -93,16 +100,16 @@ impl MethodReport {
         seq_len: usize,
         head_dim: usize,
         peak_flops: f64,
-        comm_predicted_secs: f64,
-        comm_table1_secs: f64,
+        comm_predicted_sum_secs: f64,
+        comm_table1_critical_path_secs: f64,
     ) -> MethodReport {
         let world = traces.len();
         let makespan = traces.iter().map(|t| t.end_time).fold(0.0, f64::max);
         let (wait, compute) = wait_compute_secs(traces);
         let (intra, inter) = wire_secs(traces);
         let measured = intra + inter;
-        let rel_err = if comm_predicted_secs > 0.0 {
-            (measured - comm_predicted_secs).abs() / comm_predicted_secs
+        let rel_err = if comm_predicted_sum_secs > 0.0 {
+            (measured - comm_predicted_sum_secs).abs() / comm_predicted_sum_secs
         } else {
             0.0
         };
@@ -110,9 +117,9 @@ impl MethodReport {
         MethodReport {
             method: method.to_string(),
             world,
-            makespan_secs: makespan,
-            compute_secs: compute,
-            wait_secs: wait,
+            makespan_max_secs: makespan,
+            compute_sum_secs: compute,
+            wait_sum_secs: wait,
             overlap_efficiency: overlap_efficiency(wait, compute),
             mfu: mfu(
                 causal_attn_flops(seq_len, head_dim),
@@ -125,11 +132,11 @@ impl MethodReport {
             } else {
                 0.0
             },
-            comm_measured_secs: measured,
-            comm_measured_intra_secs: intra,
-            comm_measured_inter_secs: inter,
-            comm_predicted_secs,
-            comm_table1_secs,
+            comm_measured_sum_secs: measured,
+            comm_measured_intra_sum_secs: intra,
+            comm_measured_inter_sum_secs: inter,
+            comm_predicted_sum_secs,
+            comm_table1_critical_path_secs,
             comm_rel_err: rel_err,
             peak: PeakBytes::default(),
             rounds_skipped: 0,
@@ -156,10 +163,11 @@ impl MethodReport {
 /// The `BENCH_e2e.json` document.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct E2eReport {
-    /// Schema tag, currently `"burst-e2e/v3"` (v2 added the per-category
+    /// Schema tag, currently `"burst-e2e/v4"` (v2 added the per-category
     /// peak-memory census to every method row; v3 added the mask-aware
-    /// `rounds_skipped`/`wire_bytes_saved` summary and masked method
-    /// rows); CI checks it.
+    /// `rounds_skipped`/`wire_bytes_saved` summary and masked method rows;
+    /// v4 names every time field's scope, `_max_` over ranks or `_sum_`
+    /// over ranks); CI checks it.
     pub schema: String,
     pub nodes: usize,
     pub gpus_per_node: usize,
@@ -169,7 +177,7 @@ pub struct E2eReport {
 }
 
 impl E2eReport {
-    pub const SCHEMA: &'static str = "burst-e2e/v3";
+    pub const SCHEMA: &'static str = "burst-e2e/v4";
 
     pub fn new(nodes: usize, gpus_per_node: usize, seq_len: usize, head_dim: usize) -> Self {
         E2eReport {
@@ -196,7 +204,7 @@ impl E2eReport {
             return Err("no methods in report".to_string());
         }
         for m in &self.methods {
-            if m.makespan_secs <= 0.0 {
+            if m.makespan_max_secs <= 0.0 {
                 return Err(format!("method `{}` has non-positive makespan", m.method));
             }
             if !(0.0..=1.0).contains(&m.overlap_efficiency) {
@@ -322,11 +330,13 @@ mod tests {
         let traces = vec![busy_trace(0, 0.6, 0.2), busy_trace(1, 0.7, 0.1)];
         let r = MethodReport::from_traces("ring", &traces, 1024, 64, 312e12, 0.5, 0.6);
         assert_eq!(r.world, 2);
-        assert!((r.makespan_secs - 0.8).abs() < 1e-12);
-        assert!((r.compute_secs - 1.3).abs() < 1e-12);
-        assert!((r.wait_secs - 0.3).abs() < 1e-12);
+        // The makespan is the later rank's clock; kernel, wait and wire
+        // seconds add up over both ranks.
+        assert!((r.makespan_max_secs - 0.8).abs() < 1e-12);
+        assert!((r.compute_sum_secs - 1.3).abs() < 1e-12);
+        assert!((r.wait_sum_secs - 0.3).abs() < 1e-12);
         assert!((r.overlap_efficiency - (1.0 - 0.3 / 1.6)).abs() < 1e-12);
-        assert!((r.comm_measured_secs - 0.5).abs() < 1e-12);
+        assert!((r.comm_measured_sum_secs - 0.5).abs() < 1e-12);
         assert!(r.comm_rel_err < 1e-9, "measured matches prediction exactly");
         assert!(r.mfu > 0.0 && r.mfu < 1.0);
         assert!(r.tokens_per_gpu_per_sec > 0.0);
@@ -344,7 +354,7 @@ mod tests {
         let text = serde_json::to_string_pretty(&report).unwrap();
         let back: E2eReport = serde_json::from_str(&text).unwrap();
         assert_eq!(back, report);
-        assert!(text.contains("burst-e2e/v3"));
+        assert!(text.contains("burst-e2e/v4"));
     }
 
     #[test]
