@@ -22,12 +22,15 @@
 //!   the rank holds it and hides behind the whole intra-node sweep — and,
 //!   with several heads, behind the earlier heads' sweeps too. One head is
 //!   `std::slice::from_ref(&shard)`;
-//! * [`try_double_ring_backward_alg1_on`] — the LoongTrain DoubleRing
-//!   baseline: Algorithm 1's `(K, V, ∇K, ∇V)` bundle circulates through
-//!   every rank. Gradients ride in the same buffers as activations, so
-//!   *nothing* can be posted early: each transfer waits for the compute
+//! * [`try_double_ring_backward_alg1_heads_on`] — the LoongTrain
+//!   DoubleRing baseline: Algorithm 1's `(K, V, ∇K, ∇V)` bundle circulates
+//!   through every rank. Gradients ride in the same buffers as activations,
+//!   so *nothing* can be posted early: each transfer waits for the compute
 //!   that updated it (the paper's "fails to overlap gradient
-//!   communication" critique);
+//!   communication" critique). The heads run one after another, and each
+//!   head's own `(∇K, ∇V)` land behind the next head's first sweep instead
+//!   of idling the rank for the last completion hop. One head is
+//!   `std::slice::from_ref(&(shard, back))`;
 //! * [`try_double_ring_backward_alg2_heads_on`] — full BurstAttention:
 //!   Algorithm 2's read-only bundle `(Q, ∇O, Lse, D)` flows exactly like
 //!   the forward (early posts), while `∇Q` follows one compute step behind
@@ -298,239 +301,322 @@ pub fn try_double_ring_forward_heads_on(
         .collect())
 }
 
-/// DoubleRingAttention backward (Algorithm 1 over the two-level ring).
+/// DoubleRingAttention backward: Algorithm 1 over the two-level ring, one
+/// head after another, each head's homecoming landing behind the next
+/// head's first sweep. Returns each head's `(∇Q, ∇K, ∇V)`.
 ///
 /// The `(K, V, ∇K, ∇V)` bundle physically accumulates gradients at every
 /// rank, so every hop — intra and inter — departs only after the compute
 /// that updated it: communication serialises with compute. After the sweep,
 /// the bundle is one node and `nodes mod gpn` local hops away from home;
-/// the completion hops deliver `(∇K, ∇V)` back to their owner.
-pub fn try_double_ring_backward_alg1_on(
+/// the completion hops deliver `(∇K, ∇V)` back to their owner. A failure at
+/// step `t` is reported with round `t`, and one in the completion with
+/// `nodes · gpus_per_node − 1`.
+///
+/// * **`D`.** The caller forms each head's `D` ([`BackwardInputs::d`])
+///   before the call. Algorithm 1 recomputes it, so every computing round
+///   charges its thin GEMM.
+/// * **Hand-off.** A head's completion runs up to its last receive, the
+///   landing of this rank's own `(∇K, ∇V)`. That receive waits on its link
+///   until this rank next receives on that link (or the call ends), so it
+///   lands behind the next head's first sweep instead of idling the rank
+///   for a whole hop. Every link stays FIFO. Each head keeps its kernels,
+///   accumulation order, messages and bytes, so its gradients are
+///   bit-identical to a pass of its own.
+/// * **Billing.** Each head bills its `dr_bwd_dq` `∇Q` accumulator and a
+///   `dr_bwd_kv_grads` bundle slot for the halves its gates ever hold, and
+///   closes both once its completion has sent, before the next head opens
+///   its own. A pending landing is the head's gradient output and opens no
+///   entry, so the gated peak is the one-head pass's. Algorithm 1
+///   accumulates `∇Q` in place, in the head's output: with `dq_billed` the
+///   caller already bills every head's gradients for the whole call (USP's
+///   `usp_grads`), and no `dr_bwd_dq` opens.
+/// * **One head** (`std::slice::from_ref(&(shard, back))`) is the plain
+///   pass: its `(∇K, ∇V)` land inside its completion, then its entries
+///   close.
+///
+/// All heads must share one attention problem, as in
+/// [`try_double_ring_forward_heads_on`]; this panics otherwise.
+pub fn try_double_ring_backward_alg1_heads_on(
     comm: &mut Communicator,
-    shard: &AttnShard,
-    back: &BackwardInputs,
+    heads: &[(AttnShard, BackwardInputs)],
     spec: &DoubleRingSpec,
-) -> Result<(Mat, Mat, Mat), AttnFailure> {
+    dq_billed: bool,
+) -> Result<Vec<(Mat, Mat, Mat)>, AttnFailure> {
+    let first = one_problem(heads.iter().map(|(shard, _)| shard));
     let (nodes, gpn) = (spec.nodes(), spec.gpus_per_node());
     let g = spec.len();
     let me = spec
         .slot_of(comm.rank())
         .expect("double-ring caller must be a spec member");
-    let intra_next = spec.rank_at(spec.next_in_node(me));
-    let intra_prev = spec.rank_at(spec.prev_in_node(me));
-    let peer_next = spec.rank_at(spec.peer_next_node(me));
-    let peer_prev = spec.rank_at(spec.peer_prev_node(me));
-    let d = shard.q.cols();
-    let qi = shard.idx_at(g, me);
-    let kidx_all: Vec<Vec<usize>> = (0..g).map(|s| shard.idx_at(g, s)).collect();
-    let d_recompute = shard.cost.gemm_secs(shard.q.rows(), d, 1);
-    let mut grad_q = Mat::zeros(shard.q.rows(), shard.q.cols());
-    let mut held = KvHold::Local;
-    // The (∇K, ∇V) half of the circulating bundle, materialized lazily at
-    // the first contribution (dense zeros plus identical adds — bit-equal
-    // to the always-materialized dense path).
-    let mut dkv: Option<(Mat, Mat)> = None;
-    let mut scratch = Scratch::new();
-    let mut src = me;
-    let plan = shard.skip_plan(g);
-    // Pass-scoped accountant entries: the ∇Q accumulator and — when the
-    // ring circulates — Algorithm 1's fused (K, V, ∇K, ∇V) bundle. No early
-    // posts here, so a single slot covers both ring levels; with skipping
-    // on, a rank gated out of a half never holds it.
-    let mem_dq = comm.mem_alloc(
-        "dr_bwd_dq",
-        MemCategory::Activations,
-        grad_q.nbytes() as u64,
-    );
+    // A hop's `(to, from)` ranks on the inter-node or the intra-node link.
+    let link = |inter: bool| {
+        let (to, from) = if inter {
+            (spec.peer_next_node(me), spec.peer_prev_node(me))
+        } else {
+            (spec.next_in_node(me), spec.prev_in_node(me))
+        };
+        (spec.rank_at(to), spec.rank_at(from))
+    };
+    let qi = first.idx_at(g, me);
+    let kidx_all: Vec<Vec<usize>> = (0..g).map(|s| first.idx_at(g, s)).collect();
+    let plan = first.skip_plan(g);
+    // No early posts here, so a single bundle slot covers both ring levels;
+    // with skipping on, a rank gated out of a half never holds it.
     let (buf_kv, buf_dkv) = plan.dr_alg1_bufs(me, nodes, gpn);
     let halves = buf_kv as u64 + buf_dkv as u64;
-    let half_wire = comm.mem_wire_bytes(shard.k.len() + shard.v.len());
-    let mem_bundle = if g > 1 && halves > 0 {
-        comm.mem_alloc(
-            "dr_bwd_kv_grads",
-            MemCategory::CommBuffers,
-            halves * half_wire,
-        )
-    } else {
-        None
-    };
-
-    for outer in 0..nodes {
-        for inner in 0..gpn {
-            let t = outer * gpn + inner;
-            let s = plan.dr_alg1_slot(me, t, nodes, gpn);
-            debug_assert_eq!(s.shard, src);
-            let last = t + 1 == g;
-            let last_inner = inner == gpn - 1;
-            let rows = kidx_all[src].len();
-            if s.idle() {
-                comm.note_round_skipped();
-                if !last {
-                    skip_kv(comm, rows, shard);
-                    skip_kv(comm, rows, shard);
-                    held = KvHold::Absent;
-                    dkv = None;
-                    src = if last_inner {
-                        spec.peer_prev_node(src)
-                    } else {
-                        spec.prev_in_node(src)
-                    };
-                }
-                continue;
-            }
-            let at = AttnFailure::at(Phase::Backward, t);
-            comm.span_begin(SpanKind::AttnRound, "dr_bwd_slot");
-            if s.compute {
-                // The received K/V rows accumulate into their rows of the
-                // shard's circulating ∇K/∇V.
-                let (cur_k, cur_v, off) = held.view(shard.k, shard.v);
-                let end = off + cur_k.rows();
-                if dkv.is_none() {
-                    dkv = Some((
-                        Mat::zeros(rows, shard.k.cols()),
-                        Mat::zeros(rows, shard.v.cols()),
-                    ));
-                }
-                let (cur_dk, cur_dv) = dkv.as_mut().expect("just materialized");
-                let w = attn_tile_backward_acc(
-                    shard.q,
-                    cur_k,
-                    cur_v,
-                    back.grad_o,
-                    back.lse,
-                    back.d,
-                    shard.scale,
-                    shard.mask,
-                    &qi,
-                    &kidx_all[src][off..end],
-                    grad_q.as_mut_slice(),
-                    cur_dk.rows_mut(off, end),
-                    cur_dv.rows_mut(off, end),
-                    &mut scratch,
-                );
-                // Algorithm 1 recomputes D every round.
-                comm.advance_compute(shard.cost.attn_bwd_secs(w.pairs, d) + d_recompute);
-            }
-            if last {
-                comm.span_end();
-                break; // sweep done; completion hops below
-            }
-            let dst = if last_inner { peer_next } else { intra_next };
-            let src_peer = if last_inner { peer_prev } else { intra_prev };
-            let want = plan.window(src, s.send_kv, rows);
-            post_kv(comm, dst, want, rows, shard, || held.view(shard.k, shard.v)).map_err(&at)?;
-            if s.send_dkv {
-                let (cur_dk, cur_dv) = dkv.as_ref().expect("∇K/∇V gate implies a contribution");
-                comm.try_send_mat(dst, cur_dk).map_err(&at)?;
-                comm.try_send_mat(dst, cur_dv).map_err(&at)?;
-            } else {
-                skip_kv(comm, rows, shard);
-            }
-            let rows_in = plan.window(s.shard_in, s.recv_kv, kidx_all[s.shard_in].len());
-            held = KvHold::recv(comm, src_peer, rows_in).map_err(&at)?;
-            dkv = if s.recv_dkv {
-                Some((
-                    comm.try_recv_mat(src_peer).map_err(&at)?,
-                    comm.try_recv_mat(src_peer).map_err(&at)?,
-                ))
-            } else {
-                None
-            };
-            src = if last_inner {
-                spec.peer_prev_node(src)
-            } else {
-                spec.prev_in_node(src)
-            };
-            comm.span_end();
-        }
-    }
     // Completion: deliver (∇K, ∇V) home — one inter hop (the sweep ends one
     // node early) plus `nodes mod gpn` intra hops (local drift of the
     // nested rotation). Each hop's gate is `col_any` of the shard it moves;
     // a completion with hops but no live gate anywhere on this rank is one
-    // skipped round.
+    // skipped round. This rank's own (∇K, ∇V) land on the last hop's link.
     let hops = plan.dr_alg1_completion(me, nodes, gpn);
-    if hops.is_empty() || hops.iter().any(|h| h.send || h.recv) {
-        let at = AttnFailure::at(Phase::Backward, nodes * gpn - 1);
-        comm.span_begin(SpanKind::AttnRound, "dr_bwd_completion");
-        for h in &hops {
-            let (dst, src_peer) = if h.inter {
-                (peer_next, peer_prev)
-            } else {
-                (intra_next, intra_prev)
-            };
-            if h.send {
-                let (dk, dv) = dkv
-                    .as_ref()
-                    .expect("completion gate implies a contribution");
-                comm.try_send_mat(dst, dk).map_err(&at)?;
-                comm.try_send_mat(dst, dv).map_err(&at)?;
-            } else {
-                skip_kv(comm, kidx_all[h.send_shard].len(), shard);
+    let completes = hops.is_empty() || hops.iter().any(|h| h.send || h.recv);
+    let home_link = link(hops.last().is_some_and(|h| h.inter)).1;
+    let mut homecoming = Homecoming::new(home_link, nodes * gpn - 1, Landing::DkDv);
+    let mut scratch = Scratch::new();
+    let mut out: Vec<(Mat, Mat, Mat)> = Vec::with_capacity(heads.len());
+    for (h, (shard, back)) in heads.iter().enumerate() {
+        let last_head = h + 1 == heads.len();
+        let d = shard.q.cols();
+        let d_recompute = shard.cost.gemm_secs(shard.q.rows(), d, 1);
+        let mut grad_q = Mat::zeros(shard.q.rows(), shard.q.cols());
+        let mut held = KvHold::Local;
+        // The (∇K, ∇V) half of the circulating bundle, materialized lazily
+        // at the first contribution (dense zeros plus identical adds —
+        // bit-equal to the always-materialized dense path).
+        let mut dkv: Option<(Mat, Mat)> = None;
+        let mut src = me;
+        let mem_dq = if dq_billed {
+            None
+        } else {
+            comm.mem_alloc(
+                "dr_bwd_dq",
+                MemCategory::Activations,
+                grad_q.nbytes() as u64,
+            )
+        };
+        let half_wire = comm.mem_wire_bytes(shard.k.len() + shard.v.len());
+        let mem_bundle = if g > 1 && halves > 0 {
+            comm.mem_alloc(
+                "dr_bwd_kv_grads",
+                MemCategory::CommBuffers,
+                halves * half_wire,
+            )
+        } else {
+            None
+        };
+
+        for outer in 0..nodes {
+            for inner in 0..gpn {
+                let t = outer * gpn + inner;
+                let s = plan.dr_alg1_slot(me, t, nodes, gpn);
+                debug_assert_eq!(s.shard, src);
+                let last = t + 1 == g;
+                let last_inner = inner == gpn - 1;
+                let rows = kidx_all[src].len();
+                if s.idle() {
+                    comm.note_round_skipped();
+                    if !last {
+                        skip_kv(comm, rows, shard);
+                        skip_kv(comm, rows, shard);
+                        held = KvHold::Absent;
+                        dkv = None;
+                        src = if last_inner {
+                            spec.peer_prev_node(src)
+                        } else {
+                            spec.prev_in_node(src)
+                        };
+                    }
+                    continue;
+                }
+                let at = AttnFailure::at(Phase::Backward, t);
+                comm.span_begin(SpanKind::AttnRound, "dr_bwd_slot");
+                if s.compute {
+                    // The received K/V rows accumulate into their rows of
+                    // the shard's circulating ∇K/∇V.
+                    let (cur_k, cur_v, off) = held.view(shard.k, shard.v);
+                    let end = off + cur_k.rows();
+                    if dkv.is_none() {
+                        dkv = Some((
+                            Mat::zeros(rows, shard.k.cols()),
+                            Mat::zeros(rows, shard.v.cols()),
+                        ));
+                    }
+                    let (cur_dk, cur_dv) = dkv.as_mut().expect("just materialized");
+                    let w = attn_tile_backward_acc(
+                        shard.q,
+                        cur_k,
+                        cur_v,
+                        back.grad_o,
+                        back.lse,
+                        back.d,
+                        shard.scale,
+                        shard.mask,
+                        &qi,
+                        &kidx_all[src][off..end],
+                        grad_q.as_mut_slice(),
+                        cur_dk.rows_mut(off, end),
+                        cur_dv.rows_mut(off, end),
+                        &mut scratch,
+                    );
+                    comm.advance_compute(shard.cost.attn_bwd_secs(w.pairs, d) + d_recompute);
+                }
+                if last {
+                    comm.span_end();
+                    break; // sweep done; completion hops below
+                }
+                let (dst, src_peer) = link(last_inner);
+                let want = plan.window(src, s.send_kv, rows);
+                post_kv(comm, dst, want, rows, shard, || held.view(shard.k, shard.v))
+                    .map_err(&at)?;
+                if s.send_dkv {
+                    let (cur_dk, cur_dv) = dkv.as_ref().expect("∇K/∇V gate implies a contribution");
+                    comm.try_send_mat(dst, cur_dk).map_err(&at)?;
+                    comm.try_send_mat(dst, cur_dv).map_err(&at)?;
+                } else {
+                    skip_kv(comm, rows, shard);
+                }
+                let rows_in = plan.window(s.shard_in, s.recv_kv, kidx_all[s.shard_in].len());
+                if rows_in.is_some() || s.recv_dkv {
+                    homecoming.before_recv(comm, src_peer, &mut out)?;
+                }
+                held = KvHold::recv(comm, src_peer, rows_in).map_err(&at)?;
+                dkv = if s.recv_dkv {
+                    Some((
+                        comm.try_recv_mat(src_peer).map_err(&at)?,
+                        comm.try_recv_mat(src_peer).map_err(&at)?,
+                    ))
+                } else {
+                    None
+                };
+                src = if last_inner {
+                    spec.peer_prev_node(src)
+                } else {
+                    spec.prev_in_node(src)
+                };
+                comm.span_end();
             }
-            dkv = if h.recv {
-                Some((
-                    comm.try_recv_mat(src_peer).map_err(&at)?,
-                    comm.try_recv_mat(src_peer).map_err(&at)?,
-                ))
-            } else {
-                None
-            };
         }
-        comm.span_end();
-    } else {
-        comm.note_round_skipped();
-        for h in &hops {
-            skip_kv(comm, kidx_all[h.send_shard].len(), shard);
+        // This head's own (∇K, ∇V), the last hop's receive, wait on their
+        // link for the next head.
+        let pending = completes && !last_head && hops.last().is_some_and(|h| h.recv);
+        if completes {
+            let at = AttnFailure::at(Phase::Backward, nodes * gpn - 1);
+            comm.span_begin(SpanKind::AttnRound, "dr_bwd_completion");
+            for (j, hop) in hops.iter().enumerate() {
+                let (dst, src_peer) = link(hop.inter);
+                if hop.send {
+                    let (dk, dv) = dkv
+                        .as_ref()
+                        .expect("completion gate implies a contribution");
+                    comm.try_send_mat(dst, dk).map_err(&at)?;
+                    comm.try_send_mat(dst, dv).map_err(&at)?;
+                } else {
+                    skip_kv(comm, kidx_all[hop.send_shard].len(), shard);
+                }
+                dkv = if hop.recv && !(pending && j + 1 == hops.len()) {
+                    homecoming.before_recv(comm, src_peer, &mut out)?;
+                    Some((
+                        comm.try_recv_mat(src_peer).map_err(&at)?,
+                        comm.try_recv_mat(src_peer).map_err(&at)?,
+                    ))
+                } else {
+                    None
+                };
+            }
+            comm.span_end();
+        } else {
+            comm.note_round_skipped();
+            for hop in &hops {
+                skip_kv(comm, kidx_all[hop.send_shard].len(), shard);
+            }
+            dkv = None;
         }
-        dkv = None;
+        if last_head {
+            homecoming.land(comm, &mut out)?;
+            comm.mem_note_workspace(scratch.resident_bytes());
+        }
+        comm.mem_free(mem_bundle);
+        comm.mem_free(mem_dq);
+        let (grad_k, grad_v) = match dkv {
+            Some(pair) => pair,
+            // Landing later, or no live consumer anywhere for our shard:
+            // then the dense gradients are identically (+0.0) zero.
+            None if pending => (Mat::default(), Mat::default()),
+            None => (
+                Mat::zeros(shard.k.rows(), shard.k.cols()),
+                Mat::zeros(shard.v.rows(), shard.v.cols()),
+            ),
+        };
+        out.push((grad_q, grad_k, grad_v));
+        if pending {
+            homecoming.heads.push(h);
+        }
     }
-    comm.mem_note_workspace(scratch.resident_bytes());
-    comm.mem_free(mem_bundle);
-    comm.mem_free(mem_dq);
-    let (grad_k, grad_v) = match dkv {
-        Some(pair) => pair,
-        // No live consumer anywhere for our shard: the dense gradients are
-        // identically (+0.0) zero.
-        None => (
-            Mat::zeros(shard.k.rows(), shard.k.cols()),
-            Mat::zeros(shard.v.rows(), shard.v.cols()),
-        ),
-    };
-    Ok((grad_q, grad_k, grad_v))
+    Ok(out)
 }
 
-/// Heads whose final `∇Q` is still on the diagonal link, oldest first. A
-/// head's homecoming waits there until this rank next receives on that
-/// link, or the call ends, so it lands behind the next head's work and the
-/// link stays FIFO.
-struct DqHomecoming {
-    /// The diagonal predecessor, which sends every head's final `∇Q`.
+/// Heads whose last gradient message is still on its link, oldest first:
+/// Algorithm 2's final `∇Q`, or the `(∇K, ∇V)` Algorithm 1's completion
+/// brings home. A head's landing waits there until this rank next receives
+/// on that link, or the call ends, so it lands behind the next head's work
+/// and the link stays FIFO.
+struct Homecoming {
+    /// The link's sender.
     from: usize,
-    /// The failure round of a homecoming receive, `nodes · gpus_per_node − 1`.
+    /// The failure round of a landing receive, `nodes · gpus_per_node − 1`.
     round: usize,
+    grads: Landing,
     heads: Vec<usize>,
 }
 
-impl DqHomecoming {
-    /// Land every pending `∇Q` in its head's slot of `out`, oldest first.
+/// Which of a head's `(∇Q, ∇K, ∇V)` a [`Homecoming`] lands.
+#[derive(Clone, Copy)]
+enum Landing {
+    /// Algorithm 2's final `∇Q`, in a `dr_dq_final` round.
+    Dq,
+    /// Algorithm 1's `(∇K, ∇V)`, in a `dr_dkv_final` round.
+    DkDv,
+}
+
+impl Homecoming {
+    fn new(from: usize, round: usize, grads: Landing) -> Self {
+        Homecoming {
+            from,
+            round,
+            grads,
+            heads: Vec::new(),
+        }
+    }
+
+    /// Land every pending head's gradients in its slot of `out`, oldest
+    /// first.
     fn land(
         &mut self,
         comm: &mut Communicator,
         out: &mut [(Mat, Mat, Mat)],
     ) -> Result<(), AttnFailure> {
+        let at = AttnFailure::at(Phase::Backward, self.round);
         for h in self.heads.drain(..) {
-            comm.span_begin(SpanKind::AttnRound, "dr_dq_final");
-            out[h].0 = comm
-                .try_recv_mat(self.from)
-                .map_err(AttnFailure::at(Phase::Backward, self.round))?;
+            match self.grads {
+                Landing::Dq => {
+                    comm.span_begin(SpanKind::AttnRound, "dr_dq_final");
+                    out[h].0 = comm.try_recv_mat(self.from).map_err(&at)?;
+                }
+                Landing::DkDv => {
+                    comm.span_begin(SpanKind::AttnRound, "dr_dkv_final");
+                    out[h].1 = comm.try_recv_mat(self.from).map_err(&at)?;
+                    out[h].2 = comm.try_recv_mat(self.from).map_err(&at)?;
+                }
+            }
             comm.span_end();
         }
         Ok(())
     }
 
-    /// Land the pending homecomings ahead of a receive from `src`, when
-    /// that receive shares their link.
+    /// Land the pending heads ahead of a receive from `src`, when that
+    /// receive shares their link.
     fn before_recv(
         &mut self,
         comm: &mut Communicator,
@@ -671,11 +757,7 @@ pub fn try_double_ring_backward_alg2_heads_on(
     let mut scratch = Scratch::new();
     let mut dq_buf = Mat::default();
     let mut out: Vec<(Mat, Mat, Mat)> = Vec::with_capacity(heads.len());
-    let mut homecoming = DqHomecoming {
-        from: diag_prev,
-        round: nodes * gpn - 1,
-        heads: Vec::new(),
-    };
+    let mut homecoming = Homecoming::new(diag_prev, nodes * gpn - 1, Landing::Dq);
     // The next head's start-bundle entry, opened at the hand-off.
     let mut handed: Option<Option<MemId>> = None;
     for (h, head) in heads.iter().enumerate() {

@@ -16,9 +16,9 @@
 //!   Algorithm 1 there is the DoubleRingAttention baseline (no gradient
 //!   overlap in backward) and Algorithm 2 (`3Nd + 2N`) BurstAttention's,
 //!   with fine-grained gradient overlap. Both run every head's forward
-//!   through one pipelined pass; BurstAttention's backward also takes every
-//!   head in one call, handing each head's NIC time to the next. The flat
-//!   ring of RingAttention and BurstAttention is the one-level case
+//!   through one pipelined pass, and both backwards take every head in one
+//!   call, handing each head's NIC time to the next. The flat ring of
+//!   RingAttention and BurstAttention is the one-level case
 //!   ([`DoubleRingSpec::one_level`]);
 //! * [`ring`] — the one schedule only the flat ring has, RingAttention's
 //!   backward (Algorithm 1, `4Nd`, its read-only `K, V` riding home), and
@@ -217,9 +217,14 @@ pub fn try_run_attention_shard(
     };
     let (dq, dk, dv) = match algo {
         Algo::RingFlat => try_ring_backward(comm, &spec, shard, &back)?,
-        Algo::DoubleRing => {
-            double_ring::try_double_ring_backward_alg1_on(comm, shard, &back, &spec)?
-        }
+        Algo::DoubleRing => double_ring::try_double_ring_backward_alg1_heads_on(
+            comm,
+            std::slice::from_ref(&(*shard, back)),
+            &spec,
+            false,
+        )?
+        .pop()
+        .expect("one head in, one head out"),
         Algo::BurstFlat | Algo::BurstTopo => double_ring::try_double_ring_backward_alg2_heads_on(
             comm,
             std::slice::from_ref(&(*shard, back)),

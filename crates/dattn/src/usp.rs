@@ -28,8 +28,12 @@
 //! ring over the members. The forward runs every owned head through one
 //! pipelined pass ([`try_double_ring_forward_heads_on`]), so head `h + 1`'s
 //! cross-node `(K, V)` hides behind head `h`'s sweeps. The backward runs
-//! one Algorithm-1 pass per head ([`try_double_ring_backward_alg1_on`]):
-//! USP stays an Algorithm-1 baseline.
+//! every owned head through one Algorithm 1 call
+//! ([`try_double_ring_backward_alg1_heads_on`]), so USP stays an
+//! Algorithm 1 baseline: the heads run one after another, and head `h`'s
+//! own `(∇K, ∇V)`, the last receive of its completion, land behind head
+//! `h + 1`'s first sweep. That landing is the head's gradient output, which
+//! `usp_grads` already bills, so it opens no entry of its own.
 //!
 //! The backward consumes the forward's outputs, as a FlashAttention-style
 //! kernel does, and never reruns the forward. The forward hands back its
@@ -46,9 +50,11 @@
 //! (`a2a_staging`) for its duration; the context (`usp_saved`) holds the
 //! head-shard `Q, K, V` from the landing of their exchange and, in the
 //! backward, the head-shard `O` and Lse from the landing of theirs; the
-//! ring-shard gradients (`usp_grads`) open before the first head's ring
-//! pass. The whole context closes after the last head's ring pass, before
-//! the gradient exchange, and the gradients when that exchange is done.
+//! ring-shard gradients (`usp_grads`) open before the ring pass. Algorithm
+//! 1 accumulates each head's `∇Q` in place, in `usp_grads`, so the pass
+//! bills no `∇Q` accumulator of its own, only its bundle slots. The whole
+//! context closes after the ring pass, before the gradient exchange, and
+//! the gradients when that exchange is done.
 //!
 //! The ring carries `N/R`-token shards instead of `N/G`, but only `R` hops;
 //! the all-to-alls add `O(N·d/G)` NVLink traffic. USP's win over pure ring
@@ -66,7 +72,7 @@
 
 use crate::cost::CostModel;
 use crate::double_ring::{
-    try_double_ring_backward_alg1_on, try_double_ring_forward_heads_on, DoubleRingSpec,
+    try_double_ring_backward_alg1_heads_on, try_double_ring_forward_heads_on, DoubleRingSpec,
 };
 use crate::layout::Layout;
 use crate::ring::{AttnFailure, AttnShard, BackwardInputs, Phase};
@@ -483,15 +489,16 @@ pub fn try_usp_forward(
 /// all-to-all first moves `Q, K, V` to head shards. One all-to-all moves
 /// `(O, Lse)` and `∇O`: the caller's `(O, Lse)`, not the forward's, so
 /// outputs a checkpointing strategy stitched from a recompute and a cache
-/// are the ones differentiated. The backward then runs one owned head at a
-/// time over the ring shard (Algorithm 1 over the two-level ring,
-/// LoongTrain's DoubleRing backward, or the local flash backward for a ring
-/// of one), and one all-to-all returns the input gradients. No forward
-/// runs here.
+/// are the ones differentiated. The backward then runs every owned head
+/// over the ring shard (one Algorithm 1 call over the two-level ring,
+/// LoongTrain's DoubleRing backward, each head's `(∇K, ∇V)` landing behind
+/// the next head's first sweep; or the local flash backward for a ring of
+/// one), and one all-to-all returns the input gradients. No forward runs
+/// here.
 ///
 /// The context is billed as `usp_saved` — its `Q, K, V` from the landing of
 /// their exchange, the head-shard `O` and Lse from the landing of theirs —
-/// and closes after the last head's ring pass, before the gradients leave.
+/// and closes after the ring pass, before the gradients leave.
 /// Once the exchange has sent the caller's `O`, a checkpoint stash's cached
 /// copy of it closes ([`Communicator::mem_stash_close_o`]).
 ///
@@ -539,50 +546,51 @@ pub fn try_usp_backward(
     let (q, k, v) = (&ctx.q, &ctx.k, &ctx.v);
 
     // The ring-shard (∇Q, ∇K, ∇V) of this rank's owned heads, live from the
-    // per-head backwards until the all-to-all returns them.
+    // ring pass until the all-to-all returns them.
     let grads_bytes: usize = 3 * q.iter().map(Mat::nbytes).sum::<usize>();
     let mem_grads = comm.mem_alloc("usp_grads", MemCategory::Activations, grads_bytes as u64);
-    let mut dq = Vec::with_capacity(hpr);
-    let mut dk = Vec::with_capacity(hpr);
-    let mut dv = Vec::with_capacity(hpr);
-    if topo.ring == 1 {
+    let grads: Vec<(Mat, Mat, Mat)> = if topo.ring == 1 {
         // DeepSpeed-Ulysses: the local backward over the whole sequence.
         let idx: Vec<usize> = (0..seq_len).collect();
-        for h in 0..hpr {
-            let (a, b, c, w) = flash_backward(
-                &q[h], &k[h], &v[h], &o[h], &grad_o[h], &lse[h], scale, mask, &idx, &idx,
-            );
-            comm.advance_compute(cost.attn_bwd_secs(w.pairs, q[h].cols()));
-            dq.push(a);
-            dk.push(b);
-            dv.push(c);
-        }
+        (0..hpr)
+            .map(|h| {
+                let (a, b, c, w) = flash_backward(
+                    &q[h], &k[h], &v[h], &o[h], &grad_o[h], &lse[h], scale, mask, &idx, &idx,
+                );
+                comm.advance_compute(cost.attn_bwd_secs(w.pairs, q[h].cols()));
+                (a, b, c)
+            })
+            .collect()
     } else {
-        for h in 0..hpr {
-            let shard = AttnShard {
-                q: &q[h],
-                k: &k[h],
-                v: &v[h],
-                scale,
-                mask,
-                layout: Layout::Zigzag,
-                seq_len,
-                cost: *cost,
-                max_token: None,
-                skip: topo.skip,
-            };
-            let d = grad_o[h].rowsum_hadamard(&o[h]);
-            let back = BackwardInputs {
-                lse: &lse[h],
-                grad_o: &grad_o[h],
-                d: &d,
-            };
-            let (a, b, c) = try_double_ring_backward_alg1_on(comm, &shard, &back, &topo.ring_spec)?;
-            dq.push(a);
-            dk.push(b);
-            dv.push(c);
-        }
-    }
+        let ds: Vec<Vec<f32>> = (0..hpr).map(|h| grad_o[h].rowsum_hadamard(&o[h])).collect();
+        let heads: Vec<(AttnShard, BackwardInputs)> = (0..hpr)
+            .map(|h| {
+                let shard = AttnShard {
+                    q: &q[h],
+                    k: &k[h],
+                    v: &v[h],
+                    scale,
+                    mask,
+                    layout: Layout::Zigzag,
+                    seq_len,
+                    cost: *cost,
+                    max_token: None,
+                    skip: topo.skip,
+                };
+                let back = BackwardInputs {
+                    lse: &lse[h],
+                    grad_o: &grad_o[h],
+                    d: &ds[h],
+                };
+                (shard, back)
+            })
+            .collect();
+        // `usp_grads` already bills each head's ∇Q, which Algorithm 1
+        // accumulates in place.
+        try_double_ring_backward_alg1_heads_on(comm, &heads, &topo.ring_spec, true)?
+    };
+    let (dq, (dk, dv)): (Vec<Mat>, (Vec<Mat>, Vec<Mat>)) =
+        grads.into_iter().map(|(a, b, c)| (a, (b, c))).unzip();
     // The whole context goes before the gradients leave.
     comm.mem_free(mem_out);
     ctx.release(comm);

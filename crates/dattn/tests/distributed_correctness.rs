@@ -4,7 +4,7 @@
 //! (up to f32 accumulation-order noise) equivalences.
 
 use burst_comm::obs::{validate_mem, MemReport};
-use burst_comm::{CommStats, Topology, WireDtype, World};
+use burst_comm::{CommStats, Communicator, Topology, WireDtype, World};
 use burst_dattn::usp::UspTopo;
 use burst_dattn::{
     double_ring, try_run_attention_opts, Algo, AttnShard, BackwardInputs, CostModel,
@@ -500,22 +500,76 @@ fn a_cut_on_whole_tiles_rebuilds_the_forward_bits() {
     assert!(cut_tiles_differ, "some cut through a tile changes a bit");
 }
 
-/// One rank's side of an Algorithm 2 backward over several heads: per-head
+/// One rank's side of a backward over several heads: per-head
 /// `(∇Q, ∇K, ∇V)`, the rank's counters, its final virtual clock and its
 /// memory ledger.
 type BwdHeadsRun = (Vec<(Mat, Mat, Mat)>, CommStats, f64, MemReport);
 
+/// Which multi-head backward a hand-off check runs, and on which ring.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum HandOff {
+    /// BurstAttention's Algorithm 2 on the topology's two-level ring.
+    Alg2,
+    /// DoubleRingAttention's Algorithm 1 on the topology's two-level ring.
+    Alg1,
+    /// Algorithm 1 on USP's ring over every second rank (`U = 2`), its
+    /// `∇Q` billed by the caller.
+    UspAlg1,
+}
+
+impl HandOff {
+    /// The ring the pass runs on, and this rank's slot on it.
+    fn ring(self, comm: &Communicator) -> (DoubleRingSpec, usize) {
+        match self {
+            HandOff::Alg2 | HandOff::Alg1 => (DoubleRingSpec::full(comm.topology()), comm.rank()),
+            HandOff::UspAlg1 => {
+                let utopo = UspTopo::new(comm, 2);
+                (utopo.ring_spec().clone(), utopo.r_pos)
+            }
+        }
+    }
+
+    /// The multi-head backward itself.
+    fn run(
+        self,
+        comm: &mut Communicator,
+        heads: &[(AttnShard, BackwardInputs)],
+        spec: &DoubleRingSpec,
+    ) -> Vec<(Mat, Mat, Mat)> {
+        match self {
+            HandOff::Alg2 => double_ring::try_double_ring_backward_alg2_heads_on(comm, heads, spec),
+            HandOff::Alg1 => {
+                double_ring::try_double_ring_backward_alg1_heads_on(comm, heads, spec, false)
+            }
+            HandOff::UspAlg1 => {
+                double_ring::try_double_ring_backward_alg1_heads_on(comm, heads, spec, true)
+            }
+        }
+        .expect("fault-free backward")
+    }
+
+    /// The ledger entry of a head's circulating bundle: Algorithm 2's
+    /// inter-node start bundle, or Algorithm 1's `(K, V, ∇K, ∇V)` slot.
+    fn bundle(self) -> &'static str {
+        match self {
+            HandOff::Alg2 => "dr_bwd_start_bundle",
+            HandOff::Alg1 | HandOff::UspAlg1 => "dr_bwd_kv_grads",
+        }
+    }
+}
+
 /// Every rank's `BwdHeadsRun` for `heads` heads on `topo`, each head's
 /// `(O, Lse)` from the single-device forward: one multi-head call handing
-/// each head to the next, or one single-head call per head.
+/// each head to the next, or one single-head call per head. A layout other
+/// than zigzag applies to the two-level ring only; USP's ring is zigzag.
 fn run_bwd_heads(
+    pass: HandOff,
     topo: &Topology,
     heads: usize,
     (mask, layout, skip): (&AttnMask, Layout, bool),
     handed: bool,
 ) -> Vec<BwdHeadsRun> {
-    let g = topo.world_size();
-    let (n, d) = (8 * g, 8);
+    let (n, d) = (8 * topo.world_size(), 8);
     let scale = 1.0 / (d as f32).sqrt();
     let all: Vec<usize> = (0..n).collect();
     let data: Vec<[Mat; 6]> = (0..heads as u64)
@@ -531,13 +585,19 @@ fn run_bwd_heads(
         .collect();
     World::new(topo.clone()).run_results(|comm| {
         comm.start_mem_accounting();
-        let idx = layout.indices(n, g, comm.rank());
+        let (spec, slot) = pass.ring(comm);
+        let layout = if pass == HandOff::UspAlg1 {
+            Layout::Zigzag
+        } else {
+            layout
+        };
+        let idx = layout.indices(n, spec.len(), slot);
         let local: Vec<Vec<Mat>> = data
             .iter()
             .map(|mats| mats.iter().map(|m| m.gather_rows(&idx)).collect())
             .collect();
         let ds: Vec<Vec<f32>> = local.iter().map(|m| m[5].rowsum_hadamard(&m[3])).collect();
-        let pass: Vec<(AttnShard, BackwardInputs)> = local
+        let shards: Vec<(AttnShard, BackwardInputs)> = local
             .iter()
             .zip(&ds)
             .map(|(m, d)| {
@@ -561,20 +621,12 @@ fn run_bwd_heads(
                 (shard, back)
             })
             .collect();
-        let spec = DoubleRingSpec::full(comm.topology());
         let grads = if handed {
-            double_ring::try_double_ring_backward_alg2_heads_on(comm, &pass, &spec).unwrap()
+            pass.run(comm, &shards, &spec)
         } else {
-            pass.iter()
-                .map(|head| {
-                    double_ring::try_double_ring_backward_alg2_heads_on(
-                        comm,
-                        std::slice::from_ref(head),
-                        &spec,
-                    )
-                    .unwrap()
-                    .remove(0)
-                })
+            shards
+                .iter()
+                .flat_map(|head| pass.run(comm, std::slice::from_ref(head), &spec))
                 .collect()
         };
         let mem = comm.take_mem_report().expect("accounting was on");
@@ -582,20 +634,27 @@ fn run_bwd_heads(
     })
 }
 
-/// The handed-off multi-head Algorithm 2 backward against one single-head
-/// call per head on one case: bit-identical gradients per head, equal
-/// counters per rank, and no rank finishing later. On `a800(2, 4)` every
-/// rank finishes strictly earlier. The ledger's gated peak is the one-head
-/// call's, and no two heads' start bundles are ever open at once.
-fn check_bwd_heads(topo: &Topology, heads: usize, case: (&AttnMask, Layout, bool)) {
+/// A handed-off multi-head backward against one single-head call per head
+/// on one case: bit-identical gradients per head, equal counters per rank,
+/// and no rank finishing later. Every rank finishes strictly earlier on
+/// the rings named by `strict`. The ledger's gated peak is the one-head
+/// call's, nothing is live at close, no two heads' bundle entries are ever
+/// open at once, and Algorithm 1 bills a `∇Q` accumulator exactly when its
+/// caller does not.
+fn check_bwd_heads(
+    pass: HandOff,
+    topo: &Topology,
+    heads: usize,
+    case: (&AttnMask, Layout, bool),
+    strict: bool,
+) {
     let (mask, layout, skip) = case;
     let ctx = format!(
-        "{}x{} {:?} {mask:?}/{layout:?} skip={skip} heads={heads}",
+        "{pass:?} {}x{} {:?} {mask:?}/{layout:?} skip={skip} heads={heads}",
         topo.nodes, topo.gpus_per_node, topo.wire_dtype
     );
-    let handed = run_bwd_heads(topo, heads, case, true);
-    let seq = run_bwd_heads(topo, heads, case, false);
-    let strict = (topo.nodes, topo.gpus_per_node) == (2, 4);
+    let handed = run_bwd_heads(pass, topo, heads, case, true);
+    let seq = run_bwd_heads(pass, topo, heads, case, false);
     for (rank, (p, s)) in handed.iter().zip(&seq).enumerate() {
         let at = format!("{ctx} rank {rank}");
         let grads = |g: &(Mat, Mat, Mat)| [&g.0, &g.1, &g.2].map(|m| bits(m.as_slice()));
@@ -611,17 +670,20 @@ fn check_bwd_heads(topo: &Topology, heads: usize, case: (&AttnMask, Layout, bool
         validate_mem(&p.3).unwrap_or_else(|e| panic!("{at}: {e}"));
         assert_eq!(p.3.live_at_close, 0, "{at}: live at close");
         assert_eq!(p.3.peak.gated(), s.3.peak.gated(), "{at}: gated peak");
-        let mut starts: Vec<(f64, f64)> =
+        // Algorithm 1's ∇Q accumulator is billed unless the caller bills it.
+        let dq_entries = p.3.entries.iter().any(|e| e.name == "dr_bwd_dq");
+        assert_eq!(dq_entries, pass == HandOff::Alg1, "{at}: dr_bwd_dq");
+        let mut bundles: Vec<(f64, f64)> =
             p.3.entries
                 .iter()
-                .filter(|e| e.name == "dr_bwd_start_bundle")
+                .filter(|e| e.name == pass.bundle())
                 .map(|e| (e.open, e.close.expect("closed")))
                 .collect();
-        starts.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for w in starts.windows(2) {
+        bundles.sort_by(|a, b| a.0.total_cmp(&b.0));
+        for w in bundles.windows(2) {
             assert!(
                 w[0].1 <= w[1].0,
-                "{at}: start bundles open at once: {:?} and {:?}",
+                "{at}: bundles open at once: {:?} and {:?}",
                 w[0],
                 w[1]
             );
@@ -629,8 +691,10 @@ fn check_bwd_heads(topo: &Topology, heads: usize, case: (&AttnMask, Layout, bool
     }
 }
 
-#[test]
-fn multi_head_burst_backward_equals_one_call_per_head() {
+/// The hand-off grid: five topologies, three mask/layout pairs, f32 and
+/// bf16 wires, skipping off and on, two and three heads. `strict` names the
+/// topologies on which every rank must finish strictly earlier.
+fn check_bwd_grid(pass: HandOff, strict: impl Fn(&Topology) -> bool) {
     let topos = [
         Topology::a800(2, 2),
         Topology::a800(2, 4),
@@ -653,12 +717,28 @@ fn multi_head_burst_backward_equals_one_call_per_head() {
             for (mask, layout) in &masks {
                 for skip in [false, true] {
                     for heads in 2..=3 {
-                        check_bwd_heads(&topo, heads, (mask, *layout, skip));
+                        let case = (mask, *layout, skip);
+                        check_bwd_heads(pass, &topo, heads, case, strict(&topo));
                     }
                 }
             }
         }
     }
+}
+
+#[test]
+fn multi_head_burst_backward_equals_one_call_per_head() {
+    check_bwd_grid(HandOff::Alg2, |t| (t.nodes, t.gpus_per_node) == (2, 4));
+}
+
+/// Algorithm 1's hand-off, on the two-level ring and on USP's ring leg: on
+/// `a800(2, 4)` every rank finishes strictly earlier, and so does every
+/// rank of USP's 2 × 2 ring (two members on each of two nodes, on
+/// `a800(2, 4)`).
+#[test]
+fn multi_head_alg1_backward_equals_one_call_per_head() {
+    check_bwd_grid(HandOff::Alg1, |t| (t.nodes, t.gpus_per_node) == (2, 4));
+    check_bwd_grid(HandOff::UspAlg1, |t| (t.nodes, t.gpus_per_node) == (2, 4));
 }
 
 #[test]
@@ -838,11 +918,12 @@ fn fnv(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// Per topology row and flat algorithm, digests of every rank's
+/// Per topology row and algorithm, digests of every rank's
 /// `(O, Lse, ∇Q, ∇K, ∇V)` bits, final virtual clock, `CommStats` and ledger
 /// `PeakBytes`, folded over causal, full and N/4- and N/8-window masks, the
-/// zigzag and contiguous layouts and skipping off and on — recorded while
-/// the flat ring still ran schedules of its own.
+/// zigzag and contiguous layouts and skipping off and on, as the dispatcher
+/// runs one head. The flat rows were recorded while the flat ring still ran
+/// schedules of its own.
 const FLAT_PINS: &str = "\
 2x4/F32 RingFlat 0x9e4218fe64444861 0x7dfd3442f160938e 0x5c80424213416429 0x94b7c65e7e457450
 2x4/F32 BurstFlat 0x5c9792892240d985 0xc91e1e7b58ebca95 0x39533d0f02299346 0xbb019b19bf9fc77f
@@ -858,23 +939,27 @@ const FLAT_PINS: &str = "\
 1x1/F32 BurstFlat 0x1d77451e86b3137d 0x8d44922d42847455 0x38660fad83827ec5 0x6308ac0bfcb19f25
 ";
 
-/// The flat-ring rows of [`FLAT_PINS`], one line each.
-fn flat_ring_digests() -> String {
-    let topos = [
-        Topology::a800(2, 4),
-        Topology::a800(2, 4).with_wire_dtype(WireDtype::Bf16),
-        Topology::a800(1, 4),
-        Topology::a800(4, 2),
-        Topology::a800(3, 1),
-        Topology::a800(1, 1),
-    ];
+/// The two-level Algorithm 1 rows (`Algo::DoubleRing`), recorded while its
+/// backward still took one head per call.
+const ALG1_PINS: &str = "\
+2x4/F32 DoubleRing 0xbd2cf82c12ec0c35 0x979207c9bead913c 0x32625692d76e00de 0xdbf6b0a29c4eba74
+2x4/Bf16 DoubleRing 0xc628b866ff6b3d3d 0x5a89e2a436a4bd77 0x3d673c7c32919e7d 0xc5966de5d6170e39
+2x2/F32 DoubleRing 0x1e1a869a9355cbe1 0xa0254bf588be3b55 0x24ef97196c503943 0x8d900fa339ced8ae
+3x2/F32 DoubleRing 0x8b5fe9d4cb1ebd89 0x4f4d1ee1bae941ad 0xc1a12385dae54e1e 0xca4791b45a5acf04
+4x1/F32 DoubleRing 0x782c1b7937f0ae5d 0xfba9300e16980119 0x6acbfcbcac734950 0x7069929b1267151b
+1x4/F32 DoubleRing 0x782c1b7937f0ae5d 0x9aec1a2b035dac37 0x4e37c9afbedf7398 0x7069929b1267151b
+";
+
+/// One line per topology row and algorithm of [`FLAT_PINS`] or
+/// [`ALG1_PINS`].
+fn ring_digests(topos: &[Topology], algos: &[Algo]) -> String {
     let mut table = String::new();
     for topo in topos {
         let g = topo.world_size();
         // Zigzag chunks of one kernel tile, so skip gates split shards.
         let (n, d) = (64 * g, 8);
         let (q, k, v, grad_o, scale) = problem(n, d);
-        for algo in [Algo::RingFlat, Algo::BurstFlat] {
+        for &algo in algos {
             let mut h = [0xcbf2_9ce4_8422_2325u64; 4];
             for mask in [
                 AttnMask::Causal,
@@ -938,6 +1023,35 @@ fn flat_ring_digests() -> String {
 /// failure prints the new table.
 #[test]
 fn flat_ring_matches_pinned_digests() {
-    let got = flat_ring_digests();
+    let topos = [
+        Topology::a800(2, 4),
+        Topology::a800(2, 4).with_wire_dtype(WireDtype::Bf16),
+        Topology::a800(1, 4),
+        Topology::a800(4, 2),
+        Topology::a800(3, 1),
+        Topology::a800(1, 1),
+    ];
+    let got = ring_digests(&topos, &[Algo::RingFlat, Algo::BurstFlat]);
     assert_eq!(got, FLAT_PINS, "flat-ring digests moved; now:\n{got}");
+}
+
+/// DoubleRingAttention's one-head pass, as the dispatcher and
+/// `attn-32rank` run it, keeps its output bits, clocks, counters and ledger
+/// peaks: one head is the plain pass of the multi-head Algorithm 1
+/// backward.
+#[test]
+fn double_ring_one_head_matches_pinned_digests() {
+    let topos = [
+        Topology::a800(2, 4),
+        Topology::a800(2, 4).with_wire_dtype(WireDtype::Bf16),
+        Topology::a800(2, 2),
+        Topology::a800(3, 2),
+        Topology::a800(4, 1),
+        Topology::a800(1, 4),
+    ];
+    let got = ring_digests(&topos, &[Algo::DoubleRing]);
+    assert_eq!(
+        got, ALG1_PINS,
+        "two-level Algorithm 1 digests moved; now:\n{got}"
+    );
 }

@@ -54,7 +54,10 @@ pub trait AttnExec {
 
     /// Recompute the attention outputs restricted to global tokens
     /// `< cutoff` (inputs are the local rows below the cutoff, in layout
-    /// order). `None` when the backend does not support partial recompute.
+    /// order). `None` when the backend does not support partial recompute,
+    /// or when a query below the cutoff may attend a key at or above it, so
+    /// that a pass over the front alone cannot rebuild the front's outputs;
+    /// the caller then reruns the whole forward and keeps its front rows.
     fn forward_partial(
         &mut self,
         _q: &[Mat],
@@ -154,13 +157,19 @@ pub trait AttnExec {
     }
 }
 
+/// Whether a query among the `n` global tokens below `cut` may attend a key
+/// at or above it: then a pass over the tokens below the cut alone does not
+/// give them their outputs.
+fn front_sees_tail(mask: &AttnMask, n: usize, cut: usize) -> bool {
+    mask.pairs_between(&[Span::range(0, cut)], &[Span::range(cut, n)]) > 0
+}
+
 /// Whether a pass over the global tokens `< cut` alone gives them the
 /// forward's bits: no query below the cut may attend a key at or above it,
 /// and the cut leaves whole kernel tiles on each of the `g` members
 /// ([`Layout::cut_on_tiles`]).
 fn partial_pass_exact(mask: &AttnMask, layout: Layout, n: usize, g: usize, cut: usize) -> bool {
-    mask.pairs_between(&[Span::range(0, cut)], &[Span::range(cut, n)]) == 0
-        && layout.cut_on_tiles(n, g, cut, DEFAULT_BLOCK)
+    !front_sees_tail(mask, n, cut) && layout.cut_on_tiles(n, g, cut, DEFAULT_BLOCK)
 }
 
 /// Single-device blocked flash attention.
@@ -240,6 +249,9 @@ impl AttnExec for LocalExec {
         v: &[Mat],
         cutoff: usize,
     ) -> Option<AttnOut> {
+        if front_sees_tail(&self.mask, self.seq_len, cutoff) {
+            return None;
+        }
         let idx: Vec<usize> = (0..cutoff.min(self.seq_len)).collect();
         let mut o = Vec::with_capacity(q.len());
         let mut lse = Vec::with_capacity(q.len());
@@ -292,18 +304,20 @@ impl AttnExec for LocalExec {
 /// every head through one pipelined pass
 /// ([`double_ring::try_double_ring_forward_heads_on`]): head `h + 1`'s
 /// inter-node `(K, V)` transfer hides behind head `h`'s intra-node sweeps.
-/// BurstTopo's backward there runs every head through one call too
-/// ([`double_ring::try_double_ring_backward_alg2_heads_on`]): head `h + 1`'s
-/// inter-node start bundle leaves during head `h`'s last sweep, and head
+/// The backward there runs every head through one call too. BurstTopo's
+/// ([`double_ring::try_double_ring_backward_alg2_heads_on`]) sends head
+/// `h + 1`'s inter-node start bundle during head `h`'s last sweep, and head
 /// `h`'s final `∇Q` lands behind head `h + 1`'s work. DoubleRing's
-/// Algorithm 1 backward and every pass on the flat ring run one head at a
-/// time, so each flat head opens and closes its own accumulators. Every
-/// backward first forms each head's `D = rowsum(∇O ∘ O)`, billed as
-/// `attn_bwd_d` until it returns, and closes the block's cached `O`
-/// ([`AttnExec::stash_push`]): no slot reads `O`. A
-/// communication fault is latched (see [`AttnExec::take_failure`]); in a
-/// call over every head it zeroes every head, and one head at a time it
-/// zeroes the heads from the fault on.
+/// Algorithm 1 ([`double_ring::try_double_ring_backward_alg1_heads_on`])
+/// lands head `h`'s own `(∇K, ∇V)` behind head `h + 1`'s first sweep. In
+/// both, a pending landing is the head's output and bills nothing. Every
+/// pass on the flat ring runs one head at a time, so each flat head opens
+/// and closes its own accumulators. Every backward first forms each head's
+/// `D = rowsum(∇O ∘ O)`, billed as `attn_bwd_d` until it returns, and
+/// closes the block's cached `O` ([`AttnExec::stash_push`]): no slot reads
+/// `O`. A communication fault is latched (see [`AttnExec::take_failure`]);
+/// in a call over every head it zeroes every head, and one head at a time
+/// it zeroes the heads from the fault on.
 pub struct DistExec<'a> {
     pub comm: &'a mut Communicator,
     pub algo: Algo,
@@ -366,8 +380,8 @@ impl<'a> DistExec<'a> {
         self.flat_fallback
     }
 
-    /// A topology-aware algorithm on its two-level spec: the forward takes
-    /// every head in one call there, and so does BurstTopo's backward.
+    /// A topology-aware algorithm on its two-level spec: the forward and
+    /// the backward take every head in one call there.
     fn two_level(&self) -> bool {
         matches!(self.algo, Algo::DoubleRing | Algo::BurstTopo) && !self.flat_fallback
     }
@@ -455,11 +469,7 @@ impl AttnExec for DistExec<'_> {
             })
             .collect();
         let (algo, two_level) = (self.algo, self.two_level());
-        let per_call = if two_level && algo == Algo::BurstTopo {
-            heads.len()
-        } else {
-            1
-        };
+        let per_call = if two_level { heads.len() } else { 1 };
         let (comm, spec, latch) = (&mut *self.comm, &self.spec, &mut self.latch);
         let grads: Vec<(Mat, Mat, Mat)> = heads
             .chunks(per_call)
@@ -469,9 +479,7 @@ impl AttnExec for DistExec<'_> {
                         double_ring::try_double_ring_backward_alg2_heads_on(c, hs, spec)
                     }
                     Algo::DoubleRing if two_level => {
-                        let (shard, back) = &hs[0];
-                        double_ring::try_double_ring_backward_alg1_on(c, shard, back, spec)
-                            .map(|g| vec![g])
+                        double_ring::try_double_ring_backward_alg1_heads_on(c, hs, spec, false)
                     }
                     Algo::RingFlat | Algo::DoubleRing => {
                         try_ring_backward(c, spec, &hs[0].0, &hs[0].1).map(|g| vec![g])
@@ -492,7 +500,8 @@ impl AttnExec for DistExec<'_> {
         v: &[Mat],
         cutoff: usize,
     ) -> Option<AttnOut> {
-        Some(self.fwd(q, k, v, Some(cutoff)))
+        (!front_sees_tail(&self.mask, self.seq_len, cutoff))
+            .then(|| self.fwd(q, k, v, Some(cutoff)))
     }
 
     /// Every member's tokens below the cutoff circulate as the ring's
@@ -524,7 +533,8 @@ impl AttnExec for DistExec<'_> {
 /// `ulysses_size` ranks; `ulysses_size` = world size is DeepSpeed-Ulysses.
 /// The context-parallel ring runs on the two-level ring (one level when its
 /// members are ragged across nodes): every owned head through one pipelined
-/// forward pass, and Algorithm 1 one head at a time in the backward (see
+/// forward pass, and through one Algorithm 1 call in the backward, each
+/// head's `(∇K, ∇V)` landing behind the next head's first sweep (see
 /// [`burst_dattn::usp`]). The forward returns each head's `(O, Lse)`, and
 /// the backward consumes the `(O, Lse)` it is handed, as the ring family
 /// does: rebuilding them is the checkpointing strategy's business.
@@ -887,9 +897,10 @@ impl MultiHeadAttention {
                 let partial = exec.forward_partial(&q_sub, &k_sub, &v_sub, *cutoff);
                 let (o_front, lse_front) = match partial {
                     Some(out) => out,
-                    // Backends without partial recompute (Ulysses/USP)
-                    // rerun the full forward once and keep its front rows:
-                    // the tail cache still saves memory, not compute.
+                    // Backends without partial recompute (Ulysses/USP), and
+                    // masks under which the front attends later keys, rerun
+                    // the full forward once and keep its front rows: the
+                    // tail cache still saves memory, not compute.
                     None => {
                         let (o, lse) = exec.forward(&q_heads, &k_heads, &v_heads);
                         let o_front: Vec<Mat> =

@@ -229,6 +229,37 @@ fn checkpoint_strategies_equivalent_distributed() {
 }
 
 #[test]
+fn seq_selective_under_a_full_mask_trains_the_bits_of_no_checkpointing() {
+    // Under `AttnMask::Full` a query below the cutoff attends keys above
+    // it, so a pass over the front rows alone cannot rebuild their
+    // outputs: the recompute reruns the whole forward and keeps its front
+    // rows. At an f32 stash the losses and every rank's state — weights,
+    // gradients and Adam moments — are then those of `Strategy::None`, on
+    // the single-device executor and on the two-level ring.
+    for (backend, topo) in [
+        (Backend::Local, Topology::single_node(1)),
+        (Backend::Ring(Algo::BurstTopo), Topology::a800(2, 2)),
+    ] {
+        let mut c = cfg(backend);
+        c.mask = AttnMask::Full;
+        c.fsdp = backend != Backend::Local;
+        let run = |strategy: Strategy| {
+            let c = EngineConfig {
+                strategy,
+                ..c.clone()
+            };
+            run_state(&topo, &c, 2)
+        };
+        let reference = run(Strategy::None);
+        let got = run(Strategy::SeqSelective { rho: 0.5 });
+        for (rank, (got, want)) in got.iter().zip(&reference).enumerate() {
+            assert_eq!(got.0, want.0, "{backend:?} rank {rank}: losses");
+            assert!(got.1 == want.1, "{backend:?} rank {rank}: state");
+        }
+    }
+}
+
+#[test]
 fn bf16_stash_recompute_differs_from_the_kept_outputs() {
     // Why the last-block rule stops at a bf16 stash: recomputing a block
     // from its bf16-rounded input does not rebuild the forward's outputs.

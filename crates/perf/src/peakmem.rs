@@ -34,8 +34,9 @@ pub enum PeakMethod {
     /// members are ragged across nodes); `ulysses` = world is
     /// DeepSpeed-Ulysses. One forward over every owned head at once, which
     /// keeps its head-shard `Q, K, V` for the backward, then a backward that
-    /// lands the caller's `(O, Lse)` and `∇O` beside them, runs Algorithm 1
-    /// one head at a time and closes the context before the gradient
+    /// lands the caller's `(O, Lse)` and `∇O` beside them, runs every owned
+    /// head through one Algorithm 1 call, its `∇Q` accumulating in the
+    /// gradient block, and closes the context before the gradient
     /// all-to-all. A backward without a context runs the forward's `Q, K,
     /// V` all-to-all first, an instant the forward already prices.
     Usp { heads: usize, ulysses: usize },
@@ -247,11 +248,13 @@ fn usp_peak(
     // owned head, so all their `dr_fwd_acc` (O, Lse) accumulators are live
     // at once, with one `dr_fwd_start_kv` (K, V) bundle per head when the
     // ring crosses nodes and one shared `dr_fwd_cur_kv` when a node holds
-    // several members. Backward, one head at a time: the gradient block
-    // plus Algorithm 1's ∇Q accumulator and the halves of its
-    // (K, V, ∇K, ∇V) bundle the gates ever fill. A ring of one position
+    // several members. Backward, one head at a time within one call: on
+    // top of the gradient block, the halves of Algorithm 1's
+    // (K, V, ∇K, ∇V) bundle the gates ever fill. Its ∇Q accumulates in
+    // place, in the gradient block, and a head's pending (∇K, ∇V) landing
+    // is its output there, so neither bills more. A ring of one position
     // (Ulysses) runs its kernels locally and bills no ring term.
-    let (fwd_act, fwd_cb, ring_dq, ring_cb_bwd) = if ring > 1 {
+    let (fwd_act, fwd_cb, ring_cb_bwd) = if ring > 1 {
         // `(nodes, members per node)` of every ring's split: the
         // stride-`ulysses` members put one rank on each node when
         // `ulysses ≥ p`, `p / ulysses` on every node when that divides,
@@ -283,11 +286,10 @@ fn usp_peak(
         (
             hpr as u64 * acc,
             starts + cur,
-            (4 * ns * dh) as u64,
             (buf_kv as u64 + buf_dkv as u64) * kv,
         )
     } else {
-        (0, 0, 0, 0)
+        (0, 0, 0)
     };
     // The gated sum at each instant that can be the deepest, in run order:
     // the Q|K|V all-to-all (the forward's, or a backward's without a
@@ -300,7 +302,7 @@ fn usp_peak(
         qkv + fwd_act + fwd_cb,
         qkv + staging(1, true),
         qkv + staging(2, true),
-        qkv + out + grads + ring_dq + ring_cb_bwd,
+        qkv + out + grads + ring_cb_bwd,
         grads + staging(3, false),
     ]
     .into_iter()
@@ -308,7 +310,7 @@ fn usp_peak(
     .expect("instants");
     PeakBytes {
         ckpt_stash: qkv + out,
-        activations: fwd_act.max(grads + ring_dq),
+        activations: fwd_act.max(grads),
         comm_buffers: [
             staging(3, false),
             staging(1, true),

@@ -611,16 +611,20 @@ fn crash_in_a_two_level_fsdp_gather_evicts_only_the_victim() {
     }
 }
 
-/// The ops `rank` runs in clean step `f` of BurstTopo training on `topo`
-/// between head 0's last backward slot and its deferred `∇Q` homecoming,
-/// read off the rank's trace: head 1's first sweep runs there, while head
-/// 0's final `∇Q` waits on the diagonal link. A rank's op index of a span is
-/// the number of sends and receives recorded before it.
+/// The ops `rank` runs in clean step `f` of topology-aware training on
+/// `topo` between head 1's first backward slot and the deferred landing of
+/// head 0's gradients, read off the rank's trace: head 1's slots run there,
+/// while head 0's last gradient message waits on its link. `landing` names
+/// the landing's round, `dr_dq_final` (BurstTopo's final `∇Q`) or
+/// `dr_dkv_final` (DoubleRing's `(∇K, ∇V)`), and `back` counts head 1's
+/// slots before the one that lands it. A rank's op index of a span is the
+/// number of sends and receives recorded before it.
 fn homecoming_window_ops(
     cfg: &EngineConfig,
     topo: &Topology,
     rank: usize,
     f: usize,
+    (landing, back): (&str, usize),
 ) -> std::ops::Range<u64> {
     let before = elastic_ops_after(cfg, topo.clone(), rank, f);
     let traces = World::new(topo.clone()).run_results(|comm| {
@@ -641,49 +645,68 @@ fn homecoming_window_ops(
         })
         .collect();
     let is_slot = |i: usize| spans[i].kind == SpanKind::AttnRound && spans[i].name == "dr_bwd_slot";
-    // The step's first homecoming received inside a slot of the next head.
+    // The step's first landing received inside a slot of the next head.
     let home = (0..spans.len())
         .find(|&i| {
             op_at[i] >= before
-                && spans[i].name == "dr_dq_final"
+                && spans[i].name == landing
                 && spans[i].parent >= 0
                 && is_slot(spans[i].parent as usize)
         })
-        .expect("a deferred homecoming in step f");
-    // Head 1's slots from its first up to the one that lands head 0's
-    // `∇Q`: its first sweep, then the first slot of its second.
-    let gpn = topo.gpus_per_node;
+        .expect("a deferred landing in step f");
     let slots: Vec<usize> = (0..home).filter(|&i| is_slot(i)).collect();
-    let head1_first = slots[slots.len() - 1 - gpn];
+    let head1_first = slots[slots.len() - 1 - back];
     op_at[head1_first]..op_at[home]
 }
 
 #[test]
 fn crash_while_a_heads_homecoming_is_deferred_is_recovered() {
-    // On 2 nodes x 4 GPUs the BurstTopo backward hands each head to the
-    // next: head 0's final ∇Q waits on the diagonal link while head 1's
-    // first sweep runs. Rank 5 dies at an op in that window of step 1. The
-    // survivors must evict rank 5 alone, replay the step on the seven-rank
-    // flat ring, and match fresh 2 x 4 and 7-rank worlds bit for bit.
-    let mut flat = elastic_cfg();
-    flat.model.seq_len = 112; // zigzag needs 2·g | seq for g = 8 and g = 7
-    let mut cfg = flat.clone();
-    cfg.backend = Backend::Ring(Algo::BurstTopo);
-    let (steps, f, victim) = (2, 1, 5);
+    // On 2 nodes x 4 GPUs both topology-aware backwards hand each head to
+    // the next. BurstTopo's head 0 final ∇Q waits on the diagonal link while
+    // head 1's first sweep runs, and lands in the first slot of head 1's
+    // second sweep. DoubleRing's head 0 (∇K, ∇V) wait on the intra-node
+    // link, its last completion hop's, and land in head 1's first slot.
+    // Rank 5 dies at an op in that window of step 1. The survivors must
+    // evict rank 5 alone, replay the step on the seven-rank flat ring (where
+    // the two run BurstFlat's and RingFlat's schedules), and match fresh
+    // 2 x 4 and 7-rank worlds bit for bit.
     let topo = Topology::a800(2, 4);
-    let window = homecoming_window_ops(&cfg, &topo, victim, f);
-    assert!(!window.is_empty(), "head 1's first sweep runs ops");
-    let op = (window.start + window.end) / 2;
-    let plan = FaultPlan::new(31)
-        .crash_at_op(victim, op)
-        .recv_deadline(60.0);
-    let outs = recover_in_step(&cfg, topo.clone(), steps, plan);
-    let t = outs[victim].trace.as_ref().expect("tracing was on");
-    assert!(crashed_in_a_ring_round(t), "op {op} is not mid-ring");
-    let want = chained((topo, &cfg), f, (Topology::single_node(7), &flat), steps);
-    for out in survivors_match(&outs, &[victim], &want) {
-        assert_eq!(out.epoch, 1, "one eviction bumps the epoch once");
-        assert_eq!(out.steps_replayed, 1, "only the failed step re-runs");
+    for (algo, flat_algo, landing) in [
+        (
+            Algo::BurstTopo,
+            Algo::BurstFlat,
+            ("dr_dq_final", topo.gpus_per_node),
+        ),
+        (Algo::DoubleRing, Algo::RingFlat, ("dr_dkv_final", 0)),
+    ] {
+        let mut flat = elastic_cfg();
+        flat.model.seq_len = 112; // zigzag needs 2·g | seq for g = 8 and g = 7
+        flat.backend = Backend::Ring(flat_algo);
+        let mut cfg = flat.clone();
+        cfg.backend = Backend::Ring(algo);
+        let (steps, f, victim) = (2, 1, 5);
+        let window = homecoming_window_ops(&cfg, &topo, victim, f, landing);
+        assert!(!window.is_empty(), "{algo:?}: head 1 runs ops first");
+        let op = (window.start + window.end) / 2;
+        let plan = FaultPlan::new(31)
+            .crash_at_op(victim, op)
+            .recv_deadline(60.0);
+        let outs = recover_in_step(&cfg, topo.clone(), steps, plan);
+        let t = outs[victim].trace.as_ref().expect("tracing was on");
+        assert!(
+            crashed_in_a_ring_round(t),
+            "{algo:?}: op {op} is not mid-ring"
+        );
+        let want = chained(
+            (topo.clone(), &cfg),
+            f,
+            (Topology::single_node(7), &flat),
+            steps,
+        );
+        for out in survivors_match(&outs, &[victim], &want) {
+            assert_eq!(out.epoch, 1, "one eviction bumps the epoch once");
+            assert_eq!(out.steps_replayed, 1, "only the failed step re-runs");
+        }
     }
 }
 
